@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-teeth check bench bench-evidence bench-reads-smoke chaos chaos-smoke chaos-teeth chaos-elections chaos-leases sim-sweep sim-teeth sim-sweep-groups sim-teeth-groups
+.PHONY: all build test race vet lint lint-teeth check bench bench-evidence bench-reads-smoke benchmark-smoke bench-compare chaos chaos-smoke chaos-teeth chaos-elections chaos-leases chaos-disk sim-sweep sim-teeth sim-sweep-groups sim-teeth-groups
 
 all: check
 
@@ -22,13 +22,14 @@ vet:
 # lint runs adore-lint, the repo-specific static checker (cmd/adore-lint):
 # cache immutability, model determinism, lockset discipline, exhaustive
 # switches over the model's enum types, transitive purity of the core and
-# model packages, and the persist-before-send effect order in the Ready
-# driver.
+# model packages, and the effect order of the staged Ready driver (Core.Stable
+# only after the batch's Storage.Save* calls, never from their error branch).
 lint:
 	$(GO) run ./cmd/adore-lint ./...
 
 # lint-teeth proves each analysis still bites: the mutant fixtures under
-# internal/lint/testdata (send-before-persist, dropped persist error,
+# internal/lint/testdata (Stable before Save, Stable on the write's error
+# path, a persist error merely logged on the lane, dropped persist error,
 # transitive time.Now reach, bare call to a *Locked helper, unlock-then-read
 # window, ...) must keep producing their expected diagnostics, and the
 # fixture harness fails any pass that goes inert (zero findings). The CLI
@@ -77,6 +78,16 @@ chaos-elections:
 # armed over generated schedules.)
 chaos-leases:
 	! $(GO) run ./cmd/raft-chaos -teeth -disable-lease-guard -seeds 1
+
+# chaos-disk is the slow-disk teeth pair (deterministic simulator, write
+# delays on): the driver mutant that reports Stable before the write lands
+# must be caught when a power cycle loses the in-flight writes (-early-stable
+# expects violations; the real driver's clean arm is TestCrashBeforeStable),
+# and with the stalled-disk step-down knocked out a leader with a frozen disk
+# must trip the liveness oracle.
+chaos-disk:
+	$(GO) run ./cmd/raft-chaos -teeth -early-stable -seeds 1
+	$(GO) test -count=1 -run 'TestCrashBeforeStable|TestTeethStalledLeaderDisk' ./internal/chaos
 
 # sim-sweep runs the same schedules in the deterministic simulator: the
 # whole execution (not just the fault plan) is a pure function of the seed,
@@ -140,3 +151,19 @@ bench-evidence:
 # follower sweep at reduced size — no thresholds, it just must complete.
 bench-reads-smoke:
 	$(GO) run ./cmd/raft-bench -reads -read-requests 600 -read-clients 8
+
+# benchmark-smoke runs the canonical benchmark (benchmark/README.md) once,
+# short: the real stack over TCP + FileStorage must come up, serve, reload
+# its WALs and report a correct run with no failed request.
+benchmark-smoke:
+	@out=$$(bash benchmark/run.sh --workload put-durable --seed 1 --seconds 2 --trace 0 | tail -n 1); \
+	echo "$$out"; \
+	echo "$$out" | grep -Eq '"correct": ?true' && echo "$$out" | grep -Eq '"failed": ?0[,}]' || \
+		{ echo "benchmark-smoke: run incorrect or requests failed"; exit 1; }
+
+# bench-compare judges result file B against A with the bounds in
+# BENCHMARK.json (make bench-compare A=parent.json B=change.json); the files
+# come from `go run ./benchmark -workload all -runs N -trace both -out F`.
+bench-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=<file> B=<file>"; exit 2; }
+	$(GO) run ./benchmark -compare $(A) $(B)

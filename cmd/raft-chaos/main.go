@@ -16,6 +16,7 @@
 //	raft-chaos -sim -groups 3 -seeds 500    # multi-group sweep: per-group oracles over a sharded keyspace
 //	raft-chaos -teeth -groups 2             # cross-group wipe teeth: group 1's corruption caught, group 0 clean
 //	raft-chaos -teeth -disable-lease-guard  # lease teeth: the stale-lease oracle must fire (exit 1)
+//	raft-chaos -teeth -early-stable         # driver-mutant teeth: Stable before the write lands must be caught
 //
 // With -sim each seed runs in the deterministic simulator instead of a live
 // cluster: single-threaded on a logical clock, the entire execution (not
@@ -59,6 +60,7 @@ func main() {
 		disPV     = flag.Bool("disable-prevote", false, "turn off Pre-Vote (with -teeth: run the rejoin-disruption schedule)")
 		disCQ     = flag.Bool("disable-checkquorum", false, "turn off CheckQuorum step-down (with -teeth: run the stale-leader schedule)")
 		disLG     = flag.Bool("disable-lease-guard", false, "turn off the transfer/reconfig lease invalidation (with -teeth: run the lease-violation schedule; the stale-lease oracle must fire)")
+		earlySt   = flag.Bool("early-stable", false, "swap in the simulator's driver mutant that reports Stable before the write lands (with -teeth: run the crash-before-stable schedule; expect violations)")
 		teeth     = flag.Bool("teeth", false, "run the crafted violation schedule for the disabled guard instead of generated ones")
 		sim       = flag.Bool("sim", false, "deterministic simulation instead of a live cluster (adds the refinement oracle)")
 		groups    = flag.Int("groups", 1, "raft groups sharing the keyspace (>1 implies -sim; every oracle runs per group)")
@@ -83,8 +85,8 @@ func main() {
 	// flat-storage-layout bug the per-group subdirectories prevent. It is
 	// always expect-violations mode, and every violation must be attributed
 	// to the wiped group — a control-group catch fails the run.
-	wipeTeeth := *teeth && *groups > 1 && !*disableR2 && !*disableR3 && !*disPV && !*disCQ && !*disLG
-	expectViolations := *disableR2 || *disableR3 || *disPV || *disCQ || wipeTeeth
+	wipeTeeth := *teeth && *groups > 1 && !*disableR2 && !*disableR3 && !*disPV && !*disCQ && !*disLG && !*earlySt
+	expectViolations := *disableR2 || *disableR3 || *disPV || *disCQ || *earlySt || wipeTeeth
 	// -teeth -disable-lease-guard runs the crafted lease-violation schedule
 	// with the guard off and keeps violations as the FAILING exit status
 	// (like a bare -teeth): the command exits 1 exactly when the stale-lease
@@ -101,6 +103,10 @@ func main() {
 			*sim = true
 		}
 	}
+	// The driver mutant lives in the simulator's Ready executor.
+	if *earlySt {
+		*sim = true
+	}
 
 	opt := chaos.Options{
 		Nodes:              *nodes,
@@ -116,6 +122,14 @@ func main() {
 		DisableLeaseGuard:  *disLG,
 		SnapshotThreshold:  *snapThr,
 		Groups:             *groups,
+		EarlyStable:        *earlySt,
+	}
+
+	if leaseTeeth {
+		// The stale-lease window is what is left of one election interval
+		// after the successor's vote round and first commit round, each of
+		// which now crosses a slow disk twice: give it room.
+		opt.ElectionTimeoutMin = 40 * time.Millisecond
 	}
 
 	var list []int64
@@ -147,6 +161,8 @@ func main() {
 						sched = chaos.CrossGroupWipeSchedule(opt)
 					case leaseTeeth:
 						sched = chaos.LeaseViolationSchedule(opt)
+					case *earlySt:
+						sched = chaos.CrashBeforeStableSchedule(opt)
 					case *disPV:
 						sched = chaos.DisruptionSchedule(opt)
 					case *disCQ:

@@ -85,6 +85,10 @@ func TestScheduleEventsAreExecutable(t *testing.T) {
 					t.Fatalf("seed %d: restart of running S%d", seed, e.Node)
 				}
 				delete(crashed, e.Node)
+			case EvStallDisk:
+				if e.For <= 0 || crashed[e.Node] {
+					t.Fatalf("seed %d: malformed disk stall: %s", seed, e)
+				}
 			case EvDropRate, EvReconfigRemove, EvReconfigAdd, EvReconfigShed,
 				EvTransferLeader, EvReconfigDropLeader:
 				// Always executable.

@@ -190,7 +190,9 @@ func TestDisruptionSweep(t *testing.T) {
 // schedule, guard on — must stay clean: the lease dies the instant the
 // transfer starts and cannot revive while deafened.
 func TestTeethLeaseGuard(t *testing.T) {
-	opt := Options{Duration: 1500 * time.Millisecond}
+	// An election interval with room for a vote round and a commit round
+	// over slow disks inside the old leader's lease window.
+	opt := Options{Duration: 1500 * time.Millisecond, ElectionTimeoutMin: 40 * time.Millisecond}
 	sched := LeaseViolationSchedule(opt)
 
 	broken := opt

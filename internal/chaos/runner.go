@@ -399,6 +399,20 @@ func (ex *executor) apply(e Event) {
 		// Deterministic-sim only, like EvWALWipe: the stale-lease oracle
 		// needs the sim's link-state visibility, so the lease teeth run
 		// there and a live replay skips the deafening.
+	case EvStallDisk:
+		id := e.Node
+		if id == types.NoNode {
+			l := ex.c.Leader()
+			if l == nil {
+				return
+			}
+			id = l.ID()
+		}
+		// Every write on the node sleeps For until the stall is lifted,
+		// For from now (the epilogue's ClearFaults lifts it regardless).
+		fs := ex.faults[id]
+		fs.SetStall(e.For)
+		time.AfterFunc(e.For, func() { fs.SetStall(0) })
 	default:
 		panic(fmt.Sprintf("chaos: executor saw unknown event kind %v", e.Kind))
 	}

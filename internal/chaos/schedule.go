@@ -95,6 +95,13 @@ const (
 	// deafened old leader would serve a stale lease read if the transfer
 	// lease-invalidation guard were missing. Deterministic-sim only.
 	EvDeafenLeader
+	// EvStallDisk freezes one node's disk for Event.For: no write lands
+	// until the stall clears, while messages, ticks and reads go on. Node
+	// NoNode means whoever leads at execution time — the stalled-leader
+	// scenario: heartbeats no longer wait for the disk, so only the core's
+	// own stalled-disk step-down hands the cluster to a replica that can
+	// write.
+	EvStallDisk
 )
 
 // String implements fmt.Stringer.
@@ -134,6 +141,8 @@ func (k EventKind) String() string {
 		return "wal-wipe"
 	case EvDeafenLeader:
 		return "deafen-leader"
+	case EvStallDisk:
+		return "stall-disk"
 	default:
 		return fmt.Sprintf("event(%d)", uint8(k))
 	}
@@ -173,14 +182,15 @@ func (m CrashMode) String() string {
 // meaningful for the kinds that use them. String renders the plan — never
 // runtime-resolved state — so rendering is deterministic per seed.
 type Event struct {
-	At   time.Duration // offset from run start
-	Kind EventKind
-	Node types.NodeID // crash/restart/isolate/reconfig/wipe target
-	Mode CrashMode    // EvCrash
-	A, B []types.NodeID
-	Keep  int          // EvPartitionLeader: followers kept on the leader's side
-	Rate  float64      // EvDropRate
-	Group raft.GroupID // EvWALWipe: the group whose storage is destroyed
+	At    time.Duration // offset from run start
+	Kind  EventKind
+	Node  types.NodeID // crash/restart/isolate/reconfig/wipe target
+	Mode  CrashMode    // EvCrash
+	A, B  []types.NodeID
+	Keep  int           // EvPartitionLeader: followers kept on the leader's side
+	Rate  float64       // EvDropRate
+	Group raft.GroupID  // EvWALWipe: the group whose storage is destroyed
+	For   time.Duration // EvStallDisk: how long the disk stays frozen
 }
 
 // String implements fmt.Stringer.
@@ -220,6 +230,11 @@ func (e Event) String() string {
 		return fmt.Sprintf("[%6s] wal-wipe S%d g%d", e.At, e.Node, e.Group)
 	case EvDeafenLeader:
 		return fmt.Sprintf("[%6s] deafen-leader", e.At)
+	case EvStallDisk:
+		if e.Node == types.NoNode {
+			return fmt.Sprintf("[%6s] stall-disk leader for %s", e.At, e.For)
+		}
+		return fmt.Sprintf("[%6s] stall-disk S%d for %s", e.At, e.Node, e.For)
 	default:
 		return fmt.Sprintf("[%6s] %s", e.At, e.Kind)
 	}
@@ -359,6 +374,24 @@ type Options struct {
 	// (64, low enough that every sweep crosses the snapshot path);
 	// negative disables compaction entirely.
 	SnapshotThreshold int
+	// DiskDelay is the deterministic simulator's slow-disk model: every
+	// write lands a seeded 0..DiskDelay after it started (0 = 2ms, so every
+	// sweep runs with writes in flight across ticks; negative = every write
+	// lands at once). Live runs use their real disks.
+	DiskDelay time.Duration
+	// EarlyStable swaps in the simulator's driver mutant that reports
+	// Stable before the write lands — used to prove the acked⇒durable
+	// oracles catch a driver that lets effects outrun the disk.
+	EarlyStable bool
+}
+
+// diskDelayTicks resolves the DiskDelay convention (negative = off) into
+// simulator ticks.
+func (o *Options) diskDelayTicks() int {
+	if o.DiskDelay < 0 {
+		return 0
+	}
+	return int(ticksOf(o.DiskDelay))
 }
 
 // snapThreshold resolves the SnapshotThreshold convention (negative =
@@ -410,6 +443,9 @@ func (o *Options) defaults() {
 	}
 	if o.SnapshotThreshold == 0 {
 		o.SnapshotThreshold = 64
+	}
+	if o.DiskDelay == 0 {
+		o.DiskDelay = 2 * time.Millisecond
 	}
 }
 
@@ -485,7 +521,7 @@ func Generate(seed int64, opt Options) *Schedule {
 			choices = append(choices, choice{EvPartition, 14}, choice{EvPartitionLeader, 10}, choice{EvIsolate, 8})
 			choices = append(choices, choice{EvPartialPartition, 6}, choice{EvIsolateLeader, 5}, choice{EvIsolateFollower, 6})
 		}
-		choices = append(choices, choice{EvTransferLeader, 6})
+		choices = append(choices, choice{EvTransferLeader, 6}, choice{EvStallDisk, 6})
 		if memberCount > 3 {
 			choices = append(choices, choice{EvReconfigDropLeader, 5})
 		}
@@ -583,6 +619,16 @@ func Generate(seed int64, opt Options) *Schedule {
 			s.Events = append(s.Events, Event{At: at, Kind: EvTransferLeader})
 		case EvReconfigDropLeader:
 			s.Events = append(s.Events, Event{At: at, Kind: EvReconfigDropLeader})
+		case EvStallDisk:
+			// Half the stalls hit whoever leads (resolved at execution
+			// time), half a PRNG-chosen alive node; one to four election
+			// intervals, so both sides of the step-down threshold occur.
+			victim := types.NoNode
+			if rng.Intn(2) == 0 {
+				victim = pick(aliveList())
+			}
+			s.Events = append(s.Events, Event{At: at, Kind: EvStallDisk, Node: victim,
+				For: time.Duration(1+rng.Intn(4)) * opt.ElectionTimeoutMin})
 		case EvDropRate:
 			rate := 0.0
 			if !dropActive || rng.Intn(2) == 0 {
@@ -842,4 +888,51 @@ func TransferDuringReconfigSchedule(opt Options) *Schedule {
 		},
 		Scripts: Generate(1, opt).Scripts,
 	}
+}
+
+// StalledLeaderDiskSchedule freezes the sitting leader's disk for most of
+// the run and leaves the network alone. The stalled leader keeps
+// heartbeating — nothing in the message path waits for its disk — so the
+// followers stay sticky and only the core's stalled-disk step-down (part of
+// CheckQuorum) ends its reign: within an election interval it steps down, a
+// healthy replica is elected, commits resume, and the stalled node rejoins
+// as a follower when its disk answers. With DisableCheckQuorum it leads
+// forever while committing nothing, and the liveness oracle flags it.
+func StalledLeaderDiskSchedule(opt Options) *Schedule {
+	opt.defaults()
+	d := opt.Duration
+	return &Schedule{
+		Seed:  -7,
+		Nodes: opt.Nodes,
+		Events: []Event{
+			{At: d * 25 / 100, Kind: EvStallDisk, For: d * 50 / 100},
+		},
+		Scripts: Generate(1, opt).Scripts,
+	}
+}
+
+// CrashBeforeStableSchedule power-cycles a whole 3-node cluster while every
+// disk is frozen mid-write: each replica dies between handing a batch to its
+// disk and hearing Stable, and the in-flight writes are lost. A correct
+// driver released nothing those writes were backing — no ack, no commit, no
+// client reply — so no acked put is lost and the restarted cluster is
+// consistent with everything it ever told a client. The EarlyStable driver
+// mutant acks and commits the in-flight batch ahead of the disk, and the
+// applied-stream and linearizability oracles catch the loss.
+func CrashBeforeStableSchedule(opt Options) *Schedule {
+	opt.Nodes = 3
+	opt.defaults()
+	d := opt.Duration
+	stall := d * 30 / 100
+	var events []Event
+	for id := types.NodeID(1); id <= 3; id++ {
+		events = append(events, Event{At: stall, Kind: EvStallDisk, Node: id, For: d * 20 / 100})
+	}
+	for id := types.NodeID(1); id <= 3; id++ {
+		events = append(events, Event{At: stall + d*8/100, Kind: EvCrash, Node: id, Mode: CrashClean})
+	}
+	for id := types.NodeID(1); id <= 3; id++ {
+		events = append(events, Event{At: stall + d*12/100, Kind: EvRestart, Node: id})
+	}
+	return &Schedule{Seed: -8, Nodes: 3, Events: events, Scripts: Generate(1, opt).Scripts}
 }

@@ -23,10 +23,17 @@ import (
 // On top of the live runner's oracles (election safety, term and commit
 // monotonicity, applied-prefix agreement, per-key linearizability), the
 // deterministic run checks executable refinement: every few ticks each
-// replica's raw log and commit index are fed through
+// replica's STABLE log — what its disk holds, its support in the paper's
+// sense — and commit index are fed through
 // refine.ExecChecker.ObserveNode, which rebuilds the Adore cache tree and
 // requires logMatch plus one committed branch. A run of the R2-disabled
 // schedule fails this oracle at the exact tick the histories fork.
+//
+// Disks are slow here: every write lands a seeded few ticks after it
+// started, nemesis events stall them for whole election intervals, and a
+// crash loses or tears the write in flight. A stalled leader with a healthy
+// linked majority behind it arms a liveness oracle: someone else must be
+// leading and committing within a bounded number of election intervals.
 
 // simTick is the schedule-time quantum: one simulator tick per millisecond
 // of scheduled time.
@@ -146,6 +153,8 @@ func runSimGroup(sched *Schedule, opt Options, g raft.GroupID, groups int) (*Rep
 			DisableCheckQuorum: opt.DisableCheckQuorum,
 			DisableLeaseGuard:  opt.DisableLeaseGuard,
 			SnapshotThreshold:  opt.snapThreshold(),
+			DiskDelayTicks:     opt.diskDelayTicks(),
+			EarlyStable:        opt.EarlyStable,
 		}),
 		opt:        opt,
 		group:      g,
@@ -308,6 +317,11 @@ type simRun struct {
 	suppressUntil    int64                  // disruption oracle muted through this tick (transfers)
 	staleFor         map[types.NodeID]int64 // consecutive ticks leading without a linked quorum
 
+	// stalled-leader liveness oracle: armed by a disk stall on the sitting
+	// leader, disarmed by any other nemesis event (only clean windows are
+	// judged).
+	stallWatch *stallWatch
+
 	// executable refinement
 	exec             *refine.ExecChecker
 	refineBroken     bool
@@ -324,6 +338,43 @@ func (r *simRun) restart(id types.NodeID) {
 	r.incarn[id]++
 	r.stores[id] = kvstore.NewStore()
 	r.s.Restart(id)
+}
+
+// stallWatch is one armed liveness obligation.
+type stallWatch struct {
+	stalled  types.NodeID // whose disk froze while it led
+	commit   int          // highest commit index anywhere at that instant
+	deadline int64
+}
+
+// stallLivenessIntervals bounds (in election intervals) how long a healthy
+// majority may take to have a leader that can write and commits past the
+// stall: one interval for the stalled leader to notice, up to two timeouts
+// with jitter for the followers, and slack for the vote and no-op rounds.
+const stallLivenessIntervals = 10
+
+// checkStallLiveness samples an armed stall watch every tick. It is
+// satisfied the first time a leader with a working disk is committing — past
+// the stall-time frontier, or with nothing left to commit; a successor, or
+// the same node if the stall was short enough to ride out — and violated if
+// the deadline passes first.
+func (r *simRun) checkStallLiveness() {
+	w := r.stallWatch
+	if w == nil {
+		return
+	}
+	if lid, ok := r.s.Leader(); ok && !r.s.DiskStalled(lid) &&
+		(r.s.CommitIndex(lid) > w.commit || r.s.CommitIndex(lid) == r.s.LastIndex(lid)) {
+		r.stallWatch = nil
+		return
+	}
+	if r.s.Now() < w.deadline {
+		return
+	}
+	r.stallWatch = nil
+	r.violations[fmt.Sprintf("liveness: S%d's disk stalled while it led a healthy majority, and %d election intervals later no leader with a working disk is committing (the stalled-disk step-down should have handed over)",
+		w.stalled, stallLivenessIntervals)] = true
+	r.s.Journalf("stall-liveness violation: S%d", w.stalled)
 }
 
 // sampleMonitor is the monitor.sample of the deterministic run: election
@@ -351,6 +402,7 @@ func (r *simRun) sampleMonitor() {
 	}
 	r.checkElections()
 	r.checkLeases()
+	r.checkStallLiveness()
 }
 
 // checkLeases is the stale-lease oracle, probed every tick: any node that
@@ -362,14 +414,7 @@ func (r *simRun) sampleMonitor() {
 // frontier is a stale read waiting to be served. LeaseProbe is
 // side-effect-free, so probing does not perturb the run.
 func (r *simRun) checkLeases() {
-	maxCommit := 0
-	for _, id := range r.s.IDs() {
-		if r.s.Alive(id) {
-			if ci := r.s.CommitIndex(id); ci > maxCommit {
-				maxCommit = ci
-			}
-		}
-	}
+	maxCommit := r.maxCommit()
 	for _, id := range r.s.IDs() {
 		if !r.s.Alive(id) {
 			continue
@@ -457,9 +502,10 @@ func (r *simRun) checkElections() {
 
 // healthy reports whether id is a leader the disruption oracle would
 // protect: alive, a voter in its own configuration, no probabilistic
-// message loss, and a quorum of that configuration alive and linked.
+// message loss, a disk that takes writes (a stalled leader is SUPPOSED to be
+// replaced), and a quorum of that configuration alive and linked.
 func (r *simRun) healthy(id types.NodeID) bool {
-	if !r.s.Alive(id) || r.s.DropRate() > 0 {
+	if !r.s.Alive(id) || r.s.DropRate() > 0 || r.s.DiskStalled(id) {
 		return false
 	}
 	if !r.s.Members(id).Contains(id) {
@@ -479,6 +525,43 @@ func (r *simRun) quorumLinked(id types.NodeID) bool {
 		}
 	}
 	return contact >= members.Len()/2+1
+}
+
+// othersHealthy reports whether the configuration minus id still holds a
+// majority of alive, mutually linked members with no message loss — the
+// "healthy majority" a stalled leader's step-down hands the cluster to.
+func (r *simRun) othersHealthy(id types.NodeID) bool {
+	if r.s.DropRate() > 0 {
+		return false
+	}
+	members := r.s.Members(id)
+	var rest []types.NodeID
+	for _, m := range members.Slice() {
+		if m != id && r.s.Alive(m) {
+			rest = append(rest, m)
+		}
+	}
+	for i, a := range rest {
+		for _, b := range rest[i+1:] {
+			if !r.s.Linked(a, b) {
+				return false
+			}
+		}
+	}
+	return len(rest) >= members.Len()/2+1
+}
+
+// maxCommit is the highest commit index on any alive replica.
+func (r *simRun) maxCommit() int {
+	maxCommit := 0
+	for _, id := range r.s.IDs() {
+		if r.s.Alive(id) {
+			if ci := r.s.CommitIndex(id); ci > maxCommit {
+				maxCommit = ci
+			}
+		}
+	}
+	return maxCommit
 }
 
 // suppress mutes the disruption oracle for a transfer window: a graceful
@@ -538,12 +621,21 @@ func (r *simRun) checkRefinement() {
 		return
 	}
 	for _, id := range r.s.IDs() {
-		first, last := r.s.FirstIndex(id), r.s.LastIndex(id)
+		// The stable log is the replica's support: an entry still on its
+		// way to disk backs nothing yet (no ack, no commit counts it).
+		first, last := r.s.FirstIndex(id), r.s.StableIndex(id)
+		if last < first-1 {
+			continue // an installed snapshot still being written: no durable view
+		}
 		log := make([]raft.LogEntry, 0, last-first+1)
 		for i := first; i <= last; i++ {
 			log = append(log, r.s.Entry(id, i))
 		}
-		err := r.exec.ObserveNodeAt(id, r.s.SnapshotIndex(id), r.s.SnapshotTerm(id), log, r.s.CommitIndex(id))
+		commit := r.s.CommitIndex(id)
+		if commit > last {
+			commit = last
+		}
+		err := r.exec.ObserveNodeAt(id, r.s.SnapshotIndex(id), r.s.SnapshotTerm(id), log, commit)
 		if err != nil {
 			r.refineViolations = append(r.refineViolations, err.Error())
 			r.refineBroken = true
@@ -580,6 +672,7 @@ func (r *simRun) clientsPending() bool {
 
 // apply executes one nemesis event (the executor.apply of the sim world).
 func (r *simRun) apply(e Event) {
+	r.stallWatch = nil // the window is no longer clean
 	switch e.Kind {
 	case EvPartition:
 		r.clearPartition()
@@ -670,6 +763,26 @@ func (r *simRun) apply(e Event) {
 		// as the control arm.
 		if e.Group == r.group {
 			r.s.WipeStorage(e.Node)
+		}
+	case EvStallDisk:
+		id := e.Node
+		if id == types.NoNode {
+			lid, ok := r.s.Leader()
+			if !ok {
+				return
+			}
+			id = lid
+		}
+		if !r.s.Alive(id) {
+			return
+		}
+		r.s.StallDisk(id, ticksOf(e.For))
+		if lid, ok := r.s.Leader(); ok && lid == id && r.othersHealthy(id) {
+			r.stallWatch = &stallWatch{
+				stalled:  id,
+				commit:   r.maxCommit(),
+				deadline: r.s.Now() + stallLivenessIntervals*r.et,
+			}
 		}
 	case EvDeafenLeader:
 		// Cut every inbound link to the current leader, leaving its

@@ -30,11 +30,19 @@ type Edge struct {
 	Back bool
 }
 
-// Block is one basic block.
+// Block is one basic block. Guard, when set, is the if-condition this block
+// is the branch of: the block runs only when Cond evaluated to Taken.
 type Block struct {
 	Index int
 	Nodes []ast.Node
 	Succs []Edge
+	Guard *BlockGuard
+}
+
+// BlockGuard is the condition under which a branch block is entered.
+type BlockGuard struct {
+	Cond  ast.Expr
+	Taken bool // true: the then-branch; false: the else-branch
 }
 
 // CFG is the control-flow graph of one function body. Entry is Blocks[0];
@@ -137,12 +145,14 @@ func (b *cfgBuilder) stmt(cur *Block, s ast.Stmt) *Block {
 		}
 		cur.Nodes = append(cur.Nodes, st.Cond)
 		thenB := b.newBlock()
+		thenB.Guard = &BlockGuard{Cond: st.Cond, Taken: true}
 		b.edge(cur, thenB, false)
 		thenOut := b.stmtList(thenB, st.Body.List)
 		var elseOut *Block
 		hasElse := st.Else != nil
 		if hasElse {
 			elseB := b.newBlock()
+			elseB.Guard = &BlockGuard{Cond: st.Cond}
 			b.edge(cur, elseB, false)
 			elseOut = b.stmt(elseB, st.Else)
 		}

@@ -7,23 +7,25 @@ import (
 	"strings"
 )
 
-// effectorder.go proves the Ready-execution contract on the driver
-// package: on every forward control-flow path, persistence of the
-// HardState and log entries (Storage.SaveState / SaveEntries) happens
-// before any externalizing effect — a Transport.Send, a read-barrier
-// resolution, an apply handoff, or any other channel send/close. This is
-// the acked⇒durable obligation: once a message or an apply leaves the
-// node, a crash must not be able to forget the state that justified it.
+// effectorder.go proves the driver half of the staged Ready contract on the
+// driver package. The core holds back everything that depends on a write
+// (votes, append acks, the leader's broadcast, commit deliveries) until the
+// driver calls Core.Stable — the golden Ready tests pin that — so the
+// driver's whole obligation is when it may say Stable: on every forward
+// control-flow path a call to Core.Stable must be preceded by the batch's
+// Storage.Save* calls, and must be unreachable from their error branches.
+// That is acked⇒durable: once a message or an apply leaves the node, a crash
+// must not be able to forget the state that justified it.
 //
-// The check is a may-analysis over the shared CFG: a single forward pass
-// (back edges skipped — a persist in the *next* loop iteration legally
-// follows the previous iteration's sends) tracks whether an externalizing
-// effect may already have happened; a persist reached with that bit set is
-// a contract violation, reported with the effect that got ahead of it.
-// Effects propagate through same-package static calls via {persists,
-// externalizes} function summaries, so a driver that delegates to helpers
-// is held to the same order. Calls launched with `go` run concurrently and
-// are not in-line events; deferred calls take effect at function exit.
+// The check is the PrecededBy must-analysis over the shared CFG: the fact
+// "the witness was observed on every path reaching here" is established by a
+// witness call (directly or through a same-package helper), intersected at
+// merges, and killed on the branch of an `if err != nil` that tests a
+// witness's error — so a Stable inside the failure branch, or after a
+// failure branch that falls through, is a violation. Back edges are skipped
+// (each iteration of the write lane is a fresh batch). Calls launched with
+// `go` run concurrently and are not in-line events; deferred calls take
+// effect at function exit.
 //
 // The same pass enforces the error discipline that makes persistence
 // meaningful: every Storage persist call's error must be returned,
@@ -31,60 +33,50 @@ import (
 // failStopLocked). A dropped or merely-logged storage error would let the
 // node keep acking on top of unpersisted state.
 //
-// Configurable Requires obligations add the dual direction: a gated
-// effect (extending the lease clock) that must be PRECEDED by a witness
-// (a quorum-ack observation) on every path — see PrecededBy.
+// PrecededBy is generic: the lease read path uses it for "extending the
+// lease clock is preceded by observing the peer's quorum ack".
 
 // EffectOrderConfig targets one package's Ready-execution driver.
 type EffectOrderConfig struct {
 	// Pkg is the driver package's import path.
 	Pkg string
 	// StorageIface / PersistMethods name the persistence interface and its
-	// persisting methods ("Storage", SaveState/SaveEntries).
+	// persisting methods ("Storage", SaveState/SaveSnapshot/SaveEntries);
+	// their errors are held to the fail-stop discipline.
 	StorageIface   string
 	PersistMethods []string
-	// SendIface / SendMethods name the externalizing transport interface
-	// ("Transport", Send). Channel sends and closes always externalize.
-	SendIface   string
-	SendMethods []string
 	// FailStops names the functions that halt the node on a storage error;
 	// a persist error must reach one of them (or a panic, or a return).
 	FailStops []string
-	// Requires lists observation-order obligations checked alongside the
-	// persist-before-externalize contract (see PrecededBy).
+	// Requires lists the observation-order obligations (see PrecededBy).
 	Requires []PrecededBy
 }
 
 // PrecededBy is one observation-order obligation: every call to a gated
 // method must be preceded, on every forward control-flow path through the
-// calling function, by a call to one of the witness methods. This is the
-// dual of the persist-before-externalize rule — a MUST-analysis (the
-// witness holds only where every path established it) instead of a MAY
-// one. It encodes the lease-read freshness rule: extending the lease
-// clock for a peer is only sound after observing that peer's quorum ack
-// in the current term — an extension reached on any path that skipped
-// the observation fabricates the very freshness a lease must prove.
+// calling function, by a call to one of the witness methods — and, when the
+// witness returns an error, must not be reachable from the branch that saw
+// that error non-nil. A MUST-analysis: the witness holds only where every
+// path established it. Two instances: Core.Stable preceded by Storage.Save*
+// (reporting an unwritten or failed batch stable releases votes, acks and
+// commits no disk backs), and LeaseClock.Extend preceded by
+// AckWindow.Observe (an extension reached on a path that skipped the
+// observation fabricates the very freshness a lease must prove).
 // Witnesses propagate through same-package static calls (a helper that
 // observes discharges its caller), but the obligation itself is
-// per-function: a helper that extends assuming its caller observed is a
-// violation at its own extension site.
+// per-function: a helper that calls the gate assuming its caller observed is
+// a violation at its own gate site.
 type PrecededBy struct {
-	// GateIface / GateMethods name the gated event ("LeaseClock".Extend).
-	GateIface   string
+	// GateRecv / GateMethods name the gated event by receiver type — an
+	// interface ("LeaseClock".Extend) or a concrete type ("Core".Stable).
+	GateRecv    string
 	GateMethods []string
-	// WitnessIface / WitnessMethods name the observation that must come
-	// first ("AckWindow".Observe).
-	WitnessIface   string
+	// WitnessRecv / WitnessMethods name the observation that must come
+	// first ("AckWindow".Observe, "Storage".Save*).
+	WitnessRecv    string
 	WitnessMethods []string
 	// Why is appended to the diagnostic: the one-line safety argument.
 	Why string
-}
-
-// effectSummary is one function's interprocedural effect bits.
-type effectSummary struct {
-	persists     bool
-	externalizes bool
-	callees      []*types.Func // same-package static callees (not via go)
 }
 
 // runEffectOrder is the effect-order pass entry point.
@@ -98,7 +90,7 @@ func runEffectOrder(prog *Program, pkg *Package, cfg Config) []Diagnostic {
 			continue
 		}
 		a := &effectAnalysis{prog: prog, pkg: pkg, eoc: eoc}
-		a.computeSummaries()
+		a.computeCallees()
 		report := func(pos token.Pos, msg string) {
 			out = append(out, Diagnostic{Pos: prog.Fset.Position(pos), Pass: "effect-order", Message: msg})
 		}
@@ -111,7 +103,6 @@ func runEffectOrder(prog *Program, pkg *Package, cfg Config) []Diagnostic {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				a.checkOrder(fd, report)
 				a.checkErrDiscipline(fd.Body, report)
 				for i := range eoc.Requires {
 					a.checkPreceded(fd, &eoc.Requires[i], report)
@@ -123,212 +114,77 @@ func runEffectOrder(prog *Program, pkg *Package, cfg Config) []Diagnostic {
 }
 
 type effectAnalysis struct {
-	prog    *Program
-	pkg     *Package
-	eoc     EffectOrderConfig
-	sums    map[*types.Func]*effectSummary
+	prog *Program
+	pkg  *Package
+	eoc  EffectOrderConfig
+	// callees lists, per declared function, its same-package static callees
+	// (not via go, not inside function literals).
+	callees map[*types.Func][]*types.Func
 	witSums map[*PrecededBy]map[*types.Func]bool
 }
 
-// ifaceCall reports whether call is a dynamic call to iface.method for one
-// of the listed methods, returning its display name ("Storage.SaveState").
-func (a *effectAnalysis) ifaceCall(call *ast.CallExpr, iface string, methods []string) string {
+// recvCall reports whether call invokes recv.method for one of the listed
+// methods — dynamically through an interface named recv, or statically on a
+// concrete type named recv — returning its display name ("Storage.SaveState",
+// "Core.Stable").
+func (a *effectAnalysis) recvCall(call *ast.CallExpr, recv string, methods []string) string {
 	cs := resolveCall(a.pkg, call, false)
+	name := cs.DynamicName
 	if !cs.Dynamic {
-		return ""
+		if cs.Callee == nil {
+			return ""
+		}
+		sig, ok := cs.Callee.Type().(*types.Signature)
+		if !ok || sig.Recv() == nil {
+			return ""
+		}
+		name = typeShortName(sig.Recv().Type()) + "." + cs.Callee.Name()
 	}
 	for _, m := range methods {
-		if cs.DynamicName == iface+"."+m {
-			return cs.DynamicName
+		if name == recv+"."+m {
+			return name
 		}
 	}
 	return ""
 }
 
 func (a *effectAnalysis) persistCall(call *ast.CallExpr) string {
-	return a.ifaceCall(call, a.eoc.StorageIface, a.eoc.PersistMethods)
-}
-
-func (a *effectAnalysis) sendCall(call *ast.CallExpr) string {
-	return a.ifaceCall(call, a.eoc.SendIface, a.eoc.SendMethods)
-}
-
-// closeCall reports whether call is the close builtin.
-func (a *effectAnalysis) closeCall(call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := a.pkg.Info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "close"
+	return a.recvCall(call, a.eoc.StorageIface, a.eoc.PersistMethods)
 }
 
 // samePkgCallee returns the statically resolved same-package callee of
 // call, or nil.
 func (a *effectAnalysis) samePkgCallee(call *ast.CallExpr) *types.Func {
 	cs := resolveCall(a.pkg, call, false)
-	if cs.Callee == nil || cs.Dynamic || cs.Callee.Pkg() != pkgTypes(a.pkg) {
+	if cs.Callee == nil || cs.Dynamic || cs.Callee.Pkg() != a.pkg.Types {
 		return nil
 	}
 	return cs.Callee
 }
 
-func pkgTypes(pkg *Package) *types.Package { return pkg.Types }
-
-// computeSummaries builds the {persists, externalizes} fixpoint over the
-// package's declared functions.
-func (a *effectAnalysis) computeSummaries() {
-	a.sums = make(map[*types.Func]*effectSummary)
+// computeCallees records the package's static call edges.
+func (a *effectAnalysis) computeCallees() {
+	a.callees = make(map[*types.Func][]*types.Func)
 	for fn, node := range a.prog.CallGraph().Nodes {
 		if node.Pkg != a.pkg {
 			continue
 		}
-		sum := &effectSummary{}
+		var out []*types.Func
 		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 			switch e := n.(type) {
 			case *ast.FuncLit:
 				return false // a defined-but-not-called literal has no effect
 			case *ast.GoStmt:
 				return false // runs concurrently, not an in-line effect
-			case *ast.SendStmt:
-				sum.externalizes = true
 			case *ast.CallExpr:
-				if a.persistCall(e) != "" {
-					sum.persists = true
-				}
-				if a.sendCall(e) != "" || a.closeCall(e) {
-					sum.externalizes = true
-				}
 				if callee := a.samePkgCallee(e); callee != nil {
-					sum.callees = append(sum.callees, callee)
+					out = append(out, callee)
 				}
 			}
 			return true
 		})
-		a.sums[fn] = sum
+		a.callees[fn] = out
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, sum := range a.sums {
-			for _, callee := range sum.callees {
-				cs, ok := a.sums[callee]
-				if !ok {
-					continue
-				}
-				if cs.persists && !sum.persists {
-					sum.persists = true
-					changed = true
-				}
-				if cs.externalizes && !sum.externalizes {
-					sum.externalizes = true
-					changed = true
-				}
-			}
-		}
-	}
-}
-
-// mayState is the forward dataflow fact: has an externalizing effect
-// possibly happened, and which one (for the message).
-type mayState struct {
-	extern bool
-	why    string
-}
-
-func (s *mayState) externalize(why string) {
-	if !s.extern {
-		s.extern = true
-		s.why = why
-	}
-}
-
-func (s *mayState) merge(src mayState) {
-	if src.extern && !s.extern {
-		s.extern = true
-		s.why = src.why
-	}
-}
-
-// checkOrder runs the may-analysis over one function.
-func (a *effectAnalysis) checkOrder(fd *ast.FuncDecl, report func(token.Pos, string)) {
-	g := BuildCFG(fd.Body)
-	in := make([]mayState, len(g.Blocks))
-	reached := make([]bool, len(g.Blocks))
-	reached[g.Entry.Index] = true
-	// Reverse post-order over forward edges visits every predecessor of a
-	// block before the block itself, so one pass over the loop-free
-	// skeleton converges.
-	for _, blk := range g.ReversePostOrder() {
-		if !reached[blk.Index] {
-			continue
-		}
-		st := in[blk.Index]
-		for _, node := range blk.Nodes {
-			var skip *ast.CallExpr
-			switch d := node.(type) {
-			case *ast.DeferStmt:
-				skip = d.Call // takes effect at exit; its node is in the exit block
-			case *ast.GoStmt:
-				skip = d.Call // runs concurrently
-			}
-			a.walkEvents(node, skip, &st, report)
-		}
-		for _, e := range blk.Succs {
-			if e.Back {
-				continue
-			}
-			if !reached[e.To.Index] {
-				in[e.To.Index] = st
-				reached[e.To.Index] = true
-			} else {
-				in[e.To.Index].merge(st)
-			}
-		}
-	}
-}
-
-// walkEvents interprets one block node's effects against st. skip is a
-// call expression whose own event must not fire here (deferred or
-// go-launched); its arguments still evaluate in place.
-func (a *effectAnalysis) walkEvents(node ast.Node, skip *ast.CallExpr, st *mayState, report func(token.Pos, string)) {
-	walkNode(node, func(m ast.Node) {
-		switch e := m.(type) {
-		case *ast.SendStmt:
-			st.externalize("a channel send")
-		case *ast.CallExpr:
-			if e == skip {
-				return
-			}
-			if name := a.persistCall(e); name != "" {
-				if st.extern {
-					report(e.Pos(), name+" persists after "+st.why+" on this path; "+
-						"the Ready contract requires persistence before sends, read resolution, and apply")
-				}
-				return
-			}
-			if name := a.sendCall(e); name != "" {
-				st.externalize(name)
-				return
-			}
-			if a.closeCall(e) {
-				st.externalize("a channel close")
-				return
-			}
-			if callee := a.samePkgCallee(e); callee != nil {
-				sum := a.sums[callee]
-				if sum == nil {
-					return
-				}
-				if sum.persists && st.extern {
-					report(e.Pos(), "call to "+FuncDisplayName(callee)+" (which persists state) after "+
-						st.why+" on this path; the Ready contract requires persistence before sends, read resolution, and apply")
-				}
-				if sum.externalizes {
-					st.externalize("a call to " + FuncDisplayName(callee) + " (which externalizes)")
-				}
-			}
-		}
-	})
 }
 
 // checkErrDiscipline verifies every Storage persist call's error is
@@ -526,7 +382,7 @@ func (a *effectAnalysis) witnessSummaries(req *PrecededBy) map[*types.Func]bool 
 			case *ast.FuncLit, *ast.GoStmt:
 				return false
 			case *ast.CallExpr:
-				if a.ifaceCall(e, req.WitnessIface, req.WitnessMethods) != "" {
+				if a.recvCall(e, req.WitnessRecv, req.WitnessMethods) != "" {
 					wit[fn] = true
 				}
 			}
@@ -535,11 +391,11 @@ func (a *effectAnalysis) witnessSummaries(req *PrecededBy) map[*types.Func]bool 
 	}
 	for changed := true; changed; {
 		changed = false
-		for fn := range a.sums {
+		for fn, callees := range a.callees {
 			if wit[fn] {
 				continue
 			}
-			for _, callee := range a.sums[fn].callees {
+			for _, callee := range callees {
 				if wit[callee] {
 					wit[fn] = true
 					changed = true
@@ -552,12 +408,80 @@ func (a *effectAnalysis) witnessSummaries(req *PrecededBy) map[*types.Func]bool 
 	return wit
 }
 
+// isWitness reports whether call is a witness event: the witness method
+// itself, or a same-package helper that reaches one.
+func (a *effectAnalysis) isWitness(call *ast.CallExpr, req *PrecededBy, wit map[*types.Func]bool) bool {
+	if a.recvCall(call, req.WitnessRecv, req.WitnessMethods) != "" {
+		return true
+	}
+	callee := a.samePkgCallee(call)
+	return callee != nil && wit[callee]
+}
+
+// witnessErrors collects the error variables of body that hold a witness
+// call's result (`err := st.SaveState(hs)`, `err = n.persist(u)`): an if
+// that sees one of them non-nil is that witness's failure branch.
+func (a *effectAnalysis) witnessErrors(body *ast.BlockStmt, req *PrecededBy, wit map[*types.Func]bool) map[types.Object]bool {
+	errs := make(map[types.Object]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch e := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.AssignStmt:
+			if len(e.Rhs) != 1 {
+				return true
+			}
+			call, ok := ast.Unparen(e.Rhs[0]).(*ast.CallExpr)
+			if !ok || !a.isWitness(call, req, wit) {
+				return true
+			}
+			id, ok := e.Lhs[len(e.Lhs)-1].(*ast.Ident)
+			if !ok || id.Name == "_" {
+				return true
+			}
+			obj := a.pkg.Info.Defs[id]
+			if obj == nil {
+				obj = a.pkg.Info.Uses[id]
+			}
+			if obj != nil && types.Identical(obj.Type(), types.Universe.Lookup("error").Type()) {
+				errs[obj] = true
+			}
+		}
+		return true
+	})
+	return errs
+}
+
+// failureBranch reports whether a block guarded by g runs only when one of
+// errs was non-nil: the then-branch of `err != nil`, the else-branch of
+// `err == nil`.
+func (a *effectAnalysis) failureBranch(g *BlockGuard, errs map[types.Object]bool) bool {
+	bin, ok := ast.Unparen(g.Cond).(*ast.BinaryExpr)
+	if !ok || (bin.Op != token.NEQ && bin.Op != token.EQL) {
+		return false
+	}
+	isErr := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && errs[a.pkg.Info.Uses[id]]
+	}
+	isNil := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && id.Name == "nil"
+	}
+	if !(isErr(bin.X) && isNil(bin.Y)) && !(isNil(bin.X) && isErr(bin.Y)) {
+		return false
+	}
+	return (bin.Op == token.NEQ) == g.Taken
+}
+
 // checkPreceded runs one obligation's must-analysis over one function:
-// the dataflow fact is "the witness was observed on EVERY path reaching
-// here" (merges intersect, back edges cut exactly as in checkOrder), and
-// a gated call reached with the fact unestablished is a violation.
+// the dataflow fact is "the witness was observed, and did not fail, on EVERY
+// path reaching here" (merges intersect; back edges are cut — each loop
+// iteration is a fresh batch), and a gated call reached with the fact
+// unestablished is a violation.
 func (a *effectAnalysis) checkPreceded(fd *ast.FuncDecl, req *PrecededBy, report func(token.Pos, string)) {
 	wit := a.witnessSummaries(req)
+	errs := a.witnessErrors(fd.Body, req, wit)
 	g := BuildCFG(fd.Body)
 	in := make([]bool, len(g.Blocks))
 	reached := make([]bool, len(g.Blocks))
@@ -567,6 +491,9 @@ func (a *effectAnalysis) checkPreceded(fd *ast.FuncDecl, req *PrecededBy, report
 			continue
 		}
 		st := in[blk.Index]
+		if blk.Guard != nil && a.failureBranch(blk.Guard, errs) {
+			st = false // the witness failed on this path
+		}
 		for _, node := range blk.Nodes {
 			var skip *ast.CallExpr
 			switch d := node.(type) {
@@ -580,17 +507,13 @@ func (a *effectAnalysis) checkPreceded(fd *ast.FuncDecl, req *PrecededBy, report
 				if !ok || e == skip {
 					return
 				}
-				if a.ifaceCall(e, req.WitnessIface, req.WitnessMethods) != "" {
-					st = true
-					return
-				}
-				if name := a.ifaceCall(e, req.GateIface, req.GateMethods); name != "" {
+				if name := a.recvCall(e, req.GateRecv, req.GateMethods); name != "" {
 					if !st {
-						report(e.Pos(), name+" without a preceding "+req.WitnessIface+" observation on this path; "+req.Why)
+						report(e.Pos(), name+" without a preceding successful "+req.WitnessRecv+" call on this path; "+req.Why)
 					}
 					return
 				}
-				if callee := a.samePkgCallee(e); callee != nil && wit[callee] {
+				if a.isWitness(e, req, wit) {
 					st = true
 				}
 			})

@@ -51,8 +51,8 @@ type Config struct {
 	// source, whose impurity is owned outside the core.
 	PurityAllowCalls []string
 	// EffectOrder configures the Ready-execution drivers whose
-	// persist-before-externalize order and storage-error discipline are
-	// proven by the effect-order pass.
+	// Stable-only-after-a-successful-write order and storage-error
+	// discipline are proven by the effect-order pass.
 	EffectOrder []EffectOrderConfig
 }
 
@@ -88,9 +88,15 @@ func DefaultConfig() Config {
 			Pkg:            "adore/internal/raft",
 			StorageIface:   "Storage",
 			PersistMethods: []string{"SaveState", "SaveSnapshot", "SaveEntries"},
-			SendIface:      "Transport",
-			SendMethods:    []string{"Send"},
 			FailStops:      []string{"failStopLocked"},
+			Requires: []PrecededBy{{
+				GateRecv:       "Core",
+				GateMethods:    []string{"Stable"},
+				WitnessRecv:    "Storage",
+				WitnessMethods: []string{"SaveState", "SaveSnapshot", "SaveEntries"},
+				Why: "reporting a batch stable that was not written, or whose write failed, " +
+					"releases votes, acks and commits no disk backs",
+			}},
 		}},
 	}
 }

@@ -66,15 +66,20 @@ func TestEffectOrderFixture(t *testing.T) {
 			Pkg:            "fix/driver",
 			StorageIface:   "Storage",
 			PersistMethods: []string{"SaveState", "SaveSnapshot", "SaveEntries"},
-			SendIface:      "Transport",
-			SendMethods:    []string{"Send"},
 			FailStops:      []string{"failStop"},
+			Requires: []PrecededBy{{
+				GateRecv:       "Core",
+				GateMethods:    []string{"Stable"},
+				WitnessRecv:    "Storage",
+				WitnessMethods: []string{"SaveState", "SaveSnapshot", "SaveEntries"},
+				Why:            "a batch reported stable without a successful write releases effects no disk backs",
+			}},
 		}, {
 			Pkg: "fix/lease",
 			Requires: []PrecededBy{{
-				GateIface:      "LeaseClock",
+				GateRecv:       "LeaseClock",
 				GateMethods:    []string{"Extend"},
-				WitnessIface:   "AckWindow",
+				WitnessRecv:    "AckWindow",
 				WitnessMethods: []string{"Observe"},
 				Why: "a lease extension not backed by an observed quorum ack " +
 					"fabricates freshness and can serve stale reads",

@@ -1,7 +1,10 @@
-// Package driver is the effect-order fixture: a miniature Ready-execution
-// driver with the contract-abiding path plus the mutants the pass must
-// catch — send-before-persist, apply-before-persist, dropped storage
-// errors, and checked-but-never-halting error handling.
+// Package driver is the effect-order fixture: a miniature staged Ready
+// driver — a core that hands out Unstable batches and releases effects on
+// Stable, a write lane, a volatile inline path — with the contract-abiding
+// paths plus the mutants the pass must catch: Stable before the Save,
+// Stable on the write's error path, a persist error merely logged on the
+// lane, dropped storage errors, and checked-but-never-halting error
+// handling.
 package driver
 
 // HardState is the durable term/vote/commit triple.
@@ -13,42 +16,42 @@ type Entry struct {
 	Data []byte
 }
 
-// Message is one outbound protocol message.
-type Message struct{ To int }
-
 // Snapshot is a durable state-machine image replacing a log prefix.
 type Snapshot struct {
 	Index int
 	Data  []byte
 }
 
-// Ready is one batch of core effects.
-type Ready struct {
+// Unstable is one batch the core wants persisted.
+type Unstable struct {
 	HardState *HardState
 	Snapshot  *Snapshot
 	Entries   []Entry
-	Messages  []Message
 }
 
-// Storage persists raft state; its methods are the persist events.
+// Core is the sans-IO state machine; Stable is the gated event: it releases
+// every vote, ack and commit the outstanding batch was backing.
+type Core struct{ stable int }
+
+// TakeUnstable hands out the next batch.
+func (c *Core) TakeUnstable() (Unstable, bool) { return Unstable{}, false }
+
+// Stable reports the outstanding batch durable.
+func (c *Core) Stable() { c.stable++ }
+
+// Storage persists raft state; its methods are the witness events.
 type Storage interface {
 	SaveState(hs HardState) error
 	SaveSnapshot(s Snapshot) error
 	SaveEntries(first int, es []Entry) error
 }
 
-// Transport sends protocol messages; Send is the externalize event.
-type Transport interface {
-	Send(m Message)
-}
-
 // Node is the fixture driver.
 type Node struct {
-	storage   Storage
-	transport Transport
-	applyCh   chan []Entry
-	stopped   bool
-	err       error
+	core    *Core
+	storage Storage
+	stopped bool
+	err     error
 }
 
 // failStop is the configured fail-stop halt.
@@ -60,47 +63,145 @@ func (n *Node) failStop(err error) {
 // crash reaches the halt through one more hop.
 func (n *Node) crash(err error) { n.failStop(err) }
 
-// flushMsgs delegates the sends; callers inherit its externalize effect.
-func (n *Node) flushMsgs(ms []Message) {
-	for _, m := range ms {
-		n.transport.Send(m)
+// persist writes one batch in durability order and passes the first error
+// up — clean; callers inherit its witness.
+func (n *Node) persist(u Unstable) error {
+	if n.storage == nil {
+		return nil
+	}
+	if u.HardState != nil {
+		if err := n.storage.SaveState(*u.HardState); err != nil {
+			return err
+		}
+	}
+	if u.Snapshot != nil {
+		if err := n.storage.SaveSnapshot(*u.Snapshot); err != nil {
+			return err
+		}
+	}
+	if len(u.Entries) > 0 {
+		if err := n.storage.SaveEntries(1, u.Entries); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Lane is the write lane: batch after batch, Stable only after that batch's
+// write returned nil — clean. (Each iteration is a fresh batch, which is why
+// the analysis cuts loop back edges.)
+func (n *Node) Lane() {
+	for !n.stopped {
+		u, ok := n.core.TakeUnstable()
+		if !ok {
+			return
+		}
+		err := n.persist(u)
+		if err != nil {
+			n.failStop(err)
+			break
+		}
+		n.core.Stable()
 	}
 }
 
-// Good executes one batch in contract order — clean.
-func (n *Node) Good(rd Ready) {
-	if rd.HardState != nil {
-		if err := n.storage.SaveState(*rd.HardState); err != nil {
+// Inline is the volatile path: same order in one critical section — clean.
+func (n *Node) Inline() {
+	if u, ok := n.core.TakeUnstable(); ok {
+		if err := n.persist(u); err != nil {
 			n.failStop(err)
 			return
 		}
+		n.core.Stable()
 	}
-	if rd.Snapshot != nil {
-		if err := n.storage.SaveSnapshot(*rd.Snapshot); err != nil {
-			n.failStop(err)
-			return
-		}
-	}
-	if len(rd.Entries) > 0 {
-		if err := n.storage.SaveEntries(1, rd.Entries); err != nil {
-			n.failStop(err)
-			return
-		}
-	}
-	for _, m := range rd.Messages {
-		n.transport.Send(m)
-	}
-	n.applyCh <- rd.Entries
 }
 
-// AckBeforeImage acks the snapshot install before the image is durable:
-// a crash after the ack leaves the leader believing a base the follower
-// cannot recover — the snapshot twin of acked⇒durable.
-func (n *Node) AckBeforeImage(rd Ready) {
-	for _, m := range rd.Messages {
-		n.transport.Send(m)
+// Direct calls the storage itself, success tested with == nil — clean.
+func (n *Node) Direct(es []Entry) {
+	err := n.storage.SaveEntries(1, es)
+	if err == nil {
+		n.core.Stable()
+	} else {
+		n.failStop(err)
 	}
-	if err := n.storage.SaveSnapshot(*rd.Snapshot); err != nil { // want "Storage.SaveSnapshot persists after Transport.Send"
+}
+
+// StableFirst reports the batch stable and only then writes it: every vote
+// and ack it was holding back leaves with no disk behind it — the
+// acked⇒durable mutant.
+func (n *Node) StableFirst(u Unstable) {
+	n.core.Stable() // want "Core.Stable without a preceding successful Storage call"
+	if err := n.persist(u); err != nil {
+		n.failStop(err)
+	}
+}
+
+// StableOnErrorPath reports Stable from the failed write's own branch.
+func (n *Node) StableOnErrorPath(u Unstable) {
+	if err := n.persist(u); err != nil {
+		n.core.Stable() // want "Core.Stable without a preceding successful Storage call"
+		n.failStop(err)
+		return
+	}
+	n.core.Stable()
+}
+
+// LoggedOnLane records the write's error and carries on: the failure branch
+// falls through to Stable. (persist returned the error, so the discipline
+// rule is met there; this is the lane's own obligation.)
+func (n *Node) LoggedOnLane(u Unstable) {
+	err := n.persist(u)
+	if err != nil {
+		n.err = err
+	}
+	n.core.Stable() // want "Core.Stable without a preceding successful Storage call"
+}
+
+// StableElse reports Stable from the else of a success test — the failure
+// branch spelled the other way round.
+func (n *Node) StableElse(es []Entry) {
+	err := n.storage.SaveEntries(1, es)
+	if err == nil {
+		return
+	} else {
+		n.core.Stable() // want "Core.Stable without a preceding successful Storage call"
+	}
+	n.failStop(err)
+}
+
+// OneArm writes on only one branch: the other path reaches Stable with
+// nothing written.
+func (n *Node) OneArm(u Unstable, dirty bool) {
+	if dirty {
+		if err := n.persist(u); err != nil {
+			n.failStop(err)
+			return
+		}
+	}
+	n.core.Stable() // want "Core.Stable without a preceding successful Storage call"
+}
+
+// Assumes reports Stable on its caller's behalf: the obligation is
+// per-function — a helper cannot assume its caller wrote.
+func (n *Node) Assumes() {
+	n.core.Stable() // want "Core.Stable without a preceding successful Storage call"
+}
+
+// DeferredStable defers the report ahead of the write: a deferred call runs
+// at exit on every path, the failed write's included.
+func (n *Node) DeferredStable(u Unstable) {
+	defer n.core.Stable() // want "Core.Stable without a preceding successful Storage call"
+	if err := n.persist(u); err != nil {
+		n.failStop(err)
+		return
+	}
+}
+
+// Start launches the lane goroutine before persisting: `go` operands run
+// concurrently and are not in-line events. Clean.
+func (n *Node) Start(hs HardState) {
+	go n.Lane()
+	if err := n.storage.SaveState(hs); err != nil {
 		n.failStop(err)
 		return
 	}
@@ -108,39 +209,8 @@ func (n *Node) AckBeforeImage(rd Ready) {
 
 // TruncateOnFailedImage drops the snapshot persist error: the caller goes
 // on to truncate a WAL whose replacement image never landed.
-func (n *Node) TruncateOnFailedImage(rd Ready) {
-	n.storage.SaveSnapshot(*rd.Snapshot) // want "error from Storage.SaveSnapshot is dropped"
-}
-
-// SendFirst externalizes before persisting — the acked⇒durable mutant.
-func (n *Node) SendFirst(rd Ready) {
-	for _, m := range rd.Messages {
-		n.transport.Send(m)
-	}
-	if err := n.storage.SaveState(*rd.HardState); err != nil { // want "Storage.SaveState persists after Transport.Send"
-		n.failStop(err)
-		return
-	}
-}
-
-// ApplyFirst hands committed entries to the applier before they are
-// durable.
-func (n *Node) ApplyFirst(rd Ready) {
-	n.applyCh <- rd.Entries
-	if err := n.storage.SaveEntries(1, rd.Entries); err != nil { // want "Storage.SaveEntries persists after a channel send"
-		n.failStop(err)
-		return
-	}
-}
-
-// LateViaHelper persists after delegating the sends to a helper — the
-// summary propagation case.
-func (n *Node) LateViaHelper(rd Ready) {
-	n.flushMsgs(rd.Messages)
-	if err := n.storage.SaveState(*rd.HardState); err != nil { // want `after a call to \(driver.Node\).flushMsgs`
-		n.failStop(err)
-		return
-	}
+func (n *Node) TruncateOnFailedImage(u Unstable) {
+	n.storage.SaveSnapshot(*u.Snapshot) // want "error from Storage.SaveSnapshot is dropped"
 }
 
 // Fire never looks at the persist error — dropped.
@@ -171,30 +241,4 @@ func (n *Node) Deep(hs HardState) {
 	if err := n.storage.SaveState(hs); err != nil {
 		n.crash(err)
 	}
-}
-
-// Pump runs batch after batch: sends from iteration N legally precede
-// iteration N+1's persist — each iteration is a fresh batch, which is why
-// the may-analysis cuts loop back edges. Clean.
-func (n *Node) Pump(batches []Ready) {
-	for _, rd := range batches {
-		n.Good(rd)
-	}
-}
-
-// Start launches the pump goroutine before persisting: `go` operands run
-// concurrently and are not in-line effects. Clean.
-func (n *Node) Start(hs HardState) {
-	go n.Pump(nil)
-	if err := n.storage.SaveState(hs); err != nil {
-		n.failStop(err)
-		return
-	}
-}
-
-// Shutdown defers the close: it runs at exit, after the persist in the
-// return statement, not at its syntactic position. Clean.
-func (n *Node) Shutdown(hs HardState) error {
-	defer close(n.applyCh)
-	return n.storage.SaveState(hs)
 }

@@ -67,7 +67,7 @@ func (l *Leader) GoodViaHelper(m Msg) {
 // Unconditional extends before validating the response at all — the
 // knocked-out-check mutant.
 func (l *Leader) Unconditional(m Msg) {
-	l.lease.Extend(m.From, l.ticks) // want "LeaseClock.Extend without a preceding AckWindow observation"
+	l.lease.Extend(m.From, l.ticks) // want "LeaseClock.Extend without a preceding successful AckWindow call"
 	l.acks.Observe(m)
 }
 
@@ -77,7 +77,7 @@ func (l *Leader) OneArm(m Msg, fast bool) {
 	if fast {
 		l.acks.Observe(m)
 	}
-	l.lease.Extend(m.From, l.ticks) // want "LeaseClock.Extend without a preceding AckWindow observation"
+	l.lease.Extend(m.From, l.ticks) // want "LeaseClock.Extend without a preceding successful AckWindow call"
 }
 
 // AfterLoop observes inside a loop that may run zero times; the
@@ -86,19 +86,19 @@ func (l *Leader) AfterLoop(ms []Msg) {
 	for _, m := range ms {
 		l.acks.Observe(m)
 	}
-	l.lease.Extend(0, l.ticks) // want "LeaseClock.Extend without a preceding AckWindow observation"
+	l.lease.Extend(0, l.ticks) // want "LeaseClock.Extend without a preceding successful AckWindow call"
 }
 
 // Assumes extends on its caller's behalf without observing anything
 // itself: the obligation is per-function — a helper cannot assume its
 // caller observed.
 func (l *Leader) Assumes(peer int) {
-	l.lease.Extend(peer, l.ticks) // want "LeaseClock.Extend without a preceding AckWindow observation"
+	l.lease.Extend(peer, l.ticks) // want "LeaseClock.Extend without a preceding successful AckWindow call"
 }
 
 // Deferred defers the observation: it runs at function exit, after the
 // extension, not at its syntactic position.
 func (l *Leader) Deferred(m Msg) {
 	defer l.acks.Observe(m)
-	l.lease.Extend(m.From, l.ticks) // want "LeaseClock.Extend without a preceding AckWindow observation"
+	l.lease.Extend(m.From, l.ticks) // want "LeaseClock.Extend without a preceding successful AckWindow call"
 }

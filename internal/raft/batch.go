@@ -7,16 +7,15 @@ import (
 	"adore/internal/types"
 )
 
-// This file is the group-commit hot path. Propose fsyncs one WAL record
-// per call; under concurrent load that makes throughput scale with fsync
-// count. ProposeAsync instead enqueues the command and returns a future;
-// the node's flush loop drains every pending proposal into a single log
-// suffix — one SaveEntries call (one WAL frame, one fsync), one
-// AppendEntries broadcast per peer — and only then acks the futures. The
-// commit rules are untouched: entries enter the log, are made durable,
-// and are broadcast under the same mutex and in the same order as the
-// synchronous path; batching only coalesces the persistence and network
-// operations.
+// This file is the group-commit front end. ProposeAsync enqueues the
+// command and returns a future; the node's flush loop drains every pending
+// proposal into the core's log with one ProposeBatch. The write lane then
+// persists whatever the core has accumulated — this batch and any that
+// arrived while the previous write was in flight — as a single SaveEntries
+// call (one WAL frame, one fsync), core.Stable broadcasts the newly durable
+// suffix with one AppendEntries per peer, and only then are the futures
+// acked. The commit rules are untouched: batching only coalesces the
+// persistence and network operations.
 
 // Proposal is the future returned by ProposeAsync. Wait blocks until the
 // command has been appended to the leader's log and made durable (or the
@@ -32,8 +31,9 @@ type Proposal struct {
 	err  error
 }
 
-// Wait blocks until the proposal is flushed (durably appended and
-// broadcast) or failed, and returns the assigned index and term.
+// Wait blocks until the proposal's entry is durable in the leader's log
+// (and so broadcast) or the proposal failed, and returns the assigned index
+// and term.
 func (p *Proposal) Wait() (int, types.Time, error) {
 	<-p.done
 	return p.idx, p.term, p.err
@@ -42,10 +42,7 @@ func (p *Proposal) Wait() (int, types.Time, error) {
 // Done is closed once the proposal has resolved; use Wait for the result.
 func (p *Proposal) Done() <-chan struct{} { return p.done }
 
-func (p *Proposal) complete(idx int, term types.Time) {
-	p.idx, p.term = idx, term
-	close(p.done)
-}
+func (p *Proposal) complete() { close(p.done) }
 
 func (p *Proposal) fail(err error) {
 	p.err = err
@@ -53,18 +50,19 @@ func (p *Proposal) fail(err error) {
 }
 
 // ProposeAsync submits a client command for group commit and returns a
-// future. Concurrent proposals are coalesced: the flush loop appends all
-// pending commands as one WAL frame with a single fsync and one broadcast
-// per peer, so fsyncs per operation fall toward 1/batch-size under load.
-// The future fails with ErrNotLeader if this node is not (or stops being)
-// the leader before the batch is flushed, and with ErrStopped on shutdown.
+// future. Concurrent proposals are coalesced: everything appended while a
+// write is in flight becomes one WAL frame with a single fsync and one
+// broadcast per peer, so fsyncs per operation fall toward 1/batch-size under
+// load. The future fails with ErrNotLeader if this node is not (or stops
+// being) the leader before the entry is durable, with ErrLeaderStepdown on a
+// CheckQuorum or stalled-disk step-down, with ErrStorageFailed if the write
+// fails, and with ErrStopped on shutdown.
 func (n *Node) ProposeAsync(cmd []byte) *Proposal {
 	p := &Proposal{cmd: cmd, done: make(chan struct{})}
-	// Only propMu here — NOT the state mutex. A flush holds mu across its
-	// fsync; enqueueing must not contend with that, or batches can never
-	// grow beyond whatever slipped in between flushes. Leadership is
-	// checked at flush time under mu (the future fails with ErrNotLeader
-	// if this node is not the leader when the batch reaches the log).
+	// Only propMu here — NOT the state mutex: enqueueing never contends
+	// with message stepping. Leadership is checked at flush time under mu
+	// (the future fails with ErrNotLeader if this node is not the leader
+	// when the batch reaches the log).
 	n.propMu.Lock()
 	if n.stopping {
 		n.propMu.Unlock()
@@ -122,14 +120,13 @@ func (n *Node) flushLoop() {
 	}
 }
 
-// flushBatch appends every pending proposal as one log suffix: a single
-// SaveEntries call (one WAL frame, one Sync) and a single broadcast cover
-// the whole batch. Proposers are acked only after the batch is durable,
-// so an acked proposal is always recoverable from the WAL.
+// flushBatch appends every pending proposal to the core's log and leaves
+// the futures with the write lane: Stable completes them once their entries
+// are durable, so an acked proposal is always recoverable from the WAL.
 func (n *Node) flushBatch() {
 	// Drain the queue under propMu alone, then do the protocol work under
 	// mu. Proposals enqueued after the drain are covered by their own
-	// flushCh signal and land in the next frame.
+	// flushCh signal and land in the next ProposeBatch.
 	n.propMu.Lock()
 	batch := n.pendingProps
 	n.pendingProps = nil
@@ -138,19 +135,19 @@ func (n *Node) flushBatch() {
 		return
 	}
 	n.mu.Lock()
-	if n.stopErr != nil {
-		err := n.stopErr
-		n.mu.Unlock()
-		for _, p := range batch {
-			p.fail(err)
+	err := n.stopErr
+	if err == nil {
+		err = n.haltedLocked()
+	}
+	var first int
+	var term types.Time
+	if err == nil {
+		cmds := make([][]byte, len(batch))
+		for i, p := range batch {
+			cmds[i] = p.cmd
 		}
-		return
+		first, term, err = n.core.ProposeBatch(cmds)
 	}
-	cmds := make([][]byte, len(batch))
-	for i, p := range batch {
-		cmds[i] = p.cmd
-	}
-	first, term, err := n.core.ProposeBatch(cmds)
 	if err != nil {
 		n.mu.Unlock()
 		for _, p := range batch {
@@ -158,24 +155,12 @@ func (n *Node) flushBatch() {
 		}
 		return
 	}
-	// One Ready covers the whole batch: a single SaveEntries frame (one
-	// fsync) and one broadcast, entries durable before anything escapes.
-	n.processReadyLocked()
-	if n.stopErr != nil {
-		// The WAL write failed: the node fail-stopped and the batch was
-		// never durable (this batch was already drained, so failStopLocked's
-		// own sweep did not cover it).
-		err := n.stopErr
-		n.mu.Unlock()
-		for _, p := range batch {
-			p.fail(err)
-		}
-		return
-	}
-	n.mu.Unlock()
 	for i, p := range batch {
-		p.complete(first+i, term)
+		p.idx, p.term = first+i, term
 	}
+	n.inflight = append(n.inflight, batch...)
+	n.processReadyLocked()
+	n.mu.Unlock()
 }
 
 // failPropsLocked aborts every pending (not yet flushed) proposal:
@@ -197,4 +182,14 @@ func (n *Node) failPropsLockedErr(err error) {
 	for _, p := range batch {
 		p.fail(err)
 	}
+}
+
+// failInflightLocked fails every proposal whose entry is in the log but not
+// yet durable: the write failed, leadership was lost (a successor may
+// truncate the entry — a Maybe outcome), or the node is stopping.
+func (n *Node) failInflightLocked(err error) {
+	for _, p := range n.inflight {
+		p.fail(err)
+	}
+	n.inflight = nil
 }

@@ -166,12 +166,19 @@ var (
 // Node is one Raft runtime instance: the IO driver around a raftcore.Core.
 // Create with StartNode; stop with Stop.
 //
-// The driver's whole job is the Ready loop: every core interaction
-// (message, tick, proposal, barrier) ends with processReadyLocked, which
-// persists the batch's hard state and log suffix, then sends its messages,
-// resolves its read barriers, and delivers its committed entries — in that
-// order, so nothing is externalized before it is durable. A failed persist
-// fail-stops the node with the batch's outbound effects still unsent.
+// The driver's whole job is the staged Ready loop. mu covers core mutation
+// only: every core interaction (message, tick, proposal, barrier) ends with
+// processReadyLocked, which wakes the write lane if the core has something
+// to persist and then releases what may leave now — messages, read
+// barriers, committed entries — all of it already backed by durable state.
+// The write lane is one goroutine with one storage call in flight and mu
+// not held: it takes the core's Unstable batch, writes it, and reports
+// core.Stable, which is the only thing that releases persistence-dependent
+// effects (votes, append acks, the leader's broadcast, commit deliveries,
+// proposal futures). Entries that arrive during a write accumulate in the
+// core and go out as the next single write. A failed write fail-stops the
+// node from the lane with everything held still unsent. Without Storage
+// there is nothing to wait for: the same executor reports Stable inline.
 type Node struct {
 	mu sync.Mutex
 
@@ -203,6 +210,14 @@ type Node struct {
 	pendingProps []*Proposal // guarded by propMu
 	stopping     bool        // guarded by propMu
 	flushCh      chan struct{}
+
+	// Write-lane state. laneCh wakes the lane (capacity 1: a pending wakeup
+	// already covers whatever became unstable since). inflight are the
+	// proposals appended to the core's log and not yet durable, in index
+	// order; Stable completes them, losing leadership or the disk fails
+	// them.
+	laneCh   chan struct{}
+	inflight []*Proposal // guarded by mu
 
 	// readWaiters maps a pending read barrier's request id (local
 	// ReadIndex or forwarded follower read) to the channel its caller
@@ -284,6 +299,7 @@ func StartNode(opts Options) *Node {
 		inbox:       make(chan Message, 1024),
 		stopCh:      make(chan struct{}),
 		flushCh:     make(chan struct{}, 1),
+		laneCh:      make(chan struct{}, 1),
 		readWaiters: make(map[uint64]chan readResult),
 	}
 	if opts.StateMachine != nil {
@@ -299,6 +315,10 @@ func StartNode(opts Options) *Node {
 	go n.run()
 	go n.flushLoop()
 	go n.snapLoop()
+	if opts.Storage != nil {
+		n.done.Add(1)
+		go n.writeLane()
+	}
 	return n
 }
 
@@ -350,8 +370,10 @@ func (n *Node) StorageErr() error {
 // failStopLocked halts the node because a durable write failed: continuing
 // to vote, ack, or lead on state that is not actually persisted would break
 // the crash-recovery argument (a restart would forget promises already sent
-// to peers). The node abdicates, aborts waiting clients, and shuts down; it
-// sends nothing after the failed write.
+// to peers). The node abdicates, aborts waiting clients — every proposal
+// whose entry was not yet durable fails with ErrStorageFailed — and shuts
+// down; core.Stable is never called for the failed batch, so everything it
+// held stays unsent.
 func (n *Node) failStopLocked(err error) {
 	if n.stopErr != nil {
 		return
@@ -362,6 +384,7 @@ func (n *Node) failStopLocked(err error) {
 		ch <- readResult{err: ErrNotLeader}
 	}
 	n.failPropsLocked()
+	n.failInflightLocked(n.stopErr)
 	n.stopOnce.Do(func() { close(n.stopCh) })
 }
 
@@ -438,39 +461,119 @@ func (n *Node) Elections() uint64 {
 	return n.core.Elections()
 }
 
-// processReadyLocked executes one Ready batch: persist, then externalize.
-// Every code path that touches the core ends here; after it returns the
-// core's effects are either fully applied or the node has fail-stopped
-// with nothing from the batch escaped.
+// processReadyLocked is the node's one Ready executor; every code path that
+// touches the core ends here. Stage one hands what needs persisting to the
+// write lane (volatile nodes have nothing to write, so the same batch is
+// reported stable on the spot — no goroutine hop, no extra message); stage
+// two releases what may leave now.
 func (n *Node) processReadyLocked() {
-	rd := n.core.TakeReady()
-	if n.opts.Storage != nil {
-		if rd.HardState != nil {
-			if err := n.opts.Storage.SaveState(*rd.HardState); err != nil {
-				n.failStopLocked(fmt.Errorf("persist state: %w", err))
+	if n.opts.Storage == nil {
+		if u, ok := n.core.TakeUnstable(); ok {
+			if err := n.persist(u); err != nil {
+				n.failStopLocked(err)
 				return
 			}
+			n.core.Stable()
+			n.completeStableLocked()
 		}
-		if rd.Snapshot != nil {
-			// Durability ordering rule: the snapshot image reaches disk
-			// before SaveEntries (below) is allowed to truncate the log
-			// prefix it summarizes.
-			if err := n.opts.Storage.SaveSnapshot(*rd.Snapshot); err != nil {
-				n.failStopLocked(fmt.Errorf("persist snapshot: %w", err))
-				return
-			}
-		}
-		if rd.FirstIndex > 0 {
-			if err := n.opts.Storage.SaveEntries(rd.FirstIndex, rd.Entries); err != nil {
-				n.failStopLocked(fmt.Errorf("persist entries: %w", err))
-				return
-			}
+	} else if n.core.HasUnstable() {
+		select {
+		case n.laneCh <- struct{}{}:
+		default: // a wakeup is already pending
 		}
 	}
-	for _, m := range rd.Messages {
+	n.releaseLocked()
+}
+
+// writeLane is the node's one write lane: a single goroutine, one storage
+// call in flight, mu not held across it. Each pass takes everything the core
+// has accumulated as ONE batch — group commit on followers as well as on the
+// leader — and loops until the core is clean, so back-to-back writes cost no
+// wakeup. On shutdown it fails the proposals still waiting for their write.
+func (n *Node) writeLane() {
+	defer n.done.Done()
+	for {
+		select {
+		case <-n.stopCh:
+			n.mu.Lock()
+			n.failInflightLocked(ErrStopped)
+			n.mu.Unlock()
+			return
+		case <-n.laneCh:
+		}
+		n.mu.Lock()
+		for n.haltedLocked() == nil {
+			u, ok := n.core.TakeUnstable()
+			if !ok {
+				break
+			}
+			n.mu.Unlock()
+			err := n.persist(u)
+			n.mu.Lock()
+			if err != nil {
+				// Stable is never reported: everything the batch was
+				// backing stays held, and the node halts.
+				n.failStopLocked(err)
+				break
+			}
+			n.core.Stable()
+			n.completeStableLocked()
+			n.releaseLocked()
+		}
+		n.mu.Unlock()
+	}
+}
+
+// persist writes one Unstable batch in the durability order: the HardState,
+// then the snapshot image, and only then the entries whose SaveEntries may
+// truncate the log prefix the image summarizes. Called by the write lane
+// with mu not held (and inline, as a no-op, by volatile nodes).
+func (n *Node) persist(u raftcore.Unstable) error {
+	if n.opts.Storage == nil {
+		return nil
+	}
+	if u.HardState != nil {
+		if err := n.opts.Storage.SaveState(*u.HardState); err != nil {
+			return fmt.Errorf("persist state: %w", err)
+		}
+	}
+	if u.Snapshot != nil {
+		if err := n.opts.Storage.SaveSnapshot(*u.Snapshot); err != nil {
+			return fmt.Errorf("persist snapshot: %w", err)
+		}
+	}
+	if u.FirstIndex > 0 {
+		if err := n.opts.Storage.SaveEntries(u.FirstIndex, u.Entries); err != nil {
+			return fmt.Errorf("persist entries: %w", err)
+		}
+	}
+	return nil
+}
+
+// completeStableLocked completes the proposals whose entries the last
+// Stable made durable.
+func (n *Node) completeStableLocked() {
+	stable := n.core.StableIndex()
+	k := 0
+	for k < len(n.inflight) && n.inflight[k].idx <= stable {
+		n.inflight[k].complete()
+		k++
+	}
+	n.inflight = n.inflight[k:]
+}
+
+// releaseLocked drains the core's Effects: send the messages, resolve the
+// read barriers, deliver the committed entries. Nothing here waits for a
+// disk — whatever needed one was released by Stable.
+func (n *Node) releaseLocked() {
+	if n.stopErr != nil {
+		return // fail-stopped: send nothing after the lost write
+	}
+	eff := n.core.TakeEffects()
+	for _, m := range eff.Messages {
 		n.opts.Transport.Send(m)
 	}
-	for _, rs := range rd.ReadStates {
+	for _, rs := range eff.ReadStates {
 		ch, ok := n.readWaiters[rs.ReqID]
 		if !ok {
 			continue // caller already timed out
@@ -482,7 +585,7 @@ func (n *Node) processReadyLocked() {
 			// successor is likely already up — re-probe immediately);
 			// anything else is the generic redirect.
 			err := error(ErrNotLeader)
-			if rd.SteppedDown {
+			if eff.SteppedDown {
 				err = ErrLeaderStepdown
 			}
 			ch <- readResult{err: err}
@@ -490,12 +593,12 @@ func (n *Node) processReadyLocked() {
 			ch <- readResult{idx: rs.Index}
 		}
 	}
-	committed := rd.Committed
-	if rd.RestoreSnapshot && rd.Snapshot != nil {
+	committed := eff.Committed
+	if eff.Restore != nil {
 		// A leader-installed snapshot replaces the state machine's world:
 		// deliver the restore before any suffix entries committed in the
 		// same batch.
-		committed = append([]ApplyMsg{restoreMsg(rd.Snapshot)}, committed...)
+		committed = append([]ApplyMsg{restoreMsg(eff.Restore)}, committed...)
 	}
 	if len(committed) > 0 {
 		select {
@@ -503,25 +606,27 @@ func (n *Node) processReadyLocked() {
 		case <-n.stopCh:
 		}
 	}
-	if rd.TakeSnapshot != nil && n.snapReqCh != nil {
+	if eff.TakeSnapshot != nil && n.snapReqCh != nil {
 		select {
-		case n.snapReqCh <- *rd.TakeSnapshot:
+		case n.snapReqCh <- *eff.TakeSnapshot:
 		default:
 			// A capture is already queued; the policy stays latched until
 			// that one resolves, so dropping this request is safe.
 		}
 	}
-	// Leadership lost inside this batch: abort queued (unflushed)
-	// proposals — their commands never entered the log. A CheckQuorum
-	// step-down fails them with the retryable ErrLeaderStepdown so clients
-	// re-probe immediately instead of waiting out a redirect.
+	// Leadership lost inside this batch: abort queued (unflushed) proposals
+	// — their commands never entered the log — and the in-flight ones,
+	// whose entries a successor may now truncate. A step-down fails them
+	// with the retryable ErrLeaderStepdown so clients re-probe immediately
+	// instead of waiting out a redirect.
 	isLeader := n.core.Role() == Leader
 	if n.wasLeader && !isLeader {
-		if rd.SteppedDown {
-			n.failPropsLockedErr(fmt.Errorf("%w (was %s)", ErrLeaderStepdown, n.id))
-		} else {
-			n.failPropsLocked()
+		err := fmt.Errorf("%w (known leader: %s)", ErrNotLeader, n.core.Leader())
+		if eff.SteppedDown {
+			err = fmt.Errorf("%w (was %s)", ErrLeaderStepdown, n.id)
 		}
+		n.failPropsLockedErr(err)
+		n.failInflightLocked(err)
 	}
 	n.wasLeader = isLeader
 }
@@ -549,6 +654,8 @@ func (n *Node) snapLoop() {
 func (n *Node) handleSnapshotRequest(req raftcore.SnapshotRequest) {
 	sm := n.opts.StateMachine
 	deadline := time.Now().Add(5 * time.Second)
+	poll := time.NewTimer(0)
+	defer poll.Stop()
 	for sm.AppliedIndex() < req.Index {
 		if time.Now().After(deadline) {
 			n.abortSnapshot() // apply stream stalled; try again later
@@ -557,7 +664,8 @@ func (n *Node) handleSnapshotRequest(req raftcore.SnapshotRequest) {
 		select {
 		case <-n.stopCh:
 			return
-		case <-time.After(500 * time.Microsecond):
+		case <-poll.C:
+			poll.Reset(500 * time.Microsecond)
 		}
 	}
 	data, applied, err := sm.SaveSnapshot()
@@ -637,21 +745,30 @@ func (n *Node) tick() {
 // log index and term, or ErrNotLeader.
 func (n *Node) Propose(cmd []byte) (int, types.Time, error) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.stopErr != nil {
-		return 0, 0, fmt.Errorf("%w (known leader: %s)", ErrNotLeader, types.NoNode)
+	if err := n.haltedLocked(); err != nil {
+		n.mu.Unlock()
+		return 0, 0, err
 	}
 	idx, term, err := n.core.Propose(cmd)
 	if err != nil {
+		n.mu.Unlock()
 		return 0, 0, err
 	}
+	p := n.trackDurableLocked(idx, term)
+	n.mu.Unlock()
+	return p.Wait()
+}
+
+// trackDurableLocked registers a future for the entry just appended at idx
+// and runs the Ready executor. The caller waits on it with mu released: like
+// a ProposeAsync future it resolves once the write lane has made the entry
+// durable, and a failed write, a lost leadership or a shutdown in between
+// fails it — the caller must not act on the index then.
+func (n *Node) trackDurableLocked(idx int, term types.Time) *Proposal {
+	p := &Proposal{done: make(chan struct{}), idx: idx, term: term}
+	n.inflight = append(n.inflight, p)
 	n.processReadyLocked()
-	if n.stopErr != nil {
-		// The WAL write failed: the node fail-stopped and the entry was
-		// never durable; the caller must not act on it.
-		return 0, 0, n.stopErr
-	}
-	return idx, term, nil
+	return p
 }
 
 // ProposeConfig appends a membership change at the leader, enforcing the
@@ -661,19 +778,33 @@ func (n *Node) Propose(cmd []byte) (int, types.Time, error) {
 // (R3).
 func (n *Node) ProposeConfig(members types.NodeSet) (int, types.Time, error) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.stopErr != nil {
-		return 0, 0, fmt.Errorf("%w (known leader: %s)", ErrNotLeader, types.NoNode)
+	if err := n.haltedLocked(); err != nil {
+		n.mu.Unlock()
+		return 0, 0, err
 	}
 	idx, term, err := n.core.ProposeConfig(members)
 	if err != nil {
+		n.mu.Unlock()
 		return 0, 0, err
 	}
-	n.processReadyLocked()
+	p := n.trackDurableLocked(idx, term)
+	n.mu.Unlock()
+	return p.Wait()
+}
+
+// haltedLocked reports why a proposal cannot be accepted at all: the node
+// fail-stopped, or it is shutting down (the write lane may already be gone,
+// so nothing would ever complete the future).
+func (n *Node) haltedLocked() error {
 	if n.stopErr != nil {
-		return 0, 0, n.stopErr
+		return fmt.Errorf("%w (known leader: %s)", ErrNotLeader, types.NoNode)
 	}
-	return idx, term, nil
+	select {
+	case <-n.stopCh:
+		return ErrStopped
+	default:
+		return nil
+	}
 }
 
 // readResult resolves one blocked read barrier waiter: the confirmed
@@ -759,13 +890,17 @@ func (n *Node) FollowerReadIndex(timeout time.Duration) (int, error) {
 
 // awaitRead blocks one read barrier caller on its result channel.
 func (n *Node) awaitRead(reqID uint64, ch chan readResult, timeout time.Duration) (int, error) {
+	// Not time.After: under go 1.22 its timer stays live for the whole
+	// timeout of every read that already returned.
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case r := <-ch:
 		if r.err != nil {
 			return 0, r.err
 		}
 		return r.idx, nil
-	case <-time.After(timeout):
+	case <-timer.C:
 		n.mu.Lock()
 		delete(n.readWaiters, reqID)
 		n.core.CancelRead(reqID)
@@ -793,9 +928,6 @@ func (n *Node) TransferLeader(to types.NodeID) error {
 		return err
 	}
 	n.processReadyLocked()
-	if n.stopErr != nil {
-		return n.stopErr
-	}
 	return nil
 }
 

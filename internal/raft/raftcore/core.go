@@ -95,9 +95,9 @@ type Config struct {
 	// For experiments only.
 	DisablePreVote bool
 
-	// DisableCheckQuorum keeps a leader that cannot reach a quorum in
-	// the Leader role indefinitely (it silently stalls on the minority
-	// side of a partition instead of stepping down and failing in-flight
+	// DisableCheckQuorum keeps a leader that cannot reach a quorum — or
+	// whose own disk has stalled — in the Leader role indefinitely (it
+	// silently stalls instead of stepping down and failing in-flight
 	// proposals with a retryable error). For experiments only.
 	DisableCheckQuorum bool
 
@@ -135,8 +135,10 @@ func (c *Config) defaults() {
 }
 
 // Core is the pure raft state machine. It is not safe for concurrent use:
-// the caller serializes Step/Tick/Propose/... and executes each TakeReady
-// batch (persist, then send/apply) before externalizing anything.
+// the caller serializes Step/Tick/Propose/... and drives the staged Ready
+// contract: TakeUnstable hands out what to persist, Stable reports it
+// durable, TakeEffects hands out what may leave now (TakeReady is the three
+// in one call, for drivers that persist synchronously).
 type Core struct {
 	id  types.NodeID
 	cfg Config
@@ -222,21 +224,57 @@ type Core struct {
 	// the policy fires once per threshold crossing.
 	snapRequested bool
 
-	// Pending effects, drained by TakeReady.
-	hsDirty    bool        // term/votedFor changed since last TakeReady
-	dirtyFrom  int         // lowest absolute log index changed since last TakeReady (0 = clean)
-	msgs       []Message   // outbound, in generation order
-	readStates []ReadState // resolved ReadIndex barriers
-	// pendingSnap is a snapshot awaiting durable persistence in the next
-	// Ready; pendingRestore marks it leader-installed (the driver must
-	// restore the state machine from it).
+	// Durability watermark. stableIndex is the highest log index known to
+	// be on disk: every entry at or below it survives a crash. It trails
+	// lastIndex while a write is outstanding, is clipped by truncation
+	// (unstableFrom), and sits below snapIndex only while an installed
+	// snapshot is still being written. Everything persistence-dependent is
+	// judged against it: the leader's own vote in advanceCommit, what
+	// sendAppend ships, what a follower's ack may claim, what TakeEffects
+	// delivers as Committed.
+	stableIndex int
+
+	// What to persist next, drained by TakeUnstable.
+	hsDirty   bool // term/votedFor changed since last TakeUnstable
+	dirtyFrom int  // lowest absolute log index changed since last TakeUnstable (0 = clean)
+	// pendingSnap is a snapshot awaiting persistence in the next Unstable;
+	// pendingRestore marks it leader-installed (the driver must restore the
+	// state machine from it once it is durable).
 	pendingSnap    *Snapshot
 	pendingRestore bool
-	// steppedDown latches a CheckQuorum step-down for the next Ready.
+	// inflight is the one batch handed out by TakeUnstable and not yet
+	// reported by Stable.
+	inflight inflightWrite
+
+	// Held effects, released only by Stable. held are messages produced
+	// while the HardState was unstable (vote grants, vote requests,
+	// anything stamped with a newly adopted term); heldAck is a follower's
+	// success ack claiming a MatchIndex above the stable index. A term
+	// change discards both: an undelivered promise at a superseded term is
+	// just a lost message.
+	held    []Message
+	heldAck *Message
+
+	// What may leave now, drained by TakeEffects.
+	msgs       []Message   // outbound, in release order
+	readStates []ReadState // resolved ReadIndex barriers
+	restore    *Snapshot   // leader-installed snapshot, now durable
+	// steppedDown latches a CheckQuorum or stalled-disk step-down for the
+	// next Effects.
 	steppedDown bool
 
 	// metrics
 	ctr Counters
+}
+
+// inflightWrite describes the outstanding Unstable batch.
+type inflightWrite struct {
+	active  bool
+	hs      bool      // the batch carries a HardState
+	last    int       // last log index the batch's entries make durable (0 = none); clipped by unstableFrom
+	snap    *Snapshot // the batch carries this snapshot
+	restore bool      // ...which is leader-installed
+	since   int64     // tick the batch was handed out (stalled-disk step-down)
 }
 
 // pendingRead is one ReadIndex barrier: the read floor captured at
@@ -288,8 +326,9 @@ func New(cfg Config, hs HardState, snap Snapshot, entries []LogEntry) *Core {
 		snapTerm:    snap.Term,
 		snapMembers: snap.Members,
 		snapData:    snap.Data,
-		commitIndex: snap.Index, // everything a snapshot covers was committed
-		lastApplied: snap.Index, // the driver restores the SM from the image
+		commitIndex: snap.Index,                // everything a snapshot covers was committed
+		lastApplied: snap.Index,                // the driver restores the SM from the image
+		stableIndex: snap.Index + len(entries), // recovered from disk, so on disk
 		conf0:       types.NewNodeSet(cfg.Members...),
 	}
 	// Seed the config-index cache from the recovered suffix (one scan,
@@ -323,6 +362,11 @@ func (c *Core) CommitIndex() int { return c.commitIndex }
 // LastIndex returns the absolute index of the last log entry (0 when the
 // log is empty and nothing was ever compacted).
 func (c *Core) LastIndex() int { return c.lastIndex() }
+
+// StableIndex returns the highest log index known durable: what a crash at
+// this instant would recover. It is this replica's support in the paper's
+// sense — the log a quorum may count on.
+func (c *Core) StableIndex() int { return c.stableIndex }
 
 // FirstIndex returns the absolute index of the first retained log entry,
 // snapIndex+1: entries below it live only in the snapshot.
@@ -418,44 +462,155 @@ func (c *Core) markEntries(from int) {
 	}
 }
 
-func (c *Core) send(m Message) { c.msgs = append(c.msgs, m) }
+// unstableFrom records that the log changed shape at pos (a conflict
+// truncation, or a snapshot install replacing it wholesale): nothing at or
+// above pos is durable any more, whatever an outstanding write lands.
+func (c *Core) unstableFrom(pos int) {
+	if c.stableIndex >= pos {
+		c.stableIndex = pos - 1
+	}
+	if c.inflight.last >= pos {
+		c.inflight.last = pos - 1
+	}
+}
 
-// TakeReady drains the effects accumulated since the last call. The
-// caller must persist HardState, Snapshot, and Entries before sending
-// Messages, resolving ReadStates, or delivering Committed (see the Ready
-// contract).
-func (c *Core) TakeReady() Ready {
-	var rd Ready
+// hardStateUnstable reports whether the current term and vote are not yet
+// known durable (changed since the last TakeUnstable, or in the outstanding
+// batch).
+func (c *Core) hardStateUnstable() bool { return c.hsDirty || c.inflight.hs }
+
+// heldByHardState classifies messages by whether they promise anything about
+// the sender's term or vote. Pre-Vote traffic is term-neutral by design,
+// forwarded reads only carry an index the reader still waits to apply, and
+// TimeoutNow asks the receiver to act: none of them may wait for a disk.
+func heldByHardState(t MessageType) bool {
+	switch t {
+	case MsgPreVoteRequest, MsgPreVoteResponse, MsgTimeoutNow, MsgReadIndexRequest, MsgReadIndexResponse:
+		return false
+	case MsgVoteRequest, MsgVoteResponse, MsgAppendEntries, MsgAppendResponse, MsgInstallSnapshot:
+		return true
+	}
+	return true
+}
+
+// send queues an outbound message: for release now, or — while the HardState
+// it was produced under is unstable — for release by Stable.
+func (c *Core) send(m Message) {
+	if c.hardStateUnstable() && heldByHardState(m.Type) {
+		c.held = append(c.held, m)
+		return
+	}
+	c.msgs = append(c.msgs, m)
+}
+
+// dropHeld discards everything held at the term being left.
+func (c *Core) dropHeld() {
+	c.held = nil
+	c.heldAck = nil
+}
+
+// HasUnstable reports whether TakeUnstable would hand out a batch right now
+// if none were outstanding.
+func (c *Core) HasUnstable() bool {
+	return c.hsDirty || c.pendingSnap != nil || c.dirtyFrom != 0
+}
+
+// TakeUnstable hands out everything that needs persisting as one batch, or
+// ok=false when there is nothing to persist or the previous batch has not
+// been reported Stable yet (one write in flight; whatever accumulates
+// meanwhile goes out as the next single batch — group commit).
+func (c *Core) TakeUnstable() (u Unstable, ok bool) {
+	if c.inflight.active || !c.HasUnstable() {
+		return Unstable{}, false
+	}
+	w := inflightWrite{active: true, since: c.ticks}
 	if c.hsDirty {
 		hs := HardState{Term: c.term, VotedFor: c.votedFor}
-		rd.HardState = &hs
+		u.HardState = &hs
 		c.hsDirty = false
+		w.hs = true
 	}
 	if c.pendingSnap != nil {
-		rd.Snapshot = c.pendingSnap
-		rd.RestoreSnapshot = c.pendingRestore
+		u.Snapshot = c.pendingSnap
+		w.snap, w.restore = c.pendingSnap, c.pendingRestore
 		c.pendingSnap = nil
 		c.pendingRestore = false
 	}
 	if c.dirtyFrom != 0 {
-		rd.FirstIndex = c.dirtyFrom
-		rd.Entries = make([]LogEntry, len(c.log)-(c.dirtyFrom-c.snapIndex))
-		copy(rd.Entries, c.log[c.dirtyFrom-c.snapIndex:])
+		u.FirstIndex = c.dirtyFrom
+		// A copy: the driver reads it with no lock held while the core keeps
+		// appending to (and truncating) the live log.
+		u.Entries = make([]LogEntry, len(c.log)-(c.dirtyFrom-c.snapIndex))
+		copy(u.Entries, c.log[c.dirtyFrom-c.snapIndex:])
+		w.last = c.lastIndex()
 		c.dirtyFrom = 0
 	}
-	rd.Messages = c.msgs
+	c.inflight = w
+	return u, true
+}
+
+// Stable reports that the outstanding Unstable batch is on disk. It is the
+// only thing that releases persistence-dependent effects: messages held for
+// the HardState, a follower's held append ack (clamped to the new stable
+// index), the leader's broadcast of the newly stable suffix and its own vote
+// in advanceCommit, the restore of an installed snapshot, and — through
+// TakeEffects — the commit deliveries at or below the new stable index.
+// Without an outstanding batch it does nothing.
+func (c *Core) Stable() {
+	w := c.inflight
+	if !w.active {
+		return
+	}
+	c.inflight = inflightWrite{}
+	advanced := false
+	if w.snap != nil {
+		if w.snap.Index > c.stableIndex {
+			c.stableIndex = w.snap.Index
+			advanced = true
+		}
+		if w.restore {
+			c.restore = w.snap
+		}
+	}
+	if w.last > c.stableIndex {
+		c.stableIndex = w.last
+		advanced = true
+	}
+	if w.hs && !c.hsDirty {
+		c.msgs = append(c.msgs, c.held...)
+		c.held = nil
+	}
+	if !advanced {
+		return
+	}
+	if c.role == Leader {
+		c.broadcastAppend()
+	} else {
+		c.releaseAck()
+	}
+}
+
+// TakeEffects drains what may leave the node now.
+func (c *Core) TakeEffects() Effects {
+	var e Effects
+	e.Messages = c.msgs
 	c.msgs = nil
-	rd.ReadStates = c.readStates
+	e.ReadStates = c.readStates
 	c.readStates = nil
-	rd.SteppedDown = c.steppedDown
+	e.Restore = c.restore
+	c.restore = nil
+	e.SteppedDown = c.steppedDown
 	c.steppedDown = false
-	if c.lastApplied < c.commitIndex {
-		rd.Committed = make([]ApplyMsg, 0, c.commitIndex-c.lastApplied)
-		for c.lastApplied < c.commitIndex {
+	// apply ⊆ durable: a commit index learned from the leader can run ahead
+	// of this replica's own disk.
+	limit := min(c.commitIndex, c.stableIndex)
+	if c.lastApplied < limit {
+		e.Committed = make([]ApplyMsg, 0, limit-c.lastApplied)
+		for c.lastApplied < limit {
 			c.lastApplied++
-			e := c.entryAt(c.lastApplied)
-			rd.Committed = append(rd.Committed, ApplyMsg{
-				Index: c.lastApplied, Term: e.Term, Kind: e.Kind, Command: e.Command, Members: e.Members,
+			en := c.entryAt(c.lastApplied)
+			e.Committed = append(e.Committed, ApplyMsg{
+				Index: c.lastApplied, Term: en.Term, Kind: en.Kind, Command: en.Command, Members: en.Members,
 			})
 		}
 	}
@@ -464,9 +619,34 @@ func (c *Core) TakeReady() Ready {
 	if c.cfg.SnapshotThreshold > 0 && !c.snapRequested &&
 		c.lastApplied-c.snapIndex >= c.cfg.SnapshotThreshold {
 		c.snapRequested = true
-		rd.TakeSnapshot = &SnapshotRequest{Index: c.lastApplied}
+		e.TakeSnapshot = &SnapshotRequest{Index: c.lastApplied}
 	}
-	return rd
+	return e
+}
+
+// TakeReady is the staged contract in one call, for drivers that persist
+// synchronously: TakeUnstable, Stable, TakeEffects. The caller must persist
+// HardState, Snapshot, and Entries before sending Messages, resolving
+// ReadStates, or delivering Committed, and must discard the batch and halt
+// if the persist fails (see the Ready contract).
+func (c *Core) TakeReady() Ready {
+	u, ok := c.TakeUnstable()
+	if ok {
+		c.Stable()
+	}
+	e := c.TakeEffects()
+	return Ready{
+		HardState:       u.HardState,
+		Snapshot:        u.Snapshot,
+		RestoreSnapshot: e.Restore != nil,
+		FirstIndex:      u.FirstIndex,
+		Entries:         u.Entries,
+		Messages:        e.Messages,
+		Committed:       e.Committed,
+		ReadStates:      e.ReadStates,
+		TakeSnapshot:    e.TakeSnapshot,
+		SteppedDown:     e.SteppedDown,
+	}
 }
 
 // --- Compaction ---
@@ -475,9 +655,10 @@ func (c *Core) TakeReady() Ready {
 // serialized image with everything through absolute index idx applied.
 // The committed prefix [1, idx] is folded into the snapshot base and the
 // in-memory log truncated to the suffix; the durable counterpart is the
-// Snapshot carried by the next Ready (persist it before externalizing
-// anything, which is what makes dropping the WAL prefix safe). Stale or
-// out-of-range indexes are rejected with false.
+// Snapshot carried by the next Unstable (written before the entries that
+// truncate the WAL prefix it replaces). Only applied — hence stable —
+// indexes are accepted, so the watermark never moves. Stale or out-of-range
+// indexes are rejected with false.
 func (c *Core) Compact(idx int, data []byte) bool {
 	c.snapRequested = false
 	if idx <= c.snapIndex || idx > c.lastApplied {
@@ -512,7 +693,7 @@ func (c *Core) Compact(idx int, data []byte) bool {
 
 // AbortSnapshot withdraws an outstanding TakeSnapshot request (the
 // application could not produce an image); the policy re-fires on the
-// next TakeReady whose applied distance still crosses the threshold.
+// next TakeEffects whose applied distance still crosses the threshold.
 func (c *Core) AbortSnapshot() { c.snapRequested = false }
 
 // --- Clock ---
@@ -531,6 +712,15 @@ func (c *Core) resetElectionTimer() {
 func (c *Core) Tick() {
 	c.ticks++
 	if c.role == Leader {
+		// A leader whose own disk has accepted nothing for an election
+		// interval can heartbeat forever and commit nothing. Like a leader
+		// that lost its quorum it cannot make progress, so the same guard
+		// (and the same experiment knob) hands the cluster to a replica
+		// that can write.
+		if !c.cfg.DisableCheckQuorum && c.diskStalled() {
+			c.stepDown()
+			return
+		}
 		c.heartbeatElapsed++
 		if c.heartbeatElapsed >= c.cfg.HeartbeatTicks {
 			c.heartbeatElapsed = 0
@@ -558,8 +748,9 @@ func (c *Core) Tick() {
 	c.electionElapsed++
 	if c.electionElapsed >= c.electionTimeout {
 		// A node outside its own effective configuration must not
-		// disrupt the cluster with elections (it has been removed).
-		if !c.Members().Contains(c.id) {
+		// disrupt the cluster with elections (it has been removed), and
+		// one whose disk is stalled could not persist the ballot.
+		if !c.Members().Contains(c.id) || c.diskStalled() {
 			c.resetElectionTimer()
 			return
 		}
@@ -570,6 +761,12 @@ func (c *Core) Tick() {
 		}
 		c.startPreVote()
 	}
+}
+
+// diskStalled reports whether the outstanding Unstable batch has waited a
+// full election interval for its Stable.
+func (c *Core) diskStalled() bool {
+	return c.inflight.active && c.ticks-c.inflight.since >= int64(c.cfg.ElectionTicks)
 }
 
 // hasQuorumContact reports whether a majority of the configuration
@@ -597,9 +794,9 @@ func (c *Core) hasQuorumContact() bool {
 	return config.MajorityCount(count, members)
 }
 
-// stepDown relinquishes leadership without a term change (CheckQuorum):
-// pending reads abort, any transfer dies, and the driver learns of it via
-// Ready.SteppedDown so in-flight proposals fail retryably.
+// stepDown relinquishes leadership without a term change (CheckQuorum, or
+// a stalled disk): pending reads abort, any transfer dies, and the driver
+// learns of it via Effects.SteppedDown so in-flight proposals fail retryably.
 func (c *Core) stepDown() {
 	c.role = Follower
 	c.leader = types.NoNode
@@ -662,12 +859,14 @@ func (c *Core) maybePreVoteWin() {
 
 // startElection begins a candidacy for the next term. transfer marks a
 // campaign the old leader opened deliberately (MsgTimeoutNow): its vote
-// requests bypass follower stickiness.
+// requests bypass follower stickiness. The requests are held until the
+// self-vote is stable.
 func (c *Core) startElection(transfer bool) {
 	c.term++
 	c.role = Candidate
 	c.votedFor = c.id
 	c.markHardState()
+	c.dropHeld()
 	c.votes = types.NewNodeSet(c.id)
 	c.ctr.Elections++
 	c.resetElectionTimer()
@@ -712,13 +911,11 @@ func (c *Core) maybeWin() {
 		c.nextIndex[id] = c.lastIndex() + 1
 		c.matchIndex[id] = 0
 	}
-	c.matchIndex[c.id] = c.lastIndex()
 	// Term-opening no-op: commits promptly in this term, satisfying both
 	// the commitment rule and R3. Its index also floors every read in
 	// this term (readFloor): it sits above everything any earlier term
-	// could have committed.
+	// could have committed. Stable broadcasts it.
 	c.termStart = c.appendAsLeader(LogEntry{Term: c.term, Kind: EntryNoOp})
-	c.broadcastAppend()
 }
 
 // --- Client-facing operations ---
@@ -812,7 +1009,9 @@ func (c *Core) sendTimeoutNow(to types.NodeID) {
 }
 
 // Propose appends a client command at the leader. It returns the assigned
-// log index and term, or ErrNotLeader.
+// log index and term, or ErrNotLeader. The entry is only marked dirty here:
+// the leader persists before it replicates, so the broadcast happens when
+// Stable reports the entry durable.
 func (c *Core) Propose(cmd []byte) (int, types.Time, error) {
 	if c.role != Leader {
 		return 0, 0, c.errNotLeader()
@@ -821,13 +1020,13 @@ func (c *Core) Propose(cmd []byte) (int, types.Time, error) {
 		return 0, 0, ErrTransferInProgress
 	}
 	idx := c.appendAsLeader(LogEntry{Term: c.term, Kind: EntryCommand, Command: cmd})
-	c.broadcastAppend()
 	return idx, c.term, nil
 }
 
-// ProposeBatch appends several client commands as one log suffix with a
-// single broadcast — the group-commit path. It returns the index of the
-// first command; command i landed at first+i.
+// ProposeBatch appends several client commands as one log suffix. It
+// returns the index of the first command; command i landed at first+i.
+// Everything appended before the next TakeUnstable — this batch and any
+// others — is persisted as one write and broadcast as one suffix.
 func (c *Core) ProposeBatch(cmds [][]byte) (first int, term types.Time, err error) {
 	if c.role != Leader {
 		return 0, 0, c.errNotLeader()
@@ -839,7 +1038,6 @@ func (c *Core) ProposeBatch(cmds [][]byte) (first int, term types.Time, err erro
 	for _, cmd := range cmds {
 		c.appendAsLeader(LogEntry{Term: c.term, Kind: EntryCommand, Command: cmd})
 	}
-	c.broadcastAppend()
 	return first, c.term, nil
 }
 
@@ -893,7 +1091,6 @@ func (c *Core) ProposeConfig(members types.NodeSet) (int, types.Time, error) {
 		}
 	}
 	idx := c.appendAsLeader(LogEntry{Term: c.term, Kind: EntryConfig, Members: members.Copy()})
-	c.broadcastAppend()
 	return idx, c.term, nil
 }
 
@@ -1179,7 +1376,6 @@ func (c *Core) appendAsLeader(e LogEntry) int {
 	c.log = append(c.log, e)
 	idx := c.lastIndex()
 	c.trackConfig(idx, e)
-	c.matchIndex[c.id] = idx
 	c.markEntries(idx)
 	return idx
 }
@@ -1217,8 +1413,9 @@ func (c *Core) broadcastAppend() {
 		}
 		c.sendAppend(to)
 	}
-	// A single-member configuration commits on its own append: there are
-	// no responses to trigger the usual advance.
+	// The leader's own stable index may be the vote that completes a
+	// quorum (always, in a single-member configuration): there is no
+	// response to trigger the usual advance.
 	c.advanceCommit()
 }
 
@@ -1233,14 +1430,22 @@ func (c *Core) sendAppend(to types.NodeID) {
 		}
 		next = 1
 	}
-	if next > c.lastIndex()+1 {
-		next = c.lastIndex() + 1
+	// Persist before replicate: only entries this leader could itself
+	// recover are shipped, so a follower can never hold (or ack) what the
+	// leader's own disk does not. The snapshot base is committed, hence
+	// durable on a quorum already.
+	limit := c.stableIndex
+	if limit < c.snapIndex {
+		limit = c.snapIndex
+	}
+	if next > limit+1 {
+		next = limit + 1
 	}
 	prev := next - 1 // >= snapIndex: prev's term is known
 	// Bound the window: a lagging follower is streamed in
 	// MaxEntriesPerAppend-sized messages instead of one full-suffix
 	// resend per round trip.
-	end := c.lastIndex() + 1
+	end := limit + 1
 	if lim := c.cfg.MaxEntriesPerAppend; lim > 0 && end-next > lim {
 		end = next + lim
 	}
@@ -1369,6 +1574,7 @@ func (c *Core) adoptTerm(term types.Time) {
 	c.role = Follower
 	c.votedFor = types.NoNode
 	c.markHardState()
+	c.dropHeld()
 	c.abortReads()
 	c.cancelTransfer()
 	c.ctr.TermBumps++
@@ -1443,8 +1649,6 @@ func (c *Core) onTimeoutNow(m Message) {
 }
 
 func (c *Core) onAppendEntries(m Message) {
-	success := false
-	matchIdx := 0
 	hint := 0
 	if m.Term == c.term {
 		c.role = Follower
@@ -1465,7 +1669,6 @@ func (c *Core) onAppendEntries(m Message) {
 			prev, prevTerm = c.snapIndex, c.snapTerm
 		}
 		if prev <= c.lastIndex() && c.termAt(prev) == prevTerm {
-			success = true
 			// Append, truncating on conflicts.
 			firstChanged := 0
 			for i, e := range entries {
@@ -1474,6 +1677,7 @@ func (c *Core) onAppendEntries(m Message) {
 				if sp < len(c.log) {
 					if c.log[sp].Term != e.Term {
 						c.log = c.log[:sp]
+						c.unstableFrom(pos)
 						c.dropConfigsFrom(pos)
 						c.log = append(c.log, e)
 						c.trackConfig(pos, e)
@@ -1492,21 +1696,72 @@ func (c *Core) onAppendEntries(m Message) {
 			if firstChanged != 0 {
 				c.markEntries(firstChanged)
 			}
-			matchIdx = prev + len(entries)
+			matchIdx := prev + len(entries)
 			if m.LeaderCommit > c.commitIndex {
 				c.commitIndex = min(m.LeaderCommit, matchIdx)
 			}
-		} else {
-			// Consistency check failed: hint where our log actually ends
-			// so a pipelining leader can jump back in one round trip
-			// instead of probing one index at a time.
-			hint = min(m.PrevLogIndex-1, c.lastIndex())
+			c.ackAppend(m.From, matchIdx, m.Seq, len(m.Entries) > 0)
+			return
 		}
+		// Consistency check failed: hint where our log actually ends so a
+		// pipelining leader can jump back in one round trip instead of
+		// probing one index at a time.
+		hint = min(m.PrevLogIndex-1, c.lastIndex())
 	}
 	c.send(Message{
 		Type: MsgAppendResponse, From: c.id, To: m.From, Term: c.term,
-		Success: success, MatchIndex: matchIdx, HintIndex: hint, Seq: m.Seq,
+		HintIndex: hint, Seq: m.Seq,
 	})
+}
+
+// ackAppend answers an accepted append — or a completed snapshot transfer,
+// acknowledged as an ordinary append response echoing the transfer's Seq —
+// after which this log matches the leader's through match. A success ack never claims
+// an index a crash could take back: at or below the stable index it leaves
+// at once; above it, the ack to a message that carried data waits for
+// Stable, while the ack to an empty append (heartbeat, read-barrier round)
+// leaves at once with MatchIndex clamped to the stable index — read
+// barriers, the lease clock and CheckQuorum never wait for a disk. Acks held
+// in one term all answer one leader, so they merge into the newest.
+func (c *Core) ackAppend(to types.NodeID, match int, seq uint64, carried bool) {
+	ack := Message{
+		Type: MsgAppendResponse, From: c.id, To: to, Term: c.term,
+		Success: true, MatchIndex: match, Seq: seq,
+	}
+	switch {
+	case match <= c.stableIndex:
+		c.send(ack)
+	case !carried:
+		ack.MatchIndex = c.stableIndex
+		c.send(ack)
+	default:
+		if h := c.heldAck; h != nil {
+			if h.MatchIndex > ack.MatchIndex {
+				ack.MatchIndex = h.MatchIndex
+			}
+			if h.Seq > ack.Seq {
+				ack.Seq = h.Seq
+			}
+		}
+		c.heldAck = &ack
+	}
+}
+
+// releaseAck lets the held ack go as far as the stable index now reaches:
+// whole once its MatchIndex is durable, otherwise a clamped copy while the
+// rest stays held — under a pipelined stream every write releases one ack,
+// so the leader's commit index follows the follower's disk, not its inbox.
+func (c *Core) releaseAck() {
+	if c.heldAck == nil {
+		return
+	}
+	ack := *c.heldAck
+	if ack.MatchIndex <= c.stableIndex {
+		c.heldAck = nil
+	} else {
+		ack.MatchIndex = c.stableIndex
+	}
+	c.send(ack)
 }
 
 // onInstallSnapshot handles one chunk of a leader's snapshot transfer,
@@ -1545,40 +1800,32 @@ func (c *Core) onInstallSnapshot(m Message) {
 	c.inSnap = nil
 	if s.index <= c.commitIndex {
 		// Stale image: our committed prefix already covers it.
-		c.ackSnapshot(m, c.commitIndex)
+		c.ackAppend(m.From, c.commitIndex, m.Seq, true)
 		return
 	}
 	if s.index <= c.lastIndex() && c.termAt(s.index) == s.term {
 		// Our log already matches through the snapshot point: no install
 		// needed, the transfer just taught us the prefix is committed.
 		c.commitIndex = s.index
-		c.ackSnapshot(m, s.index)
+		c.ackAppend(m.From, s.index, m.Seq, true)
 		return
 	}
 	// Full install: the snapshot replaces the log wholesale. The suffix
 	// is discarded even if non-empty — it conflicts at or before the
 	// base, or we would have matched above.
 	c.log = []LogEntry{{Term: s.term}}
+	c.unstableFrom(s.index) // until the image is on disk
 	c.snapIndex, c.snapTerm = s.index, s.term
 	c.snapMembers = copyIDs(s.members)
 	c.snapData = s.buf
 	c.confIdxs = nil
 	c.commitIndex = s.index
-	c.lastApplied = s.index // the restore delivery stands in for applying [.., s.index]
+	c.lastApplied = s.index // the restore delivery (after Stable) stands in for applying [.., s.index]
 	c.dirtyFrom = 0
 	c.markEntries(s.index + 1) // durable log: truncate to the empty suffix
 	c.pendingSnap = &Snapshot{Index: s.index, Term: s.term, Members: c.snapMembers, Data: s.buf}
 	c.pendingRestore = true
-	c.ackSnapshot(m, s.index)
-}
-
-// ackSnapshot acknowledges an InstallSnapshot transfer as an ordinary
-// successful append response at match, echoing the transfer's Seq.
-func (c *Core) ackSnapshot(m Message, match int) {
-	c.send(Message{
-		Type: MsgAppendResponse, From: c.id, To: m.From, Term: c.term,
-		Success: true, MatchIndex: match, Seq: m.Seq,
-	})
+	c.ackAppend(m.From, s.index, m.Seq, true)
 }
 
 func (c *Core) onAppendResponse(m Message) {
@@ -1620,7 +1867,11 @@ func (c *Core) onAppendResponse(m Message) {
 	if m.From == c.transferTarget {
 		if c.matchIndex[m.From] >= c.lastIndex() {
 			c.sendTimeoutNow(m.From)
-		} else {
+		} else if c.nextIndex[m.From] <= c.stableIndex {
+			// Entries it has not been sent yet. (Otherwise everything is on
+			// its way or on its disk: its Stable sends the ack that lands
+			// here next — answering a clamped heartbeat ack with another
+			// empty append would only ping-pong.)
 			c.sendAppend(m.From)
 		}
 	}
@@ -1629,7 +1880,7 @@ func (c *Core) onAppendResponse(m Message) {
 }
 
 // advanceCommit moves the commit index to the highest current-term index
-// replicated on a quorum of the current configuration. The quorum test is
+// durable on a quorum of the current configuration. The quorum test is
 // the model's (config.MajorityCount): the executable commit rule and the
 // verified one share a single predicate.
 func (c *Core) advanceCommit() {
@@ -1640,7 +1891,8 @@ func (c *Core) advanceCommit() {
 		}
 		count := 0
 		for _, id := range members.Slice() {
-			if id == c.id || c.matchIndex[id] >= idx {
+			// The leader votes with its disk, like everyone else.
+			if (id == c.id && c.stableIndex >= idx) || c.matchIndex[id] >= idx {
 				count++
 			}
 		}

@@ -210,8 +210,9 @@ func TestGoldenAppendFollower(t *testing.T) {
 // next probe jumps to min(nextIndex-1, HintIndex+1) and resends exactly the
 // suffix from there.
 func TestGoldenLeaderBackoff(t *testing.T) {
-	// Extend the fresh leader's log to [no-op@1, a@2, b@3]; after the two
-	// pipelined broadcasts nextIndex = {2:4, 3:4} and appendSeq = 6.
+	// Extend the fresh leader's log to [no-op@1, a@2, b@3]. Propose only
+	// marks entries dirty; the one Stable inside TakeReady broadcasts both,
+	// so nextIndex = {2:4, 3:4} and appendSeq = 4.
 	mk := func(t *testing.T) *Core {
 		c := leader3(t)
 		if _, _, err := c.Propose([]byte("a")); err != nil {
@@ -220,7 +221,7 @@ func TestGoldenLeaderBackoff(t *testing.T) {
 		if _, _, err := c.Propose([]byte("b")); err != nil {
 			t.Fatal(err)
 		}
-		c.TakeReady() // drain the two broadcasts (seq 3..6)
+		c.TakeReady() // one write, one broadcast (seq 3, 4)
 		return c
 	}
 	noop := LogEntry{Term: 1, Kind: EntryNoOp}
@@ -236,7 +237,7 @@ func TestGoldenLeaderBackoff(t *testing.T) {
 			in:   Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: false, HintIndex: 0, Seq: 3},
 			want: Ready{
 				Messages: []Message{{Type: MsgAppendEntries, From: 1, To: 2, Term: 1,
-					PrevLogIndex: 0, PrevLogTerm: 0, Entries: []LogEntry{noop, a, b}, Seq: 7}},
+					PrevLogIndex: 0, PrevLogTerm: 0, Entries: []LogEntry{noop, a, b}, Seq: 5}},
 			},
 		},
 		{
@@ -244,7 +245,7 @@ func TestGoldenLeaderBackoff(t *testing.T) {
 			in:   Message{Type: MsgAppendResponse, From: 3, To: 1, Term: 1, Success: false, HintIndex: 2, Seq: 4},
 			want: Ready{
 				Messages: []Message{{Type: MsgAppendEntries, From: 1, To: 3, Term: 1,
-					PrevLogIndex: 2, PrevLogTerm: 1, Entries: []LogEntry{b}, Seq: 7}},
+					PrevLogIndex: 2, PrevLogTerm: 1, Entries: []LogEntry{b}, Seq: 5}},
 			},
 		},
 	}

@@ -1,0 +1,391 @@
+package raftcore
+
+// Golden tests for the staged Ready contract: what TakeUnstable hands out,
+// what TakeEffects lets leave while that batch is still being written, and
+// what Stable — and only Stable — releases. Each rule of the acked⇒durable
+// argument has one test here; together they are the core side of it (the
+// driver side, "Stable only after the write returned without error", is
+// adore-lint's effect-order pass).
+
+import (
+	"reflect"
+	"testing"
+
+	"adore/internal/types"
+)
+
+func assertUnstable(t *testing.T, c *Core, want Unstable) {
+	t.Helper()
+	got, ok := c.TakeUnstable()
+	if !ok {
+		t.Fatalf("TakeUnstable: nothing handed out, want %#v", want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Unstable mismatch\n got: %#v\nwant: %#v", got, want)
+	}
+}
+
+func assertNoUnstable(t *testing.T, c *Core) {
+	t.Helper()
+	if u, ok := c.TakeUnstable(); ok {
+		t.Fatalf("TakeUnstable handed out %#v, want nothing", u)
+	}
+}
+
+func assertEffects(t *testing.T, c *Core, want Effects) {
+	t.Helper()
+	if got := c.TakeEffects(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Effects mismatch\n got: %#v\nwant: %#v", got, want)
+	}
+}
+
+// TestStagedLeaderPersistsBeforeReplicating: Propose only appends and marks
+// dirty; while the write is outstanding heartbeats carry no entry above the
+// stable index and the leader does not count itself toward a commit, however
+// many followers claim the index; Stable broadcasts the newly stable suffix
+// and casts the leader's own vote.
+func TestStagedLeaderPersistsBeforeReplicating(t *testing.T) {
+	c := leaderET(t, 10) // an election interval longer than the test: no stall
+	a := LogEntry{Term: 1, Kind: EntryCommand, Command: []byte("a")}
+	b := LogEntry{Term: 1, Kind: EntryCommand, Command: []byte("b")}
+	if _, _, err := c.Propose(a.Command); err != nil {
+		t.Fatal(err)
+	}
+	assertEffects(t, c, Effects{}) // no broadcast: a is not durable here yet
+	assertUnstable(t, c, Unstable{FirstIndex: 2, Entries: []LogEntry{a}})
+
+	// A second proposal arrives during the write: it accumulates.
+	if _, _, err := c.Propose(b.Command); err != nil {
+		t.Fatal(err)
+	}
+	assertNoUnstable(t, c) // one write in flight
+	assertEffects(t, c, Effects{})
+
+	// The heartbeat ships nothing above the stable index (1).
+	c.Tick()
+	assertEffects(t, c, Effects{Messages: []Message{
+		{Type: MsgAppendEntries, From: 1, To: 2, Term: 1, PrevLogIndex: 1, PrevLogTerm: 1, Entries: []LogEntry{}, Seq: 3},
+		{Type: MsgAppendEntries, From: 1, To: 3, Term: 1, PrevLogIndex: 1, PrevLogTerm: 1, Entries: []LogEntry{}, Seq: 4},
+	}})
+
+	// S2 acks the no-op: 1 commits (S1 stable through 1, S2 at 1).
+	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 3})
+	assertEffects(t, c, Effects{Committed: []ApplyMsg{{Index: 1, Term: 1, Kind: EntryNoOp}}})
+
+	// Even a follower claiming index 2 cannot commit it: with S3 silent the
+	// quorum needs the leader, and the leader votes with its disk.
+	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 2, Seq: 3})
+	assertEffects(t, c, Effects{})
+	if got := c.CommitIndex(); got != 1 {
+		t.Fatalf("commit index = %d with the leader's copy of 2 still unstable, want 1", got)
+	}
+
+	// Stable(a): the newly stable suffix goes out, the leader's vote lands
+	// (2 commits on S1+S2), and b — appended meanwhile — is the next batch.
+	c.Stable()
+	if got := c.StableIndex(); got != 2 {
+		t.Fatalf("stable index = %d, want 2", got)
+	}
+	assertEffects(t, c, Effects{
+		Messages: []Message{
+			// S2 already claimed 2, so nextIndex[2] = 3: nothing new for it.
+			{Type: MsgAppendEntries, From: 1, To: 2, Term: 1, PrevLogIndex: 2, PrevLogTerm: 1, Entries: []LogEntry{}, LeaderCommit: 1, Seq: 5},
+			{Type: MsgAppendEntries, From: 1, To: 3, Term: 1, PrevLogIndex: 1, PrevLogTerm: 1, Entries: []LogEntry{a}, LeaderCommit: 1, Seq: 6},
+		},
+		Committed: []ApplyMsg{{Index: 2, Term: 1, Kind: EntryCommand, Command: []byte("a")}},
+	})
+	assertUnstable(t, c, Unstable{FirstIndex: 3, Entries: []LogEntry{b}})
+}
+
+// TestStagedFollowerAckClampedToStable: a success ack never claims a
+// MatchIndex above the follower's stable index. The ack for new entries is
+// held; an empty append meanwhile is answered at once, clamped; appends that
+// arrive during the write are covered by ONE following write (follower group
+// commit); each Stable releases the ack as far as the disk now reaches.
+func TestStagedFollowerAckClampedToStable(t *testing.T) {
+	noop := LogEntry{Term: 1, Kind: EntryNoOp}
+	c := follower(2, []types.NodeID{1, 2, 3}, HardState{Term: 1}, []LogEntry{noop})
+	e := func(s string) LogEntry { return LogEntry{Term: 1, Kind: EntryCommand, Command: []byte(s)} }
+	app := func(prev int, seq uint64, commit int, es ...LogEntry) Message {
+		return Message{Type: MsgAppendEntries, From: 1, To: 2, Term: 1,
+			PrevLogIndex: prev, PrevLogTerm: 1, Entries: es, LeaderCommit: commit, Seq: seq}
+	}
+	ack := func(match int, seq uint64) Message {
+		return Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: match, Seq: seq}
+	}
+
+	c.Step(app(1, 10, 1, e("a"), e("b"))) // indexes 2, 3
+	// The no-op (stable) is delivered; the ack for 2..3 is held.
+	assertEffects(t, c, Effects{Committed: []ApplyMsg{{Index: 1, Term: 1, Kind: EntryNoOp}}})
+	assertUnstable(t, c, Unstable{FirstIndex: 2, Entries: []LogEntry{e("a"), e("b")}})
+
+	// A heartbeat during the write: answered at once, MatchIndex clamped to
+	// the stable index (1), and the commit index it carries (3) delivers
+	// nothing above the disk.
+	c.Step(app(3, 11, 3))
+	assertEffects(t, c, Effects{Messages: []Message{ack(1, 11)}})
+
+	// Two more appends arrive during the write.
+	c.Step(app(3, 12, 3, e("c")))
+	c.Step(app(4, 13, 3, e("d")))
+	assertEffects(t, c, Effects{})
+	assertNoUnstable(t, c)
+
+	// Stable(2..3): the held ack goes as far as the disk reaches — 3, echoing
+	// the newest Seq — and the rest stays held; commits 2..3 deliver.
+	c.Stable()
+	assertEffects(t, c, Effects{
+		Messages: []Message{ack(3, 13)},
+		Committed: []ApplyMsg{
+			{Index: 2, Term: 1, Kind: EntryCommand, Command: []byte("a")},
+			{Index: 3, Term: 1, Kind: EntryCommand, Command: []byte("b")},
+		},
+	})
+	// One write covers both appends that arrived meanwhile.
+	assertUnstable(t, c, Unstable{FirstIndex: 4, Entries: []LogEntry{e("c"), e("d")}})
+	c.Stable()
+	assertEffects(t, c, Effects{Messages: []Message{ack(5, 13)}})
+	assertNoUnstable(t, c)
+}
+
+// TestStagedHardStateHoldsMessages: everything produced while the HardState
+// is unstable — a vote grant, an append ack at a newly adopted term, a
+// candidate's vote requests — waits for that HardState's Stable. Pre-Vote
+// traffic, forwarded reads and their replies are free.
+func TestStagedHardStateHoldsMessages(t *testing.T) {
+	members := []types.NodeID{1, 2, 3}
+
+	t.Run("vote grant waits for its SaveState", func(t *testing.T) {
+		c := follower(2, members, HardState{}, nil)
+		c.Step(Message{Type: MsgVoteRequest, From: 1, To: 2, Term: 1})
+		assertEffects(t, c, Effects{})
+		assertUnstable(t, c, Unstable{HardState: &HardState{Term: 1, VotedFor: 1}})
+		// Still unsent while the write is outstanding — and a pre-vote
+		// canvass in the meantime is answered at once.
+		c.Step(Message{Type: MsgPreVoteRequest, From: 3, To: 2, Term: 2})
+		assertEffects(t, c, Effects{Messages: []Message{
+			{Type: MsgPreVoteResponse, From: 2, To: 3, Term: 2, Granted: true},
+		}})
+		c.Stable()
+		assertEffects(t, c, Effects{Messages: []Message{
+			{Type: MsgVoteResponse, From: 2, To: 1, Term: 1, Granted: true},
+		}})
+	})
+
+	t.Run("a heartbeat ack at a newly adopted term waits for the term", func(t *testing.T) {
+		c := follower(2, members, HardState{Term: 1}, nil)
+		c.Step(Message{Type: MsgAppendEntries, From: 1, To: 2, Term: 2, Seq: 1})
+		assertEffects(t, c, Effects{})
+		assertUnstable(t, c, Unstable{HardState: &HardState{Term: 2}})
+		// A forwarded read is not a promise about term or vote: free.
+		if err := c.ForwardReadIndex(7); err != nil {
+			t.Fatal(err)
+		}
+		assertEffects(t, c, Effects{Messages: []Message{
+			{Type: MsgReadIndexRequest, From: 2, To: 1, Term: 2, ReadCtx: 7},
+		}})
+		c.Stable()
+		assertEffects(t, c, Effects{Messages: []Message{
+			{Type: MsgAppendResponse, From: 2, To: 1, Term: 2, Success: true, Seq: 1},
+		}})
+	})
+
+	t.Run("a candidate's vote requests wait for its self-vote", func(t *testing.T) {
+		c := New(Config{ID: 1, Members: members, ElectionTicks: 1, Jitter: func() int { return 0 }},
+			HardState{}, Snapshot{}, nil)
+		c.Tick()
+		// The pre-vote canvass persists nothing and leaves at once.
+		assertEffects(t, c, Effects{Messages: []Message{
+			{Type: MsgPreVoteRequest, From: 1, To: 2, Term: 1},
+			{Type: MsgPreVoteRequest, From: 1, To: 3, Term: 1},
+		}})
+		c.Step(Message{Type: MsgPreVoteResponse, From: 2, To: 1, Term: 1, Granted: true})
+		assertEffects(t, c, Effects{})
+		assertUnstable(t, c, Unstable{HardState: &HardState{Term: 1, VotedFor: 1}})
+		c.Stable()
+		assertEffects(t, c, Effects{Messages: []Message{
+			{Type: MsgVoteRequest, From: 1, To: 2, Term: 1},
+			{Type: MsgVoteRequest, From: 1, To: 3, Term: 1},
+		}})
+	})
+
+	t.Run("a newer HardState change keeps the old batch's messages held", func(t *testing.T) {
+		c := follower(2, members, HardState{}, nil)
+		c.Step(Message{Type: MsgVoteRequest, From: 1, To: 2, Term: 1})
+		assertUnstable(t, c, Unstable{HardState: &HardState{Term: 1, VotedFor: 1}})
+		// Term 2 arrives during the write: the term-1 grant is a promise at
+		// a superseded term — dropped like a lost message — and the term-2
+		// ack waits for the NEXT write.
+		c.Step(Message{Type: MsgAppendEntries, From: 3, To: 2, Term: 2, Seq: 1})
+		c.Stable()
+		assertEffects(t, c, Effects{})
+		assertUnstable(t, c, Unstable{HardState: &HardState{Term: 2}})
+		c.Stable()
+		assertEffects(t, c, Effects{Messages: []Message{
+			{Type: MsgAppendResponse, From: 2, To: 3, Term: 2, Success: true, Seq: 1},
+		}})
+	})
+}
+
+// TestStagedTruncationClipsStable: a conflict truncation during a write
+// pulls the stable index (and what the outstanding write may claim) below
+// the truncation point, and the following batch re-persists from there.
+func TestStagedTruncationClipsStable(t *testing.T) {
+	c := follower(2, []types.NodeID{1, 2, 3}, HardState{Term: 1}, []LogEntry{{Term: 1, Kind: EntryNoOp}})
+	old := []LogEntry{
+		{Term: 1, Kind: EntryCommand, Command: []byte("x")},
+		{Term: 1, Kind: EntryCommand, Command: []byte("y")},
+	}
+	c.Step(Message{Type: MsgAppendEntries, From: 1, To: 2, Term: 1, PrevLogIndex: 1, PrevLogTerm: 1, Entries: old, Seq: 1})
+	assertUnstable(t, c, Unstable{FirstIndex: 2, Entries: old})
+	// A term-2 leader overwrites index 3 while 2..3 are being written.
+	z := LogEntry{Term: 2, Kind: EntryCommand, Command: []byte("z")}
+	c.Step(Message{Type: MsgAppendEntries, From: 3, To: 2, Term: 2, PrevLogIndex: 2, PrevLogTerm: 1, Entries: []LogEntry{z}, Seq: 1})
+	c.Stable()
+	if got := c.StableIndex(); got != 2 {
+		t.Fatalf("stable index = %d after a truncation at 3 during the write of 2..3, want 2", got)
+	}
+	assertEffects(t, c, Effects{}) // the term-1 ack died with its term
+	assertUnstable(t, c, Unstable{HardState: &HardState{Term: 2}, FirstIndex: 3, Entries: []LogEntry{z}})
+	c.Stable()
+	// The first Stable released the term-2 ack as far as index 2 — into the
+	// hold for term 2's HardState; this one releases that and the rest.
+	assertEffects(t, c, Effects{Messages: []Message{
+		{Type: MsgAppendResponse, From: 2, To: 3, Term: 2, Success: true, MatchIndex: 2, Seq: 1},
+		{Type: MsgAppendResponse, From: 2, To: 3, Term: 2, Success: true, MatchIndex: 3, Seq: 1},
+	}})
+}
+
+// TestStagedInstallSnapshotReleasedByStable: an installed image is acked,
+// and restored into the state machine, only once it is on disk.
+func TestStagedInstallSnapshotReleasedByStable(t *testing.T) {
+	c := follower(2, []types.NodeID{1, 2, 3}, HardState{Term: 1}, nil)
+	img := []byte("image")
+	c.Step(Message{Type: MsgInstallSnapshot, From: 1, To: 2, Term: 1,
+		SnapIndex: 5, SnapTerm: 1, SnapMembers: []types.NodeID{1, 2, 3}, SnapTotal: len(img), SnapData: img, Seq: 4})
+	assertEffects(t, c, Effects{})
+	snap := &Snapshot{Index: 5, Term: 1, Members: []types.NodeID{1, 2, 3}, Data: img}
+	assertUnstable(t, c, Unstable{Snapshot: snap, FirstIndex: 6, Entries: []LogEntry{}})
+	// A heartbeat during the write is acked below the image.
+	c.Step(Message{Type: MsgAppendEntries, From: 1, To: 2, Term: 1, PrevLogIndex: 5, PrevLogTerm: 1, LeaderCommit: 5, Seq: 5})
+	assertEffects(t, c, Effects{Messages: []Message{
+		{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 0, Seq: 5},
+	}})
+	c.Stable()
+	assertEffects(t, c, Effects{
+		Messages: []Message{{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 5, Seq: 4}},
+		Restore:  snap,
+	})
+}
+
+// TestStagedNothingLeavesWithoutStable is the fail-stop half: a driver whose
+// write failed never calls Stable, and then nothing the batch was backing
+// ever leaves — however long the core keeps being stepped.
+func TestStagedNothingLeavesWithoutStable(t *testing.T) {
+	c := follower(2, []types.NodeID{1, 2, 3}, HardState{}, nil)
+	c.Step(Message{Type: MsgVoteRequest, From: 1, To: 2, Term: 1})
+	if _, ok := c.TakeUnstable(); !ok {
+		t.Fatal("no batch for the vote")
+	}
+	x := LogEntry{Term: 1, Kind: EntryCommand, Command: []byte("x")}
+	c.Step(Message{Type: MsgAppendEntries, From: 1, To: 2, Term: 1, Entries: []LogEntry{x}, LeaderCommit: 1, Seq: 1})
+	for i := 0; i < 5; i++ {
+		c.Tick()
+		assertNoUnstable(t, c)
+		assertEffects(t, c, Effects{})
+	}
+}
+
+// TestStagedStalledLeaderStepsDown: a leader whose outstanding batch has seen
+// no Stable for an election interval steps down (heartbeats no longer wait
+// for the disk, so nothing else would ever depose it) and does not campaign
+// while the batch is outstanding; once the disk answers it is an ordinary
+// follower again.
+func TestStagedStalledLeaderStepsDown(t *testing.T) {
+	const et = 4
+	c := leaderET(t, et)
+	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 1})
+	c.Step(Message{Type: MsgAppendResponse, From: 3, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 2})
+	c.TakeReady()
+	if _, _, err := c.Propose([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.TakeUnstable(); !ok {
+		t.Fatal("no batch for the proposal")
+	}
+	// et-1 ticks: still leading (and heartbeating) on a silent disk. The
+	// followers keep acking, so CheckQuorum alone would never fire.
+	for i := 0; i < et-1; i++ {
+		c.Tick()
+		if e := c.TakeEffects(); c.Role() != Leader || e.SteppedDown || len(e.Messages) != 2 {
+			t.Fatalf("tick %d: role=%s steppedDown=%v msgs=%d, want a heartbeating leader", i+1, c.Role(), e.SteppedDown, len(e.Messages))
+		}
+		c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: uint64(3 + 2*i)})
+	}
+	c.Tick()
+	assertEffects(t, c, Effects{SteppedDown: true})
+	if c.Role() != Follower || c.Leader() != types.NoNode {
+		t.Fatalf("after the stall: role=%s leader=%s, want a leaderless follower", c.Role(), c.Leader())
+	}
+	if got := c.Counters().StepDowns; got != 1 {
+		t.Fatalf("StepDowns = %d, want 1", got)
+	}
+	// No campaign while the batch is outstanding.
+	for i := 0; i < 3*et; i++ {
+		c.Tick()
+		assertEffects(t, c, Effects{})
+	}
+	if c.Role() != Follower || c.Term() != 1 {
+		t.Fatalf("stalled node campaigned: role=%s term=%d", c.Role(), c.Term())
+	}
+	// The disk answers: an ordinary follower, free to campaign again.
+	c.Stable()
+	c.TakeEffects()
+	for i := 0; i < et; i++ {
+		c.Tick()
+	}
+	if c.Role() != PreCandidate {
+		t.Fatalf("role = %s an election interval after the stall cleared, want pre-candidate", c.Role())
+	}
+}
+
+// TestStagedTakeReadyIsTheComposition: TakeReady is TakeUnstable + Stable +
+// TakeEffects, field for field, over a mixed input sequence.
+func TestStagedTakeReadyIsTheComposition(t *testing.T) {
+	mk := func() *Core {
+		return New(Config{ID: 1, Members: []types.NodeID{1, 2, 3}, ElectionTicks: 2, Jitter: func() int { return 0 }},
+			HardState{}, Snapshot{}, nil)
+	}
+	inputs := []func(c *Core){
+		func(c *Core) { c.Tick() },
+		func(c *Core) { c.Tick() },
+		func(c *Core) { c.Step(Message{Type: MsgPreVoteResponse, From: 2, To: 1, Term: 1, Granted: true}) },
+		func(c *Core) { c.Step(Message{Type: MsgVoteResponse, From: 3, To: 1, Term: 1, Granted: true}) },
+		func(c *Core) { c.Propose([]byte("a")); c.Propose([]byte("b")) },
+		func(c *Core) {
+			c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 3, Seq: 3})
+		},
+		func(c *Core) { c.ReadIndex(5) },
+		func(c *Core) { c.Tick() },
+		func(c *Core) { c.Step(Message{Type: MsgAppendEntries, From: 3, To: 1, Term: 2, Seq: 1}) },
+	}
+	whole, staged := mk(), mk()
+	for i, in := range inputs {
+		in(whole)
+		in(staged)
+		u, ok := staged.TakeUnstable()
+		if ok {
+			staged.Stable()
+		}
+		e := staged.TakeEffects()
+		want := Ready{
+			HardState: u.HardState, Snapshot: u.Snapshot, RestoreSnapshot: e.Restore != nil,
+			FirstIndex: u.FirstIndex, Entries: u.Entries,
+			Messages: e.Messages, Committed: e.Committed, ReadStates: e.ReadStates,
+			TakeSnapshot: e.TakeSnapshot, SteppedDown: e.SteppedDown,
+		}
+		if got := whole.TakeReady(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("input %d: TakeReady diverged from the staged calls\n got: %#v\nwant: %#v", i, got, want)
+		}
+	}
+}

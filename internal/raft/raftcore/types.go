@@ -2,8 +2,11 @@
 // pure state machine that the paper's refinement story can reach. Core
 // consumes protocol inputs — messages via Step, logical clock ticks via
 // Tick, client commands via Propose — mutates only in-memory state, and
-// emits its intended effects (durable writes, outbound messages, committed
-// entries, read confirmations) as a Ready batch that the caller executes.
+// emits its intended effects through the staged Ready contract: what to
+// persist (TakeUnstable), the report that it is on disk (Stable), and what
+// may leave now — outbound messages, committed entries, read confirmations
+// (TakeEffects). The core holds every effect that depends on a write until
+// Stable, so acked⇒durable is decided here, not in the driver.
 //
 // The package deliberately contains no goroutines, channels, locks,
 // clocks, randomness, or storage calls (adore-lint's pure-core pass
@@ -265,29 +268,23 @@ type ReadState struct {
 	Index int
 }
 
-// Ready is one batch of effects the core wants performed. The caller MUST
-// externalize in this order: persist HardState, Snapshot, and Entries
-// first (in that order), then send Messages, resolve ReadStates, and
-// deliver Committed. Nothing in a Ready may reach another node or a client
-// before the persistence step succeeds — that ordering is what carries the
-// acked⇒durable invariant (a vote or append ack never precedes the durable
-// write that backs it), its compaction extension (the snapshot is durable
-// before the log prefix it replaces is dropped or its install is acked)
-// and the fail-stop discipline (a failed persist means the whole batch,
-// messages included, is discarded and the node halts).
-type Ready struct {
-	// HardState, when non-nil, must be made durable before anything below
-	// is externalized.
+// Unstable is what the core wants made durable: the persist half of the
+// staged Ready contract. TakeUnstable hands out at most one batch at a time;
+// the driver writes it — HardState, then Snapshot, then Entries, in that
+// order — with no lock held, and reports back with Stable. Nothing the batch
+// backs (a vote, an append ack above the previous stable index, entries
+// shipped to followers, a commit delivery) leaves the core before that
+// report, so acked⇒durable is the core's invariant, not the driver's. A
+// failed write means Stable is never called: everything held stays held and
+// the driver fail-stops.
+type Unstable struct {
+	// HardState, when non-nil, is the term and vote to persist.
 	HardState *HardState
 
-	// Snapshot, when non-nil, must be made durable before anything below
-	// is externalized: persisting it atomically replaces the stored log
-	// prefix [1, Snapshot.Index]. RestoreSnapshot marks a leader-installed
-	// image (vs. a local compaction of already-applied state): after
-	// persisting, the driver must restore its state machine from it by
-	// delivering an EntrySnapshot ApplyMsg ahead of Committed.
-	Snapshot        *Snapshot
-	RestoreSnapshot bool
+	// Snapshot, when non-nil, atomically replaces the stored log prefix
+	// [1, Snapshot.Index]. It must reach disk before Entries below is
+	// allowed to truncate the log it summarizes.
+	Snapshot *Snapshot
 
 	// Entries is the dirty log suffix starting at FirstIndex: the durable
 	// log must be truncated at FirstIndex and these entries appended.
@@ -298,17 +295,29 @@ type Ready struct {
 	// re-writing them is harmless.
 	FirstIndex int
 	Entries    []LogEntry
+}
 
-	// Messages are the outbound messages generated since the last
-	// TakeReady, in generation order.
+// Effects is what may leave the node now: the release half of the staged
+// Ready contract. Everything in it is already backed by durable state (or
+// needs none), so the driver may send, resolve and deliver it without
+// touching the disk.
+type Effects struct {
+	// Messages are the outbound messages released since the last drain.
+	// Messages that depend on an unstable HardState or on log entries above
+	// the stable index are not here: Stable releases them.
 	Messages []Message
 
-	// Committed are the entries whose commitment became known since the
-	// last TakeReady, in log order, ready to apply to the state machine.
+	// Committed are the entries whose commitment became known AND whose
+	// index is at or below the stable index (apply ⊆ durable), in log order.
 	Committed []ApplyMsg
 
 	// ReadStates resolve ReadIndex barriers (confirmed or aborted).
 	ReadStates []ReadState
+
+	// Restore, when non-nil, is a leader-installed snapshot that is now
+	// durable: the driver must restore its state machine from it by
+	// delivering an EntrySnapshot ApplyMsg ahead of Committed.
+	Restore *Snapshot
 
 	// TakeSnapshot, when non-nil, asks the application to capture a
 	// state-machine image (the compaction policy fired). It carries no
@@ -316,20 +325,40 @@ type Ready struct {
 	// later, by calling Core.Compact with the serialized image.
 	TakeSnapshot *SnapshotRequest
 
-	// SteppedDown reports that the leader relinquished leadership because
-	// CheckQuorum found no quorum contact within an election interval.
-	// The driver should fail in-flight proposals with a retryable
-	// ErrLeaderStepdown (the commands may still commit — a Maybe outcome,
-	// like any leader change). It carries no persistence obligation: the
-	// term did not change.
+	// SteppedDown reports that the leader relinquished leadership without a
+	// term change: CheckQuorum found no quorum contact within an election
+	// interval, or its own disk accepted no write for that long. The driver
+	// should fail in-flight proposals with a retryable ErrLeaderStepdown
+	// (the commands may still commit — a Maybe outcome, like any leader
+	// change).
 	SteppedDown bool
 }
 
-// Empty reports whether the batch carries no effects at all.
-func (rd *Ready) Empty() bool {
-	return rd.HardState == nil && rd.Snapshot == nil && rd.FirstIndex == 0 &&
-		len(rd.Messages) == 0 && len(rd.Committed) == 0 &&
-		len(rd.ReadStates) == 0 && rd.TakeSnapshot == nil && !rd.SteppedDown
+// Ready is one whole batch — an Unstable and the Effects it releases —
+// for drivers that persist synchronously: TakeReady is TakeUnstable +
+// Stable + TakeEffects in one call. The caller MUST persist HardState,
+// Snapshot, and Entries (in that order) before it sends Messages, resolves
+// ReadStates, or delivers Committed, and must discard the whole batch and
+// halt if the persist fails; under that discipline the batch is exactly what
+// the staged contract would have released after the write.
+type Ready struct {
+	// The persist half (see Unstable).
+	HardState *HardState
+	Snapshot  *Snapshot
+	// RestoreSnapshot marks Snapshot as a leader-installed image (vs. a
+	// local compaction of already-applied state): after persisting, the
+	// driver must restore its state machine from it by delivering an
+	// EntrySnapshot ApplyMsg ahead of Committed.
+	RestoreSnapshot bool
+	FirstIndex      int
+	Entries         []LogEntry
+
+	// The release half (see Effects).
+	Messages     []Message
+	Committed    []ApplyMsg
+	ReadStates   []ReadState
+	TakeSnapshot *SnapshotRequest
+	SteppedDown  bool
 }
 
 // Counters are the election-disruption metrics a Core accumulates.

@@ -7,10 +7,14 @@
 // schedule that finds a violation replays it exactly.
 //
 // The simulator drives the very same raftcore.Core the runtime Node does,
-// through the same Ready contract: persist first, then send, then apply.
-// Persistence failures injected through raft.FaultStorage fail-stop the
-// simulated node just like the real driver (nothing from the failed batch
-// escapes), so crash/recovery behavior is exercised, not approximated.
+// through the same staged Ready contract: TakeUnstable hands a batch to the
+// node's (virtual) disk, the write lands a seeded number of ticks later,
+// Stable is reported only then, and TakeEffects releases what may leave in
+// the meantime. A crash while a write is in flight loses or tears exactly
+// that write; persistence failures injected through raft.FaultStorage
+// fail-stop the simulated node just like the real driver (nothing the failed
+// batch was backing escapes), so crash/recovery behavior is exercised, not
+// approximated.
 package sim
 
 import (
@@ -77,6 +81,17 @@ type Options struct {
 	// catches the resulting lease violations.
 	DisableLeaseRead  bool
 	DisableLeaseGuard bool
+
+	// DiskDelayTicks is the slow-disk model: every write lands a seeded
+	// 0..DiskDelayTicks ticks after it started (0 = every write lands in
+	// the tick that started it, the synchronous driver's behavior).
+	DiskDelayTicks int
+
+	// EarlyStable is a driver MUTANT, for teeth tests only: Stable is
+	// reported when a write starts instead of when it lands, so acks and
+	// commits run ahead of the disk. The acked⇒durable oracles must catch
+	// it as soon as a crash loses an in-flight write.
+	EarlyStable bool
 }
 
 func (o *Options) defaults() {
@@ -106,6 +121,13 @@ type node struct {
 	lastRole raftcore.Role
 	lastCtr  raftcore.Counters // last journaled election-counter values
 	doomAt   int64             // scheduled hard crash (0 = none)
+
+	// write is the batch on the node's disk (nil = idle): handed out by
+	// TakeUnstable, it reaches storage — and the core hears Stable — at
+	// landAt. stallUntil holds every landing back until that tick.
+	write      *raftcore.Unstable
+	landAt     int64
+	stallUntil int64
 }
 
 // packet is one in-flight message.
@@ -273,6 +295,11 @@ func (s *Cluster) Status(id types.NodeID) (types.Time, raftcore.Role, types.Node
 // CommitIndex returns a node's commit index.
 func (s *Cluster) CommitIndex(id types.NodeID) int { return s.nodes[id].core.CommitIndex() }
 
+// StableIndex returns the last log index a node knows durable — the log a
+// crash right now would recover, and so the replica's support in the
+// paper's sense (what the refinement and committed-prefix oracles observe).
+func (s *Cluster) StableIndex(id types.NodeID) int { return s.nodes[id].core.StableIndex() }
+
 // LastIndex returns the index of a node's last log entry.
 func (s *Cluster) LastIndex(id types.NodeID) int { return s.nodes[id].core.LastIndex() }
 
@@ -336,10 +363,11 @@ func (s *Cluster) Journal() []byte { return s.journal.Bytes() }
 
 // --- Time ---
 
-// Step advances the cluster one tick: scheduled crashes land, due messages
-// are delivered (in deterministic (tick, send-order) order), then every
-// alive node's clock ticks. Each core interaction is followed by its Ready
-// execution, so effects never linger across ticks.
+// Step advances the cluster one tick: scheduled crashes land, due disk
+// writes land (each reporting Stable), due messages are delivered (in
+// deterministic (tick, send-order) order), then every alive node's clock
+// ticks. Each core interaction is followed by its Ready execution, so
+// released effects never linger across ticks.
 func (s *Cluster) Step() {
 	s.now++
 	for _, id := range s.ids {
@@ -348,9 +376,19 @@ func (s *Cluster) Step() {
 			n.doomAt = 0
 			if n.up {
 				s.Journalf("S%d crash (scheduled)", id)
-				n.up = false
+				s.powerOff(n)
 			}
 		}
+	}
+	for _, id := range s.ids {
+		n := s.nodes[id]
+		if n.write == nil || !n.up || n.failErr != nil || n.landAt > s.now {
+			continue
+		}
+		u := n.write
+		n.write = nil
+		s.landWrite(n, u)
+		s.processReady(n)
 	}
 	for len(s.inflight) > 0 && s.inflight[0].at <= s.now {
 		p := heap.Pop(&s.inflight).(packet)
@@ -371,32 +409,16 @@ func (s *Cluster) Step() {
 	}
 }
 
-// processReady executes one node's pending effects under the sans-IO
-// contract: persist, then send, then apply. A persistence failure
-// fail-stops the node with the batch's messages unsent — identical to the
-// runtime driver's behavior.
+// processReady is the simulator's Ready executor, stage for stage the
+// runtime driver's: hand what needs persisting to the node's disk (one write
+// in flight; what accumulates meanwhile is the next write), then release
+// what may leave now.
 func (s *Cluster) processReady(n *node) {
-	rd := n.core.TakeReady()
-	st := s.storage[n.id]
-	if rd.HardState != nil {
-		if err := st.SaveState(*rd.HardState); err != nil {
-			s.failStop(n, err)
-			return
-		}
+	s.startWrite(n)
+	if n.failErr != nil {
+		return
 	}
-	if rd.Snapshot != nil {
-		// Snapshot durable before the truncating SaveEntries below.
-		if err := st.SaveSnapshot(*rd.Snapshot); err != nil {
-			s.failStop(n, err)
-			return
-		}
-	}
-	if rd.FirstIndex > 0 {
-		if err := st.SaveEntries(rd.FirstIndex, rd.Entries); err != nil {
-			s.failStop(n, err)
-			return
-		}
-	}
+	rd := n.core.TakeEffects()
 	for _, m := range rd.Messages {
 		s.deliver(m)
 	}
@@ -404,9 +426,9 @@ func (s *Cluster) processReady(n *node) {
 		s.reads[readKey{n.id, rs.ReqID}] = rs.Index
 	}
 	committed := rd.Committed
-	if rd.RestoreSnapshot && rd.Snapshot != nil {
-		s.Journalf("S%d install snapshot@%d", n.id, rd.Snapshot.Index)
-		committed = append([]raftcore.ApplyMsg{restoreApply(rd.Snapshot)}, committed...)
+	if rd.Restore != nil {
+		s.Journalf("S%d install snapshot@%d", n.id, rd.Restore.Index)
+		committed = append([]raftcore.ApplyMsg{restoreApply(rd.Restore)}, committed...)
 	}
 	if len(committed) > 0 {
 		s.Journalf("S%d commit %d..%d", n.id, committed[0].Index, committed[len(committed)-1].Index)
@@ -452,6 +474,85 @@ func (s *Cluster) processReady(n *node) {
 	}
 }
 
+// startWrite takes the core's Unstable batch — if the disk is idle and there
+// is one — and puts it on the node's disk: it lands after the seeded delay
+// (at once when that is 0), never before a stall clears.
+func (s *Cluster) startWrite(n *node) {
+	if n.write != nil {
+		return
+	}
+	u, ok := n.core.TakeUnstable()
+	if !ok {
+		return
+	}
+	landAt := s.now
+	if s.opt.DiskDelayTicks > 0 {
+		landAt += int64(s.rng.Intn(s.opt.DiskDelayTicks + 1))
+	}
+	if landAt < n.stallUntil {
+		landAt = n.stallUntil
+	}
+	if s.opt.EarlyStable {
+		n.core.Stable() // MUTANT: the write has not landed
+	}
+	if landAt == s.now {
+		s.landWrite(n, &u)
+		return
+	}
+	n.write, n.landAt = &u, landAt
+}
+
+// landWrite makes one batch durable — HardState, then the snapshot, then the
+// entries that may truncate the prefix it replaces — and reports it Stable.
+// A persistence failure fail-stops the node with Stable never reported.
+func (s *Cluster) landWrite(n *node, u *raftcore.Unstable) {
+	if err := s.persist(n.id, u, 3); err != nil {
+		s.failStop(n, err)
+		return
+	}
+	if !s.opt.EarlyStable {
+		n.core.Stable()
+	}
+}
+
+// persist writes the first frames frames of a batch (3 = all of it).
+func (s *Cluster) persist(id types.NodeID, u *raftcore.Unstable, frames int) error {
+	st := s.storage[id]
+	if u.HardState != nil && frames >= 1 {
+		if err := st.SaveState(*u.HardState); err != nil {
+			return err
+		}
+	}
+	if u.Snapshot != nil && frames >= 2 {
+		if err := st.SaveSnapshot(*u.Snapshot); err != nil {
+			return err
+		}
+	}
+	if u.FirstIndex > 0 && frames >= 3 {
+		if err := st.SaveEntries(u.FirstIndex, u.Entries); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// powerOff takes a node down. A write still in flight is lost or torn —
+// never completed: a seeded strict prefix of its frames (possibly none)
+// reaches storage, the way a crash mid-batch leaves a WAL.
+func (s *Cluster) powerOff(n *node) {
+	n.up = false
+	if n.write == nil {
+		return
+	}
+	u := n.write
+	n.write = nil
+	frames := s.rng.Intn(3)
+	s.Journalf("S%d in-flight write cut after %d of 3 frames", n.id, frames)
+	if err := s.persist(n.id, u, frames); err != nil {
+		s.Journalf("S%d torn frame: %v", n.id, err) // an armed fault met the dying write
+	}
+}
+
 func (s *Cluster) failStop(n *node, err error) {
 	n.failErr = err
 	s.Journalf("S%d fail-stop: %v", n.id, err)
@@ -487,8 +588,9 @@ func (s *Cluster) OnSnapshot(f func(id types.NodeID, index int) []byte) { s.onSn
 
 // --- Client-facing operations ---
 
-// Propose appends a command at node id, as if a client called the runtime
-// driver's Propose. The entry is persisted and broadcast before return.
+// Propose appends a command at node id and starts its write. Unlike the
+// runtime driver's blocking Propose it returns at once: the entry is durable
+// (and broadcast) only when the node's disk lands the write.
 func (s *Cluster) Propose(id types.NodeID, cmd []byte) (int, types.Time, error) {
 	n := s.nodes[id]
 	if !s.Alive(id) {
@@ -633,6 +735,9 @@ func (s *Cluster) ForwardRead(id types.NodeID) (reqID uint64, err error) {
 
 // --- Nemesis operations ---
 
+// DiskStalled reports whether a StallDisk is still holding the node's writes.
+func (s *Cluster) DiskStalled(id types.NodeID) bool { return s.nodes[id].stallUntil > s.now }
+
 // Partition blocks all traffic between the two groups (both directions).
 func (s *Cluster) Partition(a, b []types.NodeID) {
 	for _, x := range a {
@@ -691,9 +796,21 @@ func (s *Cluster) Crash(id types.NodeID) {
 	n := s.nodes[id]
 	if n.up {
 		s.Journalf("S%d crash (clean)", id)
-		n.up = false
+		s.powerOff(n)
 	}
 	n.doomAt = 0
+}
+
+// StallDisk freezes a node's disk for the next ticks ticks: no write — the
+// one in flight included — lands before the stall clears. Messages, ticks
+// and reads go on: only what waits for Stable waits.
+func (s *Cluster) StallDisk(id types.NodeID, ticks int64) {
+	n := s.nodes[id]
+	n.stallUntil = s.now + ticks
+	if n.write != nil && n.landAt < n.stallUntil {
+		n.landAt = n.stallUntil
+	}
+	s.Journalf("S%d disk stalled for %d ticks", id, ticks)
 }
 
 // CrashTorn arms a torn write on the node's next persist and schedules a
@@ -728,7 +845,7 @@ func (s *Cluster) WipeStorage(id types.NodeID) {
 	n := s.nodes[id]
 	if n.up {
 		s.Journalf("S%d crash (for wipe)", id)
-		n.up = false
+		s.powerOff(n)
 	}
 	n.doomAt = 0
 	s.storage[id] = raft.NewFaultStorage(raft.NewMemStorage())

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"adore/internal/raft/raftcore"
 	"adore/internal/types"
 )
 
@@ -188,4 +189,152 @@ func TestSimMinorityLeaderCannotCommit(t *testing.T) {
 			t.Fatalf("S%d has wrong entry at %d after heal", id, idx2)
 		}
 	}
+}
+
+// TestSimSlowDiskDeterminism: with per-write delays on, the whole run is
+// still a pure function of the seed.
+func TestSimSlowDiskDeterminism(t *testing.T) {
+	run := func() []byte {
+		s := New(Options{Nodes: 5, Seed: 11, DiskDelayTicks: 3})
+		for tick := 0; tick < 800; tick++ {
+			switch tick {
+			case 300:
+				if id, ok := s.Leader(); ok {
+					s.StallDisk(id, 60)
+				}
+			case 450:
+				s.Crash(2)
+			case 500:
+				s.Restart(2)
+			}
+			if id, ok := s.Leader(); ok && tick%20 == 7 {
+				s.Propose(id, []byte(fmt.Sprintf("op-%d", tick)))
+			}
+			s.Step()
+		}
+		return append([]byte(nil), s.Journal()...)
+	}
+	a, b := run(), run()
+	if !bytes.Equal(a, b) {
+		t.Fatal("same seed produced different journals with disk delays on")
+	}
+}
+
+// TestSimNothingCommitsAheadOfTheDisk: while a majority's disks are stalled
+// nothing commits and no replica's stable index moves; a crash then loses
+// the in-flight writes and no committed entry with them.
+func TestSimNothingCommitsAheadOfTheDisk(t *testing.T) {
+	s := New(Options{Nodes: 3, Seed: 5, DiskDelayTicks: 2})
+	leader := waitLeader(t, s, 1000)
+	idx, _, err := s.Propose(leader, []byte("settled"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepUntil(t, s, 1000, "first entry everywhere", func() bool {
+		for _, id := range s.IDs() {
+			if s.CommitIndex(id) < idx || s.StableIndex(id) < idx {
+				return false
+			}
+		}
+		return true
+	})
+	base := s.CommitIndex(leader)
+	for _, id := range s.IDs() {
+		s.StallDisk(id, 10) // shorter than an election interval: no step-down
+	}
+	if _, _, err := s.Propose(leader, []byte("in-flight")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		s.Step()
+		for _, id := range s.IDs() {
+			if got := s.CommitIndex(id); got > base {
+				t.Fatalf("S%d committed %d with every disk stalled (base %d)", id, got, base)
+			}
+			if got := s.StableIndex(id); got > base {
+				t.Fatalf("S%d stable index %d with its disk stalled (base %d)", id, got, base)
+			}
+		}
+	}
+	// Power-cycle everyone mid-write: the in-flight entry was never acked,
+	// so losing it is legal, and the settled one must survive.
+	for _, id := range s.IDs() {
+		s.Crash(id)
+	}
+	for _, id := range s.IDs() {
+		s.Restart(id)
+		if got := s.LastIndex(id); got < idx {
+			t.Fatalf("S%d recovered %d entries, lost the committed one at %d", id, got, idx)
+		}
+	}
+}
+
+// TestSimEarlyStableMutantLosesCommits is the driver mutant's teeth at the
+// sim level: reporting Stable before the write lands lets an entry commit
+// that no disk holds, and a power cycle loses it.
+func TestSimEarlyStableMutantLosesCommits(t *testing.T) {
+	s := New(Options{Nodes: 3, Seed: 5, DiskDelayTicks: 2, EarlyStable: true})
+	leader := waitLeader(t, s, 1000)
+	for i := 0; i < 20; i++ {
+		s.Step() // let the election's own writes land: every disk idle
+	}
+	for _, id := range s.IDs() {
+		s.StallDisk(id, 10)
+	}
+	idx, _, err := s.Propose(leader, []byte("acked-not-durable"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepUntil(t, s, 9, "the mutant commits on stalled disks", func() bool {
+		return s.CommitIndex(leader) >= idx
+	})
+	for _, id := range s.IDs() {
+		s.Crash(id)
+	}
+	lost := 0
+	for _, id := range s.IDs() {
+		s.Restart(id)
+		if s.LastIndex(id) < idx {
+			lost++
+		}
+	}
+	if lost < 2 {
+		t.Fatalf("only %d of 3 replicas lost the committed entry; the mutant should have no durable majority", lost)
+	}
+}
+
+// TestSimStalledLeaderIsReplaced: a leader whose disk stalls for several
+// election intervals steps down, a healthy replica takes over and commits,
+// and the stalled node rejoins as a follower once its disk answers.
+func TestSimStalledLeaderIsReplaced(t *testing.T) {
+	s := New(Options{Nodes: 3, Seed: 9, DiskDelayTicks: 1})
+	old := waitLeader(t, s, 1000)
+	if _, _, err := s.Propose(old, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	stepUntil(t, s, 200, "first commit", func() bool { return s.CommitIndex(old) >= 2 })
+	s.StallDisk(old, 300)
+	if _, _, err := s.Propose(old, []byte("stuck")); err != nil {
+		t.Fatal(err)
+	}
+	var next types.NodeID
+	stepUntil(t, s, 150, "a new leader within 3 election intervals of the step-down", func() bool {
+		id, ok := s.Leader()
+		next = id
+		return ok && id != old
+	})
+	if got := s.Counters(old).StepDowns; got != 1 {
+		t.Fatalf("stalled leader's StepDowns = %d, want 1", got)
+	}
+	idx, _, err := s.Propose(next, []byte("after"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepUntil(t, s, 100, "commits resume on the healthy majority", func() bool {
+		return s.CommitIndex(next) >= idx
+	})
+	stepUntil(t, s, 600, "the stalled node rejoins and catches up", func() bool {
+		_, role, lead := s.Status(old)
+		return role == raftcore.Follower && lead == next && s.CommitIndex(old) >= idx
+	})
 }
