@@ -190,35 +190,47 @@ func TestDisruptionSweep(t *testing.T) {
 // schedule, guard on — must stay clean: the lease dies the instant the
 // transfer starts and cannot revive while deafened.
 func TestTeethLeaseGuard(t *testing.T) {
-	// An election interval with room for a vote round and a commit round
-	// over slow disks inside the old leader's lease window.
-	opt := Options{Duration: 1500 * time.Millisecond, ElectionTimeoutMin: 40 * time.Millisecond}
-	sched := LeaseViolationSchedule(opt)
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		// The tuning the oracle was written at: instantaneous disks.
+		{"instant-disk", Options{Duration: 1500 * time.Millisecond, DiskDelay: -1}},
+		// Slow disks (the sweeps' default): an election interval with room
+		// for a vote round and a commit round, each crossing a disk twice,
+		// inside the old leader's lease window.
+		{"slow-disk", Options{Duration: 1500 * time.Millisecond, ElectionTimeoutMin: 40 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := tc.opt
+			sched := LeaseViolationSchedule(opt)
 
-	broken := opt
-	broken.DisableLeaseGuard = true
-	rep, err := RunSim(sched, broken)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, v := range rep.Violations {
-		if strings.Contains(v, "stale lease") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("lease guard disabled and the deafen+transfer schedule executed, but the stale-lease oracle stayed silent; violations:\n%s\n--- journal ---\n%s",
-			strings.Join(rep.Violations, "\n"), rep.Journal)
-	}
-	t.Logf("caught: %s", rep.Violations[0])
+			broken := opt
+			broken.DisableLeaseGuard = true
+			rep, err := RunSim(sched, broken)
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := false
+			for _, v := range rep.Violations {
+				if strings.Contains(v, "stale lease") {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("lease guard disabled and the deafen+transfer schedule executed, but the stale-lease oracle stayed silent; violations:\n%s\n--- journal ---\n%s",
+					strings.Join(rep.Violations, "\n"), rep.Journal)
+			}
+			t.Logf("caught: %s", rep.Violations[0])
 
-	control, err := RunSim(sched, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !control.Ok() {
-		t.Fatalf("guard on, same schedule: unexpected violations:\n%s\n--- journal ---\n%s",
-			strings.Join(control.Violations, "\n"), control.Journal)
+			control, err := RunSim(sched, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !control.Ok() {
+				t.Fatalf("guard on, same schedule: unexpected violations:\n%s\n--- journal ---\n%s",
+					strings.Join(control.Violations, "\n"), control.Journal)
+			}
+		})
 	}
 }

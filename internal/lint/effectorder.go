@@ -75,6 +75,10 @@ type PrecededBy struct {
 	// first ("AckWindow".Observe, "Storage".Save*).
 	WitnessRecv    string
 	WitnessMethods []string
+	// AbsentWitnessExempt frees the branch taken because a value of the
+	// witness type compared equal to nil: with no Storage there is nothing
+	// to write, so a volatile node owes Stable no Save.
+	AbsentWitnessExempt bool
 	// Why is appended to the diagnostic: the one-line safety argument.
 	Why string
 }
@@ -474,6 +478,28 @@ func (a *effectAnalysis) failureBranch(g *BlockGuard, errs map[types.Object]bool
 	return (bin.Op == token.NEQ) == g.Taken
 }
 
+// absentBranch reports whether a block guarded by g runs only when a value
+// of the witness type was nil: the then-branch of `x.Storage == nil`, the
+// else-branch of `x.Storage != nil`.
+func (a *effectAnalysis) absentBranch(g *BlockGuard, req *PrecededBy) bool {
+	bin, ok := ast.Unparen(g.Cond).(*ast.BinaryExpr)
+	if !ok || (bin.Op != token.NEQ && bin.Op != token.EQL) {
+		return false
+	}
+	isWitness := func(e ast.Expr) bool {
+		tv, ok := a.pkg.Info.Types[e]
+		return ok && tv.Type != nil && !tv.IsNil() && typeShortName(tv.Type) == req.WitnessRecv
+	}
+	isNil := func(e ast.Expr) bool {
+		tv, ok := a.pkg.Info.Types[e]
+		return ok && tv.IsNil()
+	}
+	if !(isWitness(bin.X) && isNil(bin.Y)) && !(isNil(bin.X) && isWitness(bin.Y)) {
+		return false
+	}
+	return (bin.Op == token.EQL) == g.Taken
+}
+
 // checkPreceded runs one obligation's must-analysis over one function:
 // the dataflow fact is "the witness was observed, and did not fail, on EVERY
 // path reaching here" (merges intersect; back edges are cut — each loop
@@ -493,6 +519,9 @@ func (a *effectAnalysis) checkPreceded(fd *ast.FuncDecl, req *PrecededBy, report
 		st := in[blk.Index]
 		if blk.Guard != nil && a.failureBranch(blk.Guard, errs) {
 			st = false // the witness failed on this path
+		}
+		if blk.Guard != nil && req.AbsentWitnessExempt && a.absentBranch(blk.Guard, req) {
+			st = true // nothing to write to on this path
 		}
 		for _, node := range blk.Nodes {
 			var skip *ast.CallExpr

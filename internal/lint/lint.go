@@ -94,6 +94,9 @@ func DefaultConfig() Config {
 				GateMethods:    []string{"Stable"},
 				WitnessRecv:    "Storage",
 				WitnessMethods: []string{"SaveState", "SaveSnapshot", "SaveEntries"},
+				// A volatile node (Options.Storage == nil) reports its
+				// batches stable inline: there is no disk to wait for.
+				AbsentWitnessExempt: true,
 				Why: "reporting a batch stable that was not written, or whose write failed, " +
 					"releases votes, acks and commits no disk backs",
 			}},

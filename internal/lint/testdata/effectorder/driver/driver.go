@@ -66,9 +66,6 @@ func (n *Node) crash(err error) { n.failStop(err) }
 // persist writes one batch in durability order and passes the first error
 // up — clean; callers inherit its witness.
 func (n *Node) persist(u Unstable) error {
-	if n.storage == nil {
-		return nil
-	}
 	if u.HardState != nil {
 		if err := n.storage.SaveState(*u.HardState); err != nil {
 			return err
@@ -105,15 +102,46 @@ func (n *Node) Lane() {
 	}
 }
 
-// Inline is the volatile path: same order in one critical section — clean.
+// Inline is the volatile path: with no storage there is nothing to write,
+// so the batch is reported stable in the same critical section — clean by
+// the obligation's absent-witness exemption.
 func (n *Node) Inline() {
-	if u, ok := n.core.TakeUnstable(); ok {
+	if n.storage == nil {
+		if _, ok := n.core.TakeUnstable(); ok {
+			n.core.Stable()
+		}
+	}
+}
+
+// InlineElse spells the same test the other way round — clean.
+func (n *Node) InlineElse(u Unstable) {
+	if n.storage != nil {
 		if err := n.persist(u); err != nil {
 			n.failStop(err)
 			return
 		}
+	} else {
 		n.core.Stable()
+		return
 	}
+	n.core.Stable()
+}
+
+// VolatileAssumed takes the exemption on the wrong arm: the storage is
+// there and nothing was written to it.
+func (n *Node) VolatileAssumed() {
+	if n.storage != nil {
+		n.core.Stable() // want "Core.Stable without a preceding successful Storage call"
+	}
+}
+
+// VolatileLeaks lets the exemption outlive its branch: past the join the
+// durable path arrives with nothing written.
+func (n *Node) VolatileLeaks() {
+	if n.storage == nil {
+		n.stopped = false
+	}
+	n.core.Stable() // want "Core.Stable without a preceding successful Storage call"
 }
 
 // Direct calls the storage itself, success tested with == nil — clean.

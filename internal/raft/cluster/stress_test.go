@@ -62,6 +62,7 @@ func TestConcurrentProposeCrashReconfigStress(t *testing.T) {
 	}
 
 	// Crash/restart loop: repeatedly kill a non-leader and bring it back.
+	restarts := map[types.NodeID]int{} // read after wg.Wait
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -83,6 +84,7 @@ func TestConcurrentProposeCrashReconfigStress(t *testing.T) {
 			c.CrashNode(victim)
 			time.Sleep(30 * time.Millisecond)
 			c.RestartNode(victim, all)
+			restarts[victim]++
 			time.Sleep(30 * time.Millisecond)
 		}
 	}()
@@ -109,36 +111,68 @@ func TestConcurrentProposeCrashReconfigStress(t *testing.T) {
 		t.Fatal("no proposal succeeded despite a running cluster")
 	}
 
-	// Let in-flight commits settle, then check agreement on the applied
-	// command streams of every surviving node, index by index: a restarted
-	// node replays its log from the start (the record spans incarnations),
-	// so a position-wise comparison would mistake the replay for a fork.
+	// Let in-flight commits settle, then check the applied streams of every
+	// surviving node. The cluster's record spans incarnations and a restarted
+	// node replays its log from index 1, so each stream is first cut where
+	// the index goes backwards: within an incarnation indices must be
+	// contiguous and ascending, there may be no more cuts than restarts, and
+	// a replay must repeat what the node applied before. What is left is one
+	// stream per node without gaps, compared position-wise as before.
 	time.Sleep(300 * time.Millisecond)
-	applied := make(map[types.NodeID]map[int]string)
+	applied := make(map[types.NodeID][]raft.ApplyMsg)
 	for _, id := range all {
 		if c.Node(id) == nil {
 			continue
 		}
-		byIndex := make(map[int]string)
-		for _, m := range c.Applied(id) {
-			entry := fmt.Sprintf("%s@t%d %q", m.Kind, m.Term, m.Command)
-			if prev, ok := byIndex[m.Index]; ok && prev != entry {
-				t.Fatalf("%s re-applied index %d as %s after %s", id, m.Index, entry, prev)
+		var merged []raft.ApplyMsg // merged[i] is index i+1
+		prev, cuts := 0, 0
+		for pos, m := range c.Applied(id) {
+			if m.Index <= prev {
+				if m.Index != 1 {
+					t.Fatalf("%s applied index %d after %d at position %d: neither the next index nor a replay from 1", id, m.Index, prev, pos)
+				}
+				cuts++
+			} else if m.Index != prev+1 {
+				t.Fatalf("%s skipped from index %d to %d at position %d", id, prev, m.Index, pos)
 			}
-			byIndex[m.Index] = entry
+			prev = m.Index
+			if m.Index <= len(merged) {
+				if old := merged[m.Index-1]; fingerprint(old) != fingerprint(m) {
+					t.Fatalf("%s re-applied index %d as %s after %s", id, m.Index, fingerprint(m), fingerprint(old))
+				}
+				continue
+			}
+			if n := len(merged); n > 0 && m.Term < merged[n-1].Term {
+				t.Fatalf("%s applied term %d at index %d after term %d", id, m.Term, m.Index, merged[n-1].Term)
+			}
+			merged = append(merged, m)
 		}
-		applied[id] = byIndex
+		if cuts > restarts[id] {
+			t.Fatalf("%s's applied index went backwards %d times over %d restarts", id, cuts, restarts[id])
+		}
+		applied[id] = merged
 	}
 	for _, a := range all {
 		for _, b := range all {
 			if a >= b || applied[a] == nil || applied[b] == nil {
 				continue
 			}
-			for idx, ea := range applied[a] {
-				if eb, ok := applied[b][idx]; ok && ea != eb {
-					t.Fatalf("applied streams diverge between %s and %s at index %d: %s vs %s", a, b, idx, ea, eb)
+			n := len(applied[a])
+			if len(applied[b]) < n {
+				n = len(applied[b])
+			}
+			for i := 0; i < n; i++ {
+				ea, eb := applied[a][i], applied[b][i]
+				if ea.Index != eb.Index || fingerprint(ea) != fingerprint(eb) {
+					t.Fatalf("applied streams diverge between %s and %s at position %d: (%d,%s) vs (%d,%s)",
+						a, b, i, ea.Index, fingerprint(ea), eb.Index, fingerprint(eb))
 				}
 			}
 		}
 	}
+}
+
+// fingerprint renders what an applied entry is (everything but its index).
+func fingerprint(m raft.ApplyMsg) string {
+	return fmt.Sprintf("%s@t%d %q %v", m.Kind, m.Term, m.Command, m.Members)
 }

@@ -468,13 +468,10 @@ func (n *Node) Elections() uint64 {
 // two releases what may leave now.
 func (n *Node) processReadyLocked() {
 	if n.opts.Storage == nil {
-		if u, ok := n.core.TakeUnstable(); ok {
-			if err := n.persist(u); err != nil {
-				n.failStopLocked(err)
-				return
-			}
+		if _, ok := n.core.TakeUnstable(); ok {
 			n.core.Stable()
-			n.completeStableLocked()
+			n.releaseStableLocked()
+			return
 		}
 	} else if n.core.HasUnstable() {
 		select {
@@ -517,8 +514,7 @@ func (n *Node) writeLane() {
 				break
 			}
 			n.core.Stable()
-			n.completeStableLocked()
-			n.releaseLocked()
+			n.releaseStableLocked()
 		}
 		n.mu.Unlock()
 	}
@@ -527,11 +523,8 @@ func (n *Node) writeLane() {
 // persist writes one Unstable batch in the durability order: the HardState,
 // then the snapshot image, and only then the entries whose SaveEntries may
 // truncate the log prefix the image summarizes. Called by the write lane
-// with mu not held (and inline, as a no-op, by volatile nodes).
+// (which only nodes with a Storage run) with mu not held.
 func (n *Node) persist(u raftcore.Unstable) error {
-	if n.opts.Storage == nil {
-		return nil
-	}
 	if u.HardState != nil {
 		if err := n.opts.Storage.SaveState(*u.HardState); err != nil {
 			return fmt.Errorf("persist state: %w", err)
@@ -550,16 +543,24 @@ func (n *Node) persist(u raftcore.Unstable) error {
 	return nil
 }
 
-// completeStableLocked completes the proposals whose entries the last
-// Stable made durable.
-func (n *Node) completeStableLocked() {
+// releaseStableLocked follows a Stable: it releases what the batch was
+// holding back and completes the proposals whose entries it made durable.
+// The proposals leave the in-flight list first (a step-down released in the
+// same Effects must not fail what is already durable) but their waiters wake
+// last: a batch of woken proposers ahead of the broadcast puts a scheduler
+// round between the disk and the wire.
+func (n *Node) releaseStableLocked() {
 	stable := n.core.StableIndex()
 	k := 0
 	for k < len(n.inflight) && n.inflight[k].idx <= stable {
-		n.inflight[k].complete()
 		k++
 	}
+	durable := n.inflight[:k]
 	n.inflight = n.inflight[k:]
+	n.releaseLocked()
+	for _, p := range durable {
+		p.complete()
+	}
 }
 
 // releaseLocked drains the core's Effects: send the messages, resolve the

@@ -483,14 +483,15 @@ func (c *Core) hardStateUnstable() bool { return c.hsDirty || c.inflight.hs }
 // the sender's term or vote. Pre-Vote traffic is term-neutral by design,
 // forwarded reads only carry an index the reader still waits to apply, and
 // TimeoutNow asks the receiver to act: none of them may wait for a disk.
+// Everything else — votes, appends, snapshots, and any type added later —
+// is held: waiting for the disk is the safe side.
 func heldByHardState(t MessageType) bool {
 	switch t {
 	case MsgPreVoteRequest, MsgPreVoteResponse, MsgTimeoutNow, MsgReadIndexRequest, MsgReadIndexResponse:
 		return false
-	case MsgVoteRequest, MsgVoteResponse, MsgAppendEntries, MsgAppendResponse, MsgInstallSnapshot:
+	default:
 		return true
 	}
-	return true
 }
 
 // send queues an outbound message: for release now, or — while the HardState
