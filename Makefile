@@ -22,8 +22,10 @@ vet:
 # lint runs adore-lint, the repo-specific static checker (cmd/adore-lint):
 # cache immutability, model determinism, lockset discipline, exhaustive
 # switches over the model's enum types, transitive purity of the core and
-# model packages, and the effect order of the staged Ready driver (Core.Stable
-# only after the batch's Storage.Save* calls, never from their error branch).
+# model packages, the effect order of the staged Ready driver (Core.Stable
+# only after the batch's Storage.Save* calls, never from their error branch),
+# and the single writer of Core.commitIndex per role (learnCommit on
+# followers, advanceCommit on leaders, the snapshot install).
 lint:
 	$(GO) run ./cmd/adore-lint ./...
 
@@ -31,7 +33,8 @@ lint:
 # internal/lint/testdata (Stable before Save, Stable on the write's error
 # path, a persist error merely logged on the lane, dropped persist error,
 # transitive time.Now reach, bare call to a *Locked helper, unlock-then-read
-# window, ...) must keep producing their expected diagnostics, and the
+# window, a read-reply handler assigning m.LeaderCommit to the commit index
+# past the leaderMatch clamp, ...) must keep producing their expected diagnostics, and the
 # fixture harness fails any pass that goes inert (zero findings). The CLI
 # golden tests pin output format and deterministic ordering the same way.
 lint-teeth:
@@ -152,14 +155,19 @@ bench-evidence:
 bench-reads-smoke:
 	$(GO) run ./cmd/raft-bench -reads -read-requests 600 -read-clients 8
 
-# benchmark-smoke runs the canonical benchmark (benchmark/README.md) once,
-# short: the real stack over TCP + FileStorage must come up, serve, reload
-# its WALs and report a correct run with no failed request.
+# benchmark-smoke runs the canonical benchmark (benchmark/README.md) short,
+# once per named workload: the real stack over TCP + FileStorage must come up,
+# serve, reload its WALs and report a correct run with no failed request.
+# put-durable is the write path; mixed-follower-read sends 90 % of its
+# requests through the forwarded-read path (MsgReadIndexRequest/Response and
+# the commit index riding the reply).
 benchmark-smoke:
-	@out=$$(bash benchmark/run.sh --workload put-durable --seed 1 --seconds 2 --trace 0 | tail -n 1); \
-	echo "$$out"; \
-	echo "$$out" | grep -Eq '"correct": ?true' && echo "$$out" | grep -Eq '"failed": ?0[,}]' || \
-		{ echo "benchmark-smoke: run incorrect or requests failed"; exit 1; }
+	@for w in put-durable mixed-follower-read; do \
+		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1); \
+		echo "$$out"; \
+		echo "$$out" | grep -Eq '"correct": ?true' && echo "$$out" | grep -Eq '"failed": ?0[,}]' || \
+			{ echo "benchmark-smoke: $$w run incorrect or requests failed"; exit 1; }; \
+	done
 
 # bench-compare judges result file B against A with the bounds in
 # BENCHMARK.json (make bench-compare A=parent.json B=change.json); the files

@@ -1,7 +1,7 @@
 // Command adore-lint runs the repo-specific static checks over the adore
 // module: immutable-cache, deterministic-model, lockset, exhaustive-switch,
-// transitive-purity, and effect-order. It exits nonzero when any diagnostic
-// is produced, so it slots directly into CI next to go vet.
+// transitive-purity, effect-order, and single-writer. It exits nonzero when
+// any diagnostic is produced, so it slots directly into CI next to go vet.
 //
 // Usage:
 //

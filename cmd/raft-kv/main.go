@@ -296,12 +296,8 @@ func (s *server) get(key string) string {
 		_, _, leader := node.Status()
 		return fmt.Sprintf("ERR read barrier: %s (try %s)", err, leader)
 	}
-	deadline := time.Now().Add(timeout)
-	for store.AppliedIndex() < idx {
-		if !time.Now().Before(deadline) {
-			return "ERR timeout waiting for apply"
-		}
-		time.Sleep(500 * time.Microsecond)
+	if !store.WaitApplied(idx, time.Now().Add(timeout)) {
+		return "ERR timeout waiting for apply"
 	}
 	if v, ok := store.LocalGet(key); ok {
 		return "VALUE " + v

@@ -936,3 +936,59 @@ func CrashBeforeStableSchedule(opt Options) *Schedule {
 	}
 	return &Schedule{Seed: -8, Nodes: 3, Events: events, Scripts: Generate(1, opt).Scripts}
 }
+
+// StaleSuffixReadSchedule is the commit-propagation plan (deterministic sim
+// only; its scripts are crafted, not generated): a deposed leader that still
+// holds an uncommitted suffix serves forwarded reads before its log is
+// repaired. A read reply names the new leader's commit index, and the stale
+// entries sit at indexes at or below it.
+//
+// Timeline, in client slots (every client starts its next op at the same
+// tick): just before slot 10 the leader is isolated, and slot 10 is a put on
+// every client, so the isolated leader appends and persists entries no
+// quorum will ever hold. Its disk then freezes until after slot 14. The
+// majority elects a successor and commits the same puts, retried, at other
+// indexes. Shortly before slot 12 the network heals: the ex-leader adopts
+// the new term in memory, but the term cannot reach its frozen disk, so its
+// rejections of the successor's probes stay held and nobody repairs its
+// log. Slots 12..14 are follower reads dealt over all non-leaders, one per
+// slot landing on the ex-leader: request and reply wait for no disk. The
+// replica must not believe the commit index on them beyond what it has
+// matched against the successor (nothing), and the reads complete, correct,
+// once the disk answers and the log is repaired.
+func StaleSuffixReadSchedule(opt Options) *Schedule {
+	opt.Clients, opt.OpsPerClient, opt.Keys = 4, 39, 8
+	opt.defaults()
+	slot := opt.Duration / time.Duration(opt.OpsPerClient+1) // newSimClient's pacing
+	iso := 10*slot - 2*simTick
+	freeze := iso + 5*simTick // the isolated leader has not stepped down yet
+	scripts := make([][]ClientOp, opt.Clients)
+	for c := range scripts {
+		for i := 0; i < opt.OpsPerClient; i++ {
+			op := ClientOp{
+				Op:    kvstore.OpGet,
+				Key:   fmt.Sprintf("k%d", (c*opt.OpsPerClient+i)%opt.Keys),
+				Value: fmt.Sprintf("c%d-%d", c, i),
+			}
+			switch {
+			case i >= 12 && i <= 14: // the window
+				op.FastRead, op.Via = true, kvstore.ReadModeFollower
+			case i%2 == 0: // slot 10 among them
+				op.Op = kvstore.OpPut
+			case i%4 == 1:
+				op.FastRead, op.Via = true, kvstore.ReadModeFollower
+			}
+			scripts[c] = append(scripts[c], op)
+		}
+	}
+	return &Schedule{
+		Seed:  -9,
+		Nodes: opt.Nodes,
+		Events: []Event{
+			{At: iso, Kind: EvIsolateLeader},
+			{At: freeze, Kind: EvStallDisk, For: 14*slot + 10*simTick - freeze},
+			{At: 12*slot - 8*simTick, Kind: EvHeal},
+		},
+		Scripts: scripts,
+	}
+}

@@ -86,3 +86,42 @@ func TestSimTeethR2(t *testing.T) {
 			strings.Join(control.Violations, "\n"), control.Journal)
 	}
 }
+
+// TestStaleSuffixRead: a deposed leader holding an uncommitted suffix serves
+// forwarded reads before its log is repaired, and every oracle stays silent
+// — the commit index on the read replies is not believed over entries the
+// replica never matched against the new leader. (A learnCommit that clamps
+// to lastIndex instead of leaderMatch commits the stale suffix here:
+// committed-prefix divergence at four indexes plus a refinement fork,
+// EXPERIMENTS.md E15.)
+func TestStaleSuffixRead(t *testing.T) {
+	opt := Options{Duration: 2 * time.Second}
+	rep, err := RunSim(StaleSuffixReadSchedule(opt), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Ok() {
+		t.Fatalf("violations:\n%s\n--- journal ---\n%s", strings.Join(rep.Violations, "\n"), rep.Journal)
+	}
+	// The premise: a read was parked on the ex-leader while its log was
+	// unrepaired, so it returns in the tick that replica first applies again
+	// after the heal.
+	var ex, tick string
+	healed, parked := false, false
+	for _, line := range strings.Split(string(rep.Journal), "\n") {
+		f := strings.Fields(line) // t=000503 S3 disk stalled ... | t=000728 S3 commit 34..42 | t=000728 client 1 op 13 get("k3") ok
+		switch {
+		case len(f) >= 4 && f[2] == "disk" && f[3] == "stalled":
+			ex = f[1]
+		case len(f) == 2 && f[1] == "heal":
+			healed = true
+		case healed && tick == "" && len(f) >= 3 && f[1] == ex && f[2] == "commit":
+			tick = f[0]
+		case tick != "" && len(f) >= 6 && f[0] == tick && f[1] == "client" && strings.HasPrefix(f[5], "get("):
+			parked = true
+		}
+	}
+	if !parked {
+		t.Fatalf("no read waited on the ex-leader's unrepaired log; the schedule lost its premise\n--- journal ---\n%s", rep.Journal)
+	}
+}

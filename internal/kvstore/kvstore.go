@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"adore/internal/raft"
 	"adore/internal/types"
@@ -311,6 +312,24 @@ func (s *Store) AppliedIndex() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.applied
+}
+
+// WaitApplied blocks until the apply cursor reaches idx — the
+// serve-after-apply half of every read barrier — or the deadline passes,
+// and reports whether the cursor got there. It parks on the same per-index
+// waiters the write path uses, so it is woken by the Apply that lands idx
+// (or the snapshot that folds it), not by polling, and Apply pays nothing
+// for readers that are not waiting.
+func (s *Store) WaitApplied(idx int, deadline time.Time) bool {
+	ch := s.wait(idx, 0, 0)
+	t := time.NewTimer(time.Until(deadline))
+	defer t.Stop()
+	select {
+	case <-ch:
+		return true
+	case <-t.C:
+		return s.AppliedIndex() >= idx
+	}
 }
 
 // ErrTimeout reports that a request did not commit within its deadline.

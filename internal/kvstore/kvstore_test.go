@@ -75,6 +75,48 @@ func TestStoreWaiters(t *testing.T) {
 	}
 }
 
+// TestStoreWaitApplied: readers blocked on the apply cursor are woken by the
+// Apply that lands their index (not a poll), an index already applied
+// returns at once, and a wait that hits its deadline reports false.
+func TestStoreWaitApplied(t *testing.T) {
+	s := NewStore()
+	applyCmd(t, s, 1, Command{Op: OpPut, Key: "a", Value: "1", Client: 1, Seq: 1})
+	if !s.WaitApplied(1, time.Now()) {
+		t.Fatal("index 1 is applied: want true without waiting")
+	}
+
+	const readers = 8
+	done := make(chan bool, readers)
+	for i := 0; i < readers; i++ {
+		go func() { done <- s.WaitApplied(3, time.Now().Add(opTimeout)) }()
+	}
+	for s.waitingAt(3) < readers { // every reader is parked on the cursor
+		time.Sleep(100 * time.Microsecond)
+	}
+	applyCmd(t, s, 2, Command{Op: OpPut, Key: "a", Value: "2", Client: 1, Seq: 2})
+	select {
+	case <-done:
+		t.Fatal("a waiter for index 3 returned at index 2")
+	default:
+	}
+	applyCmd(t, s, 3, Command{Op: OpPut, Key: "a", Value: "3", Client: 1, Seq: 3})
+	for i := 0; i < readers; i++ {
+		if !<-done {
+			t.Fatal("WaitApplied(3) = false after index 3 applied")
+		}
+	}
+
+	if s.WaitApplied(9, time.Now().Add(5*time.Millisecond)) {
+		t.Fatal("WaitApplied(9) = true with the cursor at 3")
+	}
+}
+
+func (s *Store) waitingAt(idx int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.waiters[idx])
+}
+
 func TestStoreIgnoresNonCommands(t *testing.T) {
 	s := NewStore()
 	ch := s.wait(1, 1, 1)

@@ -313,7 +313,7 @@ func (r *Replicated) FastGetMode(key string, mode ReadMode, timeout time.Duratio
 			bo.sleep(deadline)
 			continue
 		}
-		if !waitApplied(st, idx, deadline) {
+		if !st.WaitApplied(idx, deadline) {
 			return "", false, ErrTimeout
 		}
 		r.chargeServe(served)
@@ -362,16 +362,4 @@ func (r *Replicated) pickFollower(rotate *uint64) *raft.Node {
 	}
 	*rotate++
 	return pool[int(*rotate)%len(pool)]
-}
-
-// waitApplied blocks until the store's apply cursor reaches idx (the
-// serve-after-apply half of every read barrier), bounded by the deadline.
-func waitApplied(st *Store, idx int, deadline time.Time) bool {
-	for st.AppliedIndex() < idx {
-		if !time.Now().Before(deadline) {
-			return false
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	return true
 }

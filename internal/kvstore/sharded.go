@@ -118,8 +118,8 @@ type ShardClient struct {
 	id uint64
 
 	mu    sync.Mutex
-	seqs  map[raft.GroupID]uint64          // guarded by mu — per-shard sequence domains
-	hints map[raft.GroupID]types.NodeID    // guarded by mu — cached leader per shard
+	seqs  map[raft.GroupID]uint64           // guarded by mu — per-shard sequence domains
+	hints map[raft.GroupID]types.NodeID     // guarded by mu — cached leader per shard
 	bos   map[raft.GroupID]*backoff.Backoff // guarded by mu — per-shard jitter streams
 }
 
@@ -352,7 +352,7 @@ func (c *ShardClient) FastGetMode(key string, mode ReadMode, timeout time.Durati
 			continue
 		}
 		bo.Reset()
-		if !waitApplied(st, idx, deadline) {
+		if !st.WaitApplied(idx, deadline) {
 			return "", false, ErrTimeout
 		}
 		v, ok := st.LocalGet(key)

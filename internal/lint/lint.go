@@ -54,6 +54,9 @@ type Config struct {
 	// Stable-only-after-a-successful-write order and storage-error
 	// discipline are proven by the effect-order pass.
 	EffectOrder []EffectOrderConfig
+	// SingleWriter lists struct fields that only named functions may
+	// write (the single-writer pass).
+	SingleWriter []SingleWriterConfig
 }
 
 // DefaultConfig returns the configuration for the adore module itself.
@@ -101,6 +104,17 @@ func DefaultConfig() Config {
 					"releases votes, acks and commits no disk backs",
 			}},
 		}},
+		SingleWriter: []SingleWriterConfig{{
+			Pkg:   "adore/internal/raft/raftcore",
+			Type:  "Core",
+			Field: "commitIndex",
+			// A follower learns commits in learnCommit, a leader counts
+			// them in advanceCommit, and a full snapshot install replaces
+			// the log the index refers to.
+			Writers: []string{"learnCommit", "advanceCommit", "onInstallSnapshot"},
+			Why: "a commit index taken from a message without the leaderMatch clamp " +
+				"commits entries this log never matched against the leader",
+		}},
 	}
 }
 
@@ -118,6 +132,7 @@ func allPasses() []pass {
 		{"exhaustive-switch", runExhaustive},
 		{"transitive-purity", runPurity},
 		{"effect-order", runEffectOrder},
+		{"single-writer", runSingleWriter},
 	}
 }
 

@@ -90,6 +90,19 @@ func TestEffectOrderFixture(t *testing.T) {
 	})
 }
 
+func TestSingleWriterFixture(t *testing.T) {
+	checkFixture(t, "singlewriter", Config{
+		SingleWriter: []SingleWriterConfig{{
+			Pkg:     "fix/core",
+			Type:    "Core",
+			Field:   "commitIndex",
+			Writers: []string{"learnCommit", "advanceCommit"},
+			Why:     "a commit index taken from a message without the clamp commits entries never matched against the leader",
+		}},
+		EnumPkgs: off,
+	})
+}
+
 func TestExhaustiveSwitchFixture(t *testing.T) {
 	checkFixture(t, "exhaustive", Config{
 		EnumPkgs: []string{"fix/enum"},

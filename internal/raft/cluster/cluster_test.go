@@ -102,3 +102,51 @@ func TestWaitCommitTimesOut(t *testing.T) {
 		t.Error("WaitCommit should time out for an unreachable index")
 	}
 }
+
+// TestFollowerReadDoesNotWaitForHeartbeat: a follower that forwards a read
+// right after a put learns from the read reply that the put is committed; it
+// does not sit on an entry it already holds until the next append names it.
+// With a 1 s heartbeat (the leader broadcasts on every 500 ms tick) nothing
+// else can tell the follower within the 100 ms budget.
+func TestFollowerReadDoesNotWaitForHeartbeat(t *testing.T) {
+	c := New(Options{N: 3, Seed: 7, ElectionTimeoutMin: 3 * time.Second}) // HeartbeatInterval = 1 s
+	defer c.Stop()
+	// Run S1's election clock by hand instead of waiting 3–6 s for it.
+	for deadline := time.Now().Add(timeout); c.Leader() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no leader")
+		}
+		c.Node(1).Tick()
+	}
+	leader := c.Leader().ID()
+	var f *raft.Node
+	for _, n := range c.Nodes() {
+		if n.ID() != leader {
+			f = n
+			break
+		}
+	}
+	for round := 0; round < 3; round++ {
+		idx, err := c.Propose([]byte("x"), timeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WaitCommit(leader, idx, timeout); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		ridx, err := f.FollowerReadIndex(timeout)
+		if err != nil {
+			t.Fatalf("round %d: FollowerReadIndex: %v", round, err)
+		}
+		if ridx < idx {
+			t.Fatalf("round %d: read index %d below the committed put at %d", round, ridx, idx)
+		}
+		if err := c.WaitCommit(f.ID(), ridx, timeout); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Fatalf("round %d: follower read took %v: it waited for an append to learn the commit index", round, d)
+		}
+	}
+}

@@ -160,6 +160,12 @@ type Core struct {
 	snapData    []byte         // latest snapshot image, kept to catch up laggards
 	commitIndex int
 	lastApplied int
+	// leaderMatch is the highest index at which this log is known to agree
+	// with the current-term leader's: raised by that leader's accepted
+	// appends and snapshot installs, zeroed wherever the term changes. By Log
+	// Matching every entry at or below it IS the leader's entry, so it is as
+	// far as a commit index named by the leader may be believed (learnCommit).
+	leaderMatch int
 
 	// Leader volatile state.
 	nextIndex  map[types.NodeID]int
@@ -864,6 +870,7 @@ func (c *Core) maybePreVoteWin() {
 // self-vote is stable.
 func (c *Core) startElection(transfer bool) {
 	c.term++
+	c.leaderMatch = 0
 	c.role = Candidate
 	c.votedFor = c.id
 	c.markHardState()
@@ -1277,13 +1284,23 @@ func (c *Core) resolveRead(pr *pendingRead, idx int) {
 		c.readStates = append(c.readStates, ReadState{ReqID: id, Index: idx})
 	}
 	for _, o := range pr.remotes {
-		m := Message{Type: MsgReadIndexResponse, From: c.id, To: o.node, Term: c.term, ReadCtx: o.ctx}
-		if idx >= 0 {
-			m.Success = true
-			m.MatchIndex = idx
-		}
-		c.send(m)
+		c.sendReadReply(o.node, o.ctx, idx)
 	}
+}
+
+// sendReadReply answers a forwarded read: idx is the confirmed read index,
+// or -1 for a refusal. A confirmation also carries the commit index, so the
+// reader need not wait for the next append to learn that the entries it is
+// about to wait on are committed. The two differ while a fresh leader's
+// no-op is uncommitted (the read index is readFloor, above the commit index).
+func (c *Core) sendReadReply(to types.NodeID, ctx uint64, idx int) {
+	m := Message{Type: MsgReadIndexResponse, From: c.id, To: to, Term: c.term, ReadCtx: ctx}
+	if idx >= 0 {
+		m.Success = true
+		m.MatchIndex = idx
+		m.LeaderCommit = c.commitIndex
+	}
+	c.send(m)
 }
 
 // confirmReads credits a leadership confirmation from a peer and resolves
@@ -1329,22 +1346,16 @@ func (c *Core) abortReads() {
 // forward joins the same coalescing barriers local reads use.
 func (c *Core) onReadIndexRequest(m Message) {
 	if c.role != Leader || m.Term != c.term {
-		c.send(Message{Type: MsgReadIndexResponse, From: c.id, To: m.From, Term: c.term, ReadCtx: m.ReadCtx})
+		c.sendReadReply(m.From, m.ReadCtx, -1)
 		return
 	}
 	if idx, ok := c.LeaseRead(); ok {
-		c.send(Message{
-			Type: MsgReadIndexResponse, From: c.id, To: m.From, Term: c.term,
-			ReadCtx: m.ReadCtx, Success: true, MatchIndex: idx,
-		})
+		c.sendReadReply(m.From, m.ReadCtx, idx)
 		return
 	}
 	idx := c.readFloor()
 	if config.Majority(types.NewNodeSet(c.id), c.Members()) {
-		c.send(Message{
-			Type: MsgReadIndexResponse, From: c.id, To: m.From, Term: c.term,
-			ReadCtx: m.ReadCtx, Success: true, MatchIndex: idx,
-		})
+		c.sendReadReply(m.From, m.ReadCtx, idx)
 		return
 	}
 	pr, opened := c.barrierFor(idx)
@@ -1362,10 +1373,18 @@ func (c *Core) onReadIndexRequest(m Message) {
 // at or below it — the follower still waits for its local apply to reach
 // the index before serving. A ctx with no waiter (the caller timed out)
 // resolves into a ReadState the driver ignores.
+//
+// The commit index riding the reply is believed only from the current-term
+// leader (leaderMatch says nothing about any other node's log), and before
+// the ReadState is emitted: the entries the reader is about to wait on come
+// out as Committed in the same Effects.
 func (c *Core) onReadIndexResponse(m Message) {
 	if !m.Success {
 		c.readStates = append(c.readStates, ReadState{ReqID: m.ReadCtx, Index: -1})
 		return
+	}
+	if m.Term == c.term && m.From == c.leader {
+		c.learnCommit(m.LeaderCommit)
 	}
 	c.readStates = append(c.readStates, ReadState{ReqID: m.ReadCtx, Index: m.MatchIndex})
 }
@@ -1572,6 +1591,7 @@ func (c *Core) Step(m Message) {
 // adoptTerm folds the node to a follower of a higher term.
 func (c *Core) adoptTerm(term types.Time) {
 	c.term = term
+	c.leaderMatch = 0
 	c.role = Follower
 	c.votedFor = types.NoNode
 	c.markHardState()
@@ -1698,9 +1718,8 @@ func (c *Core) onAppendEntries(m Message) {
 				c.markEntries(firstChanged)
 			}
 			matchIdx := prev + len(entries)
-			if m.LeaderCommit > c.commitIndex {
-				c.commitIndex = min(m.LeaderCommit, matchIdx)
-			}
+			c.matchedLeader(matchIdx)
+			c.learnCommit(m.LeaderCommit)
 			c.ackAppend(m.From, matchIdx, m.Seq, len(m.Entries) > 0)
 			return
 		}
@@ -1807,7 +1826,8 @@ func (c *Core) onInstallSnapshot(m Message) {
 	if s.index <= c.lastIndex() && c.termAt(s.index) == s.term {
 		// Our log already matches through the snapshot point: no install
 		// needed, the transfer just taught us the prefix is committed.
-		c.commitIndex = s.index
+		c.matchedLeader(s.index)
+		c.learnCommit(s.index)
 		c.ackAppend(m.From, s.index, m.Seq, true)
 		return
 	}
@@ -1820,6 +1840,7 @@ func (c *Core) onInstallSnapshot(m Message) {
 	c.snapMembers = copyIDs(s.members)
 	c.snapData = s.buf
 	c.confIdxs = nil
+	c.matchedLeader(s.index)
 	c.commitIndex = s.index
 	c.lastApplied = s.index // the restore delivery (after Stable) stands in for applying [.., s.index]
 	c.dirtyFrom = 0
@@ -1878,6 +1899,29 @@ func (c *Core) onAppendResponse(m Message) {
 	}
 	c.confirmReads(m.From, m.Seq)
 	c.advanceCommit()
+}
+
+// matchedLeader records that this log agrees with the current-term leader's
+// through idx. A reordered older append is accepted too (the leader's log
+// only grows within its term) but proves less than is already known, so the
+// mark never moves down.
+func (c *Core) matchedLeader(idx int) {
+	if idx > c.leaderMatch {
+		c.leaderMatch = idx
+	}
+}
+
+// learnCommit is the follower's one commit rule: leaderCommit is a commit
+// index named by the current-term leader, on whatever message was going
+// anyway (an append, a snapshot, a read reply). It is believed as far as this
+// log is known to be the leader's log and no further: an entry above
+// leaderMatch may be a stale suffix from a deposed leader that merely shares
+// the index. How soon a replica learns a commit is policy; that it never
+// commits an entry the quorum did not is this clamp.
+func (c *Core) learnCommit(leaderCommit int) {
+	if n := min(leaderCommit, c.leaderMatch); n > c.commitIndex {
+		c.commitIndex = n
+	}
 }
 
 // advanceCommit moves the commit index to the highest current-term index

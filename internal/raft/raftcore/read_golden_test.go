@@ -3,7 +3,8 @@ package raftcore
 // Golden tests for the fast read path: the ReadIndex coalescing window
 // (which reads share a barrier, which must not), the term-start read
 // floor, the leader lease's grant/expiry/invalidation rules, and the
-// follower-forwarded read round trip. Like the other golden files, each
+// follower-forwarded read round trip, and the commit index that rides the
+// read reply (learnCommit). Like the other golden files, each
 // step pins the ENTIRE Ready batch so a change to what the driver would
 // send or resolve shows up as a precise diff.
 
@@ -379,7 +380,7 @@ func TestGoldenFollowerForward(t *testing.T) {
 		})
 		c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 5})
 		assertReady(t, c.TakeReady(), Ready{
-			Messages: []Message{{Type: MsgReadIndexResponse, From: 1, To: 3, Term: 1, ReadCtx: 42, Success: true, MatchIndex: 1}},
+			Messages: []Message{{Type: MsgReadIndexResponse, From: 1, To: 3, Term: 1, ReadCtx: 42, Success: true, MatchIndex: 1, LeaderCommit: 1}},
 		})
 	})
 	t.Run("leader with a valid lease answers a forward instantly", func(t *testing.T) {
@@ -388,7 +389,7 @@ func TestGoldenFollowerForward(t *testing.T) {
 		c.TakeReady()
 		c.Step(Message{Type: MsgReadIndexRequest, From: 3, To: 1, Term: 1, ReadCtx: 43})
 		assertReady(t, c.TakeReady(), Ready{
-			Messages: []Message{{Type: MsgReadIndexResponse, From: 1, To: 3, Term: 1, ReadCtx: 43, Success: true, MatchIndex: 1}},
+			Messages: []Message{{Type: MsgReadIndexResponse, From: 1, To: 3, Term: 1, ReadCtx: 43, Success: true, MatchIndex: 1, LeaderCommit: 1}},
 		})
 		if got := c.Counters().LeaseReads; got != 1 {
 			t.Fatalf("LeaseReads = %d, want 1", got)
@@ -399,6 +400,136 @@ func TestGoldenFollowerForward(t *testing.T) {
 		f.Step(Message{Type: MsgReadIndexRequest, From: 3, To: 2, Term: 1, ReadCtx: 9})
 		assertReady(t, f.TakeReady(), Ready{
 			Messages: []Message{{Type: MsgReadIndexResponse, From: 2, To: 3, Term: 1, ReadCtx: 9}},
+		})
+	})
+}
+
+// TestGoldenLearnCommit pins the follower's one commit rule. A successful
+// read reply carries the leader's commit index, and the follower believes it
+// exactly as far as its log is known to be the current-term leader's log:
+// commitIndex = min(LeaderCommit, leaderMatch), whatever message named it.
+func TestGoldenLearnCommit(t *testing.T) {
+	members := []types.NodeID{1, 2, 3}
+	noop := LogEntry{Term: 1, Kind: EntryNoOp}
+	e := func(term types.Time, s string) LogEntry {
+		return LogEntry{Term: term, Kind: EntryCommand, Command: []byte(s)}
+	}
+	app := func(from types.NodeID, term types.Time, prev int, prevTerm types.Time, commit int, es ...LogEntry) Message {
+		return Message{Type: MsgAppendEntries, From: from, To: 2, Term: term,
+			PrevLogIndex: prev, PrevLogTerm: prevTerm, Entries: es, LeaderCommit: commit}
+	}
+	reply := func(from types.NodeID, term types.Time, ctx uint64, idx, commit int) Message {
+		return Message{Type: MsgReadIndexResponse, From: from, To: 2, Term: term,
+			ReadCtx: ctx, Success: true, MatchIndex: idx, LeaderCommit: commit}
+	}
+	applied := func(idx int, en LogEntry) ApplyMsg {
+		return ApplyMsg{Index: idx, Term: en.Term, Kind: en.Kind, Command: en.Command}
+	}
+
+	t.Run("a reply commits through min(LeaderCommit, leaderMatch), delivered with the ReadState, clipped to stable", func(t *testing.T) {
+		c := follower(2, members, HardState{Term: 1}, []LogEntry{noop})
+		c.Step(app(1, 1, 1, 1, 1, e(1, "a"))) // index 2
+		c.TakeReady()                         // 2 is stable; the no-op is applied
+		c.Step(app(1, 1, 2, 1, 1, e(1, "b"))) // index 3, its write left outstanding
+		assertUnstable(t, c, Unstable{FirstIndex: 3, Entries: []LogEntry{e(1, "b")}})
+
+		// The leader committed through 5; this log is its log through 3.
+		c.Step(reply(1, 1, 7, 3, 5))
+		if got := c.CommitIndex(); got != 3 {
+			t.Fatalf("CommitIndex = %d, want min(5, 3)", got)
+		}
+		assertEffects(t, c, Effects{
+			ReadStates: []ReadState{{ReqID: 7, Index: 3}},
+			Committed:  []ApplyMsg{applied(2, e(1, "a"))}, // 3 is not on disk yet
+		})
+		c.Stable()
+		assertEffects(t, c, Effects{
+			Messages:  []Message{{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 3}},
+			Committed: []ApplyMsg{applied(3, e(1, "b"))},
+		})
+	})
+
+	// Teeth: believing the reply through lastIndex instead of leaderMatch
+	// commits x, an entry no quorum ever held.
+	t.Run("stale suffix: a reply before the log is repaired commits nothing", func(t *testing.T) {
+		// S2 led term 1 and holds x@3, which never left it. S1 then won term 2
+		// from [no-op, a], put its own no-op at 3 and c at 4, and committed 3.
+		x := e(1, "x")
+		c := follower(2, members, HardState{Term: 1, VotedFor: 2}, []LogEntry{noop, e(1, "a"), x})
+		// S1's first probe sits past the end of this log: rejected.
+		c.Step(app(1, 2, 4, 2, 3))
+		assertReady(t, c.TakeReady(), Ready{
+			HardState: &HardState{Term: 2},
+			Messages:  []Message{{Type: MsgAppendResponse, From: 2, To: 1, Term: 2, HintIndex: 3}},
+		})
+		if err := c.ForwardReadIndex(9); err != nil {
+			t.Fatal(err)
+		}
+		c.TakeReady()
+		c.Step(reply(1, 2, 9, 3, 3))
+		assertReady(t, c.TakeReady(), Ready{ReadStates: []ReadState{{ReqID: 9, Index: 3}}})
+		if got := c.CommitIndex(); got != 0 {
+			t.Fatalf("CommitIndex = %d: committed a suffix never matched against the leader", got)
+		}
+		// The repair replaces x, and only then does index 3 commit.
+		noop2 := LogEntry{Term: 2, Kind: EntryNoOp}
+		c.Step(app(1, 2, 2, 1, 3, noop2, e(2, "c")))
+		assertReady(t, c.TakeReady(), Ready{
+			FirstIndex: 3,
+			Entries:    []LogEntry{noop2, e(2, "c")},
+			Messages:   []Message{{Type: MsgAppendResponse, From: 2, To: 1, Term: 2, Success: true, MatchIndex: 4}},
+			Committed:  []ApplyMsg{applied(1, noop), applied(2, e(1, "a")), applied(3, noop2)},
+		})
+	})
+
+	t.Run("a reply from another term or another node moves nothing", func(t *testing.T) {
+		c := follower(2, members, HardState{Term: 1}, []LogEntry{noop, e(1, "a"), e(1, "b")})
+		c.Step(app(1, 1, 3, 1, 1))
+		c.TakeReady()                // leader S1, leaderMatch 3, commit 1
+		c.Step(reply(3, 1, 7, 3, 3)) // S3 is not the leader
+		assertReady(t, c.TakeReady(), Ready{ReadStates: []ReadState{{ReqID: 7, Index: 3}}})
+		// S1 is re-elected at term 2 and matches this log through 3 again; a
+		// reply it sent in term 1 arrives late.
+		c.Step(app(1, 2, 3, 1, 1))
+		c.TakeReady()
+		c.Step(reply(1, 1, 8, 3, 3))
+		assertReady(t, c.TakeReady(), Ready{ReadStates: []ReadState{{ReqID: 8, Index: 3}}})
+		if got := c.CommitIndex(); got != 1 {
+			t.Fatalf("CommitIndex = %d, want 1", got)
+		}
+	})
+
+	t.Run("a reordered older append does not lower leaderMatch", func(t *testing.T) {
+		c := follower(2, members, HardState{Term: 1}, []LogEntry{noop})
+		c.Step(app(1, 1, 1, 1, 1, e(1, "a"), e(1, "b"))) // matches through 3
+		c.Step(app(1, 1, 1, 1, 1, e(1, "a")))            // sent earlier, arrives later
+		c.TakeReady()
+		c.Step(reply(1, 1, 7, 3, 3))
+		assertReady(t, c.TakeReady(), Ready{
+			ReadStates: []ReadState{{ReqID: 7, Index: 3}},
+			Committed:  []ApplyMsg{applied(2, e(1, "a")), applied(3, e(1, "b"))},
+		})
+	})
+
+	t.Run("a fresh leader replies with read index termStart and LeaderCommit below it", func(t *testing.T) {
+		// As in TestGoldenReadFloorTermStart: S1 wins term 2 over two term-1
+		// entries, its no-op lands at 3 and its commit index is still 0.
+		c := New(Config{ID: 1, Members: members, ElectionTicks: 1, Jitter: func() int { return 0 }},
+			HardState{Term: 1}, Snapshot{}, []LogEntry{e(1, "a"), e(1, "b")})
+		c.Tick()
+		c.TakeReady()
+		c.Step(Message{Type: MsgPreVoteResponse, From: 2, To: 1, Term: 2, Granted: true})
+		c.TakeReady()
+		c.Step(Message{Type: MsgVoteResponse, From: 2, To: 1, Term: 2, Granted: true})
+		c.TakeReady() // no-op broadcast (seq 1, 2)
+		c.Step(Message{Type: MsgReadIndexRequest, From: 3, To: 1, Term: 2, ReadCtx: 11})
+		c.TakeReady() // barrier round (seq 3, 4)
+		// S2 confirms leadership while its copy of the no-op is still being
+		// written (ack clamped to its stable index 2): nothing commits.
+		c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 2, Success: true, MatchIndex: 2, Seq: 3})
+		assertReady(t, c.TakeReady(), Ready{
+			Messages: []Message{{Type: MsgReadIndexResponse, From: 1, To: 3, Term: 2, ReadCtx: 11,
+				Success: true, MatchIndex: 3, LeaderCommit: 0}},
 		})
 	})
 }

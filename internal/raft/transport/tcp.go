@@ -139,12 +139,25 @@ func (t *TCPTransport) Reconnects() uint64 { return t.reconnects.Load() }
 func (t *TCPTransport) group(g raft.GroupID) *groupCounters {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.groupLocked(g)
+}
+
+func (t *TCPTransport) groupLocked(g raft.GroupID) *groupCounters {
 	gc := t.groups[g]
 	if gc == nil {
 		gc = &groupCounters{}
 		t.groups[g] = gc
 	}
 	return gc
+}
+
+// route is the receive path's one locked lookup per inbound envelope: group
+// g's inbox (nil when none is registered) and counter block, and whether
+// the transport has closed.
+func (t *TCPTransport) route(g raft.GroupID) (inbox chan<- raft.Message, gc *groupCounters, closed bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.inboxes[g], t.groupLocked(g), t.closed
 }
 
 // Endpoint registers inbox as group g's demux target and returns a
@@ -224,15 +237,11 @@ func (t *TCPTransport) receive(conn net.Conn) {
 		if err := dec.Decode(&env); err != nil {
 			return
 		}
-		t.mu.Lock()
-		closed := t.closed
-		inbox, ok := t.inboxes[env.Group]
-		t.mu.Unlock()
+		inbox, gc, closed := t.route(env.Group)
 		if closed {
 			return
 		}
-		gc := t.group(env.Group)
-		if !ok {
+		if inbox == nil {
 			// No inbox registered for this group (not hosted here, or its
 			// node already stopped): shed, charged to the envelope's group.
 			t.shed.Add(1)
@@ -327,6 +336,11 @@ func (ps *peerSender) loop() {
 		}
 	}()
 	backoff := dialBackoffMin
+	// One timer for every dial back-off: under go 1.22 a time.After left
+	// behind by the stop case stays allocated until it fires.
+	retry := time.NewTimer(0)
+	<-retry.C
+	defer retry.Stop()
 	for {
 		select {
 		case <-ps.stop:
@@ -350,10 +364,11 @@ func (ps *peerSender) loop() {
 				if backoff > dialBackoffMax {
 					backoff = dialBackoffMax
 				}
+				retry.Reset(delay) // stopped or drained: the only receive is below
 				select {
 				case <-ps.stop:
 					return
-				case <-time.After(delay):
+				case <-retry.C:
 				}
 			}
 			if err := enc.Encode(env); err != nil {
