@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-teeth check bench bench-evidence bench-reads-smoke benchmark-smoke bench-compare chaos chaos-smoke chaos-teeth chaos-elections chaos-leases chaos-disk sim-sweep sim-teeth sim-sweep-groups sim-teeth-groups
+.PHONY: all build test race vet lint lint-teeth check loc bench bench-evidence bench-reads-smoke benchmark-smoke bench-compare chaos chaos-smoke chaos-teeth chaos-elections chaos-leases chaos-disk sim-sweep sim-teeth sim-sweep-groups sim-teeth-groups
 
 all: check
 
@@ -43,6 +43,18 @@ lint-teeth:
 
 # check is the full CI gate.
 check: build vet lint lint-teeth race
+
+# loc prints the Go line budget ROADMAP item 1 tracks: the module's own
+# non-test / test / total lines, with the canonical benchmark and the lint
+# fixtures (separate modules of deliberately wrong code) listed apart.
+loc:
+	@count() { xargs -0 cat | wc -l; }; \
+	own() { find . -name '*.go' -not -path './benchmark/*' -not -path './internal/lint/testdata/*' \
+		-not -path './.bench_build/*' "$$@" -print0; }; \
+	nontest=$$(own -not -name '*_test.go' | count); test=$$(own -name '*_test.go' | count); \
+	echo "go lines: non-test $$nontest, test $$test, total $$((nontest + test))"; \
+	echo "listed apart: benchmark/ $$(find benchmark -name '*.go' -print0 | count)," \
+		"internal/lint/testdata $$(find internal/lint/testdata -name '*.go' -print0 | count)"
 
 # chaos is the full local sweep: 200 seeded nemesis schedules against live
 # clusters with file-backed WALs, every run checked against the safety
@@ -121,33 +133,33 @@ sim-teeth-groups:
 	$(GO) run ./cmd/raft-chaos -teeth -groups 2 -seeds 1
 
 # bench is the smoke pass CI runs: every Go benchmark once (-benchtime=1x,
-# no test functions), then a small durable batched-vs-unbatched Fig. 16
-# ablation written as BENCH_smoke.json. No thresholds — it just must
-# complete, so the benchmarks can't bit-rot.
+# no test functions), then a small durable Fig. 16 run written as
+# BENCH_smoke.json. No thresholds — it just must complete, so the benchmarks
+# can't bit-rot.
 bench:
 	$(GO) test -bench . -benchtime=1x -benchmem -run '^$$' ./...
 	$(GO) run ./cmd/raft-bench -requests 800 -reconfig-every 200 -clients 16 \
-		-latency 50us -jitter 20us -durable -ab -window 200 -json BENCH_smoke.json
+		-latency 50us -jitter 20us -durable -window 200 -json BENCH_smoke.json
 	$(GO) run ./cmd/raft-bench -recovery -recovery-histories 2000,4000
 	$(GO) run ./cmd/raft-bench -shards 1,2 -shard-requests 600
 
 # bench-evidence regenerates one committed BENCH_<n>.json, selected by
-# number (make bench-evidence BENCH=<n>):
-#   2   Fig. 16 series with group commit on and off (32 clients, file WALs)
+# number (make bench-evidence BENCH=<n>). BENCH_2.json (Fig. 16 with group
+# commit on and off) is frozen evidence from before PR 12 and has no target:
+# every write goes through the write lane now, and Fig. 16 lives in the
+# canonical benchmark's reconfig-fig16 workload.
 #   7   restart recovery and follower catch-up, compacted vs full WAL
 #   9   multi-raft shard scaling (the same 16 clients vs 1/2/4/8 groups,
 #       per-group WAL device latency per DESIGN.md's substitution table)
 #   10  read-path mode grid (ReadIndex / lease / follower) and the
 #       follower-scaling sweep
-BENCH ?= 2
+BENCH ?= 7
 bench-evidence:
 	@case "$(BENCH)" in \
-	2) $(GO) run ./cmd/raft-bench -requests 5000 -reconfig-every 1000 -clients 32 \
-		-latency 50us -jitter 20us -durable -ab -runs 2 -window 500 -json BENCH_2.json ;; \
 	7) $(GO) run ./cmd/raft-bench -recovery -json BENCH_7.json ;; \
 	9) $(GO) run ./cmd/raft-bench -shards 1,2,4,8 -json BENCH_9.json ;; \
 	10) $(GO) run ./cmd/raft-bench -reads -json BENCH_10.json ;; \
-	*) echo "unknown BENCH=$(BENCH) (known: 2, 7, 9, 10)"; exit 1 ;; \
+	*) echo "unknown BENCH=$(BENCH) (known: 7, 9, 10)"; exit 1 ;; \
 	esac
 
 # bench-reads-smoke is the CI slice of BENCH 10: the same mode grid and

@@ -75,14 +75,14 @@ func BenchmarkRuntimeThroughputNoReconfig(b *testing.B) {
 	}
 }
 
-// --- E1b: group-commit throughput (batched vs unbatched hot path) ---------
+// --- E1b: group-commit throughput ------------------------------------------
 
-// benchProposeThroughput drives 64 concurrent proposers against a
-// single-node raft on a real FileStorage WAL. The batched variant goes
-// through ProposeAsync (group commit: one frame + one fsync per flush);
-// the unbatched variant calls the synchronous Propose (one fsync per
-// command). fsyncs/op is reported from a CountingStorage wrapper.
-func benchProposeThroughput(b *testing.B, unbatched bool) {
+// BenchmarkProposeThroughputBatched drives 64 concurrent proposers against
+// a single-node raft on a real FileStorage WAL through ProposeAsync — the
+// node's one write entry (group commit: whatever accumulated while a write
+// was in flight shares the next frame and fsync). fsyncs/op is reported
+// from a CountingStorage wrapper.
+func BenchmarkProposeThroughputBatched(b *testing.B) {
 	fs, err := raft.OpenFileStorage(filepath.Join(b.TempDir(), "wal"))
 	if err != nil {
 		b.Fatal(err)
@@ -102,10 +102,7 @@ func benchProposeThroughput(b *testing.B, unbatched bool) {
 		}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, role, _ := n.Status(); role == raft.Leader {
-			break
-		}
+	for n.Snapshot().Role != raft.Leader {
 		if !time.Now().Before(deadline) {
 			b.Fatal("single node did not elect itself")
 		}
@@ -126,13 +123,7 @@ func benchProposeThroughput(b *testing.B, unbatched bool) {
 				if next.Add(1) > int64(b.N) {
 					return
 				}
-				var err error
-				if unbatched {
-					_, _, err = n.Propose(cmd)
-				} else {
-					_, _, err = n.ProposeAsync(cmd).Wait()
-				}
-				if err != nil {
+				if _, _, err := n.ProposeAsync(cmd).Wait(); err != nil {
 					b.Error(err)
 					return
 				}
@@ -143,14 +134,6 @@ func benchProposeThroughput(b *testing.B, unbatched bool) {
 	b.StopTimer()
 	b.ReportMetric(float64(cs.Syncs()-base)/float64(b.N), "fsyncs/op")
 }
-
-// BenchmarkProposeThroughputBatched measures the group-commit hot path:
-// many proposals share each WAL frame, fsync, and AppendEntries broadcast.
-func BenchmarkProposeThroughputBatched(b *testing.B) { benchProposeThroughput(b, false) }
-
-// BenchmarkProposeThroughputUnbatched is the naive baseline: one durable
-// WAL frame per proposal, serialized under the state lock.
-func BenchmarkProposeThroughputUnbatched(b *testing.B) { benchProposeThroughput(b, true) }
 
 // --- E2: CADO vs Adore model-checking effort ------------------------------
 

@@ -6,7 +6,6 @@
 //	raft-bench -requests 2000 -reconfig-every 400 -window 50
 //	raft-bench -runs 8              # the paper aggregates 8 runs
 //	raft-bench -clients 16          # concurrent closed-loop clients
-//	raft-bench -ab -json BENCH.json # batched vs unbatched, JSON evidence
 //	raft-bench -reads -json BENCH_10.json # read-path modes + follower scaling
 package main
 
@@ -30,13 +29,11 @@ func main() {
 	flag.DurationVar(&opts.NetJitter, "jitter", opts.NetJitter, "simulated latency jitter")
 	flag.Int64Var(&opts.Seed, "seed", opts.Seed, "random seed")
 	flag.IntVar(&opts.Clients, "clients", 1, "concurrent closed-loop clients")
-	flag.BoolVar(&opts.Unbatched, "unbatched", false, "bypass group commit (one fsync per command)")
 	flag.BoolVar(&opts.Durable, "durable", false, "back each node with a file WAL (fsync on the critical path)")
 	flag.BoolVar(&opts.DisablePreVote, "disable-prevote", false, "turn off Pre-Vote (measure reconfiguration without election robustness)")
 	flag.BoolVar(&opts.DisableCheckQuorum, "disable-checkquorum", false, "turn off CheckQuorum step-down")
 	window := flag.Int("window", 100, "requests per report window")
 	runs := flag.Int("runs", 1, "independent runs (the paper reports 8)")
-	ab := flag.Bool("ab", false, "run the batching ablation: the same workload batched AND unbatched")
 	jsonPath := flag.String("json", "", "also write the runs as JSON to this file (BENCH_*.json evidence)")
 	availability := flag.Bool("availability", false, "run the liveness/availability probe instead of Fig. 16")
 	recovery := flag.Bool("recovery", false, "run the restart-recovery/catch-up grid (compacted vs full WAL) instead of Fig. 16")
@@ -150,7 +147,10 @@ func main() {
 	}
 
 	var results []bench.Fig16JSON
-	execute := func(o bench.Fig16Options, name string) {
+	for run := 0; run < *runs; run++ {
+		o := opts
+		o.Seed = opts.Seed + int64(run)
+		name := fmt.Sprintf("fig16-run%d", run+1)
 		res, err := bench.RunFig16(o)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
@@ -161,23 +161,6 @@ func main() {
 		fmt.Println()
 		results = append(results, res.JSON(name, o, *window))
 		time.Sleep(50 * time.Millisecond) // let goroutines drain between runs
-	}
-
-	for run := 0; run < *runs; run++ {
-		o := opts
-		o.Seed = opts.Seed + int64(run)
-		if *ab {
-			o.Unbatched = false
-			execute(o, fmt.Sprintf("batched-run%d", run+1))
-			o.Unbatched = true
-			execute(o, fmt.Sprintf("unbatched-run%d", run+1))
-		} else {
-			name := "fig16"
-			if o.Unbatched {
-				name = "fig16-unbatched"
-			}
-			execute(o, fmt.Sprintf("%s-run%d", name, run+1))
-		}
 	}
 
 	if *jsonPath != "" {

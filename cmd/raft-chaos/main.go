@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"adore/internal/chaos"
+	"adore/internal/raft"
 )
 
 func main() {
@@ -109,20 +110,22 @@ func main() {
 	}
 
 	opt := chaos.Options{
-		Nodes:              *nodes,
-		Clients:            *clients,
-		OpsPerClient:       *ops,
-		Keys:               *keys,
-		Duration:           *duration,
-		MemWAL:             *mem,
-		DisableR2:          *disableR2,
-		DisableR3:          *disableR3,
-		DisablePreVote:     *disPV,
-		DisableCheckQuorum: *disCQ,
-		DisableLeaseGuard:  *disLG,
-		SnapshotThreshold:  *snapThr,
-		Groups:             *groups,
-		EarlyStable:        *earlySt,
+		Nodes:        *nodes,
+		Clients:      *clients,
+		OpsPerClient: *ops,
+		Keys:         *keys,
+		Duration:     *duration,
+		MemWAL:       *mem,
+		Ablation: raft.Ablation{
+			DisableR2:          *disableR2,
+			DisableR3:          *disableR3,
+			DisablePreVote:     *disPV,
+			DisableCheckQuorum: *disCQ,
+			DisableLeaseGuard:  *disLG,
+		},
+		SnapshotThreshold: *snapThr,
+		Groups:            *groups,
+		EarlyStable:       *earlySt,
 	}
 
 	if leaseTeeth {

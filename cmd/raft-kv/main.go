@@ -21,8 +21,12 @@
 //
 // Commands: get K | put K V | delete K | cas K OLD NEW | members | status |
 // addserver ID | removeserver ID | transfer [ID]. Writes must be sent to
-// the key's shard leader (responses include a redirect hint otherwise);
-// membership and transfer commands apply to every group the host runs.
+// the key's shard leader (responses include a redirect hint otherwise) and
+// answer with the applied result: put OK; delete OK or NOTFOUND; cas OK or
+// NOTSWAPPED. Every connection is its own client session (a random 64-bit
+// client ID, a per-connection sequence number) in the replicated dedup
+// table, so a restarted replica never mistakes a new request for an old one.
+// Membership and transfer commands apply to every group the host runs.
 //
 // Reads are linearizable by default: -read-mode selects the barrier get
 // runs before serving. follower (the default) forwards a ReadIndex barrier
@@ -43,12 +47,12 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math/rand"
 	"net"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -86,69 +90,32 @@ func main() {
 		}
 	}
 
-	id := types.NodeID(*idFlag)
-	shards := *shardsFlag
-	if shards < 1 {
-		shards = 1
-	}
 	peers, err := parsePeers(*peersFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if _, ok := peers[id]; !ok {
-		fmt.Fprintf(os.Stderr, "node %d missing from -peers\n", id)
+	cfg := config{
+		id:              types.NodeID(*idFlag),
+		listen:          *listen,
+		peers:           peers,
+		shards:          max(*shardsFlag, 1),
+		walDir:          *walDir,
+		snapThreshold:   *snapThr,
+		electionTimeout: *timeoutMin,
+		ablation: raft.Ablation{
+			DisablePreVote:     *disPV,
+			DisableCheckQuorum: *disCQ,
+			DisableLeaseRead:   *disLease,
+		},
+		readLocal: readLocal,
+		readMode:  readMode,
+	}
+	if _, ok := peers[cfg.id]; !ok {
+		fmt.Fprintf(os.Stderr, "node %d missing from -peers\n", cfg.id)
 		os.Exit(2)
 	}
-	members := make([]types.NodeID, 0, len(peers))
-	for pid := range peers {
-		members = append(members, pid)
-	}
-
-	stores := make([]*kvstore.Store, shards)
-	for g := range stores {
-		stores[g] = kvstore.NewStore()
-	}
-
-	tr, err := transport.NewTCPTransport(id, *listen, peers, nil)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	hostOpts := multiraft.Options{
-		ID:                 id,
-		Members:            members,
-		Groups:             shards,
-		Transport:          tr,
-		ElectionTimeoutMin: *timeoutMin,
-		SnapshotThreshold:  *snapThr,
-		DisablePreVote:     *disPV,
-		DisableCheckQuorum: *disCQ,
-		DisableLeaseRead:   *disLease,
-		Seed:               int64(id),
-		StateMachineFor:    func(g raft.GroupID) raft.StateMachine { return stores[g] },
-		OnApply: func(g raft.GroupID, batch []raft.ApplyMsg) {
-			for _, msg := range batch {
-				stores[g].Apply(msg)
-			}
-		},
-	}
-	if *walDir != "" {
-		if shards == 1 {
-			// Single-group deployments keep the flat pre-shards layout, so
-			// existing WAL directories recover unchanged.
-			fs, err := raft.OpenFileStorage(*walDir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			hostOpts.StorageFor = func(raft.GroupID) raft.Storage { return fs }
-		} else {
-			hostOpts.StorageRoot = *walDir
-		}
-	}
-	host, err := multiraft.Start(hostOpts)
+	srv, err := start(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -164,8 +131,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("raft-kv node %s: raft on %s, clients on %s, %d shard(s), members %v\n",
-		id, *listen, caddr, shards, members)
-	srv := &server{shards: shards, host: host, stores: stores, readLocal: readLocal, readMode: readMode}
+		cfg.id, *listen, caddr, cfg.shards, srv.members)
 	go srv.serve(ln)
 
 	sig := make(chan os.Signal, 1)
@@ -173,8 +139,86 @@ func main() {
 	<-sig
 	fmt.Println("shutting down")
 	ln.Close()
-	host.Stop()
-	tr.Close()
+	srv.stop()
+}
+
+// config is one replica's deployment: what the flags say.
+type config struct {
+	id              types.NodeID
+	listen          string
+	peers           map[types.NodeID]string
+	shards          int
+	walDir          string
+	snapThreshold   int
+	electionTimeout time.Duration
+	ablation        raft.Ablation
+	readLocal       bool             // -read-mode local: serve gets with no barrier
+	readMode        kvstore.ReadMode // barrier used by get when !readLocal
+}
+
+// start brings one replica up: the TCP transport, one state machine per
+// shard, and the multiraft host over them.
+func start(cfg config) (*server, error) {
+	members := make([]types.NodeID, 0, len(cfg.peers))
+	for pid := range cfg.peers {
+		members = append(members, pid)
+	}
+	stores := make([]*kvstore.Store, cfg.shards)
+	for g := range stores {
+		stores[g] = kvstore.NewStore()
+	}
+	tr, err := transport.NewTCPTransport(cfg.id, cfg.listen, cfg.peers, nil)
+	if err != nil {
+		return nil, err
+	}
+	srv := &server{cfg: cfg, members: members, tr: tr, stores: stores}
+	hostOpts := multiraft.Options{
+		ID:                 cfg.id,
+		Members:            members,
+		Groups:             cfg.shards,
+		Transport:          tr,
+		ElectionTimeoutMin: cfg.electionTimeout,
+		SnapshotThreshold:  cfg.snapThreshold,
+		Ablation:           cfg.ablation,
+		Seed:               int64(cfg.id),
+		StateMachineFor:    func(g raft.GroupID) raft.StateMachine { return stores[g] },
+		OnApply: func(g raft.GroupID, batch []raft.ApplyMsg) {
+			for _, msg := range batch {
+				stores[g].Apply(msg)
+			}
+		},
+	}
+	if cfg.walDir != "" {
+		if cfg.shards == 1 {
+			// Single-group deployments keep the flat pre-shards layout, so
+			// existing WAL directories recover unchanged.
+			fs, err := raft.OpenFileStorage(cfg.walDir)
+			if err != nil {
+				tr.Close()
+				return nil, err
+			}
+			srv.wal = fs
+			hostOpts.StorageFor = func(raft.GroupID) raft.Storage { return fs }
+		} else {
+			hostOpts.StorageRoot = cfg.walDir
+		}
+	}
+	if srv.host, err = multiraft.Start(hostOpts); err != nil {
+		srv.stop()
+		return nil, err
+	}
+	return srv, nil
+}
+
+// stop shuts the replica down and releases its sockets and WAL.
+func (s *server) stop() {
+	if s.host != nil {
+		s.host.Stop()
+	}
+	s.tr.Close()
+	if s.wal != nil {
+		s.wal.Close()
+	}
 }
 
 func parsePeers(s string) (map[types.NodeID]string, error) {
@@ -214,17 +258,32 @@ func bumpPort(addr string, by int) string {
 
 // server routes client commands to their key's shard.
 type server struct {
-	shards    int
-	host      *multiraft.Host
-	stores    []*kvstore.Store
-	readLocal bool             // -read-mode local: serve gets with no barrier
-	readMode  kvstore.ReadMode // barrier used by get when !readLocal
-	seq       atomic.Uint64    // shared by all connection goroutines
+	cfg     config
+	members []types.NodeID // initial membership (every -peers entry)
+	tr      *transport.TCPTransport
+	host    *multiraft.Host
+	stores  []*kvstore.Store
+	wal     raft.Storage // the flat single-shard WAL start opened (else nil)
+}
+
+// session is one client connection's identity in the replicated dedup
+// table. The line protocol has at most one request outstanding per
+// connection — exactly the table's contract — and a fresh random client ID
+// per connection means a sequence restarting at 1 (new connection, restarted
+// replica) never collides with what an earlier session already applied.
+type session struct {
+	srv    *server
+	client uint64
+	seq    uint64
+}
+
+func (s *server) newSession() *session {
+	return &session{srv: s, client: rand.Uint64()}
 }
 
 // route returns the raft node and state machine responsible for key.
 func (s *server) route(key string) (*raft.Node, *kvstore.Store) {
-	g := kvstore.ShardOf(key, s.shards)
+	g := kvstore.ShardOf(key, s.cfg.shards)
 	return s.host.Node(g), s.stores[g]
 }
 
@@ -239,8 +298,9 @@ func (s *server) serve(ln net.Listener) {
 			sc := bufio.NewScanner(conn)
 			w := bufio.NewWriter(conn)
 			defer w.Flush()
+			sess := s.newSession()
 			for sc.Scan() {
-				reply := s.handleCommand(strings.Fields(sc.Text()))
+				reply := sess.handleCommand(strings.Fields(sc.Text()))
 				fmt.Fprintln(w, reply)
 				w.Flush()
 			}
@@ -252,7 +312,7 @@ func (s *server) serve(ln net.Listener) {
 // one reply ("OK" when all groups succeed).
 func (s *server) eachGroup(f func(*raft.Node) error) string {
 	var errs []string
-	for g := 0; g < s.shards; g++ {
+	for g := 0; g < s.cfg.shards; g++ {
 		if err := f(s.host.Node(raft.GroupID(g))); err != nil {
 			errs = append(errs, fmt.Sprintf("g%d: %s", g, err))
 		}
@@ -270,7 +330,7 @@ func (s *server) eachGroup(f func(*raft.Node) error) string {
 // local state machine to apply up to the barrier index before serving.
 func (s *server) get(key string) string {
 	node, store := s.route(key)
-	if s.readLocal {
+	if s.cfg.readLocal {
 		if v, ok := store.LocalGet(key); ok {
 			return "VALUE " + v
 		}
@@ -279,7 +339,7 @@ func (s *server) get(key string) string {
 	const timeout = 5 * time.Second
 	var idx int
 	var err error
-	switch s.readMode {
+	switch s.cfg.readMode {
 	case kvstore.ReadModeLease:
 		var ok bool
 		if idx, ok = node.LeaseRead(); !ok {
@@ -293,8 +353,7 @@ func (s *server) get(key string) string {
 		idx, err = node.ReadIndex(timeout)
 	}
 	if err != nil {
-		_, _, leader := node.Status()
-		return fmt.Sprintf("ERR read barrier: %s (try %s)", err, leader)
+		return fmt.Sprintf("ERR read barrier: %s (try %s)", err, node.Snapshot().Leader)
 	}
 	if !store.WaitApplied(idx, time.Now().Add(timeout)) {
 		return "ERR timeout waiting for apply"
@@ -305,34 +364,38 @@ func (s *server) get(key string) string {
 	return "NOTFOUND"
 }
 
-func (s *server) handleCommand(fields []string) string {
+// write proposes cmd on this session through the key's shard leader, waits
+// for the local state machine to apply it, and replies with what it did.
+func (c *session) write(cmd kvstore.Command) string {
+	node, store := c.srv.route(cmd.Key)
+	c.seq++
+	cmd.Client, cmd.Seq = c.client, c.seq
+	idx, _, err := node.ProposeAsync(cmd.Encode()).Wait()
+	if err != nil {
+		return fmt.Sprintf("ERR not leader (try %s)", node.Snapshot().Leader)
+	}
+	if !store.WaitApplied(idx, time.Now().Add(5*time.Second)) {
+		return "ERR timeout"
+	}
+	seq, res := store.LastApplied(c.client)
+	if seq != c.seq {
+		// Another leader's entry landed at our index: ours was never
+		// committed and never will be.
+		return fmt.Sprintf("ERR leadership changed, not applied (try %s)", node.Snapshot().Leader)
+	}
+	if cmd.Op == kvstore.OpDelete && !res.Found {
+		return "NOTFOUND"
+	}
+	if cmd.Op == kvstore.OpCAS && !res.Swapped {
+		return "NOTSWAPPED"
+	}
+	return "OK"
+}
+
+func (c *session) handleCommand(fields []string) string {
+	s := c.srv
 	if len(fields) == 0 {
 		return "ERR empty command"
-	}
-	propose := func(cmd kvstore.Command) string {
-		node, store := s.route(cmd.Key)
-		cmd.Client = uint64(s.host.ID())
-		cmd.Seq = s.seq.Add(1)
-		_, _, err := node.Propose(cmd.Encode())
-		if err != nil {
-			_, _, leader := node.Status()
-			return fmt.Sprintf("ERR not leader (try %s)", leader)
-		}
-		// Poll the local store for the applied result.
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if v, ok := store.LocalGet(cmd.Key); ok && cmd.Op == kvstore.OpPut && v == cmd.Value {
-				return "OK"
-			}
-			if cmd.Op != kvstore.OpPut {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		if cmd.Op == kvstore.OpPut {
-			return "ERR timeout"
-		}
-		return "OK (proposed)"
 	}
 	switch strings.ToLower(fields[0]) {
 	case "get":
@@ -344,38 +407,36 @@ func (s *server) handleCommand(fields []string) string {
 		if len(fields) != 3 {
 			return "ERR usage: put K V"
 		}
-		return propose(kvstore.Command{Op: kvstore.OpPut, Key: fields[1], Value: fields[2]})
+		return c.write(kvstore.Command{Op: kvstore.OpPut, Key: fields[1], Value: fields[2]})
 	case "delete":
 		if len(fields) != 2 {
 			return "ERR usage: delete K"
 		}
-		return propose(kvstore.Command{Op: kvstore.OpDelete, Key: fields[1]})
+		return c.write(kvstore.Command{Op: kvstore.OpDelete, Key: fields[1]})
 	case "cas":
 		if len(fields) != 4 {
 			return "ERR usage: cas K OLD NEW"
 		}
-		return propose(kvstore.Command{Op: kvstore.OpCAS, Key: fields[1], Old: fields[2], Value: fields[3]})
+		return c.write(kvstore.Command{Op: kvstore.OpCAS, Key: fields[1], Old: fields[2], Value: fields[3]})
 	case "members":
 		// Groups reconfigure independently; report each group's view.
-		if s.shards == 1 {
-			return "MEMBERS " + s.host.Node(0).Members().String()
+		if s.cfg.shards == 1 {
+			return "MEMBERS " + s.host.Node(0).Snapshot().Members.String()
 		}
-		parts := make([]string, s.shards)
-		for g := 0; g < s.shards; g++ {
-			parts[g] = fmt.Sprintf("g%d=%s", g, s.host.Node(raft.GroupID(g)).Members())
+		parts := make([]string, s.cfg.shards)
+		for g := range parts {
+			parts[g] = fmt.Sprintf("g%d=%s", g, s.host.Node(raft.GroupID(g)).Snapshot().Members)
 		}
 		return "MEMBERS " + strings.Join(parts, " ")
 	case "status":
-		if s.shards == 1 {
-			node := s.host.Node(0)
-			term, role, leader := node.Status()
-			return fmt.Sprintf("STATUS term=%d role=%s leader=%s commit=%d", term, role, leader, node.CommitIndex())
+		if s.cfg.shards == 1 {
+			st := s.host.Node(0).Snapshot()
+			return fmt.Sprintf("STATUS term=%d role=%s leader=%s commit=%d", st.Term, st.Role, st.Leader, st.CommitIndex)
 		}
-		parts := make([]string, s.shards)
-		for g := 0; g < s.shards; g++ {
-			node := s.host.Node(raft.GroupID(g))
-			term, role, leader := node.Status()
-			parts[g] = fmt.Sprintf("g%d[term=%d role=%s leader=%s commit=%d]", g, term, role, leader, node.CommitIndex())
+		parts := make([]string, s.cfg.shards)
+		for g := range parts {
+			st := s.host.Node(raft.GroupID(g)).Snapshot()
+			parts[g] = fmt.Sprintf("g%d[term=%d role=%s leader=%s commit=%d]", g, st.Term, st.Role, st.Leader, st.CommitIndex)
 		}
 		return "STATUS " + strings.Join(parts, " ")
 	case "addserver":
@@ -387,7 +448,7 @@ func (s *server) handleCommand(fields []string) string {
 			return "ERR bad id"
 		}
 		return s.eachGroup(func(n *raft.Node) error {
-			_, _, err := n.AddServer(types.NodeID(id))
+			_, _, err := n.ProposeConfig(n.Snapshot().Members.Add(types.NodeID(id)))
 			return err
 		})
 	case "removeserver":
@@ -399,7 +460,7 @@ func (s *server) handleCommand(fields []string) string {
 			return "ERR bad id"
 		}
 		return s.eachGroup(func(n *raft.Node) error {
-			_, _, err := n.RemoveServer(types.NodeID(id))
+			_, _, err := n.ProposeConfig(n.Snapshot().Members.Remove(types.NodeID(id)))
 			return err
 		})
 	case "transfer":

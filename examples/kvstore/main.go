@@ -70,7 +70,7 @@ func main() {
 		log.Fatal(err)
 	}
 	must(<-done)
-	fmt.Printf("membership now: %v\n", store.Cluster.Leader().Members())
+	fmt.Printf("membership now: %v\n", store.Cluster.Leader().Snapshot().Members)
 
 	// A linearizable read, then wait for replica convergence.
 	if _, _, err := store.Get("load-24", timeout); err != nil {
@@ -78,13 +78,13 @@ func main() {
 	}
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if store.Store(4).Len() == store.Store(1).Len() {
+		if store.Store(0, 4).Len() == store.Store(0, 1).Len() {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	fmt.Printf("replica key counts: S1=%d S2=%d S3=%d S4=%d\n",
-		store.Store(1).Len(), store.Store(2).Len(), store.Store(3).Len(), store.Store(4).Len())
+		store.Store(0, 1).Len(), store.Store(0, 2).Len(), store.Store(0, 3).Len(), store.Store(0, 4).Len())
 	fmt.Println("done ✔")
 }
 

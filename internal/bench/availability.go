@@ -123,7 +123,7 @@ func RunAvailability(opts AvailabilityOptions) (*AvailabilityResult, error) {
 	r.Cluster.Net.Heal()
 
 	// Phase 3: live reconfiguration (remove one follower).
-	members := r.Cluster.Leader().Members()
+	members := r.Cluster.Leader().Snapshot().Members
 	var victim types.NodeID
 	for _, id := range members.Slice() {
 		if id != r.Cluster.Leader().ID() {

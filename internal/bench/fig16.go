@@ -39,22 +39,16 @@ type Fig16Options struct {
 	// Clients is the number of concurrent closed-loop clients (0 or 1:
 	// the paper's single sequential client). With several clients the
 	// group-commit path coalesces their proposals into shared WAL frames
-	// and broadcasts — the batching ablation's load generator.
+	// and broadcasts.
 	Clients int
-	// Unbatched routes proposals through the synchronous Propose path
-	// (one fsync and one broadcast per command) instead of group commit,
-	// isolating what batching buys under the same workload.
-	Unbatched bool
 	// Durable backs every node with a real file WAL in a temporary
-	// directory (removed afterwards). Without it appends are memory-only,
-	// so the batching ablation would measure only broadcast coalescing —
-	// with it, fsync amortization dominates, as on real hardware.
+	// directory (removed afterwards), putting fsync on the critical path
+	// as on real hardware. Without it appends are memory-only.
 	Durable bool
-	// DisablePreVote/DisableCheckQuorum turn off the election-robustness
-	// guards, so the reconfiguration latency spikes can be measured with
-	// and without graceful leadership handling.
-	DisablePreVote     bool
-	DisableCheckQuorum bool
+	// Ablation turns protocol guards off (Pre-Vote, CheckQuorum), so the
+	// reconfiguration latency spikes can be measured with and without
+	// graceful leadership handling.
+	raft.Ablation
 }
 
 // Fig16Defaults returns the paper's parameters (scaled to run in seconds on
@@ -88,12 +82,11 @@ func RunFig16(opts Fig16Options) (*Fig16Result, error) {
 		opts = Fig16Defaults()
 	}
 	clOpts := cluster.Options{
-		N:                  opts.StartNodes,
-		Latency:            opts.NetLatency,
-		Jitter:             opts.NetJitter,
-		Seed:               opts.Seed,
-		DisablePreVote:     opts.DisablePreVote,
-		DisableCheckQuorum: opts.DisableCheckQuorum,
+		N:        opts.StartNodes,
+		Latency:  opts.NetLatency,
+		Jitter:   opts.NetJitter,
+		Seed:     opts.Seed,
+		Ablation: opts.Ablation,
 	}
 	if opts.Durable {
 		dir, err := os.MkdirTemp("", "fig16-wal-")
@@ -101,7 +94,7 @@ func RunFig16(opts Fig16Options) (*Fig16Result, error) {
 			return nil, fmt.Errorf("bench: wal dir: %w", err)
 		}
 		defer os.RemoveAll(dir)
-		clOpts.StorageFor = func(id types.NodeID) raft.Storage {
+		clOpts.StorageFor = func(_ raft.GroupID, id types.NodeID) raft.Storage {
 			fs, err := raft.OpenFileStorage(filepath.Join(dir, fmt.Sprintf("wal-%s", id)))
 			if err != nil {
 				panic(fmt.Sprintf("bench: open wal for %s: %v", id, err))
@@ -110,7 +103,6 @@ func RunFig16(opts Fig16Options) (*Fig16Result, error) {
 		}
 	}
 	r := kvstore.NewReplicated(clOpts)
-	r.Unbatched = opts.Unbatched
 	defer r.Stop()
 	if _, err := r.Cluster.WaitForLeader(opts.Timeout); err != nil {
 		return nil, err

@@ -40,7 +40,6 @@ type Fig16JSON struct {
 	ReconfigEvery int          `json:"reconfig_every"`
 	StartNodes    int          `json:"start_nodes"`
 	Clients       int          `json:"clients"`
-	Unbatched     bool         `json:"unbatched"`
 	Durable       bool         `json:"durable"`
 	NetLatencyUS  float64      `json:"net_latency_us"`
 	NetJitterUS   float64      `json:"net_jitter_us"`
@@ -63,7 +62,6 @@ func (r *Fig16Result) JSON(name string, opts Fig16Options, windowSize int) Fig16
 		ReconfigEvery: opts.ReconfigEvery,
 		StartNodes:    opts.StartNodes,
 		Clients:       opts.Clients,
-		Unbatched:     opts.Unbatched,
 		Durable:       opts.Durable,
 		NetLatencyUS:  us(opts.NetLatency),
 		NetJitterUS:   us(opts.NetJitter),

@@ -191,7 +191,7 @@ func runReadsPoint(mode kvstore.ReadMode, nodes, clients int, serveCost time.Dur
 		NoApplyRecord: true,
 	}
 	if opts.WALLatency > 0 {
-		clOpts.StorageFor = func(types.NodeID) raft.Storage {
+		clOpts.StorageFor = func(raft.GroupID, types.NodeID) raft.Storage {
 			return &delayStorage{inner: raft.NewMemStorage(), delay: opts.WALLatency}
 		}
 	}
@@ -236,7 +236,7 @@ func runReadsPoint(mode kvstore.ReadMode, nodes, clients int, serveCost time.Dur
 					continue
 				}
 				t0 := time.Now()
-				if _, _, err := r.FastGetMode(key, mode, opts.Timeout); err != nil {
+				if _, _, err := cl.FastGetMode(key, mode, opts.Timeout); err != nil {
 					errCh <- fmt.Errorf("read %d (%s): %w", i, mode, err)
 					return
 				}

@@ -52,16 +52,10 @@ type ShardsOptions struct {
 	// shards scale because their WAL pipelines are independent), which a
 	// single shared benchmark-host disk cannot exhibit: every group's
 	// fsync funnels into one device queue there. The serialized section —
-	// the node holds its lock across the append, exactly as with a real
-	// fsync — is the architecture under test; only the device wait is
+	// each group's write lane has one append in flight, exactly as with a
+	// real fsync — is the architecture under test; only the device wait is
 	// simulated.
 	WALLatency time.Duration
-	// Unbatched routes proposals through the synchronous Propose path, one
-	// fsync per command, so the per-group WAL pipeline is the bottleneck
-	// being parallelized. With group commit a single group coalesces the
-	// whole client population into shared frames and the sweep instead
-	// measures apply-loop and leader-CPU parallelism.
-	Unbatched bool
 	// NetLatency/NetJitter simulate the network; the defaults keep them
 	// near zero so the serial per-group pipeline, not request RTT,
 	// dominates (a closed loop over a pure-latency network cannot scale
@@ -83,7 +77,6 @@ func ShardsDefaults() ShardsOptions {
 		Requests:    3000,
 		Keys:        256,
 		WALLatency:  150 * time.Microsecond,
-		Unbatched:   true,
 		NetLatency:  10 * time.Microsecond,
 		Seed:        1,
 		Timeout:     30 * time.Second,
@@ -110,7 +103,6 @@ type ShardsResult struct {
 	Clients      int           `json:"clients"`
 	Durable      bool          `json:"durable"`
 	WALLatencyUS float64       `json:"wal_latency_us"`
-	Unbatched    bool          `json:"unbatched"`
 	Seed         int64         `json:"seed"`
 	Points       []ShardsPoint `json:"points"`
 }
@@ -128,7 +120,6 @@ func RunShards(opts ShardsOptions) (*ShardsResult, error) {
 		Clients:      opts.Clients,
 		Durable:      opts.Durable,
 		WALLatencyUS: us(opts.WALLatency),
-		Unbatched:    opts.Unbatched,
 		Seed:         opts.Seed,
 	}
 	for _, shards := range opts.ShardCounts {
@@ -150,6 +141,7 @@ func RunShards(opts ShardsOptions) (*ShardsResult, error) {
 func runShardsPoint(shards int, opts ShardsOptions) (*ShardsPoint, error) {
 	clOpts := cluster.Options{
 		N:       opts.Nodes,
+		Groups:  shards,
 		Latency: opts.NetLatency,
 		Jitter:  opts.NetJitter,
 		Seed:    opts.Seed,
@@ -164,7 +156,7 @@ func runShardsPoint(shards int, opts ShardsOptions) (*ShardsPoint, error) {
 			return nil, fmt.Errorf("wal dir: %w", err)
 		}
 		defer os.RemoveAll(dir)
-		clOpts.StorageForG = func(g raft.GroupID, id types.NodeID) raft.Storage {
+		clOpts.StorageFor = func(g raft.GroupID, id types.NodeID) raft.Storage {
 			root := filepath.Join(dir, fmt.Sprintf("node-%s", id))
 			fs, err := raft.OpenFileStorage(multiraft.GroupStorageDir(root, g))
 			if err != nil {
@@ -173,15 +165,14 @@ func runShardsPoint(shards int, opts ShardsOptions) (*ShardsPoint, error) {
 			return fs
 		}
 	} else if opts.WALLatency > 0 {
-		clOpts.StorageForG = func(raft.GroupID, types.NodeID) raft.Storage {
+		clOpts.StorageFor = func(raft.GroupID, types.NodeID) raft.Storage {
 			return &delayStorage{inner: raft.NewMemStorage(), delay: opts.WALLatency}
 		}
 	}
-	s := kvstore.NewSharded(shards, clOpts)
-	s.Unbatched = opts.Unbatched
+	s := kvstore.NewReplicated(clOpts)
 	defer s.Stop()
 	for g := raft.GroupID(0); g < raft.GroupID(shards); g++ {
-		if _, err := s.Cluster.WaitForLeaderG(g, opts.Timeout); err != nil {
+		if _, err := s.Cluster.Group(g).WaitForLeader(opts.Timeout); err != nil {
 			return nil, err
 		}
 	}
@@ -237,8 +228,8 @@ func runShardsPoint(shards int, opts ShardsOptions) (*ShardsPoint, error) {
 
 // delayStorage is the storage row of the substitution table: an in-memory
 // WAL whose append path blocks for a fixed device latency, standing in for
-// one dedicated log device per (group, node). The caller (the node, holding
-// its lock) blocks exactly as it would on a real fsync; waits on DIFFERENT
+// one dedicated log device per (group, node). The caller (the node's write
+// lane) blocks exactly as it would on a real fsync; waits on DIFFERENT
 // groups' devices overlap, which is the independence the sweep measures.
 type delayStorage struct {
 	inner *raft.MemStorage
@@ -268,8 +259,8 @@ func (d *delayStorage) Close() error { return d.inner.Close() }
 
 // Print renders the sweep as a table.
 func (r *ShardsResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "shard scaling — %d clients, %d replicas/group, durable=%v, wal latency %s, unbatched=%v\n",
-		r.Clients, r.Nodes, r.Durable, time.Duration(r.WALLatencyUS*1e3), r.Unbatched)
+	fmt.Fprintf(w, "shard scaling — %d clients, %d replicas/group, durable=%v, wal latency %s\n",
+		r.Clients, r.Nodes, r.Durable, time.Duration(r.WALLatencyUS*1e3))
 	t := &Table{Header: []string{
 		"shards", "requests", "elapsed ms", "ops/s", "mean us", "p50 us", "p99 us", "speedup",
 	}}

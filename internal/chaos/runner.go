@@ -134,13 +134,9 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 		Latency:            opt.Latency,
 		Jitter:             opt.Jitter,
 		ElectionTimeoutMin: opt.ElectionTimeoutMin,
-		DisableR2:          opt.DisableR2,
-		DisableR3:          opt.DisableR3,
-		DisablePreVote:     opt.DisablePreVote,
-		DisableCheckQuorum: opt.DisableCheckQuorum,
-		DisableLeaseGuard:  opt.DisableLeaseGuard,
+		Ablation:           opt.Ablation,
 		Seed:               sched.Seed,
-		StorageFor:         func(id types.NodeID) raft.Storage { return faults[id] },
+		StorageFor:         func(_ raft.GroupID, id types.NodeID) raft.Storage { return faults[id] },
 		SnapshotThreshold:  opt.snapThreshold(),
 	})
 	defer r.Stop()
@@ -161,7 +157,7 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 		wg.Add(1)
 		go func(ci int, script []ClientOp) {
 			defer wg.Done()
-			runClient(r, hist, ci, script, start, opt)
+			runClient(r.NewClient(), hist, ci, script, start, opt)
 		}(ci, script)
 	}
 
@@ -189,7 +185,7 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 		faults[id].ClearFaults()
 		if n := c.Node(id); n == nil {
 			c.RestartNode(id, ex.members)
-		} else if n.StorageErr() != nil {
+		} else if n.Snapshot().Err != nil {
 			c.CrashNode(id)
 			c.RestartNode(id, ex.members)
 		}
@@ -249,8 +245,7 @@ func (rc *recorder) snapshot() linear.History {
 // events — a Put whose ack was lost may still have committed, and the
 // checker must be allowed to place it. Timed-out reads are side-effect-free
 // and are simply dropped.
-func runClient(r *kvstore.Replicated, hist *recorder, ci int, script []ClientOp, start time.Time, opt Options) {
-	cl := r.NewClient()
+func runClient(cl *kvstore.Client, hist *recorder, ci int, script []ClientOp, start time.Time, opt Options) {
 	// Ops are paced across the whole horizon (catching up immediately when
 	// a slow op puts the client behind), so the workload overlaps every
 	// nemesis event instead of finishing before the first fault lands.
@@ -264,7 +259,7 @@ func runClient(r *kvstore.Replicated, hist *recorder, ci int, script []ClientOp,
 		}
 		call := int64(time.Since(start))
 		if op.FastRead {
-			v, found, err := r.FastGetMode(op.Key, op.Via, opt.OpTimeout)
+			v, found, err := cl.FastGetMode(op.Key, op.Via, opt.OpTimeout)
 			hist.count(err != nil)
 			if err != nil {
 				continue
@@ -340,13 +335,12 @@ func (ex *executor) apply(e Event) {
 		if l == nil {
 			return
 		}
-		target := l.Members()
+		members := l.Snapshot().Members
+		target := members.Add(e.Node)
 		if e.Kind == EvReconfigRemove {
-			target = target.Remove(e.Node)
-		} else {
-			target = target.Add(e.Node)
+			target = members.Remove(e.Node)
 		}
-		if target.Len() == l.Members().Len() {
+		if target.Len() == members.Len() {
 			return // already applied or already absent
 		}
 		// Best effort: under faults the change may be rejected (R2/R3) or
@@ -382,7 +376,7 @@ func (ex *executor) apply(e Event) {
 		if l == nil {
 			return
 		}
-		members := l.Members()
+		members := l.Snapshot().Members
 		if !members.Contains(l.ID()) || members.Len() <= 3 {
 			return
 		}
@@ -459,7 +453,7 @@ func (ex *executor) shed() {
 	if ex.partLeader == nil {
 		return
 	}
-	members := ex.partLeader.Members()
+	members := ex.partLeader.Snapshot().Members
 	for _, id := range ex.far {
 		if members.Contains(id) {
 			ex.partLeader.ProposeConfig(members.Remove(id))
@@ -503,13 +497,13 @@ func waitConverged(c *cluster.Cluster, timeout time.Duration) string {
 	for time.Now().Before(deadline) {
 		if l := c.Leader(); l != nil {
 			lo, hi, ok := 0, 0, true
-			for i, id := range l.Members().Slice() {
+			for i, id := range l.Snapshot().Members.Slice() {
 				n := c.Node(id)
 				if n == nil {
 					ok = false
 					break
 				}
-				ci := n.CommitIndex()
+				ci := n.Snapshot().CommitIndex
 				if i == 0 || ci < lo {
 					lo = ci
 				}

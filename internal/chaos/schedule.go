@@ -354,20 +354,12 @@ type Options struct {
 	// Dir is where file WALs live ("" = a fresh temp dir, removed after
 	// the run).
 	Dir string
-	// DisableR2/DisableR3 reintroduce the reconfiguration bugs the
-	// paper's guards prevent — used to prove the harness catches them.
-	DisableR2 bool
-	DisableR3 bool
-	// DisablePreVote/DisableCheckQuorum turn off the election-robustness
-	// guards — used to prove the disruption oracles catch a rejoining
-	// node deposing a healthy leader (Pre-Vote) and a quorumless leader
-	// that never steps down (CheckQuorum).
-	DisablePreVote     bool
-	DisableCheckQuorum bool
-	// DisableLeaseGuard removes the transfer/reconfig lease invalidation —
-	// used to prove the stale-lease oracle catches a deafened old leader
-	// serving lease reads while its transferred-away successor commits.
-	DisableLeaseGuard bool
+	// Ablation removes protocol guards — used to prove the harness catches
+	// what each one prevents: the reconfiguration bugs (R2, R3), a rejoining
+	// node deposing a healthy leader (Pre-Vote), a quorumless leader that
+	// never steps down (CheckQuorum), a deafened old leader serving lease
+	// reads while its transferred-away successor commits (LeaseGuard).
+	raft.Ablation
 	// SnapshotThreshold is the log-compaction trigger: after this many
 	// applied entries above the snapshot base a node captures its state
 	// machine and truncates its log. 0 picks a chaos-friendly default

@@ -142,19 +142,15 @@ func runSimGroup(sched *Schedule, opt Options, g raft.GroupID, groups int) (*Rep
 	et := int(ticksOf(opt.ElectionTimeoutMin))
 	r := &simRun{
 		s: sim.New(sim.Options{
-			Nodes:              opt.Nodes,
-			Seed:               sched.Seed + groupSeedStride*int64(g),
-			ElectionTicks:      et,
-			JitterTicks:        et,
-			HeartbeatTicks:     max(1, et/3),
-			DisableR2:          opt.DisableR2,
-			DisableR3:          opt.DisableR3,
-			DisablePreVote:     opt.DisablePreVote,
-			DisableCheckQuorum: opt.DisableCheckQuorum,
-			DisableLeaseGuard:  opt.DisableLeaseGuard,
-			SnapshotThreshold:  opt.snapThreshold(),
-			DiskDelayTicks:     opt.diskDelayTicks(),
-			EarlyStable:        opt.EarlyStable,
+			Nodes:             opt.Nodes,
+			Seed:              sched.Seed + groupSeedStride*int64(g),
+			ElectionTicks:     et,
+			JitterTicks:       et,
+			HeartbeatTicks:    max(1, et/3),
+			Ablation:          opt.Ablation,
+			SnapshotThreshold: opt.snapThreshold(),
+			DiskDelayTicks:    opt.diskDelayTicks(),
+			EarlyStable:       opt.EarlyStable,
 		}),
 		opt:        opt,
 		group:      g,

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"adore/internal/raft"
-	"adore/internal/types"
 )
 
 // Op enumerates store operations.
@@ -336,9 +335,3 @@ func (s *Store) WaitApplied(idx int, deadline time.Time) bool {
 // (Leadership loss mid-request is not surfaced: the client retries
 // transparently, relying on the dedup table for idempotency.)
 var ErrTimeout = errors.New("kvstore: request timed out")
-
-// Proposer abstracts the raft node interface the client needs.
-type Proposer interface {
-	Propose(cmd []byte) (int, types.Time, error)
-	ID() types.NodeID
-}

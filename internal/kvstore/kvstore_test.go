@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"adore/internal/raft"
-	"adore/internal/raft/cluster"
-	"adore/internal/types"
 )
 
 const opTimeout = 10 * time.Second
@@ -153,129 +151,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReplicatedEndToEnd(t *testing.T) {
-	r := NewReplicated(cluster.Options{N: 3, Latency: 200 * time.Microsecond, Seed: 11})
-	defer r.Stop()
-	if _, err := r.Cluster.WaitForLeader(opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Put("name", "adore", opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := r.Get("name", opTimeout)
-	if err != nil || !ok || v != "adore" {
-		t.Fatalf("get = %q %v %v", v, ok, err)
-	}
-	swapped, err := r.CAS("name", "adore", "adore2", opTimeout)
-	if err != nil || !swapped {
-		t.Fatalf("cas: %v %v", swapped, err)
-	}
-	if v, err := r.Append("name", "!", opTimeout); err != nil || v != "adore2!" {
-		t.Fatalf("append = %q %v", v, err)
-	}
-	found, err := r.Delete("name", opTimeout)
-	if err != nil || !found {
-		t.Fatalf("delete: %v %v", found, err)
-	}
-	if _, ok, _ := r.Get("name", opTimeout); ok {
-		t.Error("key survived delete")
-	}
-}
-
-func TestReplicatedAllReplicasConverge(t *testing.T) {
-	r := NewReplicated(cluster.Options{N: 3, Latency: 100 * time.Microsecond, Seed: 13})
-	defer r.Stop()
-	if _, err := r.Cluster.WaitForLeader(opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if err := r.Put(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i), opTimeout); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A final linearizable read ensures everything committed; then wait
-	// for followers to apply.
-	if _, _, err := r.Get("k19", opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(opTimeout)
-	for time.Now().Before(deadline) {
-		if r.Store(1).Len() == 20 && r.Store(2).Len() == 20 && r.Store(3).Len() == 20 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for _, id := range []types.NodeID{1, 2, 3} {
-		st := r.Store(id)
-		if st.Len() != 20 {
-			t.Fatalf("%s has %d keys, want 20", id, st.Len())
-		}
-	}
-	// All snapshots identical.
-	ref := r.Store(1).Snapshot()
-	for _, id := range []types.NodeID{2, 3} {
-		snap := r.Store(id).Snapshot()
-		for k, v := range ref {
-			if snap[k] != v {
-				t.Fatalf("%s diverges at %q: %q vs %q", id, k, snap[k], v)
-			}
-		}
-	}
-}
-
-func TestReplicatedSurvivesLeaderLoss(t *testing.T) {
-	r := NewReplicated(cluster.Options{N: 3, Latency: 100 * time.Microsecond, Seed: 17})
-	defer r.Stop()
-	lid, err := r.Cluster.WaitForLeader(opTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Put("k", "v1", opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	r.Cluster.Net.Isolate(lid)
-	// Writes keep working through the new leader.
-	if err := r.Put("k", "v2", opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := r.Get("k", opTimeout)
-	if err != nil || !ok || v != "v2" {
-		t.Fatalf("after failover: %q %v %v", v, ok, err)
-	}
-	r.Cluster.Net.Heal()
-}
-
-func TestReplicatedUnderReconfiguration(t *testing.T) {
-	r := NewReplicated(cluster.Options{N: 3, Latency: 100 * time.Microsecond, Seed: 19})
-	defer r.Stop()
-	if _, err := r.Cluster.WaitForLeader(opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Put("pre", "1", opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	// Grow to 4 while serving writes.
-	r.Cluster.StartNode(4, []types.NodeID{1, 2, 3, 4})
-	if _, err := r.Cluster.Reconfigure(types.Range(1, 4), opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Put("during", "2", opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	// Shrink back to 3.
-	if _, err := r.Cluster.Reconfigure(types.Range(1, 3), opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Put("post", "3", opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"pre", "during", "post"} {
-		if _, ok, err := r.Get(k, opTimeout); err != nil || !ok {
-			t.Fatalf("key %q lost across reconfiguration (%v)", k, err)
-		}
-	}
-}
-
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := NewStore()
 	applyCmd(t, s, 1, Command{Op: OpPut, Key: "a", Value: "1", Client: 1, Seq: 1})
@@ -307,46 +182,30 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFastGetObservesPrecedingWrites(t *testing.T) {
-	r := NewReplicated(cluster.Options{N: 3, Latency: 100 * time.Microsecond, Seed: 37})
-	defer r.Stop()
-	if _, err := r.Cluster.WaitForLeader(opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		val := fmt.Sprintf("v%d", i)
-		if err := r.Put("k", val, opTimeout); err != nil {
-			t.Fatal(err)
+// TestShardOfIsStableAndCovers pins the shard map: routes are deterministic
+// (the map is a deployment contract) and a modest keyspace reaches every
+// shard.
+func TestShardOfIsStableAndCovers(t *testing.T) {
+	const shards = 4
+	seen := make(map[raft.GroupID]int)
+	for i := 0; i < 256; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		g := ShardOf(key, shards)
+		if g >= shards {
+			t.Fatalf("ShardOf(%q, %d) = %d out of range", key, shards, g)
 		}
-		// A FastGet issued after the Put returned must see it (or newer).
-		v, ok, err := r.FastGet("k", opTimeout)
-		if err != nil || !ok {
-			t.Fatalf("FastGet: %q %v %v", v, ok, err)
+		if g2 := ShardOf(key, shards); g2 != g {
+			t.Fatalf("ShardOf(%q) unstable: %d then %d", key, g, g2)
 		}
-		if v != val {
-			t.Fatalf("FastGet observed %q after Put(%q) returned", v, val)
+		seen[g]++
+	}
+	for g := raft.GroupID(0); g < shards; g++ {
+		if seen[g] == 0 {
+			t.Fatalf("shard %d received no keys out of 256: distribution %v", g, seen)
 		}
 	}
-	// FastGet on a missing key.
-	if _, ok, err := r.FastGet("missing", opTimeout); err != nil || ok {
-		t.Fatalf("missing key: ok=%v err=%v", ok, err)
-	}
-}
-
-func TestFastGetSurvivesLeaderChange(t *testing.T) {
-	r := NewReplicated(cluster.Options{N: 3, Latency: 100 * time.Microsecond, Seed: 41})
-	defer r.Stop()
-	lid, err := r.Cluster.WaitForLeader(opTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Put("k", "before", opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	r.Cluster.Net.Isolate(lid)
-	defer r.Cluster.Net.Heal()
-	v, ok, err := r.FastGet("k", opTimeout)
-	if err != nil || !ok || v != "before" {
-		t.Fatalf("FastGet after failover: %q %v %v", v, ok, err)
+	// Single-shard degenerate case: everything routes to group 0.
+	if g := ShardOf("anything", 1); g != 0 {
+		t.Fatalf("ShardOf with 1 shard = %d", g)
 	}
 }

@@ -1,14 +1,6 @@
 package kvstore
 
-import (
-	"fmt"
-	"testing"
-	"time"
-
-	"adore/internal/raft"
-	"adore/internal/raft/cluster"
-	"adore/internal/types"
-)
+import "testing"
 
 func TestParseReadMode(t *testing.T) {
 	cases := []struct {
@@ -35,114 +27,6 @@ func TestParseReadMode(t *testing.T) {
 	for _, m := range []ReadMode{ReadModeReadIndex, ReadModeLease, ReadModeFollower} {
 		if got, err := ParseReadMode(m.String()); err != nil || got != m {
 			t.Errorf("round trip %v -> %q -> %v, %v", m, m.String(), got, err)
-		}
-	}
-}
-
-// Every read mode must observe a write that was acknowledged before the
-// read was issued — the core linearizability contract FastGet promises
-// regardless of which replica serves.
-func TestFastGetModesObservePrecedingWrites(t *testing.T) {
-	modes := []ReadMode{ReadModeReadIndex, ReadModeLease, ReadModeFollower}
-	r := NewReplicated(cluster.Options{N: 5, Latency: 100 * time.Microsecond, Seed: 53})
-	defer r.Stop()
-	if _, err := r.Cluster.WaitForLeader(opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		val := fmt.Sprintf("v%d", i)
-		if err := r.Put("k", val, opTimeout); err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range modes {
-			v, ok, err := r.FastGetMode("k", m, opTimeout)
-			if err != nil || !ok {
-				t.Fatalf("%v: FastGetMode: %q %v %v", m, v, ok, err)
-			}
-			if v != val {
-				t.Fatalf("%v observed %q after Put(%q) returned", m, v, val)
-			}
-		}
-	}
-}
-
-// With leases disabled the lease mode must transparently fall back to the
-// ReadIndex barrier and stay correct.
-func TestFastGetLeaseModeFallsBackWhenDisabled(t *testing.T) {
-	r := NewReplicated(cluster.Options{
-		N: 3, Latency: 100 * time.Microsecond, Seed: 59, DisableLeaseRead: true,
-	})
-	defer r.Stop()
-	if _, err := r.Cluster.WaitForLeader(opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Put("k", "v", opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := r.FastGetMode("k", ReadModeLease, opTimeout)
-	if err != nil || !ok || v != "v" {
-		t.Fatalf("lease mode with leases disabled: %q %v %v", v, ok, err)
-	}
-}
-
-// Regression (ISSUE 10 satellite): a leadership transfer aborts in-flight
-// read barriers with ErrLeaderStepdown, and FastGet must treat that as an
-// immediate re-probe — not a generic error — succeeding promptly against
-// the successor. Exercised across every read mode and repeated transfers.
-func TestFastGetReprobesUnderLeadershipTransfer(t *testing.T) {
-	r := NewReplicated(cluster.Options{N: 3, Latency: 100 * time.Microsecond, Seed: 61})
-	defer r.Stop()
-	if _, err := r.Cluster.WaitForLeader(opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Put("k", "stable", opTimeout); err != nil {
-		t.Fatal(err)
-	}
-	modes := []ReadMode{ReadModeReadIndex, ReadModeLease, ReadModeFollower}
-	for i := 0; i < 6; i++ {
-		leader := r.Cluster.Leader()
-		if leader == nil {
-			if _, err := r.Cluster.WaitForLeader(opTimeout); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		// Hand leadership to the most caught-up voter, then read while the
-		// transfer (and the stepdown aborts it causes) is in flight.
-		members := types.NewNodeSet(types.NodeID(1), types.NodeID(2), types.NodeID(3))
-		members.Remove(leader.ID())
-		if to := leader.PickTransferTarget(members); to != types.NoNode {
-			_ = leader.TransferLeader(to)
-		}
-		m := modes[i%len(modes)]
-		v, ok, err := r.FastGetMode("k", m, opTimeout)
-		if err != nil || !ok || v != "stable" {
-			t.Fatalf("transfer %d (%v): FastGet %q %v %v", i, m, v, ok, err)
-		}
-	}
-}
-
-// The sharded client's mode-aware FastGet must stay linearizable per key
-// across every shard and mode.
-func TestShardedFastGetModes(t *testing.T) {
-	s := NewSharded(4, cluster.Options{N: 3, Latency: 100 * time.Microsecond, Seed: 67})
-	defer s.Stop()
-	for g := raft.GroupID(0); g < 4; g++ {
-		if _, err := s.Cluster.WaitForLeaderG(g, opTimeout); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
-	for i, k := range keys {
-		val := fmt.Sprintf("v%d", i)
-		if err := s.Put(k, val, opTimeout); err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range []ReadMode{ReadModeReadIndex, ReadModeLease, ReadModeFollower} {
-			v, ok, err := s.FastGetMode(k, m, opTimeout)
-			if err != nil || !ok || v != val {
-				t.Fatalf("%v %q: %q %v %v (want %q)", m, k, v, ok, err, val)
-			}
 		}
 	}
 }

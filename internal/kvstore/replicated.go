@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"errors"
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,17 +14,21 @@ import (
 )
 
 // Replicated is a complete in-process replicated key-value service: a raft
-// cluster with one Store per node and a linearizable client interface. It
-// is the harness behind the kvstore example and the Fig. 16 benchmark.
+// cluster, one Store per (shard, node), and a linearizable client interface.
+// The keyspace is hash-partitioned over cluster.Options.Groups raft groups
+// (one by default) multiplexed over the cluster's shared transport and tick
+// loop. Each shard is its own consensus instance — its own leader, log,
+// snapshots and dedup table — so aggregate write throughput scales with
+// shards while per-key operations remain linearizable (operations spanning
+// shards are NOT transactional; reconfiguration applies per group).
+//
+// The embedded Client is the service's default session: r.Put, r.Get,
+// r.FastGet … run on it. Callers issuing requests from several goroutines
+// mint a Client each (NewClient).
 type Replicated struct {
-	Cluster *cluster.Cluster
+	*Client
 
-	// Unbatched, when set before the first request, routes proposals
-	// through the synchronous Propose path (one fsync and one broadcast
-	// per command) instead of the group-commit ProposeAsync path. It
-	// exists so benchmarks can measure batching against the naive
-	// baseline; leave it false in real use.
-	Unbatched bool
+	Cluster *cluster.Cluster
 
 	// ReadServeCost, when set before the first request, charges every
 	// FastGet the read-execution cost (state-machine lookup, response
@@ -36,13 +41,73 @@ type Replicated struct {
 	// across the replica set; leave it zero in real use.
 	ReadServeCost time.Duration
 
+	shards int
+
 	mu      sync.Mutex
-	stores  map[types.NodeID]*Store      // guarded by mu
+	stores  map[shardNode]*Store         // guarded by mu
 	serveMu map[types.NodeID]*sync.Mutex // guarded by mu
 
 	nextClient uint64 // accessed atomically
 	retries    uint64 // accessed atomically
-	def        *Client
+}
+
+// shardNode addresses one shard's state machine on one node.
+type shardNode struct {
+	g  raft.GroupID
+	id types.NodeID
+}
+
+// NewReplicated starts an opts.N-node replicated store over a simulated
+// network, one shard per raft group (opts.Groups; 0 = 1). The caller
+// configures everything else (latency, seed, snapshot threshold, storage)
+// as usual; the apply and state-machine hooks are the service's.
+func NewReplicated(opts cluster.Options) *Replicated {
+	r := &Replicated{
+		shards:  max(opts.Groups, 1),
+		stores:  make(map[shardNode]*Store),
+		serveMu: make(map[types.NodeID]*sync.Mutex),
+	}
+	opts.OnApply = func(g raft.GroupID, id types.NodeID, msg raft.ApplyMsg) {
+		r.Store(g, id).Apply(msg)
+	}
+	opts.StateMachineFor = func(g raft.GroupID, id types.NodeID) raft.StateMachine {
+		return r.Store(g, id)
+	}
+	r.Cluster = cluster.New(opts)
+	r.Client = r.NewClient()
+	return r
+}
+
+// Shards returns the number of keyspace partitions (= raft groups).
+func (r *Replicated) Shards() int { return r.shards }
+
+// ShardOf maps a key to its raft group.
+func (r *Replicated) ShardOf(key string) raft.GroupID { return ShardOf(key, r.shards) }
+
+// ShardOf is the shard map: FNV-1a over the key, mod shards. Stable across
+// processes and restarts — it is part of the deployment contract, not
+// per-session state — and exported so servers and clients compute identical
+// routes.
+func ShardOf(key string, shards int) raft.GroupID {
+	if shards <= 1 {
+		return 0
+	}
+	h := fnv.New32a()
+	h.Write([]byte(key))
+	return raft.GroupID(h.Sum32() % uint32(shards))
+}
+
+// Store returns shard g's state machine on the given replica.
+func (r *Replicated) Store(g raft.GroupID, id types.NodeID) *Store {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	k := shardNode{g, id}
+	st, ok := r.stores[k]
+	if !ok {
+		st = NewStore()
+		r.stores[k] = st
+	}
+	return st
 }
 
 // Retries reports how many request attempts across all clients found no
@@ -50,6 +115,9 @@ type Replicated struct {
 // A healthy cluster keeps this near zero; tests use it to bound how hard
 // clients hammer a leaderless cluster.
 func (r *Replicated) Retries() uint64 { return atomic.LoadUint64(&r.retries) }
+
+// Stop shuts the service down.
+func (r *Replicated) Stop() { r.Cluster.Stop() }
 
 // Leader-probe backoff. A fixed 1ms spin between probes is harmless for a
 // brief leader change but burns a core per client during a real outage
@@ -60,267 +128,243 @@ func (r *Replicated) Retries() uint64 { return atomic.LoadUint64(&r.retries) }
 // accepted, or a leader's explicit ErrLeaderStepdown redirect — resets the
 // backoff to keep the fast path fast.
 //
-// Each probe carries its own independently seeded jitter stream: clients
-// drawing from one shared random source would march through the same
+// Each session carries its own independently seeded jitter stream per shard:
+// clients drawing from one shared random source would march through the same
 // jitter sequence and re-probe in near-lockstep after a step-down, which
 // is exactly the herd the jitter is meant to disperse.
 const (
 	backoffInitial = time.Millisecond
 	backoffMax     = 40 * time.Millisecond
+
+	// attemptSlice bounds one wait on a leader: a deposed leader never
+	// commits our index (or confirms our barrier), so block briefly and
+	// re-probe for the real one.
+	attemptSlice = 300 * time.Millisecond
 )
 
-// probe pairs a per-client backoff stream with the service-wide retry
-// counter.
-type probe struct {
-	r  *Replicated
-	bo *backoff.Backoff
-}
-
-func (r *Replicated) newProbe() probe {
-	return probe{r: r, bo: backoff.New(backoffInitial, backoffMax, backoff.NextSeed())}
-}
-
-func (p *probe) reset() { p.bo.Reset() }
-
-// sleep counts one retry and waits the current jittered slice, clipped to
-// the deadline.
-func (p *probe) sleep(deadline time.Time) {
-	atomic.AddUint64(&p.r.retries, 1)
-	p.bo.Sleep(deadline)
-}
-
-// NewReplicated starts an n-node replicated store over a simulated network.
-func NewReplicated(opts cluster.Options) *Replicated {
-	r := &Replicated{
-		stores:  make(map[types.NodeID]*Store),
-		serveMu: make(map[types.NodeID]*sync.Mutex),
-	}
-	opts.OnApply = func(id types.NodeID, msg raft.ApplyMsg) {
-		r.storeFor(id).Apply(msg)
-	}
-	opts.StateMachineFor = func(id types.NodeID) raft.StateMachine {
-		return r.storeFor(id)
-	}
-	r.Cluster = cluster.New(opts)
-	r.def = r.NewClient()
-	return r
-}
-
-// Client is one logical client session with its own request identity.
-// The store's dedup table assumes at most one outstanding request per
-// client ID (Seq numbers commit in order), so every concurrently-operating
-// caller must hold its own Client: two goroutines sharing an ID can commit
-// out of sequence order, and the dedup table would swallow the
-// later-committing request as a stale duplicate.
+// Client is one logical client session. Its request identity is global, but
+// sequence numbers, leader hints, backoff jitter and the retry timer are all
+// per shard: each group's dedup table is its own state machine and assumes
+// at most one outstanding request per client ID (Seq numbers commit in
+// order). So a session may run concurrent requests only when they target
+// different shards, and every concurrently-operating caller of one shard
+// must hold its own Client: two goroutines sharing an ID can commit out of
+// sequence order, and the dedup table would swallow the later-committing
+// request as a stale duplicate.
 type Client struct {
-	r   *Replicated
-	id  uint64
-	seq uint64 // accessed atomically
-	pr  probe  // this session's private jitter stream
+	r      *Replicated
+	id     uint64
+	shards []shardSession // indexed by GroupID
 }
 
-// NewClient mints a fresh client session with its own independently seeded
-// backoff jitter stream.
+// shardSession is a session's state against one shard; only the one request
+// outstanding on that shard touches it.
+type shardSession struct {
+	seq   uint64
+	hint  types.NodeID     // cached leader (NoNode = unknown)
+	bo    *backoff.Backoff // this (session, shard)'s private jitter stream
+	timer *time.Timer      // the attempt timer, reused across requests
+}
+
+// NewClient mints a fresh client session.
 func (r *Replicated) NewClient() *Client {
-	return &Client{r: r, id: atomic.AddUint64(&r.nextClient, 1), pr: r.newProbe()}
-}
-
-func (r *Replicated) storeFor(id types.NodeID) *Store {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st, ok := r.stores[id]
-	if !ok {
-		st = NewStore()
-		r.stores[id] = st
+	c := &Client{r: r, id: atomic.AddUint64(&r.nextClient, 1), shards: make([]shardSession, r.shards)}
+	for g := range c.shards {
+		c.shards[g].bo = backoff.New(backoffInitial, backoffMax, backoff.NextSeed())
 	}
-	return st
+	return c
 }
 
-// Store returns the state machine of the given replica.
-func (r *Replicated) Store(id types.NodeID) *Store { return r.storeFor(id) }
-
-// Stop shuts the service down.
-func (r *Replicated) Stop() { r.Cluster.Stop() }
-
-// Do submits a command through the current leader and waits for it to
-// apply, retrying across leader changes until the deadline. It runs on the
-// service's default client session; callers issuing requests from several
-// goroutines should mint a Client each (see NewClient) so the dedup table
-// sees in-order sequence numbers.
-func (r *Replicated) Do(op Op, key, value, old string, timeout time.Duration) (Result, error) {
-	return r.def.Do(op, key, value, old, timeout)
+// leader resolves the shard's leader, trying the cached hint first (one
+// Snapshot) before falling back to scanning the group. A fresh answer
+// refreshes the hint.
+func (s *shardSession) leader(gv cluster.GroupView) *raft.Node {
+	if s.hint != types.NoNode {
+		if n := gv.Node(s.hint); n != nil && n.Snapshot().Role == raft.Leader {
+			return n
+		}
+		s.hint = types.NoNode
+	}
+	n := gv.Leader()
+	if n != nil {
+		s.hint = n.ID()
+	}
+	return n
 }
 
-// Do submits a command on this client session and waits for it to apply,
-// retrying across leader changes until the deadline. Retries reuse the same
-// (client, seq) pair, so a request that committed but lost its ack is
-// answered from the dedup table instead of applying twice.
+// arm starts the attempt timer for d. One timer per shard session, not a
+// time.After per attempt: under go 1.22 each of those stays live for its
+// whole duration after the operation that armed it has returned.
+func (s *shardSession) arm(d time.Duration) <-chan time.Time {
+	if s.timer == nil {
+		s.timer = time.NewTimer(d)
+	} else {
+		s.timer.Reset(d)
+	}
+	return s.timer.C
+}
+
+// disarm stops the attempt timer before it fired, leaving it ready for the
+// next arm.
+func (s *shardSession) disarm() {
+	if !s.timer.Stop() {
+		select {
+		case <-s.timer.C:
+		default:
+		}
+	}
+}
+
+// retry records one failed attempt against the shard. An ErrLeaderStepdown
+// means the leader told us it stepped down (CheckQuorum or a transfer) and
+// its successor is likely already up: re-probe immediately. Anything else
+// waits out a jittered backoff slice.
+func (c *Client) retry(s *shardSession, err error, deadline time.Time) {
+	atomic.AddUint64(&c.r.retries, 1)
+	s.hint = types.NoNode
+	if errors.Is(err, raft.ErrLeaderStepdown) {
+		s.bo.Reset()
+		return
+	}
+	s.bo.Sleep(deadline)
+}
+
+// Do routes the command to its key's shard, submits it through that shard's
+// leader and waits for it to apply, retrying across leader changes until the
+// deadline. Retries reuse the same (client, shard-seq) pair, so a request
+// that committed but lost its ack is answered from the shard's dedup table
+// instead of applying twice.
 func (c *Client) Do(op Op, key, value, old string, timeout time.Duration) (Result, error) {
-	r := c.r
-	seq := atomic.AddUint64(&c.seq, 1)
-	cmd := Command{Op: op, Key: key, Value: value, Old: old, Client: c.id, Seq: seq}
+	g := c.r.ShardOf(key)
+	gv := c.r.Cluster.Group(g)
+	s := &c.shards[g]
+	s.seq++
+	cmd := Command{Op: op, Key: key, Value: value, Old: old, Client: c.id, Seq: s.seq}
 	payload := cmd.Encode()
 	deadline := time.Now().Add(timeout)
-	bo := &c.pr
-	bo.reset()
+	s.bo.Reset()
 	for time.Now().Before(deadline) {
-		leader := r.Cluster.Leader()
+		leader := s.leader(gv)
 		if leader == nil {
-			bo.sleep(deadline)
+			c.retry(s, nil, deadline)
 			continue
 		}
-		var idx int
-		var err error
-		if r.Unbatched {
-			idx, _, err = leader.Propose(payload)
-		} else {
-			idx, _, err = leader.ProposeAsync(payload).Wait()
-		}
+		idx, _, err := leader.ProposeAsync(payload).Wait()
 		if err != nil {
-			if errors.Is(err, raft.ErrLeaderStepdown) {
-				// The leader told us it stepped down (CheckQuorum or a
-				// transfer); its successor is likely already up. Re-probe
-				// immediately rather than waiting out a backoff slice.
-				atomic.AddUint64(&r.retries, 1)
-				bo.reset()
-				continue
-			}
-			bo.sleep(deadline)
+			c.retry(s, err, deadline)
 			continue
 		}
-		bo.reset()
-		ch := r.storeFor(leader.ID()).wait(idx, cmd.Client, cmd.Seq)
-		// Wait a bounded slice per attempt: a deposed leader never
-		// commits our index, so block briefly and re-probe for the real
-		// leader (the dedup table makes retries idempotent).
-		attempt := 300 * time.Millisecond
-		if rem := time.Until(deadline); rem < attempt {
-			attempt = rem
-		}
+		s.bo.Reset()
+		ch := c.r.Store(g, leader.ID()).wait(idx, cmd.Client, cmd.Seq)
+		expired := s.arm(min(attemptSlice, time.Until(deadline)))
 		select {
 		case wr := <-ch:
+			s.disarm()
 			if wr.mine {
 				return wr.res, nil
 			}
 			// A different entry landed at our index: leadership changed.
-			// Loop and retry.
-		case <-time.After(attempt):
-			// Try again, possibly against a newer leader.
+		case <-expired:
+			// Possibly a deposed leader that will never commit our index.
 		}
+		// Re-probe; the dedup table makes the retry idempotent.
+		s.hint = types.NoNode
 	}
 	return Result{}, ErrTimeout
 }
 
 // Put sets key to value.
-func (r *Replicated) Put(key, value string, timeout time.Duration) error {
-	_, err := r.Do(OpPut, key, value, "", timeout)
+func (c *Client) Put(key, value string, timeout time.Duration) error {
+	_, err := c.Do(OpPut, key, value, "", timeout)
 	return err
 }
 
-// Get reads key linearizably (through the log).
-func (r *Replicated) Get(key string, timeout time.Duration) (string, bool, error) {
-	res, err := r.Do(OpGet, key, "", "", timeout)
+// Get reads key linearizably (through its shard's log).
+func (c *Client) Get(key string, timeout time.Duration) (string, bool, error) {
+	res, err := c.Do(OpGet, key, "", "", timeout)
 	return res.Value, res.Found, err
 }
 
 // Delete removes key, reporting whether it existed.
-func (r *Replicated) Delete(key string, timeout time.Duration) (bool, error) {
-	res, err := r.Do(OpDelete, key, "", "", timeout)
+func (c *Client) Delete(key string, timeout time.Duration) (bool, error) {
+	res, err := c.Do(OpDelete, key, "", "", timeout)
 	return res.Found, err
 }
 
 // CAS sets key to value iff its current value is old.
-func (r *Replicated) CAS(key, old, value string, timeout time.Duration) (bool, error) {
-	res, err := r.Do(OpCAS, key, value, old, timeout)
+func (c *Client) CAS(key, old, value string, timeout time.Duration) (bool, error) {
+	res, err := c.Do(OpCAS, key, value, old, timeout)
 	return res.Swapped, err
 }
 
 // Append appends value to key's current value and returns the new value.
-func (r *Replicated) Append(key, value string, timeout time.Duration) (string, error) {
-	res, err := r.Do(OpAppend, key, value, "", timeout)
+func (c *Client) Append(key, value string, timeout time.Duration) (string, error) {
+	res, err := c.Do(OpAppend, key, value, "", timeout)
 	return res.Value, err
 }
 
 // FastGet reads key linearizably WITHOUT a log write, through the default
-// leader-ReadIndex mode: the leader confirms its leadership with a quorum
-// barrier (coalesced with concurrent reads in the core), the local state
-// machine catches up to the confirmed index, and the read is served from
-// memory. An ErrLeaderStepdown redirect re-probes immediately — the
-// successor is likely already up — while other failures back off; retries
-// continue across leader changes until the deadline.
-func (r *Replicated) FastGet(key string, timeout time.Duration) (string, bool, error) {
-	return r.FastGetMode(key, ReadModeReadIndex, timeout)
+// leader-ReadIndex mode: the shard's leader confirms its leadership with a
+// quorum barrier (coalesced with concurrent reads in the core), the local
+// state machine catches up to the confirmed index, and the read is served
+// from memory.
+func (c *Client) FastGet(key string, timeout time.Duration) (string, bool, error) {
+	return c.FastGetMode(key, ReadModeReadIndex, timeout)
 }
 
-// FastGetMode is FastGet with an explicit read path: leader ReadIndex
-// barrier, leader lease (zero rounds while valid, barrier fallback), or
-// follower-served (forwarded barrier, served from a follower's state
-// machine).
-func (r *Replicated) FastGetMode(key string, mode ReadMode, timeout time.Duration) (string, bool, error) {
+// FastGetMode is FastGet with an explicit read path, routed to the key's
+// shard: leader ReadIndex barrier, leader lease (zero rounds while valid,
+// barrier fallback), or follower-served (forwarded barrier, served from a
+// follower's state machine). Failures retry like Do's, across leader changes
+// until the deadline.
+func (c *Client) FastGetMode(key string, mode ReadMode, timeout time.Duration) (string, bool, error) {
+	g := c.r.ShardOf(key)
+	gv := c.r.Cluster.Group(g)
+	s := &c.shards[g]
 	deadline := time.Now().Add(timeout)
-	bo := r.newProbe()
+	s.bo.Reset()
 	var rotate uint64
 	for time.Now().Before(deadline) {
-		attempt := 300 * time.Millisecond
-		if rem := time.Until(deadline); rem < attempt {
-			attempt = rem
+		var n *raft.Node
+		if mode == ReadModeFollower {
+			n = pickFollower(gv, &rotate)
+		} else {
+			n = s.leader(gv)
 		}
-		var (
-			idx    int
-			err    error
-			st     *Store
-			served types.NodeID
-		)
-		switch mode {
-		case ReadModeFollower:
-			n := r.pickFollower(&rotate)
-			if n == nil {
-				bo.sleep(deadline)
-				continue
-			}
-			idx, err = n.FollowerReadIndex(attempt)
-			served = n.ID()
-			st = r.storeFor(served)
-		default:
-			leader := r.Cluster.Leader()
-			if leader == nil {
-				bo.sleep(deadline)
-				continue
-			}
-			if mode == ReadModeLease {
-				if i, ok := leader.LeaseRead(); ok {
-					idx = i
-				} else {
-					// No valid lease (fresh term, transfer, or reconfig in
-					// flight): fall back to a full barrier.
-					idx, err = leader.ReadIndex(attempt)
-				}
-			} else {
-				idx, err = leader.ReadIndex(attempt)
-			}
-			served = leader.ID()
-			st = r.storeFor(served)
-		}
-		if err != nil {
-			if errors.Is(err, raft.ErrLeaderStepdown) {
-				// The leader told us it stepped down; its successor is
-				// likely already up. Re-probe immediately rather than
-				// waiting out a backoff slice (same policy as Do).
-				atomic.AddUint64(&r.retries, 1)
-				bo.reset()
-				continue
-			}
-			bo.sleep(deadline)
+		if n == nil {
+			c.retry(s, nil, deadline)
 			continue
 		}
+		idx, err := readBarrier(n, mode, min(attemptSlice, time.Until(deadline)))
+		if err != nil {
+			c.retry(s, err, deadline)
+			continue
+		}
+		st := c.r.Store(g, n.ID())
 		if !st.WaitApplied(idx, deadline) {
 			return "", false, ErrTimeout
 		}
-		r.chargeServe(served)
-		v, ok := st.LocalGet(key)
-		return v, ok, nil
+		c.r.chargeServe(n.ID())
+		v, found := st.LocalGet(key)
+		return v, found, nil
 	}
 	return "", false, ErrTimeout
+}
+
+// readBarrier obtains from n the index a linearizable read may be served at
+// once the serving replica has applied through it.
+func readBarrier(n *raft.Node, mode ReadMode, attempt time.Duration) (int, error) {
+	if mode == ReadModeFollower {
+		return n.FollowerReadIndex(attempt)
+	}
+	if mode == ReadModeLease {
+		if idx, ok := n.LeaseRead(); ok {
+			return idx, nil
+		}
+		// No valid lease (fresh term, transfer, or reconfig in flight):
+		// fall back to a full barrier.
+	}
+	return n.ReadIndex(attempt)
 }
 
 // chargeServe executes the configured read-execution cost on the serving
@@ -341,18 +385,18 @@ func (r *Replicated) chargeServe(id types.NodeID) {
 	lane.Unlock()
 }
 
-// pickFollower returns a non-leader node to serve a forwarded read,
-// rotating across candidates so repeated reads spread over the replica
-// set. Falls back to any node (including the leader, which serves the
-// forwarded barrier locally) when no follower is available.
-func (r *Replicated) pickFollower(rotate *uint64) *raft.Node {
-	nodes := r.Cluster.Nodes()
+// pickFollower returns a non-leader node of the group to serve a forwarded
+// read, rotating across candidates so retries spread over the replica set.
+// Falls back to any node (including the leader, which serves the forwarded
+// barrier locally) when no follower is available.
+func pickFollower(gv cluster.GroupView, rotate *uint64) *raft.Node {
+	nodes := gv.Nodes()
 	if len(nodes) == 0 {
 		return nil
 	}
 	var followers []*raft.Node
 	for _, n := range nodes {
-		if _, role, _ := n.Status(); role != raft.Leader {
+		if n.Snapshot().Role != raft.Leader {
 			followers = append(followers, n)
 		}
 	}

@@ -82,19 +82,9 @@ type Options struct {
 	SnapshotThreshold   int
 	MaxEntriesPerAppend int
 
-	// DisableR2/R3/PreVote/CheckQuorum toggle the protocol guards in
-	// every group (experiments only).
-	DisableR2          bool
-	DisableR3          bool
-	DisablePreVote     bool
-	DisableCheckQuorum bool
-
-	// DisableLeaseRead turns off leader-lease reads in every group (reads
-	// fall back to full ReadIndex barriers). DisableLeaseGuard removes the
-	// transfer/reconfig lease-invalidation guard (experiments only — the
-	// chaos teeth prove removing it is caught).
-	DisableLeaseRead  bool
-	DisableLeaseGuard bool
+	// Ablation switches protocol guards off in every group (experiments
+	// only).
+	raft.Ablation
 
 	// Seed derives each group's election-jitter seed (0 = from ID). Groups
 	// get distinct offsets so their election timers never align by
@@ -165,12 +155,7 @@ func Start(opts Options) (*Host, error) {
 			StateMachine:        sm,
 			SnapshotThreshold:   opts.SnapshotThreshold,
 			MaxEntriesPerAppend: opts.MaxEntriesPerAppend,
-			DisableR2:           opts.DisableR2,
-			DisableR3:           opts.DisableR3,
-			DisablePreVote:      opts.DisablePreVote,
-			DisableCheckQuorum:  opts.DisableCheckQuorum,
-			DisableLeaseRead:    opts.DisableLeaseRead,
-			DisableLeaseGuard:   opts.DisableLeaseGuard,
+			Ablation:            opts.Ablation,
 			// Distinct per-group offsets keep group clocks de-phased.
 			Seed:         opts.Seed + 1000003*int64(g),
 			ExternalTick: true,

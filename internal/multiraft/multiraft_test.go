@@ -88,7 +88,7 @@ func leaderOf(t *testing.T, hosts map[types.NodeID]*Host, g raft.GroupID) *raft.
 			if n == nil {
 				continue
 			}
-			if _, role, _ := n.Status(); role == raft.Leader {
+			if n.Snapshot().Role == raft.Leader {
 				return n
 			}
 		}
@@ -115,7 +115,7 @@ func TestHostGroupsAreIndependent(t *testing.T) {
 		var err error
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			idx, _, err = lead.Propose([]byte(want))
+			idx, _, err = lead.ProposeAsync([]byte(want)).Wait()
 			if err == nil {
 				break
 			}

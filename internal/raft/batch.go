@@ -17,9 +17,9 @@ import (
 // acked. The commit rules are untouched: batching only coalesces the
 // persistence and network operations.
 
-// Proposal is the future returned by ProposeAsync. Wait blocks until the
-// command has been appended to the leader's log and made durable (or the
-// proposal failed), mirroring Propose's post-conditions.
+// Proposal is the future returned by ProposeAsync — the node's one write
+// entry. Wait blocks until the command has been appended to the leader's log
+// and made durable (or the proposal failed).
 type Proposal struct {
 	cmd  []byte
 	done chan struct{}

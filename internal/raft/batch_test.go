@@ -45,7 +45,7 @@ func startSingleNode(t testing.TB, storage raft.Storage) *raft.Node {
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, role, _ := n.Status(); role == raft.Leader {
+		if n.Snapshot().Role == raft.Leader {
 			return n
 		}
 		time.Sleep(time.Millisecond)
@@ -115,7 +115,7 @@ func TestProposeAsyncOnFollowerFails(t *testing.T) {
 			continue
 		}
 		if _, _, err := n.ProposeAsync([]byte("x")).Wait(); !errors.Is(err, raft.ErrNotLeader) {
-			if _, role, _ := n.Status(); role != raft.Leader {
+			if n.Snapshot().Role != raft.Leader {
 				t.Fatalf("follower %s accepted an async proposal: %v", n.ID(), err)
 			}
 		}

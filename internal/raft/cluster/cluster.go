@@ -4,9 +4,9 @@
 //
 // Every node in the cluster is a multiraft.Host: with Options.Groups > 1
 // it runs that many independent raft groups multiplexed over the shared
-// MemNetwork, one WaitCommit/Leader/Propose surface per group (the *G
-// methods). The original single-group API is unchanged — it is simply
-// group 0.
+// MemNetwork. The per-group surface (Leader, Propose, WaitCommit, …) lives
+// once, on GroupView; Cluster embeds group 0's view, so single-group callers
+// write c.Leader() and multi-group callers c.Group(g).Leader().
 package cluster
 
 import (
@@ -35,41 +35,21 @@ type Options struct {
 	Jitter  time.Duration
 	// ElectionTimeoutMin scales all protocol timers (0 = default).
 	ElectionTimeoutMin time.Duration
-	// DisableR2/DisableR3 reintroduce the reconfiguration bugs the paper's
-	// guards prevent (used by the chaos harness to prove it catches them).
-	DisableR2 bool
-	DisableR3 bool
-	// DisablePreVote/DisableCheckQuorum turn off the election-robustness
-	// guards (rejoin disruption, minority-leader step-down) for experiments.
-	DisablePreVote     bool
-	DisableCheckQuorum bool
-	// DisableLeaseRead turns off leader-lease reads (every read pays a full
-	// ReadIndex barrier); DisableLeaseGuard removes the transfer/reconfig
-	// lease invalidation (experiments — the chaos teeth catch its absence).
-	DisableLeaseRead  bool
-	DisableLeaseGuard bool
+	// Ablation switches protocol guards off on every node (the chaos harness
+	// and the teeth tests prove the oracles catch what each one lets through).
+	raft.Ablation
 	// Seed drives all randomness.
 	Seed int64
 	// OnApply, when set, is called synchronously from each node's apply
-	// drain for every committed entry of group 0 (state machines hook in
-	// here; single-group API). Multi-group callers use OnApplyG.
-	OnApply func(types.NodeID, raft.ApplyMsg)
-	// OnApplyG, when set, receives every group's committed entries.
-	OnApplyG func(raft.GroupID, types.NodeID, raft.ApplyMsg)
-	// StorageFor, when set, supplies per-node persistent storage for
-	// single-group clusters, which makes CrashNode/RestartNode meaningful
-	// (state survives). Multi-group clusters use StorageForG.
-	StorageFor func(types.NodeID) raft.Storage
-	// StorageForG, when set, supplies per-(group, node) storage and takes
-	// precedence over StorageFor.
-	StorageForG func(raft.GroupID, types.NodeID) raft.Storage
-	// StateMachineFor, when set, gives each node snapshot access to its
-	// application state machine (required for SnapshotThreshold > 0).
-	// Single-group API; multi-group callers use StateMachineForG.
-	StateMachineFor func(types.NodeID) raft.StateMachine
-	// StateMachineForG supplies per-(group, node) state machines and takes
-	// precedence over StateMachineFor.
-	StateMachineForG func(raft.GroupID, types.NodeID) raft.StateMachine
+	// drain for every committed entry of every group (state machines hook
+	// in here).
+	OnApply func(raft.GroupID, types.NodeID, raft.ApplyMsg)
+	// StorageFor, when set, supplies per-(group, node) persistent storage,
+	// which makes CrashNode/RestartNode meaningful (state survives).
+	StorageFor func(raft.GroupID, types.NodeID) raft.Storage
+	// StateMachineFor, when set, gives each (group, node) snapshot access to
+	// its application state machine (required for SnapshotThreshold > 0).
+	StateMachineFor func(raft.GroupID, types.NodeID) raft.StateMachine
 	// SnapshotThreshold enables log compaction: after this many applied
 	// entries above the snapshot base a node captures its state machine
 	// and truncates its WAL (0 = disabled).
@@ -101,6 +81,8 @@ type gkey struct {
 
 // Cluster is a set of multiraft hosts joined by a MemNetwork.
 type Cluster struct {
+	GroupView // group 0
+
 	Net  *transport.MemNetwork
 	opts Options
 
@@ -123,6 +105,7 @@ func New(opts Options) *Cluster {
 		hosts:   make(map[types.NodeID]*multiraft.Host),
 		applied: make(map[gkey][]raft.ApplyMsg),
 	}
+	c.GroupView = c.Group(0)
 	members := types.Range(1, types.NodeID(opts.N)).Copy()
 	for _, id := range members {
 		c.StartNode(id, members)
@@ -141,23 +124,24 @@ func (c *Cluster) StartNode(id types.NodeID, members []types.NodeID) *raft.Node 
 		Transport:          transport.HostTransport{Net: c.Net, ID: id},
 		ElectionTimeoutMin: c.opts.ElectionTimeoutMin,
 		StorageFor: func(g raft.GroupID) raft.Storage {
-			return c.storageFor(g, id)
+			if c.opts.StorageFor == nil {
+				return nil
+			}
+			return c.opts.StorageFor(g, id)
 		},
 		StateMachineFor: func(g raft.GroupID) raft.StateMachine {
-			return c.stateMachineFor(g, id)
+			if c.opts.StateMachineFor == nil {
+				return nil
+			}
+			return c.opts.StateMachineFor(g, id)
 		},
 		OnApply: func(g raft.GroupID, batch []raft.ApplyMsg) {
 			c.record(g, id, batch)
 		},
-		SnapshotThreshold:  c.opts.SnapshotThreshold,
-		DisableR2:          c.opts.DisableR2,
-		DisableR3:          c.opts.DisableR3,
-		DisablePreVote:     c.opts.DisablePreVote,
-		DisableCheckQuorum: c.opts.DisableCheckQuorum,
-		DisableLeaseRead:   c.opts.DisableLeaseRead,
-		DisableLeaseGuard:  c.opts.DisableLeaseGuard,
-		Seed:               c.opts.Seed + int64(id),
-		InboxSize:          c.opts.InboxSize,
+		SnapshotThreshold: c.opts.SnapshotThreshold,
+		Ablation:          c.opts.Ablation,
+		Seed:              c.opts.Seed + int64(id),
+		InboxSize:         c.opts.InboxSize,
 	})
 	if err != nil {
 		// Only file storage opened from a root can fail, and the cluster
@@ -170,28 +154,6 @@ func (c *Cluster) StartNode(id types.NodeID, members []types.NodeID) *raft.Node 
 	return host.Node(0)
 }
 
-// storageFor resolves one group's storage on one node from the options.
-func (c *Cluster) storageFor(g raft.GroupID, id types.NodeID) raft.Storage {
-	if c.opts.StorageForG != nil {
-		return c.opts.StorageForG(g, id)
-	}
-	if c.opts.StorageFor != nil && g == 0 {
-		return c.opts.StorageFor(id)
-	}
-	return nil
-}
-
-// stateMachineFor resolves one group's state machine on one node.
-func (c *Cluster) stateMachineFor(g raft.GroupID, id types.NodeID) raft.StateMachine {
-	if c.opts.StateMachineForG != nil {
-		return c.opts.StateMachineForG(g, id)
-	}
-	if c.opts.StateMachineFor != nil && g == 0 {
-		return c.opts.StateMachineFor(id)
-	}
-	return nil
-}
-
 // record captures one group's apply batch and fans it out to the hooks.
 func (c *Cluster) record(g raft.GroupID, id types.NodeID, batch []raft.ApplyMsg) {
 	if !c.opts.NoApplyRecord {
@@ -200,14 +162,9 @@ func (c *Cluster) record(g raft.GroupID, id types.NodeID, batch []raft.ApplyMsg)
 		c.applied[k] = append(c.applied[k], batch...)
 		c.mu.Unlock()
 	}
-	if c.opts.OnApplyG != nil {
+	if c.opts.OnApply != nil {
 		for _, msg := range batch {
-			c.opts.OnApplyG(g, id, msg)
-		}
-	}
-	if c.opts.OnApply != nil && g == 0 {
-		for _, msg := range batch {
-			c.opts.OnApply(id, msg)
+			c.opts.OnApply(g, id, msg)
 		}
 	}
 }
@@ -219,98 +176,83 @@ func (c *Cluster) Host(id types.NodeID) *multiraft.Host {
 	return c.hosts[id]
 }
 
-// Node returns the group-0 node with the given ID (nil if absent).
-func (c *Cluster) Node(id types.NodeID) *raft.Node { return c.NodeG(0, id) }
+// GroupView is one raft group's surface of the cluster: its nodes, its
+// leader, its applied record, and the retrying propose / reconfigure /
+// wait helpers. Groups elect, commit and reconfigure independently.
+type GroupView struct {
+	c *Cluster
+	g raft.GroupID
+}
 
-// NodeG returns group g's node with the given ID (nil if absent).
-func (c *Cluster) NodeG(g raft.GroupID, id types.NodeID) *raft.Node {
-	c.mu.Lock()
-	h := c.hosts[id]
-	c.mu.Unlock()
+// Group returns group g's view.
+func (c *Cluster) Group(g raft.GroupID) GroupView { return GroupView{c: c, g: g} }
+
+// Node returns the group's node with the given ID (nil if absent).
+func (v GroupView) Node(id types.NodeID) *raft.Node {
+	h := v.c.Host(id)
 	if h == nil {
 		return nil
 	}
-	return h.Node(g)
+	return h.Node(v.g)
 }
 
-// Nodes returns a snapshot of all running group-0 nodes.
-func (c *Cluster) Nodes() []*raft.Node { return c.NodesG(0) }
-
-// NodesG returns a snapshot of all running nodes of group g.
-func (c *Cluster) NodesG(g raft.GroupID) []*raft.Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*raft.Node, 0, len(c.hosts))
-	for _, h := range c.hosts {
-		if n := h.Node(g); n != nil {
+// Nodes returns a snapshot of all the group's running nodes.
+func (v GroupView) Nodes() []*raft.Node {
+	v.c.mu.Lock()
+	defer v.c.mu.Unlock()
+	out := make([]*raft.Node, 0, len(v.c.hosts))
+	for _, h := range v.c.hosts {
+		if n := h.Node(v.g); n != nil {
 			out = append(out, n)
 		}
 	}
 	return out
 }
 
-// Applied returns a copy of the group-0 entries a node has applied so far.
-func (c *Cluster) Applied(id types.NodeID) []raft.ApplyMsg { return c.AppliedG(0, id) }
-
-// AppliedG returns a copy of the entries a node has applied in group g.
-func (c *Cluster) AppliedG(g raft.GroupID, id types.NodeID) []raft.ApplyMsg {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]raft.ApplyMsg(nil), c.applied[gkey{g, id}]...)
+// Applied returns a copy of the entries a node has applied in the group.
+func (v GroupView) Applied(id types.NodeID) []raft.ApplyMsg {
+	v.c.mu.Lock()
+	defer v.c.mu.Unlock()
+	return append([]raft.ApplyMsg(nil), v.c.applied[gkey{v.g, id}]...)
 }
 
 // ErrNoLeader reports that no leader emerged within the deadline.
 var ErrNoLeader = errors.New("cluster: no leader elected within the deadline")
 
-// WaitForLeader blocks until some group-0 node is leader and returns its ID.
-func (c *Cluster) WaitForLeader(timeout time.Duration) (types.NodeID, error) {
-	return c.WaitForLeaderG(0, timeout)
-}
-
-// WaitForLeaderG blocks until some node leads group g and returns its ID.
-func (c *Cluster) WaitForLeaderG(g raft.GroupID, timeout time.Duration) (types.NodeID, error) {
+// WaitForLeader blocks until some node leads the group and returns its ID.
+func (v GroupView) WaitForLeader(timeout time.Duration) (types.NodeID, error) {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		for _, n := range c.NodesG(g) {
-			if _, role, _ := n.Status(); role == raft.Leader {
-				return n.ID(), nil
-			}
+		if l := v.Leader(); l != nil {
+			return l.ID(), nil
 		}
 		time.Sleep(time.Millisecond)
 	}
 	return types.NoNode, ErrNoLeader
 }
 
-// Leader returns group 0's leader at the highest term, or nil.
-func (c *Cluster) Leader() *raft.Node { return c.LeaderG(0) }
-
-// LeaderG returns group g's leader at the highest term, or nil. (During
+// Leader returns the group's leader at the highest term, or nil. (During
 // partitions a deposed leader may still believe in itself; the highest
 // term wins.)
-func (c *Cluster) LeaderG(g raft.GroupID) *raft.Node {
+func (v GroupView) Leader() *raft.Node {
 	var best *raft.Node
 	var bestTerm types.Time
-	for _, n := range c.NodesG(g) {
-		if term, role, _ := n.Status(); role == raft.Leader && (best == nil || term > bestTerm) {
-			best, bestTerm = n, term
+	for _, n := range v.Nodes() {
+		if s := n.Snapshot(); s.Role == raft.Leader && (best == nil || s.Term > bestTerm) {
+			best, bestTerm = n, s.Term
 		}
 	}
 	return best
 }
 
-// Propose submits a command via group 0's current leader, retrying across
+// Propose submits a command via the group's current leader, retrying across
 // leader changes until the deadline. It returns the index the command was
 // proposed at (commitment is observed via WaitCommit or the KV layer).
-func (c *Cluster) Propose(cmd []byte, timeout time.Duration) (int, error) {
-	return c.ProposeG(0, cmd, timeout)
-}
-
-// ProposeG submits a command via group g's current leader.
-func (c *Cluster) ProposeG(g raft.GroupID, cmd []byte, timeout time.Duration) (int, error) {
+func (v GroupView) Propose(cmd []byte, timeout time.Duration) (int, error) {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if l := c.LeaderG(g); l != nil {
-			if idx, _, err := l.Propose(cmd); err == nil {
+		if l := v.Leader(); l != nil {
+			if idx, _, err := l.ProposeAsync(cmd).Wait(); err == nil {
 				return idx, nil
 			}
 		}
@@ -319,8 +261,8 @@ func (c *Cluster) ProposeG(g raft.GroupID, cmd []byte, timeout time.Duration) (i
 	return 0, fmt.Errorf("cluster: propose timed out")
 }
 
-// WaitCommit blocks until the given node's group-0 commit index reaches
-// idx AND the entries up to idx have landed in the cluster's applied
+// WaitCommit blocks until the given node's commit index in the group
+// reaches idx AND the entries up to idx have landed in the cluster's applied
 // record. The second condition closes the gap between the node advancing
 // its commit index and the drain goroutine recording the (batched) apply
 // stream; without it a caller could read Applied() while the batch is
@@ -331,52 +273,41 @@ func (c *Cluster) ProposeG(g raft.GroupID, cmd []byte, timeout time.Duration) (i
 // microseconds are seen after a sub-millisecond first slice, while a
 // genuinely stalled cluster is polled a handful of times per interval
 // instead of once per fixed millisecond.
-func (c *Cluster) WaitCommit(id types.NodeID, idx int, timeout time.Duration) error {
-	return c.WaitCommitG(0, id, idx, timeout)
-}
-
-// WaitCommitG is WaitCommit against group g.
-func (c *Cluster) WaitCommitG(g raft.GroupID, id types.NodeID, idx int, timeout time.Duration) error {
+func (v GroupView) WaitCommit(id types.NodeID, idx int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	bo := backoff.New(200*time.Microsecond, 10*time.Millisecond, backoff.NextSeed())
 	for time.Now().Before(deadline) {
-		if n := c.NodeG(g, id); n != nil && n.CommitIndex() >= idx && c.appliedThrough(g, id) >= idx {
+		if n := v.Node(id); n != nil && n.Snapshot().CommitIndex >= idx && v.appliedThrough(id) >= idx {
 			return nil
 		}
 		bo.Sleep(deadline)
 	}
-	return fmt.Errorf("cluster: %s did not reach commit index %d in group %d", id, idx, g)
+	return fmt.Errorf("cluster: %s did not reach commit index %d in group %d", id, idx, v.g)
 }
 
 // appliedThrough reports the highest index in the node's recorded apply
-// stream for group g (0 if nothing has been recorded).
-func (c *Cluster) appliedThrough(g raft.GroupID, id types.NodeID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if a := c.applied[gkey{g, id}]; len(a) > 0 {
+// stream for the group (0 if nothing has been recorded).
+func (v GroupView) appliedThrough(id types.NodeID) int {
+	v.c.mu.Lock()
+	defer v.c.mu.Unlock()
+	if a := v.c.applied[gkey{v.g, id}]; len(a) > 0 {
 		return a[len(a)-1].Index
 	}
 	return 0
 }
 
-// Reconfigure retries a group-0 membership change against the current
+// Reconfigure retries a membership change of the group against its current
 // leader until it is accepted (R3 needs the term-opening no-op to commit
 // first) and returns the config entry's index. When the new membership
 // sheds the current leader, leadership is first handed off gracefully to
 // the most caught-up surviving voter (a TimeoutNow transfer instead of
 // waiting for the removed leader's silence to time out an election), then
 // the change is proposed at the new leader.
-func (c *Cluster) Reconfigure(members types.NodeSet, timeout time.Duration) (int, error) {
-	return c.ReconfigureG(0, members, timeout)
-}
-
-// ReconfigureG is Reconfigure against group g: each group reconfigures on
-// its own schedule, independent of the others.
-func (c *Cluster) ReconfigureG(g raft.GroupID, members types.NodeSet, timeout time.Duration) (int, error) {
+func (v GroupView) Reconfigure(members types.NodeSet, timeout time.Duration) (int, error) {
 	deadline := time.Now().Add(timeout)
 	var lastErr error
 	for time.Now().Before(deadline) {
-		if l := c.LeaderG(g); l != nil {
+		if l := v.Leader(); l != nil {
 			if !members.Contains(l.ID()) {
 				// The change removes the leader itself: move leadership into
 				// the surviving set first so the cluster never waits out a
@@ -403,7 +334,7 @@ func (c *Cluster) ReconfigureG(g raft.GroupID, members types.NodeSet, timeout ti
 
 // CrashNode stops a node abruptly — every group it hosts — and detaches it
 // from the network; its volatile state is lost. With Options.StorageFor
-// (or StorageForG) set, RestartNode recovers the persisted term, vote, and
+// set, RestartNode recovers the persisted term, vote, and
 // log per group.
 func (c *Cluster) CrashNode(id types.NodeID) {
 	c.mu.Lock()

@@ -43,7 +43,7 @@ func TestClusterElectionAndPropose(t *testing.T) {
 
 func TestClusterOnApplyHook(t *testing.T) {
 	got := make(chan raft.ApplyMsg, 64)
-	c := New(Options{N: 3, Seed: 6, OnApply: func(id types.NodeID, m raft.ApplyMsg) {
+	c := New(Options{N: 3, Seed: 6, OnApply: func(_ raft.GroupID, id types.NodeID, m raft.ApplyMsg) {
 		if m.Kind == raft.EntryCommand {
 			select {
 			case got <- m:
@@ -90,7 +90,7 @@ func TestClusterReconfigureHelper(t *testing.T) {
 	if err := c.WaitCommit(4, idx, timeout); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Leader().Members(); !got.Equal(types.Range(1, 4)) {
+	if got := c.Leader().Snapshot().Members; !got.Equal(types.Range(1, 4)) {
 		t.Errorf("members = %v", got)
 	}
 }

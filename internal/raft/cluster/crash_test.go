@@ -14,7 +14,7 @@ import (
 // committed data survives.
 func TestCrashRestartRecoversState(t *testing.T) {
 	stores := map[types.NodeID]*raft.MemStorage{}
-	c := New(Options{N: 3, Seed: 21, StorageFor: func(id types.NodeID) raft.Storage {
+	c := New(Options{N: 3, Seed: 21, StorageFor: func(_ raft.GroupID, id types.NodeID) raft.Storage {
 		if stores[id] == nil {
 			stores[id] = raft.NewMemStorage()
 		}
@@ -60,7 +60,7 @@ func TestCrashRestartRecoversState(t *testing.T) {
 	if err := c.WaitCommit(follower, idx2, timeout); err != nil {
 		t.Fatal(err)
 	}
-	if term, _, _ := n.Status(); term == 0 {
+	if n.Snapshot().Term == 0 {
 		t.Error("restarted node lost its persisted term")
 	}
 

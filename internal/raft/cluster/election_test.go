@@ -25,7 +25,7 @@ func rejoinScenario(t *testing.T, disablePreVote bool) (before, after struct {
 		N:                  5,
 		Seed:               61,
 		ElectionTimeoutMin: et,
-		DisablePreVote:     disablePreVote,
+		Ablation:           raft.Ablation{DisablePreVote: disablePreVote},
 	})
 	defer c.Stop()
 	if _, err := c.WaitForLeader(timeout); err != nil {
@@ -38,7 +38,7 @@ func rejoinScenario(t *testing.T, disablePreVote bool) (before, after struct {
 		t.Fatal("no leader after settle")
 	}
 	before.id = l.ID()
-	before.term, _, _ = l.Status()
+	before.term = l.Snapshot().Term
 
 	// Isolate a follower and let it stew for ten election intervals —
 	// plenty of futile campaigns (term-bumping ones if Pre-Vote is off).
@@ -65,7 +65,7 @@ func rejoinScenario(t *testing.T, disablePreVote bool) (before, after struct {
 	for {
 		if l := c.Leader(); l != nil {
 			after.id = l.ID()
-			after.term, _, _ = l.Status()
+			after.term = l.Snapshot().Term
 			return
 		}
 		if !time.Now().Before(deadline) {
@@ -119,7 +119,7 @@ func TestTransferLeader(t *testing.T) {
 	if _, err := c.Propose([]byte("pre"), timeout); err != nil {
 		t.Fatal(err)
 	}
-	to := l.PickTransferTarget(l.Members())
+	to := l.PickTransferTarget(l.Snapshot().Members)
 	if to == types.NoNode || to == l.ID() {
 		t.Fatalf("bad transfer target %v (leader S%d)", to, l.ID())
 	}
@@ -129,7 +129,7 @@ func TestTransferLeader(t *testing.T) {
 	deadline := time.Now().Add(timeout)
 	for {
 		if nl := c.Leader(); nl != nil && nl.ID() == to {
-			if _, role, _ := nl.Status(); role == raft.Leader {
+			if nl.Snapshot().Role == raft.Leader {
 				break
 			}
 		}

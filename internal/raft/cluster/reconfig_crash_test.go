@@ -33,7 +33,7 @@ func TestCrashDuringPendingReconfig(t *testing.T) {
 			// DisableCheckQuorum: the test deliberately isolates the leader and
 			// then examines R2 at that stale leader; CheckQuorum would step it
 			// down (correctly) before the assertion could run.
-			c := New(Options{N: 5, Seed: 77, DisableCheckQuorum: true, StorageFor: func(id types.NodeID) raft.Storage {
+			c := New(Options{N: 5, Seed: 77, Ablation: raft.Ablation{DisableCheckQuorum: true}, StorageFor: func(_ raft.GroupID, id types.NodeID) raft.Storage {
 				if stores[id] == nil {
 					stores[id] = raft.NewMemStorage()
 				}
@@ -57,7 +57,7 @@ func TestCrashDuringPendingReconfig(t *testing.T) {
 			}
 			if tc.add {
 				// Commit the removal first so the pending change can re-add.
-				idx, err := c.Reconfigure(c.Leader().Members().Remove(victim), timeout)
+				idx, err := c.Reconfigure(c.Leader().Snapshot().Members.Remove(victim), timeout)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,7 +78,7 @@ func TestCrashDuringPendingReconfig(t *testing.T) {
 				}
 			}
 			c.Net.Partition([]types.NodeID{lid}, rest)
-			target := leader.Members()
+			target := leader.Snapshot().Members
 			if tc.add {
 				target = target.Add(victim)
 			} else {
@@ -89,12 +89,12 @@ func TestCrashDuringPendingReconfig(t *testing.T) {
 				t.Fatalf("pending config rejected: %v", err)
 			}
 			time.Sleep(100 * time.Millisecond)
-			if ci := leader.CommitIndex(); ci >= pendingIdx {
+			if ci := leader.Snapshot().CommitIndex; ci >= pendingIdx {
 				t.Fatalf("config entry committed (index %d ≥ %d) despite the partition", ci, pendingIdx)
 			}
 			// R2 must hold at the stale leader: a second change is rejected
 			// while the first is uncommitted.
-			if _, _, err := leader.ProposeConfig(leader.Members().Remove(rest[0])); !errors.Is(err, raft.ErrReconfigPending) {
+			if _, _, err := leader.ProposeConfig(leader.Snapshot().Members.Remove(rest[0])); !errors.Is(err, raft.ErrReconfigPending) {
 				t.Fatalf("second config while pending: err = %v, want ErrReconfigPending", err)
 			}
 
@@ -121,14 +121,14 @@ func TestCrashDuringPendingReconfig(t *testing.T) {
 			if err := c.WaitCommit(lid, idx, timeout); err != nil {
 				t.Fatal(err)
 			}
-			committed := newLeader.Members()
+			committed := newLeader.Snapshot().Members
 			if tc.add && committed.Contains(victim) {
 				t.Fatalf("pending add of S%d leaked into the committed config %s", victim, committed)
 			}
 			if !tc.add && !committed.Contains(victim) {
 				t.Fatalf("pending remove of S%d leaked into the committed config %s", victim, committed)
 			}
-			if got := c.Node(lid).Members(); !got.Equal(committed) {
+			if got := c.Node(lid).Snapshot().Members; !got.Equal(committed) {
 				t.Fatalf("restarted node's config %s != committed config %s", got, committed)
 			}
 
@@ -146,7 +146,7 @@ func TestCrashDuringPendingReconfig(t *testing.T) {
 				if err := c.WaitCommit(id, fidx, timeout); err != nil {
 					t.Fatal(err)
 				}
-				if got := c.Node(id).Members(); !got.Equal(final) {
+				if got := c.Node(id).Snapshot().Members; !got.Equal(final) {
 					t.Fatalf("S%d config %s != %s after recovery reconfig", id, got, final)
 				}
 			}
@@ -159,7 +159,7 @@ func TestCrashDuringPendingReconfig(t *testing.T) {
 // needed for quorum), and the restarted follower must catch up to it.
 func TestFollowerCrashDuringPendingReconfig(t *testing.T) {
 	stores := map[types.NodeID]*raft.MemStorage{}
-	c := New(Options{N: 5, Seed: 79, StorageFor: func(id types.NodeID) raft.Storage {
+	c := New(Options{N: 5, Seed: 79, StorageFor: func(_ raft.GroupID, id types.NodeID) raft.Storage {
 		if stores[id] == nil {
 			stores[id] = raft.NewMemStorage()
 		}
@@ -185,7 +185,7 @@ func TestFollowerCrashDuringPendingReconfig(t *testing.T) {
 
 	// Crash the follower, then run the reconfiguration while it is down.
 	c.CrashNode(follower)
-	target := c.Node(lid).Members().Remove(removed)
+	target := c.Node(lid).Snapshot().Members.Remove(removed)
 	idx, err := c.Reconfigure(target, timeout)
 	if err != nil {
 		t.Fatalf("reconfigure with a crashed follower: %v", err)
@@ -198,7 +198,7 @@ func TestFollowerCrashDuringPendingReconfig(t *testing.T) {
 	if err := c.WaitCommit(follower, idx, timeout); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Node(follower).Members(); !got.Equal(target) {
+	if got := c.Node(follower).Snapshot().Members; !got.Equal(target) {
 		t.Fatalf("restarted follower's config %s != committed %s", got, target)
 	}
 	// And the cluster still makes progress with it back.

@@ -24,7 +24,7 @@ func TestStalledLeaderDiskLosesLeadership(t *testing.T) {
 	}
 	c := New(Options{
 		N: 3, Seed: 7, ElectionTimeoutMin: et,
-		StorageFor: func(id types.NodeID) raft.Storage { return faults[id] },
+		StorageFor: func(_ raft.GroupID, id types.NodeID) raft.Storage { return faults[id] },
 	})
 	defer c.Stop()
 	if _, err := c.WaitForLeader(timeout); err != nil {
@@ -37,7 +37,7 @@ func TestStalledLeaderDiskLosesLeadership(t *testing.T) {
 	if old == nil {
 		t.Fatal("no leader after the first commit")
 	}
-	term0, _, _ := old.Status()
+	term0 := old.Snapshot().Term
 
 	// Every write on the leader now hangs for 12 election intervals.
 	const stall = 12 * et
@@ -67,7 +67,7 @@ func TestStalledLeaderDiskLosesLeadership(t *testing.T) {
 			t.Fatalf("no new leader %s after the step-down", time.Since(steppedDown))
 		}
 		for _, n := range c.Nodes() {
-			if term, role, _ := n.Status(); n.ID() != old.ID() && role == raft.Leader && term > term0 {
+			if s := n.Snapshot(); n.ID() != old.ID() && s.Role == raft.Leader && s.Term > term0 {
 				next = n
 			}
 		}
@@ -90,17 +90,17 @@ func TestStalledLeaderDiskLosesLeadership(t *testing.T) {
 	faults[old.ID()].SetStall(0)
 	deadline := time.Now().Add(stall + timeout)
 	for {
-		_, role, lead := old.Status()
-		if role == raft.Follower && lead == next.ID() && old.CommitIndex() >= idx {
+		s := old.Snapshot()
+		if s.Role == raft.Follower && s.Leader == next.ID() && s.CommitIndex >= idx {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("stalled node did not rejoin: role=%s leader=%s commit=%d (want follower of %s at ≥ %d)",
-				role, lead, old.CommitIndex(), next.ID(), idx)
+				s.Role, s.Leader, s.CommitIndex, next.ID(), idx)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := old.StorageErr(); err != nil {
+	if err := old.Snapshot().Err; err != nil {
 		t.Fatalf("a stall is not a failure, but the node fail-stopped: %v", err)
 	}
 }

@@ -23,7 +23,7 @@ func TestConcurrentProposeCrashReconfigStress(t *testing.T) {
 
 	var storeMu sync.Mutex
 	stores := map[types.NodeID]*raft.MemStorage{}
-	c := New(Options{N: 5, Seed: 77, StorageFor: func(id types.NodeID) raft.Storage {
+	c := New(Options{N: 5, Seed: 77, StorageFor: func(_ raft.GroupID, id types.NodeID) raft.Storage {
 		storeMu.Lock()
 		defer storeMu.Unlock()
 		if stores[id] == nil {

@@ -103,12 +103,12 @@ func TestStorageErrorFailStopsNode(t *testing.T) {
 	fs := raft.NewFaultStorage(raft.NewMemStorage())
 	n := startSingleNode(t, fs)
 
-	if _, _, err := n.Propose([]byte("healthy")); err != nil {
+	if _, _, err := n.ProposeAsync([]byte("healthy")).Wait(); err != nil {
 		t.Fatalf("healthy propose: %v", err)
 	}
 
 	fs.FailNextSaveEntries(errors.New("EIO"))
-	_, _, err := n.Propose([]byte("doomed"))
+	_, _, err := n.ProposeAsync([]byte("doomed")).Wait()
 	if !errors.Is(err, raft.ErrStorageFailed) {
 		t.Fatalf("propose after wound: err = %v, want ErrStorageFailed", err)
 	}
@@ -117,11 +117,11 @@ func TestStorageErrorFailStopsNode(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("wounded node did not halt")
 	}
-	if n.StorageErr() == nil {
+	if n.Snapshot().Err == nil {
 		t.Fatal("StorageErr() = nil after fail-stop")
 	}
 	// Subsequent client calls fail cleanly rather than hanging.
-	if _, _, err := n.Propose([]byte("late")); err == nil {
+	if _, _, err := n.ProposeAsync([]byte("late")).Wait(); err == nil {
 		t.Fatal("propose on a halted node succeeded")
 	}
 	if _, _, err := n.ProposeAsync([]byte("late-async")).Wait(); err == nil {
@@ -180,12 +180,12 @@ func TestTornCrashNodeRestartsFromDurablePrefix(t *testing.T) {
 
 	var lastIdx int
 	for i := 0; i < 3; i++ {
-		if lastIdx, _, err = n.Propose([]byte(fmt.Sprintf("v%d", i))); err != nil {
+		if lastIdx, _, err = n.ProposeAsync([]byte(fmt.Sprintf("v%d", i))).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	fs.TearNextWrite()
-	if _, _, err := n.Propose([]byte("torn")); !errors.Is(err, raft.ErrStorageFailed) {
+	if _, _, err := n.ProposeAsync([]byte("torn")).Wait(); !errors.Is(err, raft.ErrStorageFailed) {
 		t.Fatalf("torn propose err = %v, want ErrStorageFailed", err)
 	}
 	n.Stop()
@@ -197,13 +197,13 @@ func TestTornCrashNodeRestartsFromDurablePrefix(t *testing.T) {
 	}
 	n2 := startSingleNode(t, re)
 	deadline := time.Now().Add(5 * time.Second)
-	for n2.CommitIndex() < lastIdx && time.Now().Before(deadline) {
+	for n2.Snapshot().CommitIndex < lastIdx && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := n2.CommitIndex(); got < lastIdx {
+	if got := n2.Snapshot().CommitIndex; got < lastIdx {
 		t.Fatalf("restarted node commit index %d, want ≥ %d", got, lastIdx)
 	}
-	if n2.StorageErr() != nil {
-		t.Fatalf("restarted node unexpectedly wounded: %v", n2.StorageErr())
+	if n2.Snapshot().Err != nil {
+		t.Fatalf("restarted node unexpectedly wounded: %v", n2.Snapshot().Err)
 	}
 }

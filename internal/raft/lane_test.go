@@ -204,9 +204,9 @@ func (lc *laneCluster) leader(t *testing.T) types.NodeID {
 	deadline := time.Now().Add(waitLeader)
 	for time.Now().Before(deadline) {
 		for id, n := range lc.nodes {
-			if _, role, _ := n.Status(); role == raft.Leader {
+			if n.Snapshot().Role == raft.Leader {
 				// Settled: the term-opening no-op committed.
-				if n.CommitIndex() >= 1 {
+				if n.Snapshot().CommitIndex >= 1 {
 					return id
 				}
 			}
@@ -221,7 +221,7 @@ func (lc *laneCluster) leader(t *testing.T) types.NodeID {
 // gate armed afterwards holds only the writes the test provokes.
 func (lc *laneCluster) warm(t *testing.T, lid types.NodeID) {
 	t.Helper()
-	idx, _, err := lc.nodes[lid].Propose([]byte("warm"))
+	idx, _, err := lc.nodes[lid].ProposeAsync([]byte("warm")).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,16 +305,16 @@ func TestLockScopeFollowerWriteBlocked(t *testing.T) {
 			t.Fatalf("FollowerReadIndex: %v", err)
 		}
 	})
-	if got := L.CommitIndex(); got >= idx {
+	if got := L.Snapshot().CommitIndex; got >= idx {
 		t.Fatalf("entry %d committed with the only reachable follower's write still blocked", idx)
 	}
 
 	lc.st[fid].release()
 	deadline := time.Now().Add(2 * time.Second)
-	for L.CommitIndex() < idx && time.Now().Before(deadline) {
+	for L.Snapshot().CommitIndex < idx && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if L.CommitIndex() < idx {
+	if L.Snapshot().CommitIndex < idx {
 		t.Fatalf("entry %d never committed after the follower's disk came back", idx)
 	}
 	if v := lc.violations(); len(v) > 0 {
@@ -417,22 +417,22 @@ func TestNoEffectBeforeItsWrite(t *testing.T) {
 	}
 	deadline := time.Now().Add(waitLeader)
 	for time.Now().Before(deadline) {
-		if _, role, _ := L.Status(); role != raft.Leader {
+		if L.Snapshot().Role != raft.Leader {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
 	nl := lc.nodes[lc.leader(t)]
-	if _, _, err := nl.Propose([]byte("after-transfer")); err != nil && !errors.Is(err, raft.ErrNotLeader) {
+	if _, _, err := nl.ProposeAsync([]byte("after-transfer")).Wait(); err != nil && !errors.Is(err, raft.ErrNotLeader) {
 		t.Fatal(err)
 	}
 	for id, n := range lc.nodes {
 		deadline := time.Now().Add(2 * time.Second)
-		for n.CommitIndex() < last && time.Now().Before(deadline) {
+		for n.Snapshot().CommitIndex < last && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		if n.CommitIndex() < last {
-			t.Fatalf("%s stuck at commit %d of %d", id, n.CommitIndex(), last)
+		if n.Snapshot().CommitIndex < last {
+			t.Fatalf("%s stuck at commit %d of %d", id, n.Snapshot().CommitIndex, last)
 		}
 	}
 	if v := lc.violations(); len(v) > 0 {
@@ -461,7 +461,7 @@ func TestFollowerGroupCommit(t *testing.T) {
 	for i := 0; i < n; i++ {
 		// Synchronous proposals on a fast leader disk: one entry-carrying
 		// append per proposal.
-		idx, _, err := L.Propose([]byte(fmt.Sprintf("cmd-%d", i)))
+		idx, _, err := L.ProposeAsync([]byte(fmt.Sprintf("cmd-%d", i))).Wait()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -495,7 +495,7 @@ func TestStopDuringInflightWrite(t *testing.T) {
 	}
 	st := newLaneStorage(inner)
 	n := startSingleNode(t, st)
-	idx, _, err := n.Propose([]byte("durable"))
+	idx, _, err := n.ProposeAsync([]byte("durable")).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,40 +51,9 @@ type Options struct {
 	// default of 256.
 	MaxEntriesPerAppend int
 
-	// DisableR3 reproduces the published single-server bug: reconfig no
-	// longer waits for a committed entry in the leader's current term.
-	// For experiments only.
-	DisableR3 bool
-
-	// DisableR2 drops the "no uncommitted configuration entry" guard, so
-	// a second membership change can be proposed while the first is still
-	// in flight. Disjoint quorums become reachable — the chaos harness
-	// uses this to prove it can catch the resulting divergence. For
-	// experiments only.
-	DisableR2 bool
-
-	// DisablePreVote skips the term-neutral pre-election, so a partitioned
-	// node rejoins with an inflated term and deposes a healthy leader. The
-	// chaos harness uses this to prove its disruption oracle bites. For
-	// experiments only.
-	DisablePreVote bool
-
-	// DisableCheckQuorum keeps a minority-side leader in the Leader role
-	// indefinitely instead of stepping down after an election interval
-	// without quorum contact. For experiments only.
-	DisableCheckQuorum bool
-
-	// DisableLeaseRead turns off the leader-lease fast read path: LeaseRead
-	// always reports no lease, so every linearizable read pays a ReadIndex
-	// quorum round. For deployments that distrust the lease's bounded-
-	// asymmetry timing assumption.
-	DisableLeaseRead bool
-
-	// DisableLeaseGuard drops the lease invalidations covering leadership
-	// transfer and in-flight reconfiguration, so a deposed leader can keep
-	// serving a stale lease. The chaos harness uses this to prove its
-	// stale-read oracle bites. For experiments only.
-	DisableLeaseGuard bool
+	// Ablation switches individual protocol guards off; forwarded to the
+	// core as is. For experiments only.
+	Ablation
 
 	// Seed randomizes election timeouts deterministically (0 = from ID).
 	Seed int64
@@ -159,7 +128,7 @@ var (
 	// ErrStorageFailed reports that a durable write failed and the node
 	// fail-stopped: it halted rather than keep running on state it could
 	// not persist (acting on unpersisted state breaks the crash-recovery
-	// argument). StorageErr returns the underlying cause.
+	// argument). Snapshot().Err carries the underlying cause.
 	ErrStorageFailed = errors.New("raft: storage write failed; node halted")
 )
 
@@ -288,12 +257,7 @@ func StartNode(opts Options) *Node {
 			HeartbeatTicks:      1,
 			MaxEntriesPerAppend: opts.MaxEntriesPerAppend,
 			SnapshotThreshold:   snapThreshold,
-			DisableR2:           opts.DisableR2,
-			DisableR3:           opts.DisableR3,
-			DisablePreVote:      opts.DisablePreVote,
-			DisableCheckQuorum:  opts.DisableCheckQuorum,
-			DisableLeaseRead:    opts.DisableLeaseRead,
-			DisableLeaseGuard:   opts.DisableLeaseGuard,
+			Ablation:            opts.Ablation,
 		}, hs, snap, log),
 		applyCh:     make(chan []ApplyMsg, 1024),
 		inbox:       make(chan Message, 1024),
@@ -357,16 +321,6 @@ func (n *Node) Stop() {
 	n.applyClose.Do(func() { close(n.applyCh) })
 }
 
-// StorageErr returns the storage error that fail-stopped this node, or nil
-// if the node is healthy (or was stopped normally). A fail-stopped node has
-// its Done channel closed, so callers can distinguish "crashed as designed"
-// (Done closed, StorageErr non-nil) from a clean shutdown.
-func (n *Node) StorageErr() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stopErr
-}
-
 // failStopLocked halts the node because a durable write failed: continuing
 // to vote, ack, or lead on state that is not actually persisted would break
 // the crash-recovery argument (a restart would forget promises already sent
@@ -388,21 +342,10 @@ func (n *Node) failStopLocked(err error) {
 	n.stopOnce.Do(func() { close(n.stopCh) })
 }
 
-// Status reports the node's current term, role, and known leader. A
-// fail-stopped node reports itself a follower with no leader.
-func (n *Node) Status() (types.Time, Role, types.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.stopErr != nil {
-		return n.core.Term(), Follower, types.NoNode
-	}
-	return n.core.Term(), n.core.Role(), n.core.Leader()
-}
-
 // Snapshot is one consistent view of a node's externally visible state,
-// captured under a single lock acquisition. Chaos oracles use it instead
-// of separate Status/CommitIndex/Members calls, which could interleave
-// with protocol steps and observe mutually inconsistent values.
+// captured under a single lock acquisition, so term, role, commit index and
+// membership never come from different protocol steps. A fail-stopped node
+// reports itself a follower with no leader and carries the cause in Err.
 type Snapshot struct {
 	Term        types.Time
 	Role        Role
@@ -414,7 +357,11 @@ type Snapshot struct {
 	// Counters are the election-disruption metrics (pre-vote rounds, term
 	// bumps, step-downs, transfers); the chaos monitor samples them.
 	Counters Counters
-	Err      error // the fail-stop cause, if any
+	// Err is the storage error that fail-stopped the node, nil if it is
+	// healthy or was stopped normally. A fail-stopped node has its Done
+	// channel closed, so callers can tell "crashed as designed" (Done
+	// closed, Err non-nil) from a clean shutdown.
+	Err error
 }
 
 // Snapshot returns a consistent snapshot of the node's state.
@@ -437,28 +384,6 @@ func (n *Node) Snapshot() Snapshot {
 		s.Leader = types.NoNode
 	}
 	return s
-}
-
-// Members returns the node's current effective membership (the latest
-// configuration in its log).
-func (n *Node) Members() types.NodeSet {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.core.Members()
-}
-
-// CommitIndex returns the node's commit index.
-func (n *Node) CommitIndex() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.core.CommitIndex()
-}
-
-// Elections returns how many elections this node has started (metrics).
-func (n *Node) Elections() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.core.Elections()
 }
 
 // processReadyLocked is the node's one Ready executor; every code path that
@@ -742,41 +667,13 @@ func (n *Node) tick() {
 	n.processReadyLocked()
 }
 
-// Propose appends a client command at the leader. It returns the assigned
-// log index and term, or ErrNotLeader.
-func (n *Node) Propose(cmd []byte) (int, types.Time, error) {
-	n.mu.Lock()
-	if err := n.haltedLocked(); err != nil {
-		n.mu.Unlock()
-		return 0, 0, err
-	}
-	idx, term, err := n.core.Propose(cmd)
-	if err != nil {
-		n.mu.Unlock()
-		return 0, 0, err
-	}
-	p := n.trackDurableLocked(idx, term)
-	n.mu.Unlock()
-	return p.Wait()
-}
-
-// trackDurableLocked registers a future for the entry just appended at idx
-// and runs the Ready executor. The caller waits on it with mu released: like
-// a ProposeAsync future it resolves once the write lane has made the entry
-// durable, and a failed write, a lost leadership or a shutdown in between
-// fails it — the caller must not act on the index then.
-func (n *Node) trackDurableLocked(idx int, term types.Time) *Proposal {
-	p := &Proposal{done: make(chan struct{}), idx: idx, term: term}
-	n.inflight = append(n.inflight, p)
-	n.processReadyLocked()
-	return p
-}
-
 // ProposeConfig appends a membership change at the leader, enforcing the
 // paper's guards: the change must add or remove exactly one node (R1),
 // no other configuration change may be in flight (R2), and — unless
 // DisableR3 — the leader must have committed an entry in its current term
-// (R3).
+// (R3). It returns once the config entry is durable in the leader's log.
+// The caller names the whole target membership: deriving it from a separate
+// read of the current one would race with a concurrent change.
 func (n *Node) ProposeConfig(members types.NodeSet) (int, types.Time, error) {
 	n.mu.Lock()
 	if err := n.haltedLocked(); err != nil {
@@ -788,7 +685,12 @@ func (n *Node) ProposeConfig(members types.NodeSet) (int, types.Time, error) {
 		n.mu.Unlock()
 		return 0, 0, err
 	}
-	p := n.trackDurableLocked(idx, term)
+	// Wait with mu released: like a ProposeAsync future this resolves once
+	// the write lane has made the entry durable, and a failed write, a lost
+	// leadership or a shutdown in between fails it.
+	p := &Proposal{done: make(chan struct{}), idx: idx, term: term}
+	n.inflight = append(n.inflight, p)
+	n.processReadyLocked()
 	n.mu.Unlock()
 	return p.Wait()
 }
@@ -943,14 +845,4 @@ func (n *Node) PickTransferTarget(target types.NodeSet) types.NodeID {
 		return types.NoNode
 	}
 	return n.core.PickTransferTarget(target)
-}
-
-// AddServer proposes membership ∪ {id}.
-func (n *Node) AddServer(id types.NodeID) (int, types.Time, error) {
-	return n.ProposeConfig(n.Members().Add(id))
-}
-
-// RemoveServer proposes membership \ {id}.
-func (n *Node) RemoveServer(id types.NodeID) (int, types.Time, error) {
-	return n.ProposeConfig(n.Members().Remove(id))
 }

@@ -34,12 +34,12 @@ func TestElectsLeader(t *testing.T) {
 	leaders := 0
 	var topTerm types.Time
 	for _, n := range c.Nodes() {
-		term, role, _ := n.Status()
-		if term > topTerm {
-			topTerm = term
+		s := n.Snapshot()
+		if s.Term > topTerm {
+			topTerm = s.Term
 			leaders = 0
 		}
-		if role == raft.Leader && term == topTerm {
+		if s.Role == raft.Leader && s.Term == topTerm {
 			leaders++
 		}
 	}
@@ -104,9 +104,9 @@ func TestProposeOnFollowerFails(t *testing.T) {
 		if n.ID() == lid {
 			continue
 		}
-		if _, _, err := n.Propose([]byte("x")); !errors.Is(err, raft.ErrNotLeader) {
+		if _, _, err := n.ProposeAsync([]byte("x")).Wait(); !errors.Is(err, raft.ErrNotLeader) {
 			// The follower may have just won a newer election; accept that.
-			if _, role, _ := n.Status(); role != raft.Leader {
+			if n.Snapshot().Role != raft.Leader {
 				t.Fatalf("follower %s accepted a proposal: %v", n.ID(), err)
 			}
 		}
@@ -137,7 +137,7 @@ func TestLeaderFailover(t *testing.T) {
 			if n.ID() == lid {
 				continue
 			}
-			if _, role, _ := n.Status(); role == raft.Leader {
+			if n.Snapshot().Role == raft.Leader {
 				newLeader = n.ID()
 			}
 		}
@@ -150,7 +150,7 @@ func TestLeaderFailover(t *testing.T) {
 		t.Fatal("no new leader after isolating the old one")
 	}
 	// The new leader still has the committed command and can extend.
-	idx2, _, err := c.Node(newLeader).Propose([]byte("after"))
+	idx2, _, err := c.Node(newLeader).ProposeAsync([]byte("after")).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestReconfigAddServer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.Leader().Members(); !got.Equal(types.Range(1, 4)) {
+	if got := c.Leader().Snapshot().Members; !got.Equal(types.Range(1, 4)) {
 		t.Fatalf("membership = %v, want {S1..S4}", got)
 	}
 	// Commands still flow in the larger cluster.
@@ -301,7 +301,7 @@ func TestRemovedLeaderStepsDown(t *testing.T) {
 func TestR3DisabledAllowsEarlyReconfig(t *testing.T) {
 	// With R3 disabled (the buggy algorithm), a fresh leader may
 	// reconfigure before committing anything in its term.
-	c := cluster.New(cluster.Options{N: 3, DisableR3: true, Seed: 7})
+	c := cluster.New(cluster.Options{N: 3, Ablation: raft.Ablation{DisableR3: true}, Seed: 7})
 	defer c.Stop()
 	lid, err := c.WaitForLeader(waitLeader)
 	if err != nil {
@@ -342,7 +342,7 @@ func TestReadIndexLinearizationBarrier(t *testing.T) {
 			continue
 		}
 		if _, err := n.ReadIndex(100 * time.Millisecond); err == nil {
-			if _, role, _ := n.Status(); role != raft.Leader {
+			if n.Snapshot().Role != raft.Leader {
 				t.Fatalf("follower %s served a ReadIndex", n.ID())
 			}
 		}

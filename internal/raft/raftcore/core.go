@@ -76,6 +76,15 @@ type Config struct {
 	// InstallSnapshot message. Zero gets a default of 64 KiB.
 	MaxSnapshotChunk int
 
+	// Ablation switches individual protocol guards off (experiments only).
+	Ablation
+}
+
+// Ablation is the one set of guard-removal switches every layer above the
+// core embeds and forwards whole: the runtime's options structs, the
+// simulator and the chaos harness all carry this value instead of re-declaring
+// its fields. The zero value is the full protocol.
+type Ablation struct {
 	// DisableR3 reproduces the published single-server bug: reconfig no
 	// longer waits for a committed entry in the leader's current term.
 	// For experiments only.

@@ -21,7 +21,7 @@ func TestReadIndexNotLeaderRace(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for _, n := range c.Nodes() {
-		if _, role, _ := n.Status(); role == raft.Leader {
+		if n.Snapshot().Role == raft.Leader {
 			continue
 		}
 		wg.Add(1)

@@ -64,23 +64,9 @@ type Options struct {
 	// snapshots; nodes still install leader-sent ones.
 	SnapshotThreshold int
 
-	// DisableR2 / DisableR3 reintroduce the reconfiguration bugs.
-	DisableR2 bool
-	DisableR3 bool
-
-	// DisablePreVote / DisableCheckQuorum turn off the election-robustness
-	// guards: rejoining nodes campaign with inflated terms, and minority-
-	// side leaders never step down. The chaos harness uses these to prove
-	// its disruption oracles bite.
-	DisablePreVote     bool
-	DisableCheckQuorum bool
-
-	// DisableLeaseRead turns off leader-lease reads (LeaseRead always
-	// refuses). DisableLeaseGuard removes the transfer/reconfig lease
-	// invalidation; the chaos teeth use it to prove the stale-read oracle
-	// catches the resulting lease violations.
-	DisableLeaseRead  bool
-	DisableLeaseGuard bool
+	// Ablation is forwarded to every core; the chaos harness uses it to
+	// prove its oracles bite.
+	raftcore.Ablation
 
 	// DiskDelayTicks is the slow-disk model: every write lands a seeded
 	// 0..DiskDelayTicks ticks after it started (0 = every write lands in
@@ -231,12 +217,7 @@ func (s *Cluster) bootNode(id types.NodeID) {
 		HeartbeatTicks:      s.opt.HeartbeatTicks,
 		MaxEntriesPerAppend: s.opt.MaxEntriesPerAppend,
 		SnapshotThreshold:   s.opt.SnapshotThreshold,
-		DisableR2:           s.opt.DisableR2,
-		DisableR3:           s.opt.DisableR3,
-		DisablePreVote:      s.opt.DisablePreVote,
-		DisableCheckQuorum:  s.opt.DisableCheckQuorum,
-		DisableLeaseRead:    s.opt.DisableLeaseRead,
-		DisableLeaseGuard:   s.opt.DisableLeaseGuard,
+		Ablation:            s.opt.Ablation,
 	}, hs, snap, log)
 	s.nodes[id] = &node{id: id, core: core, up: true, lastRole: raftcore.Follower}
 	if snap.Index > 0 {

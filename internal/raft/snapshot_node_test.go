@@ -39,7 +39,7 @@ func startSnapshotNode(t testing.TB, storage raft.Storage, st *kvstore.Store, th
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, role, _ := n.Status(); role == raft.Leader {
+		if n.Snapshot().Role == raft.Leader {
 			return n
 		}
 		time.Sleep(time.Millisecond)
@@ -161,15 +161,15 @@ func TestNodeSnapshotPersistFailStop(t *testing.T) {
 
 	fa.FailNextSaveSnapshot(fmt.Errorf("injected snapshot error"))
 	for i := 0; i < 32; i++ {
-		if _, _, err := n.Propose([]byte(fmt.Sprintf("op-%d", i))); err != nil {
+		if _, _, err := n.ProposeAsync([]byte(fmt.Sprintf("op-%d", i))).Wait(); err != nil {
 			break // node already failed stopped: proposals are rejected
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && n.StorageErr() == nil {
+	for time.Now().Before(deadline) && n.Snapshot().Err == nil {
 		time.Sleep(time.Millisecond)
 	}
-	err := n.StorageErr()
+	err := n.Snapshot().Err
 	if err == nil {
 		t.Fatal("node survived a snapshot persist failure")
 	}

@@ -112,7 +112,7 @@ func TestTCPSnapshotCatchup(t *testing.T) {
 	var leaderCS *raft.CountingStorage
 	for time.Now().Before(deadline) && leader == nil {
 		for i, n := range []*raft.Node{n1, n2} {
-			if _, role, _ := n.Status(); role == raft.Leader {
+			if n.Snapshot().Role == raft.Leader {
 				leader = n
 				leaderCS = []*raft.CountingStorage{cs1, cs2}[i]
 			}
@@ -125,13 +125,13 @@ func TestTCPSnapshotCatchup(t *testing.T) {
 
 	const total = 40 // threshold 8: the leader compacts several times
 	for i := 0; i < total; i++ {
-		if _, _, err := leader.Propose([]byte(fmt.Sprintf("cmd-%d", i))); err != nil {
+		if _, _, err := leader.ProposeAsync([]byte(fmt.Sprintf("cmd-%d", i))).Wait(); err != nil {
 			t.Fatalf("propose %d: %v", i, err)
 		}
 	}
 	var committed int
 	for time.Now().Before(deadline) {
-		committed = leader.CommitIndex()
+		committed = leader.Snapshot().CommitIndex
 		if committed > total && leaderCS.SnapshotSaves() > 0 {
 			break
 		}
@@ -154,12 +154,12 @@ func TestTCPSnapshotCatchup(t *testing.T) {
 	t2.SetPeer(3, t3.Addr())
 
 	for time.Now().Before(deadline) {
-		if n3.CommitIndex() >= committed && sm3.AppliedIndex() >= committed {
+		if n3.Snapshot().CommitIndex >= committed && sm3.AppliedIndex() >= committed {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := n3.CommitIndex(); got < committed {
+	if got := n3.Snapshot().CommitIndex; got < committed {
 		t.Fatalf("joiner commit index %d never reached the leader's %d", got, committed)
 	}
 	restored, edge, imgIdx := sm3.snapshotRestore()

@@ -319,7 +319,7 @@ func TestTCPCluster(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for leader == nil && time.Now().Before(deadline) {
 		for _, n := range nodes {
-			if _, role, _ := n.Status(); role == raft.Leader {
+			if n.Snapshot().Role == raft.Leader {
 				leader = n
 			}
 		}
@@ -331,7 +331,7 @@ func TestTCPCluster(t *testing.T) {
 	var idx int
 	for i := 0; i < 10; i++ {
 		var err error
-		idx, _, err = leader.Propose([]byte(fmt.Sprintf("tcp-%d", i)))
+		idx, _, err = leader.ProposeAsync([]byte(fmt.Sprintf("tcp-%d", i))).Wait()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +340,7 @@ func TestTCPCluster(t *testing.T) {
 	for time.Now().Before(deadline) {
 		done := true
 		for _, n := range nodes {
-			if n.CommitIndex() < idx {
+			if n.Snapshot().CommitIndex < idx {
 				done = false
 			}
 		}

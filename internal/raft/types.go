@@ -112,6 +112,10 @@ type HardState = raftcore.HardState
 // Node.Snapshot for monitors and experiments.
 type Counters = raftcore.Counters
 
+// Ablation is the core's set of guard-removal switches (experiments only);
+// Options embeds it and forwards it whole.
+type Ablation = raftcore.Ablation
+
 // LogSnapshot is a durable summary of the committed log prefix [1, Index]:
 // a state-machine image plus splice metadata. (The name avoids a clash
 // with Node.Snapshot, the consistent status view.)
