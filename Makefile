@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-teeth check loc bench bench-evidence bench-reads-smoke benchmark-smoke bench-compare chaos chaos-smoke chaos-teeth chaos-elections chaos-leases chaos-disk sim-sweep sim-teeth sim-sweep-groups sim-teeth-groups
+.PHONY: all build test race vet lint lint-teeth check loc bench bench-evidence bench-reads-smoke benchmark-smoke bench-compare fuzz-smoke chaos chaos-smoke chaos-teeth chaos-elections chaos-leases chaos-disk sim-sweep sim-teeth sim-sweep-groups sim-teeth-groups
 
 all: check
 
@@ -170,16 +170,27 @@ bench-reads-smoke:
 # benchmark-smoke runs the canonical benchmark (benchmark/README.md) short,
 # once per named workload: the real stack over TCP + FileStorage must come up,
 # serve, reload its WALs and report a correct run with no failed request.
-# put-durable is the write path; mixed-follower-read sends 90 % of its
-# requests through the forwarded-read path (MsgReadIndexRequest/Response and
-# the commit index riding the reply).
+# put-durable is the write path; put-volatile is the CPU-bound row (no disk,
+# so the command and wire codecs, core stepping and apply are all there is);
+# mixed-follower-read sends 90 % of its requests through the forwarded-read
+# path (MsgReadIndexRequest/Response and the commit index riding the reply).
 benchmark-smoke:
-	@for w in put-durable mixed-follower-read; do \
+	@for w in put-durable put-volatile mixed-follower-read; do \
 		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1); \
 		echo "$$out"; \
 		echo "$$out" | grep -Eq '"correct": ?true' && echo "$$out" | grep -Eq '"failed": ?0[,}]' || \
 			{ echo "benchmark-smoke: $$w run incorrect or requests failed"; exit 1; }; \
 	done
+
+# fuzz-smoke runs every native fuzz target for 20 s from its committed
+# seed corpus (testdata/fuzz/<target>/): the decoders of bytes that cross a
+# trust boundary — a log payload, a TCP stream — must not panic, must not
+# allocate by what a length prefix claims, and must accept only the canonical
+# encoding. `go test -fuzz` takes one target and one package per run; a crasher
+# is written to the package's testdata/fuzz/ and fails every later `go test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCommand$$' -fuzztime 20s ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz '^FuzzEnvelopeStream$$' -fuzztime 20s ./internal/raft
 
 # bench-compare judges result file B against A with the bounds in
 # BENCHMARK.json (make bench-compare A=parent.json B=change.json); the files

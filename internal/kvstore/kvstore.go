@@ -7,10 +7,11 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -30,32 +31,145 @@ const (
 	OpAppend Op = "append"
 )
 
-// Command is the log entry payload (JSON-encoded).
+// Command is the log entry payload. Its byte format is hand-rolled (see
+// Encode) so that applying an entry — which every replica does for every
+// command, inside the apply pump the next commit waits behind — costs a few
+// length checks and the key/value string copies, with no reflection.
 type Command struct {
-	Op    Op     `json:"op"`
-	Key   string `json:"key"`
-	Value string `json:"value,omitempty"`
-	Old   string `json:"old,omitempty"` // CAS expected value
+	Op    Op
+	Key   string
+	Value string
+	Old   string // CAS expected value
 
 	// Client and Seq identify the request for idempotency.
-	Client uint64 `json:"client"`
-	Seq    uint64 `json:"seq"`
+	Client uint64
+	Seq    uint64
 }
 
-// Encode serializes the command for raft.Propose.
+// commandVersion leads every encoded command. It is never '{', so a JSON
+// payload written by a build that predates this format is a decode error,
+// not a mis-parse.
+const commandVersion = 1
+
+// opByCode maps the wire's op byte to its Op; code 0 is invalid.
+var opByCode = [...]Op{1: OpPut, 2: OpGet, 3: OpDelete, 4: OpCAS, 5: OpAppend}
+
+func (o Op) code() byte {
+	for code := 1; code < len(opByCode); code++ {
+		if opByCode[code] == o {
+			return byte(code)
+		}
+	}
+	return 0
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// Encode serializes the command for a raft proposal:
+//
+//	version(1 B) · op(1 B) · uvarint Client · uvarint Seq · Key · Value · Old
+//
+// with each string as uvarint length + bytes. The buffer is sized exactly,
+// once: the bytes live in every replica's log.
 func (c Command) Encode() []byte {
-	b, err := json.Marshal(c)
-	if err != nil {
-		panic(fmt.Sprintf("kvstore: marshal: %v", err)) // all fields are marshalable
+	code := c.Op.code()
+	if code == 0 {
+		panic(fmt.Sprintf("kvstore: encode: unknown op %q", c.Op)) // callers build commands from the Op constants
+	}
+	strs := [...]string{c.Key, c.Value, c.Old}
+	n := 2 + uvarintLen(c.Client) + uvarintLen(c.Seq)
+	for _, s := range strs {
+		n += uvarintLen(uint64(len(s))) + len(s)
+	}
+	b := make([]byte, 0, n)
+	b = append(b, commandVersion, code)
+	b = binary.AppendUvarint(b, c.Client)
+	b = binary.AppendUvarint(b, c.Seq)
+	for _, s := range strs {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
 	}
 	return b
 }
 
-// DecodeCommand parses a log payload.
+var (
+	errCommandShort    = errors.New("kvstore: decode: short command")
+	errCommandVersion  = errors.New("kvstore: decode: unknown command version")
+	errCommandOp       = errors.New("kvstore: decode: unknown op")
+	errCommandVarint   = errors.New("kvstore: decode: malformed or non-minimal varint")
+	errCommandTrailing = errors.New("kvstore: decode: trailing bytes")
+)
+
+// commandReader consumes an encoded command front to back; the first error
+// sticks and empties the reader, so every later read returns zero.
+type commandReader struct {
+	b   []byte
+	err error
+}
+
+func (r *commandReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.b = nil
+}
+
+func (r *commandReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	switch {
+	case n == 0:
+		r.fail(errCommandShort)
+		return 0
+	case n < 0 || (n > 1 && r.b[n-1] == 0):
+		// Overflow, or a padded encoding: one value has one encoding, so
+		// Encode(Decode(b)) == b for every b that decodes.
+		r.fail(errCommandVarint)
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *commandReader) str() string {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail(errCommandShort) // the length overruns the payload
+		return ""
+	}
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
+}
+
+// DecodeCommand parses a log payload. Decoding is strict — a wrong version,
+// an op outside the five, a length that overruns the payload, a non-minimal
+// varint and trailing bytes are all errors — so every replica reaches the
+// same verdict on the same bytes.
 func DecodeCommand(b []byte) (Command, error) {
-	var c Command
-	err := json.Unmarshal(b, &c)
-	return c, err
+	if len(b) < 2 {
+		return Command{}, errCommandShort
+	}
+	if b[0] != commandVersion {
+		return Command{}, errCommandVersion
+	}
+	if b[1] == 0 || int(b[1]) >= len(opByCode) {
+		return Command{}, errCommandOp
+	}
+	r := commandReader{b: b[2:]}
+	c := Command{Op: opByCode[b[1]]}
+	c.Client = r.uvarint()
+	c.Seq = r.uvarint()
+	c.Key = r.str()
+	c.Value = r.str()
+	c.Old = r.str()
+	if r.err == nil && len(r.b) != 0 {
+		r.err = errCommandTrailing
+	}
+	if r.err != nil {
+		return Command{}, r.err
+	}
+	return c, nil
 }
 
 // Result is the outcome of one applied command.

@@ -146,8 +146,55 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if out != in {
 		t.Errorf("round trip: %+v vs %+v", out, in)
 	}
-	if _, err := DecodeCommand([]byte("not json")); err == nil {
-		t.Error("garbage decoded successfully")
+	// Decoding is strict: every replica must reach the same verdict on the
+	// same bytes, so anything but exactly one well-formed command is an error.
+	good := Command{Op: OpPut, Key: "k", Value: "v", Client: 1, Seq: 1}.Encode() // 01 01 01 01 01 'k' 01 'v' 00
+	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
+	for _, tc := range []struct {
+		name string
+		b    []byte
+	}{
+		{"empty", nil},
+		{"version only", good[:1]},
+		{"version 0", mutate(func(b []byte) []byte { b[0] = 0; return b })},
+		{"version 2", mutate(func(b []byte) []byte { b[0] = 2; return b })},
+		{"op 0", mutate(func(b []byte) []byte { b[1] = 0; return b })},
+		{"op 6", mutate(func(b []byte) []byte { b[1] = 6; return b })},
+		{"key length overruns", mutate(func(b []byte) []byte { b[4] = 200; return b })},
+		{"old length overruns", mutate(func(b []byte) []byte { b[len(b)-1] = 1; return b })},
+		{"missing old", good[:len(good)-1]},
+		{"trailing byte", append(append([]byte(nil), good...), 0)},
+		{"padded varint", []byte{1, 1, 0x81, 0x00, 1, 0, 0, 0}},
+		{"varint overflow", []byte{1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 0, 0, 0}},
+		{"pre-binary JSON payload", []byte(`{"op":"put","key":"k","value":"v","client":1,"seq":1}`)},
+		{"garbage", []byte("not a command")},
+	} {
+		if c, err := DecodeCommand(tc.b); err == nil {
+			t.Errorf("%s: % x decoded as %+v", tc.name, tc.b, c)
+		}
+	}
+}
+
+// TestStoreUndecodablePayloadIsANoOp pins what every replica does with an
+// EntryCommand it cannot decode (here: a payload in the JSON format builds
+// before the binary codec wrote): nothing, deterministically — the cursor
+// advances, no key changes, and a waiter at the index resolves "not mine".
+func TestStoreUndecodablePayloadIsANoOp(t *testing.T) {
+	s := NewStore()
+	ch := s.wait(1, 1, 1)
+	s.Apply(raft.ApplyMsg{Index: 1, Kind: raft.EntryCommand,
+		Command: []byte(`{"op":"put","key":"k","value":"v","client":1,"seq":1}`)})
+	if wr := <-ch; wr.mine {
+		t.Error("undecodable payload resolved as the waiter's command")
+	}
+	if s.Len() != 0 {
+		t.Error("undecodable payload mutated the store")
+	}
+	if seq, _ := s.LastApplied(1); seq != 0 {
+		t.Errorf("undecodable payload entered the dedup table (seq %d)", seq)
+	}
+	if s.AppliedIndex() != 1 {
+		t.Errorf("applied index = %d, want 1", s.AppliedIndex())
 	}
 }
 

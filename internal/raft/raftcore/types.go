@@ -167,7 +167,10 @@ func (t MessageType) String() string {
 	}
 }
 
-// Message is the single wire format for all four RPCs (gob-encodable).
+// Message is the single message type for every RPC. The core handles it as a
+// Go value only; its byte format on a stream belongs to the driver (package
+// raft, wire.go), whose TestWireCoversEveryField fails when a field added
+// here is not added there.
 type Message struct {
 	Type MessageType
 	From types.NodeID

@@ -167,9 +167,6 @@ type walRecord struct {
 	SnapTerm  types.Time
 }
 
-// frameHeaderLen is the length prefix preceding each record's gob body.
-const frameHeaderLen = 4
-
 // encodeFrameInto serializes one record into buf as a length-prefixed
 // standalone gob blob (each record carries its own type table, so streams
 // survive appends by later process generations). buf is reset first, so
@@ -186,18 +183,18 @@ func encodeFrameInto(buf *bytes.Buffer, rec walRecord) error {
 	return nil
 }
 
-// readFrames decodes every complete record in r, ignoring a torn tail.
+// readFrames decodes every complete record in r, ignoring a torn tail. A
+// tail torn inside the 4-byte prefix can claim any length; ReadFrame sizes its
+// buffer by the bytes the segment actually holds, never by the prefix.
 func readFrames(r io.Reader) []walRecord {
 	var recs []walRecord
-	var lenBuf [4]byte
+	var buf []byte
 	for {
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return recs
+		body, err := ReadFrame(r, buf)
+		if err != nil {
+			return recs // end of segment, or a torn write: the durable prefix stands
 		}
-		body := make([]byte, binary.BigEndian.Uint32(lenBuf[:]))
-		if _, err := io.ReadFull(r, body); err != nil {
-			return recs // torn write: the durable prefix stands
-		}
+		buf = body // gob copies what it decodes, so the next frame may reuse it
 		var rec walRecord
 		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rec); err != nil {
 			return recs

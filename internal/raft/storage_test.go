@@ -257,6 +257,54 @@ func TestFileStorageTornBatchFrame(t *testing.T) {
 	}
 }
 
+// TestFileStorageTornPrefixAllocation: a crash can tear the 4-byte length
+// prefix itself, leaving a tail whose "length" is whatever bytes landed. The
+// torn-tail contract says it is ignored; replay must also not trust it with
+// an allocation. Before the frame reader sized its buffer by the bytes
+// present, this 7-byte tail asked for 4 GiB.
+func TestFileStorageTornPrefixAllocation(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	st, err := OpenFileStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cmd := range []string{"a", "b"} {
+		if err := st.SaveEntries(i+1, []LogEntry{{Term: 1, Kind: EntryCommand, Command: []byte(cmd)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(segPath(dir, 1), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xff, 0xff, 0xff, 0xf0, 1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var re *FileStorage
+	got := allocated(func() { re, err = OpenFileStorage(dir) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got > 1<<20 {
+		t.Errorf("replaying a segment with a 7-byte torn tail allocated %d bytes", got)
+	}
+	_, _, log, err := re.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != 2 || string(log[0].Command) != "a" || string(log[1].Command) != "b" {
+		t.Fatalf("the two frames before the torn tail did not survive: %+v", log)
+	}
+}
+
 func TestFileStorageFreshFile(t *testing.T) {
 	st, err := OpenFileStorage(filepath.Join(t.TempDir(), "wal"))
 	if err != nil {

@@ -1,7 +1,8 @@
 // Package transport provides message transports for the raft runtime: an
 // in-memory network with injectable latency, loss, and partitions (the
-// repository's stand-in for the paper's EC2 testbed), and a TCP transport
-// over encoding/gob for real deployments.
+// repository's stand-in for the paper's EC2 testbed), which passes messages
+// as Go values, and a TCP transport that frames them with raft.AppendEnvelope
+// for real deployments.
 //
 // Both transports are group multiplexers: one link (or socket) per peer
 // carries raft.Envelope traffic for every raft group hosted by the process,

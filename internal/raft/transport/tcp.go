@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"encoding/gob"
+	"bufio"
 	"fmt"
 	"math/rand"
 	"net"
@@ -26,10 +26,20 @@ const (
 	// cannot stall a peer's reader goroutine indefinitely; non-zero so a
 	// short apply hiccup causes backpressure instead of silent loss.
 	inboxWait = 5 * time.Millisecond
+	// coalesceBytes bounds one write: a sender that finds more envelopes
+	// already queued lays them into the same buffer until it holds this
+	// much. Larger than a typical append batch, small enough that one write
+	// never monopolises the connection. It is also the receiver's read size.
+	coalesceBytes = 64 << 10
+	// maxRetainedBuf is the largest codec buffer a connection keeps between
+	// messages; one oversized message (a long catch-up append) does not pin
+	// its high-water mark for the life of the connection.
+	maxRetainedBuf = 1 << 20
 )
 
-// TCPTransport carries raft envelopes over TCP with gob encoding — the
-// runtime's real-network deployment path (cmd/raft-kv).
+// TCPTransport carries raft envelopes over TCP as length-prefixed binary
+// frames (raft.AppendEnvelope / raft.DecodeEnvelope) — the runtime's
+// real-network deployment path (cmd/raft-kv).
 //
 // The transport is a group multiplexer: one connection and one background
 // reconnector per peer carry traffic for every raft group the process
@@ -40,7 +50,8 @@ const (
 // Sends never block on the network: each peer has a background sender
 // goroutine that owns the connection, redials with capped exponential
 // backoff plus jitter when the peer is down, and drains a bounded queue
-// shared by all groups. Send enqueues or — when the queue is full or the
+// shared by all groups, coalescing whatever is already queued into one write
+// (it never waits for more). Send enqueues or — when the queue is full or the
 // peer unknown — drops and counts (per group). Inbound messages get a
 // bounded wait on a congested inbox before being shed (counted per group),
 // so one group's slow consumer backpressures its own sender without
@@ -229,13 +240,21 @@ func (t *TCPTransport) receive(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
+	br := bufio.NewReaderSize(conn, coalesceBytes)
+	var buf []byte
 	timer := time.NewTimer(inboxWait)
 	defer timer.Stop()
 	for {
-		var env raft.Envelope
-		if err := dec.Decode(&env); err != nil {
+		body, err := raft.ReadFrame(br, buf)
+		if err != nil {
 			return
+		}
+		env, err := raft.DecodeEnvelope(body)
+		if err != nil {
+			return // a malformed frame poisons the stream: drop the connection
+		}
+		if buf = body; cap(buf) > maxRetainedBuf {
+			buf = nil
 		}
 		inbox, gc, closed := t.route(env.Group)
 		if closed {
@@ -294,8 +313,7 @@ func (t *TCPTransport) send(g raft.GroupID, m raft.Message) {
 		addr, ok := t.peers[m.To]
 		if !ok {
 			t.mu.Unlock()
-			t.dropped.Add(1)
-			t.group(g).dropped.Add(1)
+			t.drop(g)
 			return
 		}
 		ps = &peerSender{
@@ -312,9 +330,14 @@ func (t *TCPTransport) send(g raft.GroupID, m raft.Message) {
 	select {
 	case ps.queue <- raft.Envelope{Group: g, Msg: m}:
 	default:
-		t.dropped.Add(1)
-		t.group(g).dropped.Add(1)
+		t.drop(g)
 	}
+}
+
+// drop charges one lost outbound envelope to the transport and to its group.
+func (t *TCPTransport) drop(g raft.GroupID) {
+	t.dropped.Add(1)
+	t.group(g).dropped.Add(1)
 }
 
 // shutdown stops the sender's loop (idempotent; safe under t.mu).
@@ -328,13 +351,25 @@ func (ps *peerSender) shutdown() {
 func (ps *peerSender) loop() {
 	defer ps.t.wg.Done()
 	var conn net.Conn
-	var enc *gob.Encoder
+	var buf []byte            // the frames of one write
+	var groups []raft.GroupID // the group of each envelope in buf
 	everConnected := false
 	defer func() {
 		if conn != nil {
 			conn.Close()
 		}
 	}()
+	// frame lays env into buf as the next frame of the pending write.
+	frame := func(env raft.Envelope) {
+		mark := len(buf)
+		buf = raft.AppendEnvelope(buf, env)
+		if int64(len(buf)-mark) > raft.MaxFrameLen {
+			buf = buf[:mark] // its length does not fit the prefix
+			ps.t.drop(env.Group)
+			return
+		}
+		groups = append(groups, env.Group)
+	}
 	backoff := dialBackoffMin
 	// One timer for every dial back-off: under go 1.22 a time.After left
 	// behind by the stop case stays allocated until it fires.
@@ -349,7 +384,7 @@ func (ps *peerSender) loop() {
 			for conn == nil {
 				c, err := net.Dial("tcp", ps.addr)
 				if err == nil {
-					conn, enc = c, gob.NewEncoder(c)
+					conn = c
 					backoff = dialBackoffMin
 					if everConnected {
 						ps.t.reconnects.Add(1)
@@ -371,12 +406,30 @@ func (ps *peerSender) loop() {
 				case <-retry.C:
 				}
 			}
-			if err := enc.Encode(env); err != nil {
+			// One write carries env and whatever else is ALREADY queued. The
+			// drain never blocks, so a lone envelope leaves exactly as early
+			// as it would alone.
+			buf, groups = buf[:0], groups[:0]
+			frame(env)
+		drain:
+			for len(buf) < coalesceBytes {
+				select {
+				case more := <-ps.queue:
+					frame(more)
+				default:
+					break drain
+				}
+			}
+			if _, err := conn.Write(buf); err != nil {
 				conn.Close()
-				conn, enc = nil, nil
-				// This envelope is lost; the protocol retries.
-				ps.t.dropped.Add(1)
-				ps.t.group(env.Group).dropped.Add(1)
+				conn = nil
+				// Every envelope of the write is lost; the protocol retries.
+				for _, g := range groups {
+					ps.t.drop(g)
+				}
+			}
+			if cap(buf) > maxRetainedBuf {
+				buf = nil
 			}
 		}
 	}

@@ -29,8 +29,8 @@
 //     paper, with the published bug toggleable for experiments.
 //
 // Transports are pluggable: an in-memory network with injectable latency,
-// loss, and partitions (package transport), and a TCP transport over
-// encoding/gob for real deployments.
+// loss, and partitions (package transport), and a TCP transport carrying
+// the length-prefixed binary frames of wire.go for real deployments.
 package raft
 
 import (
@@ -96,7 +96,8 @@ const (
 	MsgTimeoutNow = raftcore.MsgTimeoutNow
 )
 
-// Message is the single wire format for all four RPCs (gob-encodable).
+// Message is the single message type for every RPC. In-memory transports
+// pass it as a Go value; wire.go is its byte format on a stream.
 type Message = raftcore.Message
 
 // ApplyMsg is delivered on the node's apply channel for every committed
