@@ -24,8 +24,9 @@ vet:
 # switches over the model's enum types, transitive purity of the core and
 # model packages, the effect order of the staged Ready driver (Core.Stable
 # only after the batch's Storage.Save* calls, never from their error branch),
-# and the single writer of Core.commitIndex per role (learnCommit on
-# followers, advanceCommit on leaders, the snapshot install).
+# and the single writers of Core.commitIndex per role (learnCommit on
+# followers, advanceCommit on leaders, the snapshot install) and of
+# Core.lastApplied (TakeEffects, the snapshot install).
 lint:
 	$(GO) run ./cmd/adore-lint ./...
 
@@ -34,7 +35,8 @@ lint:
 # path, a persist error merely logged on the lane, dropped persist error,
 # transitive time.Now reach, bare call to a *Locked helper, unlock-then-read
 # window, a read-reply handler assigning m.LeaderCommit to the commit index
-# past the leaderMatch clamp, ...) must keep producing their expected diagnostics, and the
+# past the leaderMatch clamp, a heartbeat handler fast-forwarding the applied
+# index past TakeEffects, ...) must keep producing their expected diagnostics, and the
 # fixture harness fails any pass that goes inert (zero findings). The CLI
 # golden tests pin output format and deterministic ordering the same way.
 lint-teeth:
@@ -94,15 +96,20 @@ chaos-elections:
 chaos-leases:
 	! $(GO) run ./cmd/raft-chaos -teeth -disable-lease-guard -seeds 1
 
-# chaos-disk is the slow-disk teeth pair (deterministic simulator, write
-# delays on): the driver mutant that reports Stable before the write lands
-# must be caught when a power cycle loses the in-flight writes (-early-stable
-# expects violations; the real driver's clean arm is TestCrashBeforeStable),
-# and with the stalled-disk step-down knocked out a leader with a frozen disk
-# must trip the liveness oracle.
+# chaos-disk is the slow-disk teeth (deterministic simulator, write delays
+# on): the driver mutant that reports Stable before the write lands must be
+# caught — by the applied ⊆ quorum-durable oracle, before the power cycle that
+# loses the in-flight writes (-early-stable expects violations; the real
+# driver's clean arm and the ordering are TestCrashBeforeStable); with the
+# stalled-disk step-down knocked out a leader with a frozen disk must trip the
+# liveness oracle; a follower that applies ahead of its frozen disk and is
+# power-cycled must come back clean (TestApplyAheadOfDisk); and, live, a
+# follower with its write blocked must still apply what the other two made
+# durable while acking nothing above its own disk.
 chaos-disk:
 	$(GO) run ./cmd/raft-chaos -teeth -early-stable -seeds 1
-	$(GO) test -count=1 -run 'TestCrashBeforeStable|TestTeethStalledLeaderDisk' ./internal/chaos
+	$(GO) test -count=1 -run 'TestCrashBeforeStable|TestTeethStalledLeaderDisk|TestApplyAheadOfDisk' ./internal/chaos
+	$(GO) test -count=1 -run 'TestFollowerAppliesAheadOfBlockedWrite' ./internal/raft
 
 # sim-sweep runs the same schedules in the deterministic simulator: the
 # whole execution (not just the fault plan) is a pure function of the seed,

@@ -324,10 +324,11 @@ func (s *server) eachGroup(f func(*raft.Node) error) string {
 }
 
 // get serves a read at the configured -read-mode. Every mode except local
-// runs a linearizability barrier first — a quorum ReadIndex round at the
-// leader, a lease check (falling back to the quorum round when no lease is
-// held), or a barrier forwarded from this follower — then waits for the
-// local state machine to apply up to the barrier index before serving.
+// runs a linearizability barrier first (kvstore.ReadBarrier: a quorum
+// ReadIndex round at the leader, a lease check falling back to that round, or
+// a barrier forwarded from this follower), then waits for the local state
+// machine to apply up to the barrier index before serving. On a follower
+// that wait is for the quorum's disks, not this replica's own.
 func (s *server) get(key string) string {
 	node, store := s.route(key)
 	if s.cfg.readLocal {
@@ -337,21 +338,7 @@ func (s *server) get(key string) string {
 		return "NOTFOUND"
 	}
 	const timeout = 5 * time.Second
-	var idx int
-	var err error
-	switch s.cfg.readMode {
-	case kvstore.ReadModeLease:
-		var ok bool
-		if idx, ok = node.LeaseRead(); !ok {
-			// No valid lease (not leader, acks stale, transfer or reconfig
-			// in flight): degrade to the full quorum barrier.
-			idx, err = node.ReadIndex(timeout)
-		}
-	case kvstore.ReadModeFollower:
-		idx, err = node.FollowerReadIndex(timeout)
-	default: // ReadModeReadIndex
-		idx, err = node.ReadIndex(timeout)
-	}
+	idx, err := kvstore.ReadBarrier(node, s.cfg.readMode, timeout)
 	if err != nil {
 		return fmt.Sprintf("ERR read barrier: %s (try %s)", err, node.Snapshot().Leader)
 	}
@@ -392,6 +379,13 @@ func (c *session) write(cmd kvstore.Command) string {
 	return "OK"
 }
 
+// statusFields renders one group's status: applied above stable is a
+// follower applying what the quorum made durable ahead of its own disk.
+func statusFields(st raft.Snapshot) string {
+	return fmt.Sprintf("term=%d role=%s leader=%s commit=%d applied=%d stable=%d",
+		st.Term, st.Role, st.Leader, st.CommitIndex, st.AppliedIndex, st.StableIndex)
+}
+
 func (c *session) handleCommand(fields []string) string {
 	s := c.srv
 	if len(fields) == 0 {
@@ -430,13 +424,11 @@ func (c *session) handleCommand(fields []string) string {
 		return "MEMBERS " + strings.Join(parts, " ")
 	case "status":
 		if s.cfg.shards == 1 {
-			st := s.host.Node(0).Snapshot()
-			return fmt.Sprintf("STATUS term=%d role=%s leader=%s commit=%d", st.Term, st.Role, st.Leader, st.CommitIndex)
+			return "STATUS " + statusFields(s.host.Node(0).Snapshot())
 		}
 		parts := make([]string, s.cfg.shards)
 		for g := range parts {
-			st := s.host.Node(raft.GroupID(g)).Snapshot()
-			parts[g] = fmt.Sprintf("g%d[term=%d role=%s leader=%s commit=%d]", g, st.Term, st.Role, st.Leader, st.CommitIndex)
+			parts[g] = fmt.Sprintf("g%d[%s]", g, statusFields(s.host.Node(raft.GroupID(g)).Snapshot()))
 		}
 		return "STATUS " + strings.Join(parts, " ")
 	case "addserver":

@@ -5,13 +5,14 @@ import (
 	"testing"
 	"time"
 
+	"adore/internal/kvstore"
 	"adore/internal/raft"
 	"adore/internal/types"
 )
 
-// startSolo brings up a one-replica deployment on dir's WAL and waits for it
-// to elect itself.
-func startSolo(t *testing.T, dir string) *server {
+// startSolo brings up a one-replica deployment on dir's WAL, serving get at
+// the given read mode, and waits for it to elect itself.
+func startSolo(t *testing.T, dir string, mode kvstore.ReadMode) *server {
 	t.Helper()
 	srv, err := start(config{
 		id:              1,
@@ -20,6 +21,7 @@ func startSolo(t *testing.T, dir string) *server {
 		shards:          1,
 		walDir:          dir,
 		electionTimeout: 20 * time.Millisecond,
+		readMode:        mode,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,14 +50,14 @@ func expect(t *testing.T, c *session, line, want string) {
 // sessions wrote. Deletes and CAS report what the state machine did.
 func TestWritesSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	srv := startSolo(t, dir)
+	srv := startSolo(t, dir, kvstore.ReadModeReadIndex)
 	c := srv.newSession()
 	expect(t, c, "put a 1", "OK")
 	expect(t, c, "put b 2", "OK")
 	expect(t, c, "put c 3", "OK")
 	srv.stop()
 
-	srv = startSolo(t, dir)
+	srv = startSolo(t, dir, kvstore.ReadModeReadIndex)
 	defer srv.stop()
 	c = srv.newSession()
 	expect(t, c, "put a after-restart", "OK")
@@ -67,4 +69,25 @@ func TestWritesSurviveRestart(t *testing.T) {
 	expect(t, c, "delete a", "OK")
 	expect(t, c, "get a", "NOTFOUND")
 	expect(t, c, "delete a", "NOTFOUND")
+}
+
+// get goes through kvstore.ReadBarrier at every -read-mode. In follower mode
+// (the flag's default) the barrier is the forwarded one, which a replica that
+// happens to lead resolves against itself; status shows the two watermarks a
+// follower-served read sits between.
+func TestGetThroughReadBarrier(t *testing.T) {
+	for _, mode := range []kvstore.ReadMode{kvstore.ReadModeFollower, kvstore.ReadModeLease} {
+		t.Run(mode.String(), func(t *testing.T) {
+			srv := startSolo(t, t.TempDir(), mode)
+			defer srv.stop()
+			c := srv.newSession()
+			expect(t, c, "get k", "NOTFOUND")
+			expect(t, c, "put k v", "OK")
+			expect(t, c, "get k", "VALUE v")
+			st := c.handleCommand([]string{"status"})
+			if !strings.Contains(st, " applied=") || !strings.Contains(st, " stable=") {
+				t.Fatalf("status %q does not report the applied and stable indexes", st)
+			}
+		})
+	}
 }

@@ -909,8 +909,10 @@ func StalledLeaderDiskSchedule(opt Options) *Schedule {
 // driver released nothing those writes were backing — no ack, no commit, no
 // client reply — so no acked put is lost and the restarted cluster is
 // consistent with everything it ever told a client. The EarlyStable driver
-// mutant acks and commits the in-flight batch ahead of the disk, and the
-// applied-stream and linearizability oracles catch the loss.
+// mutant acks and commits the in-flight batch ahead of the disk: the applied ⊆
+// quorum-durable oracle catches the first such commit while every node is
+// still up, the applied-stream and linearizability oracles the loss after the
+// power cycle.
 func CrashBeforeStableSchedule(opt Options) *Schedule {
 	opt.Nodes = 3
 	opt.defaults()
@@ -927,6 +929,35 @@ func CrashBeforeStableSchedule(opt Options) *Schedule {
 		events = append(events, Event{At: stall + d*12/100, Kind: EvRestart, Node: id})
 	}
 	return &Schedule{Seed: -8, Nodes: 3, Events: events, Scripts: Generate(1, opt).Scripts}
+}
+
+// ApplyAheadOfDiskSchedule is the apply ⊆ committed plan: a follower whose
+// disk is frozen keeps learning what the quorum committed and applies it —
+// entries, and a compaction image over them, that its own WAL never holds.
+// Twice: the first stall ends in a power cycle that loses every write the
+// frozen disk was sitting on, so S3 restarts from its shorter WAL with a fresh
+// state machine and is handed the same entries again; the second stall clears,
+// so the image that outran the WAL lands with the log continuing on top of it,
+// and a later power cycle recovers from that. S1 and S2 are the quorum
+// throughout. Should S3 be leading when its disk freezes, the stalled-disk
+// step-down makes it the follower the plan wants within an election interval.
+func ApplyAheadOfDiskSchedule(opt Options) *Schedule {
+	opt.Nodes = 3
+	opt.defaults()
+	d := opt.Duration
+	return &Schedule{
+		Seed:  -10,
+		Nodes: 3,
+		Events: []Event{
+			{At: d * 25 / 100, Kind: EvStallDisk, Node: 3, For: d * 35 / 100},
+			{At: d * 45 / 100, Kind: EvCrash, Node: 3, Mode: CrashClean},
+			{At: d * 50 / 100, Kind: EvRestart, Node: 3},
+			{At: d * 60 / 100, Kind: EvStallDisk, Node: 3, For: d * 12 / 100},
+			{At: d * 85 / 100, Kind: EvCrash, Node: 3, Mode: CrashClean},
+			{At: d * 90 / 100, Kind: EvRestart, Node: 3},
+		},
+		Scripts: Generate(1, opt).Scripts,
+	}
 }
 
 // StaleSuffixReadSchedule is the commit-propagation plan (deterministic sim

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"adore/internal/config"
 	"adore/internal/kvstore"
 	"adore/internal/linear"
 	"adore/internal/raft"
@@ -22,7 +23,9 @@ import (
 //
 // On top of the live runner's oracles (election safety, term and commit
 // monotonicity, applied-prefix agreement, per-key linearizability), the
-// deterministic run checks executable refinement: every few ticks each
+// deterministic run checks applied ⊆ quorum-durable at every delivery to a
+// state machine (checkQuorumDurable: the sim can read the disks) and
+// executable refinement: every few ticks each
 // replica's STABLE log — what its disk holds, its support in the paper's
 // sense — and commit index are fed through
 // refine.ExecChecker.ObserveNode, which rebuilds the Adore cache tree and
@@ -172,6 +175,7 @@ func runSimGroup(sched *Schedule, opt Options, g raft.GroupID, groups int) (*Rep
 		r.stores[id] = kvstore.NewStore()
 	}
 	r.s.OnApply(func(id types.NodeID, batch []raft.ApplyMsg) {
+		r.checkQuorumDurable(id, batch[len(batch)-1])
 		r.applied[id] = append(r.applied[id], batch...)
 		for _, msg := range batch {
 			r.stores[id].Apply(msg)
@@ -317,6 +321,10 @@ type simRun struct {
 	// leader, disarmed by any other nemesis event (only clean windows are
 	// judged).
 	stallWatch *stallWatch
+
+	// quorumDurable is the highest index found on the disks of a majority at
+	// a delivery (checkQuorumDurable).
+	quorumDurable int
 
 	// executable refinement
 	exec             *refine.ExecChecker
@@ -606,6 +614,38 @@ func (r *simRun) monitorReport() []string {
 	return out
 }
 
+// checkQuorumDurable is the applied ⊆ quorum-durable oracle, run at every
+// delivery to any replica's state machine. Replicas apply what they KNOW
+// committed, ahead of their own disks; what makes that safe is that the leader
+// only names an index committed once a majority of the configuration it judged
+// the commit under holds it on disk. The leader is the first to deliver an
+// index it commits — in the very drain that follows its advanceCommit, with
+// its membership unchanged — so that is where the claim is checked, against
+// the disks themselves (config.MajorityCount, the predicate advanceCommit
+// uses; a powered-off node's disk still counts). The certified index only
+// rises: a committed entry never leaves a disk that held it. Whatever a
+// replica delivers at or below it is the same entry (the applied-stream oracle
+// checks that); anything above it rests on no quorum.
+func (r *simRun) checkQuorumDurable(id types.NodeID, last raft.ApplyMsg) {
+	if last.Index <= r.quorumDurable {
+		return
+	}
+	members := r.s.Members(id)
+	count := 0
+	for _, m := range members.Slice() {
+		if r.s.DiskHolds(m, last.Index, last.Term) {
+			count++
+		}
+	}
+	if config.MajorityCount(count, members) {
+		r.quorumDurable = last.Index
+		return
+	}
+	r.violations[fmt.Sprintf("quorum-durable: S%d applied index %d (term %d) with it on the disks of only %d of %s, above the quorum-durable index %d",
+		id, last.Index, last.Term, count, members, r.quorumDurable)] = true
+	r.s.Journalf("quorum-durable violation: S%d applied %d, on %d of %s disks", id, last.Index, count, members)
+}
+
 // checkRefinement feeds every replica's retained log suffix and commit
 // index through the executable-refinement checker. Compacted replicas are
 // observed from their snapshot base: the fingerprint (index, term) must
@@ -621,7 +661,7 @@ func (r *simRun) checkRefinement() {
 		// way to disk backs nothing yet (no ack, no commit counts it).
 		first, last := r.s.FirstIndex(id), r.s.StableIndex(id)
 		if last < first-1 {
-			continue // an installed snapshot still being written: no durable view
+			continue // a snapshot above the WAL still being written: no durable view
 		}
 		log := make([]raft.LogEntry, 0, last-first+1)
 		for i := first; i <= last; i++ {

@@ -335,7 +335,7 @@ func (c *Client) FastGetMode(key string, mode ReadMode, timeout time.Duration) (
 			c.retry(s, nil, deadline)
 			continue
 		}
-		idx, err := readBarrier(n, mode, min(attemptSlice, time.Until(deadline)))
+		idx, err := ReadBarrier(n, mode, min(attemptSlice, time.Until(deadline)))
 		if err != nil {
 			c.retry(s, err, deadline)
 			continue
@@ -351,20 +351,23 @@ func (c *Client) FastGetMode(key string, mode ReadMode, timeout time.Duration) (
 	return "", false, ErrTimeout
 }
 
-// readBarrier obtains from n the index a linearizable read may be served at
-// once the serving replica has applied through it.
-func readBarrier(n *raft.Node, mode ReadMode, attempt time.Duration) (int, error) {
+// ReadBarrier obtains from n the index a linearizable read may be served at
+// once the serving replica has applied through it: a barrier forwarded to the
+// leader (follower mode), the leader's lease with a quorum barrier as its
+// fallback, or the quorum barrier itself. It is the one place the three modes
+// are told apart.
+func ReadBarrier(n *raft.Node, mode ReadMode, timeout time.Duration) (int, error) {
 	if mode == ReadModeFollower {
-		return n.FollowerReadIndex(attempt)
+		return n.FollowerReadIndex(timeout)
 	}
 	if mode == ReadModeLease {
 		if idx, ok := n.LeaseRead(); ok {
 			return idx, nil
 		}
-		// No valid lease (fresh term, transfer, or reconfig in flight):
-		// fall back to a full barrier.
+		// No valid lease (not leader, fresh term, acks stale, transfer or
+		// reconfig in flight): fall back to a full barrier.
 	}
-	return n.ReadIndex(attempt)
+	return n.ReadIndex(timeout)
 }
 
 // chargeServe executes the configured read-execution cost on the serving

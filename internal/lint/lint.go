@@ -114,6 +114,14 @@ func DefaultConfig() Config {
 			Writers: []string{"learnCommit", "advanceCommit", "onInstallSnapshot"},
 			Why: "a commit index taken from a message without the leaderMatch clamp " +
 				"commits entries this log never matched against the leader",
+		}, {
+			Pkg:   "adore/internal/raft/raftcore",
+			Type:  "Core",
+			Field: "lastApplied",
+			// TakeEffects hands entries out one by one up to applyLimit; a
+			// full snapshot install stands in for everything the image covers.
+			Writers: []string{"TakeEffects", "onInstallSnapshot"},
+			Why:     "a stray write applies an entry the quorum did not commit or skips one",
 		}},
 	}
 }

@@ -98,6 +98,12 @@ func TestSingleWriterFixture(t *testing.T) {
 			Field:   "commitIndex",
 			Writers: []string{"learnCommit", "advanceCommit"},
 			Why:     "a commit index taken from a message without the clamp commits entries never matched against the leader",
+		}, {
+			Pkg:     "fix/core",
+			Type:    "Core",
+			Field:   "lastApplied",
+			Writers: []string{"TakeEffects"},
+			Why:     "a stray write applies an entry the quorum did not commit or skips one",
 		}},
 		EnumPkgs: off,
 	})

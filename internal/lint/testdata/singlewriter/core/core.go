@@ -1,5 +1,6 @@
 // Package core is the single-writer fixture: a miniature follower whose
-// commit index has two sanctioned writers, and handlers that bypass them.
+// commit index has two sanctioned writers and whose applied index has one,
+// and handlers that bypass them.
 package core
 
 // Message is what arrives from the leader.
@@ -12,6 +13,7 @@ type Message struct {
 type Core struct {
 	commitIndex int
 	leaderMatch int
+	lastApplied int
 	applied     int
 }
 
@@ -58,6 +60,23 @@ func (c *Core) Bump() {
 // Alias hands out a pointer any caller can write through.
 func (c *Core) Alias() *int {
 	return &c.commitIndex // want "write to Core.commitIndex"
+}
+
+// TakeEffects is the applied index's writer: one entry at a time, never past
+// the commit index.
+func (c *Core) TakeEffects() (delivered []int) {
+	for c.lastApplied < c.commitIndex {
+		c.lastApplied++
+		delivered = append(delivered, c.lastApplied)
+	}
+	return delivered
+}
+
+// OnHeartbeat fast-forwards the applied index to whatever the leader named:
+// entries in between are never delivered, and the ones above leaderMatch were
+// never this log's to apply.
+func (c *Core) OnHeartbeat(m Message) {
+	c.lastApplied = m.LeaderCommit // want "write to Core.lastApplied outside TakeEffects"
 }
 
 // Applied reads freely and writes its own fields.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,8 +18,9 @@ import (
 // is out of the node mutex (reads, snapshots and heartbeat acks do not wait
 // for a blocked SaveEntries), nothing persistence-dependent leaves before
 // its write returned (no ack above the durable index, no vote before its
-// SaveState), a follower persists several AppendEntries with one write, and
-// Stop during a write is clean.
+// SaveState), a follower persists several AppendEntries with one write, a
+// follower applies what the quorum committed without waiting for its own
+// write, and Stop during a write is clean.
 
 // laneStorage is the test's storage seam: it can hold SaveEntries calls at a
 // gate, and it records — at the moment each Save call RETURNS — the highest
@@ -134,24 +136,27 @@ func (c *checkedTransport) appends(to types.NodeID) int {
 }
 
 // laneCluster is three raw nodes over a zero-latency MemNetwork, each with a
-// laneStorage and a checkedTransport.
+// laneStorage and a checkedTransport; applied is the last index each node's
+// apply stream delivered.
 type laneCluster struct {
-	net   *transport.MemNetwork
-	nodes map[types.NodeID]*raft.Node
-	st    map[types.NodeID]*laneStorage
-	cs    map[types.NodeID]*raft.CountingStorage
-	tr    map[types.NodeID]*checkedTransport
+	net     *transport.MemNetwork
+	nodes   map[types.NodeID]*raft.Node
+	st      map[types.NodeID]*laneStorage
+	cs      map[types.NodeID]*raft.CountingStorage
+	tr      map[types.NodeID]*checkedTransport
+	applied map[types.NodeID]*atomic.Int64
 }
 
 func startLaneCluster(t *testing.T, delayFor func(types.NodeID) time.Duration) *laneCluster {
 	t.Helper()
 	members := []types.NodeID{1, 2, 3}
 	lc := &laneCluster{
-		net:   transport.NewMemNetwork(0, 0, 1),
-		nodes: map[types.NodeID]*raft.Node{},
-		st:    map[types.NodeID]*laneStorage{},
-		cs:    map[types.NodeID]*raft.CountingStorage{},
-		tr:    map[types.NodeID]*checkedTransport{},
+		net:     transport.NewMemNetwork(0, 0, 1),
+		nodes:   map[types.NodeID]*raft.Node{},
+		st:      map[types.NodeID]*laneStorage{},
+		cs:      map[types.NodeID]*raft.CountingStorage{},
+		tr:      map[types.NodeID]*checkedTransport{},
+		applied: map[types.NodeID]*atomic.Int64{},
 	}
 	for _, id := range members {
 		cs := &raft.CountingStorage{Inner: raft.NewMemStorage()}
@@ -181,11 +186,13 @@ func startLaneCluster(t *testing.T, delayFor func(types.NodeID) time.Duration) *
 				}
 			}
 		}()
+		applied := new(atomic.Int64)
 		go func() {
-			for range n.ApplyCh() {
+			for batch := range n.ApplyCh() {
+				applied.Store(int64(batch[len(batch)-1].Index))
 			}
 		}()
-		lc.nodes[id], lc.st[id], lc.cs[id], lc.tr[id] = n, st, cs, tr
+		lc.nodes[id], lc.st[id], lc.cs[id], lc.tr[id], lc.applied[id] = n, st, cs, tr, applied
 	}
 	t.Cleanup(func() {
 		for _, id := range members {
@@ -316,6 +323,79 @@ func TestLockScopeFollowerWriteBlocked(t *testing.T) {
 	}
 	if L.Snapshot().CommitIndex < idx {
 		t.Fatalf("entry %d never committed after the follower's disk came back", idx)
+	}
+	if v := lc.violations(); len(v) > 0 {
+		t.Fatalf("acked⇒durable violated: %v", v)
+	}
+}
+
+// TestFollowerAppliesAheadOfBlockedWrite: an entry the leader and the OTHER
+// follower made durable is committed, whatever this follower's disk is doing.
+// With its SaveEntries blocked the follower's read barrier still names the
+// entry and its apply stream still delivers it — a follower-served read waits
+// for the quorum's disks, never for its own — while its acks go on claiming
+// nothing its disk does not hold.
+func TestFollowerAppliesAheadOfBlockedWrite(t *testing.T) {
+	lc := startLaneCluster(t, nil)
+	lid := lc.leader(t)
+	var fid types.NodeID
+	for id := range lc.nodes {
+		if id != lid {
+			fid = id
+			break
+		}
+	}
+	L, F := lc.nodes[lid], lc.nodes[fid]
+	lc.warm(t, lid)
+	lc.st[fid].hold()
+	idx, _, err := L.ProposeAsync([]byte("committed-without-F")).Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-lc.st[fid].entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("follower never started the write")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for L.Snapshot().CommitIndex < idx {
+		if time.Now().After(deadline) {
+			t.Fatalf("entry %d never committed on the leader and the other follower", idx)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	within(t, "follower read barrier + apply of an entry its own disk does not hold", func() {
+		ri, err := F.FollowerReadIndex(time.Second)
+		if err != nil {
+			t.Fatalf("FollowerReadIndex: %v", err)
+		}
+		if ri < idx {
+			t.Fatalf("read index %d, below the committed entry %d", ri, idx)
+		}
+		deadline := time.Now().Add(time.Second)
+		for lc.applied[fid].Load() < int64(ri) {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower applied through %d of read index %d with its write blocked: apply waited for the follower's own disk",
+					lc.applied[fid].Load(), ri)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	})
+	if d := lc.st[fid].durableIndex(); d >= idx {
+		t.Fatalf("follower's disk already holds %d (durable %d); the test lost its premise", idx, d)
+	}
+	if s := F.Snapshot(); s.AppliedIndex < idx || s.StableIndex >= idx {
+		t.Fatalf("follower Snapshot: applied %d, stable %d; want applied ≥ %d over a disk below it", s.AppliedIndex, s.StableIndex, idx)
+	}
+
+	lc.st[fid].release()
+	deadline = time.Now().Add(2 * time.Second)
+	for lc.st[fid].durableIndex() < idx {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never persisted entry %d after its disk came back", idx)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if v := lc.violations(); len(v) > 0 {
 		t.Fatalf("acked⇒durable violated: %v", v)

@@ -139,12 +139,14 @@ var (
 // only: every core interaction (message, tick, proposal, barrier) ends with
 // processReadyLocked, which wakes the write lane if the core has something
 // to persist and then releases what may leave now — messages, read
-// barriers, committed entries — all of it already backed by durable state.
-// The write lane is one goroutine with one storage call in flight and mu
-// not held: it takes the core's Unstable batch, writes it, and reports
-// core.Stable, which is the only thing that releases persistence-dependent
-// effects (votes, append acks, the leader's broadcast, commit deliveries,
-// proposal futures). Entries that arrive during a write accumulate in the
+// barriers, committed entries — every promise among them already backed by
+// durable state. The write lane is one goroutine with one storage call in
+// flight and mu not held: it takes the core's Unstable batch, writes it, and
+// reports core.Stable, which is the only thing that releases
+// persistence-dependent effects (votes, append acks, the leader's broadcast
+// and commit deliveries, proposal futures). A follower's commit deliveries
+// are not among them: it applies what the quorum made durable, ahead of its
+// own write. Entries that arrive during a write accumulate in the
 // core and go out as the next single write. A failed write fail-stops the
 // node from the lane with everything held still unsent. Without Storage
 // there is nothing to wait for: the same executor reports Stable inline.
@@ -352,8 +354,13 @@ type Snapshot struct {
 	Leader      types.NodeID
 	CommitIndex int
 	LastIndex   int
-	Members     types.NodeSet
-	Elections   uint64
+	// StableIndex is the highest log index on this node's disk, AppliedIndex
+	// the highest handed to the apply stream. On a follower the second may
+	// run ahead of the first: it applies what the quorum made durable.
+	StableIndex  int
+	AppliedIndex int
+	Members      types.NodeSet
+	Elections    uint64
 	// Counters are the election-disruption metrics (pre-vote rounds, term
 	// bumps, step-downs, transfers); the chaos monitor samples them.
 	Counters Counters
@@ -369,15 +376,17 @@ func (n *Node) Snapshot() Snapshot {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	s := Snapshot{
-		Term:        n.core.Term(),
-		Role:        n.core.Role(),
-		Leader:      n.core.Leader(),
-		CommitIndex: n.core.CommitIndex(),
-		LastIndex:   n.core.LastIndex(),
-		Members:     n.core.Members(),
-		Elections:   n.core.Elections(),
-		Counters:    n.core.Counters(),
-		Err:         n.stopErr,
+		Term:         n.core.Term(),
+		Role:         n.core.Role(),
+		Leader:       n.core.Leader(),
+		CommitIndex:  n.core.CommitIndex(),
+		LastIndex:    n.core.LastIndex(),
+		StableIndex:  n.core.StableIndex(),
+		AppliedIndex: n.core.AppliedIndex(),
+		Members:      n.core.Members(),
+		Elections:    n.core.Elections(),
+		Counters:     n.core.Counters(),
+		Err:          n.stopErr,
 	}
 	if n.stopErr != nil {
 		s.Role = Follower
@@ -604,6 +613,9 @@ func (n *Node) handleSnapshotRequest(req raftcore.SnapshotRequest) {
 	if n.stopErr != nil {
 		return
 	}
+	// On a follower applied may be above what this node's own disk holds;
+	// the core takes the image regardless (Core.Compact) and the lane writes
+	// it in place of the entries it covers.
 	if n.core.Compact(applied, data) {
 		n.processReadyLocked()
 	}

@@ -242,11 +242,12 @@ type Core struct {
 	// Durability watermark. stableIndex is the highest log index known to
 	// be on disk: every entry at or below it survives a crash. It trails
 	// lastIndex while a write is outstanding, is clipped by truncation
-	// (unstableFrom), and sits below snapIndex only while an installed
-	// snapshot is still being written. Everything persistence-dependent is
-	// judged against it: the leader's own vote in advanceCommit, what
-	// sendAppend ships, what a follower's ack may claim, what TakeEffects
-	// delivers as Committed.
+	// (unstableFrom), and sits below snapIndex only while a snapshot — an
+	// installed one, or a local compaction of entries applied ahead of the
+	// disk — is still being written. Every promise is judged against it: the
+	// leader's own vote in advanceCommit, what sendAppend ships, what a
+	// follower's ack may claim, what the leader delivers as Committed. What a
+	// non-leader delivers is not a promise and is not (applyLimit).
 	stableIndex int
 
 	// What to persist next, drained by TakeUnstable.
@@ -382,6 +383,10 @@ func (c *Core) LastIndex() int { return c.lastIndex() }
 // this instant would recover. It is this replica's support in the paper's
 // sense — the log a quorum may count on.
 func (c *Core) StableIndex() int { return c.stableIndex }
+
+// AppliedIndex returns the highest index handed out as Committed (or covered
+// by an installed snapshot). On a non-leader it may exceed StableIndex.
+func (c *Core) AppliedIndex() int { return c.lastApplied }
 
 // FirstIndex returns the absolute index of the first retained log entry,
 // snapIndex+1: entries below it live only in the snapshot.
@@ -569,9 +574,10 @@ func (c *Core) TakeUnstable() (u Unstable, ok bool) {
 // only thing that releases persistence-dependent effects: messages held for
 // the HardState, a follower's held append ack (clamped to the new stable
 // index), the leader's broadcast of the newly stable suffix and its own vote
-// in advanceCommit, the restore of an installed snapshot, and — through
-// TakeEffects — the commit deliveries at or below the new stable index.
-// Without an outstanding batch it does nothing.
+// in advanceCommit, the restore of an installed snapshot with the commit
+// deliveries held behind it, and — through TakeEffects — the leader's commit
+// deliveries at or below the new stable index. Without an outstanding batch
+// it does nothing.
 func (c *Core) Stable() {
 	w := c.inflight
 	if !w.active {
@@ -617,10 +623,7 @@ func (c *Core) TakeEffects() Effects {
 	c.restore = nil
 	e.SteppedDown = c.steppedDown
 	c.steppedDown = false
-	// apply ⊆ durable: a commit index learned from the leader can run ahead
-	// of this replica's own disk.
-	limit := min(c.commitIndex, c.stableIndex)
-	if c.lastApplied < limit {
+	if limit := c.applyLimit(); c.lastApplied < limit {
 		e.Committed = make([]ApplyMsg, 0, limit-c.lastApplied)
 		for c.lastApplied < limit {
 			c.lastApplied++
@@ -638,6 +641,31 @@ func (c *Core) TakeEffects() Effects {
 		e.TakeSnapshot = &SnapshotRequest{Index: c.lastApplied}
 	}
 	return e
+}
+
+// applyLimit is how far Committed may be delivered: apply ⊆ committed. That
+// an entry committed is a fact about a quorum's disks, not about this one. Off
+// the leader the commit index is already clamped to leaderMatch (learnCommit),
+// so the entry in memory IS the committed entry and delivering it waits for no
+// local write: a crash rebuilds the state machine from snapshot + WAL and
+// fetches whatever was applied early again, identically. The leader alone
+// stays under its stable index — its own copy may be the vote that commits,
+// and advanceCommit counts it only once stable, so under persist-before-
+// replicate this is a theorem; it is kept as the guard a leader that
+// replicates while it writes will lean on. Promises (votes, acks) still wait
+// for Stable; knowledge does not.
+//
+// Nothing is delivered while a leader-installed snapshot waits for its write:
+// entries above the image apply to the state machine the undelivered Restore
+// builds, not to the one the driver still holds.
+func (c *Core) applyLimit() int {
+	if c.pendingRestore || c.inflight.restore {
+		return c.lastApplied
+	}
+	if c.role == Leader {
+		return min(c.commitIndex, c.stableIndex)
+	}
+	return c.commitIndex
 }
 
 // TakeReady is the staged contract in one call, for drivers that persist
@@ -672,9 +700,14 @@ func (c *Core) TakeReady() Ready {
 // The committed prefix [1, idx] is folded into the snapshot base and the
 // in-memory log truncated to the suffix; the durable counterpart is the
 // Snapshot carried by the next Unstable (written before the entries that
-// truncate the WAL prefix it replaces). Only applied — hence stable —
-// indexes are accepted, so the watermark never moves. Stale or out-of-range
-// indexes are rejected with false.
+// truncate the WAL prefix it replaces). Any applied index is accepted, the
+// stable index notwithstanding: off the leader apply runs ahead of the local
+// disk, and an image of committed state needs no WAL under it — the entries
+// it covers that never reached this disk are simply never written, and the
+// image's own Stable lifts the watermark to idx. (Clamping to the stable
+// index instead would starve compaction on a follower that is always a few
+// entries ahead of its disk.) Stale or out-of-range indexes are rejected
+// with false.
 func (c *Core) Compact(idx int, data []byte) bool {
 	c.snapRequested = false
 	if idx <= c.snapIndex || idx > c.lastApplied {

@@ -426,7 +426,7 @@ func TestGoldenLearnCommit(t *testing.T) {
 		return ApplyMsg{Index: idx, Term: en.Term, Kind: en.Kind, Command: en.Command}
 	}
 
-	t.Run("a reply commits through min(LeaderCommit, leaderMatch), delivered with the ReadState, clipped to stable", func(t *testing.T) {
+	t.Run("a reply commits through min(LeaderCommit, leaderMatch), delivered with the ReadState, ahead of the local write", func(t *testing.T) {
 		c := follower(2, members, HardState{Term: 1}, []LogEntry{noop})
 		c.Step(app(1, 1, 1, 1, 1, e(1, "a"))) // index 2
 		c.TakeReady()                         // 2 is stable; the no-op is applied
@@ -438,14 +438,16 @@ func TestGoldenLearnCommit(t *testing.T) {
 		if got := c.CommitIndex(); got != 3 {
 			t.Fatalf("CommitIndex = %d, want min(5, 3)", got)
 		}
+		// 3 is not on this disk yet and is delivered all the same: the read
+		// the ReadState resolves waits for apply to reach 3, not for a write.
 		assertEffects(t, c, Effects{
 			ReadStates: []ReadState{{ReqID: 7, Index: 3}},
-			Committed:  []ApplyMsg{applied(2, e(1, "a"))}, // 3 is not on disk yet
+			Committed:  []ApplyMsg{applied(2, e(1, "a")), applied(3, e(1, "b"))},
 		})
+		// The ack — the promise — is what the write was holding back.
 		c.Stable()
 		assertEffects(t, c, Effects{
-			Messages:  []Message{{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 3}},
-			Committed: []ApplyMsg{applied(3, e(1, "b"))},
+			Messages: []Message{{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 3}},
 		})
 	})
 

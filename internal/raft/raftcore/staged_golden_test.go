@@ -101,7 +101,9 @@ func TestStagedLeaderPersistsBeforeReplicating(t *testing.T) {
 // MatchIndex above the follower's stable index. The ack for new entries is
 // held; an empty append meanwhile is answered at once, clamped; appends that
 // arrive during the write are covered by ONE following write (follower group
-// commit); each Stable releases the ack as far as the disk now reaches.
+// commit); each Stable releases the ack as far as the disk now reaches. The
+// entries themselves deliver as soon as the leader names them committed,
+// whatever this disk is doing: the ack is a promise, the commit is knowledge.
 func TestStagedFollowerAckClampedToStable(t *testing.T) {
 	noop := LogEntry{Term: 1, Kind: EntryNoOp}
 	c := follower(2, []types.NodeID{1, 2, 3}, HardState{Term: 1}, []LogEntry{noop})
@@ -120,10 +122,20 @@ func TestStagedFollowerAckClampedToStable(t *testing.T) {
 	assertUnstable(t, c, Unstable{FirstIndex: 2, Entries: []LogEntry{e("a"), e("b")}})
 
 	// A heartbeat during the write: answered at once, MatchIndex clamped to
-	// the stable index (1), and the commit index it carries (3) delivers
-	// nothing above the disk.
+	// the stable index (1). The commit index it carries (3) delivers 2..3 on
+	// the spot — a quorum holds them, this log matches the leader's through
+	// 3 — while the ack still claims nothing above the disk.
 	c.Step(app(3, 11, 3))
-	assertEffects(t, c, Effects{Messages: []Message{ack(1, 11)}})
+	assertEffects(t, c, Effects{
+		Messages: []Message{ack(1, 11)},
+		Committed: []ApplyMsg{
+			{Index: 2, Term: 1, Kind: EntryCommand, Command: []byte("a")},
+			{Index: 3, Term: 1, Kind: EntryCommand, Command: []byte("b")},
+		},
+	})
+	if applied, stable := c.AppliedIndex(), c.StableIndex(); applied != 3 || stable != 1 {
+		t.Fatalf("applied %d, stable %d; want 3 applied over a disk still at 1", applied, stable)
+	}
 
 	// Two more appends arrive during the write.
 	c.Step(app(3, 12, 3, e("c")))
@@ -132,15 +144,9 @@ func TestStagedFollowerAckClampedToStable(t *testing.T) {
 	assertNoUnstable(t, c)
 
 	// Stable(2..3): the held ack goes as far as the disk reaches — 3, echoing
-	// the newest Seq — and the rest stays held; commits 2..3 deliver.
+	// the newest Seq — and the rest stays held.
 	c.Stable()
-	assertEffects(t, c, Effects{
-		Messages: []Message{ack(3, 13)},
-		Committed: []ApplyMsg{
-			{Index: 2, Term: 1, Kind: EntryCommand, Command: []byte("a")},
-			{Index: 3, Term: 1, Kind: EntryCommand, Command: []byte("b")},
-		},
-	})
+	assertEffects(t, c, Effects{Messages: []Message{ack(3, 13)}})
 	// One write covers both appends that arrived meanwhile.
 	assertUnstable(t, c, Unstable{FirstIndex: 4, Entries: []LogEntry{e("c"), e("d")}})
 	c.Stable()
@@ -278,9 +284,115 @@ func TestStagedInstallSnapshotReleasedByStable(t *testing.T) {
 	})
 }
 
+// TestStagedRestorePrecedesCommitted: commit deliveries no longer wait for
+// the local disk, with one exception. While an installed image is being
+// written the driver still holds the OLD state machine, so entries the leader
+// appends and commits above the image are held back, and come out behind the
+// Restore in the same Effects once the image is stable.
+func TestStagedRestorePrecedesCommitted(t *testing.T) {
+	c := follower(2, []types.NodeID{1, 2, 3}, HardState{Term: 1}, nil)
+	img := []byte("image")
+	c.Step(Message{Type: MsgInstallSnapshot, From: 1, To: 2, Term: 1,
+		SnapIndex: 5, SnapTerm: 1, SnapMembers: []types.NodeID{1, 2, 3}, SnapTotal: len(img), SnapData: img, Seq: 4})
+	snap := &Snapshot{Index: 5, Term: 1, Members: []types.NodeID{1, 2, 3}, Data: img}
+	assertUnstable(t, c, Unstable{Snapshot: snap, FirstIndex: 6, Entries: []LogEntry{}})
+
+	// The leader streams on: 6..7 arrive and are named committed while the
+	// image is on its way to disk.
+	x := LogEntry{Term: 1, Kind: EntryCommand, Command: []byte("x")}
+	y := LogEntry{Term: 1, Kind: EntryCommand, Command: []byte("y")}
+	c.Step(Message{Type: MsgAppendEntries, From: 1, To: 2, Term: 1, PrevLogIndex: 5, PrevLogTerm: 1,
+		Entries: []LogEntry{x, y}, LeaderCommit: 7, Seq: 5})
+	assertEffects(t, c, Effects{})
+	c.Step(Message{Type: MsgAppendEntries, From: 1, To: 2, Term: 1, PrevLogIndex: 7, PrevLogTerm: 1, LeaderCommit: 7, Seq: 6})
+	assertEffects(t, c, Effects{Messages: []Message{
+		{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 0, Seq: 6},
+	}})
+	if commit, applied := c.CommitIndex(), c.AppliedIndex(); commit != 7 || applied != 5 {
+		t.Fatalf("commit %d, applied %d; want 7 known committed and nothing delivered above the image (5)", commit, applied)
+	}
+
+	// Stable(image): the restore and the suffix above it, in one Effects (the
+	// driver delivers Restore first); the ack reaches as far as the disk does.
+	c.Stable()
+	assertEffects(t, c, Effects{
+		Messages: []Message{{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 5, Seq: 5}},
+		Restore:  snap,
+		Committed: []ApplyMsg{
+			{Index: 6, Term: 1, Kind: EntryCommand, Command: []byte("x")},
+			{Index: 7, Term: 1, Kind: EntryCommand, Command: []byte("y")},
+		},
+	})
+	assertUnstable(t, c, Unstable{FirstIndex: 6, Entries: []LogEntry{x, y}})
+	c.Stable()
+	assertEffects(t, c, Effects{Messages: []Message{
+		{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 7, Seq: 5},
+	}})
+}
+
+// TestStagedCompactAboveStable: a follower applies ahead of its disk, so the
+// image that answers TakeSnapshot can cover entries its WAL never held.
+// Compact accepts it: the stable index sits below the new base until the image
+// lands, the covered entries are never written, and the image's Stable lifts
+// the watermark to the base — at which point the ack may claim it.
+func TestStagedCompactAboveStable(t *testing.T) {
+	noop := LogEntry{Term: 1, Kind: EntryNoOp}
+	c := New(Config{ID: 2, Members: []types.NodeID{1, 2, 3}, Jitter: func() int { return 0 }, SnapshotThreshold: 3},
+		HardState{Term: 1}, Snapshot{}, []LogEntry{noop})
+	e := func(s string) LogEntry { return LogEntry{Term: 1, Kind: EntryCommand, Command: []byte(s)} }
+	app := func(prev int, seq uint64, commit int, es ...LogEntry) Message {
+		return Message{Type: MsgAppendEntries, From: 1, To: 2, Term: 1,
+			PrevLogIndex: prev, PrevLogTerm: 1, Entries: es, LeaderCommit: commit, Seq: seq}
+	}
+	ack := func(match int, seq uint64) Message {
+		return Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: match, Seq: seq}
+	}
+	applied := func(idx int, en LogEntry) ApplyMsg {
+		return ApplyMsg{Index: idx, Term: en.Term, Kind: en.Kind, Command: en.Command}
+	}
+
+	c.Step(app(1, 1, 3, e("a"), e("b"))) // 2..3, committed on arrival
+	assertEffects(t, c, Effects{
+		Committed:    []ApplyMsg{applied(1, noop), applied(2, e("a")), applied(3, e("b"))},
+		TakeSnapshot: &SnapshotRequest{Index: 3},
+	})
+	assertUnstable(t, c, Unstable{FirstIndex: 2, Entries: []LogEntry{e("a"), e("b")}})
+	c.Step(app(3, 2, 4, e("c"))) // 4 arrives during the write of 2..3
+	assertEffects(t, c, Effects{Committed: []ApplyMsg{applied(4, e("c"))}})
+
+	// The state machine has applied through 4; the disk holds 1.
+	img := []byte("image@4")
+	if !c.Compact(4, img) {
+		t.Fatal("Compact(4) rejected: an applied index above the stable one must be accepted")
+	}
+	if first, stable := c.FirstIndex(), c.StableIndex(); first != 5 || stable != 1 {
+		t.Fatalf("after Compact(4): FirstIndex %d, StableIndex %d; want 5 over a disk still at 1", first, stable)
+	}
+	if c.Compact(5, img) {
+		t.Fatal("Compact accepted an index beyond what was applied")
+	}
+	assertNoUnstable(t, c) // one write in flight
+
+	c.Stable() // 2..3 landed
+	assertEffects(t, c, Effects{Messages: []Message{ack(3, 2)}})
+	// The image alone: 4 is covered by it and never goes to the WAL.
+	assertUnstable(t, c, Unstable{Snapshot: &Snapshot{Index: 4, Term: 1, Members: []types.NodeID{1, 2, 3}, Data: img}})
+	c.Stable()
+	if got := c.StableIndex(); got != 4 {
+		t.Fatalf("stable index = %d after the image at 4 landed, want 4", got)
+	}
+	assertEffects(t, c, Effects{Messages: []Message{ack(4, 2)}})
+
+	// The log goes on from the new base.
+	c.Step(app(4, 3, 4, e("d")))
+	assertEffects(t, c, Effects{})
+	assertUnstable(t, c, Unstable{FirstIndex: 5, Entries: []LogEntry{e("d")}})
+}
+
 // TestStagedNothingLeavesWithoutStable is the fail-stop half: a driver whose
-// write failed never calls Stable, and then nothing the batch was backing
-// ever leaves — however long the core keeps being stepped.
+// write failed never calls Stable, and then no promise the batch was backing
+// ever leaves — no vote, no ack, however long the core keeps being stepped.
+// The entry the leader named committed does: it rests on the quorum's disks.
 func TestStagedNothingLeavesWithoutStable(t *testing.T) {
 	c := follower(2, []types.NodeID{1, 2, 3}, HardState{}, nil)
 	c.Step(Message{Type: MsgVoteRequest, From: 1, To: 2, Term: 1})
@@ -289,6 +401,7 @@ func TestStagedNothingLeavesWithoutStable(t *testing.T) {
 	}
 	x := LogEntry{Term: 1, Kind: EntryCommand, Command: []byte("x")}
 	c.Step(Message{Type: MsgAppendEntries, From: 1, To: 2, Term: 1, Entries: []LogEntry{x}, LeaderCommit: 1, Seq: 1})
+	assertEffects(t, c, Effects{Committed: []ApplyMsg{{Index: 1, Term: 1, Kind: EntryCommand, Command: []byte("x")}}})
 	for i := 0; i < 5; i++ {
 		c.Tick()
 		assertNoUnstable(t, c)

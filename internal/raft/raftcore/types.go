@@ -276,10 +276,11 @@ type ReadState struct {
 // the driver writes it — HardState, then Snapshot, then Entries, in that
 // order — with no lock held, and reports back with Stable. Nothing the batch
 // backs (a vote, an append ack above the previous stable index, entries
-// shipped to followers, a commit delivery) leaves the core before that
-// report, so acked⇒durable is the core's invariant, not the driver's. A
-// failed write means Stable is never called: everything held stays held and
-// the driver fail-stops.
+// shipped to followers, the leader's own commit vote and deliveries, an
+// installed snapshot's restore) leaves the core before that report, so
+// acked⇒durable is the core's invariant, not the driver's. A failed write
+// means Stable is never called: everything held stays held and the driver
+// fail-stops.
 type Unstable struct {
 	// HardState, when non-nil, is the term and vote to persist.
 	HardState *HardState
@@ -301,17 +302,21 @@ type Unstable struct {
 }
 
 // Effects is what may leave the node now: the release half of the staged
-// Ready contract. Everything in it is already backed by durable state (or
-// needs none), so the driver may send, resolve and deliver it without
-// touching the disk.
+// Ready contract. Every promise in it (a vote, an ack, an entry shipped) is
+// already backed by durable state, and the rest needs none — a committed
+// entry is knowledge about a quorum's disks, not a promise of this one's — so
+// the driver may send, resolve and deliver it without touching the disk.
 type Effects struct {
 	// Messages are the outbound messages released since the last drain.
 	// Messages that depend on an unstable HardState or on log entries above
 	// the stable index are not here: Stable releases them.
 	Messages []Message
 
-	// Committed are the entries whose commitment became known AND whose
-	// index is at or below the stable index (apply ⊆ durable), in log order.
+	// Committed are the entries whose commitment became known, in log order
+	// (apply ⊆ committed). On the leader they stop at its stable index; on
+	// any other replica they may run ahead of the local disk — a crash then
+	// recovers a shorter log and is handed the same entries again. None is
+	// delivered above a leader-installed snapshot before its Restore.
 	Committed []ApplyMsg
 
 	// ReadStates resolve ReadIndex barriers (confirmed or aborted).
@@ -319,7 +324,8 @@ type Effects struct {
 
 	// Restore, when non-nil, is a leader-installed snapshot that is now
 	// durable: the driver must restore its state machine from it by
-	// delivering an EntrySnapshot ApplyMsg ahead of Committed.
+	// delivering an EntrySnapshot ApplyMsg ahead of Committed (which carries
+	// whatever committed above the image while it was being written).
 	Restore *Snapshot
 
 	// TakeSnapshot, when non-nil, asks the application to capture a

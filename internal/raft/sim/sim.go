@@ -75,8 +75,9 @@ type Options struct {
 
 	// EarlyStable is a driver MUTANT, for teeth tests only: Stable is
 	// reported when a write starts instead of when it lands, so acks and
-	// commits run ahead of the disk. The acked⇒durable oracles must catch
-	// it as soon as a crash loses an in-flight write.
+	// commits run ahead of the disk. The applied ⊆ quorum-durable oracle
+	// must catch the first commit no disk holds; the acked⇒durable oracles,
+	// the loss once a crash cuts an in-flight write.
 	EarlyStable bool
 }
 
@@ -281,6 +282,23 @@ func (s *Cluster) CommitIndex(id types.NodeID) int { return s.nodes[id].core.Com
 // paper's sense (what the refinement and committed-prefix oracles observe).
 func (s *Cluster) StableIndex(id types.NodeID) int { return s.nodes[id].core.StableIndex() }
 
+// DiskHolds reports whether a node's DISK holds the entry (idx, term), as a log
+// entry of that term or folded into its snapshot: what a power cycle at this
+// instant would recover, whether the node is up, down, or mid-write — and
+// whatever its core believes (a driver that reports Stable early is wrong
+// about exactly this).
+func (s *Cluster) DiskHolds(id types.NodeID, idx int, term types.Time) bool {
+	_, snap, log, err := s.storage[id].Load()
+	if err != nil {
+		panic(fmt.Sprintf("sim: load S%d: %v", id, err)) // see bootNode
+	}
+	if idx <= snap.Index {
+		return true
+	}
+	p := idx - snap.Index - 1
+	return p < len(log) && log[p].Term == term
+}
+
 // LastIndex returns the index of a node's last log entry.
 func (s *Cluster) LastIndex(id types.NodeID) int { return s.nodes[id].core.LastIndex() }
 
@@ -425,7 +443,7 @@ func (s *Cluster) processReady(n *node) {
 		} else {
 			data := s.onSnapshot(n.id, rd.TakeSnapshot.Index)
 			if n.core.Compact(rd.TakeSnapshot.Index, data) {
-				s.Journalf("S%d snapshot@%d", n.id, rd.TakeSnapshot.Index)
+				s.Journalf("S%d snapshot@%d (disk through %d)", n.id, rd.TakeSnapshot.Index, n.core.StableIndex())
 				s.processReady(n) // persist the compaction's effects
 			}
 		}
@@ -522,6 +540,7 @@ func (s *Cluster) persist(id types.NodeID, u *raftcore.Unstable, frames int) err
 // reaches storage, the way a crash mid-batch leaves a WAL.
 func (s *Cluster) powerOff(n *node) {
 	n.up = false
+	s.Journalf("S%d down: applied through %d, disk through %d", n.id, n.core.AppliedIndex(), n.core.StableIndex())
 	if n.write == nil {
 		return
 	}

@@ -392,6 +392,69 @@ func TestFileStorageSnapshotRecovery(t *testing.T) {
 	}
 }
 
+// TestFileStorageSnapshotOutrunsWAL: an image above every entry on disk — a
+// leader's install, or a follower's own compaction of entries it applied ahead
+// of its disk — replaces the whole stored log, and the log goes on at base+1.
+// A reopen recovers the base and exactly that suffix; nothing below the base
+// is resurrected from the segments the image superseded.
+func TestFileStorageSnapshotOutrunsWAL(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	st, err := OpenFileStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveState(HardState{Term: 1}); err != nil {
+		t.Fatal(err)
+	}
+	entries := make([]LogEntry, 3)
+	for i := range entries {
+		entries[i] = LogEntry{Term: 1, Kind: EntryCommand, Command: []byte(fmt.Sprintf("e%d", i+1))}
+	}
+	if err := st.SaveEntries(1, entries); err != nil {
+		t.Fatal(err)
+	}
+	// Entries 4..7 never reached this disk; the image covers them.
+	want := LogSnapshot{Index: 7, Term: 1, Members: []types.NodeID{1, 2, 3}, Data: []byte("state@7")}
+	if err := st.SaveSnapshot(want); err != nil {
+		t.Fatal(err)
+	}
+	if _, snap, log, _ := st.Load(); snap.Index != 7 || len(log) != 0 {
+		t.Fatalf("after the image: base %d, %d retained entries; want 7 and none", snap.Index, len(log))
+	}
+	if err := st.SaveEntries(9, []LogEntry{{Term: 1}}); err == nil {
+		t.Fatal("SaveEntries accepted a gap above the base")
+	}
+	suffix := []LogEntry{
+		{Term: 1, Kind: EntryCommand, Command: []byte("e8")},
+		{Term: 2, Kind: EntryCommand, Command: []byte("e9")},
+	}
+	if err := st.SaveEntries(8, suffix); err != nil {
+		t.Fatalf("SaveEntries at base+1 over an image that outran the WAL: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenFileStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	hs, snap, log, err := re.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hs.Term != 1 {
+		t.Errorf("hard state = %+v", hs)
+	}
+	if snap.Index != 7 || snap.Term != 1 || string(snap.Data) != "state@7" {
+		t.Fatalf("recovered snapshot = %+v, want %+v", snap, want)
+	}
+	if len(log) != 2 || string(log[0].Command) != "e8" || string(log[1].Command) != "e9" || log[1].Term != 2 {
+		t.Fatalf("recovered suffix = %+v, want exactly e8, e9", log)
+	}
+}
+
 // TestFileStorageCorruptSnapshotFailStop: a flipped bit in the snapshot
 // file must fail recovery loudly — running without the committed state the
 // file summarized would be silent divergence.

@@ -7,11 +7,13 @@
 // effects as Ready batches. This package is the runtime driver around it —
 // goroutines, wall-clock timers, the group-commit WAL, and transports.
 // Node executes each Ready in the order the core's contract requires:
-// persist the hard state and log suffix first, then send messages, resolve
-// read barriers, and deliver committed entries. That ordering preserves
-// the acked⇒durable invariant (nothing reaches a peer or client before
-// the durable write that backs it), and a failed persist fail-stops the
-// node before anything from the batch escapes.
+// persist the hard state and log suffix first, then release what that write
+// was backing — votes, acks, the leader's broadcast and commit deliveries.
+// That ordering preserves the acked⇒durable invariant (no promise reaches a
+// peer or client before the durable write that backs it), and a failed
+// persist fail-stops the node before anything the batch backed escapes. What
+// a follower learns committed is not a promise of its own disk and is
+// delivered without waiting for it.
 //
 // The protocol follows the SRaft specification this repository refines into
 // Adore (packages raftnet/sraft/refine), made incremental and practical:
