@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-teeth check loc bench bench-evidence bench-reads-smoke benchmark-smoke bench-compare fuzz-smoke chaos chaos-smoke chaos-teeth chaos-elections chaos-leases chaos-disk sim-sweep sim-teeth sim-sweep-groups sim-teeth-groups
+.PHONY: all build test race vet lint lint-teeth check loc bench bench-evidence bench-reads-smoke benchmark-smoke bench-compare fuzz-smoke chaos chaos-smoke chaos-teeth chaos-parity chaos-elections chaos-leases chaos-disk sim-sweep sim-teeth sim-sweep-groups sim-teeth-groups
 
 all: check
 
@@ -74,6 +74,15 @@ chaos-smoke:
 # with R2 disabled the crafted double-shed schedule must produce violations.
 chaos-teeth:
 	$(GO) run ./cmd/raft-chaos -seeds 3 -duration 1500ms -teeth -disable-r2 -mem
+
+# chaos-parity checks the one harness both runtimes share (chaos.Env): the
+# executor's Env call sequence for every event kind against a recording fake,
+# the run loop and epilogue, and the R2 schedule through Run and RunSim — same
+# verdict with the guard on and off, same nodes up and same configuration
+# after the epilogue — under the race detector (the live monitor samples from
+# its own goroutine).
+chaos-parity:
+	$(GO) test -race -count=1 -run 'TestExecutorEveryEvent|TestRunLoopAndEpilogue|TestLiveSimVerdictParity' ./internal/chaos
 
 # chaos-elections is the election-robustness gate: both election teeth
 # (knock out Pre-Vote → the rejoin-disruption schedule must be caught;

@@ -70,43 +70,62 @@ func main() {
 	)
 	flag.Parse()
 
-	// -teeth runs the crafted violation schedule for the disabled guard
-	// (default: R2). A bare -teeth keeps violations as the failing exit
-	// status, so it exits non-zero exactly when the oracles still bite; an
-	// explicit -disable-* (with or without -teeth) flips to
-	// expect-violations mode — exit 0 on a catch, exit 1 if no seed caught
-	// anything (a harness with no teeth).
-	// Multi-group runs replay in the deterministic simulator: the groups
-	// share nothing there, so per-group oracle attribution is exact.
-	if *groups > 1 {
+	// Multi-group runs and the Ready-executor mutant exist only in the
+	// deterministic simulator (groups share nothing there, so per-group
+	// oracle attribution is exact).
+	if *groups > 1 || *earlySt {
 		*sim = true
 	}
-	// -teeth -groups N (no -disable-*) runs the cross-group storage-wipe
-	// schedule: group 1 loses its WAL while group 0's survives, modeling the
-	// flat-storage-layout bug the per-group subdirectories prevent. It is
-	// always expect-violations mode, and every violation must be attributed
-	// to the wiped group — a control-group catch fails the run.
-	wipeTeeth := *teeth && *groups > 1 && !*disableR2 && !*disableR3 && !*disPV && !*disCQ && !*disLG && !*earlySt
-	expectViolations := *disableR2 || *disableR3 || *disPV || *disCQ || *earlySt || wipeTeeth
-	// -teeth -disable-lease-guard runs the crafted lease-violation schedule
-	// with the guard off and keeps violations as the FAILING exit status
-	// (like a bare -teeth): the command exits 1 exactly when the stale-lease
-	// oracle still bites, and the Makefile target negates it.
-	leaseTeeth := *teeth && *disLG
-	if *teeth && !wipeTeeth {
-		if !expectViolations && !leaseTeeth {
-			*disableR2 = true
+
+	// One row per guard a flag can knock out: the crafted schedule that
+	// exploits the hole (-teeth runs the first knocked-out row's), whether the
+	// oracle that catches it lives in the simulator, which sees link state,
+	// and whether knocking the guard out makes violations the EXPECTED outcome
+	// — exit 0 on a catch, exit 1 if no seed caught anything (a harness with
+	// no teeth). The lease row keeps a catch as the FAILING status: `-teeth
+	// -disable-lease-guard` exits 1 exactly when the stale-lease oracle still
+	// bites, and the Makefile target negates it.
+	guards := []struct {
+		off      bool
+		schedule func(chaos.Options) *chaos.Schedule
+		needsSim bool
+		expected bool
+	}{
+		{*disLG, chaos.LeaseViolationSchedule, true, false},
+		{*earlySt, chaos.CrashBeforeStableSchedule, true, true},
+		{*disPV, chaos.DisruptionSchedule, true, true},
+		{*disCQ, chaos.StaleLeaderSchedule, true, true},
+		{*disableR2, chaos.R2ViolationSchedule, false, true},
+		{*disableR3, chaos.R2ViolationSchedule, false, true},
+	}
+	var crafted func(chaos.Options) *chaos.Schedule // nil without -teeth: generated schedules
+	expectViolations, anyOff := false, false
+	for _, g := range guards {
+		if !g.off {
+			continue
 		}
-		// The election and lease oracles (disruption, stale leader, stale
-		// lease) live in the deterministic simulator, which can see the
-		// link state.
-		if *disPV || *disCQ || leaseTeeth {
-			*sim = true
+		anyOff = true
+		expectViolations = expectViolations || g.expected
+		if *teeth {
+			if crafted == nil {
+				crafted = g.schedule
+			}
+			*sim = *sim || g.needsSim
 		}
 	}
-	// The driver mutant lives in the simulator's Ready executor.
-	if *earlySt {
-		*sim = true
+	// -teeth with every guard on. Across groups it runs the cross-group
+	// storage-wipe schedule: group 1 loses its WAL while group 0's survives
+	// (the flat-storage-layout bug the per-group subdirectories prevent);
+	// violations are expected, and every one must be attributed to the wiped
+	// group — a control-group catch fails the run. Otherwise a bare -teeth
+	// implies -disable-r2 but keeps violations as the failing exit status, so
+	// it exits non-zero exactly when the oracles still bite.
+	wipeTeeth := *teeth && !anyOff && *groups > 1
+	switch {
+	case wipeTeeth:
+		crafted, expectViolations = chaos.CrossGroupWipeSchedule, true
+	case *teeth && !anyOff:
+		crafted, *disableR2 = chaos.R2ViolationSchedule, true
 	}
 
 	opt := chaos.Options{
@@ -128,7 +147,7 @@ func main() {
 		EarlyStable:       *earlySt,
 	}
 
-	if leaseTeeth {
+	if *teeth && *disLG {
 		// The stale-lease window is what is left of one election interval
 		// after the successor's vote round and first commit round, each of
 		// which now crosses a slow disk twice: give it room.
@@ -158,21 +177,8 @@ func main() {
 			defer wg.Done()
 			for s := range jobs {
 				sched := chaos.Generate(s, opt)
-				if *teeth {
-					switch {
-					case wipeTeeth:
-						sched = chaos.CrossGroupWipeSchedule(opt)
-					case leaseTeeth:
-						sched = chaos.LeaseViolationSchedule(opt)
-					case *earlySt:
-						sched = chaos.CrashBeforeStableSchedule(opt)
-					case *disPV:
-						sched = chaos.DisruptionSchedule(opt)
-					case *disCQ:
-						sched = chaos.StaleLeaderSchedule(opt)
-					default:
-						sched = chaos.R2ViolationSchedule(opt)
-					}
+				if crafted != nil {
+					sched = crafted(opt)
 					sched.Seed = s
 				}
 				run := chaos.Run
@@ -260,11 +266,4 @@ func simFlag(sim bool) string {
 		return " -sim"
 	}
 	return ""
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,0 +1,78 @@
+package chaos
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"hash"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestJournalFingerprints prints one SHA-256 per set of deterministic runs —
+// generated seeds at default options and across three groups, every crafted
+// schedule with its guard on, and again with it off — so a refactor of the
+// harness can show, not argue, that the simulator's behaviour did not move:
+// run it with -v on both commits and diff the output (EXPERIMENTS.md E19
+// records the values). Each run contributes its journal, its op / timeout /
+// fault counts, its violations and its warnings; Report.Stats stays out (how
+// counters are summed is harness policy, not simulator behaviour). It asserts
+// nothing, so it only runs when its output would be seen.
+func TestJournalFingerprints(t *testing.T) {
+	if !testing.Verbose() {
+		t.Skip("prints fingerprints to compare across commits; run with -v")
+	}
+	run := func(h hash.Hash, sched *Schedule, opt Options) *Report {
+		rep, err := RunSim(sched, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(rep.Journal)
+		fmt.Fprintf(h, "|%d %d %d|%v|%v\n", rep.Ops, rep.Timeouts, rep.Faults, rep.Violations, rep.Warnings)
+		return rep
+	}
+	sweep := func(name string, seeds int64, opt Options) {
+		h := sha256.New()
+		for seed := int64(0); seed < seeds; seed++ {
+			run(h, Generate(seed, opt), opt)
+		}
+		t.Logf("%-28s %x", name, h.Sum(nil))
+	}
+	sweep("seeds 0-99, default options", 100, Options{})
+	sweep("seeds 0-29, Groups: 3", 30, Options{Groups: 3})
+
+	ms := time.Millisecond
+	crafted := []struct {
+		name  string
+		sched func(Options) *Schedule
+		opt   Options
+		off   func(*Options) // knocks the guard out; nil = the schedule has none
+	}{
+		{"r2", R2ViolationSchedule, Options{Duration: 1200 * ms}, func(o *Options) { o.DisableR2 = true }},
+		{"disruption", DisruptionSchedule, Options{Duration: 1500 * ms}, func(o *Options) { o.DisablePreVote = true }},
+		{"stale-leader", StaleLeaderSchedule, Options{Duration: 1500 * ms}, func(o *Options) { o.DisableCheckQuorum = true }},
+		{"cross-group-wipe", CrossGroupWipeSchedule, Options{Duration: 1500 * ms, Groups: 2}, nil},
+		{"lease, slow disk", LeaseViolationSchedule, Options{Duration: 1500 * ms, ElectionTimeoutMin: 40 * ms}, func(o *Options) { o.DisableLeaseGuard = true }},
+		{"lease, instant disk", LeaseViolationSchedule, Options{Duration: 1500 * ms, DiskDelay: -1}, func(o *Options) { o.DisableLeaseGuard = true }},
+		{"transfer-during-reconfig", TransferDuringReconfigSchedule, Options{Duration: 2000 * ms}, nil},
+		{"stalled-leader-disk", StalledLeaderDiskSchedule, Options{Duration: 2000 * ms}, func(o *Options) { o.DisableCheckQuorum = true }},
+		{"crash-before-stable", CrashBeforeStableSchedule, Options{Duration: 1500 * ms}, func(o *Options) { o.EarlyStable = true }},
+		{"apply-ahead-of-disk", ApplyAheadOfDiskSchedule, Options{Duration: 2000 * ms}, nil},
+		{"stale-suffix-read", StaleSuffixReadSchedule, Options{Duration: 2000 * ms}, nil},
+	}
+	on, off := sha256.New(), sha256.New()
+	for _, c := range crafted {
+		rep := run(on, c.sched(c.opt), c.opt)
+		t.Logf("  %-26s guard on:  journal %x, %d violations", c.name, sha256.Sum256(rep.Journal), len(rep.Violations))
+		if c.off == nil {
+			continue
+		}
+		broken := c.opt
+		c.off(&broken)
+		rep = run(off, c.sched(broken), broken)
+		t.Logf("  %-26s guard off: journal %x, %d violations %x", c.name, sha256.Sum256(rep.Journal),
+			len(rep.Violations), sha256.Sum256([]byte(strings.Join(rep.Violations, "\n"))))
+	}
+	t.Logf("%-28s %x", "crafted, guards on", on.Sum(nil))
+	t.Logf("%-28s %x", "crafted, guards off", off.Sum(nil))
+}

@@ -8,7 +8,6 @@ import (
 
 	"adore/internal/linear"
 	"adore/internal/raft"
-	"adore/internal/raft/cluster"
 	"adore/internal/types"
 )
 
@@ -26,99 +25,106 @@ const maxViolationDetail = 8
 //   - term monotonicity: one node incarnation's term never decreases;
 //   - commit monotonicity: one incarnation's commit index never decreases.
 //
-// Each sample is one Node.Snapshot() call, so the fields checked against
-// each other (term/role, term/commit) come from a single consistent view
-// of the node — a torn read across separate accessors cannot fabricate a
-// violation.
+// Each sample is one Env.Observe call, one consistent view of the node. The
+// simulator samples once a tick from its run loop; a live run samples from a
+// goroutine of its own (startSampling), so a nemesis action that blocks the
+// run loop never opens a gap in the oracles. The sim-only oracles file their
+// violations here too (flag).
 type monitor struct {
-	c      *cluster.Cluster
-	stopCh chan struct{}
-	doneCh chan struct{}
+	env Env
 
 	mu         sync.Mutex
-	leaders    map[types.Time]types.NodeID  // term → leader seen; guarded by mu
-	lastTerm   map[*raft.Node]types.Time    // per incarnation; guarded by mu
-	lastCommit map[*raft.Node]int           // per incarnation; guarded by mu
-	counters   map[*raft.Node]raft.Counters // last sampled, per incarnation; guarded by mu
-	violations map[string]bool              // deduplicated; guarded by mu
-	stopped    bool                         // guarded by mu
+	leaders    map[types.Time]types.NodeID // term → leader seen; guarded by mu
+	last       map[incKey]Sample           // last sample per incarnation; guarded by mu
+	violations map[string]bool             // deduplicated; guarded by mu
 }
 
-func startMonitor(c *cluster.Cluster) *monitor {
-	m := &monitor{
-		c:          c,
-		stopCh:     make(chan struct{}),
-		doneCh:     make(chan struct{}),
+// incKey identifies one incarnation of one node (see Sample.Incarnation).
+type incKey struct {
+	id  types.NodeID
+	inc any
+}
+
+func newMonitor(env Env) *monitor {
+	return &monitor{
+		env:        env,
 		leaders:    make(map[types.Time]types.NodeID),
-		lastTerm:   make(map[*raft.Node]types.Time),
-		lastCommit: make(map[*raft.Node]int),
-		counters:   make(map[*raft.Node]raft.Counters),
+		last:       make(map[incKey]Sample),
 		violations: make(map[string]bool),
 	}
-	go m.loop()
-	return m
 }
 
-func (m *monitor) loop() {
-	defer close(m.doneCh)
-	t := time.NewTicker(2 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stopCh:
-			return
-		case <-t.C:
-			m.sample()
+// startSampling samples every 2ms until stop is called; stop returns once
+// the goroutine has exited.
+func (m *monitor) startSampling() (stop func()) {
+	stopCh, doneCh := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(doneCh)
+		t := time.NewTicker(2 * time.Millisecond)
+		defer t.Stop()
+		for {
+			select {
+			case <-stopCh:
+				return
+			case <-t.C:
+				m.sample()
+			}
 		}
+	}()
+	return func() {
+		close(stopCh)
+		<-doneCh
 	}
 }
 
 func (m *monitor) sample() {
-	nodes := m.c.Nodes()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, n := range nodes {
-		s := n.Snapshot()
-		if last, ok := m.lastTerm[n]; ok && s.Term < last {
-			m.violations[fmt.Sprintf("term went backwards on S%d: %d after %d", n.ID(), s.Term, last)] = true
+	for _, id := range m.env.IDs() {
+		s := m.env.Observe(id)
+		if !s.Alive {
+			continue
 		}
-		m.lastTerm[n] = s.Term
-		if last, ok := m.lastCommit[n]; ok && s.CommitIndex < last {
-			m.violations[fmt.Sprintf("commit index went backwards on S%d: %d after %d", n.ID(), s.CommitIndex, last)] = true
-		}
-		m.lastCommit[n] = s.CommitIndex
-		m.counters[n] = s.Counters
-		if s.Role == raft.Leader {
-			if prev, ok := m.leaders[s.Term]; ok && prev != n.ID() {
-				m.violations[fmt.Sprintf("two leaders in term %d: S%d and S%d", s.Term, prev, n.ID())] = true
-			} else {
-				m.leaders[s.Term] = n.ID()
+		m.mu.Lock()
+		key := incKey{id, s.Incarnation}
+		if last, ok := m.last[key]; ok {
+			if s.Term < last.Term {
+				m.flagLocked("term went backwards on S%d: %d after %d", id, s.Term, last.Term)
+			}
+			if s.Commit < last.Commit {
+				m.flagLocked("commit index went backwards on S%d: %d after %d", id, s.Commit, last.Commit)
 			}
 		}
+		m.last[key] = s
+		if s.Role == raft.Leader {
+			if prev, ok := m.leaders[s.Term]; ok && prev != id {
+				m.flagLocked("two leaders in term %d: S%d and S%d", s.Term, prev, id)
+			} else {
+				m.leaders[s.Term] = id
+			}
+		}
+		m.mu.Unlock()
 	}
 }
 
-// stop halts sampling (idempotent) and waits for the loop to exit.
-func (m *monitor) stop() {
+func (m *monitor) flag(format string, args ...any) {
 	m.mu.Lock()
-	if !m.stopped {
-		m.stopped = true
-		close(m.stopCh)
-	}
-	m.mu.Unlock()
-	<-m.doneCh
+	defer m.mu.Unlock()
+	m.flagLocked(format, args...)
 }
 
-// stats sums the last-sampled election counters across every node
-// incarnation the monitor observed.
+func (m *monitor) flagLocked(format string, args ...any) {
+	m.violations[fmt.Sprintf(format, args...)] = true
+}
+
+// stats sums the last-sampled counters across every node incarnation the
+// monitor observed.
 func (m *monitor) stats() raft.Counters {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var rep Report
-	for _, c := range m.counters {
-		rep.addStats(c)
+	var sum raft.Counters
+	for _, s := range m.last {
+		sum.Add(s.Counters)
 	}
-	return rep.Stats
+	return sum
 }
 
 // report returns the deduplicated violations in a stable order.
@@ -158,24 +164,13 @@ func (f entryFP) String() string {
 	}
 }
 
-// checkApplied validates the committed-prefix oracles over the recorded
-// apply streams: every replica must have applied the same entry at every
-// index (the paper's "all CCaches lie on one branch" invariant), one
-// replica must never re-apply a different entry at an index it already
-// applied (restarted nodes replay their log from the start, so the streams
-// legitimately contain duplicates — but only identical ones), and log terms
-// must be nondecreasing in the index.
-func checkApplied(c *cluster.Cluster, nodes int) []string {
-	streams := make(map[types.NodeID][]raft.ApplyMsg, nodes)
-	for i := 1; i <= nodes; i++ {
-		id := types.NodeID(i)
-		streams[id] = c.Applied(id)
-	}
-	return checkAppliedStreams(streams, nodes)
-}
-
-// checkAppliedStreams is checkApplied over raw apply streams, shared by the
-// live runner (cluster-recorded streams) and the deterministic simulation.
+// checkAppliedStreams validates the committed-prefix oracles over the
+// recorded apply streams (the live cluster's record, or the simulator's):
+// every replica must have applied the same entry at every index (the paper's
+// "all CCaches lie on one branch" invariant), one replica must never re-apply
+// a different entry at an index it already applied (restarted nodes replay
+// their log from the start, so the streams legitimately contain duplicates —
+// but only identical ones), and log terms must be nondecreasing in the index.
 //
 // Snapshot restores (EntrySnapshot) are not regular entries: the image is
 // a gob encoding whose map ordering is not canonical, so byte-comparing

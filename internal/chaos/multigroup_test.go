@@ -94,3 +94,14 @@ func TestSimTeethCrossGroupWipe(t *testing.T) {
 	}
 	t.Logf("caught %d group-1 violations; first: %s", g1, rep.Violations[0])
 }
+
+// TestRunRejectsMultiGroup: the live runner drives one raft group; handed a
+// multi-group schedule it must say so and name RunSim, not quietly run a
+// single-group cluster under it.
+func TestRunRejectsMultiGroup(t *testing.T) {
+	opt := Options{Duration: 200 * time.Millisecond, MemWAL: true, Groups: 2}
+	rep, err := Run(CrossGroupWipeSchedule(opt), opt)
+	if err == nil || !strings.Contains(err.Error(), "RunSim") {
+		t.Fatalf("Run with Groups=2: report %v, error %v; want an error naming RunSim", rep, err)
+	}
+}

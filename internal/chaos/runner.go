@@ -36,19 +36,10 @@ type Report struct {
 	// Journal is the deterministic event transcript (simulation runs
 	// only); byte-identical across runs of the same seed and options.
 	Journal []byte
-}
 
-// addStats folds one node's counters into the report sum.
-func (r *Report) addStats(c raft.Counters) {
-	r.Stats.Elections += c.Elections
-	r.Stats.PreVoteRounds += c.PreVoteRounds
-	r.Stats.PreVotesWon += c.PreVotesWon
-	r.Stats.TimeoutElections += c.TimeoutElections
-	r.Stats.TransferElections += c.TransferElections
-	r.Stats.TermBumps += c.TermBumps
-	r.Stats.StepDowns += c.StepDowns
-	r.Stats.TransfersStarted += c.TransfersStarted
-	r.Stats.TransfersAborted += c.TransfersAborted
+	// final is every node as the epilogue left it, in ID order (single-group
+	// runs; the live/sim parity test compares it).
+	final []Sample
 }
 
 // Ok reports whether the run found no safety violation.
@@ -76,23 +67,15 @@ func RunSeed(seed int64, opt Options) (*Report, error) {
 // the safety checks.
 func Run(sched *Schedule, opt Options) (*Report, error) {
 	opt.defaults()
+	if opt.Groups > 1 {
+		return nil, fmt.Errorf("chaos: Run drives one live raft group and Options.Groups is %d; replay a multi-group schedule with RunSim", opt.Groups)
+	}
 	if sched.Nodes > 0 {
 		opt.Nodes = sched.Nodes
 	}
-	// The linearizability checker's bitmask search caps per-key histories;
-	// the generator deals keys round-robin precisely to respect this.
-	perKey := map[string]int{}
-	for _, script := range sched.Scripts {
-		for _, op := range script {
-			perKey[op.Key]++
-		}
+	if err := checkKeyBound(sched.Scripts); err != nil {
+		return nil, err
 	}
-	for k, cnt := range perKey {
-		if cnt > 62 {
-			return nil, fmt.Errorf("chaos: key %q would see %d ops, beyond the checker's 62-event bound; raise Keys or lower the workload", k, cnt)
-		}
-	}
-
 	rep := &Report{Seed: sched.Seed, Hash: sched.Hash(), Events: len(sched.Events)}
 
 	// Per-node storage: a FaultStorage over a file WAL (or MemStorage when
@@ -145,9 +128,10 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 		return nil, fmt.Errorf("chaos: cluster never elected an initial leader: %w", err)
 	}
 
-	start := time.Now()
-	mon := startMonitor(c)
-	defer mon.stop()
+	// The schedule clock starts here.
+	env := &liveEnv{c: c, faults: faults, ids: types.Range(1, types.NodeID(opt.Nodes)).Copy(), start: time.Now()}
+	mon := newMonitor(env)
+	stopSampling := mon.startSampling()
 
 	// Concurrent scripted clients, one kvstore session each (per-client
 	// sequence numbers are what make retried requests idempotent).
@@ -157,50 +141,30 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 		wg.Add(1)
 		go func(ci int, script []ClientOp) {
 			defer wg.Done()
-			runClient(r.NewClient(), hist, ci, script, start, opt)
+			runClient(r.NewClient(), hist, ci, script, env.start, opt)
 		}(ci, script)
 	}
 
-	// The nemesis executes the timeline in schedule order at the planned
-	// offsets (a slow action pushes later ones, never reorders them).
-	ex := &executor{c: c, faults: faults, members: types.Range(1, types.NodeID(opt.Nodes)).Copy()}
-	for _, e := range sched.Events {
-		if d := time.Until(start.Add(e.At)); d > 0 {
-			time.Sleep(d)
-		}
-		ex.apply(e)
-	}
-	if d := time.Until(start.Add(opt.Duration)); d > 0 {
-		time.Sleep(d)
-	}
+	// Clients and monitor are goroutines: no per-quantum work for the loop.
+	x := newNemesis(env, 0, opt.ElectionTimeoutMin)
+	idle := func() bool { return false }
+	x.run(sched.Events, ticksOf(opt.Duration), idle, false)
 	wg.Wait()
 	rep.Ops, rep.Timeouts = hist.counts()
-
-	// Epilogue: heal the network, repair every disk, restart every node
-	// that is down or fail-stopped, then wait for commit indexes to agree.
-	c.Net.Heal()
-	c.Net.SetDropRate(0)
-	for i := 1; i <= opt.Nodes; i++ {
-		id := types.NodeID(i)
-		faults[id].ClearFaults()
-		if n := c.Node(id); n == nil {
-			c.RestartNode(id, ex.members)
-		} else if n.Snapshot().Err != nil {
-			c.CrashNode(id)
-			c.RestartNode(id, ex.members)
-		}
-	}
-	if w := waitConverged(c, opt.SettleTimeout); w != "" {
+	if w := x.finish(opt.SettleTimeout, idle); w != "" {
 		rep.Warnings = append(rep.Warnings, w)
 	}
-	mon.stop()
+	stopSampling()
 
-	for _, f := range faults {
-		rep.Faults += f.Injected()
+	streams := make(map[types.NodeID][]raft.ApplyMsg, opt.Nodes)
+	for _, id := range env.ids {
+		rep.Faults += faults[id].Injected()
+		streams[id] = c.Applied(id)
+		rep.final = append(rep.final, env.Observe(id))
 	}
 	rep.Stats = mon.stats()
 	rep.Violations = append(rep.Violations, mon.report()...)
-	rep.Violations = append(rep.Violations, checkApplied(c, opt.Nodes)...)
+	rep.Violations = append(rep.Violations, checkAppliedStreams(streams, opt.Nodes)...)
 	rep.Violations = append(rep.Violations, checkLinearizable(hist.snapshot())...)
 	return rep, nil
 }
@@ -288,240 +252,4 @@ func runClient(cl *kvstore.Client, hist *recorder, ci int, script []ClientOp, st
 			Out: out, Call: call, Return: ret,
 		})
 	}
-}
-
-// executor applies planned events to the live cluster. It runs on a single
-// goroutine; the only cross-event state is the active leader-partition (for
-// shed events) and the initial member list (for restarts).
-type executor struct {
-	c       *cluster.Cluster
-	faults  map[types.NodeID]*raft.FaultStorage
-	members []types.NodeID
-
-	near, far  []types.NodeID // sides of the active leader partition
-	partLeader *raft.Node     // the leader cut off by EvPartitionLeader
-}
-
-func (ex *executor) apply(e Event) {
-	switch e.Kind {
-	case EvPartition:
-		ex.clearPartition()
-		ex.c.Net.Partition(e.A, e.B)
-	case EvPartitionLeader:
-		ex.partitionLeader(e.Keep)
-	case EvHeal:
-		ex.clearPartition()
-		ex.c.Net.Heal()
-	case EvIsolate:
-		ex.clearPartition()
-		var rest []types.NodeID
-		for _, id := range ex.members {
-			if id != e.Node {
-				rest = append(rest, id)
-			}
-		}
-		ex.c.Net.Partition([]types.NodeID{e.Node}, rest)
-	case EvDropRate:
-		ex.c.Net.SetDropRate(e.Rate)
-	case EvCrash:
-		ex.crash(e)
-	case EvRestart:
-		ex.faults[e.Node].ClearFaults()
-		if ex.c.Node(e.Node) == nil {
-			ex.c.RestartNode(e.Node, ex.members)
-		}
-	case EvReconfigRemove, EvReconfigAdd:
-		l := ex.c.Leader()
-		if l == nil {
-			return
-		}
-		members := l.Snapshot().Members
-		target := members.Add(e.Node)
-		if e.Kind == EvReconfigRemove {
-			target = members.Remove(e.Node)
-		}
-		if target.Len() == members.Len() {
-			return // already applied or already absent
-		}
-		// Best effort: under faults the change may be rejected (R2/R3) or
-		// never commit; both are legitimate outcomes the checkers observe.
-		ex.c.Reconfigure(target, 200*time.Millisecond)
-	case EvReconfigShed:
-		ex.shed()
-	case EvPartialPartition:
-		ex.c.Net.BlockOneWay(e.A[0], e.B[0])
-	case EvIsolateLeader:
-		ex.clearPartition()
-		if l := ex.c.Leader(); l != nil {
-			ex.c.Net.Isolate(l.ID())
-		}
-	case EvIsolateFollower:
-		ex.clearPartition()
-		var lid types.NodeID
-		if l := ex.c.Leader(); l != nil {
-			lid = l.ID()
-		}
-		for _, id := range ex.members {
-			if id != lid && ex.c.Node(id) != nil {
-				ex.c.Net.Isolate(id)
-				return
-			}
-		}
-	case EvTransferLeader:
-		if l := ex.c.Leader(); l != nil {
-			l.TransferLeader(types.NoNode) // best effort; no-op on errors
-		}
-	case EvReconfigDropLeader:
-		l := ex.c.Leader()
-		if l == nil {
-			return
-		}
-		members := l.Snapshot().Members
-		if !members.Contains(l.ID()) || members.Len() <= 3 {
-			return
-		}
-		// cluster.Reconfigure hands leadership off before proposing a
-		// change that sheds the sitting leader.
-		ex.c.Reconfigure(members.Remove(l.ID()), 200*time.Millisecond)
-	case EvWALWipe:
-		// Deterministic-sim only: the live cluster has no hook to destroy
-		// one group's storage out from under a node, and the multi-group
-		// replay path is RunSim. A live run of a wipe schedule simply skips
-		// the wipe — its teeth test would then (correctly) fail to find the
-		// expected violation rather than pass vacuously.
-	case EvDeafenLeader:
-		// Deterministic-sim only, like EvWALWipe: the stale-lease oracle
-		// needs the sim's link-state visibility, so the lease teeth run
-		// there and a live replay skips the deafening.
-	case EvStallDisk:
-		id := e.Node
-		if id == types.NoNode {
-			l := ex.c.Leader()
-			if l == nil {
-				return
-			}
-			id = l.ID()
-		}
-		// Every write on the node sleeps For until the stall is lifted,
-		// For from now (the epilogue's ClearFaults lifts it regardless).
-		fs := ex.faults[id]
-		fs.SetStall(e.For)
-		time.AfterFunc(e.For, func() { fs.SetStall(0) })
-	default:
-		panic(fmt.Sprintf("chaos: executor saw unknown event kind %v", e.Kind))
-	}
-}
-
-func (ex *executor) clearPartition() {
-	ex.near, ex.far, ex.partLeader = nil, nil, nil
-}
-
-// partitionLeader cuts the current leader plus keep followers (lowest IDs
-// first, crashed nodes included so restarts come back on the same side)
-// off from the rest of the cluster.
-func (ex *executor) partitionLeader(keep int) {
-	ex.clearPartition()
-	l := ex.c.Leader()
-	var lid types.NodeID
-	if l != nil {
-		lid = l.ID()
-	} else {
-		lid = ex.members[0] // no leader right now: cut the lowest ID off
-	}
-	near := []types.NodeID{lid}
-	var far []types.NodeID
-	for _, id := range ex.members {
-		if id == lid {
-			continue
-		}
-		if len(near) < 1+keep {
-			near = append(near, id)
-		} else {
-			far = append(far, id)
-		}
-	}
-	ex.c.Net.Partition(near, far)
-	ex.near, ex.far, ex.partLeader = near, far, l
-}
-
-// shed asks the partitioned stale leader to remove one far-side node from
-// the membership — the move R2/R3 must police. With the guards on, at most
-// one such change is accepted and it cannot commit from the minority; with
-// DisableR2 the second one shrinks the config until the minority becomes a
-// quorum of it.
-func (ex *executor) shed() {
-	if ex.partLeader == nil {
-		return
-	}
-	members := ex.partLeader.Snapshot().Members
-	for _, id := range ex.far {
-		if members.Contains(id) {
-			ex.partLeader.ProposeConfig(members.Remove(id))
-			return
-		}
-	}
-}
-
-// crash takes a node down. Torn/wound modes first arm a storage fault and
-// give the node a moment to trip over it (exercising the fail-stop path);
-// if no write happens in time the node is crashed the hard way regardless.
-func (ex *executor) crash(e Event) {
-	fs := ex.faults[e.Node]
-	switch e.Mode {
-	case CrashClean:
-		// No disk fault: just the process dying.
-	case CrashTorn:
-		fs.TearNextWrite()
-	case CrashWound:
-		fs.FailNextSaveEntries(fmt.Errorf("chaos: injected write error on S%d", e.Node))
-	default:
-		panic(fmt.Sprintf("chaos: unknown crash mode %v", e.Mode))
-	}
-	if e.Mode != CrashClean {
-		if n := ex.c.Node(e.Node); n != nil {
-			select {
-			case <-n.Done():
-			case <-time.After(50 * time.Millisecond):
-			}
-		}
-	}
-	ex.c.CrashNode(e.Node)
-}
-
-// waitConverged waits for every member of the leader's configuration to
-// report the same commit index, stable across consecutive samples. Failure
-// is a liveness warning, not a safety violation.
-func waitConverged(c *cluster.Cluster, timeout time.Duration) string {
-	deadline := time.Now().Add(timeout)
-	lastMax, stable := -1, 0
-	for time.Now().Before(deadline) {
-		if l := c.Leader(); l != nil {
-			lo, hi, ok := 0, 0, true
-			for i, id := range l.Snapshot().Members.Slice() {
-				n := c.Node(id)
-				if n == nil {
-					ok = false
-					break
-				}
-				ci := n.Snapshot().CommitIndex
-				if i == 0 || ci < lo {
-					lo = ci
-				}
-				if ci > hi {
-					hi = ci
-				}
-			}
-			if ok && lo == hi && hi == lastMax {
-				stable++
-				if stable >= 3 {
-					return ""
-				}
-			} else {
-				stable = 0
-				lastMax = hi
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return fmt.Sprintf("cluster did not converge within %s of the run ending", timeout)
 }

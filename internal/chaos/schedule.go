@@ -20,6 +20,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -77,11 +78,13 @@ const (
 	// its most caught-up voter (a TimeoutNow transfer, not a timeout).
 	EvTransferLeader
 	// EvReconfigDropLeader proposes a membership change that removes the
-	// current leader itself, exercising the transfer-then-propose path
-	// cluster.Reconfigure takes when the new config sheds the leader.
+	// current leader itself, exercising the transfer-then-propose hand-off
+	// (nemesis.driveReconfig; cluster.Reconfigure does the same for callers).
 	EvReconfigDropLeader
 	// EvWALWipe destroys one group's durable raft state on one node (the
-	// node must be down). It is never generated — only crafted schedules
+	// node must be down). Deterministic-sim only: a live cluster has no
+	// per-group storage hook, and liveEnv.WipeStorage is a documented no-op.
+	// It is never generated — only crafted schedules
 	// use it — and it models a bug, not a fault: a flat shared storage
 	// layout where one group's compaction unlinks another group's WAL
 	// segments. Multi-group runs apply it to Event.Group only; the other
@@ -93,7 +96,9 @@ const (
 	// the cut. Never generated — only the lease-violation teeth schedule
 	// uses it, paired with a transfer, to manufacture a window where a
 	// deafened old leader would serve a stale lease read if the transfer
-	// lease-invalidation guard were missing. Deterministic-sim only.
+	// lease-invalidation guard were missing. Both runtimes execute it; the
+	// stale-lease oracle that judges the window reads lease state only the
+	// simulator exposes.
 	EvDeafenLeader
 	// EvStallDisk freezes one node's disk for Event.For: no write lands
 	// until the stall clears, while messages, ticks and reads go on. Node
@@ -104,48 +109,33 @@ const (
 	EvStallDisk
 )
 
+var kindNames = [...]string{
+	EvPartition:          "partition",
+	EvPartitionLeader:    "partition-leader",
+	EvHeal:               "heal",
+	EvIsolate:            "isolate",
+	EvDropRate:           "drop-rate",
+	EvCrash:              "crash",
+	EvRestart:            "restart",
+	EvReconfigRemove:     "reconfig-remove",
+	EvReconfigAdd:        "reconfig-add",
+	EvReconfigShed:       "reconfig-shed",
+	EvPartialPartition:   "partial-partition",
+	EvIsolateLeader:      "isolate-leader",
+	EvIsolateFollower:    "isolate-follower",
+	EvTransferLeader:     "transfer-leader",
+	EvReconfigDropLeader: "reconfig-drop-leader",
+	EvWALWipe:            "wal-wipe",
+	EvDeafenLeader:       "deafen-leader",
+	EvStallDisk:          "stall-disk",
+}
+
 // String implements fmt.Stringer.
 func (k EventKind) String() string {
-	switch k {
-	case EvPartition:
-		return "partition"
-	case EvPartitionLeader:
-		return "partition-leader"
-	case EvHeal:
-		return "heal"
-	case EvIsolate:
-		return "isolate"
-	case EvDropRate:
-		return "drop-rate"
-	case EvCrash:
-		return "crash"
-	case EvRestart:
-		return "restart"
-	case EvReconfigRemove:
-		return "reconfig-remove"
-	case EvReconfigAdd:
-		return "reconfig-add"
-	case EvReconfigShed:
-		return "reconfig-shed"
-	case EvPartialPartition:
-		return "partial-partition"
-	case EvIsolateLeader:
-		return "isolate-leader"
-	case EvIsolateFollower:
-		return "isolate-follower"
-	case EvTransferLeader:
-		return "transfer-leader"
-	case EvReconfigDropLeader:
-		return "reconfig-drop-leader"
-	case EvWALWipe:
-		return "wal-wipe"
-	case EvDeafenLeader:
-		return "deafen-leader"
-	case EvStallDisk:
-		return "stall-disk"
-	default:
-		return fmt.Sprintf("event(%d)", uint8(k))
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("event(%d)", uint8(k))
 }
 
 // CrashMode distinguishes how a crash interacts with the node's WAL.
@@ -193,50 +183,32 @@ type Event struct {
 	For   time.Duration // EvStallDisk: how long the disk stays frozen
 }
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer: the offset, the kind's name, and the
+// fields that kind uses.
 func (e Event) String() string {
+	head := fmt.Sprintf("[%6s] %s", e.At, e.Kind)
 	switch e.Kind {
 	case EvPartition:
-		return fmt.Sprintf("[%6s] partition %v | %v", e.At, e.A, e.B)
+		return head + fmt.Sprintf(" %v | %v", e.A, e.B)
 	case EvPartitionLeader:
-		return fmt.Sprintf("[%6s] partition-leader keep=%d", e.At, e.Keep)
-	case EvHeal:
-		return fmt.Sprintf("[%6s] heal", e.At)
-	case EvIsolate:
-		return fmt.Sprintf("[%6s] isolate S%d", e.At, e.Node)
+		return head + fmt.Sprintf(" keep=%d", e.Keep)
+	case EvIsolate, EvRestart, EvReconfigRemove, EvReconfigAdd:
+		return head + fmt.Sprintf(" S%d", e.Node)
 	case EvDropRate:
-		return fmt.Sprintf("[%6s] drop-rate %.2f", e.At, e.Rate)
+		return head + fmt.Sprintf(" %.2f", e.Rate)
 	case EvCrash:
-		return fmt.Sprintf("[%6s] crash S%d (%s)", e.At, e.Node, e.Mode)
-	case EvRestart:
-		return fmt.Sprintf("[%6s] restart S%d", e.At, e.Node)
-	case EvReconfigRemove:
-		return fmt.Sprintf("[%6s] reconfig-remove S%d", e.At, e.Node)
-	case EvReconfigAdd:
-		return fmt.Sprintf("[%6s] reconfig-add S%d", e.At, e.Node)
-	case EvReconfigShed:
-		return fmt.Sprintf("[%6s] reconfig-shed", e.At)
+		return head + fmt.Sprintf(" S%d (%s)", e.Node, e.Mode)
 	case EvPartialPartition:
-		return fmt.Sprintf("[%6s] partial-partition S%d->S%d", e.At, e.A[0], e.B[0])
-	case EvIsolateLeader:
-		return fmt.Sprintf("[%6s] isolate-leader", e.At)
-	case EvIsolateFollower:
-		return fmt.Sprintf("[%6s] isolate-follower", e.At)
-	case EvTransferLeader:
-		return fmt.Sprintf("[%6s] transfer-leader", e.At)
-	case EvReconfigDropLeader:
-		return fmt.Sprintf("[%6s] reconfig-drop-leader", e.At)
+		return head + fmt.Sprintf(" S%d->S%d", e.A[0], e.B[0])
 	case EvWALWipe:
-		return fmt.Sprintf("[%6s] wal-wipe S%d g%d", e.At, e.Node, e.Group)
-	case EvDeafenLeader:
-		return fmt.Sprintf("[%6s] deafen-leader", e.At)
+		return head + fmt.Sprintf(" S%d g%d", e.Node, e.Group)
 	case EvStallDisk:
 		if e.Node == types.NoNode {
-			return fmt.Sprintf("[%6s] stall-disk leader for %s", e.At, e.For)
+			return head + fmt.Sprintf(" leader for %s", e.For)
 		}
-		return fmt.Sprintf("[%6s] stall-disk S%d for %s", e.At, e.Node, e.For)
-	default:
-		return fmt.Sprintf("[%6s] %s", e.At, e.Kind)
+		return head + fmt.Sprintf(" S%d for %s", e.Node, e.For)
+	default: // every other kind is described by its name alone
+		return head
 	}
 }
 
@@ -563,8 +535,8 @@ func Generate(seed int64, opt Options) *Schedule {
 					b = append(b, all[p])
 				}
 			}
-			sortIDs(a)
-			sortIDs(b)
+			slices.Sort(a)
+			slices.Sort(b)
 			s.Events = append(s.Events, Event{At: at, Kind: EvPartition, A: a, B: b})
 			partitioned = true
 		case EvPartitionLeader:
@@ -721,14 +693,6 @@ func Generate(seed int64, opt Options) *Schedule {
 	return s
 }
 
-func sortIDs(ids []types.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
 // R2ViolationSchedule is the handcrafted plan the teeth test uses: cut the
 // leader plus one follower off, shed the far side twice through the stale
 // leader, heal. With the guards on the second shed is rejected (R2) and
@@ -836,8 +800,8 @@ func CrossGroupWipeSchedule(opt Options) *Schedule {
 	}
 }
 
-// LeaseViolationSchedule is the lease teeth plan (deterministic sim only):
-// deafen the sitting leader — every inbound link cut, outbound intact, so
+// LeaseViolationSchedule is the lease teeth plan (its oracle is the
+// simulator's): deafen the sitting leader — every inbound link cut, outbound intact, so
 // its lease clock freezes on acks already banked — and in the same instant
 // start a graceful transfer. The TimeoutNow still goes out, the successor
 // campaigns and commits its term-opening no-op within a few ticks, and the

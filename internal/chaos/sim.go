@@ -2,8 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"adore/internal/config"
 	"adore/internal/kvstore"
@@ -21,13 +19,14 @@ import (
 // so the generated timelines (events in [10%, 80%] of the horizon, clients
 // paced across it) keep their shape.
 //
-// On top of the live runner's oracles (election safety, term and commit
-// monotonicity, applied-prefix agreement, per-key linearizability), the
-// deterministic run checks applied ⊆ quorum-durable at every delivery to a
-// state machine (checkQuorumDurable: the sim can read the disks) and
-// executable refinement: every few ticks each
-// replica's STABLE log — what its disk holds, its support in the paper's
-// sense — and commit index are fed through
+// The executor, the run loop, the epilogue and the sampled oracles are the
+// live runner's own, written against Env. Here is what only a fully
+// inspectable cluster allows: the clients as an explicit state machine, and
+// the oracles that read link state, disks, lease state and the stable log.
+// The run checks applied ⊆ quorum-durable at every delivery to a state
+// machine (checkQuorumDurable: the sim can read the disks) and executable
+// refinement: every few ticks each replica's STABLE log — what its disk
+// holds, its support in the paper's sense — and commit index are fed through
 // refine.ExecChecker.ObserveNode, which rebuilds the Adore cache tree and
 // requires logMatch plus one committed branch. A run of the R2-disabled
 // schedule fails this oracle at the exact tick the histories fork.
@@ -38,25 +37,8 @@ import (
 // linked majority behind it arms a liveness oracle: someone else must be
 // leading and committing within a bounded number of election intervals.
 
-// simTick is the schedule-time quantum: one simulator tick per millisecond
-// of scheduled time.
-const simTick = time.Millisecond
-
 // refineEvery is how many ticks pass between executable-refinement sweeps.
 const refineEvery = 25
-
-// crashGraceTicks bounds how long an armed torn/wound fault may wait for a
-// write before the hard crash lands (the live executor waits 50ms).
-const crashGraceTicks = 50
-
-// ticksOf converts a schedule offset to sim ticks (at least 1).
-func ticksOf(d time.Duration) int64 {
-	t := int64(d / simTick)
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
 
 // RunSimSeed generates the schedule for seed and replays it in the
 // deterministic simulator.
@@ -101,7 +83,7 @@ func RunSim(sched *Schedule, opt Options) (*Report, error) {
 		rep.Ops += sub.Ops
 		rep.Timeouts += sub.Timeouts
 		rep.Faults += sub.Faults
-		rep.addStats(sub.Stats)
+		rep.Stats.Add(sub.Stats)
 		for _, v := range sub.Violations {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("g%d: %s", g, v))
 		}
@@ -129,16 +111,8 @@ func runSimGroup(sched *Schedule, opt Options, g raft.GroupID, groups int) (*Rep
 			}
 		}
 	}
-	perKey := map[string]int{}
-	for _, script := range scripts {
-		for _, op := range script {
-			perKey[op.Key]++
-		}
-	}
-	for k, cnt := range perKey {
-		if cnt > 62 {
-			return nil, fmt.Errorf("chaos: key %q would see %d ops, beyond the checker's 62-event bound; raise Keys or lower the workload", k, cnt)
-		}
+	if err := checkKeyBound(scripts); err != nil {
+		return nil, err
 	}
 	rep := &Report{Seed: sched.Seed, Hash: sched.Hash(), Events: len(sched.Events)}
 
@@ -155,21 +129,14 @@ func runSimGroup(sched *Schedule, opt Options, g raft.GroupID, groups int) (*Rep
 			DiskDelayTicks:    opt.diskDelayTicks(),
 			EarlyStable:       opt.EarlyStable,
 		}),
-		opt:        opt,
-		group:      g,
-		et:         int64(et),
-		horizon:    ticksOf(opt.Duration),
-		opTimeout:  ticksOf(opt.OpTimeout),
-		stores:     make(map[types.NodeID]*kvstore.Store, opt.Nodes),
-		applied:    make(map[types.NodeID][]raft.ApplyMsg, opt.Nodes),
-		incarn:     make(map[types.NodeID]int, opt.Nodes),
-		leaders:    make(map[types.Time]types.NodeID),
-		lastTerm:   make(map[incKey]types.Time),
-		lastCommit: make(map[incKey]int),
-		violations: make(map[string]bool),
-		staleFor:   make(map[types.NodeID]int64),
-		curLeader:  types.NoNode,
-		members:    append([]types.NodeID(nil), types.Range(1, types.NodeID(opt.Nodes)).Slice()...),
+		et:        int64(et),
+		horizon:   ticksOf(opt.Duration),
+		opTimeout: ticksOf(opt.OpTimeout),
+		stores:    make(map[types.NodeID]*kvstore.Store, opt.Nodes),
+		applied:   make(map[types.NodeID][]raft.ApplyMsg, opt.Nodes),
+		incarn:    make(map[types.NodeID]int, opt.Nodes),
+		staleFor:  make(map[types.NodeID]int64),
+		curLeader: types.NoNode,
 	}
 	for _, id := range r.s.IDs() {
 		r.stores[id] = kvstore.NewStore()
@@ -195,60 +162,41 @@ func runSimGroup(sched *Schedule, opt Options, g raft.GroupID, groups int) (*Rep
 		}
 		return data
 	})
-	r.exec = refine.NewExec(types.NewNodeSet(r.members...))
+	r.exec = refine.NewExec(types.NewNodeSet(r.s.IDs()...))
 
 	for ci, script := range scripts {
 		r.clients = append(r.clients, newSimClient(ci, script, r.horizon))
 	}
 
-	// Main phase: tick the cluster, fire due nemesis events, drive clients,
-	// sample the safety monitors.
-	nextEvent := 0
-	for now := int64(0); now < r.horizon; now++ {
-		r.s.Step()
-		for nextEvent < len(sched.Events) && ticksOf(sched.Events[nextEvent].At) <= r.s.Now() {
-			r.apply(sched.Events[nextEvent])
-			nextEvent++
-		}
-		r.driveReconfig()
-		r.tickClients()
-		r.sampleMonitor()
-		if r.s.Now()%refineEvery == 0 {
-			r.checkRefinement()
-		}
-	}
+	env := simEnv{r.s, r}
+	r.mon = newMonitor(env)
+	x := newNemesis(env, g, opt.ElectionTimeoutMin)
+	x.onEvent = func() { r.stallWatch = nil } // the window is no longer clean
+	x.onStall = r.watchStall
+	// A graceful hand-off deposes a perfectly healthy leader on purpose: mute
+	// the disruption oracle for a transfer window.
+	x.onHandoff = func() { r.suppressUntil = r.s.Now() + 10*r.et }
 
-	// Epilogue: heal everything, restart the fallen, let in-flight client
-	// ops resolve or time out, and wait for commit indexes to agree.
-	r.s.Heal()
-	r.s.SetDropRate(0)
-	for _, id := range r.s.IDs() {
-		r.s.ClearFaults(id)
-		r.restart(id)
-	}
-	settle := r.s.Now() + ticksOf(opt.SettleTimeout)
-	stable := 0
-	converged := false
-	for r.s.Now() < settle {
-		r.s.Step()
-		r.driveReconfig()
-		r.tickClients()
-		r.sampleMonitor()
+	// Per tick, after the nemesis: advance the clients (in client order:
+	// determinism requires a fixed one), sample the shared monitor, run the
+	// oracles only the simulator can answer.
+	quantum := func() (busy bool) {
+		for _, cl := range r.clients {
+			cl.tick(r)
+		}
+		r.mon.sample()
+		r.checkElections()
+		r.checkLeases()
+		r.checkStallLiveness()
 		if r.s.Now()%refineEvery == 0 {
 			r.checkRefinement()
 		}
-		if r.converged() && !r.clientsPending() {
-			stable++
-			if stable >= 3 {
-				converged = true
-				break
-			}
-		} else {
-			stable = 0
-		}
+		return r.clientsPending()
 	}
-	if !converged {
-		rep.Warnings = append(rep.Warnings, fmt.Sprintf("cluster did not converge within %s of the run ending", opt.SettleTimeout))
+	x.run(sched.Events, r.horizon, quantum, false)
+	// The epilogue also lets in-flight client ops resolve or time out.
+	if w := x.finish(opt.SettleTimeout, quantum); w != "" {
+		rep.Warnings = append(rep.Warnings, w)
 	}
 	r.checkRefinement()
 
@@ -258,9 +206,10 @@ func runSimGroup(sched *Schedule, opt Options, g raft.GroupID, groups int) (*Rep
 	}
 	rep.Faults = r.s.Faults()
 	for _, id := range r.s.IDs() {
-		rep.addStats(r.s.Counters(id))
+		rep.final = append(rep.final, env.Observe(id))
 	}
-	rep.Violations = append(rep.Violations, r.monitorReport()...)
+	rep.Stats = r.mon.stats()
+	rep.Violations = append(rep.Violations, r.mon.report()...)
 	rep.Violations = append(rep.Violations, checkAppliedStreams(r.applied, opt.Nodes)...)
 	rep.Violations = append(rep.Violations, checkLinearizable(r.history)...)
 	rep.Violations = append(rep.Violations, r.refineViolations...)
@@ -268,20 +217,13 @@ func runSimGroup(sched *Schedule, opt Options, g raft.GroupID, groups int) (*Rep
 	return rep, nil
 }
 
-// incKey identifies one incarnation of one node for the monotonicity
-// oracles (a restart legitimately resets the volatile commit index).
-type incKey struct {
-	id  types.NodeID
-	inc int
-}
-
-// simRun is the deterministic counterpart of Run's goroutine soup: one
-// struct, stepped synchronously.
+// simRun is the simulator-only half of a deterministic run: the cluster, the
+// client state machines and their stores, and the oracles that need more of
+// the cluster than Env offers.
 type simRun struct {
 	s         *sim.Cluster
-	opt       Options
-	group     raft.GroupID // which group's view this replay is (0 = single-group)
-	et        int64        // election interval in ticks
+	mon       *monitor // the shared sampled oracles; also collects the sim-only oracles' violations
+	et        int64    // election interval in ticks
 	horizon   int64
 	opTimeout int64
 
@@ -290,24 +232,6 @@ type simRun struct {
 	incarn  map[types.NodeID]int
 	clients []*simClient
 	history linear.History
-
-	// nemesis state (mirrors executor)
-	members    []types.NodeID
-	near, far  []types.NodeID
-	partLeader types.NodeID // NoNode when no leader partition is active
-
-	// drop-leader reconfiguration in flight: the target membership a
-	// leader must transfer out of before the change is proposed (mirrors
-	// cluster.Reconfigure's retry loop, one attempt per tick).
-	dropPending  bool
-	dropTarget   types.NodeSet
-	dropDeadline int64 // give up on the pending drop after this tick
-
-	// monitor state
-	leaders    map[types.Time]types.NodeID
-	lastTerm   map[incKey]types.Time
-	lastCommit map[incKey]int
-	violations map[string]bool
 
 	// election-disruption oracle state
 	curLeader        types.NodeID // established-leader candidate (NoNode = none)
@@ -332,16 +256,32 @@ type simRun struct {
 	refineViolations []string
 }
 
-// restart boots a fallen node (no-op when healthy) with a fresh store; the
+// simEnv is *sim.Cluster as an Env: the simulator's method set is the
+// interface's, plus the consistent sample and the harness's own per-node state
+// on restart.
+type simEnv struct {
+	*sim.Cluster
+	r *simRun
+}
+
+// Restart boots a fallen node (no-op when healthy) with a fresh store; the
 // replayed apply stream rebuilds it, and the accumulated stream keeps both
 // incarnations for checkAppliedStreams.
-func (r *simRun) restart(id types.NodeID) {
-	if r.s.Alive(id) {
+func (e simEnv) Restart(id types.NodeID) {
+	if e.Alive(id) {
 		return
 	}
-	r.incarn[id]++
-	r.stores[id] = kvstore.NewStore()
-	r.s.Restart(id)
+	e.r.incarn[id]++
+	e.r.stores[id] = kvstore.NewStore()
+	e.Cluster.Restart(id)
+}
+
+func (e simEnv) Observe(id types.NodeID) Sample {
+	term, role, _ := e.Status(id)
+	return Sample{
+		Alive: e.Alive(id), Incarnation: e.r.incarn[id], Term: term, Role: role,
+		Commit: e.CommitIndex(id), Members: e.Members(id), Counters: e.Counters(id),
+	}
 }
 
 // stallWatch is one armed liveness obligation.
@@ -356,6 +296,18 @@ type stallWatch struct {
 // stall: one interval for the stalled leader to notice, up to two timeouts
 // with jitter for the followers, and slack for the vote and no-op rounds.
 const stallLivenessIntervals = 10
+
+// watchStall arms the liveness oracle when the disk the nemesis just froze
+// is the sitting leader's and a healthy majority stands behind it.
+func (r *simRun) watchStall(id types.NodeID) {
+	if lid, ok := r.s.Leader(); ok && lid == id && r.othersHealthy(id) {
+		r.stallWatch = &stallWatch{
+			stalled:  id,
+			commit:   r.maxCommit(),
+			deadline: r.s.Now() + stallLivenessIntervals*r.et,
+		}
+	}
+}
 
 // checkStallLiveness samples an armed stall watch every tick. It is
 // satisfied the first time a leader with a working disk is committing — past
@@ -376,37 +328,9 @@ func (r *simRun) checkStallLiveness() {
 		return
 	}
 	r.stallWatch = nil
-	r.violations[fmt.Sprintf("liveness: S%d's disk stalled while it led a healthy majority, and %d election intervals later no leader with a working disk is committing (the stalled-disk step-down should have handed over)",
-		w.stalled, stallLivenessIntervals)] = true
+	r.mon.flag("liveness: S%d's disk stalled while it led a healthy majority, and %d election intervals later no leader with a working disk is committing (the stalled-disk step-down should have handed over)",
+		w.stalled, stallLivenessIntervals)
 	r.s.Journalf("stall-liveness violation: S%d", w.stalled)
-}
-
-// sampleMonitor is the monitor.sample of the deterministic run: election
-// safety plus per-incarnation term and commit monotonicity.
-func (r *simRun) sampleMonitor() {
-	for _, id := range r.s.IDs() {
-		term, role, _ := r.s.Status(id)
-		key := incKey{id, r.incarn[id]}
-		if last, ok := r.lastTerm[key]; ok && term < last {
-			r.violations[fmt.Sprintf("term went backwards on S%d: %d after %d", id, term, last)] = true
-		}
-		r.lastTerm[key] = term
-		ci := r.s.CommitIndex(id)
-		if last, ok := r.lastCommit[key]; ok && ci < last {
-			r.violations[fmt.Sprintf("commit index went backwards on S%d: %d after %d", id, ci, last)] = true
-		}
-		r.lastCommit[key] = ci
-		if role == raft.Leader {
-			if prev, ok := r.leaders[term]; ok && prev != id {
-				r.violations[fmt.Sprintf("two leaders in term %d: S%d and S%d", term, prev, id)] = true
-			} else {
-				r.leaders[term] = id
-			}
-		}
-	}
-	r.checkElections()
-	r.checkLeases()
-	r.checkStallLiveness()
 }
 
 // checkLeases is the stale-lease oracle, probed every tick: any node that
@@ -427,7 +351,7 @@ func (r *simRun) checkLeases() {
 			continue
 		}
 		if idx, ok := r.s.LeaseProbe(id); ok && idx < maxCommit {
-			r.violations[fmt.Sprintf("stale lease on S%d: would serve reads at index %d while index %d is committed elsewhere", id, idx, maxCommit)] = true
+			r.mon.flag("stale lease on S%d: would serve reads at index %d while index %d is committed elsewhere", id, idx, maxCommit)
 			r.s.Journalf("stale-lease violation: S%d idx=%d commit=%d", id, idx, maxCommit)
 		}
 	}
@@ -460,7 +384,7 @@ func (r *simRun) checkElections() {
 		}
 		r.staleFor[id]++
 		if r.staleFor[id] == staleThreshold {
-			r.violations[fmt.Sprintf("stale leader S%d kept leading %d ticks after losing quorum contact (CheckQuorum should step it down)", id, staleThreshold)] = true
+			r.mon.flag("stale leader S%d kept leading %d ticks after losing quorum contact (CheckQuorum should step it down)", id, staleThreshold)
 			r.s.Journalf("stale-leader violation: S%d", id)
 		}
 	}
@@ -471,7 +395,7 @@ func (r *simRun) checkElections() {
 			r.curLeader, r.healthyFor = types.NoNode, 0
 		} else if role != raft.Leader || term != r.curLeaderTerm {
 			if r.healthyFor >= estThreshold && now >= r.suppressUntil {
-				r.violations[fmt.Sprintf("healthy leader S%d (term %d) deposed by election disruption", r.curLeader, r.curLeaderTerm)] = true
+				r.mon.flag("healthy leader S%d (term %d) deposed by election disruption", r.curLeader, r.curLeaderTerm)
 				r.s.Journalf("disruption violation: S%d term %d", r.curLeader, r.curLeaderTerm)
 			}
 			r.curLeader, r.healthyFor = types.NoNode, 0
@@ -568,52 +492,6 @@ func (r *simRun) maxCommit() int {
 	return maxCommit
 }
 
-// suppress mutes the disruption oracle for a transfer window: a graceful
-// handoff deposes a perfectly healthy leader on purpose.
-func (r *simRun) suppress() {
-	r.suppressUntil = r.s.Now() + 10*r.et
-}
-
-// driveReconfig advances a pending drop-leader reconfiguration one step:
-// transfer leadership into the surviving set if the sitting leader is being
-// shed, then propose the change at a leader that will survive it.
-func (r *simRun) driveReconfig() {
-	if !r.dropPending {
-		return
-	}
-	if r.s.Now() > r.dropDeadline {
-		r.dropPending = false // the run moved on (stacked reconfigs); give up
-		return
-	}
-	lid, ok := r.s.Leader()
-	if !ok || !r.s.Alive(lid) {
-		return
-	}
-	if !r.dropTarget.Contains(lid) {
-		if to := r.s.PickTransferTarget(lid, r.dropTarget); to != types.NoNode {
-			r.s.TransferLeader(lid, to) // ErrTransferInProgress etc.: retried next tick
-			r.suppress()
-		}
-		return
-	}
-	if r.s.Members(lid).Equal(r.dropTarget) {
-		r.dropPending = false
-		return
-	}
-	if _, _, err := r.s.ProposeConfig(lid, r.dropTarget); err == nil {
-		r.dropPending = false
-	}
-}
-
-func (r *simRun) monitorReport() []string {
-	out := make([]string, 0, len(r.violations))
-	for v := range r.violations {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // checkQuorumDurable is the applied ⊆ quorum-durable oracle, run at every
 // delivery to any replica's state machine. Replicas apply what they KNOW
 // committed, ahead of their own disks; what makes that safe is that the leader
@@ -641,8 +519,8 @@ func (r *simRun) checkQuorumDurable(id types.NodeID, last raft.ApplyMsg) {
 		r.quorumDurable = last.Index
 		return
 	}
-	r.violations[fmt.Sprintf("quorum-durable: S%d applied index %d (term %d) with it on the disks of only %d of %s, above the quorum-durable index %d",
-		id, last.Index, last.Term, count, members, r.quorumDurable)] = true
+	r.mon.flag("quorum-durable: S%d applied index %d (term %d) with it on the disks of only %d of %s, above the quorum-durable index %d",
+		id, last.Index, last.Term, count, members, r.quorumDurable)
 	r.s.Journalf("quorum-durable violation: S%d applied %d, on %d of %s disks", id, last.Index, count, members)
 }
 
@@ -681,22 +559,6 @@ func (r *simRun) checkRefinement() {
 	}
 }
 
-// converged reports whether every member of the leader's configuration
-// agrees on the commit index.
-func (r *simRun) converged() bool {
-	lid, ok := r.s.Leader()
-	if !ok {
-		return false
-	}
-	want := r.s.CommitIndex(lid)
-	for _, id := range r.s.Members(lid).Slice() {
-		if !r.s.Alive(id) || r.s.CommitIndex(id) != want {
-			return false
-		}
-	}
-	return true
-}
-
 func (r *simRun) clientsPending() bool {
 	for _, cl := range r.clients {
 		if cl.pend != nil {
@@ -704,198 +566,6 @@ func (r *simRun) clientsPending() bool {
 		}
 	}
 	return false
-}
-
-// apply executes one nemesis event (the executor.apply of the sim world).
-func (r *simRun) apply(e Event) {
-	r.stallWatch = nil // the window is no longer clean
-	switch e.Kind {
-	case EvPartition:
-		r.clearPartition()
-		r.s.Partition(e.A, e.B)
-	case EvPartitionLeader:
-		r.partitionLeader(e.Keep)
-	case EvHeal:
-		r.clearPartition()
-		r.s.Heal()
-	case EvIsolate:
-		r.clearPartition()
-		r.s.Isolate(e.Node)
-	case EvDropRate:
-		r.s.SetDropRate(e.Rate)
-	case EvCrash:
-		switch e.Mode {
-		case CrashClean:
-			r.s.Crash(e.Node)
-		case CrashTorn:
-			r.s.CrashTorn(e.Node, crashGraceTicks)
-		case CrashWound:
-			r.s.CrashWound(e.Node, crashGraceTicks)
-		default:
-			panic(fmt.Sprintf("chaos: unknown crash mode %v", e.Mode))
-		}
-	case EvRestart:
-		r.s.ClearFaults(e.Node)
-		r.restart(e.Node)
-	case EvReconfigRemove, EvReconfigAdd:
-		lid, ok := r.s.Leader()
-		if !ok {
-			return
-		}
-		target := r.s.Members(lid)
-		if e.Kind == EvReconfigRemove {
-			target = target.Remove(e.Node)
-		} else {
-			target = target.Add(e.Node)
-		}
-		if target.Len() == r.s.Members(lid).Len() {
-			return
-		}
-		if !target.Contains(lid) {
-			// The change sheds the sitting leader: hand off first, as
-			// cluster.Reconfigure does live.
-			r.startDropLeader(target)
-			return
-		}
-		// Best effort, as in the live executor: R2/R3 rejections and
-		// never-committing changes are outcomes the oracles observe.
-		r.s.ProposeConfig(lid, target)
-	case EvReconfigShed:
-		r.shed()
-	case EvPartialPartition:
-		r.s.BlockOneWay(e.A[0], e.B[0])
-	case EvIsolateLeader:
-		r.clearPartition()
-		if lid, ok := r.s.Leader(); ok {
-			r.s.Isolate(lid)
-		}
-	case EvIsolateFollower:
-		r.clearPartition()
-		lid, ok := r.s.Leader()
-		for _, id := range r.members {
-			if r.s.Alive(id) && (!ok || id != lid) {
-				r.s.Isolate(id)
-				return
-			}
-		}
-	case EvTransferLeader:
-		if lid, ok := r.s.Leader(); ok {
-			r.suppress()
-			r.s.TransferLeader(lid, types.NoNode) // best effort; no-op on errors
-		}
-	case EvReconfigDropLeader:
-		lid, ok := r.s.Leader()
-		if !ok {
-			return
-		}
-		members := r.s.Members(lid)
-		if !members.Contains(lid) || members.Len() <= 3 {
-			return
-		}
-		r.startDropLeader(members.Remove(lid))
-	case EvWALWipe:
-		// Group-targeted: only the named group's replay executes the wipe;
-		// every other group runs the identical nemesis without it and acts
-		// as the control arm.
-		if e.Group == r.group {
-			r.s.WipeStorage(e.Node)
-		}
-	case EvStallDisk:
-		id := e.Node
-		if id == types.NoNode {
-			lid, ok := r.s.Leader()
-			if !ok {
-				return
-			}
-			id = lid
-		}
-		if !r.s.Alive(id) {
-			return
-		}
-		r.s.StallDisk(id, ticksOf(e.For))
-		if lid, ok := r.s.Leader(); ok && lid == id && r.othersHealthy(id) {
-			r.stallWatch = &stallWatch{
-				stalled:  id,
-				commit:   r.maxCommit(),
-				deadline: r.s.Now() + stallLivenessIntervals*r.et,
-			}
-		}
-	case EvDeafenLeader:
-		// Cut every inbound link to the current leader, leaving its
-		// outbound side intact: it keeps heartbeating but hears no acks,
-		// so its lease freshness is frozen at whatever was banked before
-		// the cut (the lease teeth's setup move).
-		if lid, ok := r.s.Leader(); ok {
-			for _, id := range r.members {
-				if id != lid {
-					r.s.BlockOneWay(id, lid)
-				}
-			}
-		}
-	default:
-		panic(fmt.Sprintf("chaos: sim executor saw unknown event kind %v", e.Kind))
-	}
-}
-
-// startDropLeader arms the drop-leader reconfiguration that driveReconfig
-// advances each tick until the change is proposed at a surviving leader.
-func (r *simRun) startDropLeader(target types.NodeSet) {
-	r.dropPending = true
-	r.dropTarget = target
-	r.dropDeadline = r.s.Now() + 40*r.et
-	r.suppress()
-}
-
-func (r *simRun) clearPartition() {
-	r.near, r.far, r.partLeader = nil, nil, types.NoNode
-}
-
-func (r *simRun) partitionLeader(keep int) {
-	r.clearPartition()
-	lid, ok := r.s.Leader()
-	if !ok {
-		lid = r.members[0]
-	}
-	near := []types.NodeID{lid}
-	var far []types.NodeID
-	for _, id := range r.members {
-		if id == lid {
-			continue
-		}
-		if len(near) < 1+keep {
-			near = append(near, id)
-		} else {
-			far = append(far, id)
-		}
-	}
-	r.s.Partition(near, far)
-	r.near, r.far = near, far
-	if ok {
-		r.partLeader = lid
-	}
-}
-
-// shed asks the partitioned stale leader to drop one far-side member — the
-// move R2/R3 must police (see executor.shed).
-func (r *simRun) shed() {
-	if r.partLeader == types.NoNode || !r.s.Alive(r.partLeader) {
-		return
-	}
-	members := r.s.Members(r.partLeader)
-	for _, id := range r.far {
-		if members.Contains(id) {
-			r.s.ProposeConfig(r.partLeader, members.Remove(id))
-			return
-		}
-	}
-}
-
-// tickClients advances every client's state machine one tick, in client
-// order (determinism requires a fixed order, and clients are independent).
-func (r *simRun) tickClients() {
-	for _, cl := range r.clients {
-		cl.tick(r)
-	}
 }
 
 // simClient is one scripted client as an explicit state machine: at most
@@ -1115,11 +785,4 @@ func (cl *simClient) finish(r *simRun, res *kvstore.Result, timedOut bool) {
 		Client: cl.idx, Op: op, Key: p.op.Key, Value: p.op.Value, Old: p.op.Old,
 		Out: *res, Call: p.call, Return: r.s.Now(),
 	})
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -408,3 +408,21 @@ type Counters struct {
 	ReadsCoalesced uint64
 	LeaseReads     uint64
 }
+
+// Add folds o into c, field by field: the one place that sums Counters
+// across nodes and incarnations (TestCountersAddCoversEveryField fails when
+// a new field is left out).
+func (c *Counters) Add(o Counters) {
+	c.Elections += o.Elections
+	c.PreVoteRounds += o.PreVoteRounds
+	c.PreVotesWon += o.PreVotesWon
+	c.TimeoutElections += o.TimeoutElections
+	c.TransferElections += o.TransferElections
+	c.TermBumps += o.TermBumps
+	c.StepDowns += o.StepDowns
+	c.TransfersStarted += o.TransfersStarted
+	c.TransfersAborted += o.TransfersAborted
+	c.ReadBarriers += o.ReadBarriers
+	c.ReadsCoalesced += o.ReadsCoalesced
+	c.LeaseReads += o.LeaseReads
+}
