@@ -4,24 +4,26 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"hash"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestJournalFingerprints prints one SHA-256 per set of deterministic runs —
+// TestJournalFingerprints hashes four sets of deterministic simulator runs —
 // generated seeds at default options and across three groups, every crafted
-// schedule with its guard on, and again with it off — so a refactor of the
-// harness can show, not argue, that the simulator's behaviour did not move:
-// run it with -v on both commits and diff the output (EXPERIMENTS.md E19
-// records the values). Each run contributes its journal, its op / timeout /
-// fault counts, its violations and its warnings; Report.Stats stays out (how
-// counters are summed is harness policy, not simulator behaviour). It asserts
-// nothing, so it only runs when its output would be seen.
+// schedule with its guard on, and again with it off — and asserts them
+// against testdata/journal_fingerprints.txt, so a change that moves the
+// simulator's behaviour cannot land unnoticed (EXPERIMENTS.md E19 and E20
+// trace every move so far). Each run contributes its journal, its op /
+// timeout / fault counts, its violations and its warnings; Report.Stats stays
+// out (how counters are summed is harness policy, not simulator behaviour).
+// With -v it also logs each crafted schedule's journal hash, to tell which
+// one moved.
 func TestJournalFingerprints(t *testing.T) {
-	if !testing.Verbose() {
-		t.Skip("prints fingerprints to compare across commits; run with -v")
-	}
+	var got []string
+	set := func(name string, h hash.Hash) { got = append(got, fmt.Sprintf("%-28s %x", name, h.Sum(nil))) }
 	run := func(h hash.Hash, sched *Schedule, opt Options) *Report {
 		rep, err := RunSim(sched, opt)
 		if err != nil {
@@ -36,7 +38,7 @@ func TestJournalFingerprints(t *testing.T) {
 		for seed := int64(0); seed < seeds; seed++ {
 			run(h, Generate(seed, opt), opt)
 		}
-		t.Logf("%-28s %x", name, h.Sum(nil))
+		set(name, h)
 	}
 	sweep("seeds 0-99, default options", 100, Options{})
 	sweep("seeds 0-29, Groups: 3", 30, Options{Groups: 3})
@@ -73,6 +75,22 @@ func TestJournalFingerprints(t *testing.T) {
 		t.Logf("  %-26s guard off: journal %x, %d violations %x", c.name, sha256.Sum256(rep.Journal),
 			len(rep.Violations), sha256.Sum256([]byte(strings.Join(rep.Violations, "\n"))))
 	}
-	t.Logf("%-28s %x", "crafted, guards on", on.Sum(nil))
-	t.Logf("%-28s %x", "crafted, guards off", off.Sum(nil))
+	set("crafted, guards on", on)
+	set("crafted, guards off", off)
+
+	golden, err := os.ReadFile("testdata/journal_fingerprints.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(string(golden), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			want = append(want, line)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("the simulator's journals moved. testdata/journal_fingerprints.txt changes only in a diff "+
+			"whose EXPERIMENTS.md entry names the behaviour that moved; the sets now hash to\n%s",
+			strings.Join(got, "\n"))
+	}
 }
