@@ -11,7 +11,7 @@ import (
 // TestCrashBeforeStable power-cycles a 3-node cluster with every disk frozen
 // mid-write. With the real driver nothing those writes were backing had been
 // released, so losing them loses no acked put: every oracle stays silent.
-// The EarlyStable driver mutant — Stable reported when the write starts —
+// The EarlyStable mutant — a disk that acks the write when it starts —
 // must be caught: it acked and applied entries no disk held.
 func TestCrashBeforeStable(t *testing.T) {
 	opt := Options{Duration: 1500 * time.Millisecond}

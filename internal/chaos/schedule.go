@@ -343,9 +343,9 @@ type Options struct {
 	// sweep runs with writes in flight across ticks; negative = every write
 	// lands at once). Live runs use their real disks.
 	DiskDelay time.Duration
-	// EarlyStable swaps in the simulator's driver mutant that reports
-	// Stable before the write lands — used to prove the acked⇒durable
-	// oracles catch a driver that lets effects outrun the disk.
+	// EarlyStable swaps in the simulator's disk mutant that acks a write
+	// before it lands, so the driver reports Stable early — used to prove
+	// the acked⇒durable oracles catch effects that outrun the disk.
 	EarlyStable bool
 }
 
@@ -872,8 +872,8 @@ func StalledLeaderDiskSchedule(opt Options) *Schedule {
 // disk and hearing Stable, and the in-flight writes are lost. A correct
 // driver released nothing those writes were backing — no ack, no commit, no
 // client reply — so no acked put is lost and the restarted cluster is
-// consistent with everything it ever told a client. The EarlyStable driver
-// mutant acks and commits the in-flight batch ahead of the disk: the applied ⊆
+// consistent with everything it ever told a client. Under the EarlyStable
+// mutant the driver acks and commits the batch ahead of the disk: the applied ⊆
 // quorum-durable oracle catches the first such commit while every node is
 // still up, the applied-stream and linearizability oracles the loss after the
 // power cycle.

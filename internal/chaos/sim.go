@@ -593,8 +593,8 @@ type simPending struct {
 
 	// fast-read barrier state
 	readNode types.NodeID
-	readReq  uint64
-	readIdx  int // -1 until the barrier resolves
+	readWait <-chan int // the pending barrier's answer (nil: none)
+	readIdx  int        // -1 until the barrier resolves
 }
 
 func newSimClient(idx int, script []ClientOp, horizon int64) *simClient {
@@ -667,16 +667,15 @@ func (cl *simClient) tickLogged(r *simRun, p *simPending) {
 // pass it, then read from that node's state machine. An aborted barrier
 // (leadership lost, forward refused) restarts the sequence.
 func (cl *simClient) tickFastRead(r *simRun, p *simPending) {
-	if p.readReq != 0 && p.readIdx < 0 {
-		if idx, done := r.s.ReadResult(p.readNode, p.readReq); done {
-			if idx >= 0 {
-				p.readIdx = idx
-			} else {
-				p.readReq = 0 // aborted: retry from scratch
-			}
-		}
+	select {
+	case idx := <-p.readWait:
+		p.readWait = nil
+		if idx >= 0 {
+			p.readIdx = idx
+		} // else aborted: retry from scratch
+	default:
 	}
-	if p.readReq == 0 && p.readIdx < 0 {
+	if p.readWait == nil && p.readIdx < 0 {
 		if r.s.Now()-p.lastTry < retryInterval {
 			return
 		}
@@ -689,11 +688,11 @@ func (cl *simClient) tickFastRead(r *simRun, p *simPending) {
 				return
 			}
 			p.lastTry = r.s.Now()
-			req, err := r.s.ForwardRead(fid)
+			wait, err := r.s.ForwardRead(fid)
 			if err != nil {
 				return // no known leader yet: retry next interval
 			}
-			p.readNode, p.readReq = fid, req
+			p.readNode, p.readWait = fid, wait
 		case kvstore.ReadModeLease:
 			lid, ok := r.s.Leader()
 			if !ok {
@@ -719,7 +718,7 @@ func (cl *simClient) tickFastRead(r *simRun, p *simPending) {
 	if p.readIdx >= 0 {
 		if !r.s.Alive(p.readNode) || r.stores[p.readNode].AppliedIndex() < p.readIdx {
 			if !r.s.Alive(p.readNode) {
-				p.readReq, p.readIdx = 0, -1 // barrier node died: start over
+				p.readIdx = -1 // barrier node died: start over
 			}
 			return
 		}
@@ -730,12 +729,12 @@ func (cl *simClient) tickFastRead(r *simRun, p *simPending) {
 
 // startBarrier opens a leader ReadIndex barrier for the pending read.
 func (cl *simClient) startBarrier(r *simRun, p *simPending, lid types.NodeID) {
-	req, idx, confirmed, err := r.s.ReadIndex(lid)
+	idx, wait, err := r.s.ReadIndex(lid)
 	if err != nil {
 		return
 	}
-	p.readNode, p.readReq = lid, req
-	if confirmed {
+	p.readNode, p.readWait = lid, wait
+	if wait == nil {
 		p.readIdx = idx
 	}
 }

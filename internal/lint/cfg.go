@@ -148,18 +148,16 @@ func (b *cfgBuilder) stmt(cur *Block, s ast.Stmt) *Block {
 		thenB.Guard = &BlockGuard{Cond: st.Cond, Taken: true}
 		b.edge(cur, thenB, false)
 		thenOut := b.stmtList(thenB, st.Body.List)
-		var elseOut *Block
-		hasElse := st.Else != nil
-		if hasElse {
-			elseB := b.newBlock()
-			elseB.Guard = &BlockGuard{Cond: st.Cond}
-			b.edge(cur, elseB, false)
+		// An if without else still gets its (empty) else block, so the path
+		// that skips the body carries the guard too.
+		elseB := b.newBlock()
+		elseB.Guard = &BlockGuard{Cond: st.Cond}
+		b.edge(cur, elseB, false)
+		elseOut := elseB
+		if st.Else != nil {
 			elseOut = b.stmt(elseB, st.Else)
 		}
 		join := b.newBlock()
-		if !hasElse {
-			b.edge(cur, join, false)
-		}
 		if thenOut != nil {
 			b.edge(thenOut, join, false)
 		}

@@ -8,7 +8,8 @@ import (
 )
 
 // effectorder.go proves the driver half of the staged Ready contract on the
-// driver package. The core holds back everything that depends on a write
+// one driver type (raft.Driver, which raft.Node and the simulator both run).
+// The core holds back everything that depends on a write
 // (votes, append acks, the leader's broadcast, commit deliveries) until the
 // driver calls Core.Stable — the golden Ready tests pin that — so the
 // driver's whole obligation is when it may say Stable: on every forward
@@ -23,14 +24,15 @@ import (
 // merges, and killed on the branch of an `if err != nil` that tests a
 // witness's error — so a Stable inside the failure branch, or after a
 // failure branch that falls through, is a violation. Back edges are skipped
-// (each iteration of the write lane is a fresh batch). Calls launched with
+// (each iteration of a landing loop is a fresh batch). Calls launched with
 // `go` run concurrently and are not in-line events; deferred calls take
-// effect at function exit.
+// effect at function exit. With an owner named, only that type's methods
+// may call the gate at all, in any package: proving it proves every runtime.
 //
 // The same pass enforces the error discipline that makes persistence
 // meaningful: every Storage persist call's error must be returned,
 // panicked on, or routed to the fail-stop halt (Config FailStops, e.g.
-// failStopLocked). A dropped or merely-logged storage error would let the
+// Driver.failStop). A dropped or merely-logged storage error would let the
 // node keep acking on top of unpersisted state.
 //
 // PrecededBy is generic: the lease read path uses it for "extending the
@@ -79,6 +81,10 @@ type PrecededBy struct {
 	// witness type compared equal to nil: with no Storage there is nothing
 	// to write, so a volatile node owes Stable no Save.
 	AbsentWitnessExempt bool
+	// owner, when set, names the one type in Pkg whose methods may call the
+	// gate: a call anywhere else, in any package, is a second executor (the
+	// gate type's own methods are exempt: the core composing its contract).
+	owner string
 	// Why is appended to the diagnostic: the one-line safety argument.
 	Why string
 }
@@ -89,14 +95,14 @@ func runEffectOrder(prog *Program, pkg *Package, cfg Config) []Diagnostic {
 	if strings.HasSuffix(pkg.Path, ".test") {
 		return nil // the contract binds the shipped driver, not its tests
 	}
+	report := func(pos token.Pos, msg string) {
+		out = append(out, Diagnostic{Pos: prog.Fset.Position(pos), Pass: "effect-order", Message: msg})
+	}
 	for _, eoc := range cfg.EffectOrder {
-		if pkg.Path != eoc.Pkg {
-			continue
-		}
+		home := pkg.Path == eoc.Pkg
 		a := &effectAnalysis{prog: prog, pkg: pkg, eoc: eoc}
-		a.computeCallees()
-		report := func(pos token.Pos, msg string) {
-			out = append(out, Diagnostic{Pos: prog.Fset.Position(pos), Pass: "effect-order", Message: msg})
+		if home {
+			a.computeCallees()
 		}
 		for _, file := range pkg.Files {
 			if strings.HasSuffix(prog.Fset.Position(file.Pos()).Filename, "_test.go") {
@@ -107,6 +113,12 @@ func runEffectOrder(prog *Program, pkg *Package, cfg Config) []Diagnostic {
 				if !ok || fd.Body == nil {
 					continue
 				}
+				for i := range eoc.Requires {
+					a.checkOwner(fd, &eoc.Requires[i], home, report)
+				}
+				if !home {
+					continue
+				}
 				a.checkErrDiscipline(fd.Body, report)
 				for i := range eoc.Requires {
 					a.checkPreceded(fd, &eoc.Requires[i], report)
@@ -115,6 +127,26 @@ func runEffectOrder(prog *Program, pkg *Package, cfg Config) []Diagnostic {
 		}
 	}
 	return out
+}
+
+// checkOwner flags every gate call in fd unless fd is a method of the
+// obligation's owner in the configured package, or of the gate type itself.
+func (a *effectAnalysis) checkOwner(fd *ast.FuncDecl, req *PrecededBy, home bool, report func(token.Pos, string)) {
+	recv := ""
+	if fd.Recv != nil {
+		recv = typeShortName(a.pkg.Info.Types[fd.Recv.List[0].Type].Type)
+	}
+	if req.owner == "" || recv == req.GateRecv || (home && recv == req.owner) {
+		return
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if name := a.recvCall(call, req.GateRecv, req.GateMethods); name != "" {
+				report(call.Pos(), name+" outside "+req.owner+": a second executor; "+req.Why)
+			}
+		}
+		return true
+	})
 }
 
 type effectAnalysis struct {
@@ -423,7 +455,7 @@ func (a *effectAnalysis) isWitness(call *ast.CallExpr, req *PrecededBy, wit map[
 }
 
 // witnessErrors collects the error variables of body that hold a witness
-// call's result (`err := st.SaveState(hs)`, `err = n.persist(u)`): an if
+// call's result (`err := st.SaveState(hs)`, `err = d.persist(u, 3)`): an if
 // that sees one of them non-nil is that witness's failure branch.
 func (a *effectAnalysis) witnessErrors(body *ast.BlockStmt, req *PrecededBy, wit map[*types.Func]bool) map[types.Object]bool {
 	errs := make(map[types.Object]bool)

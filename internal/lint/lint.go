@@ -87,19 +87,21 @@ func DefaultConfig() Config {
 		},
 		PureCorePkgs:     []string{"adore/internal/raft/raftcore"},
 		PurityAllowCalls: []string{"Config.Jitter"},
+		// raft.Driver, the staged Ready executor (the fixture test reuses it).
 		EffectOrder: []EffectOrderConfig{{
 			Pkg:            "adore/internal/raft",
 			StorageIface:   "Storage",
 			PersistMethods: []string{"SaveState", "SaveSnapshot", "SaveEntries"},
-			FailStops:      []string{"failStopLocked"},
+			FailStops:      []string{"failStop"},
 			Requires: []PrecededBy{{
 				GateRecv:       "Core",
 				GateMethods:    []string{"Stable"},
 				WitnessRecv:    "Storage",
 				WitnessMethods: []string{"SaveState", "SaveSnapshot", "SaveEntries"},
-				// A volatile node (Options.Storage == nil) reports its
-				// batches stable inline: there is no disk to wait for.
+				// A volatile node (no Storage) reports its batches stable
+				// inline: there is no disk to wait for.
 				AbsentWitnessExempt: true,
+				owner:               "Driver",
 				Why: "reporting a batch stable that was not written, or whose write failed, " +
 					"releases votes, acks and commits no disk backs",
 			}},

@@ -61,21 +61,10 @@ func TestTransitivePurityFixture(t *testing.T) {
 }
 
 func TestEffectOrderFixture(t *testing.T) {
+	driver := DefaultConfig().EffectOrder[0] // the repo's own declaration
+	driver.Pkg = "fix/driver"
 	checkFixture(t, "effectorder", Config{
-		EffectOrder: []EffectOrderConfig{{
-			Pkg:            "fix/driver",
-			StorageIface:   "Storage",
-			PersistMethods: []string{"SaveState", "SaveSnapshot", "SaveEntries"},
-			FailStops:      []string{"failStop"},
-			Requires: []PrecededBy{{
-				GateRecv:            "Core",
-				GateMethods:         []string{"Stable"},
-				WitnessRecv:         "Storage",
-				WitnessMethods:      []string{"SaveState", "SaveSnapshot", "SaveEntries"},
-				AbsentWitnessExempt: true,
-				Why:                 "a batch reported stable without a successful write releases effects no disk backs",
-			}},
-		}, {
+		EffectOrder: []EffectOrderConfig{driver, {
 			Pkg: "fix/lease",
 			Requires: []PrecededBy{{
 				GateRecv:       "LeaseClock",

@@ -269,7 +269,7 @@ func TestSimNothingCommitsAheadOfTheDisk(t *testing.T) {
 	}
 }
 
-// TestSimEarlyStableMutantLosesCommits is the driver mutant's teeth at the
+// TestSimEarlyStableMutantLosesCommits is the EarlyStable mutant's teeth at the
 // sim level: reporting Stable before the write lands lets an entry commit
 // that no disk holds, and a power cycle loses it.
 func TestSimEarlyStableMutantLosesCommits(t *testing.T) {
