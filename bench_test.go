@@ -21,6 +21,7 @@ import (
 	"adore/internal/core"
 	"adore/internal/explore"
 	"adore/internal/kvstore"
+	"adore/internal/multiraft"
 	"adore/internal/raft"
 	"adore/internal/raft/cluster"
 	"adore/internal/raft/transport"
@@ -88,19 +89,18 @@ func BenchmarkProposeThroughputBatched(b *testing.B) {
 		b.Fatal(err)
 	}
 	cs := &raft.CountingStorage{Inner: fs}
-	net := transport.NewMemNetwork(0, 0, 1)
-	inbox := make(chan raft.Message, 64)
-	n := raft.StartNode(raft.Options{
-		ID:        1,
-		Members:   []types.NodeID{1},
-		Transport: net.Attach(1, inbox),
-		Storage:   cs,
+	h, err := multiraft.Start(multiraft.Options{
+		ID:         1,
+		Members:    []types.NodeID{1},
+		Transport:  transport.HostTransport{Net: transport.NewMemNetwork(0, 0, 1), ID: 1},
+		StorageFor: func(raft.GroupID) raft.Storage { return cs },
+		OnApply:    func(raft.GroupID, []raft.ApplyMsg) {},
 	})
-	defer n.Stop()
-	go func() {
-		for range n.ApplyCh() {
-		}
-	}()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer h.Stop()
+	n := h.Node(0)
 	deadline := time.Now().Add(10 * time.Second)
 	for n.Snapshot().Role != raft.Leader {
 		if !time.Now().Before(deadline) {

@@ -8,10 +8,10 @@
 //
 //   - Transport: one multiplexing transport (one connection/reconnector
 //     per peer) carries every group's envelopes; each group registers a
-//     per-group endpoint that stamps its GroupID on send.
-//   - Tick loop: one wall-clock ticker drives every group's logical clock
-//     (nodes run with Options.ExternalTick), instead of one timer
-//     goroutine per group.
+//     per-group endpoint that stamps its GroupID on send; the group's node
+//     reads the endpoint's inbox directly.
+//   - Wall time: one ticker drives every group's logical clock (a node has
+//     no clock of its own), one tick per ElectionTimeoutMin/ElectionTicks.
 //   - Storage: one root directory, with each group confined to its own
 //     subdirectory (GroupStorageDir). Segment and snapshot names are
 //     namespaced by that subdirectory, so compaction in one group can
@@ -57,11 +57,9 @@ type Options struct {
 	// Transport is the shared multiplexer all groups send through.
 	Transport Transport
 
-	// ElectionTimeoutMin/Max and HeartbeatInterval scale every group's
-	// protocol timers (zero values get the raft package defaults).
+	// ElectionTimeoutMin is every group's minimum election timeout in wall
+	// time (0 = 50 ms); the host's tick period is derived from it alone.
 	ElectionTimeoutMin time.Duration
-	ElectionTimeoutMax time.Duration
-	HeartbeatInterval  time.Duration
 
 	// StorageRoot, when non-empty, backs each group with a FileStorage in
 	// its own subdirectory (GroupStorageDir(root, g)). StorageFor, when
@@ -78,9 +76,8 @@ type Options struct {
 	// same group are ordered, calls across groups are concurrent).
 	OnApply func(raft.GroupID, []raft.ApplyMsg)
 
-	// SnapshotThreshold / MaxEntriesPerAppend are passed to every group.
-	SnapshotThreshold   int
-	MaxEntriesPerAppend int
+	// SnapshotThreshold is passed to every group.
+	SnapshotThreshold int
 
 	// Ablation switches protocol guards off in every group (experiments
 	// only).
@@ -114,7 +111,7 @@ type Host struct {
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
-	loops    sync.WaitGroup // tick loop + inbox pumps
+	loops    sync.WaitGroup // the tick loop
 	drains   sync.WaitGroup // apply fan-out goroutines
 }
 
@@ -143,43 +140,19 @@ func Start(opts Options) (*Host, error) {
 			sm = opts.StateMachineFor(g)
 		}
 		inbox := make(chan raft.Message, inboxSize)
-		ep := opts.Transport.Endpoint(g, inbox)
 		n := raft.StartNode(raft.Options{
-			ID:                  opts.ID,
-			Members:             opts.Members,
-			Transport:           ep,
-			ElectionTimeoutMin:  opts.ElectionTimeoutMin,
-			ElectionTimeoutMax:  opts.ElectionTimeoutMax,
-			HeartbeatInterval:   opts.HeartbeatInterval,
-			Storage:             storage,
-			StateMachine:        sm,
-			SnapshotThreshold:   opts.SnapshotThreshold,
-			MaxEntriesPerAppend: opts.MaxEntriesPerAppend,
-			Ablation:            opts.Ablation,
+			ID:                opts.ID,
+			Members:           opts.Members,
+			Transport:         opts.Transport.Endpoint(g, inbox),
+			Inbox:             inbox,
+			Storage:           storage,
+			StateMachine:      sm,
+			SnapshotThreshold: opts.SnapshotThreshold,
+			Ablation:          opts.Ablation,
 			// Distinct per-group offsets keep group clocks de-phased.
-			Seed:         opts.Seed + 1000003*int64(g),
-			ExternalTick: true,
+			Seed: opts.Seed + 1000003*int64(g),
 		})
 		h.nodes = append(h.nodes, n)
-		// Pump the transport inbox into the node. Delivery blocks when the
-		// node's own queue is full (back-pressure, not silent loss); the
-		// done-channel select releases the pump once the node shuts down.
-		h.loops.Add(1)
-		go func(n *raft.Node) {
-			defer h.loops.Done()
-			for {
-				select {
-				case m := <-inbox:
-					select {
-					case n.Inbox() <- m:
-					case <-n.Done():
-						return
-					}
-				case <-n.Done():
-					return
-				}
-			}
-		}(n)
 		// Fan the group's apply stream out to the shared hook.
 		if opts.OnApply != nil {
 			h.drains.Add(1)
@@ -212,24 +185,21 @@ func (h *Host) storageFor(g raft.GroupID) (raft.Storage, error) {
 	return fs, nil
 }
 
+// tickPeriod is the wall time of one logical tick: a node campaigns after
+// raft.ElectionTicks ticks of leader silence (plus jitter), so that many
+// ticks span ElectionTimeoutMin.
+func tickPeriod(electionTimeoutMin time.Duration) time.Duration {
+	if electionTimeoutMin <= 0 {
+		electionTimeoutMin = 50 * time.Millisecond
+	}
+	return electionTimeoutMin / raft.ElectionTicks
+}
+
 // tickLoop is the shared clock: one wall-clock ticker advancing every
-// group's logical time at the cadence each node's internal ticker would
-// have used (HeartbeatInterval/2, after defaults).
+// group's logical time.
 func (h *Host) tickLoop() {
 	defer h.loops.Done()
-	hb := h.opts.HeartbeatInterval
-	if hb == 0 {
-		etMin := h.opts.ElectionTimeoutMin
-		if etMin == 0 {
-			etMin = 50 * time.Millisecond
-		}
-		hb = etMin / 3
-	}
-	unit := hb / 2
-	if unit <= 0 {
-		unit = time.Millisecond
-	}
-	ticker := time.NewTicker(unit)
+	ticker := time.NewTicker(tickPeriod(h.opts.ElectionTimeoutMin))
 	defer ticker.Stop()
 	for {
 		select {

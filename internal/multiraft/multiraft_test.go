@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"adore/internal/raft"
+	"adore/internal/raft/raftcore"
 	"adore/internal/raft/transport"
 	"adore/internal/types"
 )
@@ -175,6 +176,35 @@ func TestHostStopsCleanly(t *testing.T) {
 		if n.ID() == victim {
 			t.Fatalf("group %d still led by stopped node %s", g, victim)
 		}
+	}
+}
+
+// TestTimersMatchDerivation checks the node's timer constants and the host's
+// tick period against the derivation they replace, for every
+// ElectionTimeoutMin the repo runs with: the tick was HeartbeatInterval/2
+// with HeartbeatInterval = ElectionTimeoutMin/3, the election timeout and the
+// jitter span (ElectionTimeoutMax = 2·ElectionTimeoutMin) were counted in
+// that tick, and a window was 256 entries.
+func TestTimersMatchDerivation(t *testing.T) {
+	ms := time.Millisecond
+	for _, etMin := range []time.Duration{10 * ms, 15 * ms, 40 * ms, 0, 150 * ms, 3 * time.Second} {
+		et := etMin
+		if et == 0 {
+			et = 50 * ms // the one default
+		}
+		unit := et / 3 / 2
+		electionTicks := int(et / unit)
+		jitterSpan := int((2*et - et) / unit)
+		if got := tickPeriod(etMin); got != unit {
+			t.Errorf("ElectionTimeoutMin %v: tick period %v, want %v", etMin, got, unit)
+		}
+		if raft.ElectionTicks != electionTicks || raft.ElectionTicks != jitterSpan {
+			t.Errorf("ElectionTimeoutMin %v: ElectionTicks %d, want %d election ticks and a jitter span of %d",
+				etMin, raft.ElectionTicks, electionTicks, jitterSpan)
+		}
+	}
+	if raftcore.MaxEntriesPerAppend != 256 {
+		t.Errorf("MaxEntriesPerAppend = %d, want 256", raftcore.MaxEntriesPerAppend)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"adore/internal/multiraft"
 	"adore/internal/raft"
 	"adore/internal/raft/transport"
 	"adore/internal/types"
@@ -25,24 +26,30 @@ func (s *slowStorage) SaveEntries(firstIndex int, entries []raft.LogEntry) error
 	return s.Storage.SaveEntries(firstIndex, entries)
 }
 
-// startSingleNode launches a one-node raft over a zero-latency memory
-// network and waits for it to elect itself.
+// startSingleNode launches a one-node raft whose apply stream is drained and
+// waits for it to elect itself.
 func startSingleNode(t testing.TB, storage raft.Storage) *raft.Node {
 	t.Helper()
-	net := transport.NewMemNetwork(0, 0, 1)
-	inbox := make(chan raft.Message, 64)
-	tr := net.Attach(1, inbox)
-	n := raft.StartNode(raft.Options{
-		ID:        1,
-		Members:   []types.NodeID{1},
-		Transport: tr,
-		Storage:   storage,
+	return startOneNode(t, multiraft.Options{
+		StorageFor: func(raft.GroupID) raft.Storage { return storage },
+		OnApply:    func(raft.GroupID, []raft.ApplyMsg) {},
 	})
-	t.Cleanup(n.Stop)
-	go func() {
-		for range n.ApplyCh() {
-		}
-	}()
+}
+
+// startOneNode runs node 1 of the one-member cluster {1} on a one-group
+// multiraft.Host over a zero-latency memory network, configured by opts
+// otherwise, and waits for it to elect itself.
+func startOneNode(t testing.TB, opts multiraft.Options) *raft.Node {
+	t.Helper()
+	net := transport.NewMemNetwork(0, 0, 1)
+	opts.ID, opts.Members = 1, []types.NodeID{1}
+	opts.Transport = transport.HostTransport{Net: net, ID: 1}
+	h, err := multiraft.Start(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Stop)
+	n := h.Node(0)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if n.Snapshot().Role == raft.Leader {

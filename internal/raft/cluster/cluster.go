@@ -55,8 +55,8 @@ type Options struct {
 	// and truncates its WAL (0 = disabled).
 	SnapshotThreshold int
 	// InboxSize is the per-(node, group) transport inbox capacity
-	// (0 = 4096). Small values exercise back-pressure: the inbox pump
-	// blocks instead of dropping when a node falls behind.
+	// (0 = 4096). Small values exercise loss: the network drops what a
+	// full inbox cannot take, and retransmission has to make up for it.
 	InboxSize int
 	// NoApplyRecord disables the in-memory applied-stream record. The
 	// record exists for the test and chaos oracles; throughput benchmarks

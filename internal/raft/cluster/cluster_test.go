@@ -106,10 +106,10 @@ func TestWaitCommitTimesOut(t *testing.T) {
 // TestFollowerReadDoesNotWaitForHeartbeat: a follower that forwards a read
 // right after a put learns from the read reply that the put is committed; it
 // does not sit on an entry it already holds until the next append names it.
-// With a 1 s heartbeat (the leader broadcasts on every 500 ms tick) nothing
-// else can tell the follower within the 100 ms budget.
+// With a 500 ms heartbeat (the leader broadcasts on every 500 ms tick)
+// nothing else can tell the follower within the 100 ms budget.
 func TestFollowerReadDoesNotWaitForHeartbeat(t *testing.T) {
-	c := New(Options{N: 3, Seed: 7, ElectionTimeoutMin: 3 * time.Second}) // HeartbeatInterval = 1 s
+	c := New(Options{N: 3, Seed: 7, ElectionTimeoutMin: 3 * time.Second}) // a 500 ms tick
 	defer c.Stop()
 	// Run S1's election clock by hand instead of waiting 3–6 s for it.
 	for deadline := time.Now().Add(timeout); c.Leader() == nil; time.Sleep(time.Millisecond) {

@@ -11,12 +11,12 @@ import (
 )
 
 // TestNoLossUnderInboxPressure overloads a cluster whose per-node inboxes
-// are tiny (8 messages) with hundreds of concurrent proposals. Before the
-// pump fix, cluster.StartNode silently discarded messages whenever a
-// node's queue was momentarily full; now delivery blocks (back-pressure)
-// and releases only on node shutdown. The assertion is the replication
-// contract: every acked proposal commits, and all nodes apply identical
-// command sequences with nothing missing.
+// are tiny (8 messages) with hundreds of concurrent proposals. Each node
+// reads its inbox directly, with no queue behind it, so the network drops
+// whatever arrives while the inbox is full — appends, acks and votes alike —
+// and only retransmission recovers it. The assertion is the replication
+// contract under that pressure: every acked proposal commits, and all nodes
+// apply identical command sequences with nothing missing.
 func TestNoLossUnderInboxPressure(t *testing.T) {
 	c := New(Options{N: 3, Seed: 77, InboxSize: 8})
 	defer c.Stop()

@@ -31,6 +31,7 @@ type Driver struct {
 	// negative abort code.
 	props     []*Proposal
 	reads     map[uint64]chan int
+	nextRead  uint64 // the next read barrier's id
 	wasLeader bool
 }
 
@@ -58,8 +59,13 @@ type shell interface {
 }
 
 // NewDriver wraps core with storage st (nil: volatile), shell lock mu and sh.
-func NewDriver(core *raftcore.Core, st Storage, mu sync.Locker, sh shell) *Driver {
-	return &Driver{core: core, storage: st, mu: mu, sh: sh, reads: make(map[uint64]chan int)}
+// It numbers its read barriers from firstRead up, which must lie above every
+// id an earlier incarnation of the node used: a reply to a forwarded barrier
+// can outlive the incarnation that opened it (a peer's send queue keeps it
+// across a restart and flushes it on redial), and it is matched on its id
+// alone.
+func NewDriver(core *raftcore.Core, st Storage, mu sync.Locker, sh shell, firstRead uint64) *Driver {
+	return &Driver{core: core, storage: st, mu: mu, sh: sh, reads: make(map[uint64]chan int), nextRead: firstRead}
 }
 
 // Ready runs after every core interaction: it hands out the next batch if
@@ -216,21 +222,31 @@ func (d *Driver) failProps(err error) {
 	d.props = nil
 }
 
-// Read opens the read barrier reqID at this leader, or (forward) at the
-// known leader. One the core confirms at once (a single-voter configuration)
-// returns its index and a nil channel; otherwise the channel answers once,
-// from a later Ready, with the confirmed index or a negative abort code.
-func (d *Driver) Read(reqID uint64, forward bool) (int, <-chan int, error) {
+// Read opens a read barrier under a fresh id at this leader, or (forward) at
+// the known leader. One the core confirms at once (a single-voter
+// configuration) returns its index and a nil channel; otherwise the channel
+// answers once, from a later Ready, with the confirmed index or a negative
+// abort code, unless the barrier is cancelled first.
+func (d *Driver) Read(forward bool) (id uint64, idx int, wait <-chan int, err error) {
+	id = d.nextRead
+	d.nextRead++
 	if forward {
-		if err := d.core.ForwardReadIndex(reqID); err != nil {
-			return 0, nil, err
+		if err := d.core.ForwardReadIndex(id); err != nil {
+			return id, 0, nil, err
 		}
-	} else if idx, confirmed, err := d.core.ReadIndex(reqID); err != nil || confirmed {
-		return idx, nil, err
+	} else if idx, confirmed, err := d.core.ReadIndex(id); err != nil || confirmed {
+		return id, idx, nil, err
 	}
 	ch := make(chan int, 1)
-	d.reads[reqID] = ch
-	return 0, ch, nil
+	d.reads[id] = ch
+	return id, 0, ch, nil
+}
+
+// CancelRead abandons the barrier id (its caller stopped waiting): an answer
+// that still arrives for it goes nowhere.
+func (d *Driver) CancelRead(id uint64) {
+	delete(d.reads, id)
+	d.core.CancelRead(id)
 }
 
 func (d *Driver) answerRead(reqID uint64, idx int) {

@@ -117,7 +117,7 @@ func newOrderHarness(t *testing.T, durable bool) *orderHarness {
 		if durable {
 			st = orderDisk{Storage: NewMemStorage(), n: n}
 		}
-		n.d = NewDriver(n.core, st, n, n)
+		n.d = NewDriver(n.core, st, n, n, 0)
 		h.nodes = append(h.nodes, n)
 	}
 	return h
@@ -266,7 +266,7 @@ func TestDriverOrder(t *testing.T) {
 		run: func(t *testing.T) {
 			h := newOrderHarness(t, true)
 			s1 := h.elect()
-			_, wait, err := s1.d.Read(7, false)
+			_, _, wait, err := s1.d.Read(false)
 			if err != nil || wait == nil {
 				t.Fatalf("read barrier: wait %v, err %v; want a pending barrier", wait, err)
 			}

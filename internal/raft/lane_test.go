@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"adore/internal/multiraft"
 	"adore/internal/raft"
 	"adore/internal/raft/transport"
 	"adore/internal/types"
@@ -100,13 +101,20 @@ func (s *laneStorage) voted(hs raft.HardState) bool {
 
 // checkedTransport checks every outgoing message against the sender's own
 // storage at the instant it leaves, and counts the entry-carrying appends.
+// As the host's transport it wraps the group's network endpoint.
 type checkedTransport struct {
 	raft.Transport
-	st *laneStorage
+	net multiraft.Transport
+	st  *laneStorage
 
 	mu         sync.Mutex
 	violations []string
 	appendsTo  map[types.NodeID]int // non-empty AppendEntries per destination
+}
+
+func (c *checkedTransport) Endpoint(g raft.GroupID, inbox chan<- raft.Message) raft.Transport {
+	c.Transport = c.net.Endpoint(g, inbox)
+	return c
 }
 
 func (c *checkedTransport) Send(m raft.Message) {
@@ -135,9 +143,9 @@ func (c *checkedTransport) appends(to types.NodeID) int {
 	return c.appendsTo[to]
 }
 
-// laneCluster is three raw nodes over a zero-latency MemNetwork, each with a
-// laneStorage and a checkedTransport; applied is the last index each node's
-// apply stream delivered.
+// laneCluster is three one-group hosts over a zero-latency MemNetwork, each
+// with a laneStorage and a checkedTransport; applied is the last index each
+// node's apply stream delivered.
 type laneCluster struct {
 	net     *transport.MemNetwork
 	nodes   map[types.NodeID]*raft.Node
@@ -158,51 +166,42 @@ func startLaneCluster(t *testing.T, delayFor func(types.NodeID) time.Duration) *
 		tr:      map[types.NodeID]*checkedTransport{},
 		applied: map[types.NodeID]*atomic.Int64{},
 	}
+	var hosts []*multiraft.Host
+	t.Cleanup(func() {
+		for _, id := range members {
+			if st := lc.st[id]; st != nil {
+				st.release()
+			}
+		}
+		for _, h := range hosts {
+			h.Stop()
+		}
+		lc.net.Close()
+	})
 	for _, id := range members {
 		cs := &raft.CountingStorage{Inner: raft.NewMemStorage()}
 		st := newLaneStorage(cs)
 		if delayFor != nil {
 			st.delay = delayFor(id)
 		}
-		inbox := make(chan raft.Message, 4096)
-		tr := &checkedTransport{Transport: lc.net.Attach(id, inbox), st: st, appendsTo: map[types.NodeID]int{}}
-		n := raft.StartNode(raft.Options{
-			ID: id, Members: members, Transport: tr, Storage: st,
-			ElectionTimeoutMin: 150 * time.Millisecond, // 50 ms heartbeat: nothing below can ride one
+		tr := &checkedTransport{net: transport.HostTransport{Net: lc.net, ID: id}, st: st, appendsTo: map[types.NodeID]int{}}
+		applied := new(atomic.Int64)
+		h, err := multiraft.Start(multiraft.Options{
+			ID: id, Members: members, Transport: tr,
+			StorageFor:         func(raft.GroupID) raft.Storage { return st },
+			ElectionTimeoutMin: 150 * time.Millisecond, // 25 ms ticks, a heartbeat on each
 			// S1 times out first, so it leads.
 			Seed: int64(id),
-		})
-		go func() {
-			for {
-				select {
-				case m := <-inbox:
-					select {
-					case n.Inbox() <- m:
-					case <-n.Done():
-						return
-					}
-				case <-n.Done():
-					return
-				}
-			}
-		}()
-		applied := new(atomic.Int64)
-		go func() {
-			for batch := range n.ApplyCh() {
+			OnApply: func(_ raft.GroupID, batch []raft.ApplyMsg) {
 				applied.Store(int64(batch[len(batch)-1].Index))
-			}
-		}()
-		lc.nodes[id], lc.st[id], lc.cs[id], lc.tr[id], lc.applied[id] = n, st, cs, tr, applied
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts = append(hosts, h)
+		lc.nodes[id], lc.st[id], lc.cs[id], lc.tr[id], lc.applied[id] = h.Node(0), st, cs, tr, applied
 	}
-	t.Cleanup(func() {
-		for _, id := range members {
-			lc.st[id].release()
-		}
-		for _, id := range members {
-			lc.nodes[id].Stop()
-		}
-		lc.net.Close()
-	})
 	return lc
 }
 

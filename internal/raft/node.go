@@ -11,21 +11,23 @@ import (
 	"adore/internal/types"
 )
 
+// ElectionTicks is every node's election timeout in ticks of its owner's
+// clock: a follower campaigns after ElectionTicks plus a jitter drawn from
+// [0, ElectionTicks) ticks without leader contact, and a leader broadcasts on
+// every tick. The owner (multiraft.Host) calls Tick once per
+// ElectionTimeoutMin/ElectionTicks of wall time.
+const ElectionTicks = 6
+
 // Options configures a node.
 type Options struct {
 	// ID is this node's identity; Members the initial cluster.
 	ID      types.NodeID
 	Members []types.NodeID
 
-	// Transport carries messages; required.
+	// Transport carries messages out; Inbox brings them in (the transport
+	// endpoint's demux target). The node reads Inbox until it stops.
 	Transport Transport
-
-	// ElectionTimeoutMin/Max bound the randomized election timeout;
-	// HeartbeatInterval is the leader's append cadence. Zero values get
-	// test-friendly defaults (50–100 ms / 20 ms).
-	ElectionTimeoutMin time.Duration
-	ElectionTimeoutMax time.Duration
-	HeartbeatInterval  time.Duration
+	Inbox     <-chan Message
 
 	// Storage persists term, vote, snapshot, and log across restarts. Nil
 	// means the node is volatile (models, benchmarks, never-restarted
@@ -44,43 +46,12 @@ type Options struct {
 	// compaction. Ignored without a StateMachine.
 	SnapshotThreshold int
 
-	// MaxEntriesPerAppend caps the entries carried by one AppendEntries
-	// message. The leader streams a lagging follower's log as a pipeline
-	// of bounded windows (advancing nextIndex optimistically per send)
-	// instead of re-sending the full suffix stop-and-wait. Zero gets a
-	// default of 256.
-	MaxEntriesPerAppend int
-
 	// Ablation switches individual protocol guards off; forwarded to the
 	// core as is. For experiments only.
 	Ablation
 
-	// Seed randomizes election timeouts deterministically (0 = from ID).
+	// Seed randomizes election timeouts deterministically.
 	Seed int64
-
-	// ExternalTick disables the node's internal wall-clock ticker; the
-	// owner drives the logical clock by calling Tick. A multiraft host
-	// hosting many groups uses one shared ticker for all of them instead
-	// of one timer goroutine per group.
-	ExternalTick bool
-}
-
-func (o *Options) defaults() {
-	if o.ElectionTimeoutMin == 0 {
-		o.ElectionTimeoutMin = 50 * time.Millisecond
-	}
-	if o.ElectionTimeoutMax == 0 {
-		o.ElectionTimeoutMax = 2 * o.ElectionTimeoutMin
-	}
-	if o.HeartbeatInterval == 0 {
-		o.HeartbeatInterval = o.ElectionTimeoutMin / 3
-	}
-	if o.Seed == 0 {
-		o.Seed = int64(o.ID) * 7919
-	}
-	if o.MaxEntriesPerAppend == 0 {
-		o.MaxEntriesPerAppend = 256
-	}
 }
 
 // StateMachine is the driver's view of the replicated application for
@@ -150,27 +121,26 @@ type Node struct {
 	d    *Driver        // guarded by mu
 
 	applyCh    chan []ApplyMsg
-	inbox      chan Message
 	stopCh     chan struct{}
 	stopOnce   sync.Once
 	applyClose sync.Once
 	done       sync.WaitGroup
 
 	// Group-commit state (see batch.go): ProposeAsync enqueues proposals
-	// here; the flush loop drains them all into one WAL frame (a single
-	// fsync) and one AppendEntries broadcast, then acks the futures. The
+	// here; the flush loop drains them all into the core's log, and the
+	// driver acks the futures once the lane's write made them durable. The
 	// queue lives under its own narrow mutex — never held across I/O — so
-	// proposers keep enqueueing while a flush holds mu across the fsync;
-	// that overlap is what lets batches grow under load. Lock order:
-	// mu before propMu (flushBatch drains under propMu alone, then takes
-	// mu; the driver's Abort runs under mu and takes propMu inside).
+	// proposers keep enqueueing while the flush loop holds mu and while the
+	// lane's write is in flight; what queued meanwhile is the next batch,
+	// which is what lets batches grow under load. Lock order: mu before
+	// propMu (flushBatch drains under propMu alone, then takes mu; the
+	// driver's Abort runs under mu and takes propMu inside).
 	propMu       sync.Mutex
 	pendingProps []*Proposal // guarded by propMu
 	stopping     bool        // guarded by propMu
 	flushCh      chan struct{}
 
-	laneCh     chan struct{} // wakes the write lane (capacity 1)
-	nextReadID uint64        // guarded by mu
+	laneCh chan struct{} // wakes the write lane (capacity 1)
 
 	// snapReqCh hands TakeSnapshot effects to the snapshot loop, which
 	// serializes the state machine outside mu and answers via
@@ -180,9 +150,9 @@ type Node struct {
 	snapReqCh chan raftcore.SnapshotRequest
 }
 
-// StartNode launches a node and its background loops.
+// StartNode launches a node and its background loops. The node has no clock
+// of its own: it advances only when its owner calls Tick.
 func StartNode(opts Options) *Node {
-	opts.defaults()
 	var hs HardState
 	var snap LogSnapshot
 	var log []LogEntry
@@ -196,26 +166,9 @@ func StartNode(opts Options) *Node {
 			log = stored
 		}
 	}
-	// The driver ticks the core every HeartbeatInterval/2 (the historical
-	// run-loop cadence): leaders broadcast on every tick, and election
-	// timeouts are counted in the same unit. The jitter closure owns the
-	// randomness — the core itself is deterministic.
-	tickUnit := opts.HeartbeatInterval / 2
-	if tickUnit <= 0 {
-		tickUnit = time.Millisecond
-	}
-	electionTicks := int(opts.ElectionTimeoutMin / tickUnit)
-	if electionTicks < 1 {
-		electionTicks = 1
-	}
-	jitterSpan := int64((opts.ElectionTimeoutMax - opts.ElectionTimeoutMin) / tickUnit)
+	// The jitter closure owns the randomness — the core itself is
+	// deterministic.
 	rng := rand.New(rand.NewSource(opts.Seed))
-	jitter := func() int {
-		if jitterSpan <= 0 {
-			return 0
-		}
-		return int(rng.Int63n(jitterSpan))
-	}
 	snapThreshold := opts.SnapshotThreshold
 	if opts.StateMachine == nil {
 		snapThreshold = 0 // nobody to capture an image from
@@ -224,23 +177,23 @@ func StartNode(opts Options) *Node {
 		id:   opts.ID,
 		opts: opts,
 		core: raftcore.New(raftcore.Config{
-			ID:                  opts.ID,
-			Members:             opts.Members,
-			ElectionTicks:       electionTicks,
-			Jitter:              jitter,
-			HeartbeatTicks:      1,
-			MaxEntriesPerAppend: opts.MaxEntriesPerAppend,
-			SnapshotThreshold:   snapThreshold,
-			Ablation:            opts.Ablation,
+			ID:                opts.ID,
+			Members:           opts.Members,
+			ElectionTicks:     ElectionTicks,
+			Jitter:            func() int { return int(rng.Int63n(ElectionTicks)) },
+			HeartbeatTicks:    1,
+			SnapshotThreshold: snapThreshold,
+			Ablation:          opts.Ablation,
 		}, hs, snap, log),
 		applyCh: make(chan []ApplyMsg, 1024),
-		inbox:   make(chan Message, 1024),
 		stopCh:  make(chan struct{}),
 		flushCh: make(chan struct{}, 1),
 		laneCh:  make(chan struct{}, 1),
 	}
 	n.mu.Lock() // the driver is guarded like the core it drives
-	n.d = NewDriver(n.core, opts.Storage, &n.mu, (*nodeShell)(n))
+	// Read ids start at the wall clock in ns, above every id an earlier
+	// incarnation used: none opens a barrier per nanosecond.
+	n.d = NewDriver(n.core, opts.Storage, &n.mu, (*nodeShell)(n), uint64(time.Now().UnixNano()))
 	n.mu.Unlock()
 	if opts.StateMachine != nil {
 		n.snapReqCh = make(chan raftcore.SnapshotRequest, 1)
@@ -271,10 +224,6 @@ func restoreMsg(snap *LogSnapshot) ApplyMsg {
 	}
 }
 
-// Inbox returns the channel the transport should feed received messages
-// into.
-func (n *Node) Inbox() chan<- Message { return n.inbox }
-
 // ApplyCh delivers committed entries in order, coalesced into batches: one
 // receive drains everything that committed since the previous one, so
 // state-machine drains pay one channel operation per commit advance rather
@@ -284,8 +233,8 @@ func (n *Node) ApplyCh() <-chan []ApplyMsg { return n.applyCh }
 // ID returns the node's identity.
 func (n *Node) ID() types.NodeID { return n.id }
 
-// Done is closed when the node starts shutting down (for pumps and drains
-// that would otherwise block on a stopped node's inbox).
+// Done is closed when the node starts shutting down: it stopped, or it
+// fail-stopped on a storage error.
 func (n *Node) Done() <-chan struct{} { return n.stopCh }
 
 // Stop shuts the node down and waits for its loops to exit.
@@ -475,36 +424,28 @@ func (n *Node) abortSnapshot() {
 	n.core.AbortSnapshot()
 }
 
-// run is the main event loop: messages, timers, shutdown.
+// run is the main event loop: received messages until shutdown.
 func (n *Node) run() {
 	defer n.done.Done()
-	var tickCh <-chan time.Time
-	if !n.opts.ExternalTick {
-		ticker := time.NewTicker(n.opts.HeartbeatInterval / 2)
-		defer ticker.Stop()
-		tickCh = ticker.C
-	}
 	for {
 		select {
 		case <-n.stopCh:
 			_ = n.opts.Transport.Close()
 			return
-		case m := <-n.inbox:
+		case m := <-n.opts.Inbox:
 			n.step(m)
-		case <-tickCh:
-			n.Tick()
 		}
 	}
 }
 
-// Tick advances the node's logical clock by one unit. Only meaningful with
-// Options.ExternalTick: the owner (e.g. a multiraft host's shared tick
-// loop) calls it at the cadence the internal ticker would have used,
-// HeartbeatInterval/2.
+// Tick advances the node's logical clock by one unit, its only clock: the
+// owner (multiraft.Host's shared tick loop, or a test) calls it once per
+// ElectionTimeoutMin/ElectionTicks. A stopped or fail-stopped node's clock
+// stands still: it sends nothing after a lost write or its shutdown.
 func (n *Node) Tick() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.d.err == nil { // fail-stopped: send nothing after the lost write
+	if n.haltedLocked() == nil {
 		n.core.Tick()
 		n.d.Ready()
 	}
@@ -604,9 +545,7 @@ func (n *Node) read(forward bool, timeout time.Duration) (int, error) {
 		n.mu.Unlock()
 		return 0, fmt.Errorf("%w (known leader: %s)", ErrNotLeader, types.NoNode)
 	}
-	reqID := n.nextReadID
-	n.nextReadID++
-	idx, wait, err := n.d.Read(reqID, forward)
+	id, idx, wait, err := n.d.Read(forward)
 	if err != nil || wait == nil {
 		n.mu.Unlock()
 		return idx, err
@@ -629,8 +568,7 @@ func (n *Node) read(forward bool, timeout time.Duration) (int, error) {
 		return idx, nil
 	case <-timer.C:
 		n.mu.Lock()
-		delete(n.d.reads, reqID)
-		n.core.CancelRead(reqID)
+		n.d.CancelRead(id)
 		n.mu.Unlock()
 		return 0, fmt.Errorf("raft: read index confirmation timed out")
 	case <-n.stopCh:

@@ -36,6 +36,12 @@ var (
 	ErrBadTransferTarget = errors.New("raft: no eligible leadership-transfer target")
 )
 
+// MaxEntriesPerAppend caps the entries carried by one AppendEntries message.
+// The leader streams a lagging follower's log as a pipeline of bounded
+// windows (advancing nextIndex optimistically per send) instead of
+// re-sending the full suffix stop-and-wait.
+const MaxEntriesPerAppend = 256
+
 // Config parameterizes a Core. Time is abstract: the caller advances the
 // core with Tick calls, and all intervals are counted in those ticks.
 type Config struct {
@@ -57,13 +63,6 @@ type Config struct {
 	// HeartbeatTicks is the leader's broadcast cadence in ticks. Zero
 	// gets a default of 1 (broadcast every tick).
 	HeartbeatTicks int
-
-	// MaxEntriesPerAppend caps the entries carried by one AppendEntries
-	// message. The leader streams a lagging follower's log as a pipeline
-	// of bounded windows (advancing nextIndex optimistically per send)
-	// instead of re-sending the full suffix stop-and-wait. Zero gets a
-	// default of 256.
-	MaxEntriesPerAppend int
 
 	// SnapshotThreshold is the compaction policy: once at least this many
 	// applied entries sit above the snapshot base, TakeReady emits a
@@ -134,9 +133,6 @@ func (c *Config) defaults() {
 	}
 	if c.HeartbeatTicks <= 0 {
 		c.HeartbeatTicks = 1
-	}
-	if c.MaxEntriesPerAppend <= 0 {
-		c.MaxEntriesPerAppend = 256
 	}
 	if c.MaxSnapshotChunk <= 0 {
 		c.MaxSnapshotChunk = 64 << 10
@@ -1507,10 +1503,7 @@ func (c *Core) sendAppend(to types.NodeID) {
 	// Bound the window: a lagging follower is streamed in
 	// MaxEntriesPerAppend-sized messages instead of one full-suffix
 	// resend per round trip.
-	end := limit + 1
-	if lim := c.cfg.MaxEntriesPerAppend; lim > 0 && end-next > lim {
-		end = next + lim
-	}
+	end := min(limit+1, next+MaxEntriesPerAppend)
 	entries := make([]LogEntry, end-next)
 	copy(entries, c.log[next-c.snapIndex:end-c.snapIndex])
 	c.appendSeq++

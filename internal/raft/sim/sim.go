@@ -51,9 +51,6 @@ type Options struct {
 	LatencyTicks       int
 	LatencyJitterTicks int
 
-	// MaxEntriesPerAppend is forwarded to the core (0 = default 256).
-	MaxEntriesPerAppend int
-
 	// SnapshotThreshold is forwarded to the core: after this many applied
 	// entries above the snapshot base the core requests a compaction
 	// (answered through the OnSnapshot hook). Zero disables local
@@ -160,7 +157,7 @@ type Cluster struct {
 	blocked  map[[2]types.NodeID]bool
 	dropRate float64
 
-	nextReadID uint64 // read barrier ids: unique across nodes and restarts
+	boots uint64 // nodes booted so far, restarts included
 
 	onApply    func(id types.NodeID, batch []raftcore.ApplyMsg)
 	onSnapshot func(id types.NodeID, index int) []byte
@@ -202,14 +199,13 @@ func (s *Cluster) bootNode(id types.NodeID) {
 		panic(fmt.Sprintf("sim: load S%d: %v", id, err))
 	}
 	core := raftcore.New(raftcore.Config{
-		ID:                  id,
-		Members:             s.members0,
-		ElectionTicks:       s.opt.ElectionTicks,
-		Jitter:              s.jitter,
-		HeartbeatTicks:      s.opt.HeartbeatTicks,
-		MaxEntriesPerAppend: s.opt.MaxEntriesPerAppend,
-		SnapshotThreshold:   s.opt.SnapshotThreshold,
-		Ablation:            s.opt.Ablation,
+		ID:                id,
+		Members:           s.members0,
+		ElectionTicks:     s.opt.ElectionTicks,
+		Jitter:            s.jitter,
+		HeartbeatTicks:    s.opt.HeartbeatTicks,
+		SnapshotThreshold: s.opt.SnapshotThreshold,
+		Ablation:          s.opt.Ablation,
 	}, hs, snap, log)
 	n := &node{s: s, id: id, core: core, up: true, lastRole: raftcore.Follower}
 	var st raft.Storage = s.storage[id]
@@ -219,7 +215,8 @@ func (s *Cluster) bootNode(id types.NodeID) {
 	}
 	mu := new(sync.Mutex)
 	mu.Lock() // the simulator's one thread holds the driver's lock throughout
-	n.d = raft.NewDriver(core, st, mu, n)
+	s.boots++ // each incarnation numbers its read barriers in a block of its own
+	n.d = raft.NewDriver(core, st, mu, n, s.boots<<32)
 	s.nodes[id] = n
 	if snap.Index > 0 {
 		s.Journalf("S%d recover snapshot@%d", id, snap.Index)
@@ -646,8 +643,7 @@ func (s *Cluster) Counters(id types.NodeID) raftcore.Counters {
 // once, on a later tick, with the confirmed index — negative if the barrier
 // aborted (leadership lost, the node halted): retry.
 func (s *Cluster) ReadIndex(id types.NodeID) (idx int, wait <-chan int, err error) {
-	s.nextReadID++
-	err = s.op(id, func(n *node) (err error) { idx, wait, err = n.d.Read(s.nextReadID, false); return err })
+	err = s.op(id, func(n *node) (err error) { _, idx, wait, err = n.d.Read(false); return err })
 	return idx, wait, err
 }
 
@@ -676,8 +672,7 @@ func (s *Cluster) LeaseProbe(id types.NodeID) (idx int, ok bool) {
 // ReadIndex request to its known leader, and wait answers like ReadIndex's
 // (negative = the leader refused — retry).
 func (s *Cluster) ForwardRead(id types.NodeID) (wait <-chan int, err error) {
-	s.nextReadID++
-	err = s.op(id, func(n *node) (err error) { _, wait, err = n.d.Read(s.nextReadID, true); return err })
+	err = s.op(id, func(n *node) (err error) { _, _, wait, err = n.d.Read(true); return err })
 	return wait, err
 }
 

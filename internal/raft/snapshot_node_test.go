@@ -8,9 +8,8 @@ import (
 	"time"
 
 	"adore/internal/kvstore"
+	"adore/internal/multiraft"
 	"adore/internal/raft"
-	"adore/internal/raft/transport"
-	"adore/internal/types"
 )
 
 // startSnapshotNode launches a one-node raft with a state machine wired
@@ -18,34 +17,16 @@ import (
 // it whenever the applied distance crosses threshold.
 func startSnapshotNode(t testing.TB, storage raft.Storage, st *kvstore.Store, threshold int) *raft.Node {
 	t.Helper()
-	net := transport.NewMemNetwork(0, 0, 1)
-	inbox := make(chan raft.Message, 64)
-	tr := net.Attach(1, inbox)
-	n := raft.StartNode(raft.Options{
-		ID:                1,
-		Members:           []types.NodeID{1},
-		Transport:         tr,
-		Storage:           storage,
-		StateMachine:      st,
+	return startOneNode(t, multiraft.Options{
+		StorageFor:        func(raft.GroupID) raft.Storage { return storage },
+		StateMachineFor:   func(raft.GroupID) raft.StateMachine { return st },
 		SnapshotThreshold: threshold,
-	})
-	t.Cleanup(n.Stop)
-	go func() {
-		for batch := range n.ApplyCh() {
+		OnApply: func(_ raft.GroupID, batch []raft.ApplyMsg) {
 			for _, msg := range batch {
 				st.Apply(msg)
 			}
-		}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if n.Snapshot().Role == raft.Leader {
-			return n
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("single node did not elect itself")
-	return nil
+		},
+	})
 }
 
 // TestWALBoundedBySnapshots is the tentpole's acceptance bound: with

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"adore/internal/multiraft"
 	"adore/internal/raft"
 )
 
@@ -13,7 +14,7 @@ import (
 // in review, rather than regrow the surface silently.
 func TestNodeSurface(t *testing.T) {
 	want := []string{ // sorted, as reflect lists them
-		"ApplyCh", "Done", "FollowerReadIndex", "ID", "Inbox", "LeaseRead",
+		"ApplyCh", "Done", "FollowerReadIndex", "ID", "LeaseRead",
 		"PickTransferTarget", "ProposeAsync", "ProposeConfig", "ReadIndex",
 		"Snapshot", "Stop", "Tick", "TransferLeader",
 	}
@@ -24,5 +25,34 @@ func TestNodeSurface(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("exported methods of *raft.Node:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestOptionsSurface pins the settable values of a node and of the host that
+// runs it, the same way: a new knob has to be added here, in review. Wall
+// time is the host's (ElectionTimeoutMin alone sets the tick period); the
+// node's timers are constants counted in ticks.
+func TestOptionsSurface(t *testing.T) {
+	for _, c := range []struct {
+		opts any
+		want []string // declaration order
+	}{{
+		raft.Options{},
+		[]string{"ID", "Members", "Transport", "Inbox", "Storage", "StateMachine",
+			"SnapshotThreshold", "Ablation", "Seed"},
+	}, {
+		multiraft.Options{},
+		[]string{"ID", "Members", "Groups", "Transport", "ElectionTimeoutMin",
+			"StorageRoot", "StorageFor", "StateMachineFor", "OnApply",
+			"SnapshotThreshold", "Ablation", "Seed", "InboxSize"},
+	}} {
+		typ := reflect.TypeOf(c.opts)
+		var got []string
+		for i := 0; i < typ.NumField(); i++ {
+			got = append(got, typ.Field(i).Name)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("fields of %s:\n got %v\nwant %v", typ, got, c.want)
+		}
 	}
 }

@@ -1,4 +1,7 @@
-package transport
+// The tests in this file run raft nodes on one-group multiraft hosts over
+// real TCP transports. They are an external test package: multiraft's own
+// tests import this package.
+package transport_test
 
 import (
 	"fmt"
@@ -7,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"adore/internal/multiraft"
 	"adore/internal/raft"
+	"adore/internal/raft/transport"
 	"adore/internal/types"
 )
 
@@ -53,40 +58,31 @@ func (s *tcpSM) snapshotRestore() (bool, int, int) {
 	return s.restored, s.restEdge, s.imgIndex
 }
 
-// startTCPNode boots one raft node over a real TCP transport on a
-// loopback ephemeral port, pumping the transport inbox and the apply
-// stream. Peers are wired up by the caller via SetPeer.
-func startTCPNode(t *testing.T, id types.NodeID, members []types.NodeID, sm *tcpSM, storage raft.Storage) (*raft.Node, *TCPTransport) {
+// startTCPNode boots one raft node on a one-group host over a real TCP
+// transport on a loopback ephemeral port, feeding the apply stream to sm.
+// Peers are wired up by the caller via SetPeer.
+func startTCPNode(t *testing.T, id types.NodeID, members []types.NodeID, sm *tcpSM, storage raft.Storage) (*raft.Node, *transport.TCPTransport) {
 	t.Helper()
-	inbox := make(chan raft.Message, 1024)
-	tr, err := NewTCPTransport(id, "127.0.0.1:0", nil, inbox)
+	tr, err := transport.NewTCPTransport(id, "127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatalf("S%d: listen: %v", id, err)
 	}
-	n := raft.StartNode(raft.Options{
+	t.Cleanup(func() { tr.Close() })
+	h, err := multiraft.Start(multiraft.Options{
 		ID:                 id,
 		Members:            members,
 		Transport:          tr,
-		Storage:            storage,
-		StateMachine:       sm,
+		StorageFor:         func(raft.GroupID) raft.Storage { return storage },
+		StateMachineFor:    func(raft.GroupID) raft.StateMachine { return sm },
 		SnapshotThreshold:  8,
 		ElectionTimeoutMin: 50 * time.Millisecond,
+		OnApply:            func(_ raft.GroupID, batch []raft.ApplyMsg) { sm.consume(batch) },
 	})
-	go func() {
-		for m := range inbox {
-			select {
-			case n.Inbox() <- m:
-			case <-n.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		for batch := range n.ApplyCh() {
-			sm.consume(batch)
-		}
-	}()
-	return n, tr
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Stop)
+	return h.Node(0), tr
 }
 
 // TestTCPSnapshotCatchup drives the full snapshot catch-up path over a
@@ -172,4 +168,75 @@ func TestTCPSnapshotCatchup(t *testing.T) {
 	if sm3.AppliedIndex() < committed {
 		t.Fatalf("joiner applied through %d, leader committed %d", sm3.AppliedIndex(), committed)
 	}
+}
+
+// TestTCPCluster runs a real 3-node raft cluster over TCP loopback: the
+// executable-protocol deployment path of §7.
+func TestTCPCluster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP cluster test in -short mode")
+	}
+	ids := []types.NodeID{1, 2, 3}
+	trs := map[types.NodeID]*transport.TCPTransport{}
+	for _, id := range ids {
+		tr, err := transport.NewTCPTransport(id, "127.0.0.1:0", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		trs[id] = tr
+	}
+	for _, a := range ids {
+		for _, b := range ids {
+			if a != b {
+				trs[a].SetPeer(b, trs[b].Addr())
+			}
+		}
+	}
+	nodes := map[types.NodeID]*raft.Node{}
+	for _, id := range ids {
+		h, err := multiraft.Start(multiraft.Options{ID: id, Members: ids, Transport: trs[id], Seed: int64(id),
+			OnApply: func(raft.GroupID, []raft.ApplyMsg) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Stop()
+		nodes[id] = h.Node(0)
+	}
+
+	var leader *raft.Node
+	deadline := time.Now().Add(10 * time.Second)
+	for leader == nil && time.Now().Before(deadline) {
+		for _, n := range nodes {
+			if n.Snapshot().Role == raft.Leader {
+				leader = n
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if leader == nil {
+		t.Fatal("no leader over TCP")
+	}
+	var idx int
+	for i := 0; i < 10; i++ {
+		var err error
+		idx, _, err = leader.ProposeAsync([]byte(fmt.Sprintf("tcp-%d", i))).Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline = time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		done := true
+		for _, n := range nodes {
+			if n.Snapshot().CommitIndex < idx {
+				done = false
+			}
+		}
+		if done {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatal("commands did not commit on all nodes over TCP")
 }

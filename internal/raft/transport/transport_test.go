@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -266,88 +265,4 @@ func TestTCPInboxBackpressureShedsAfterBoundedWait(t *testing.T) {
 	}
 	_, shed := t2.Counters()
 	t.Fatalf("wedged inbox: shed = %d, want > 0", shed)
-}
-
-// TestTCPCluster runs a real 3-node raft cluster over TCP loopback: the
-// executable-protocol deployment path of §7.
-func TestTCPCluster(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TCP cluster test in -short mode")
-	}
-	ids := []types.NodeID{1, 2, 3}
-	inboxes := map[types.NodeID]chan raft.Message{}
-	trs := map[types.NodeID]*TCPTransport{}
-	for _, id := range ids {
-		inboxes[id] = make(chan raft.Message, 1024)
-		tr, err := NewTCPTransport(id, "127.0.0.1:0", nil, inboxes[id])
-		if err != nil {
-			t.Fatal(err)
-		}
-		trs[id] = tr
-	}
-	for _, a := range ids {
-		for _, b := range ids {
-			if a != b {
-				trs[a].SetPeer(b, trs[b].Addr())
-			}
-		}
-	}
-	nodes := map[types.NodeID]*raft.Node{}
-	for _, id := range ids {
-		n := raft.StartNode(raft.Options{ID: id, Members: ids, Transport: trs[id], Seed: int64(id)})
-		nodes[id] = n
-		go func(id types.NodeID, n *raft.Node) {
-			for m := range inboxes[id] {
-				select {
-				case n.Inbox() <- m:
-				default:
-				}
-			}
-		}(id, n)
-		go func(n *raft.Node) {
-			for range n.ApplyCh() {
-			}
-		}(n)
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
-
-	var leader *raft.Node
-	deadline := time.Now().Add(10 * time.Second)
-	for leader == nil && time.Now().Before(deadline) {
-		for _, n := range nodes {
-			if n.Snapshot().Role == raft.Leader {
-				leader = n
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if leader == nil {
-		t.Fatal("no leader over TCP")
-	}
-	var idx int
-	for i := 0; i < 10; i++ {
-		var err error
-		idx, _, err = leader.ProposeAsync([]byte(fmt.Sprintf("tcp-%d", i))).Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline = time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		done := true
-		for _, n := range nodes {
-			if n.Snapshot().CommitIndex < idx {
-				done = false
-			}
-		}
-		if done {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("commands did not commit on all nodes over TCP")
 }
