@@ -202,11 +202,14 @@ benchmark-smoke:
 # seed corpus (testdata/fuzz/<target>/): the decoders of bytes that cross a
 # trust boundary — a log payload, a TCP stream — must not panic, must not
 # allocate by what a length prefix claims, and must accept only the canonical
-# encoding. `go test -fuzz` takes one target and one package per run; a crasher
-# is written to the package's testdata/fuzz/ and fails every later `go test`.
+# encoding; WAL replay after a crash that tore and overwrote the tail must
+# return every acked entry or fail loudly. `go test -fuzz` takes one target
+# and one package per run; a crasher is written to the package's
+# testdata/fuzz/ and fails every later `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCommand$$' -fuzztime 20s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzEnvelopeStream$$' -fuzztime 20s ./internal/raft
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecover$$' -fuzztime 20s ./internal/raft
 
 # bench-compare judges result file B against A with the bounds in
 # BENCHMARK.json (make bench-compare A=parent.json B=change.json); the files

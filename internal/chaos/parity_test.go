@@ -33,9 +33,12 @@ func endState(final []Sample) string {
 // same executor, monitor, loop and epilogue over liveEnv and over the
 // simulator — and requires the same verdict from each: the R2 double-shed
 // schedule is clean with the guard on and caught with it off, live and
-// simulated alike, and both Envs report the same nodes up under the same
-// configuration once the epilogue has run. (A first step toward a
-// differential oracle; there is no shared journal to compare yet.)
+// simulated alike. With the guard on, both Envs must also report the same
+// nodes up under the same configuration once the epilogue has run. With it
+// off the histories fork, and which fork ends at the highest term is a
+// wall-clock race in the live run, so only the verdicts are compared. (A
+// first step toward a differential oracle; there is no shared journal to
+// compare yet.)
 func TestLiveSimVerdictParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live chaos runs in -short mode")
@@ -62,7 +65,7 @@ func TestLiveSimVerdictParity(t *testing.T) {
 			if live.Ok() == disableR2 {
 				t.Fatalf("both runtimes agree on the wrong verdict (DisableR2=%v): %s", disableR2, live)
 			}
-			if l, s := endState(live.final), endState(simulated.final); l != s {
+			if l, s := endState(live.final), endState(simulated.final); !disableR2 && l != s {
 				t.Errorf("after the epilogue liveEnv reports %s, the simulator %s", l, s)
 			}
 			t.Logf("live: %s\nsim:  %s\nend state: %s", live, simulated, endState(live.final))

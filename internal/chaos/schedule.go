@@ -811,6 +811,11 @@ func CrossGroupWipeSchedule(opt Options) *Schedule {
 // DisableLeaseGuard the old leader's lease remains "valid" for the rest of
 // its ack window while the successor commits past it — exactly the
 // stale-read window the oracle must flag.
+//
+// Whether the successor's commit lands inside that window depends on where
+// the deafening falls in the heartbeat cycle (the last banked ack can be up
+// to a heartbeat old), so the plan deafens and transfers twice, at two
+// unrelated phases, each followed by a heal.
 func LeaseViolationSchedule(opt Options) *Schedule {
 	opt.defaults()
 	d := opt.Duration
@@ -820,7 +825,10 @@ func LeaseViolationSchedule(opt Options) *Schedule {
 		Events: []Event{
 			{At: d * 40 / 100, Kind: EvDeafenLeader},
 			{At: d * 40 / 100, Kind: EvTransferLeader},
-			{At: d * 70 / 100, Kind: EvHeal},
+			{At: d * 55 / 100, Kind: EvHeal},
+			{At: d * 67 / 100, Kind: EvDeafenLeader},
+			{At: d * 67 / 100, Kind: EvTransferLeader},
+			{At: d * 82 / 100, Kind: EvHeal},
 		},
 		Scripts: Generate(1, opt).Scripts,
 	}

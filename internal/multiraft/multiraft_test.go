@@ -179,6 +179,48 @@ func TestHostStopsCleanly(t *testing.T) {
 	}
 }
 
+// TestFreshHostsElectInsideOneInterval: three one-group hosts that start
+// with nothing on disk have a leader before raft.ElectionTicks ticks have
+// passed. A node that never persisted a term campaigns on its first jittered
+// tick; only a node with recovered state waits out the full interval.
+func TestFreshHostsElectInsideOneInterval(t *testing.T) {
+	const etMin = 600 * time.Millisecond // a 100 ms tick: message latency is noise
+	interval := raft.ElectionTicks * tickPeriod(etMin)
+	net := transport.NewMemNetwork(0, 0, 1)
+	defer net.Close()
+	members := types.Range(1, 3).Copy()
+	var hosts []*Host
+	defer func() {
+		for _, h := range hosts {
+			h.Stop()
+		}
+	}()
+	start := time.Now()
+	for _, id := range members {
+		h, err := Start(Options{
+			ID:                 id,
+			Members:            members,
+			Transport:          transport.HostTransport{Net: net, ID: id},
+			ElectionTimeoutMin: etMin,
+			Seed:               int64(id),
+		})
+		if err != nil {
+			t.Fatalf("start host %s: %v", id, err)
+		}
+		hosts = append(hosts, h)
+	}
+	for time.Since(start) < interval {
+		for _, h := range hosts {
+			if h.Node(0).Snapshot().Role == raft.Leader {
+				t.Logf("S%d led after %v (interval %v)", h.ID(), time.Since(start).Round(time.Millisecond), interval)
+				return
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("no leader %v (%d ticks) after a fresh start", interval, raft.ElectionTicks)
+}
+
 // TestTimersMatchDerivation checks the node's timer constants and the host's
 // tick period against the derivation they replace, for every
 // ElectionTimeoutMin the repo runs with: the tick was HeartbeatInterval/2

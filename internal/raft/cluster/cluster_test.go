@@ -111,7 +111,7 @@ func TestWaitCommitTimesOut(t *testing.T) {
 func TestFollowerReadDoesNotWaitForHeartbeat(t *testing.T) {
 	c := New(Options{N: 3, Seed: 7, ElectionTimeoutMin: 3 * time.Second}) // a 500 ms tick
 	defer c.Stop()
-	// Run S1's election clock by hand instead of waiting 3–6 s for it.
+	// Run S1's election clock by hand instead of waiting 0.5–3 s for it.
 	for deadline := time.Now().Add(timeout); c.Leader() == nil; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("no leader")

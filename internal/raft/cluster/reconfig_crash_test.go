@@ -45,7 +45,13 @@ func TestCrashDuringPendingReconfig(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.Propose([]byte("warmup"), timeout); err != nil {
+			// Propose returns once the leader holds the entry; R3 below needs
+			// it committed.
+			widx, err := c.Propose([]byte("warmup"), timeout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.WaitCommit(lid, widx, timeout); err != nil {
 				t.Fatal(err)
 			}
 

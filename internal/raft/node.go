@@ -14,8 +14,10 @@ import (
 // ElectionTicks is every node's election timeout in ticks of its owner's
 // clock: a follower campaigns after ElectionTicks plus a jitter drawn from
 // [0, ElectionTicks) ticks without leader contact, and a leader broadcasts on
-// every tick. The owner (multiraft.Host) calls Tick once per
-// ElectionTimeoutMin/ElectionTicks of wall time.
+// every tick. A node that has never persisted a term campaigns after 1 plus
+// that jitter instead: it has no leader to wait for. The owner
+// (multiraft.Host) calls Tick once per ElectionTimeoutMin/ElectionTicks of
+// wall time.
 const ElectionTicks = 6
 
 // Options configures a node.

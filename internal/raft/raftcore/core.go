@@ -51,7 +51,8 @@ type Config struct {
 
 	// ElectionTicks is the minimum number of ticks without leader contact
 	// before a node campaigns; each timer arm adds Jitter() extra ticks.
-	// Zero gets a default of 10.
+	// The one exception is the first arm of a core that recovered nothing
+	// (term 0), which waits 1 + Jitter(). Zero gets a default of 10.
 	ElectionTicks int
 
 	// Jitter supplies the randomized share of each election timeout, in
@@ -351,6 +352,14 @@ func New(cfg Config, hs HardState, snap Snapshot, entries []LogEntry) *Core {
 		}
 	}
 	c.resetElectionTimer()
+	// A core that recovered nothing (term 0: no vote, no log, no snapshot)
+	// has never acked an append or granted a vote, so it is no one's lease
+	// voter and has no leader to stick to. Its first timer skips the idle
+	// interval; its pre-vote still needs a majority, which sticky followers
+	// refuse. Every later arm is the full interval.
+	if hs.Term == 0 && snap.Index == 0 && len(entries) == 0 {
+		c.electionTimeout -= c.cfg.ElectionTicks - 1
+	}
 	return c
 }
 

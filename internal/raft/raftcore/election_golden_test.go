@@ -134,6 +134,58 @@ func TestGoldenPreVoteAcrossReconfig(t *testing.T) {
 	}
 }
 
+// TestGoldenFirstTimer pins when a core first campaigns. A core that
+// recovered nothing (term 0, no log, no snapshot) has no leader to wait for
+// and no lease it could break, so its first pre-vote goes out on tick
+// 1+jitter. A core that recovered a term or a snapshot waits the full
+// ElectionTicks+jitter, and so does every arm after the first.
+func TestGoldenFirstTimer(t *testing.T) {
+	const et, jitter = 10, 3
+	members := []types.NodeID{1, 2, 3}
+	// firstCampaign ticks c until it sends anything and returns that tick,
+	// checking that what it sent is a pre-vote round.
+	firstCampaign := func(t *testing.T, c *Core) int {
+		t.Helper()
+		for tick := 1; tick <= 3*(et+jitter); tick++ {
+			c.Tick()
+			rd := c.TakeReady()
+			if len(rd.Messages) == 0 {
+				continue
+			}
+			if c.Role() != PreCandidate || rd.Messages[0].Type != MsgPreVoteRequest {
+				t.Fatalf("tick %d: role %s sent %v, want a pre-vote round", tick, c.Role(), rd.Messages)
+			}
+			return tick
+		}
+		t.Fatal("the core never campaigned")
+		return 0
+	}
+	for _, tc := range []struct {
+		name    string
+		hs      HardState
+		snap    Snapshot
+		entries []LogEntry
+		want    int
+	}{
+		{"fresh", HardState{}, Snapshot{}, nil, 1 + jitter},
+		{"recovered term", HardState{Term: 1}, Snapshot{}, nil, et + jitter},
+		{"recovered log", HardState{Term: 1}, Snapshot{}, []LogEntry{{Term: 1, Kind: EntryNoOp}}, et + jitter},
+		{"recovered snapshot", HardState{}, Snapshot{Index: 4, Term: 1, Members: members}, nil, et + jitter},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(Config{ID: 1, Members: members, ElectionTicks: et, Jitter: func() int { return jitter }},
+				tc.hs, tc.snap, tc.entries)
+			if got := firstCampaign(t, c); got != tc.want {
+				t.Fatalf("first pre-vote on tick %d, want %d", got, tc.want)
+			}
+			// Nobody answered: the next round waits a full interval.
+			if got := firstCampaign(t, c); got != et+jitter {
+				t.Fatalf("second pre-vote %d ticks after the first, want %d", got, et+jitter)
+			}
+		})
+	}
+}
+
 // TestGoldenStickyFollower pins stickiness against REAL vote requests: a
 // follower with fresh leader contact ignores a disruptive higher-term
 // campaign outright (no term bump, no response), but a Transfer-flagged
@@ -202,8 +254,7 @@ func TestGoldenCheckQuorumKeepAlive(t *testing.T) {
 		ElectionTicks: 2,
 		Jitter:        func() int { return 0 },
 	}, HardState{}, Snapshot{}, nil)
-	c.Tick()
-	c.Tick() // timeout → pre-vote round
+	c.Tick() // a fresh core's first timeout → pre-vote round
 	c.Step(Message{Type: MsgPreVoteResponse, From: 2, To: 1, Term: 1, Granted: true})
 	c.Step(Message{Type: MsgVoteResponse, From: 2, To: 1, Term: 1, Granted: true})
 	if c.Role() != Leader {

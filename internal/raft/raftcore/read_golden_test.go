@@ -15,9 +15,9 @@ import (
 )
 
 // leaderET brings node 1 of {1,2,3} to leadership like leader3, but with
-// an election interval of et ticks (the lease window), campaigning after
-// exactly et silent ticks. On return ticks = et, the term-1 no-op sits at
-// index 1 (uncommitted), and appendSeq = 2.
+// an election interval of et ticks (the lease window). A fresh core
+// campaigns on its first tick whatever et is. On return ticks = 1, the
+// term-1 no-op sits at index 1 (uncommitted), and appendSeq = 2.
 func leaderET(t *testing.T, et int) *Core {
 	t.Helper()
 	c := New(Config{
@@ -26,9 +26,7 @@ func leaderET(t *testing.T, et int) *Core {
 		ElectionTicks: et,
 		Jitter:        func() int { return 0 },
 	}, HardState{}, Snapshot{}, nil)
-	for i := 0; i < et; i++ {
-		c.Tick()
-	}
+	c.Tick()
 	c.TakeReady() // pre-vote round
 	c.Step(Message{Type: MsgPreVoteResponse, From: 2, To: 1, Term: 1, Granted: true})
 	c.TakeReady() // vote round
@@ -178,17 +176,17 @@ func TestGoldenReadFloorTermStart(t *testing.T) {
 // logical ticks — the same clock CheckQuorum and stickiness count.
 func TestGoldenLeaseWindow(t *testing.T) {
 	const et = 5
-	c := leaderET(t, et) // ticks = 5
+	c := leaderET(t, et) // ticks = 1
 	if _, ok := c.LeaseStatus(); ok {
 		t.Fatal("lease granted before any quorum ack")
 	}
-	// S2's ack (ticks 5) commits the no-op and starts the lease window.
+	// S2's ack (ticks 1) commits the no-op and starts the lease window.
 	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 1})
 	c.TakeReady()
 	if idx, ok := c.LeaseRead(); !ok || idx != 1 {
 		t.Fatalf("LeaseRead = (%d, %v), want (1, true)", idx, ok)
 	}
-	// Four more ticks (ticks 9): 9-5 < 5, still inside the window.
+	// Four more ticks (ticks 5): 5-1 < 5, still inside the window.
 	for i := 0; i < et-1; i++ {
 		c.Tick()
 	}
@@ -196,13 +194,13 @@ func TestGoldenLeaseWindow(t *testing.T) {
 	if idx, ok := c.LeaseRead(); !ok || idx != 1 {
 		t.Fatalf("LeaseRead at window edge = (%d, %v), want (1, true)", idx, ok)
 	}
-	// One more tick (ticks 10): 10-5 = et, the window closed.
+	// One more tick (ticks 6): 6-1 = et, the window closed.
 	c.Tick()
 	c.TakeReady()
 	if _, ok := c.LeaseStatus(); ok {
 		t.Fatal("lease still granted a full election interval after the ack")
 	}
-	// A fresh ack (echoing the tick-10 heartbeat, seq 11) renews it.
+	// A fresh ack (echoing the tick-6 heartbeat, seq 11) renews it.
 	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 11})
 	c.TakeReady()
 	if idx, ok := c.LeaseRead(); !ok || idx != 1 {
@@ -297,9 +295,7 @@ func TestGoldenLeaseTogglesOff(t *testing.T) {
 		}
 		cfg(&conf)
 		c := New(conf, HardState{}, Snapshot{}, nil)
-		for i := 0; i < 5; i++ {
-			c.Tick()
-		}
+		c.Tick() // a fresh core campaigns on its first tick
 		c.TakeReady()
 		c.Step(Message{Type: MsgPreVoteResponse, From: 2, To: 1, Term: 1, Granted: true})
 		c.TakeReady()

@@ -471,7 +471,6 @@ func TestStagedTakeReadyIsTheComposition(t *testing.T) {
 	}
 	inputs := []func(c *Core){
 		func(c *Core) { c.Tick() },
-		func(c *Core) { c.Tick() },
 		func(c *Core) { c.Step(Message{Type: MsgPreVoteResponse, From: 2, To: 1, Term: 1, Granted: true}) },
 		func(c *Core) { c.Step(Message{Type: MsgVoteResponse, From: 3, To: 1, Term: 1, Granted: true}) },
 		func(c *Core) { c.Propose([]byte("a")); c.Propose([]byte("b")) },

@@ -39,7 +39,8 @@ type Options struct {
 
 	// ElectionTicks / JitterTicks / HeartbeatTicks are the protocol
 	// timers: a node campaigns after ElectionTicks + rand(JitterTicks)
-	// ticks without leader contact; leaders broadcast every
+	// ticks without leader contact (a node booted with nothing on disk
+	// after 1 + rand(JitterTicks)); leaders broadcast every
 	// HeartbeatTicks. Zero gets 15 / 15 / 5.
 	ElectionTicks  int
 	JitterTicks    int

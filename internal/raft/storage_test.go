@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -602,4 +603,135 @@ func TestFileStorageCompactionUnlinksSegments(t *testing.T) {
 	if snaps != 1 {
 		t.Errorf("%d snapshot files retained, want 1", snaps)
 	}
+}
+
+// FuzzWALRecover is the WAL's crash contract under arbitrary damage. ops
+// drives a real FileStorage through acked SaveEntries and SaveState calls
+// (and reopens, each starting a new segment). Then the machine dies while a
+// further batch is being appended: the active segment keeps the first keep
+// bytes of that in-flight frame, and garbage overwrites the rest of it and
+// runs on past it. Replay must never panic, must allocate in proportion to
+// the bytes on disk, and must return every acked entry and the acked hard
+// state (plus the in-flight batch if all of it landed) or fail loudly. It must
+// never silently shorten the acked log. The seeds are committed under
+// testdata/fuzz/FuzzWALRecover.
+func FuzzWALRecover(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops []byte, inflightAt uint8, keep uint16, garbage []byte) {
+		if len(ops) > 32 || len(garbage) > 4<<10 {
+			return // longer inputs only slow the target down
+		}
+		dir := t.TempDir()
+		st, err := OpenFileStorage(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hs HardState
+		var acked []LogEntry
+		seq := 1 // the active segment
+		for i := 0; i+1 < len(ops); i += 2 {
+			a, b := ops[i], ops[i+1]
+			switch a % 4 {
+			case 0, 1:
+				first := 1 + int(b)%(len(acked)+1)
+				batch := make([]LogEntry, 1+int(a>>2)%4)
+				for j := range batch {
+					batch[j] = LogEntry{Term: types.Time(1 + b%4), Kind: EntryCommand, Command: fmt.Appendf(nil, "%d.%d", i, j)}
+				}
+				if err := st.SaveEntries(first, batch); err != nil {
+					t.Fatal(err)
+				}
+				acked = append(acked[:first-1], batch...)
+			case 2:
+				hs = HardState{Term: types.Time(b), VotedFor: types.NodeID(a >> 2)}
+				if err := st.SaveState(hs); err != nil {
+					t.Fatal(err)
+				}
+			case 3:
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if st, err = OpenFileStorage(dir); err != nil {
+					t.Fatal(err)
+				}
+				seq++
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// The crash: a prefix of the in-flight frame, then garbage.
+		first := 1 + int(inflightAt)%(len(acked)+1)
+		inflight := []LogEntry{{Term: 9, Kind: EntryCommand, Command: []byte("in-flight")}}
+		var frame bytes.Buffer
+		if err := encodeFrameInto(&frame, walRecord{Kind: 1, FirstIndex: first, Entries: inflight}); err != nil {
+			t.Fatal(err)
+		}
+		landed := append(frame.Bytes()[:min(int(keep), frame.Len())], garbage...)
+		seg, err := os.OpenFile(segPath(dir, seq), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := seg.Write(landed); err != nil {
+			t.Fatal(err)
+		}
+		if err := seg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		size := dirBytes(t, dir)
+
+		var re *FileStorage
+		var gotHS HardState
+		var snap LogSnapshot
+		var got []LogEntry
+		replay := func() {
+			if re, err = OpenFileStorage(dir); err == nil {
+				gotHS, snap, got, err = re.Load()
+				re.Close()
+			}
+		}
+		// gob builds a fresh decoder and type table per frame, hence the
+		// generous factor; the constant covers opening and rotating.
+		limit := 64*size + 256<<10
+		n := allocated(replay)
+		for retry := 0; n > limit && retry < 3; retry++ { // another goroutine's garbage?
+			n = allocated(replay)
+		}
+		if n > limit {
+			t.Fatalf("replaying %d bytes of WAL allocated %d (limit %d)", size, n, limit)
+		}
+		if err != nil {
+			return // loud
+		}
+		withInflight := append(slices.Clone(acked[:first-1]), inflight...)
+		if gotHS != hs || snap.Index != 0 || !(sameEntries(got, acked) || sameEntries(got, withInflight)) {
+			t.Fatalf("replay returned hard state %+v, snapshot %d and log %v;\nacked hard state %+v and log %v (in-flight batch at %d)",
+				gotHS, snap.Index, got, hs, acked, first)
+		}
+	})
+}
+
+// dirBytes is the total size of the files in dir.
+func dirBytes(t *testing.T, dir string) uint64 {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n uint64
+	for _, de := range des {
+		info, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += uint64(info.Size())
+	}
+	return n
+}
+
+// sameEntries compares two logs by term, kind and command bytes.
+func sameEntries(a, b []LogEntry) bool {
+	return slices.EqualFunc(a, b, func(x, y LogEntry) bool {
+		return x.Term == y.Term && x.Kind == y.Kind && bytes.Equal(x.Command, y.Command)
+	})
 }
