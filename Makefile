@@ -149,21 +149,16 @@ sim-teeth-groups:
 	$(GO) run ./cmd/raft-chaos -teeth -groups 2 -seeds 1
 
 # bench is the smoke pass CI runs: every Go benchmark once (-benchtime=1x,
-# no test functions), then a small durable Fig. 16 run written as
-# BENCH_smoke.json. No thresholds — it just must complete, so the benchmarks
-# can't bit-rot.
+# no test functions), then a reduced recovery grid and shard sweep. No
+# thresholds — it just must complete, so the benchmarks can't bit-rot.
+# Fig. 16 is the canonical benchmark's reconfig-fig16 workload.
 bench:
 	$(GO) test -bench . -benchtime=1x -benchmem -run '^$$' ./...
-	$(GO) run ./cmd/raft-bench -requests 800 -reconfig-every 200 -clients 16 \
-		-latency 50us -jitter 20us -durable -window 200 -json BENCH_smoke.json
 	$(GO) run ./cmd/raft-bench -recovery -recovery-histories 2000,4000
 	$(GO) run ./cmd/raft-bench -shards 1,2 -shard-requests 600
 
 # bench-evidence regenerates one committed BENCH_<n>.json, selected by
-# number (make bench-evidence BENCH=<n>). BENCH_2.json (Fig. 16 with group
-# commit on and off) is frozen evidence from before PR 12 and has no target:
-# every write goes through the write lane now, and Fig. 16 lives in the
-# canonical benchmark's reconfig-fig16 workload.
+# number (make bench-evidence BENCH=<n>).
 #   7   restart recovery and follower catch-up, compacted vs full WAL
 #   9   multi-raft shard scaling (the same 16 clients vs 1/2/4/8 groups,
 #       per-group WAL device latency per DESIGN.md's substitution table)

@@ -1,7 +1,8 @@
 // Package adore_test holds the repository-level benchmark suite: one bench
-// per experiment in the paper's evaluation (see DESIGN.md §4 and
+// per model experiment in the paper's evaluation (see DESIGN.md §4 and
 // EXPERIMENTS.md for the mapping), plus ablation benches for the design
-// choices DESIGN.md calls out.
+// choices DESIGN.md calls out. Fig. 16 (E1) is the canonical benchmark's
+// reconfig-fig16 workload (benchmark/).
 //
 // Run everything with:
 //
@@ -16,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"adore/internal/bench"
 	"adore/internal/config"
 	"adore/internal/core"
 	"adore/internal/explore"
@@ -30,51 +30,6 @@ import (
 	"adore/internal/sraft"
 	"adore/internal/types"
 )
-
-// --- E1 (Fig. 16): runtime latency under reconfiguration -----------------
-
-// BenchmarkFig16ReconfigLatency runs a scaled-down Fig. 16 per iteration
-// (the full-size series is produced by cmd/raft-bench) and reports mean
-// request latency plus the reconfiguration stall as custom metrics.
-func BenchmarkFig16ReconfigLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFig16(bench.Fig16Options{
-			Requests:      400,
-			ReconfigEvery: 100,
-			StartNodes:    5,
-			NetLatency:    100 * time.Microsecond,
-			Seed:          int64(i) + 1,
-			Timeout:       30 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := res.Recorder.Summarize()
-		b.ReportMetric(float64(s.Mean.Microseconds()), "µs/req-mean")
-		b.ReportMetric(float64(s.Max.Microseconds()), "µs/req-max")
-	}
-}
-
-// BenchmarkRuntimeThroughputNoReconfig is the E1 baseline: the same
-// workload with a static 5-node configuration, isolating reconfiguration's
-// cost.
-func BenchmarkRuntimeThroughputNoReconfig(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFig16(bench.Fig16Options{
-			Requests:      400,
-			ReconfigEvery: 0, // never
-			StartNodes:    5,
-			NetLatency:    100 * time.Microsecond,
-			Seed:          int64(i) + 1,
-			Timeout:       30 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := res.Recorder.Summarize()
-		b.ReportMetric(float64(s.Mean.Microseconds()), "µs/req-mean")
-	}
-}
 
 // --- E1b: group-commit throughput ------------------------------------------
 
@@ -367,25 +322,5 @@ func BenchmarkKVPut(b *testing.B) {
 		if err := r.Put(fmt.Sprintf("k%d", i%128), "v", 10*time.Second); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAvailabilityProbe measures the liveness extension (§9 future
-// work): unavailability windows around a leader crash and a live
-// reconfiguration.
-func BenchmarkAvailabilityProbe(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunAvailability(bench.AvailabilityOptions{
-			Nodes:         5,
-			PhaseRequests: 150,
-			NetLatency:    100 * time.Microsecond,
-			Seed:          int64(i) + 1,
-			Timeout:       30 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Outages[0].Stall.Microseconds()), "µs-crash-stall")
-		b.ReportMetric(float64(res.Outages[1].Stall.Microseconds()), "µs-reconfig-stall")
 	}
 }

@@ -12,8 +12,8 @@
 // network specification (internal/raftnet, internal/sraft,
 // internal/refine), an executable Raft runtime with persistence and a
 // replicated key-value store (internal/raft, internal/kvstore), and the
-// benchmark harness that regenerates the paper's evaluation
-// (internal/bench, bench_test.go).
+// canonical benchmark on the real TCP + FileStorage stack (benchmark/),
+// whose reconfig-fig16 workload is the paper's Fig. 16.
 //
 // Start with README.md for orientation, DESIGN.md for the system inventory
 // and per-experiment index, and EXPERIMENTS.md for paper-vs-measured

@@ -1,8 +1,8 @@
-// Package bench contains the workload generators, latency recorders, and
-// report printers that regenerate the paper's evaluation (§7): the Fig. 16
-// latency-under-reconfiguration experiment and the effort-comparison
-// tables. The cmd/raft-bench and cmd/adore-verify binaries and the root
-// bench_test.go drive these.
+// Package bench contains the in-memory sweeps the canonical benchmark
+// (benchmark/) does not cover yet — read-path modes, multi-raft shard
+// scaling, restart recovery — with their latency recorder and the table
+// printer of the effort reports. cmd/raft-bench and cmd/adore-verify drive
+// them.
 package bench
 
 import (
@@ -14,21 +14,16 @@ import (
 	"time"
 )
 
-// LatencyRecorder collects per-request latencies with event annotations.
-// It is safe for concurrent use: the multi-client Fig. 16 mode records
-// from many goroutines at once.
+// LatencyRecorder collects per-request latencies. It is safe for concurrent
+// use: the sweeps record from many client goroutines at once.
 type LatencyRecorder struct {
 	mu      sync.Mutex
 	samples []time.Duration
-	events  map[int]string // request index → annotation ("reconfig → 4 nodes")
 }
 
 // NewLatencyRecorder creates an empty recorder.
 func NewLatencyRecorder(capacity int) *LatencyRecorder {
-	return &LatencyRecorder{
-		samples: make([]time.Duration, 0, capacity),
-		events:  make(map[int]string),
-	}
+	return &LatencyRecorder{samples: make([]time.Duration, 0, capacity)}
 }
 
 // Record appends one request latency.
@@ -38,90 +33,11 @@ func (r *LatencyRecorder) Record(d time.Duration) {
 	r.mu.Unlock()
 }
 
-// Annotate marks the next request index with an event label.
-func (r *LatencyRecorder) Annotate(label string) {
-	r.mu.Lock()
-	r.events[len(r.samples)] = label
-	r.mu.Unlock()
-}
-
-// Len returns the number of samples.
-func (r *LatencyRecorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
-}
-
 // Samples returns a copy of the raw latencies.
 func (r *LatencyRecorder) Samples() []time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]time.Duration(nil), r.samples...)
-}
-
-// snapshot copies the recorded state for lock-free aggregation.
-func (r *LatencyRecorder) snapshot() ([]time.Duration, map[int]string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	samples := append([]time.Duration(nil), r.samples...)
-	events := make(map[int]string, len(r.events))
-	for k, v := range r.events {
-		events[k] = v
-	}
-	return samples, events
-}
-
-// Window summarizes a bucket of consecutive requests.
-type Window struct {
-	Start, End     int // request index range [Start, End)
-	Min, Mean, Max time.Duration
-	Events         []string
-}
-
-// Windows buckets the samples (the per-window max/mean/min series of
-// Fig. 16).
-func (r *LatencyRecorder) Windows(size int) []Window {
-	if size <= 0 {
-		size = 100
-	}
-	samples, events := r.snapshot()
-	var out []Window
-	for lo := 0; lo < len(samples); lo += size {
-		hi := lo + size
-		if hi > len(samples) {
-			hi = len(samples)
-		}
-		w := Window{Start: lo, End: hi}
-		var sum time.Duration
-		w.Min = samples[lo]
-		for i := lo; i < hi; i++ {
-			d := samples[i]
-			sum += d
-			if d < w.Min {
-				w.Min = d
-			}
-			if d > w.Max {
-				w.Max = d
-			}
-			if ev, ok := events[i]; ok {
-				w.Events = append(w.Events, ev)
-			}
-		}
-		w.Mean = sum / time.Duration(hi-lo)
-		out = append(out, w)
-	}
-	return out
-}
-
-// Percentile returns the p-th percentile latency (p in [0,100]).
-func (r *LatencyRecorder) Percentile(p float64) time.Duration {
-	sorted := r.Samples()
-	if len(sorted) == 0 {
-		return 0
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p / 100 * float64(len(sorted)-1))
-	return sorted[idx]
 }
 
 // Summary aggregates the full run.
@@ -158,36 +74,8 @@ func (r *LatencyRecorder) Summarize() Summary {
 	return s
 }
 
-// PrintSeries writes the Fig. 16 series: one row per window with min, mean,
-// max latency and any reconfiguration events, plus an ASCII sparkline of
-// the mean.
-func (r *LatencyRecorder) PrintSeries(w io.Writer, windowSize int) {
-	windows := r.Windows(windowSize)
-	var peak time.Duration
-	for _, win := range windows {
-		if win.Max > peak {
-			peak = win.Max
-		}
-	}
-	fmt.Fprintf(w, "%-12s %10s %10s %10s  %-24s %s\n", "requests", "min", "mean", "max", "events", "mean (bar)")
-	for _, win := range windows {
-		bar := ""
-		if peak > 0 {
-			n := int(win.Mean * 40 / peak)
-			bar = strings.Repeat("▇", n+1)
-		}
-		fmt.Fprintf(w, "%5d-%-6d %10s %10s %10s  %-24s %s\n",
-			win.Start, win.End, fmtDur(win.Min), fmtDur(win.Mean), fmtDur(win.Max),
-			strings.Join(win.Events, "; "), bar)
-	}
-	s := r.Summarize()
-	fmt.Fprintf(w, "\noverall: n=%d min=%s mean=%s p50=%s p95=%s p99=%s max=%s\n",
-		s.Count, fmtDur(s.Min), fmtDur(s.Mean), fmtDur(s.P50), fmtDur(s.P95), fmtDur(s.P99), fmtDur(s.Max))
-}
-
-func fmtDur(d time.Duration) string {
-	return d.Round(time.Microsecond).String()
-}
+// us converts a duration to microseconds for the JSON evidence files.
+func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
 // Table is a simple aligned text table for the effort reports (E2–E4).
 type Table struct {

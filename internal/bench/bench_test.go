@@ -6,44 +6,15 @@ import (
 	"time"
 )
 
-func TestLatencyRecorderWindows(t *testing.T) {
-	r := NewLatencyRecorder(10)
-	for i := 1; i <= 10; i++ {
-		r.Record(time.Duration(i) * time.Millisecond)
-	}
-	wins := r.Windows(5)
-	if len(wins) != 2 {
-		t.Fatalf("%d windows, want 2", len(wins))
-	}
-	w := wins[0]
-	if w.Min != time.Millisecond || w.Max != 5*time.Millisecond || w.Mean != 3*time.Millisecond {
-		t.Errorf("window 0 = %+v", w)
-	}
-	if wins[1].Start != 5 || wins[1].End != 10 {
-		t.Errorf("window 1 bounds = %d-%d", wins[1].Start, wins[1].End)
-	}
-}
-
-func TestLatencyRecorderAnnotations(t *testing.T) {
-	r := NewLatencyRecorder(4)
-	r.Record(time.Millisecond)
-	r.Annotate("reconfig")
-	r.Record(time.Millisecond)
-	wins := r.Windows(2)
-	if len(wins[0].Events) != 1 || wins[0].Events[0] != "reconfig" {
-		t.Errorf("events = %v", wins[0].Events)
-	}
-}
-
 func TestPercentileAndSummary(t *testing.T) {
 	r := NewLatencyRecorder(100)
 	for i := 1; i <= 100; i++ {
 		r.Record(time.Duration(i) * time.Millisecond)
 	}
-	if got := r.Percentile(50); got < 49*time.Millisecond || got > 52*time.Millisecond {
-		t.Errorf("p50 = %v", got)
-	}
 	s := r.Summarize()
+	if s.P50 < 49*time.Millisecond || s.P50 > 52*time.Millisecond {
+		t.Errorf("p50 = %v", s.P50)
+	}
 	if s.Count != 100 || s.Min != time.Millisecond || s.Max != 100*time.Millisecond {
 		t.Errorf("summary = %+v", s)
 	}
@@ -54,28 +25,8 @@ func TestPercentileAndSummary(t *testing.T) {
 
 func TestEmptyRecorder(t *testing.T) {
 	r := NewLatencyRecorder(0)
-	if r.Percentile(99) != 0 {
-		t.Error("percentile of empty recorder")
-	}
-	if s := r.Summarize(); s.Count != 0 {
-		t.Error("summary of empty recorder")
-	}
-	if wins := r.Windows(10); len(wins) != 0 {
-		t.Error("windows of empty recorder")
-	}
-}
-
-func TestPrintSeries(t *testing.T) {
-	r := NewLatencyRecorder(4)
-	r.Annotate("start")
-	for i := 0; i < 4; i++ {
-		r.Record(time.Duration(i+1) * time.Millisecond)
-	}
-	var b strings.Builder
-	r.PrintSeries(&b, 2)
-	out := b.String()
-	if !strings.Contains(out, "start") || !strings.Contains(out, "overall:") {
-		t.Errorf("series output missing pieces:\n%s", out)
+	if s := r.Summarize(); s != (Summary{}) {
+		t.Errorf("summary of empty recorder = %+v", s)
 	}
 }
 
@@ -91,63 +42,5 @@ func TestTablePrint(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "a          bbbb") {
 		t.Errorf("header misaligned: %q", lines[0])
-	}
-}
-
-// TestRunFig16Small is the end-to-end smoke of the headline experiment at
-// reduced scale (the full run lives in cmd/raft-bench and the root bench).
-func TestRunFig16Small(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig16 in -short mode")
-	}
-	res, err := RunFig16(Fig16Options{
-		Requests:      240,
-		ReconfigEvery: 60,
-		StartNodes:    5,
-		NetLatency:    100 * time.Microsecond,
-		Seed:          3,
-		Timeout:       30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Recorder.Len() != 240 {
-		t.Errorf("recorded %d samples, want 240", res.Recorder.Len())
-	}
-	if len(res.Schedule) != 3 {
-		t.Errorf("schedule = %v, want 3 changes (4th coincides with the end)", res.Schedule)
-	}
-	var b strings.Builder
-	res.Print(&b, 60)
-	if !strings.Contains(b.String(), "remove") {
-		t.Errorf("report missing reconfig events:\n%s", b.String())
-	}
-}
-
-// TestRunAvailabilitySmall smokes the liveness probe at reduced scale.
-func TestRunAvailabilitySmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("availability probe in -short mode")
-	}
-	res, err := RunAvailability(AvailabilityOptions{
-		Nodes:         3,
-		PhaseRequests: 40,
-		NetLatency:    100 * time.Microsecond,
-		Seed:          5,
-		Timeout:       30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Outages) != 2 {
-		t.Fatalf("outages = %v", res.Outages)
-	}
-	if res.Outages[0].Stall == 0 {
-		t.Error("leader crash produced no measurable stall")
-	}
-	var b strings.Builder
-	res.Print(&b)
-	if !strings.Contains(b.String(), "leader crash") {
-		t.Errorf("report missing fault:\n%s", b.String())
 	}
 }

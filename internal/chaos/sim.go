@@ -122,8 +122,6 @@ func runSimGroup(sched *Schedule, opt Options, g raft.GroupID, groups int) (*Rep
 			Nodes:             opt.Nodes,
 			Seed:              sched.Seed + groupSeedStride*int64(g),
 			ElectionTicks:     et,
-			JitterTicks:       et,
-			HeartbeatTicks:    max(1, et/3),
 			Ablation:          opt.Ablation,
 			SnapshotThreshold: opt.snapThreshold(),
 			DiskDelayTicks:    opt.diskDelayTicks(),
@@ -372,7 +370,7 @@ func (r *simRun) checkLeases() {
 // assemble a majority. If such a leader is deposed anyway outside a
 // leadership-transfer window, election robustness is broken.
 func (r *simRun) checkElections() {
-	estThreshold := 4 * r.et // 2 × (ElectionTicks + JitterTicks)
+	estThreshold := 4 * r.et // 2 × the longest timeout (ElectionTicks + jitter < 2 × ElectionTicks)
 	staleThreshold := 6 * r.et
 	now := r.s.Now()
 

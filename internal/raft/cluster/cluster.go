@@ -1,6 +1,6 @@
 // Package cluster assembles in-process raft clusters over the simulated
 // in-memory network — the harness used by the integration tests, the
-// examples, and the Fig. 16 benchmark.
+// examples, the chaos runner and the internal/bench sweeps.
 //
 // Every node in the cluster is a multiraft.Host: with Options.Groups > 1
 // it runs that many independent raft groups multiplexed over the shared

@@ -305,7 +305,6 @@ type Snapshot struct {
 	StableIndex  int
 	AppliedIndex int
 	Members      types.NodeSet
-	Elections    uint64
 	// Counters are the election-disruption metrics (pre-vote rounds, term
 	// bumps, step-downs, transfers); the chaos monitor samples them.
 	Counters Counters
@@ -329,7 +328,6 @@ func (n *Node) Snapshot() Snapshot {
 		StableIndex:  n.core.StableIndex(),
 		AppliedIndex: n.core.AppliedIndex(),
 		Members:      n.core.Members(),
-		Elections:    n.core.Elections(),
 		Counters:     n.core.Counters(),
 		Err:          n.d.err,
 	}

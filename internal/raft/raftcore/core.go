@@ -408,9 +408,6 @@ func (c *Core) SnapshotTerm() types.Time { return c.snapTerm }
 // command/member slices; callers must not mutate.
 func (c *Core) Entry(i int) LogEntry { return c.entryAt(i) }
 
-// Elections returns how many elections this node has started (metrics).
-func (c *Core) Elections() uint64 { return c.ctr.Elections }
-
 // Counters returns the election-disruption metrics (monotone).
 func (c *Core) Counters() Counters { return c.ctr }
 

@@ -37,19 +37,14 @@ type Options struct {
 	// jitter, and message loss.
 	Seed int64
 
-	// ElectionTicks / JitterTicks / HeartbeatTicks are the protocol
-	// timers: a node campaigns after ElectionTicks + rand(JitterTicks)
-	// ticks without leader contact (a node booted with nothing on disk
-	// after 1 + rand(JitterTicks)); leaders broadcast every
-	// HeartbeatTicks. Zero gets 15 / 15 / 5.
-	ElectionTicks  int
-	JitterTicks    int
-	HeartbeatTicks int
+	// ElectionTicks sets the protocol timers: a node campaigns after
+	// ElectionTicks + rand(ElectionTicks) ticks without leader contact (a
+	// node booted with nothing on disk after 1 + rand(ElectionTicks));
+	// leaders broadcast every max(1, ElectionTicks/3). Zero gets 15.
+	ElectionTicks int
 
-	// LatencyTicks / LatencyJitterTicks bound message delivery delay:
-	// uniform in [1+LatencyTicks, 1+LatencyTicks+LatencyJitterTicks].
-	// Zero gets 0 / 2 (delivery 1–3 ticks after send).
-	LatencyTicks       int
+	// LatencyJitterTicks bounds message delivery delay: uniform in
+	// [1, 1+LatencyJitterTicks] ticks after send. Zero gets 2.
 	LatencyJitterTicks int
 
 	// SnapshotThreshold is forwarded to the core: after this many applied
@@ -81,12 +76,6 @@ func (o *Options) defaults() {
 	}
 	if o.ElectionTicks <= 0 {
 		o.ElectionTicks = 15
-	}
-	if o.JitterTicks <= 0 {
-		o.JitterTicks = 15
-	}
-	if o.HeartbeatTicks <= 0 {
-		o.HeartbeatTicks = 5
 	}
 	if o.LatencyJitterTicks <= 0 {
 		o.LatencyJitterTicks = 2
@@ -204,7 +193,7 @@ func (s *Cluster) bootNode(id types.NodeID) {
 		Members:           s.members0,
 		ElectionTicks:     s.opt.ElectionTicks,
 		Jitter:            s.jitter,
-		HeartbeatTicks:    s.opt.HeartbeatTicks,
+		HeartbeatTicks:    max(1, s.opt.ElectionTicks/3),
 		SnapshotThreshold: s.opt.SnapshotThreshold,
 		Ablation:          s.opt.Ablation,
 	}, hs, snap, log)
@@ -230,12 +219,7 @@ func (s *Cluster) bootNode(id types.NodeID) {
 	}
 }
 
-func (s *Cluster) jitter() int {
-	if s.opt.JitterTicks <= 0 {
-		return 0
-	}
-	return s.rng.Intn(s.opt.JitterTicks)
-}
+func (s *Cluster) jitter() int { return s.rng.Intn(s.opt.ElectionTicks) }
 
 // --- Introspection ---
 
@@ -562,10 +546,7 @@ func (s *Cluster) deliver(m raftcore.Message) {
 	if s.dropRate > 0 && s.rng.Float64() < s.dropRate {
 		return
 	}
-	delay := int64(1 + s.opt.LatencyTicks)
-	if s.opt.LatencyJitterTicks > 0 {
-		delay += int64(s.rng.Intn(s.opt.LatencyJitterTicks + 1))
-	}
+	delay := int64(1 + s.rng.Intn(s.opt.LatencyJitterTicks+1))
 	s.sendSeq++
 	heap.Push(&s.inflight, packet{at: s.now + delay, seq: s.sendSeq, m: m})
 }

@@ -537,10 +537,9 @@ func (fs *FileStorage) Close() error {
 type CountingStorage struct {
 	Inner Storage
 
-	stateSaves   atomic.Uint64
-	entrySaves   atomic.Uint64
-	entriesSaved atomic.Uint64
-	snapSaves    atomic.Uint64
+	stateSaves atomic.Uint64
+	entrySaves atomic.Uint64
+	snapSaves  atomic.Uint64
 }
 
 // SaveState implements Storage.
@@ -552,7 +551,6 @@ func (c *CountingStorage) SaveState(hs HardState) error {
 // SaveEntries implements Storage.
 func (c *CountingStorage) SaveEntries(firstIndex int, entries []LogEntry) error {
 	c.entrySaves.Add(1)
-	c.entriesSaved.Add(uint64(len(entries)))
 	return c.Inner.SaveEntries(firstIndex, entries)
 }
 
@@ -578,9 +576,6 @@ func (c *CountingStorage) Syncs() uint64 {
 
 // EntrySaves returns the number of SaveEntries calls (WAL frames written).
 func (c *CountingStorage) EntrySaves() uint64 { return c.entrySaves.Load() }
-
-// EntriesSaved returns the total log entries persisted across all frames.
-func (c *CountingStorage) EntriesSaved() uint64 { return c.entriesSaved.Load() }
 
 // SnapshotSaves returns the number of SaveSnapshot calls.
 func (c *CountingStorage) SnapshotSaves() uint64 { return c.snapSaves.Load() }

@@ -6,6 +6,7 @@ import (
 
 	"adore/internal/multiraft"
 	"adore/internal/raft"
+	"adore/internal/raft/sim"
 )
 
 // TestNodeSurface pins *Node's exported method set. The paper's ADO has four
@@ -45,6 +46,10 @@ func TestOptionsSurface(t *testing.T) {
 		[]string{"ID", "Members", "Groups", "Transport", "ElectionTimeoutMin",
 			"StorageRoot", "StorageFor", "StateMachineFor", "OnApply",
 			"SnapshotThreshold", "Ablation", "Seed", "InboxSize"},
+	}, {
+		sim.Options{},
+		[]string{"Nodes", "Seed", "ElectionTicks", "LatencyJitterTicks",
+			"SnapshotThreshold", "Ablation", "DiskDelayTicks", "EarlyStable"},
 	}} {
 		typ := reflect.TypeOf(c.opts)
 		var got []string

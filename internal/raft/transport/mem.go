@@ -104,14 +104,6 @@ func (n *MemNetwork) SetDropRate(p float64) {
 	n.dropRate = p
 }
 
-// SetLatency adjusts the base latency and jitter.
-func (n *MemNetwork) SetLatency(latency, jitter time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.latency = latency
-	n.jitter = jitter
-}
-
 // Partition blocks all traffic between the two groups (in both
 // directions). Traffic within a group still flows.
 func (n *MemNetwork) Partition(a, b []types.NodeID) {

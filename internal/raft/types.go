@@ -4,11 +4,13 @@
 //
 // The protocol itself lives in the sans-IO subpackage raftcore: a pure
 // state machine stepped by messages and logical ticks that emits its
-// effects as Ready batches. This package is the runtime driver around it —
-// goroutines, wall-clock timers, the group-commit WAL, and transports.
-// Node executes each Ready in the order the core's contract requires:
-// persist the hard state and log suffix first, then release what that write
-// was backing — votes, acks, the leader's broadcast and commit deliveries.
+// effects in staged Ready batches. This package is the runtime around it.
+// Driver (driver.go) executes the stages in the order the core's contract
+// requires: persist the hard state and log suffix first, then release what
+// that write was backing — votes, acks, the leader's broadcast and commit
+// deliveries. Node is the concurrent shell around the Driver: goroutines,
+// the group-commit write lane and transports. It has no clock; its owner
+// (multiraft.Host) ticks it and hands it its inbox.
 // That ordering preserves the acked⇒durable invariant (no promise reaches a
 // peer or client before the durable write that backs it), and a failed
 // persist fail-stops the node before anything the batch backed escapes. What
