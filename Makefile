@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-teeth check loc bench bench-evidence bench-reads-smoke benchmark-smoke bench-compare fuzz-smoke chaos chaos-smoke chaos-teeth chaos-parity chaos-elections chaos-leases chaos-disk sim-sweep sim-teeth sim-sweep-groups sim-teeth-groups
+.PHONY: all build test race vet lint lint-teeth check loc bench bench-evidence bench-reads-smoke benchmark-smoke bench-compare fuzz-smoke chaos chaos-smoke chaos-teeth chaos-parity chaos-elections chaos-leases chaos-disk fingerprints sim-sweep sim-teeth sim-sweep-groups sim-teeth-groups
 
 all: check
 
@@ -119,6 +119,14 @@ chaos-disk:
 	$(GO) run ./cmd/raft-chaos -teeth -early-stable -seeds 1
 	$(GO) test -count=1 -run 'TestCrashBeforeStable|TestTeethStalledLeaderDisk|TestApplyAheadOfDisk' ./internal/chaos
 	$(GO) test -count=1 -run 'TestFollowerAppliesAheadOfBlockedWrite' ./internal/raft
+
+# fingerprints prints what TestJournalFingerprints hashes, schedule by
+# schedule: each crafted schedule's journal hash and violation count with its
+# guard on and off, then the four set hashes that
+# internal/chaos/testdata/journal_fingerprints.txt pins. A change that moves
+# the simulator quotes these in its EXPERIMENTS entry.
+fingerprints:
+	$(GO) test -count=1 -run TestJournalFingerprints -v ./internal/chaos
 
 # sim-sweep runs the same schedules in the deterministic simulator: the
 # whole execution (not just the fault plan) is a pure function of the seed,

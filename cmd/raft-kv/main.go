@@ -28,13 +28,13 @@
 // table, so a restarted replica never mistakes a new request for an old one.
 // Membership and transfer commands apply to every group the host runs.
 //
-// Reads are linearizable by default: -read-mode selects the barrier get
-// runs before serving. follower (the default) forwards a ReadIndex barrier
-// to the key's shard leader so ANY replica serves reads from its own state
-// machine; leader-readindex and leader-lease serve only at the leader (the
-// quorum barrier vs the logical-tick lease fast path, the latter falling
-// back to the barrier when no lease is held); local skips the barrier
-// entirely and may return stale values.
+// Reads are linearizable by default (-read-mode follower): get asks the
+// replica it reached for a read index — a follower forwards the request to
+// the key's shard leader, the leader answers from its lease or a quorum
+// barrier — and serves from its own state machine once it has applied
+// through that index, so ANY replica serves linearizable reads.
+// -disable-lease-read makes the leader prove every read with a barrier.
+// -read-mode local skips the read index entirely and may return stale values.
 //
 // With -wal DIR the replica persists its log (and, with
 // -snapshot-threshold N, periodic state-machine snapshots that truncate
@@ -75,19 +75,15 @@ func main() {
 		shardsFlag   = flag.Int("shards", 1, "raft groups hosted by every replica; keys hash across them (all replicas must agree)")
 		disPV        = flag.Bool("disable-prevote", false, "campaign without the Pre-Vote round (rejoining nodes may disrupt a healthy leader)")
 		disCQ        = flag.Bool("disable-checkquorum", false, "leaders keep leading without quorum contact (stale leaders linger after partitions)")
-		readModeFlag = flag.String("read-mode", "follower", "how get is served: follower (linearizable from any replica), leader-readindex or leader-lease (this replica must lead the key's group), or local (no barrier, may be stale)")
-		disLease     = flag.Bool("disable-lease-read", false, "turn off the leader-lease fast path; leader-lease gets fall back to the quorum barrier")
+		readModeFlag = flag.String("read-mode", "follower", "how get is served: follower (linearizable from any replica) or local (no read index, may be stale)")
+		disLease     = flag.Bool("disable-lease-read", false, "turn off the leader lease: every linearizable get pays a quorum barrier")
 	)
 	flag.Parse()
 
-	readLocal := *readModeFlag == "local"
-	var readMode kvstore.ReadMode
-	if !readLocal {
-		var err error
-		if readMode, err = kvstore.ParseReadMode(*readModeFlag); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	readLocal, err := parseReadMode(*readModeFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	peers, err := parsePeers(*peersFlag)
@@ -109,7 +105,6 @@ func main() {
 			DisableLeaseRead:   *disLease,
 		},
 		readLocal: readLocal,
-		readMode:  readMode,
 	}
 	if _, ok := peers[cfg.id]; !ok {
 		fmt.Fprintf(os.Stderr, "node %d missing from -peers\n", cfg.id)
@@ -152,8 +147,25 @@ type config struct {
 	snapThreshold   int
 	electionTimeout time.Duration
 	ablation        raft.Ablation
-	readLocal       bool             // -read-mode local: serve gets with no barrier
-	readMode        kvstore.ReadMode // barrier used by get when !readLocal
+	readLocal       bool // -read-mode local: serve gets with no read index
+}
+
+// parseReadMode reads the -read-mode flag: whether gets are served locally
+// with no read index. leader-readindex and leader-lease are refused: the
+// leader itself picks lease or barrier, and -disable-lease-read is the switch
+// between them.
+func parseReadMode(s string) (local bool, err error) {
+	switch s {
+	case "follower":
+		return false, nil
+	case "local":
+		return true, nil
+	case "leader-readindex", "leader-lease":
+		return false, fmt.Errorf("-read-mode %s is gone: every replica serves linearizable reads (follower), "+
+			"and the leader picks lease or barrier itself; use -disable-lease-read to turn the lease off", s)
+	default:
+		return false, fmt.Errorf("unknown -read-mode %q (want follower or local)", s)
+	}
 }
 
 // start brings one replica up: the TCP transport, one state machine per
@@ -323,12 +335,12 @@ func (s *server) eachGroup(f func(*raft.Node) error) string {
 	return "OK"
 }
 
-// get serves a read at the configured -read-mode. Every mode except local
-// runs a linearizability barrier first (kvstore.ReadBarrier: a quorum
-// ReadIndex round at the leader, a lease check falling back to that round, or
-// a barrier forwarded from this follower), then waits for the local state
-// machine to apply up to the barrier index before serving. On a follower
-// that wait is for the quorum's disks, not this replica's own.
+// get serves a read at the configured -read-mode. Unless it is local it asks
+// for a read index first (FollowerReadIndex: forwarded to the leader from a
+// follower, answered from the lease or a quorum barrier at the leader), then
+// waits for the local state machine to apply up to that index before
+// serving. On a follower that wait is for the quorum's disks, not this
+// replica's own.
 func (s *server) get(key string) string {
 	node, store := s.route(key)
 	if s.cfg.readLocal {
@@ -338,7 +350,7 @@ func (s *server) get(key string) string {
 		return "NOTFOUND"
 	}
 	const timeout = 5 * time.Second
-	idx, err := kvstore.ReadBarrier(node, s.cfg.readMode, timeout)
+	idx, err := node.FollowerReadIndex(timeout)
 	if err != nil {
 		return fmt.Sprintf("ERR read barrier: %s (try %s)", err, node.Snapshot().Leader)
 	}

@@ -5,14 +5,13 @@ import (
 	"testing"
 	"time"
 
-	"adore/internal/kvstore"
 	"adore/internal/raft"
 	"adore/internal/types"
 )
 
-// startSolo brings up a one-replica deployment on dir's WAL, serving get at
-// the given read mode, and waits for it to elect itself.
-func startSolo(t *testing.T, dir string, mode kvstore.ReadMode) *server {
+// startSolo brings up a one-replica deployment on dir's WAL, serving get
+// with no read index when local, and waits for it to elect itself.
+func startSolo(t *testing.T, dir string, local bool) *server {
 	t.Helper()
 	srv, err := start(config{
 		id:              1,
@@ -21,7 +20,7 @@ func startSolo(t *testing.T, dir string, mode kvstore.ReadMode) *server {
 		shards:          1,
 		walDir:          dir,
 		electionTimeout: 20 * time.Millisecond,
-		readMode:        mode,
+		readLocal:       local,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,14 +49,14 @@ func expect(t *testing.T, c *session, line, want string) {
 // sessions wrote. Deletes and CAS report what the state machine did.
 func TestWritesSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	srv := startSolo(t, dir, kvstore.ReadModeReadIndex)
+	srv := startSolo(t, dir, false)
 	c := srv.newSession()
 	expect(t, c, "put a 1", "OK")
 	expect(t, c, "put b 2", "OK")
 	expect(t, c, "put c 3", "OK")
 	srv.stop()
 
-	srv = startSolo(t, dir, kvstore.ReadModeReadIndex)
+	srv = startSolo(t, dir, false)
 	defer srv.stop()
 	c = srv.newSession()
 	expect(t, c, "put a after-restart", "OK")
@@ -71,14 +70,13 @@ func TestWritesSurviveRestart(t *testing.T) {
 	expect(t, c, "delete a", "NOTFOUND")
 }
 
-// get goes through kvstore.ReadBarrier at every -read-mode. In follower mode
-// (the flag's default) the barrier is the forwarded one, which a replica that
-// happens to lead resolves against itself; status shows the two watermarks a
-// follower-served read sits between.
+// get serves at both -read-modes. In follower mode (the flag's default) it
+// asks for a read index, which a replica that happens to lead answers itself;
+// status shows the two watermarks a follower-served read sits between.
 func TestGetThroughReadBarrier(t *testing.T) {
-	for _, mode := range []kvstore.ReadMode{kvstore.ReadModeFollower, kvstore.ReadModeLease} {
-		t.Run(mode.String(), func(t *testing.T) {
-			srv := startSolo(t, t.TempDir(), mode)
+	for _, mode := range []string{"follower", "local"} {
+		t.Run(mode, func(t *testing.T) {
+			srv := startSolo(t, t.TempDir(), mode == "local")
 			defer srv.stop()
 			c := srv.newSession()
 			expect(t, c, "get k", "NOTFOUND")
@@ -89,5 +87,30 @@ func TestGetThroughReadBarrier(t *testing.T) {
 				t.Fatalf("status %q does not report the applied and stable indexes", st)
 			}
 		})
+	}
+}
+
+// TestReadModeFlag: -read-mode takes follower and local; the leader-only
+// modes are refused with a pointer to the one lease switch.
+func TestReadModeFlag(t *testing.T) {
+	for _, c := range []struct {
+		in      string
+		local   bool
+		wantErr string
+	}{
+		{"follower", false, ""},
+		{"local", true, ""},
+		{"leader-readindex", false, "-disable-lease-read"},
+		{"leader-lease", false, "-disable-lease-read"},
+		{"bogus", false, "unknown"},
+	} {
+		local, err := parseReadMode(c.in)
+		if c.wantErr == "" {
+			if err != nil || local != c.local {
+				t.Errorf("parseReadMode(%q) = %v, %v; want %v", c.in, local, err, c.local)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("parseReadMode(%q) err = %v; want one naming %q", c.in, err, c.wantErr)
+		}
 	}
 }

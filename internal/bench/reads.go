@@ -1,9 +1,10 @@
 package bench
 
-// This file measures what ISSUE 10's three-tier read path buys. The mode
-// grid drives the SAME mixed workload (reads dominating, writes paying a
-// WAL latency) through each read path — leader ReadIndex barrier, leader
-// lease, follower-served — across a closed-loop client sweep, and reports
+// This file measures what the read path's three tiers buy. The mode grid
+// drives the SAME mixed workload (reads dominating, writes paying a WAL
+// latency) through each row — leader-served with leases off (every read a
+// ReadIndex barrier), leader-served with leases on, follower-served — across
+// a closed-loop client sweep, and reports
 // per-mode read throughput and latency plus the core's coalescing
 // counters (barriers opened vs reads that shared one). The follower
 // sweep then scales the replica count with a fixed per-replica
@@ -112,7 +113,7 @@ type ReadsPoint struct {
 	ReadsCoalesced uint64 `json:"reads_coalesced"`
 	LeaseReads     uint64 `json:"lease_reads"`
 	// LeaseSpeedup (mode grid, lease rows) is this point's read
-	// throughput over the ReadIndex mode's at the same client count.
+	// throughput over the leader-readindex row's at the same client count.
 	LeaseSpeedup float64 `json:"lease_speedup,omitempty"`
 	// Scaling (follower grid) is this point's read throughput over the
 	// same mode's at the smallest replica count.
@@ -145,30 +146,27 @@ func RunReads(opts ReadsOptions) (*ReadsResult, error) {
 		ServeCostUS:  us(opts.ServeCost),
 		Seed:         opts.Seed,
 	}
-	modes := []kvstore.ReadMode{
-		kvstore.ReadModeReadIndex, kvstore.ReadModeLease, kvstore.ReadModeFollower,
-	}
 	for _, clients := range opts.ClientCounts {
 		base := -1.0
-		for _, mode := range modes {
-			p, err := runReadsPoint(mode, opts.Nodes, clients, 0, opts)
+		for _, row := range readRows {
+			p, err := runReadsPoint(row, opts.Nodes, clients, 0, opts)
 			if err != nil {
-				return nil, fmt.Errorf("bench: %s/%d clients: %w", mode, clients, err)
+				return nil, fmt.Errorf("bench: %s/%d clients: %w", row.name, clients, err)
 			}
-			if mode == kvstore.ReadModeReadIndex {
+			if row == rowReadIndex {
 				base = p.ReadThroughputOPS
-			} else if mode == kvstore.ReadModeLease && base > 0 {
+			} else if row == rowLease && base > 0 {
 				p.LeaseSpeedup = p.ReadThroughputOPS / base
 			}
 			res.Modes = append(res.Modes, *p)
 		}
 	}
-	for _, mode := range []kvstore.ReadMode{kvstore.ReadModeReadIndex, kvstore.ReadModeFollower} {
+	for _, row := range []readRow{rowReadIndex, rowFollower} {
 		base := -1.0
 		for _, nodes := range opts.FollowerNodes {
-			p, err := runReadsPoint(mode, nodes, opts.FollowerClients, opts.ServeCost, opts)
+			p, err := runReadsPoint(row, nodes, opts.FollowerClients, opts.ServeCost, opts)
 			if err != nil {
-				return nil, fmt.Errorf("bench: %s/%d nodes: %w", mode, nodes, err)
+				return nil, fmt.Errorf("bench: %s/%d nodes: %w", row.name, nodes, err)
 			}
 			if base < 0 {
 				base = p.ReadThroughputOPS
@@ -182,13 +180,29 @@ func RunReads(opts ReadsOptions) (*ReadsResult, error) {
 	return res, nil
 }
 
-func runReadsPoint(mode kvstore.ReadMode, nodes, clients int, serveCost time.Duration, opts ReadsOptions) (*ReadsPoint, error) {
+// readRow is one row of the mode grid: its name in the JSON, the replica
+// that serves its reads, and whether its cluster runs with leases off.
+type readRow struct {
+	name    string
+	mode    kvstore.ReadMode
+	noLease bool
+}
+
+var (
+	rowReadIndex = readRow{"leader-readindex", kvstore.ReadModeLeader, true}
+	rowLease     = readRow{"leader-lease", kvstore.ReadModeLeader, false}
+	rowFollower  = readRow{"follower", kvstore.ReadModeFollower, false}
+	readRows     = []readRow{rowReadIndex, rowLease, rowFollower}
+)
+
+func runReadsPoint(row readRow, nodes, clients int, serveCost time.Duration, opts ReadsOptions) (*ReadsPoint, error) {
 	clOpts := cluster.Options{
 		N:             nodes,
 		Latency:       opts.NetLatency,
 		Jitter:        opts.NetJitter,
 		Seed:          opts.Seed,
 		NoApplyRecord: true,
+		Ablation:      raft.Ablation{DisableLeaseRead: row.noLease},
 	}
 	if opts.WALLatency > 0 {
 		clOpts.StorageFor = func(raft.GroupID, types.NodeID) raft.Storage {
@@ -236,8 +250,8 @@ func runReadsPoint(mode kvstore.ReadMode, nodes, clients int, serveCost time.Dur
 					continue
 				}
 				t0 := time.Now()
-				if _, _, err := cl.FastGetMode(key, mode, opts.Timeout); err != nil {
-					errCh <- fmt.Errorf("read %d (%s): %w", i, mode, err)
+				if _, _, err := cl.FastGetMode(key, row.mode, opts.Timeout); err != nil {
+					errCh <- fmt.Errorf("read %d (%s): %w", i, row.name, err)
 					return
 				}
 				rec.Record(time.Since(t0))
@@ -254,7 +268,7 @@ func runReadsPoint(mode kvstore.ReadMode, nodes, clients int, serveCost time.Dur
 	}
 
 	p := &ReadsPoint{
-		Mode:     mode.String(),
+		Mode:     row.name,
 		Nodes:    nodes,
 		Clients:  clients,
 		Requests: opts.Requests,

@@ -148,10 +148,14 @@ func (l *liveEnv) CrashWound(id types.NodeID, grace int64) {
 // (exercising the fail-stop path), then crashes it the hard way regardless.
 func (l *liveEnv) crashAfter(id types.NodeID, grace int64) {
 	if n := l.c.Node(id); n != nil {
+		// Not time.After: under go 1.22 its timer outlives a node that
+		// fail-stops early.
+		timer := time.NewTimer(time.Duration(grace) * simTick)
 		select {
 		case <-n.Done():
-		case <-time.After(time.Duration(grace) * simTick):
+		case <-timer.C:
 		}
+		timer.Stop()
 	}
 	l.c.CrashNode(id)
 }

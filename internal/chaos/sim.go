@@ -450,7 +450,7 @@ func (r *simRun) quorumLinked(id types.NodeID) bool {
 			contact++
 		}
 	}
-	return contact >= members.Len()/2+1
+	return config.MajorityCount(contact, members)
 }
 
 // othersHealthy reports whether the configuration minus id still holds a
@@ -474,7 +474,7 @@ func (r *simRun) othersHealthy(id types.NodeID) bool {
 			}
 		}
 	}
-	return len(rest) >= members.Len()/2+1
+	return config.MajorityCount(len(rest), members)
 }
 
 // maxCommit is the highest commit index on any alive replica.
@@ -659,64 +659,31 @@ func (cl *simClient) tickLogged(r *simRun, p *simPending) {
 	}
 }
 
-// tickFastRead drives one fast read through the op's read path: obtain a
-// confirmed read index (leader barrier, leader lease, or a barrier
-// forwarded from a follower), wait for the serving node's local apply to
-// pass it, then read from that node's state machine. An aborted barrier
-// (leadership lost, forward refused) restarts the sequence.
+// tickFastRead drives one fast read at the op's replica: start the read
+// there (the leader, or a follower that forwards it), poll its answer in the
+// same tick — so an answer the node has at hand (lease, single voter) is
+// served in the tick it was asked — wait for that node's local apply to pass
+// the index, then read from its state machine. An aborted read (leadership
+// lost, forward refused) restarts the sequence.
 func (cl *simClient) tickFastRead(r *simRun, p *simPending) {
-	select {
-	case idx := <-p.readWait:
-		p.readWait = nil
-		if idx >= 0 {
-			p.readIdx = idx
-		} // else aborted: retry from scratch
-	default:
-	}
-	if p.readWait == nil && p.readIdx < 0 {
-		if r.s.Now()-p.lastTry < retryInterval {
-			return
+	p.pollRead()
+	if p.readWait == nil && p.readIdx < 0 && r.s.Now()-p.lastTry >= retryInterval {
+		id, ok := r.s.Leader()
+		if p.op.Via == kvstore.ReadModeFollower {
+			id, ok = cl.pickFollower(r)
 		}
-		switch p.op.Via {
-		case kvstore.ReadModeFollower:
-			// Forward a barrier from a follower; the read serves from that
-			// follower's own store once its apply passes the index.
-			fid, ok := cl.pickFollower(r)
-			if !ok {
-				return
-			}
+		if ok {
 			p.lastTry = r.s.Now()
-			wait, err := r.s.ForwardRead(fid)
-			if err != nil {
-				return // no known leader yet: retry next interval
+			if wait, err := r.s.Read(id); err == nil { // else no known leader yet: retry next interval
+				p.readNode, p.readWait = id, wait
+				p.pollRead()
 			}
-			p.readNode, p.readWait = fid, wait
-		case kvstore.ReadModeLease:
-			lid, ok := r.s.Leader()
-			if !ok {
-				return
-			}
-			p.lastTry = r.s.Now()
-			if idx, held := r.s.LeaseRead(lid); held {
-				p.readNode, p.readIdx = lid, idx
-				return
-			}
-			// No valid lease: fall back to a full barrier, like the live
-			// client.
-			cl.startBarrier(r, p, lid)
-		default:
-			lid, ok := r.s.Leader()
-			if !ok {
-				return
-			}
-			p.lastTry = r.s.Now()
-			cl.startBarrier(r, p, lid)
 		}
 	}
 	if p.readIdx >= 0 {
 		if !r.s.Alive(p.readNode) || r.stores[p.readNode].AppliedIndex() < p.readIdx {
 			if !r.s.Alive(p.readNode) {
-				p.readIdx = -1 // barrier node died: start over
+				p.readIdx = -1 // serving node died: start over
 			}
 			return
 		}
@@ -725,15 +692,16 @@ func (cl *simClient) tickFastRead(r *simRun, p *simPending) {
 	}
 }
 
-// startBarrier opens a leader ReadIndex barrier for the pending read.
-func (cl *simClient) startBarrier(r *simRun, p *simPending, lid types.NodeID) {
-	idx, wait, err := r.s.ReadIndex(lid)
-	if err != nil {
-		return
-	}
-	p.readNode, p.readWait = lid, wait
-	if wait == nil {
-		p.readIdx = idx
+// pollRead takes the pending read's answer, if it has come: the index to
+// serve at, or an abort that clears the way for a retry.
+func (p *simPending) pollRead() {
+	select {
+	case idx := <-p.readWait:
+		p.readWait = nil
+		if idx >= 0 {
+			p.readIdx = idx
+		}
+	default:
 	}
 }
 

@@ -1,53 +1,20 @@
 package kvstore
 
-import "fmt"
-
-// ReadMode selects which linearizable read path FastGet routes through.
-// All three modes return linearizable results when the protocol guards are
-// on; they differ only in cost and in which replica does the serving (see
-// DESIGN.md "Linearizable reads" for the safety argument behind each row).
+// ReadMode says where FastGet serves a linearizable read. Either way the
+// serving replica asks for a read index (raft.Node.FollowerReadIndex) and
+// serves once its own state machine has applied through it; the leader alone
+// picks how it proves that index — lease or quorum barrier (see DESIGN.md
+// "Linearizable reads").
 type ReadMode int
 
 const (
-	// ReadModeReadIndex is the default: the leader confirms its leadership
-	// with one ReadIndex quorum barrier per request (coalesced with
-	// concurrent barriers in the core) and serves from its state machine.
-	ReadModeReadIndex ReadMode = iota
-	// ReadModeLease serves from the leader with zero network rounds while
-	// the leader's quorum-ack lease is valid, falling back to a ReadIndex
-	// barrier when it is not (election in progress, transfer, reconfig).
-	ReadModeLease
-	// ReadModeFollower serves from a follower: the follower forwards a
-	// ReadIndex to the leader, waits for its own apply to reach the
-	// confirmed index, and answers from its local state machine — spreading
-	// read load across replicas.
+	// ReadModeLeader serves at the shard's leader, which answers the read
+	// index itself: from its lease while one holds, otherwise through a
+	// quorum barrier coalesced with concurrent reads.
+	ReadModeLeader ReadMode = iota
+	// ReadModeFollower serves at a follower: it forwards the read to the
+	// leader, waits for its own apply to reach the confirmed index, and
+	// answers from its local state machine — spreading read load across
+	// replicas.
 	ReadModeFollower
 )
-
-// String renders the flag spelling of the mode.
-func (m ReadMode) String() string {
-	switch m {
-	case ReadModeReadIndex:
-		return "leader-readindex"
-	case ReadModeLease:
-		return "leader-lease"
-	case ReadModeFollower:
-		return "follower"
-	default:
-		return fmt.Sprintf("ReadMode(%d)", int(m))
-	}
-}
-
-// ParseReadMode parses the -read-mode flag spellings.
-func ParseReadMode(s string) (ReadMode, error) {
-	switch s {
-	case "leader-readindex", "readindex", "":
-		return ReadModeReadIndex, nil
-	case "leader-lease", "lease":
-		return ReadModeLease, nil
-	case "follower":
-		return ReadModeFollower, nil
-	default:
-		return 0, fmt.Errorf("kvstore: unknown read mode %q (want leader-readindex, leader-lease, or follower)", s)
-	}
-}

@@ -303,20 +303,18 @@ func (c *Client) Append(key, value string, timeout time.Duration) (string, error
 	return res.Value, err
 }
 
-// FastGet reads key linearizably WITHOUT a log write, through the default
-// leader-ReadIndex mode: the shard's leader confirms its leadership with a
+// FastGet reads key linearizably WITHOUT a log write, served at the key's
+// shard leader: the leader answers the read index from its lease or through a
 // quorum barrier (coalesced with concurrent reads in the core), the local
-// state machine catches up to the confirmed index, and the read is served
-// from memory.
+// state machine catches up to that index, and the read is served from memory.
 func (c *Client) FastGet(key string, timeout time.Duration) (string, bool, error) {
-	return c.FastGetMode(key, ReadModeReadIndex, timeout)
+	return c.FastGetMode(key, ReadModeLeader, timeout)
 }
 
-// FastGetMode is FastGet with an explicit read path, routed to the key's
-// shard: leader ReadIndex barrier, leader lease (zero rounds while valid,
-// barrier fallback), or follower-served (forwarded barrier, served from a
-// follower's state machine). Failures retry like Do's, across leader changes
-// until the deadline.
+// FastGetMode is FastGet at an explicit replica, routed to the key's shard:
+// the leader, or a follower that forwards the read and serves it from its own
+// state machine. Failures retry like Do's, across leader changes until the
+// deadline.
 func (c *Client) FastGetMode(key string, mode ReadMode, timeout time.Duration) (string, bool, error) {
 	g := c.r.ShardOf(key)
 	gv := c.r.Cluster.Group(g)
@@ -335,7 +333,7 @@ func (c *Client) FastGetMode(key string, mode ReadMode, timeout time.Duration) (
 			c.retry(s, nil, deadline)
 			continue
 		}
-		idx, err := ReadBarrier(n, mode, min(attemptSlice, time.Until(deadline)))
+		idx, err := n.FollowerReadIndex(min(attemptSlice, time.Until(deadline)))
 		if err != nil {
 			c.retry(s, err, deadline)
 			continue
@@ -349,25 +347,6 @@ func (c *Client) FastGetMode(key string, mode ReadMode, timeout time.Duration) (
 		return v, found, nil
 	}
 	return "", false, ErrTimeout
-}
-
-// ReadBarrier obtains from n the index a linearizable read may be served at
-// once the serving replica has applied through it: a barrier forwarded to the
-// leader (follower mode), the leader's lease with a quorum barrier as its
-// fallback, or the quorum barrier itself. It is the one place the three modes
-// are told apart.
-func ReadBarrier(n *raft.Node, mode ReadMode, timeout time.Duration) (int, error) {
-	if mode == ReadModeFollower {
-		return n.FollowerReadIndex(timeout)
-	}
-	if mode == ReadModeLease {
-		if idx, ok := n.LeaseRead(); ok {
-			return idx, nil
-		}
-		// No valid lease (not leader, fresh term, acks stale, transfer or
-		// reconfig in flight): fall back to a full barrier.
-	}
-	return n.ReadIndex(timeout)
 }
 
 // chargeServe executes the configured read-execution cost on the serving

@@ -29,7 +29,7 @@ func TestReplicated(t *testing.T) {
 		{"ConcurrentSessions", testConcurrentSessions},
 		{"DedupSurvivesShardSnapshot", testDedupSurvivesShardSnapshot},
 		{"ReadModes", testReadModes},
-		{"LeaseModeFallback", testLeaseModeFallback},
+		{"LeaseSwitch", testLeaseSwitch},
 		{"ReadsReprobeUnderTransfer", testReadsReprobeUnderTransfer},
 	}
 	for _, sc := range scenarios {
@@ -39,7 +39,7 @@ func TestReplicated(t *testing.T) {
 	}
 }
 
-var readModes = []ReadMode{ReadModeReadIndex, ReadModeLease, ReadModeFollower}
+var readModes = []ReadMode{ReadModeLeader, ReadModeFollower}
 
 // startService starts a service with the given shard count (3 nodes and a
 // 100 µs network unless opts says otherwise) and waits for every shard to
@@ -414,7 +414,7 @@ func testReadModes(t *testing.T, shards int) {
 			for _, m := range readModes {
 				v, ok, err := r.FastGetMode(k, m, opTimeout)
 				if err != nil || !ok || v != val {
-					t.Fatalf("%v %q: %q %v %v after Put(%q) returned", m, k, v, ok, err, val)
+					t.Fatalf("mode %d %q: %q %v %v after Put(%q) returned", m, k, v, ok, err, val)
 				}
 			}
 		}
@@ -427,20 +427,44 @@ func testReadModes(t *testing.T, shards int) {
 	}
 }
 
-// testLeaseModeFallback (TestFastGetLeaseModeFallsBackWhenDisabled): with
-// leases disabled the lease mode must transparently fall back to the
-// ReadIndex barrier and stay correct.
-func testLeaseModeFallback(t *testing.T, shards int) {
-	r := startService(t, shards, cluster.Options{Seed: 59, Ablation: raft.Ablation{DisableLeaseRead: true}})
-	for g := 0; g < shards; g++ {
-		k := keyIn(r, g, "k")
-		if err := r.Put(k, "v", opTimeout); err != nil {
-			t.Fatal(err)
+// testLeaseSwitch (TestFastGetLeaseModeFallsBackWhenDisabled): the leader
+// picks lease or barrier, and DisableLeaseRead is the one switch between
+// them. With leases on, leader-served FastGets are answered from the lease:
+// LeaseReads rises and no barrier opens. With DisableLeaseRead every one
+// opens or joins a barrier, no lease read is counted, and all stay correct.
+func testLeaseSwitch(t *testing.T, shards int) {
+	for _, off := range []bool{false, true} {
+		r := startService(t, shards, cluster.Options{Seed: 59, Ablation: raft.Ablation{DisableLeaseRead: off}})
+		for g := 0; g < shards; g++ {
+			k := keyIn(r, g, "k")
+			if err := r.Put(k, "v", opTimeout); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if v, ok, err := r.FastGetMode(k, ReadModeLease, opTimeout); err != nil || !ok || v != "v" {
-			t.Fatalf("lease mode with leases disabled: %q %v %v", v, ok, err)
+		before := readCounters(r)
+		for g := 0; g < shards; g++ {
+			k := keyIn(r, g, "k")
+			if v, ok, err := r.FastGet(k, opTimeout); err != nil || !ok || v != "v" {
+				t.Fatalf("DisableLeaseRead=%v: FastGet = %q %v %v", off, v, ok, err)
+			}
+		}
+		after := readCounters(r)
+		leases, barriers := after.LeaseReads-before.LeaseReads, after.ReadBarriers-before.ReadBarriers
+		if off && (leases != 0 || barriers == 0) {
+			t.Fatalf("leases off: %d lease reads, %d barriers; want 0 and at least 1", leases, barriers)
+		}
+		if !off && (leases == 0 || barriers != 0) {
+			t.Fatalf("leases on: %d lease reads, %d barriers; want at least 1 and 0", leases, barriers)
 		}
 	}
+}
+
+// readCounters sums the core counters over every node of every shard.
+func readCounters(r *Replicated) (sum raft.Counters) {
+	for _, n := range r.Cluster.Nodes() {
+		sum.Add(n.Snapshot().Counters)
+	}
+	return sum
 }
 
 // testReadsReprobeUnderTransfer (TestFastGetReprobesUnderLeadershipTransfer;

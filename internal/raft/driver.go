@@ -222,27 +222,23 @@ func (d *Driver) failProps(err error) {
 	d.props = nil
 }
 
-// Read opens a read barrier under a fresh id at this leader, or (forward) at
-// the known leader. One the core confirms at once (a single-voter
-// configuration) returns its index and a nil channel; otherwise the channel
-// answers once, from a later Ready, with the confirmed index or a negative
-// abort code, unless the barrier is cancelled first.
-func (d *Driver) Read(forward bool) (id uint64, idx int, wait <-chan int, err error) {
+// Read starts one linearizable read under a fresh id: the core forwards it to
+// the known leader, or answers it as the leader (lease, single-voter quorum or
+// barrier). The channel answers once, from a later Ready — the shell's next
+// one when the answer is at hand — with the confirmed index or a negative
+// abort code, unless the read is cancelled first.
+func (d *Driver) Read() (id uint64, wait <-chan int, err error) {
 	id = d.nextRead
 	d.nextRead++
-	if forward {
-		if err := d.core.ForwardReadIndex(id); err != nil {
-			return id, 0, nil, err
-		}
-	} else if idx, confirmed, err := d.core.ReadIndex(id); err != nil || confirmed {
-		return id, idx, nil, err
+	if err := d.core.ReadIndex(id); err != nil {
+		return id, nil, err
 	}
 	ch := make(chan int, 1)
 	d.reads[id] = ch
-	return id, 0, ch, nil
+	return id, ch, nil
 }
 
-// CancelRead abandons the barrier id (its caller stopped waiting): an answer
+// CancelRead abandons the read id (its caller stopped waiting): an answer
 // that still arrives for it goes nowhere.
 func (d *Driver) CancelRead(id uint64) {
 	delete(d.reads, id)

@@ -155,7 +155,7 @@ type laneCluster struct {
 	applied map[types.NodeID]*atomic.Int64
 }
 
-func startLaneCluster(t *testing.T, delayFor func(types.NodeID) time.Duration) *laneCluster {
+func startLaneCluster(t *testing.T, delayFor func(types.NodeID) time.Duration, ab raft.Ablation) *laneCluster {
 	t.Helper()
 	members := []types.NodeID{1, 2, 3}
 	lc := &laneCluster{
@@ -190,6 +190,7 @@ func startLaneCluster(t *testing.T, delayFor func(types.NodeID) time.Duration) *
 			ID: id, Members: members, Transport: tr,
 			StorageFor:         func(raft.GroupID) raft.Storage { return st },
 			ElectionTimeoutMin: 150 * time.Millisecond, // 25 ms ticks, a heartbeat on each
+			Ablation:           ab,
 			// S1 times out first, so it leads.
 			Seed: int64(id),
 			OnApply: func(_ raft.GroupID, batch []raft.ApplyMsg) {
@@ -252,6 +253,29 @@ func (lc *laneCluster) violations() []string {
 	return out
 }
 
+// leaseArms are the two ways a leader proves a read: the blocked-disk tests
+// run once with leases on, once with every read a quorum barrier.
+var leaseArms = []struct {
+	name string
+	ab   raft.Ablation
+}{{"lease", raft.Ablation{}}, {"barrier", raft.Ablation{DisableLeaseRead: true}}}
+
+// leaderRead runs a read at the leader L within the 50 ms bound and checks
+// that the arm's proof answered it: the lease, or a barrier.
+func leaderRead(t *testing.T, L *raft.Node, ab raft.Ablation) {
+	t.Helper()
+	before := L.Snapshot().Counters
+	within(t, "leader read", func() {
+		if _, err := L.FollowerReadIndex(time.Second); err != nil {
+			t.Fatalf("leader read: %v", err)
+		}
+	})
+	after := L.Snapshot().Counters
+	if lease := after.LeaseReads > before.LeaseReads; lease == ab.DisableLeaseRead {
+		t.Fatalf("leader read served from the lease = %v with DisableLeaseRead = %v", lease, ab.DisableLeaseRead)
+	}
+}
+
 // within runs f and fails the test if it takes 50 ms or more — the bound the
 // lock-scope tests hold every disk-free operation to while a 1 s write is
 // blocked.
@@ -267,9 +291,15 @@ func within(t *testing.T, what string, f func()) {
 // TestLockScopeFollowerWriteBlocked: with a follower's SaveEntries blocked
 // — and the third replica cut off, so the blocked follower IS the quorum —
 // the follower still answers Snapshot() and heartbeats, so the leader's
-// ReadIndex round and lease keep working.
+// lease and its ReadIndex round keep working.
 func TestLockScopeFollowerWriteBlocked(t *testing.T) {
-	lc := startLaneCluster(t, nil)
+	for _, arm := range leaseArms {
+		t.Run(arm.name, func(t *testing.T) { testLockScopeFollowerWriteBlocked(t, arm.ab) })
+	}
+}
+
+func testLockScopeFollowerWriteBlocked(t *testing.T, ab raft.Ablation) {
+	lc := startLaneCluster(t, nil, ab)
 	lid := lc.leader(t)
 	var fid, oid types.NodeID
 	for id := range lc.nodes {
@@ -296,16 +326,7 @@ func TestLockScopeFollowerWriteBlocked(t *testing.T) {
 	}
 
 	within(t, "follower Snapshot()", func() { F.Snapshot() })
-	within(t, "leader ReadIndex round (needs the blocked follower's heartbeat ack)", func() {
-		if _, err := L.ReadIndex(time.Second); err != nil {
-			t.Fatalf("ReadIndex: %v", err)
-		}
-	})
-	within(t, "leader LeaseRead", func() {
-		if _, ok := L.LeaseRead(); !ok {
-			t.Fatal("no lease although the follower acks heartbeats")
-		}
-	})
+	leaderRead(t, L, ab) // the lease, or a round: either needs the blocked follower's heartbeat acks
 	within(t, "follower-forwarded read barrier", func() {
 		if _, err := F.FollowerReadIndex(time.Second); err != nil {
 			t.Fatalf("FollowerReadIndex: %v", err)
@@ -335,7 +356,7 @@ func TestLockScopeFollowerWriteBlocked(t *testing.T) {
 // for the quorum's disks, never for its own — while its acks go on claiming
 // nothing its disk does not hold.
 func TestFollowerAppliesAheadOfBlockedWrite(t *testing.T) {
-	lc := startLaneCluster(t, nil)
+	lc := startLaneCluster(t, nil, raft.Ablation{})
 	lid := lc.leader(t)
 	var fid types.NodeID
 	for id := range lc.nodes {
@@ -405,7 +426,13 @@ func TestFollowerAppliesAheadOfBlockedWrite(t *testing.T) {
 // it still serves Snapshot(), lease reads, ReadIndex rounds and forwarded
 // follower reads — none of them needs the leader's disk.
 func TestLockScopeLeaderWriteBlocked(t *testing.T) {
-	lc := startLaneCluster(t, nil)
+	for _, arm := range leaseArms {
+		t.Run(arm.name, func(t *testing.T) { testLockScopeLeaderWriteBlocked(t, arm.ab) })
+	}
+}
+
+func testLockScopeLeaderWriteBlocked(t *testing.T, ab raft.Ablation) {
+	lc := startLaneCluster(t, nil, ab)
 	lid := lc.leader(t)
 	L := lc.nodes[lid]
 	var F *raft.Node
@@ -426,16 +453,7 @@ func TestLockScopeLeaderWriteBlocked(t *testing.T) {
 	}
 
 	within(t, "leader Snapshot()", func() { L.Snapshot() })
-	within(t, "leader LeaseRead", func() {
-		if _, ok := L.LeaseRead(); !ok {
-			t.Fatal("no lease although both followers ack heartbeats")
-		}
-	})
-	within(t, "leader ReadIndex round", func() {
-		if _, err := L.ReadIndex(time.Second); err != nil {
-			t.Fatalf("ReadIndex: %v", err)
-		}
-	})
+	leaderRead(t, L, ab)
 	within(t, "follower-forwarded read barrier", func() {
 		if _, err := F.FollowerReadIndex(time.Second); err != nil {
 			t.Fatalf("FollowerReadIndex: %v", err)
@@ -471,7 +489,7 @@ func TestLockScopeLeaderWriteBlocked(t *testing.T) {
 // ack above the sender's durable index, no vote grant before its SaveState
 // returned.
 func TestNoEffectBeforeItsWrite(t *testing.T) {
-	lc := startLaneCluster(t, func(types.NodeID) time.Duration { return 500 * time.Microsecond })
+	lc := startLaneCluster(t, func(types.NodeID) time.Duration { return 500 * time.Microsecond }, raft.Ablation{})
 	lid := lc.leader(t)
 	L := lc.nodes[lid]
 	var ps []*raft.Proposal
@@ -528,7 +546,7 @@ func TestFollowerGroupCommit(t *testing.T) {
 			return 5 * time.Millisecond
 		}
 		return 0
-	})
+	}, raft.Ablation{})
 	lid := lc.leader(t)
 	if lid == slow {
 		t.Skip("the slow replica won the election")

@@ -504,53 +504,25 @@ func (n *Node) haltedLocked() error {
 	}
 }
 
-// ReadIndex implements linearizable reads without log writes (the Raft
-// ReadIndex optimization): the leader captures its read floor, confirms
-// it is still the leader by collecting a round of quorum acknowledgements
-// (concurrent barriers coalesce into shared confirmation rounds), and
-// returns the index. A caller that waits until its state machine has
-// applied up to the returned index may then serve the read locally.
-func (n *Node) ReadIndex(timeout time.Duration) (int, error) { return n.read(false, timeout) }
-
-// LeaseRead serves a linearizable read from the leader lease with zero
-// network rounds: ok reports that the lease is valid (a strict quorum
-// acked within the last election interval, no transfer or uncommitted
-// reconfiguration in flight) and idx the index the caller may read at
-// once its state machine has applied through it. ok=false means no lease
-// — fall back to ReadIndex.
-func (n *Node) LeaseRead() (idx int, ok bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.d.err != nil {
-		return 0, false
-	}
-	return n.core.LeaseRead()
-}
-
-// FollowerReadIndex runs a linearizable read barrier from a non-leader:
-// the barrier is forwarded to the known leader, which answers with its
-// confirmed read index (from its lease when valid, otherwise after a
-// quorum round). A caller that waits until its LOCAL state machine has
-// applied through the returned index may then serve the read from its own
-// replica — read throughput scales with followers instead of loading the
-// leader.
-func (n *Node) FollowerReadIndex(timeout time.Duration) (int, error) { return n.read(true, timeout) }
-
-// read opens one read barrier (forwarded or not) and blocks on its answer:
-// the confirmed index, or an abort to retry with ErrNotLeader —
-// ErrLeaderStepdown when the barrier died in a CheckQuorum step-down.
-func (n *Node) read(forward bool, timeout time.Duration) (int, error) {
+// FollowerReadIndex runs one linearizable read from any replica and returns
+// the index to serve it at: a caller that waits until its LOCAL state machine
+// has applied through it may then serve the read from its own replica. A
+// follower forwards the read to its known leader; a leader answers from its
+// lease, at once in a single-voter configuration, or after a quorum round
+// (concurrent reads coalesce into shared rounds). An abort is ErrNotLeader to
+// retry — ErrLeaderStepdown when the read died in a CheckQuorum step-down.
+func (n *Node) FollowerReadIndex(timeout time.Duration) (int, error) {
 	n.mu.Lock()
 	if n.d.err != nil {
 		n.mu.Unlock()
 		return 0, fmt.Errorf("%w (known leader: %s)", ErrNotLeader, types.NoNode)
 	}
-	id, idx, wait, err := n.d.Read(forward)
-	if err != nil || wait == nil {
+	id, wait, err := n.d.Read()
+	if err != nil {
 		n.mu.Unlock()
-		return idx, err
+		return 0, err
 	}
-	n.d.Ready() // the barrier's confirmation round, or the forward
+	n.d.Ready() // the answer, the barrier's confirmation round, or the forward
 	n.mu.Unlock()
 
 	// Not time.After: under go 1.22 its timer stays live for the whole

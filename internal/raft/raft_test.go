@@ -321,7 +321,6 @@ func TestReadIndexLinearizationBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leader := c.Node(lid)
 	idx, err := c.Propose([]byte("x"), waitLeader)
 	if err != nil {
 		t.Fatal(err)
@@ -329,28 +328,25 @@ func TestReadIndexLinearizationBarrier(t *testing.T) {
 	if err := c.WaitCommit(lid, idx, waitLeader); err != nil {
 		t.Fatal(err)
 	}
-	ri, err := leader.ReadIndex(waitLeader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ri < idx {
-		t.Fatalf("read index %d below committed %d", ri, idx)
-	}
-	// Followers refuse.
+	// Every replica's read — the leader's own, and each follower's forwarded
+	// one — returns an index at or above the committed write.
 	for _, n := range c.Nodes() {
-		if n.ID() == lid {
-			continue
+		ri, err := n.FollowerReadIndex(waitLeader)
+		if err != nil {
+			t.Fatalf("%s: %v", n.ID(), err)
 		}
-		if _, err := n.ReadIndex(100 * time.Millisecond); err == nil {
-			if n.Snapshot().Role != raft.Leader {
-				t.Fatalf("follower %s served a ReadIndex", n.ID())
-			}
+		if ri < idx {
+			t.Fatalf("%s: read index %d below committed %d", n.ID(), ri, idx)
 		}
 	}
 }
 
 func TestReadIndexFailsWhenIsolated(t *testing.T) {
-	c := newCluster(t, 3)
+	// Leases off: a lease may rightly answer inside its window, so the
+	// barrier is what is under test.
+	c := cluster.New(cluster.Options{N: 3, Latency: 200 * time.Microsecond, Jitter: 300 * time.Microsecond, Seed: 42,
+		Ablation: raft.Ablation{DisableLeaseRead: true}})
+	t.Cleanup(c.Stop)
 	lid, err := c.WaitForLeader(waitLeader)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +354,7 @@ func TestReadIndexFailsWhenIsolated(t *testing.T) {
 	c.Net.Isolate(lid)
 	// The isolated leader cannot confirm leadership: the barrier must not
 	// succeed (it times out or fails once the node learns of a new term).
-	if _, err := c.Node(lid).ReadIndex(300 * time.Millisecond); err == nil {
+	if _, err := c.Node(lid).FollowerReadIndex(300 * time.Millisecond); err == nil {
 		t.Fatal("isolated leader confirmed a ReadIndex barrier")
 	}
 	c.Net.Heal()
@@ -379,8 +375,8 @@ func TestSingleNodeClusterCommits(t *testing.T) {
 	if err := c.WaitCommit(1, idx, waitLeader); err != nil {
 		t.Fatal(err)
 	}
-	// ReadIndex on a singleton is immediate (it is its own quorum).
-	if _, err := c.Node(1).ReadIndex(time.Second); err != nil {
+	// A read on a singleton is immediate (it is its own quorum).
+	if _, err := c.Node(1).FollowerReadIndex(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// And it can grow into a real cluster.

@@ -3,6 +3,7 @@ package raftcore
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"adore/internal/config"
 	"adore/internal/types"
@@ -42,6 +43,11 @@ var (
 // re-sending the full suffix stop-and-wait.
 const MaxEntriesPerAppend = 256
 
+// MaxSnapshotChunk caps the snapshot-image bytes carried by one
+// InstallSnapshot message: a leader streams an image as a burst of chunks
+// this size.
+const MaxSnapshotChunk = 64 << 10
+
 // Config parameterizes a Core. Time is abstract: the caller advances the
 // core with Tick calls, and all intervals are counted in those ticks.
 type Config struct {
@@ -71,10 +77,6 @@ type Config struct {
 	// state-machine image (answered via Compact). Zero disables local
 	// snapshotting; the node still accepts InstallSnapshot from leaders.
 	SnapshotThreshold int
-
-	// MaxSnapshotChunk caps the snapshot-image bytes carried by one
-	// InstallSnapshot message. Zero gets a default of 64 KiB.
-	MaxSnapshotChunk int
 
 	// Ablation switches individual protocol guards off (experiments only).
 	Ablation
@@ -110,11 +112,11 @@ type Ablation struct {
 	// proposals with a retryable error). For experiments only.
 	DisableCheckQuorum bool
 
-	// DisableLeaseRead turns off the leader-lease fast read path: every
-	// LeaseRead reports no lease, so reads always pay a ReadIndex quorum
-	// round. The lease rests on the same bounded-asymmetry assumption as
-	// CheckQuorum and follower stickiness (all three count the same
-	// election-interval clock in the same tick units); deployments that
+	// DisableLeaseRead is the one lease switch: the leader answers no read
+	// from its lease, so every read in a multi-voter configuration pays a
+	// ReadIndex quorum round. The lease rests on the same bounded-asymmetry
+	// assumption as CheckQuorum and follower stickiness (all three count the
+	// same election-interval clock in the same tick units); deployments that
 	// distrust it can disable leases alone without losing ReadIndex.
 	DisableLeaseRead bool
 
@@ -134,9 +136,6 @@ func (c *Config) defaults() {
 	}
 	if c.HeartbeatTicks <= 0 {
 		c.HeartbeatTicks = 1
-	}
-	if c.MaxSnapshotChunk <= 0 {
-		c.MaxSnapshotChunk = 64 << 10
 	}
 }
 
@@ -270,7 +269,7 @@ type Core struct {
 
 	// What may leave now, drained by TakeEffects.
 	msgs       []Message   // outbound, in release order
-	readStates []ReadState // resolved ReadIndex barriers
+	readStates []ReadState // answered reads asked at this node
 	restore    *Snapshot   // leader-installed snapshot, now durable
 	// steppedDown latches a CheckQuorum or stalled-disk step-down for the
 	// next Effects.
@@ -292,19 +291,18 @@ type inflightWrite struct {
 
 // pendingRead is one ReadIndex barrier: the read floor captured at
 // request time, the leadership confirmations gathered since, and every
-// waiter sharing the barrier — local request ids (resolved as ReadStates)
-// and forwarded follower reads (answered with MsgReadIndexResponse).
+// waiter sharing the barrier.
 type pendingRead struct {
-	reqIDs  []uint64
-	remotes []readOrigin
+	waiters []readOrigin
 	index   int
 	term    types.Time
 	seq     uint64 // only acks echoing a seq beyond this confirm the barrier
 	acks    types.NodeSet
 }
 
-// readOrigin identifies a forwarded read waiting at a follower: the node
-// to answer and the ReadCtx it keyed its local waiter under.
+// readOrigin identifies a read waiting for a barrier: the node that asked
+// (this one, or a follower that forwarded it) and the ctx it keyed its
+// waiter under.
 type readOrigin struct {
 	node types.NodeID
 	ctx  uint64
@@ -1201,29 +1199,45 @@ func (c *Core) openBarrier() {
 	}
 }
 
-// ReadIndex registers a linearizable-read barrier (the Raft ReadIndex
-// optimization): the leader captures its read floor and confirms it is
-// still the leader by collecting a round of quorum acknowledgements.
-// Concurrent barriers coalesce — requests arriving before the next append
-// round share one barrier and resolve on one quorum confirmation. If the
-// quorum is immediately satisfied (single-node configurations) the
-// confirmed index is returned with confirmed=true; otherwise the barrier
-// resolves through a ReadState in a later Ready, keyed by reqID.
-func (c *Core) ReadIndex(reqID uint64) (index int, confirmed bool, err error) {
-	if c.role != Leader {
-		return 0, false, c.errNotLeader()
+// ReadIndex starts one linearizable read at this node, answered by a
+// ReadState keyed ctx: the index the node may serve the read at once its
+// state machine has applied through it, or -1 when the read aborted (retry).
+// A follower forwards the read to its known leader; a leader answers it
+// itself (leaderRead). Either way the answer comes out of a later
+// TakeEffects, never from this call.
+func (c *Core) ReadIndex(ctx uint64) error {
+	if c.role == Leader {
+		c.leaderRead(readOrigin{node: c.id, ctx: ctx})
+		return nil
+	}
+	if c.leader == types.NoNode {
+		return c.errNotLeader()
+	}
+	c.send(Message{Type: MsgReadIndexRequest, From: c.id, To: c.leader, Term: c.term, ReadCtx: ctx})
+	return nil
+}
+
+// leaderRead answers one read, asked here or forwarded, the cheapest way the
+// leader can prove it still leads: from its lease, at once in a single-voter
+// configuration (already a quorum of itself), or else through a coalesced
+// quorum barrier (the Raft ReadIndex optimization) that resolves on a later
+// round of acknowledgements.
+func (c *Core) leaderRead(o readOrigin) {
+	if idx, ok := c.LeaseStatus(); ok {
+		c.ctr.LeaseReads++
+		c.answerRead(o, idx)
+		return
 	}
 	idx := c.readFloor()
-	// A single-node configuration is already a quorum of itself.
 	if config.Majority(types.NewNodeSet(c.id), c.Members()) {
-		return idx, true, nil
+		c.answerRead(o, idx)
+		return
 	}
 	pr, opened := c.barrierFor(idx)
-	pr.reqIDs = append(pr.reqIDs, reqID)
+	pr.waiters = append(pr.waiters, o)
 	if opened {
 		c.openBarrier()
 	}
-	return 0, false, nil
 }
 
 // LeaseStatus probes the leader lease without serving a read: ok reports
@@ -1267,69 +1281,34 @@ func (c *Core) LeaseStatus() (idx int, ok bool) {
 	return c.readFloor(), true
 }
 
-// LeaseRead serves one linearizable read from the leader lease: when the
-// lease is valid the returned index is safe to read at as soon as the
-// local state machine has applied through it — zero network rounds.
-// ok=false means no lease; fall back to a ReadIndex barrier.
-func (c *Core) LeaseRead() (idx int, ok bool) {
-	idx, ok = c.LeaseStatus()
-	if ok {
-		c.ctr.LeaseReads++
-	}
-	return idx, ok
-}
-
-// ForwardReadIndex starts a follower-served read: the barrier is forwarded
-// to the last known leader, whose MsgReadIndexResponse resolves here as a
-// ReadState keyed by ctx. The caller then waits for the LOCAL apply index
-// to reach the returned index and serves from its own state machine. On a
-// node that is itself the leader the forward degenerates to a local lease
-// read or barrier, resolving through the same ReadState path.
-func (c *Core) ForwardReadIndex(ctx uint64) error {
-	if c.role == Leader {
-		if idx, ok := c.LeaseRead(); ok {
-			c.readStates = append(c.readStates, ReadState{ReqID: ctx, Index: idx})
-			return nil
-		}
-		idx, confirmed, err := c.ReadIndex(ctx)
-		if err != nil {
-			return err
-		}
-		if confirmed {
-			c.readStates = append(c.readStates, ReadState{ReqID: ctx, Index: idx})
-		}
-		return nil
-	}
-	if c.leader == types.NoNode {
-		return c.errNotLeader()
-	}
-	c.send(Message{Type: MsgReadIndexRequest, From: c.id, To: c.leader, Term: c.term, ReadCtx: ctx})
-	return nil
-}
-
 // CancelRead abandons a pending barrier waiter (the caller timed out).
 // The barrier itself stays pending for its remaining waiters.
-func (c *Core) CancelRead(reqID uint64) {
+func (c *Core) CancelRead(ctx uint64) {
+	local := readOrigin{node: c.id, ctx: ctx}
 	for _, pr := range c.pendingReads {
-		for i, id := range pr.reqIDs {
-			if id == reqID {
-				pr.reqIDs = append(pr.reqIDs[:i], pr.reqIDs[i+1:]...)
-				return
-			}
+		if i := slices.Index(pr.waiters, local); i >= 0 {
+			pr.waiters = slices.Delete(pr.waiters, i, i+1)
+			return
 		}
 	}
 }
 
-// resolveRead delivers a barrier's outcome to every waiter sharing it:
-// local request ids as ReadStates, forwarded follower reads as
-// MsgReadIndexResponse. idx -1 aborts (the waiters retry).
+// resolveRead delivers a barrier's outcome to every waiter sharing it. idx
+// -1 aborts (the waiters retry).
 func (c *Core) resolveRead(pr *pendingRead, idx int) {
-	for _, id := range pr.reqIDs {
-		c.readStates = append(c.readStates, ReadState{ReqID: id, Index: idx})
+	for _, o := range pr.waiters {
+		c.answerRead(o, idx)
 	}
-	for _, o := range pr.remotes {
-		c.sendReadReply(o.node, o.ctx, idx)
+}
+
+// answerRead answers one waiter: a read asked here as a ReadState, a
+// forwarded one with MsgReadIndexResponse.
+func (c *Core) answerRead(o readOrigin, idx int) {
+	if o.node == c.id {
+		c.readStates = append(c.readStates, ReadState{ReqID: o.ctx, Index: idx})
+		return
 	}
+	c.sendReadReply(o.node, o.ctx, idx)
 }
 
 // sendReadReply answers a forwarded read: idx is the confirmed read index,
@@ -1383,30 +1362,16 @@ func (c *Core) abortReads() {
 	c.pendingReads = nil
 }
 
-// onReadIndexRequest serves a follower's forwarded read barrier. A node
-// that cannot serve it (not the leader, or a term mismatch either way)
-// answers Success=false so the follower's waiter aborts and retries with
-// a fresher leader hint. A valid lease answers immediately; otherwise the
-// forward joins the same coalescing barriers local reads use.
+// onReadIndexRequest serves a follower's forwarded read. A node that cannot
+// serve it (not the leader, or a term mismatch either way) answers
+// Success=false so the follower's waiter aborts and retries with a fresher
+// leader hint; a leader answers it like a read asked of itself.
 func (c *Core) onReadIndexRequest(m Message) {
 	if c.role != Leader || m.Term != c.term {
 		c.sendReadReply(m.From, m.ReadCtx, -1)
 		return
 	}
-	if idx, ok := c.LeaseRead(); ok {
-		c.sendReadReply(m.From, m.ReadCtx, idx)
-		return
-	}
-	idx := c.readFloor()
-	if config.Majority(types.NewNodeSet(c.id), c.Members()) {
-		c.sendReadReply(m.From, m.ReadCtx, idx)
-		return
-	}
-	pr, opened := c.barrierFor(idx)
-	pr.remotes = append(pr.remotes, readOrigin{node: m.From, ctx: m.ReadCtx})
-	if opened {
-		c.openBarrier()
-	}
+	c.leaderRead(readOrigin{node: m.From, ctx: m.ReadCtx})
 }
 
 // onReadIndexResponse resolves a forwarded read on the follower that
@@ -1546,11 +1511,8 @@ func (c *Core) sendSnapshot(to types.NodeID) {
 	}
 	c.snapSent[to] = c.ticks
 	total := len(c.snapData)
-	for off := 0; ; off += c.cfg.MaxSnapshotChunk {
-		n := total - off
-		if n > c.cfg.MaxSnapshotChunk {
-			n = c.cfg.MaxSnapshotChunk
-		}
+	for off := 0; ; off += MaxSnapshotChunk {
+		n := min(total-off, MaxSnapshotChunk)
 		c.appendSeq++
 		c.send(Message{
 			Type:        MsgInstallSnapshot,
@@ -1994,11 +1956,4 @@ func (c *Core) advanceCommit() {
 			break
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

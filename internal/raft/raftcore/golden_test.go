@@ -34,7 +34,11 @@ func follower(id types.NodeID, members []types.NodeID, hs HardState, entries []L
 // broadcast). On return: log = [no-op@1], commitIndex = 0, appendSeq = 2
 // (seq 1 went to S2, seq 2 to S3), nextIndex = {2:2, 3:2} after optimistic
 // pipelining.
-func leader3(t *testing.T) *Core {
+func leader3(t *testing.T) *Core { t.Helper(); return leader3With(t, Ablation{}) }
+
+// leader3With is leader3 with guards switched off: the read goldens that pin
+// a barrier turn the lease off, or the leader would answer from it.
+func leader3With(t *testing.T, ab Ablation) *Core {
 	t.Helper()
 	c := New(Config{
 		ID:      1,
@@ -42,6 +46,7 @@ func leader3(t *testing.T) *Core {
 		// Campaign on the first tick, deterministically.
 		ElectionTicks: 1,
 		Jitter:        func() int { return 0 },
+		Ablation:      ab,
 	}, HardState{}, Snapshot{}, nil)
 	// The timeout opens a term-neutral pre-vote round: nothing persists.
 	c.Tick()
@@ -326,7 +331,7 @@ func TestGoldenCommitAcrossReconfig(t *testing.T) {
 // response echoing a Seq issued AFTER the barrier confirms leadership for
 // it; an ack that was already in flight does not.
 func TestGoldenReadIndexSeq(t *testing.T) {
-	c := leader3(t)
+	c := leader3With(t, Ablation{DisableLeaseRead: true})
 	steps := []struct {
 		name string
 		act  func(t *testing.T)
@@ -342,12 +347,8 @@ func TestGoldenReadIndexSeq(t *testing.T) {
 		{
 			name: "ReadIndex registers the barrier at seq 2 and fires a confirmation round",
 			act: func(t *testing.T) {
-				idx, confirmed, err := c.ReadIndex(77)
-				if err != nil {
+				if err := c.ReadIndex(77); err != nil {
 					t.Fatal(err)
-				}
-				if confirmed {
-					t.Fatalf("3-node barrier confirmed immediately (index %d)", idx)
 				}
 			},
 			want: Ready{
@@ -386,11 +387,11 @@ func TestGoldenReadIndexSeq(t *testing.T) {
 // term arrives) resolves every pending barrier with Index -1 in the same
 // batch that persists the new term.
 func TestGoldenReadIndexAbort(t *testing.T) {
-	c := leader3(t)
+	c := leader3With(t, Ablation{DisableLeaseRead: true})
 	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 1})
 	c.TakeReady()
-	if _, confirmed, err := c.ReadIndex(9); err != nil || confirmed {
-		t.Fatalf("ReadIndex: confirmed=%v err=%v", confirmed, err)
+	if err := c.ReadIndex(9); err != nil {
+		t.Fatal(err)
 	}
 	c.TakeReady()
 

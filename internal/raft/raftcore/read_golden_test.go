@@ -45,7 +45,7 @@ func leaderET(t *testing.T, et int) *Core {
 // so any burst between two heartbeat rounds costs at most one extra
 // round, and one quorum confirmation resolves the whole batch.
 func TestGoldenReadCoalescing(t *testing.T) {
-	c := leader3(t)
+	c := leader3With(t, Ablation{DisableLeaseRead: true})
 	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 1})
 	c.TakeReady() // commit the no-op (index 1)
 
@@ -57,8 +57,8 @@ func TestGoldenReadCoalescing(t *testing.T) {
 		{
 			name: "read 101 opens barrier 1 and fires its round (seq 3, 4)",
 			act: func(t *testing.T) {
-				if _, confirmed, err := c.ReadIndex(101); err != nil || confirmed {
-					t.Fatalf("ReadIndex: confirmed=%v err=%v", confirmed, err)
+				if err := c.ReadIndex(101); err != nil {
+					t.Fatal(err)
 				}
 			},
 			want: Ready{
@@ -73,8 +73,8 @@ func TestGoldenReadCoalescing(t *testing.T) {
 		{
 			name: "read 102 arrives mid-round: barrier 2 accumulates, NO new round",
 			act: func(t *testing.T) {
-				if _, confirmed, err := c.ReadIndex(102); err != nil || confirmed {
-					t.Fatalf("ReadIndex: confirmed=%v err=%v", confirmed, err)
+				if err := c.ReadIndex(102); err != nil {
+					t.Fatal(err)
 				}
 			},
 			want: Ready{},
@@ -82,8 +82,8 @@ func TestGoldenReadCoalescing(t *testing.T) {
 		{
 			name: "read 103 joins barrier 2 (no send since it registered)",
 			act: func(t *testing.T) {
-				if _, confirmed, err := c.ReadIndex(103); err != nil || confirmed {
-					t.Fatalf("ReadIndex: confirmed=%v err=%v", confirmed, err)
+				if err := c.ReadIndex(103); err != nil {
+					t.Fatal(err)
 				}
 			},
 			want: Ready{},
@@ -140,6 +140,7 @@ func TestGoldenReadFloorTermStart(t *testing.T) {
 		Members:       []types.NodeID{1, 2, 3},
 		ElectionTicks: 1,
 		Jitter:        func() int { return 0 },
+		Ablation:      Ablation{DisableLeaseRead: true},
 	}, HardState{Term: 1}, Snapshot{}, []LogEntry{
 		{Term: 1, Kind: EntryCommand, Command: []byte("a")},
 		{Term: 1, Kind: EntryCommand, Command: []byte("b")},
@@ -151,8 +152,8 @@ func TestGoldenReadFloorTermStart(t *testing.T) {
 	c.Step(Message{Type: MsgVoteResponse, From: 2, To: 1, Term: 2, Granted: true})
 	c.TakeReady() // no-op broadcast (seq 1, 2); commitIndex still 0
 
-	if _, confirmed, err := c.ReadIndex(7); err != nil || confirmed {
-		t.Fatalf("ReadIndex: confirmed=%v err=%v", confirmed, err)
+	if err := c.ReadIndex(7); err != nil {
+		t.Fatal(err)
 	}
 	c.TakeReady() // barrier round (seq 3, 4)
 
@@ -173,27 +174,32 @@ func TestGoldenReadFloorTermStart(t *testing.T) {
 // TestGoldenLeaseWindow pins the lease clock: no lease before any quorum
 // ack, a lease for strictly less than one election interval after one,
 // expiry at exactly the interval, and renewal on the next ack. All in
-// logical ticks — the same clock CheckQuorum and stickiness count.
+// logical ticks — the same clock CheckQuorum and stickiness count. A read
+// asked inside the window is answered from the lease in the very next
+// Effects, with no round.
 func TestGoldenLeaseWindow(t *testing.T) {
 	const et = 5
 	c := leaderET(t, et) // ticks = 1
+	leaseRead := func(ctx uint64) {
+		t.Helper()
+		if err := c.ReadIndex(ctx); err != nil {
+			t.Fatal(err)
+		}
+		assertReady(t, c.TakeReady(), Ready{ReadStates: []ReadState{{ReqID: ctx, Index: 1}}})
+	}
 	if _, ok := c.LeaseStatus(); ok {
 		t.Fatal("lease granted before any quorum ack")
 	}
 	// S2's ack (ticks 1) commits the no-op and starts the lease window.
 	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 1})
 	c.TakeReady()
-	if idx, ok := c.LeaseRead(); !ok || idx != 1 {
-		t.Fatalf("LeaseRead = (%d, %v), want (1, true)", idx, ok)
-	}
+	leaseRead(1)
 	// Four more ticks (ticks 5): 5-1 < 5, still inside the window.
 	for i := 0; i < et-1; i++ {
 		c.Tick()
 	}
 	c.TakeReady() // heartbeats
-	if idx, ok := c.LeaseRead(); !ok || idx != 1 {
-		t.Fatalf("LeaseRead at window edge = (%d, %v), want (1, true)", idx, ok)
-	}
+	leaseRead(2)
 	// One more tick (ticks 6): 6-1 = et, the window closed.
 	c.Tick()
 	c.TakeReady()
@@ -203,9 +209,7 @@ func TestGoldenLeaseWindow(t *testing.T) {
 	// A fresh ack (echoing the tick-6 heartbeat, seq 11) renews it.
 	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 11})
 	c.TakeReady()
-	if idx, ok := c.LeaseRead(); !ok || idx != 1 {
-		t.Fatalf("LeaseRead after renewal = (%d, %v), want (1, true)", idx, ok)
-	}
+	leaseRead(3)
 	if got := c.Counters().LeaseReads; got != 3 {
 		t.Fatalf("LeaseReads = %d, want 3", got)
 	}
@@ -325,15 +329,16 @@ func TestGoldenLeaseTogglesOff(t *testing.T) {
 }
 
 // TestGoldenFollowerForward pins the follower-served read wire protocol:
-// the forward to the known leader, resolution through a ReadState keyed
-// by ReadCtx, the abort on a Success=false response, and the leader-side
-// handling (barrier, lease fast path, and the not-a-leader refusal).
+// ReadIndex at a follower forwards to the known leader, resolution through a
+// ReadState keyed by ReadCtx, the abort on a Success=false response, and the
+// leader-side handling (barrier, lease fast path, and the not-a-leader
+// refusal).
 func TestGoldenFollowerForward(t *testing.T) {
 	t.Run("follower forwards and resolves on the response", func(t *testing.T) {
 		f := follower(2, []types.NodeID{1, 2, 3}, HardState{Term: 1}, nil)
 		f.Step(Message{Type: MsgAppendEntries, From: 1, To: 2, Term: 1, Seq: 1})
 		f.TakeReady() // learn the leader; drain the append response
-		if err := f.ForwardReadIndex(7); err != nil {
+		if err := f.ReadIndex(7); err != nil {
 			t.Fatal(err)
 		}
 		assertReady(t, f.TakeReady(), Ready{
@@ -346,7 +351,7 @@ func TestGoldenFollowerForward(t *testing.T) {
 		f := follower(2, []types.NodeID{1, 2, 3}, HardState{Term: 1}, nil)
 		f.Step(Message{Type: MsgAppendEntries, From: 1, To: 2, Term: 1, Seq: 1})
 		f.TakeReady()
-		if err := f.ForwardReadIndex(8); err != nil {
+		if err := f.ReadIndex(8); err != nil {
 			t.Fatal(err)
 		}
 		f.TakeReady()
@@ -355,8 +360,8 @@ func TestGoldenFollowerForward(t *testing.T) {
 	})
 	t.Run("no known leader: the forward fails fast", func(t *testing.T) {
 		f := follower(2, []types.NodeID{1, 2, 3}, HardState{}, nil)
-		if err := f.ForwardReadIndex(9); err == nil {
-			t.Fatal("ForwardReadIndex with no leader: want error")
+		if err := f.ReadIndex(9); err == nil {
+			t.Fatal("ReadIndex at a follower with no leader: want error")
 		}
 	})
 	t.Run("leader serves a forward through the barrier", func(t *testing.T) {
@@ -460,7 +465,7 @@ func TestGoldenLearnCommit(t *testing.T) {
 			HardState: &HardState{Term: 2},
 			Messages:  []Message{{Type: MsgAppendResponse, From: 2, To: 1, Term: 2, HintIndex: 3}},
 		})
-		if err := c.ForwardReadIndex(9); err != nil {
+		if err := c.ReadIndex(9); err != nil {
 			t.Fatal(err)
 		}
 		c.TakeReady()

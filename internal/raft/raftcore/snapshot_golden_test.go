@@ -187,12 +187,11 @@ func TestGoldenInstallSnapshotFollower(t *testing.T) {
 // resend restarts from offset 0.
 func TestGoldenSnapshotTransfer(t *testing.T) {
 	c := New(Config{
-		ID:               1,
-		Members:          []types.NodeID{1, 2, 3},
-		ElectionTicks:    5,
-		HeartbeatTicks:   5,
-		Jitter:           func() int { return 0 },
-		MaxSnapshotChunk: 2,
+		ID:             1,
+		Members:        []types.NodeID{1, 2, 3},
+		ElectionTicks:  5,
+		HeartbeatTicks: 5,
+		Jitter:         func() int { return 0 },
 	}, HardState{}, Snapshot{}, nil)
 	c.Tick() // a fresh core campaigns on its first tick
 	c.TakeReady()
@@ -213,7 +212,11 @@ func TestGoldenSnapshotTransfer(t *testing.T) {
 	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 3, Seq: 3})
 	c.TakeReady()
 
-	img := []byte("imgme") // 5 bytes → chunks of 2, 2, 1
+	const k = MaxSnapshotChunk
+	img := make([]byte, 2*k+1) // chunks of k, k, 1
+	for i := range img {
+		img[i] = byte(i)
+	}
 	if !c.Compact(3, img) {
 		t.Fatal("Compact(3) rejected")
 	}
@@ -225,12 +228,12 @@ func TestGoldenSnapshotTransfer(t *testing.T) {
 		return Message{
 			Type: MsgInstallSnapshot, From: 1, To: 3, Term: 1,
 			SnapIndex: 3, SnapTerm: 1, SnapMembers: []types.NodeID{1, 2, 3},
-			SnapOffset: off, SnapTotal: 5, SnapData: data, Seq: seq,
+			SnapOffset: off, SnapTotal: len(img), SnapData: data, Seq: seq,
 		}
 	}
 	c.Step(Message{Type: MsgAppendResponse, From: 3, To: 1, Term: 1, Success: false, HintIndex: 0, Seq: 2})
 	assertReady(t, c.TakeReady(), Ready{
-		Messages: []Message{chunk(0, img[0:2], 5), chunk(2, img[2:4], 6), chunk(4, img[4:5], 7)},
+		Messages: []Message{chunk(0, img[:k], 5), chunk(k, img[k:2*k], 6), chunk(2*k, img[2*k:], 7)},
 	})
 
 	// A second rejection inside the pacing window sends nothing: the
@@ -250,7 +253,7 @@ func TestGoldenSnapshotTransfer(t *testing.T) {
 			snaps = append(snaps, m)
 		}
 	}
-	want := []Message{chunk(0, img[0:2], 9), chunk(2, img[2:4], 10), chunk(4, img[4:5], 11)}
+	want := []Message{chunk(0, img[:k], 9), chunk(k, img[k:2*k], 10), chunk(2*k, img[2*k:], 11)}
 	if !reflect.DeepEqual(snaps, want) {
 		t.Fatalf("paced resend mismatch\n got: %#v\nwant: %#v", snaps, want)
 	}

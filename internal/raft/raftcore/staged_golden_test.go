@@ -184,7 +184,7 @@ func TestStagedHardStateHoldsMessages(t *testing.T) {
 		assertEffects(t, c, Effects{})
 		assertUnstable(t, c, Unstable{HardState: &HardState{Term: 2}})
 		// A forwarded read is not a promise about term or vote: free.
-		if err := c.ForwardReadIndex(7); err != nil {
+		if err := c.ReadIndex(7); err != nil {
 			t.Fatal(err)
 		}
 		assertEffects(t, c, Effects{Messages: []Message{

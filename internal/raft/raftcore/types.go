@@ -261,13 +261,13 @@ type SnapshotRequest struct {
 	Index int
 }
 
-// ReadState resolves one ReadIndex barrier. Index is the commit index the
-// barrier captured, confirmed by a quorum; a negative Index reports that
-// leadership was lost before confirmation and the read must be retried.
+// ReadState answers one read started with Core.ReadIndex. Index is the read
+// index the leader confirmed (by lease, single-voter quorum or barrier); a
+// negative Index reports that the read aborted and must be retried.
 type ReadState struct {
 	// ReqID echoes the identifier the caller passed to Core.ReadIndex.
 	ReqID uint64
-	// Index is the confirmed read index, or -1 if the barrier aborted.
+	// Index is the confirmed read index, or -1 if the read aborted.
 	Index int
 }
 
@@ -319,7 +319,7 @@ type Effects struct {
 	// delivered above a leader-installed snapshot before its Restore.
 	Committed []ApplyMsg
 
-	// ReadStates resolve ReadIndex barriers (confirmed or aborted).
+	// ReadStates answer the reads asked at this node (confirmed or aborted).
 	ReadStates []ReadState
 
 	// Restore, when non-nil, is a leader-installed snapshot that is now

@@ -10,11 +10,11 @@ import (
 	"adore/internal/types"
 )
 
-// TestReadIndexNotLeaderRace hammers ReadIndex on followers while the
-// leader's heartbeats update their last-known-leader field. The not-leader
-// error path used to read n.leader after releasing the mutex, which the
-// race detector flags the moment a heartbeat lands mid-format; this test
-// fails under -race on that code path.
+// TestReadIndexNotLeaderRace hammers reads on followers while the leader's
+// heartbeats update their last-known-leader field, which a follower's read
+// forwards to. The not-leader error path used to read n.leader after
+// releasing the mutex, which the race detector flags the moment a heartbeat
+// lands mid-format; this test fails under -race on any such read.
 func TestReadIndexNotLeaderRace(t *testing.T) {
 	c := newCluster(t, 3)
 	if _, err := c.WaitForLeader(waitLeader); err != nil {
@@ -31,8 +31,7 @@ func TestReadIndexNotLeaderRace(t *testing.T) {
 			defer wg.Done()
 			deadline := time.Now().Add(300 * time.Millisecond)
 			for time.Now().Before(deadline) {
-				// Followers always take the not-leader error path.
-				_, _ = n.ReadIndex(time.Millisecond)
+				_, _ = n.FollowerReadIndex(time.Millisecond)
 			}
 		}(n)
 	}

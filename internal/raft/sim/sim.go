@@ -620,42 +620,25 @@ func (s *Cluster) Counters(id types.NodeID) raftcore.Counters {
 	return s.nodes[id].core.Counters()
 }
 
-// ReadIndex starts a linearizable-read barrier at node id. With wait nil it
-// resolved at once (single-node quorum) at index idx; otherwise wait answers
-// once, on a later tick, with the confirmed index — negative if the barrier
-// aborted (leadership lost, the node halted): retry.
-func (s *Cluster) ReadIndex(id types.NodeID) (idx int, wait <-chan int, err error) {
-	err = s.op(id, func(n *node) (err error) { _, idx, wait, err = n.d.Read(false); return err })
-	return idx, wait, err
-}
-
-// LeaseRead attempts a zero-round leader-lease read at node id: ok reports
-// whether the node holds a valid lease, and idx is the confirmed read index
-// (serve-after-apply applies, as with ReadIndex). A lease read has no Ready
-// effects — nothing to flush.
-func (s *Cluster) LeaseRead(id types.NodeID) (idx int, ok bool) {
-	if !s.Alive(id) {
-		return 0, false
-	}
-	return s.nodes[id].core.LeaseRead()
+// Read starts one linearizable read at node id: a follower forwards it to
+// its known leader, a leader answers it itself (lease, single-voter quorum or
+// barrier). wait answers once with the index to serve the read at on node id
+// — in this call's Ready when the answer is at hand, otherwise on a later
+// tick — negative if the read aborted (leadership lost, the forward refused,
+// the node halted): retry.
+func (s *Cluster) Read(id types.NodeID) (wait <-chan int, err error) {
+	err = s.op(id, func(n *node) (err error) { _, wait, err = n.d.Read(); return err })
+	return wait, err
 }
 
 // LeaseProbe is the side-effect-free lease inspection used by the chaos
-// stale-read oracle: same answer as LeaseRead without counting as a served
-// read.
+// stale-read oracle: whether node id would answer a read from its lease right
+// now, and at what index, without serving one.
 func (s *Cluster) LeaseProbe(id types.NodeID) (idx int, ok bool) {
 	if !s.Alive(id) {
 		return 0, false
 	}
 	return s.nodes[id].core.LeaseStatus()
-}
-
-// ForwardRead starts a follower-served read at node id: the node forwards a
-// ReadIndex request to its known leader, and wait answers like ReadIndex's
-// (negative = the leader refused — retry).
-func (s *Cluster) ForwardRead(id types.NodeID) (wait <-chan int, err error) {
-	err = s.op(id, func(n *node) (err error) { _, _, wait, err = n.d.Read(true); return err })
-	return wait, err
 }
 
 // --- Nemesis operations ---

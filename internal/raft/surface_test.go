@@ -11,13 +11,13 @@ import (
 
 // TestNodeSurface pins *Node's exported method set. The paper's ADO has four
 // operations; the node offers each once (invoke = ProposeAsync, reconfig =
-// ProposeConfig, node state = Snapshot). A new method has to be added here,
+// ProposeConfig, node state = Snapshot), and a linearizable read once
+// (FollowerReadIndex, at any replica). A new method has to be added here,
 // in review, rather than regrow the surface silently.
 func TestNodeSurface(t *testing.T) {
 	want := []string{ // sorted, as reflect lists them
-		"ApplyCh", "Done", "FollowerReadIndex", "ID", "LeaseRead",
-		"PickTransferTarget", "ProposeAsync", "ProposeConfig", "ReadIndex",
-		"Snapshot", "Stop", "Tick", "TransferLeader",
+		"ApplyCh", "Done", "FollowerReadIndex", "ID", "PickTransferTarget",
+		"ProposeAsync", "ProposeConfig", "Snapshot", "Stop", "Tick", "TransferLeader",
 	}
 	typ := reflect.TypeOf((*raft.Node)(nil))
 	var got []string
