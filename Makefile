@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-teeth check loc bench bench-evidence bench-reads-smoke benchmark-smoke bench-compare fuzz-smoke chaos chaos-smoke chaos-teeth chaos-parity chaos-elections chaos-leases chaos-disk fingerprints sim-sweep sim-teeth sim-sweep-groups sim-teeth-groups
+.PHONY: all build test race vet lint lint-teeth check loc bench bench-evidence bench-reads-smoke benchmark-smoke bench-compare fuzz-smoke chaos chaos-smoke chaos-teeth chaos-parity kv-race chaos-elections chaos-leases chaos-disk fingerprints sim-sweep sim-teeth sim-sweep-groups sim-teeth-groups
 
 all: check
 
@@ -83,6 +83,13 @@ chaos-teeth:
 # its own goroutine).
 chaos-parity:
 	$(GO) test -race -count=1 -run 'TestExecutorEveryEvent|TestRunLoopAndEpilogue|TestLiveSimVerdictParity' ./internal/chaos
+
+# kv-race runs the KV replica (kvstore.Server) under the race detector,
+# three times over: the in-process service's scenarios, where a restarted
+# node replays its storage into a fresh Store (DedupSurvivesShardSnapshot),
+# and three Servers over loopback TCP.
+kv-race:
+	$(GO) test -race -count=3 -run 'TestReplicated|TestServerOverTCP' ./internal/kvstore ./cmd/raft-kv
 
 # chaos-elections is the election-robustness gate: both election teeth
 # (knock out Pre-Vote → the rejoin-disruption schedule must be caught;

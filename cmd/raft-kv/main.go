@@ -41,10 +41,14 @@
 // it) and recovers both across restarts. With -shards > 1 each group lives
 // in its own DIR/group-NNNN subdirectory, so one group's compaction can
 // never unlink another's segments.
+//
+// A replica is a kvstore.Server on the TCP transport; this command adds the
+// flags and the line protocol.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -168,69 +172,39 @@ func parseReadMode(s string) (local bool, err error) {
 	}
 }
 
-// start brings one replica up: the TCP transport, one state machine per
-// shard, and the multiraft host over them.
+// start brings one replica up: the TCP transport and a kvstore.Server over
+// it, with one group per shard.
 func start(cfg config) (*server, error) {
 	members := make([]types.NodeID, 0, len(cfg.peers))
 	for pid := range cfg.peers {
 		members = append(members, pid)
 	}
-	stores := make([]*kvstore.Store, cfg.shards)
-	for g := range stores {
-		stores[g] = kvstore.NewStore()
-	}
 	tr, err := transport.NewTCPTransport(cfg.id, cfg.listen, cfg.peers, nil)
 	if err != nil {
 		return nil, err
 	}
-	srv := &server{cfg: cfg, members: members, tr: tr, stores: stores}
-	hostOpts := multiraft.Options{
+	host, err := kvstore.StartServer(multiraft.Options{
 		ID:                 cfg.id,
 		Members:            members,
 		Groups:             cfg.shards,
 		Transport:          tr,
 		ElectionTimeoutMin: cfg.electionTimeout,
+		StorageRoot:        cfg.walDir,
 		SnapshotThreshold:  cfg.snapThreshold,
 		Ablation:           cfg.ablation,
 		Seed:               int64(cfg.id),
-		StateMachineFor:    func(g raft.GroupID) raft.StateMachine { return stores[g] },
-		OnApply: func(g raft.GroupID, batch []raft.ApplyMsg) {
-			for _, msg := range batch {
-				stores[g].Apply(msg)
-			}
-		},
-	}
-	if cfg.walDir != "" {
-		if cfg.shards == 1 {
-			// Single-group deployments keep the flat pre-shards layout, so
-			// existing WAL directories recover unchanged.
-			fs, err := raft.OpenFileStorage(cfg.walDir)
-			if err != nil {
-				tr.Close()
-				return nil, err
-			}
-			srv.wal = fs
-			hostOpts.StorageFor = func(raft.GroupID) raft.Storage { return fs }
-		} else {
-			hostOpts.StorageRoot = cfg.walDir
-		}
-	}
-	if srv.host, err = multiraft.Start(hostOpts); err != nil {
-		srv.stop()
+	})
+	if err != nil {
+		tr.Close()
 		return nil, err
 	}
-	return srv, nil
+	return &server{cfg: cfg, members: members, tr: tr, host: host}, nil
 }
 
 // stop shuts the replica down and releases its sockets and WAL.
 func (s *server) stop() {
-	if s.host != nil {
-		s.host.Stop()
-	}
+	s.host.Stop()
 	s.tr.Close()
-	if s.wal != nil {
-		s.wal.Close()
-	}
 }
 
 func parsePeers(s string) (map[types.NodeID]string, error) {
@@ -268,14 +242,12 @@ func bumpPort(addr string, by int) string {
 	return net.JoinHostPort(host, strconv.Itoa(p+by))
 }
 
-// server routes client commands to their key's shard.
+// server serves the line protocol on one replica.
 type server struct {
 	cfg     config
 	members []types.NodeID // initial membership (every -peers entry)
 	tr      *transport.TCPTransport
-	host    *multiraft.Host
-	stores  []*kvstore.Store
-	wal     raft.Storage // the flat single-shard WAL start opened (else nil)
+	host    *kvstore.Server
 }
 
 // session is one client connection's identity in the replicated dedup
@@ -291,12 +263,6 @@ type session struct {
 
 func (s *server) newSession() *session {
 	return &session{srv: s, client: rand.Uint64()}
-}
-
-// route returns the raft node and state machine responsible for key.
-func (s *server) route(key string) (*raft.Node, *kvstore.Store) {
-	g := kvstore.ShardOf(key, s.cfg.shards)
-	return s.host.Node(g), s.stores[g]
 }
 
 func (s *server) serve(ln net.Listener) {
@@ -335,60 +301,65 @@ func (s *server) eachGroup(f func(*raft.Node) error) string {
 	return "OK"
 }
 
-// get serves a read at the configured -read-mode. Unless it is local it asks
-// for a read index first (FollowerReadIndex: forwarded to the leader from a
-// follower, answered from the lease or a quorum barrier at the leader), then
-// waits for the local state machine to apply up to that index before
-// serving. On a follower that wait is for the quorum's disks, not this
-// replica's own.
+// get serves a read at the configured -read-mode: through the key's replica
+// (a read index from the leader, then this replica's apply), or with local
+// mode straight from this replica's Store. On a follower the apply wait is
+// for the quorum's disks, not this replica's own.
 func (s *server) get(key string) string {
-	node, store := s.route(key)
+	rep := s.host.Replica(key)
+	var v string
+	var ok bool
 	if s.cfg.readLocal {
-		if v, ok := store.LocalGet(key); ok {
-			return "VALUE " + v
+		v, ok = rep.Store.LocalGet(key)
+	} else {
+		var err error
+		v, ok, err = rep.Read(key, 5*time.Second)
+		switch {
+		case errors.Is(err, kvstore.ErrTimeout):
+			return "ERR timeout waiting for apply"
+		case err != nil:
+			return fmt.Sprintf("ERR read barrier: %s (try %s)", err, rep.Node.Snapshot().Leader)
 		}
-		return "NOTFOUND"
 	}
-	const timeout = 5 * time.Second
-	idx, err := node.FollowerReadIndex(timeout)
-	if err != nil {
-		return fmt.Sprintf("ERR read barrier: %s (try %s)", err, node.Snapshot().Leader)
-	}
-	if !store.WaitApplied(idx, time.Now().Add(timeout)) {
-		return "ERR timeout waiting for apply"
-	}
-	if v, ok := store.LocalGet(key); ok {
+	if ok {
 		return "VALUE " + v
 	}
 	return "NOTFOUND"
 }
 
-// write proposes cmd on this session through the key's shard leader, waits
-// for the local state machine to apply it, and replies with what it did.
+// write runs cmd on this session through the key's replica and replies with
+// what the state machine did.
 func (c *session) write(cmd kvstore.Command) string {
-	node, store := c.srv.route(cmd.Key)
+	rep := c.srv.host.Replica(cmd.Key)
 	c.seq++
 	cmd.Client, cmd.Seq = c.client, c.seq
-	idx, _, err := node.ProposeAsync(cmd.Encode()).Wait()
-	if err != nil {
-		return fmt.Sprintf("ERR not leader (try %s)", node.Snapshot().Leader)
-	}
-	if !store.WaitApplied(idx, time.Now().Add(5*time.Second)) {
+	res, err := rep.Write(cmd, 5*time.Second)
+	switch {
+	case errors.Is(err, kvstore.ErrTimeout):
 		return "ERR timeout"
-	}
-	seq, res := store.LastApplied(c.client)
-	if seq != c.seq {
-		// Another leader's entry landed at our index: ours was never
-		// committed and never will be.
-		return fmt.Sprintf("ERR leadership changed, not applied (try %s)", node.Snapshot().Leader)
-	}
-	if cmd.Op == kvstore.OpDelete && !res.Found {
+	case errors.Is(err, kvstore.ErrNotApplied):
+		return fmt.Sprintf("ERR leadership changed, not applied (try %s)", rep.Node.Snapshot().Leader)
+	case err != nil:
+		return fmt.Sprintf("ERR not leader (try %s)", rep.Node.Snapshot().Leader)
+	case cmd.Op == kvstore.OpDelete && !res.Found:
 		return "NOTFOUND"
-	}
-	if cmd.Op == kvstore.OpCAS && !res.Swapped {
+	case cmd.Op == kvstore.OpCAS && !res.Swapped:
 		return "NOTSWAPPED"
 	}
 	return "OK"
+}
+
+// perGroup renders field of each group's state, labelled by format with the
+// group's number when the replica hosts more than one.
+func (s *server) perGroup(format string, field func(raft.Snapshot) string) string {
+	if s.cfg.shards == 1 {
+		return field(s.host.Node(0).Snapshot())
+	}
+	parts := make([]string, s.cfg.shards)
+	for g := range parts {
+		parts[g] = fmt.Sprintf(format, g, field(s.host.Node(raft.GroupID(g)).Snapshot()))
+	}
+	return strings.Join(parts, " ")
 }
 
 // statusFields renders one group's status: applied above stable is a
@@ -426,23 +397,9 @@ func (c *session) handleCommand(fields []string) string {
 		return c.write(kvstore.Command{Op: kvstore.OpCAS, Key: fields[1], Old: fields[2], Value: fields[3]})
 	case "members":
 		// Groups reconfigure independently; report each group's view.
-		if s.cfg.shards == 1 {
-			return "MEMBERS " + s.host.Node(0).Snapshot().Members.String()
-		}
-		parts := make([]string, s.cfg.shards)
-		for g := range parts {
-			parts[g] = fmt.Sprintf("g%d=%s", g, s.host.Node(raft.GroupID(g)).Snapshot().Members)
-		}
-		return "MEMBERS " + strings.Join(parts, " ")
+		return "MEMBERS " + s.perGroup("g%d=%s", func(st raft.Snapshot) string { return st.Members.String() })
 	case "status":
-		if s.cfg.shards == 1 {
-			return "STATUS " + statusFields(s.host.Node(0).Snapshot())
-		}
-		parts := make([]string, s.cfg.shards)
-		for g := range parts {
-			parts[g] = fmt.Sprintf("g%d[%s]", g, statusFields(s.host.Node(raft.GroupID(g)).Snapshot()))
-		}
-		return "STATUS " + strings.Join(parts, " ")
+		return "STATUS " + s.perGroup("g%d[%s]", statusFields)
 	case "addserver":
 		if len(fields) != 2 {
 			return "ERR usage: addserver ID"

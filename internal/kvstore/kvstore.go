@@ -1,8 +1,9 @@
 // Package kvstore is the distributed key-value store the paper uses as its
 // running application example (§2): a replicated map driven through the
-// consensus log. Every operation — including reads — goes through the log,
-// giving linearizable semantics, and client request IDs make retried
-// proposals idempotent.
+// consensus log. Writes go through the log, with client request IDs making
+// retries idempotent; reads are served from a replica's Store once it has
+// applied through a read index. A Server is one replica (cmd/raft-kv runs one
+// over TCP); Replicated runs one per node in process.
 package kvstore
 
 import (
@@ -427,13 +428,11 @@ func (s *Store) AppliedIndex() int {
 	return s.applied
 }
 
-// WaitApplied blocks until the apply cursor reaches idx — the
-// serve-after-apply half of every read barrier — or the deadline passes,
-// and reports whether the cursor got there. It parks on the same per-index
-// waiters the write path uses, so it is woken by the Apply that lands idx
-// (or the snapshot that folds it), not by polling, and Apply pays nothing
-// for readers that are not waiting.
-func (s *Store) WaitApplied(idx int, deadline time.Time) bool {
+// waitApplied blocks until the apply cursor reaches idx or the deadline
+// passes, and reports whether it got there. It parks on the per-index waiters
+// the write path uses, so the Apply that lands idx (or the snapshot that
+// folds it) wakes it, and Apply pays nothing for readers that are not waiting.
+func (s *Store) waitApplied(idx int, deadline time.Time) bool {
 	ch := s.wait(idx, 0, 0)
 	t := time.NewTimer(time.Until(deadline))
 	defer t.Stop()
@@ -445,7 +444,6 @@ func (s *Store) WaitApplied(idx int, deadline time.Time) bool {
 	}
 }
 
-// ErrTimeout reports that a request did not commit within its deadline.
-// (Leadership loss mid-request is not surfaced: the client retries
-// transparently, relying on the dedup table for idempotency.)
+// ErrTimeout reports that a request did not apply within its deadline.
+// (Client retries leadership loss transparently, relying on the dedup table.)
 var ErrTimeout = errors.New("kvstore: request timed out")

@@ -79,14 +79,14 @@ func TestStoreWaiters(t *testing.T) {
 func TestStoreWaitApplied(t *testing.T) {
 	s := NewStore()
 	applyCmd(t, s, 1, Command{Op: OpPut, Key: "a", Value: "1", Client: 1, Seq: 1})
-	if !s.WaitApplied(1, time.Now()) {
+	if !s.waitApplied(1, time.Now()) {
 		t.Fatal("index 1 is applied: want true without waiting")
 	}
 
 	const readers = 8
 	done := make(chan bool, readers)
 	for i := 0; i < readers; i++ {
-		go func() { done <- s.WaitApplied(3, time.Now().Add(opTimeout)) }()
+		go func() { done <- s.waitApplied(3, time.Now().Add(opTimeout)) }()
 	}
 	for s.waitingAt(3) < readers { // every reader is parked on the cursor
 		time.Sleep(100 * time.Microsecond)
@@ -100,12 +100,12 @@ func TestStoreWaitApplied(t *testing.T) {
 	applyCmd(t, s, 3, Command{Op: OpPut, Key: "a", Value: "3", Client: 1, Seq: 3})
 	for i := 0; i < readers; i++ {
 		if !<-done {
-			t.Fatal("WaitApplied(3) = false after index 3 applied")
+			t.Fatal("waitApplied(3) = false after index 3 applied")
 		}
 	}
 
-	if s.WaitApplied(9, time.Now().Add(5*time.Millisecond)) {
-		t.Fatal("WaitApplied(9) = true with the cursor at 3")
+	if s.waitApplied(9, time.Now().Add(5*time.Millisecond)) {
+		t.Fatal("waitApplied(9) = true with the cursor at 3")
 	}
 }
 

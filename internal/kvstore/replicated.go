@@ -8,16 +8,17 @@ import (
 	"time"
 
 	"adore/internal/backoff"
+	"adore/internal/multiraft"
 	"adore/internal/raft"
 	"adore/internal/raft/cluster"
 	"adore/internal/types"
 )
 
-// Replicated is a complete in-process replicated key-value service: a raft
-// cluster, one Store per (shard, node), and a linearizable client interface.
-// The keyspace is hash-partitioned over cluster.Options.Groups raft groups
-// (one by default) multiplexed over the cluster's shared transport and tick
-// loop. Each shard is its own consensus instance — its own leader, log,
+// Replicated is a complete in-process replicated key-value service: a Server
+// per node of a raft cluster, and a linearizable client interface. The
+// keyspace is hash-partitioned over cluster.Options.Groups raft groups (one by
+// default) multiplexed over the cluster's shared transport and tick loop.
+// Each shard is its own consensus instance — its own leader, log,
 // snapshots and dedup table — so aggregate write throughput scales with
 // shards while per-key operations remain linearizable (operations spanning
 // shards are NOT transactional; reconfiguration applies per group).
@@ -44,42 +45,37 @@ type Replicated struct {
 	shards int
 
 	mu      sync.Mutex
-	stores  map[shardNode]*Store         // guarded by mu
+	servers map[types.NodeID]*Server     // each node's latest incarnation; guarded by mu
 	serveMu map[types.NodeID]*sync.Mutex // guarded by mu
 
 	nextClient uint64 // accessed atomically
 	retries    uint64 // accessed atomically
 }
 
-// shardNode addresses one shard's state machine on one node.
-type shardNode struct {
-	g  raft.GroupID
-	id types.NodeID
-}
-
 // NewReplicated starts an opts.N-node replicated store over a simulated
 // network, one shard per raft group (opts.Groups; 0 = 1). The caller
 // configures everything else (latency, seed, snapshot threshold, storage)
-// as usual; the apply and state-machine hooks are the service's.
+// as usual; every node the cluster starts or restarts is a fresh Server.
 func NewReplicated(opts cluster.Options) *Replicated {
 	r := &Replicated{
 		shards:  max(opts.Groups, 1),
-		stores:  make(map[shardNode]*Store),
+		servers: make(map[types.NodeID]*Server),
 		serveMu: make(map[types.NodeID]*sync.Mutex),
 	}
-	opts.OnApply = func(g raft.GroupID, id types.NodeID, msg raft.ApplyMsg) {
-		r.Store(g, id).Apply(msg)
-	}
-	opts.StateMachineFor = func(g raft.GroupID, id types.NodeID) raft.StateMachine {
-		return r.Store(g, id)
+	opts.Start = func(o multiraft.Options) (*multiraft.Host, error) {
+		s, err := StartServer(o)
+		if err != nil {
+			return nil, err
+		}
+		r.mu.Lock()
+		r.servers[o.ID] = s
+		r.mu.Unlock()
+		return s.Host, nil
 	}
 	r.Cluster = cluster.New(opts)
 	r.Client = r.NewClient()
 	return r
 }
-
-// Shards returns the number of keyspace partitions (= raft groups).
-func (r *Replicated) Shards() int { return r.shards }
 
 // ShardOf maps a key to its raft group.
 func (r *Replicated) ShardOf(key string) raft.GroupID { return ShardOf(key, r.shards) }
@@ -97,17 +93,12 @@ func ShardOf(key string, shards int) raft.GroupID {
 	return raft.GroupID(h.Sum32() % uint32(shards))
 }
 
-// Store returns shard g's state machine on the given replica.
+// Store returns shard g's state machine on the given replica's latest start
+// (a restart replays storage into a fresh one). The node must have started.
 func (r *Replicated) Store(g raft.GroupID, id types.NodeID) *Store {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := shardNode{g, id}
-	st, ok := r.stores[k]
-	if !ok {
-		st = NewStore()
-		r.stores[k] = st
-	}
-	return st
+	return r.servers[id].stores[g]
 }
 
 // Retries reports how many request attempts across all clients found no
@@ -143,14 +134,14 @@ const (
 )
 
 // Client is one logical client session. Its request identity is global, but
-// sequence numbers, leader hints, backoff jitter and the retry timer are all
-// per shard: each group's dedup table is its own state machine and assumes
-// at most one outstanding request per client ID (Seq numbers commit in
-// order). So a session may run concurrent requests only when they target
-// different shards, and every concurrently-operating caller of one shard
-// must hold its own Client: two goroutines sharing an ID can commit out of
-// sequence order, and the dedup table would swallow the later-committing
-// request as a stale duplicate.
+// sequence numbers, leader hints and backoff jitter are all per shard: each
+// group's dedup table is its own state machine and assumes at most one
+// outstanding request per client ID (Seq numbers commit in order). So a
+// session may run concurrent requests only when they target different
+// shards, and every concurrently-operating caller of one shard must hold its
+// own Client: two goroutines sharing an ID can commit out of sequence order,
+// and the dedup table would swallow the later-committing request as a stale
+// duplicate.
 type Client struct {
 	r      *Replicated
 	id     uint64
@@ -160,10 +151,9 @@ type Client struct {
 // shardSession is a session's state against one shard; only the one request
 // outstanding on that shard touches it.
 type shardSession struct {
-	seq   uint64
-	hint  types.NodeID     // cached leader (NoNode = unknown)
-	bo    *backoff.Backoff // this (session, shard)'s private jitter stream
-	timer *time.Timer      // the attempt timer, reused across requests
+	seq  uint64
+	hint types.NodeID     // cached leader (NoNode = unknown)
+	bo   *backoff.Backoff // this (session, shard)'s private jitter stream
 }
 
 // NewClient mints a fresh client session.
@@ -192,29 +182,6 @@ func (s *shardSession) leader(gv cluster.GroupView) *raft.Node {
 	return n
 }
 
-// arm starts the attempt timer for d. One timer per shard session, not a
-// time.After per attempt: under go 1.22 each of those stays live for its
-// whole duration after the operation that armed it has returned.
-func (s *shardSession) arm(d time.Duration) <-chan time.Time {
-	if s.timer == nil {
-		s.timer = time.NewTimer(d)
-	} else {
-		s.timer.Reset(d)
-	}
-	return s.timer.C
-}
-
-// disarm stops the attempt timer before it fired, leaving it ready for the
-// next arm.
-func (s *shardSession) disarm() {
-	if !s.timer.Stop() {
-		select {
-		case <-s.timer.C:
-		default:
-		}
-	}
-}
-
 // retry records one failed attempt against the shard. An ErrLeaderStepdown
 // means the leader told us it stepped down (CheckQuorum or a transfer) and
 // its successor is likely already up: re-probe immediately. Anything else
@@ -240,7 +207,6 @@ func (c *Client) Do(op Op, key, value, old string, timeout time.Duration) (Resul
 	s := &c.shards[g]
 	s.seq++
 	cmd := Command{Op: op, Key: key, Value: value, Old: old, Client: c.id, Seq: s.seq}
-	payload := cmd.Encode()
 	deadline := time.Now().Add(timeout)
 	s.bo.Reset()
 	for time.Now().Before(deadline) {
@@ -249,26 +215,18 @@ func (c *Client) Do(op Op, key, value, old string, timeout time.Duration) (Resul
 			c.retry(s, nil, deadline)
 			continue
 		}
-		idx, _, err := leader.ProposeAsync(payload).Wait()
-		if err != nil {
+		res, err := Replica{Node: leader, Store: c.r.Store(g, leader.ID())}.Write(cmd, min(attemptSlice, time.Until(deadline)))
+		switch {
+		case err == nil:
+			return res, nil
+		case errors.Is(err, ErrNotApplied), errors.Is(err, ErrTimeout):
+			// Leadership changed, or a deposed leader may never commit our
+			// index: re-probe at once (the dedup table keeps it idempotent).
+			s.bo.Reset()
+			s.hint = types.NoNode
+		default:
 			c.retry(s, err, deadline)
-			continue
 		}
-		s.bo.Reset()
-		ch := c.r.Store(g, leader.ID()).wait(idx, cmd.Client, cmd.Seq)
-		expired := s.arm(min(attemptSlice, time.Until(deadline)))
-		select {
-		case wr := <-ch:
-			s.disarm()
-			if wr.mine {
-				return wr.res, nil
-			}
-			// A different entry landed at our index: leadership changed.
-		case <-expired:
-			// Possibly a deposed leader that will never commit our index.
-		}
-		// Re-probe; the dedup table makes the retry idempotent.
-		s.hint = types.NoNode
 	}
 	return Result{}, ErrTimeout
 }
@@ -313,8 +271,8 @@ func (c *Client) FastGet(key string, timeout time.Duration) (string, bool, error
 
 // FastGetMode is FastGet at an explicit replica, routed to the key's shard:
 // the leader, or a follower that forwards the read and serves it from its own
-// state machine. Failures retry like Do's, across leader changes until the
-// deadline.
+// state machine. Failures, and a replica that does not apply through the read
+// index within an attempt slice, retry like Do's until the deadline.
 func (c *Client) FastGetMode(key string, mode ReadMode, timeout time.Duration) (string, bool, error) {
 	g := c.r.ShardOf(key)
 	gv := c.r.Cluster.Group(g)
@@ -333,17 +291,12 @@ func (c *Client) FastGetMode(key string, mode ReadMode, timeout time.Duration) (
 			c.retry(s, nil, deadline)
 			continue
 		}
-		idx, err := n.FollowerReadIndex(min(attemptSlice, time.Until(deadline)))
+		v, found, err := Replica{Node: n, Store: c.r.Store(g, n.ID())}.Read(key, min(attemptSlice, time.Until(deadline)))
 		if err != nil {
 			c.retry(s, err, deadline)
 			continue
 		}
-		st := c.r.Store(g, n.ID())
-		if !st.WaitApplied(idx, deadline) {
-			return "", false, ErrTimeout
-		}
 		c.r.chargeServe(n.ID())
-		v, found := st.LocalGet(key)
 		return v, found, nil
 	}
 	return "", false, ErrTimeout

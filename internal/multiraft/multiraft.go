@@ -12,7 +12,8 @@
 //     reads the endpoint's inbox directly.
 //   - Wall time: one ticker drives every group's logical clock (a node has
 //     no clock of its own), one tick per ElectionTimeoutMin/ElectionTicks.
-//   - Storage: one root directory, with each group confined to its own
+//   - Storage: one root directory. A one-group host keeps its WAL in the
+//     root itself; with more groups each is confined to its own
 //     subdirectory (GroupStorageDir). Segment and snapshot names are
 //     namespaced by that subdirectory, so compaction in one group can
 //     never unlink another group's files — the isolation is physical
@@ -61,9 +62,10 @@ type Options struct {
 	// time (0 = 50 ms); the host's tick period is derived from it alone.
 	ElectionTimeoutMin time.Duration
 
-	// StorageRoot, when non-empty, backs each group with a FileStorage in
-	// its own subdirectory (GroupStorageDir(root, g)). StorageFor, when
-	// set, overrides it per group (nil return = volatile group).
+	// StorageRoot, when non-empty, backs each group with a FileStorage: a
+	// one-group host uses the root itself, more groups each use their own
+	// subdirectory (GroupStorageDir(root, g)). StorageFor, when set,
+	// overrides it per group (nil return = volatile group).
 	StorageRoot string
 	StorageFor  func(raft.GroupID) raft.Storage
 
@@ -92,11 +94,11 @@ type Options struct {
 	InboxSize int
 }
 
-// GroupStorageDir is the per-group WAL directory under a host's storage
-// root. Keeping each group in its own subdirectory — rather than prefixing
-// file names in a shared one — makes cross-group unlinks impossible by
-// construction: FileStorage compaction enumerates and removes files only
-// inside its own dir.
+// GroupStorageDir is the per-group WAL directory under the storage root of a
+// host with more than one group. Keeping each group in its own subdirectory
+// — rather than prefixing file names in a shared one — makes cross-group
+// unlinks impossible by construction: FileStorage compaction enumerates and
+// removes files only inside its own dir.
 func GroupStorageDir(root string, g raft.GroupID) string {
 	return filepath.Join(root, fmt.Sprintf("group-%04d", g))
 }
@@ -177,7 +179,11 @@ func (h *Host) storageFor(g raft.GroupID) (raft.Storage, error) {
 	if h.opts.StorageRoot == "" {
 		return nil, nil
 	}
-	fs, err := raft.OpenFileStorage(GroupStorageDir(h.opts.StorageRoot, g))
+	dir := h.opts.StorageRoot
+	if h.opts.Groups > 1 {
+		dir = GroupStorageDir(dir, g)
+	}
+	fs, err := raft.OpenFileStorage(dir)
 	if err != nil {
 		return nil, fmt.Errorf("multiraft: group %d storage: %w", g, err)
 	}
@@ -215,9 +221,6 @@ func (h *Host) tickLoop() {
 
 // ID returns the host's node identity.
 func (h *Host) ID() types.NodeID { return h.opts.ID }
-
-// Groups returns how many groups the host runs.
-func (h *Host) Groups() int { return len(h.nodes) }
 
 // Node returns group g's raft node (nil if g is out of range).
 func (h *Host) Node(g raft.GroupID) *raft.Node {

@@ -317,6 +317,59 @@ func TestGroupStorageNamespacing(t *testing.T) {
 	}
 }
 
+// TestStorageRootLayout pins where StorageRoot puts each group's WAL: a
+// one-group host uses the root itself, so a directory written by a plain
+// FileStorage reopens under it with every entry; a two-group host gives each
+// group its own GroupStorageDir.
+func TestStorageRootLayout(t *testing.T) {
+	start := func(root string, groups int) *Host {
+		t.Helper()
+		net := transport.NewMemNetwork(0, 0, 1)
+		t.Cleanup(net.Close)
+		h, err := Start(Options{
+			ID:          1,
+			Members:     []types.NodeID{1},
+			Groups:      groups,
+			Transport:   transport.HostTransport{Net: net, ID: 1},
+			StorageRoot: root,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+
+	flat := t.TempDir()
+	fs, err := raft.OpenFileStorage(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SaveState(raft.HardState{Term: 1, VotedFor: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 20; i++ {
+		e := raft.LogEntry{Term: 1, Kind: raft.EntryCommand, Command: []byte(fmt.Sprintf("e%d", i))}
+		if err := fs.SaveEntries(i, []raft.LogEntry{e}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h := start(flat, 1)
+	last := h.Node(0).Snapshot().LastIndex
+	h.Stop()
+	if last < 20 {
+		t.Fatalf("one-group host on a flat WAL recovered through index %d, want 20", last)
+	}
+
+	root := t.TempDir()
+	start(root, 2).Stop()
+	if got := fmt.Sprint(listDir(t, root)); got != "[group-0000 group-0001]" {
+		t.Fatalf("two-group host's storage root holds %s, want one directory per group", got)
+	}
+}
+
 // TestCrossGroupUnlinkIsCaught is the storage half of the teeth argument:
 // if a buggy flat-layout compactor DID unlink another group's segment (the
 // bug the per-group subdirectories make impossible), the victim's next

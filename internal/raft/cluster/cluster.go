@@ -40,16 +40,12 @@ type Options struct {
 	raft.Ablation
 	// Seed drives all randomness.
 	Seed int64
-	// OnApply, when set, is called synchronously from each node's apply
-	// drain for every committed entry of every group (state machines hook
-	// in here).
-	OnApply func(raft.GroupID, types.NodeID, raft.ApplyMsg)
 	// StorageFor, when set, supplies per-(group, node) persistent storage,
 	// which makes CrashNode/RestartNode meaningful (state survives).
 	StorageFor func(raft.GroupID, types.NodeID) raft.Storage
-	// StateMachineFor, when set, gives each (group, node) snapshot access to
-	// its application state machine (required for SnapshotThreshold > 0).
-	StateMachineFor func(raft.GroupID, types.NodeID) raft.StateMachine
+	// Start launches every node's host, at each start and restart (nil =
+	// multiraft.Start); kvstore.StartServer wraps the host with its Stores.
+	Start func(multiraft.Options) (*multiraft.Host, error)
 	// SnapshotThreshold enables log compaction: after this many applied
 	// entries above the snapshot base a node captures its state machine
 	// and truncates its WAL (0 = disabled).
@@ -99,6 +95,9 @@ func New(opts Options) *Cluster {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
+	if opts.Start == nil {
+		opts.Start = multiraft.Start
+	}
 	c := &Cluster{
 		Net:     transport.NewMemNetwork(opts.Latency, opts.Jitter, opts.Seed),
 		opts:    opts,
@@ -117,7 +116,7 @@ func New(opts Options) *Cluster {
 // with the given initial membership and attaches it to the network.
 // It returns the node's group-0 raft instance (the single-group API).
 func (c *Cluster) StartNode(id types.NodeID, members []types.NodeID) *raft.Node {
-	host, err := multiraft.Start(multiraft.Options{
+	host, err := c.opts.Start(multiraft.Options{
 		ID:                 id,
 		Members:            members,
 		Groups:             c.opts.groups(),
@@ -128,12 +127,6 @@ func (c *Cluster) StartNode(id types.NodeID, members []types.NodeID) *raft.Node 
 				return nil
 			}
 			return c.opts.StorageFor(g, id)
-		},
-		StateMachineFor: func(g raft.GroupID) raft.StateMachine {
-			if c.opts.StateMachineFor == nil {
-				return nil
-			}
-			return c.opts.StateMachineFor(g, id)
 		},
 		OnApply: func(g raft.GroupID, batch []raft.ApplyMsg) {
 			c.record(g, id, batch)
@@ -154,19 +147,15 @@ func (c *Cluster) StartNode(id types.NodeID, members []types.NodeID) *raft.Node 
 	return host.Node(0)
 }
 
-// record captures one group's apply batch and fans it out to the hooks.
+// record captures one group's apply batch.
 func (c *Cluster) record(g raft.GroupID, id types.NodeID, batch []raft.ApplyMsg) {
-	if !c.opts.NoApplyRecord {
-		k := gkey{g, id}
-		c.mu.Lock()
-		c.applied[k] = append(c.applied[k], batch...)
-		c.mu.Unlock()
+	if c.opts.NoApplyRecord {
+		return
 	}
-	if c.opts.OnApply != nil {
-		for _, msg := range batch {
-			c.opts.OnApply(g, id, msg)
-		}
-	}
+	k := gkey{g, id}
+	c.mu.Lock()
+	c.applied[k] = append(c.applied[k], batch...)
+	c.mu.Unlock()
 }
 
 // Host returns the multiraft host for the given node (nil if crashed).

@@ -41,33 +41,6 @@ func TestClusterElectionAndPropose(t *testing.T) {
 	t.Fatal("command never applied")
 }
 
-func TestClusterOnApplyHook(t *testing.T) {
-	got := make(chan raft.ApplyMsg, 64)
-	c := New(Options{N: 3, Seed: 6, OnApply: func(_ raft.GroupID, id types.NodeID, m raft.ApplyMsg) {
-		if m.Kind == raft.EntryCommand {
-			select {
-			case got <- m:
-			default:
-			}
-		}
-	}})
-	defer c.Stop()
-	if _, err := c.WaitForLeader(timeout); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Propose([]byte("x"), timeout); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-got:
-		if string(m.Command) != "x" {
-			t.Errorf("hook saw %q", m.Command)
-		}
-	case <-time.After(timeout):
-		t.Fatal("OnApply hook never fired")
-	}
-}
-
 func TestClusterDefaults(t *testing.T) {
 	c := New(Options{}) // N and Seed default
 	defer c.Stop()

@@ -6,6 +6,7 @@ import (
 
 	"adore/internal/multiraft"
 	"adore/internal/raft"
+	"adore/internal/raft/cluster"
 	"adore/internal/raft/sim"
 )
 
@@ -29,8 +30,9 @@ func TestNodeSurface(t *testing.T) {
 	}
 }
 
-// TestOptionsSurface pins the settable values of a node and of the host that
-// runs it, the same way: a new knob has to be added here, in review. Wall
+// TestOptionsSurface pins the settable values of a node, of the host that
+// runs it, of the in-process cluster of hosts and of the simulator, the same
+// way: a new knob has to be added here, in review. Wall
 // time is the host's (ElectionTimeoutMin alone sets the tick period); the
 // node's timers are constants counted in ticks.
 func TestOptionsSurface(t *testing.T) {
@@ -46,6 +48,10 @@ func TestOptionsSurface(t *testing.T) {
 		[]string{"ID", "Members", "Groups", "Transport", "ElectionTimeoutMin",
 			"StorageRoot", "StorageFor", "StateMachineFor", "OnApply",
 			"SnapshotThreshold", "Ablation", "Seed", "InboxSize"},
+	}, {
+		cluster.Options{},
+		[]string{"N", "Groups", "Latency", "Jitter", "ElectionTimeoutMin", "Ablation",
+			"Seed", "StorageFor", "Start", "SnapshotThreshold", "InboxSize", "NoApplyRecord"},
 	}, {
 		sim.Options{},
 		[]string{"Nodes", "Seed", "ElectionTicks", "LatencyJitterTicks",
