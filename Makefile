@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-teeth check loc bench bench-evidence bench-reads-smoke benchmark-smoke bench-compare fuzz-smoke chaos chaos-smoke chaos-teeth chaos-parity kv-race chaos-elections chaos-leases chaos-disk fingerprints sim-sweep sim-teeth sim-sweep-groups sim-teeth-groups
+.PHONY: all build test race vet lint lint-teeth check loc bench benchmark-smoke bench-compare fuzz-smoke chaos chaos-smoke chaos-teeth chaos-parity kv-race chaos-elections chaos-leases chaos-disk fingerprints sim-sweep sim-teeth sim-sweep-groups sim-teeth-groups
 
 all: check
 
@@ -164,34 +164,12 @@ sim-teeth-groups:
 	$(GO) run ./cmd/raft-chaos -teeth -groups 2 -seeds 1
 
 # bench is the smoke pass CI runs: every Go benchmark once (-benchtime=1x,
-# no test functions), then a reduced recovery grid and shard sweep. No
-# thresholds — it just must complete, so the benchmarks can't bit-rot.
-# Fig. 16 is the canonical benchmark's reconfig-fig16 workload.
+# no test functions), i.e. the model benches in the root package and the
+# codec and WAL benches in internal/kvstore and internal/raft. No
+# thresholds: it just must complete, so the benchmarks can't bit-rot.
+# Runtime performance is measured by the canonical benchmark (benchmark/).
 bench:
 	$(GO) test -bench . -benchtime=1x -benchmem -run '^$$' ./...
-	$(GO) run ./cmd/raft-bench -recovery -recovery-histories 2000,4000
-	$(GO) run ./cmd/raft-bench -shards 1,2 -shard-requests 600
-
-# bench-evidence regenerates one committed BENCH_<n>.json, selected by
-# number (make bench-evidence BENCH=<n>).
-#   7   restart recovery and follower catch-up, compacted vs full WAL
-#   9   multi-raft shard scaling (the same 16 clients vs 1/2/4/8 groups,
-#       per-group WAL device latency per DESIGN.md's substitution table)
-#   10  read-path mode grid (ReadIndex / lease / follower) and the
-#       follower-scaling sweep
-BENCH ?= 7
-bench-evidence:
-	@case "$(BENCH)" in \
-	7) $(GO) run ./cmd/raft-bench -recovery -json BENCH_7.json ;; \
-	9) $(GO) run ./cmd/raft-bench -shards 1,2,4,8 -json BENCH_9.json ;; \
-	10) $(GO) run ./cmd/raft-bench -reads -json BENCH_10.json ;; \
-	*) echo "unknown BENCH=$(BENCH) (known: 7, 9, 10)"; exit 1 ;; \
-	esac
-
-# bench-reads-smoke is the CI slice of BENCH 10: the same mode grid and
-# follower sweep at reduced size — no thresholds, it just must complete.
-bench-reads-smoke:
-	$(GO) run ./cmd/raft-bench -reads -read-requests 600 -read-clients 8
 
 # benchmark-smoke runs the canonical benchmark (benchmark/README.md) short,
 # once per named workload: the real stack over TCP + FileStorage must come up,
@@ -210,16 +188,19 @@ benchmark-smoke:
 
 # fuzz-smoke runs every native fuzz target for 20 s from its committed
 # seed corpus (testdata/fuzz/<target>/): the decoders of bytes that cross a
-# trust boundary — a log payload, a TCP stream — must not panic, must not
-# allocate by what a length prefix claims, and must accept only the canonical
-# encoding; WAL replay after a crash that tore and overwrote the tail must
-# return every acked entry or fail loudly. `go test -fuzz` takes one target
-# and one package per run; a crasher is written to the package's
-# testdata/fuzz/ and fails every later `go test`.
+# trust boundary — a log payload, a Store image, a TCP stream, a snapshot
+# file — must not panic, must not allocate by what a length prefix or a
+# count claims, and must accept only what round-trips through their encoder;
+# WAL replay after a crash that tore and overwrote the tail must return
+# every acked entry or fail loudly. `go test -fuzz` takes one target and one
+# package per run; a crasher is written to the package's testdata/fuzz/ and
+# fails every later `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCommand$$' -fuzztime 20s ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreImage$$' -fuzztime 20s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzEnvelopeStream$$' -fuzztime 20s ./internal/raft
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecover$$' -fuzztime 20s ./internal/raft
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapFile$$' -fuzztime 20s ./internal/raft
 
 # bench-compare judges result file B against A with the bounds in
 # BENCHMARK.json (make bench-compare A=parent.json B=change.json); the files

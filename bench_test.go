@@ -10,85 +10,16 @@
 package adore_test
 
 import (
-	"fmt"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"adore/internal/config"
 	"adore/internal/core"
 	"adore/internal/explore"
-	"adore/internal/kvstore"
-	"adore/internal/multiraft"
-	"adore/internal/raft"
-	"adore/internal/raft/cluster"
-	"adore/internal/raft/transport"
 	"adore/internal/raftnet"
 	"adore/internal/refine"
 	"adore/internal/sraft"
 	"adore/internal/types"
 )
-
-// --- E1b: group-commit throughput ------------------------------------------
-
-// BenchmarkProposeThroughputBatched drives 64 concurrent proposers against
-// a single-node raft on a real FileStorage WAL through ProposeAsync — the
-// node's one write entry (group commit: whatever accumulated while a write
-// was in flight shares the next frame and fsync). fsyncs/op is reported
-// from a CountingStorage wrapper.
-func BenchmarkProposeThroughputBatched(b *testing.B) {
-	fs, err := raft.OpenFileStorage(filepath.Join(b.TempDir(), "wal"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cs := &raft.CountingStorage{Inner: fs}
-	h, err := multiraft.Start(multiraft.Options{
-		ID:         1,
-		Members:    []types.NodeID{1},
-		Transport:  transport.HostTransport{Net: transport.NewMemNetwork(0, 0, 1), ID: 1},
-		StorageFor: func(raft.GroupID) raft.Storage { return cs },
-		OnApply:    func(raft.GroupID, []raft.ApplyMsg) {},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer h.Stop()
-	n := h.Node(0)
-	deadline := time.Now().Add(10 * time.Second)
-	for n.Snapshot().Role != raft.Leader {
-		if !time.Now().Before(deadline) {
-			b.Fatal("single node did not elect itself")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	const proposers = 64
-	base := cs.Syncs()
-	var next atomic.Int64
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for w := 0; w < proposers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cmd := []byte("bench-command-payload")
-			for {
-				if next.Add(1) > int64(b.N) {
-					return
-				}
-				if _, _, err := n.ProposeAsync(cmd).Wait(); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	b.StopTimer()
-	b.ReportMetric(float64(cs.Syncs()-base)/float64(b.N), "fsyncs/op")
-}
 
 // --- E2: CADO vs Adore model-checking effort ------------------------------
 
@@ -306,21 +237,5 @@ func BenchmarkNetworkStep(b *testing.B) {
 	for steps < b.N {
 		trace, _ := raftnet.RandomExecution(mk, int64(steps), 200)
 		steps += len(trace)
-	}
-}
-
-// BenchmarkKVPut measures end-to-end replicated put latency on the runtime
-// (3 nodes, minimal simulated latency).
-func BenchmarkKVPut(b *testing.B) {
-	r := kvstore.NewReplicated(cluster.Options{N: 3, Latency: 50 * time.Microsecond, Seed: 9})
-	defer r.Stop()
-	if _, err := r.Cluster.WaitForLeader(10 * time.Second); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := r.Put(fmt.Sprintf("k%d", i%128), "v", 10*time.Second); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -17,9 +17,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"time"
 
-	"adore/internal/bench"
 	"adore/internal/config"
 	"adore/internal/core"
 	"adore/internal/explore"
@@ -56,7 +56,7 @@ func modelReport(depth int) {
 	fmt.Println("E2 — model-checking effort: CADO (static config) vs Adore (hot reconfiguration)")
 	fmt.Println("paper: CADO safety 1.3k LoC Coq / 2 person-weeks; Adore 4.5k LoC / +3 weeks")
 	fmt.Println()
-	t := &bench.Table{Header: []string{"model", "nodes", "depth", "states", "reconfig states", "transitions", "wall time", "violations"}}
+	t := &table{header: []string{"model", "nodes", "depth", "states", "reconfig states", "transitions", "wall time", "violations"}}
 	for _, row := range []struct {
 		name  string
 		rules core.Rules
@@ -89,10 +89,10 @@ func modelReport(depth int) {
 		if res.Violation != nil {
 			viol = res.Violation.Error()
 		}
-		t.Add(row.name, nodes, fmt.Sprint(depth), fmt.Sprint(res.States), fmt.Sprint(reconfStates),
+		t.add(row.name, nodes, fmt.Sprint(depth), fmt.Sprint(res.States), fmt.Sprint(reconfStates),
 			fmt.Sprint(res.Transitions), time.Since(start).Round(time.Millisecond).String(), viol)
 	}
-	t.Print(os.Stdout)
+	t.print(os.Stdout)
 	fmt.Println()
 }
 
@@ -101,7 +101,7 @@ func modelReport(depth int) {
 func schemeReport() {
 	fmt.Println("E4 — reconfiguration scheme instantiations (paper: six examples, ~200 LoC + 100 shared)")
 	fmt.Println()
-	t := &bench.Table{Header: []string{"scheme", "configs", "quorum-pair cases", "wall time", "REFLEXIVE+OVERLAP"}}
+	t := &table{header: []string{"scheme", "configs", "quorum-pair cases", "wall time", "REFLEXIVE+OVERLAP"}}
 	universe := types.Range(1, 5)
 	start3 := types.Range(1, 3)
 	for _, s := range config.AllSchemes() {
@@ -116,10 +116,10 @@ func schemeReport() {
 		if err != nil {
 			status = "VIOLATED: " + err.Error()
 		}
-		t.Add(s.Name(), fmt.Sprint(len(configs)), fmt.Sprint(cases),
+		t.add(s.Name(), fmt.Sprint(len(configs)), fmt.Sprint(cases),
 			time.Since(start).Round(time.Millisecond).String(), status)
 	}
-	t.Print(os.Stdout)
+	t.print(os.Stdout)
 	fmt.Println()
 }
 
@@ -128,7 +128,7 @@ func schemeReport() {
 func refineReport() {
 	fmt.Println("E3 — refinement checking (paper: 13.8k LoC total, 2.5k SRaft↔Adore)")
 	fmt.Println()
-	t := &bench.Table{Header: []string{"scheme", "traces", "atomic steps", "logMatch checks", "wall time", "result"}}
+	t := &table{header: []string{"scheme", "traces", "atomic steps", "logMatch checks", "wall time", "result"}}
 	for _, s := range config.AllSchemes() {
 		start := time.Now()
 		steps, checks := 0, 0
@@ -142,10 +142,10 @@ func refineReport() {
 			steps += c.Steps
 			checks += c.Checks
 		}
-		t.Add(s.Name(), "20", fmt.Sprint(steps), fmt.Sprint(checks),
+		t.add(s.Name(), "20", fmt.Sprint(steps), fmt.Sprint(checks),
 			time.Since(start).Round(time.Millisecond).String(), status)
 	}
-	t.Print(os.Stdout)
+	t.print(os.Stdout)
 	fmt.Println()
 }
 
@@ -163,12 +163,7 @@ func drive(c *refine.Checker, seed int64, steps int) error {
 		if len(ids) == 0 {
 			return nil
 		}
-		// Deterministic order before random pick.
-		for i := 1; i < len(ids); i++ {
-			for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-				ids[j], ids[j-1] = ids[j-1], ids[j]
-			}
-		}
+		slices.Sort(ids) // deterministic order before the random pick
 		nid := ids[r.Intn(len(ids))]
 		s := nodes[nid]
 		switch r.Intn(4) {

@@ -7,9 +7,7 @@
 package kvstore
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -88,22 +86,23 @@ func (c Command) Encode() []byte {
 	b = binary.AppendUvarint(b, c.Client)
 	b = binary.AppendUvarint(b, c.Seq)
 	for _, s := range strs {
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		b = append(b, s...)
+		b = appendString(b, s)
 	}
 	return b
 }
 
 var (
-	errCommandShort    = errors.New("kvstore: decode: short command")
-	errCommandVersion  = errors.New("kvstore: decode: unknown command version")
+	errCommandShort    = errors.New("kvstore: decode: short input")
+	errCommandVersion  = errors.New("kvstore: decode: unknown version")
 	errCommandOp       = errors.New("kvstore: decode: unknown op")
 	errCommandVarint   = errors.New("kvstore: decode: malformed or non-minimal varint")
+	errCommandBool     = errors.New("kvstore: decode: flag not 0 or 1")
 	errCommandTrailing = errors.New("kvstore: decode: trailing bytes")
 )
 
-// commandReader consumes an encoded command front to back; the first error
-// sticks and empties the reader, so every later read returns zero.
+// commandReader consumes an encoded command or Store image front to back;
+// the first error sticks and empties the reader, so every later read returns
+// zero.
 type commandReader struct {
 	b   []byte
 	err error
@@ -132,12 +131,28 @@ func (r *commandReader) uvarint() uint64 {
 	return v
 }
 
-func (r *commandReader) str() string {
+// count reads an element count whose elements each occupy at least minLen
+// bytes, and rejects one the unread bytes cannot hold.
+func (r *commandReader) count(minLen int) int {
 	n := r.uvarint()
-	if n > uint64(len(r.b)) {
-		r.fail(errCommandShort) // the length overruns the payload
-		return ""
+	if n > uint64(len(r.b)/minLen) {
+		r.fail(errCommandShort)
+		return 0
 	}
+	return int(n)
+}
+
+// bool reads a uvarint that must be 0 or 1.
+func (r *commandReader) bool() bool {
+	v := r.uvarint()
+	if v > 1 {
+		r.fail(errCommandBool)
+	}
+	return v == 1
+}
+
+func (r *commandReader) str() string {
+	n := r.count(1)
 	s := string(r.b[:n])
 	r.b = r.b[n:]
 	return s
@@ -186,8 +201,7 @@ type Result struct {
 type Store struct {
 	mu      sync.Mutex
 	data    map[string]string // guarded by mu
-	lastSeq map[uint64]uint64 // client → highest applied Seq; guarded by mu
-	lastRes map[uint64]Result // client → result of that Seq; guarded by mu
+	last    map[uint64]dedup  // client → its highest applied Seq; guarded by mu
 	waiters map[int][]waiter  // log index → waiters; guarded by mu
 	applied int               // highest applied index; guarded by mu
 }
@@ -196,6 +210,13 @@ type waiter struct {
 	client uint64
 	seq    uint64
 	ch     chan waitResult
+}
+
+// dedup is a client's row in the dedup table: its highest applied Seq and
+// that command's Result.
+type dedup struct {
+	seq uint64
+	res Result
 }
 
 type waitResult struct {
@@ -207,8 +228,7 @@ type waitResult struct {
 func NewStore() *Store {
 	return &Store{
 		data:    make(map[string]string),
-		lastSeq: make(map[uint64]uint64),
-		lastRes: make(map[uint64]Result),
+		last:    make(map[uint64]dedup),
 		waiters: make(map[int][]waiter),
 	}
 }
@@ -245,8 +265,8 @@ func (s *Store) Apply(msg raft.ApplyMsg) {
 				continue
 			}
 			for _, w := range ws {
-				if w.seq != 0 && s.lastSeq[w.client] >= w.seq {
-					w.ch <- waitResult{res: s.lastRes[w.client], mine: true}
+				if d := s.last[w.client]; w.seq != 0 && d.seq >= w.seq {
+					w.ch <- waitResult{res: d.res, mine: true}
 				} else {
 					w.ch <- waitResult{mine: false}
 				}
@@ -266,13 +286,12 @@ func (s *Store) Apply(msg raft.ApplyMsg) {
 	}
 	var res Result
 	if isCmd {
-		if s.lastSeq[cmd.Client] >= cmd.Seq && cmd.Seq != 0 {
-			res = s.lastRes[cmd.Client] // duplicate: return cached result
+		if d := s.last[cmd.Client]; d.seq >= cmd.Seq && cmd.Seq != 0 {
+			res = d.res // duplicate: return cached result
 		} else {
 			res = s.applyCommandLocked(cmd)
 			if cmd.Seq != 0 {
-				s.lastSeq[cmd.Client] = cmd.Seq
-				s.lastRes[cmd.Client] = res
+				s.last[cmd.Client] = dedup{cmd.Seq, res}
 			}
 		}
 	}
@@ -316,8 +335,8 @@ func (s *Store) wait(index int, client, seq uint64) chan waitResult {
 	defer s.mu.Unlock()
 	if s.applied >= index {
 		// Already applied: resolve via the dedup table.
-		if s.lastSeq[client] >= seq {
-			ch <- waitResult{res: s.lastRes[client], mine: true}
+		if d := s.last[client]; d.seq >= seq {
+			ch <- waitResult{res: d.res, mine: true}
 		} else {
 			ch <- waitResult{mine: false}
 		}
@@ -354,32 +373,46 @@ func (s *Store) Snapshot() map[string]string {
 	return out
 }
 
-// snapshotState is the gob-encoded durable image of a Store.
-type snapshotState struct {
-	Data    map[string]string
-	LastSeq map[uint64]uint64
-	LastRes map[uint64]Result
-	Applied int
-}
+// imageVersion leads every encoded Store image, as commandVersion leads a
+// command; a gob image from a build that predates this format is a decode
+// error.
+const imageVersion = 1
 
-// SaveSnapshot serializes the state machine (data, dedup tables, applied
+// SaveSnapshot serializes the state machine (data, dedup table, applied
 // index) for log compaction or node bootstrap, and reports the applied
 // index the image captures. The capture is atomic with respect to Apply,
 // so the index and the data always agree. Implements raft.StateMachine.
+// The image is
+//
+//	version(1 B) · uvarint applied · uvarint n · n × (Key · Value) ·
+//	uvarint m · m × (uvarint Client · uvarint Seq · Value · Found(1 B) · Swapped(1 B))
+//
+// with each string as uvarint length + bytes and the maps in iteration order.
 func (s *Store) SaveSnapshot() ([]byte, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(snapshotState{
-		Data:    s.data,
-		LastSeq: s.lastSeq,
-		LastRes: s.lastRes,
-		Applied: s.applied,
-	})
-	if err != nil {
-		return nil, 0, fmt.Errorf("kvstore: snapshot: %w", err)
+	b := binary.AppendUvarint([]byte{imageVersion}, uint64(s.applied))
+	b = binary.AppendUvarint(b, uint64(len(s.data)))
+	for k, v := range s.data {
+		b = appendString(appendString(b, k), v)
 	}
-	return buf.Bytes(), s.applied, nil
+	b = binary.AppendUvarint(b, uint64(len(s.last)))
+	for client, d := range s.last {
+		b = binary.AppendUvarint(binary.AppendUvarint(b, client), d.seq)
+		b = append(appendString(b, d.res.Value), boolByte(d.res.Found), boolByte(d.res.Swapped))
+	}
+	return b, s.applied, nil
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // LoadSnapshot replaces the state machine with a serialized image.
@@ -389,24 +422,34 @@ func (s *Store) LoadSnapshot(b []byte) error {
 	return s.restoreLocked(b)
 }
 
+// restoreLocked decodes an image as strictly as DecodeCommand decodes a
+// command, allocating no more than a constant multiple of the image's length
+// whatever its counts claim. A rejected image leaves the Store as it was.
 func (s *Store) restoreLocked(b []byte) error {
-	var st snapshotState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
-		return fmt.Errorf("kvstore: restore: %w", err)
+	if len(b) == 0 || b[0] != imageVersion {
+		return errCommandVersion
 	}
-	s.data = st.Data
-	s.lastSeq = st.LastSeq
-	s.lastRes = st.LastRes
-	s.applied = st.Applied
-	if s.data == nil {
-		s.data = make(map[string]string)
+	r := commandReader{b: b[1:]}
+	applied := int(r.uvarint())
+	n := r.count(2) // an empty key and value
+	data := make(map[string]string, n)
+	for range n {
+		k := r.str()
+		data[k] = r.str()
 	}
-	if s.lastSeq == nil {
-		s.lastSeq = make(map[uint64]uint64)
+	m := r.count(5) // client, seq, an empty value, two flags
+	last := make(map[uint64]dedup, m)
+	for range m {
+		client, seq := r.uvarint(), r.uvarint()
+		last[client] = dedup{seq, Result{Value: r.str(), Found: r.bool(), Swapped: r.bool()}}
 	}
-	if s.lastRes == nil {
-		s.lastRes = make(map[uint64]Result)
+	if r.err == nil && len(r.b) != 0 {
+		r.fail(errCommandTrailing)
 	}
+	if r.err != nil {
+		return r.err
+	}
+	s.data, s.last, s.applied = data, last, applied
 	return nil
 }
 
@@ -418,7 +461,8 @@ func (s *Store) restoreLocked(b []byte) error {
 func (s *Store) LastApplied(client uint64) (seq uint64, res Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lastSeq[client], s.lastRes[client]
+	d := s.last[client]
+	return d.seq, d.res
 }
 
 // AppliedIndex returns the highest log index applied so far.

@@ -2,6 +2,8 @@ package kvstore
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -227,6 +229,71 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := fresh.LoadSnapshot([]byte("garbage")); err == nil {
 		t.Error("garbage snapshot accepted")
 	}
+}
+
+// FuzzStoreImage is the Store image's restore contract: arbitrary bytes
+// never panic the decoder, it allocates in proportion to the image whatever
+// its counts claim, and an image it accepts re-encodes to one that restores
+// the same state. The seeds are committed under testdata/fuzz/FuzzStoreImage:
+// the image of a store that saw puts, a delete, a CAS and a retried command,
+// an empty store's image, a torn image, a count far past its image, and a gob
+// image from before this format.
+func FuzzStoreImage(f *testing.F) {
+	f.Fuzz(func(t *testing.T, img []byte) {
+		s := NewStore()
+		var err error
+		// Map slots cost a fixed multiple of their shortest row (a 40-byte
+		// string slot per 2-byte empty key and value), hence 64×; the
+		// constant is slack for the runtime.
+		limit := uint64(64*len(img) + 64<<10)
+		n := allocated(func() { err = s.LoadSnapshot(img) })
+		for retry := 0; n > limit && retry < 3; retry++ { // another goroutine's garbage?
+			s = NewStore()
+			n = allocated(func() { err = s.LoadSnapshot(img) })
+		}
+		if n > limit {
+			t.Fatalf("restoring a %d-byte image allocated %d (limit %d)", len(img), n, limit)
+		}
+		if err != nil {
+			if !reflect.DeepEqual(stateOf(s), stateOf(NewStore())) {
+				t.Fatalf("rejected image (%v) changed the store", err)
+			}
+			return
+		}
+		again, _, err := s.SaveSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		re := NewStore()
+		if err := re.LoadSnapshot(again); err != nil {
+			t.Fatalf("re-encoded image rejected: %v", err)
+		}
+		if got, want := stateOf(re), stateOf(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("image restores to %+v, its re-encoding to %+v", want, got)
+		}
+	})
+}
+
+// imageState is what a Store image carries.
+type imageState struct {
+	data    map[string]string
+	last    map[uint64]dedup
+	applied int
+}
+
+func stateOf(s *Store) imageState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return imageState{s.data, s.last, s.applied}
+}
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	f()
+	runtime.ReadMemStats(&b)
+	return b.TotalAlloc - a.TotalAlloc
 }
 
 // TestShardOfIsStableAndCovers pins the shard map: routes are deterministic

@@ -31,22 +31,10 @@ type Replicated struct {
 
 	Cluster *cluster.Cluster
 
-	// ReadServeCost, when set before the first request, charges every
-	// FastGet the read-execution cost (state-machine lookup, response
-	// serialization) on the replica that served it, serialized per
-	// replica — one CPU's worth of read work per node. Like the
-	// benchmark's delayStorage, only the wait is simulated; the
-	// serialization it models (a replica executes its reads one at a
-	// time) is the architecture under test. It exists so read-path
-	// benchmarks can measure how follower-served reads distribute load
-	// across the replica set; leave it zero in real use.
-	ReadServeCost time.Duration
-
 	shards int
 
 	mu      sync.Mutex
-	servers map[types.NodeID]*Server     // each node's latest incarnation; guarded by mu
-	serveMu map[types.NodeID]*sync.Mutex // guarded by mu
+	servers map[types.NodeID]*Server // each node's latest incarnation; guarded by mu
 
 	nextClient uint64 // accessed atomically
 	retries    uint64 // accessed atomically
@@ -60,7 +48,6 @@ func NewReplicated(opts cluster.Options) *Replicated {
 	r := &Replicated{
 		shards:  max(opts.Groups, 1),
 		servers: make(map[types.NodeID]*Server),
-		serveMu: make(map[types.NodeID]*sync.Mutex),
 	}
 	opts.Start = func(o multiraft.Options) (*multiraft.Host, error) {
 		s, err := StartServer(o)
@@ -296,28 +283,9 @@ func (c *Client) FastGetMode(key string, mode ReadMode, timeout time.Duration) (
 			c.retry(s, err, deadline)
 			continue
 		}
-		c.r.chargeServe(n.ID())
 		return v, found, nil
 	}
 	return "", false, ErrTimeout
-}
-
-// chargeServe executes the configured read-execution cost on the serving
-// replica's serialized lane (no-op when ReadServeCost is zero).
-func (r *Replicated) chargeServe(id types.NodeID) {
-	if r.ReadServeCost <= 0 {
-		return
-	}
-	r.mu.Lock()
-	lane, ok := r.serveMu[id]
-	if !ok {
-		lane = new(sync.Mutex)
-		r.serveMu[id] = lane
-	}
-	r.mu.Unlock()
-	lane.Lock()
-	time.Sleep(r.ReadServeCost)
-	lane.Unlock()
 }
 
 // pickFollower returns a non-leader node of the group to serve a forwarded

@@ -1,6 +1,6 @@
 // Package cluster assembles in-process raft clusters over the simulated
 // in-memory network — the harness used by the integration tests, the
-// examples, the chaos runner and the internal/bench sweeps.
+// examples and the chaos runner.
 //
 // Every node in the cluster is a multiraft.Host: with Options.Groups > 1
 // it runs that many independent raft groups multiplexed over the shared
@@ -54,11 +54,6 @@ type Options struct {
 	// (0 = 4096). Small values exercise loss: the network drops what a
 	// full inbox cannot take, and retransmission has to make up for it.
 	InboxSize int
-	// NoApplyRecord disables the in-memory applied-stream record. The
-	// record exists for the test and chaos oracles; throughput benchmarks
-	// turn it off so the cluster-wide mutex on it doesn't serialize the
-	// groups' apply drains (and the history doesn't accumulate).
-	NoApplyRecord bool
 }
 
 // groups returns the effective group count.
@@ -149,9 +144,6 @@ func (c *Cluster) StartNode(id types.NodeID, members []types.NodeID) *raft.Node 
 
 // record captures one group's apply batch.
 func (c *Cluster) record(g raft.GroupID, id types.NodeID, batch []raft.ApplyMsg) {
-	if c.opts.NoApplyRecord {
-		return
-	}
 	k := gkey{g, id}
 	c.mu.Lock()
 	c.applied[k] = append(c.applied[k], batch...)

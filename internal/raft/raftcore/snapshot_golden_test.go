@@ -257,4 +257,76 @@ func TestGoldenSnapshotTransfer(t *testing.T) {
 	if !reflect.DeepEqual(snaps, want) {
 		t.Fatalf("paced resend mismatch\n got: %#v\nwant: %#v", snaps, want)
 	}
+
+	// End to end: a cold follower of a leader that compacted its history
+	// catches up through one image, in fewer rounds than a cold follower
+	// that replays the whole log.
+	full, compacted := catchupRounds(t, false), catchupRounds(t, true)
+	if compacted >= full {
+		t.Fatalf("catch-up took %d rounds through the snapshot, %d replaying the log", compacted, full)
+	}
+}
+
+// catchupRounds commits 2000 entries on a two-member leader (compacting them
+// into one image if asked), then boots an empty follower in the other seat
+// and counts the tick-and-exchange rounds until its commit index reaches the
+// leader's.
+func catchupRounds(t *testing.T, compact bool) int {
+	t.Helper()
+	const history = 2000
+	cfg := func(id types.NodeID) Config {
+		return Config{ID: id, Members: []types.NodeID{1, 2}, ElectionTicks: 5, Jitter: func() int { return 0 }}
+	}
+	// relay cross-delivers the two cores' messages until both are quiet.
+	relay := func(a, b *Core) {
+		for i := 0; i < 1000; i++ {
+			ra, rb := a.TakeReady(), b.TakeReady()
+			if len(ra.Messages) == 0 && len(rb.Messages) == 0 {
+				return
+			}
+			for _, m := range ra.Messages {
+				b.Step(m)
+			}
+			for _, m := range rb.Messages {
+				a.Step(m)
+			}
+		}
+	}
+	lead, warm := New(cfg(1), HardState{}, Snapshot{}, nil), New(cfg(2), HardState{}, Snapshot{}, nil)
+	for i := 0; i < 5; i++ {
+		lead.Tick()
+	}
+	relay(lead, warm)
+	if lead.Role() != Leader {
+		t.Fatalf("catch-up leader not elected (role %s)", lead.Role())
+	}
+	for i := 0; i < history; i++ {
+		if _, _, err := lead.Propose([]byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+		if i%256 == 0 {
+			relay(lead, warm)
+		}
+	}
+	relay(lead, warm)
+	target := history + 1 // the entries plus the leader's no-op
+	if got := lead.CommitIndex(); got != target {
+		t.Fatalf("leader committed %d of %d", got, target)
+	}
+	if compact {
+		if !lead.Compact(target, make([]byte, 4<<10)) {
+			t.Fatalf("Compact(%d) rejected", target)
+		}
+		lead.TakeReady()
+	}
+	cold := New(cfg(2), HardState{}, Snapshot{}, nil)
+	rounds := 0
+	for cold.CommitIndex() < target {
+		if rounds++; rounds > 4*target {
+			t.Fatalf("follower stuck at commit %d of %d", cold.CommitIndex(), target)
+		}
+		lead.Tick()
+		relay(lead, cold)
+	}
+	return rounds
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -226,19 +227,26 @@ func syncDir(dir string) error {
 	return cerr
 }
 
-// writeSnapFile writes one snapshot atomically: length + CRC + gob body
-// into a temp file, fsync, rename into place, fsync the directory. A
-// crash mid-write leaves only an ignored .tmp; a crash after the rename
-// leaves a fully valid file — there is no torn intermediate state.
+// snapFileVersion leads every snapshot file body. A gob body from a build
+// that predates this format starts with its first message's length, never 1,
+// so it fails the load loudly instead of being mis-parsed.
+const snapFileVersion = 1
+
+var errSnapVersion = errors.New("raft: snapshot: unknown format version")
+
+// writeSnapFile writes one snapshot atomically: length + CRC + body into a
+// temp file, fsync, rename into place, fsync the directory. A crash
+// mid-write leaves only an ignored .tmp; a crash after the rename leaves a
+// fully valid file — there is no torn intermediate state. The body is the
+// version, then index, term, members and image in the envelope's field
+// encodings (wire.go).
 func writeSnapFile(dir string, snap LogSnapshot) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(snap); err != nil {
-		return fmt.Errorf("raft: encode snapshot: %w", err)
-	}
-	buf := make([]byte, 8+body.Len())
-	binary.BigEndian.PutUint32(buf[0:4], uint32(body.Len()))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(body.Bytes()))
-	copy(buf[8:], body.Bytes())
+	buf := append(make([]byte, 8, 64+len(snap.Data)), snapFileVersion)
+	buf = binary.AppendVarint(buf, int64(snap.Index))
+	buf = binary.AppendUvarint(buf, uint64(snap.Term))
+	buf = appendBytes(appendMembers(buf, snap.Members), snap.Data)
+	binary.BigEndian.PutUint32(buf[0:4], uint32(len(buf)-8))
+	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[8:]))
 	path := snapPath(dir, snap.Index)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -264,21 +272,32 @@ func writeSnapFile(dir string, snap LogSnapshot) error {
 
 // readSnapFile loads and verifies one snapshot file. Any truncation or
 // bit-rot fails loudly: snapshot files are written atomically, so unlike
-// a WAL tail there is no legitimate torn state to tolerate.
+// a WAL tail there is no legitimate torn state to tolerate. Like
+// DecodeEnvelope it accepts only the canonical body and allocates no more
+// than the file's own length, whatever its counts claim.
 func readSnapFile(path string) (LogSnapshot, error) {
-	var snap LogSnapshot
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return snap, err
+		return LogSnapshot{}, err
 	}
 	if len(b) < 8 || int(binary.BigEndian.Uint32(b[0:4])) != len(b)-8 {
-		return snap, fmt.Errorf("raft: snapshot %s: corrupt length", path)
+		return LogSnapshot{}, fmt.Errorf("raft: snapshot %s: corrupt length", path)
 	}
 	if crc32.ChecksumIEEE(b[8:]) != binary.BigEndian.Uint32(b[4:8]) {
-		return snap, fmt.Errorf("raft: snapshot %s: checksum mismatch", path)
+		return LogSnapshot{}, fmt.Errorf("raft: snapshot %s: checksum mismatch", path)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(b[8:])).Decode(&snap); err != nil {
-		return snap, fmt.Errorf("raft: snapshot %s: %w", path, err)
+	r := wireReader{b: b[8:]}
+	if r.byte() != snapFileVersion {
+		r.fail(errSnapVersion)
+	}
+	snap := LogSnapshot{Index: r.int(), Term: types.Time(r.uvarint())}
+	snap.Members = r.members()
+	snap.Data = r.bytes()
+	if r.err == nil && len(r.b) != 0 {
+		r.fail(errWireTrailing)
+	}
+	if r.err != nil {
+		return LogSnapshot{}, fmt.Errorf("raft: snapshot %s: %w", path, r.err)
 	}
 	return snap, nil
 }
@@ -530,23 +549,17 @@ func (fs *FileStorage) Close() error {
 	return err
 }
 
-// CountingStorage wraps a Storage and counts persistence calls. FileStorage
-// performs exactly one fsync per SaveState/SaveEntries, so with a
-// FileStorage inner the Syncs counter measures fsyncs — the group-commit
-// benchmarks use it to show fsyncs per proposal ≪ 1 under concurrent load.
+// CountingStorage wraps a Storage and counts its SaveEntries (WAL frames)
+// and SaveSnapshot calls.
 type CountingStorage struct {
 	Inner Storage
 
-	stateSaves atomic.Uint64
 	entrySaves atomic.Uint64
 	snapSaves  atomic.Uint64
 }
 
 // SaveState implements Storage.
-func (c *CountingStorage) SaveState(hs HardState) error {
-	c.stateSaves.Add(1)
-	return c.Inner.SaveState(hs)
-}
+func (c *CountingStorage) SaveState(hs HardState) error { return c.Inner.SaveState(hs) }
 
 // SaveEntries implements Storage.
 func (c *CountingStorage) SaveEntries(firstIndex int, entries []LogEntry) error {
@@ -567,12 +580,6 @@ func (c *CountingStorage) Load() (HardState, LogSnapshot, []LogEntry, error) {
 
 // Close implements Storage.
 func (c *CountingStorage) Close() error { return c.Inner.Close() }
-
-// Syncs returns the total durable-write calls so far (state + entry +
-// snapshot saves).
-func (c *CountingStorage) Syncs() uint64 {
-	return c.stateSaves.Load() + c.entrySaves.Load() + c.snapSaves.Load()
-}
 
 // EntrySaves returns the number of SaveEntries calls (WAL frames written).
 func (c *CountingStorage) EntrySaves() uint64 { return c.entrySaves.Load() }

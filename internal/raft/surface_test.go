@@ -51,7 +51,7 @@ func TestOptionsSurface(t *testing.T) {
 	}, {
 		cluster.Options{},
 		[]string{"N", "Groups", "Latency", "Jitter", "ElectionTimeoutMin", "Ablation",
-			"Seed", "StorageFor", "Start", "SnapshotThreshold", "InboxSize", "NoApplyRecord"},
+			"Seed", "StorageFor", "Start", "SnapshotThreshold", "InboxSize"},
 	}, {
 		sim.Options{},
 		[]string{"Nodes", "Seed", "ElectionTicks", "LatencyJitterTicks",
