@@ -189,7 +189,7 @@ benchmark-smoke:
 # fuzz-smoke runs every native fuzz target for 20 s from its committed
 # seed corpus (testdata/fuzz/<target>/): the decoders of bytes that cross a
 # trust boundary — a log payload, a Store image, a TCP stream, a snapshot
-# file — must not panic, must not allocate by what a length prefix or a
+# file, a raft-kv client line — must not panic, must not allocate by what a length prefix or a
 # count claims, and must accept only what round-trips through their encoder;
 # WAL replay after a crash that tore and overwrote the tail must return
 # every acked entry or fail loudly. `go test -fuzz` takes one target and one
@@ -201,6 +201,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEnvelopeStream$$' -fuzztime 20s ./internal/raft
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecover$$' -fuzztime 20s ./internal/raft
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapFile$$' -fuzztime 20s ./internal/raft
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCommand$$' -fuzztime 20s ./cmd/raft-kv
 
 # bench-compare judges result file B against A with the bounds in
 # BENCHMARK.json (make bench-compare A=parent.json B=change.json); the files

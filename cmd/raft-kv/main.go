@@ -369,79 +369,96 @@ func statusFields(st raft.Snapshot) string {
 		st.Term, st.Role, st.Leader, st.CommitIndex, st.AppliedIndex, st.StableIndex)
 }
 
-func (c *session) handleCommand(fields []string) string {
-	s := c.srv
+// request is one parsed client line: verb is the command in lower case, cmd
+// carries get's key and the write put, delete or cas runs, and id is the
+// addserver, removeserver and transfer operand (types.NoNode: transfer to
+// the most caught-up voter).
+type request struct {
+	verb string
+	cmd  kvstore.Command
+	id   types.NodeID
+}
+
+// parseCommand parses one line's fields and executes nothing. A line it
+// rejects gets the "ERR ..." reply it returns.
+func parseCommand(fields []string) (request, string) {
 	if len(fields) == 0 {
-		return "ERR empty command"
+		return request{}, "ERR empty command"
 	}
-	switch strings.ToLower(fields[0]) {
+	req := request{verb: strings.ToLower(fields[0])}
+	switch req.verb {
 	case "get":
 		if len(fields) != 2 {
-			return "ERR usage: get K"
+			return request{}, "ERR usage: get K"
 		}
-		return s.get(fields[1])
+		req.cmd = kvstore.Command{Op: kvstore.OpGet, Key: fields[1]}
 	case "put":
 		if len(fields) != 3 {
-			return "ERR usage: put K V"
+			return request{}, "ERR usage: put K V"
 		}
-		return c.write(kvstore.Command{Op: kvstore.OpPut, Key: fields[1], Value: fields[2]})
+		req.cmd = kvstore.Command{Op: kvstore.OpPut, Key: fields[1], Value: fields[2]}
 	case "delete":
 		if len(fields) != 2 {
-			return "ERR usage: delete K"
+			return request{}, "ERR usage: delete K"
 		}
-		return c.write(kvstore.Command{Op: kvstore.OpDelete, Key: fields[1]})
+		req.cmd = kvstore.Command{Op: kvstore.OpDelete, Key: fields[1]}
 	case "cas":
 		if len(fields) != 4 {
-			return "ERR usage: cas K OLD NEW"
+			return request{}, "ERR usage: cas K OLD NEW"
 		}
-		return c.write(kvstore.Command{Op: kvstore.OpCAS, Key: fields[1], Old: fields[2], Value: fields[3]})
+		req.cmd = kvstore.Command{Op: kvstore.OpCAS, Key: fields[1], Old: fields[2], Value: fields[3]}
+	case "members", "status": // no operands; extra fields are ignored
+	case "addserver", "removeserver", "transfer":
+		if req.verb != "transfer" && len(fields) != 2 {
+			return request{}, "ERR usage: " + req.verb + " ID"
+		}
+		if len(fields) > 1 {
+			id, err := strconv.ParseUint(fields[1], 10, 32)
+			if err != nil {
+				return request{}, "ERR bad id"
+			}
+			req.id = types.NodeID(id)
+		}
+	default:
+		return request{}, "ERR unknown command"
+	}
+	return req, ""
+}
+
+func (c *session) handleCommand(fields []string) string {
+	req, reply := parseCommand(fields)
+	if reply != "" {
+		return reply
+	}
+	s := c.srv
+	switch req.verb {
+	case "get":
+		return s.get(req.cmd.Key)
+	case "put", "delete", "cas":
+		return c.write(req.cmd)
 	case "members":
 		// Groups reconfigure independently; report each group's view.
 		return "MEMBERS " + s.perGroup("g%d=%s", func(st raft.Snapshot) string { return st.Members.String() })
 	case "status":
 		return "STATUS " + s.perGroup("g%d[%s]", statusFields)
 	case "addserver":
-		if len(fields) != 2 {
-			return "ERR usage: addserver ID"
-		}
-		id, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil {
-			return "ERR bad id"
-		}
 		return s.eachGroup(func(n *raft.Node) error {
-			_, _, err := n.ProposeConfig(n.Snapshot().Members.Add(types.NodeID(id)))
+			_, _, err := n.ProposeConfig(n.Snapshot().Members.Add(req.id))
 			return err
 		})
 	case "removeserver":
-		if len(fields) != 2 {
-			return "ERR usage: removeserver ID"
-		}
-		id, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil {
-			return "ERR bad id"
-		}
 		return s.eachGroup(func(n *raft.Node) error {
-			_, _, err := n.ProposeConfig(n.Snapshot().Members.Remove(types.NodeID(id)))
+			_, _, err := n.ProposeConfig(n.Snapshot().Members.Remove(req.id))
 			return err
 		})
-	case "transfer":
-		// transfer [ID]: hand every group's leadership to ID, or to the most
-		// caught-up voter when no ID is given. Each group must see this on
-		// its leader; groups led elsewhere report errors individually.
-		to := types.NoNode
-		if len(fields) > 1 {
-			id, err := strconv.ParseUint(fields[1], 10, 32)
-			if err != nil {
-				return "ERR bad id"
-			}
-			to = types.NodeID(id)
-		}
-		if reply := s.eachGroup(func(n *raft.Node) error {
-			return n.TransferLeader(to)
-		}); reply != "OK" {
-			return reply
-		}
-		return "OK (transferring)"
 	}
-	return "ERR unknown command"
+	// transfer [ID]: hand every group's leadership to ID, or to the most
+	// caught-up voter when no ID is given. Each group must see this on its
+	// leader; groups led elsewhere report errors individually.
+	if reply := s.eachGroup(func(n *raft.Node) error {
+		return n.TransferLeader(req.id)
+	}); reply != "OK" {
+		return reply
+	}
+	return "OK (transferring)"
 }

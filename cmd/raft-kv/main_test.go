@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -113,4 +115,50 @@ func TestReadModeFlag(t *testing.T) {
 			t.Errorf("parseReadMode(%q) err = %v; want one naming %q", c.in, err, c.wantErr)
 		}
 	}
+}
+
+// FuzzParseCommand is the client line protocol's decoder under arbitrary
+// lines: parseCommand never panics, allocates in proportion to the line, and
+// is canonical or loud — an accepted line renders to one that parses to the
+// same request, and a rejected one gets an "ERR ..." reply. The seeds are
+// committed under testdata/fuzz/FuzzParseCommand.
+func FuzzParseCommand(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line string) {
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		req, reply := parseCommand(strings.Fields(line))
+		runtime.ReadMemStats(&b)
+		if n, limit := b.TotalAlloc-a.TotalAlloc, uint64(16*len(line)+64<<10); n > limit {
+			t.Fatalf("parsing a %d-byte line allocated %d (limit %d)", len(line), n, limit)
+		}
+		if reply != "" {
+			if !strings.HasPrefix(reply, "ERR ") || req != (request{}) {
+				t.Fatalf("%q rejected with reply %q and request %+v", line, reply, req)
+			}
+			return
+		}
+		again, reply := parseCommand(strings.Fields(render(req)))
+		if reply != "" || again != req {
+			t.Fatalf("%q parsed to %+v, which renders to %q and parses to %+v (%q)", line, req, render(req), again, reply)
+		}
+	})
+}
+
+// render writes req as the line protocol spells it.
+func render(req request) string {
+	switch req.verb {
+	case "get", "delete":
+		return req.verb + " " + req.cmd.Key
+	case "put":
+		return "put " + req.cmd.Key + " " + req.cmd.Value
+	case "cas":
+		return "cas " + req.cmd.Key + " " + req.cmd.Old + " " + req.cmd.Value
+	case "addserver", "removeserver":
+		return fmt.Sprintf("%s %d", req.verb, req.id)
+	case "transfer":
+		if req.id != types.NoNode {
+			return fmt.Sprintf("transfer %d", req.id)
+		}
+	}
+	return req.verb
 }

@@ -28,7 +28,7 @@ var ErrTornWrite = errors.New("faultstorage: torn write (simulated crash during 
 //
 // Faults never corrupt the inner store: an injected failure means the
 // bytes never hit the disk, matching FileStorage's recovery contract
-// (readFrames ignores a torn tail). The node layer turns any storage error
+// (replaySegment ignores a torn tail). The node layer turns any storage error
 // into an explicit fail-stop, so a wounded node halts loudly instead of
 // running on unpersisted state; the harness distinguishes "crashed as
 // designed" (Done closed, StorageErr non-nil) from silent corruption.

@@ -1,13 +1,10 @@
 package raft
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -121,14 +118,13 @@ func spliceSuffix(log []LogEntry, oldBase int, snap LogSnapshot) []LogEntry {
 }
 
 // FileStorage is a directory of write-ahead-log segments plus snapshot
-// files. Every state change and log mutation is one length-prefixed,
-// independently gob-encoded record appended to the active segment; Load
-// replays the snapshot and then the segments in order. Compaction
-// (SaveSnapshot) writes the snapshot file atomically (temp + fsync +
-// rename), rotates to a fresh segment, and unlinks the segment files the
-// snapshot fully covers — an O(segments) unlink, not a log rewrite. Each
-// open starts a new segment, so a torn tail from a crash mid-write is
-// simply ignored at the next replay.
+// files. Every state change and log mutation is one record, appended to the
+// active segment as one CRC-checked durable frame; Load replays the snapshot
+// and then the segments in order. Compaction (SaveSnapshot) writes the
+// snapshot file atomically (temp + fsync + rename), rotates to a fresh
+// segment, and unlinks the segment files the snapshot fully covers — an
+// O(segments) unlink, not a log rewrite. Each open starts a new segment, so a
+// torn tail from a crash mid-write is simply ignored at the next replay.
 type FileStorage struct {
 	mu  sync.Mutex
 	dir string
@@ -144,9 +140,9 @@ type FileStorage struct {
 	// contain (an overestimate is safe: it only delays its unlink).
 	segs []walSegment // guarded by mu
 
-	// scratch is the reused frame-encoding buffer: the append hot path
-	// encodes each record into it instead of allocating per record.
-	scratch bytes.Buffer // guarded by mu
+	// buf is the reused frame-encoding buffer: the append hot path encodes
+	// each record into it instead of allocating per record.
+	buf []byte // guarded by mu
 }
 
 // walSegment is one live segment file.
@@ -155,7 +151,14 @@ type walSegment struct {
 	max int // highest absolute entry index possibly present
 }
 
-// walRecord is one WAL entry.
+// A segment is walHeader, then one durable frame per record. The header goes
+// out in the same write as the segment's base record.
+const walHeader = "ADOREWAL\x01" // magic, format version 1
+
+var errWALFormat = errors.New("raft: wal: segment does not start with the ADOREWAL v1 header " +
+	"(a WAL from an older build, whose records were gob, is not read: wipe the directory)")
+
+// walRecord is one WAL record.
 type walRecord struct {
 	Kind       uint8 // 0 = state, 1 = entries, 2 = segment base
 	HS         HardState
@@ -168,40 +171,82 @@ type walRecord struct {
 	SnapTerm  types.Time
 }
 
-// encodeFrameInto serializes one record into buf as a length-prefixed
-// standalone gob blob (each record carries its own type table, so streams
-// survive appends by later process generations). buf is reset first, so
-// callers can reuse one buffer across records and avoid the per-record
-// allocations of building each frame from scratch.
-func encodeFrameInto(buf *bytes.Buffer, rec walRecord) error {
-	buf.Reset()
-	var pad [frameHeaderLen]byte
-	buf.Write(pad[:])
-	if err := gob.NewEncoder(buf).Encode(rec); err != nil {
-		return err
+// appendRecord appends rec to dst as one durable frame whose body is the
+// kind byte, then that kind's fields in the envelope's encodings (wire.go).
+func appendRecord(dst []byte, rec walRecord) []byte {
+	start := len(dst)
+	dst = append(append(dst, make([]byte, durableHeaderLen)...), rec.Kind)
+	if rec.Kind == 1 {
+		dst = binary.AppendVarint(dst, int64(rec.FirstIndex))
+		dst = appendEntries(dst, rec.Entries)
+	} else {
+		dst = binary.AppendUvarint(dst, uint64(rec.HS.Term))
+		dst = binary.AppendUvarint(dst, uint64(rec.HS.VotedFor))
+		if rec.Kind == 2 {
+			dst = binary.AppendVarint(dst, int64(rec.SnapIndex))
+			dst = binary.AppendUvarint(dst, uint64(rec.SnapTerm))
+		}
 	}
-	binary.BigEndian.PutUint32(buf.Bytes()[:frameHeaderLen], uint32(buf.Len()-frameHeaderLen))
-	return nil
+	sealFrame(dst[start:])
+	return dst
 }
 
-// readFrames decodes every complete record in r, ignoring a torn tail. A
-// tail torn inside the 4-byte prefix can claim any length; ReadFrame sizes its
-// buffer by the bytes the segment actually holds, never by the prefix.
-func readFrames(r io.Reader) []walRecord {
-	var recs []walRecord
-	var buf []byte
-	for {
-		body, err := ReadFrame(r, buf)
-		if err != nil {
-			return recs // end of segment, or a torn write: the durable prefix stands
+// nextRecord decodes the durable frame at the front of b as one record and
+// returns the bytes after it. Decoding is as strict as DecodeEnvelope's.
+func nextRecord(b []byte) (walRecord, []byte, error) {
+	body, rest, err := splitFrame(b)
+	if err != nil {
+		return walRecord{}, nil, err
+	}
+	r := wireReader{b: body}
+	rec := walRecord{Kind: r.byte()}
+	switch rec.Kind {
+	case 1:
+		rec.FirstIndex, rec.Entries = r.int(), r.entries()
+	case 0, 2:
+		rec.HS = HardState{Term: types.Time(r.uvarint()), VotedFor: types.NodeID(r.uvarint32())}
+		if rec.Kind == 2 {
+			rec.SnapIndex, rec.SnapTerm = r.int(), types.Time(r.uvarint())
 		}
-		buf = body // gob copies what it decodes, so the next frame may reuse it
-		var rec walRecord
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rec); err != nil {
-			return recs
+	default:
+		r.fail(errWireRange)
+	}
+	if r.err == nil && len(r.b) != 0 {
+		r.fail(errWireTrailing)
+	}
+	return rec, rest, r.err
+}
+
+// replaySegment reads one segment's records. It stops at the first frame
+// that is short, fails its CRC or does not decode: a crash tears only the
+// last write, and what precedes it is the durable prefix. If a complete,
+// valid frame follows that point, the damage is inside the segment, not a
+// torn tail, and replay fails loudly. A segment shorter than walHeader whose
+// bytes match it is a first write torn by a crash and holds nothing.
+func replaySegment(path string) ([]walRecord, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("raft: open wal segment: %w", err)
+	}
+	if n := min(len(b), len(walHeader)); string(b[:n]) != walHeader[:n] {
+		return nil, fmt.Errorf("raft: wal segment %s: %w", path, errWALFormat)
+	}
+	var recs []walRecord
+	for at := len(walHeader); at < len(b); {
+		rec, rest, err := nextRecord(b[at:])
+		if err != nil {
+			for next := at + 1; next < len(b); next++ {
+				if _, _, err := nextRecord(b[next:]); err == nil {
+					return nil, fmt.Errorf("raft: wal segment %s: frame at byte %d is damaged but a valid frame follows at byte %d",
+						path, at, next)
+				}
+			}
+			return recs, nil
 		}
 		recs = append(recs, rec)
+		at = len(b) - len(rest)
 	}
+	return recs, nil
 }
 
 func segPath(dir string, seq int) string {
@@ -227,6 +272,44 @@ func syncDir(dir string) error {
 	return cerr
 }
 
+// The durable frame, shared by WAL records and snapshot files:
+//
+//	u32 big-endian body length · u32 CRC-32 (IEEE) of the body · body
+//
+// A writer appends durableHeaderLen zero bytes, then the body, then calls
+// sealFrame.
+const durableHeaderLen = 8
+
+var (
+	errFrameLength = errors.New("raft: frame: corrupt length")
+	errFrameCRC    = errors.New("raft: frame: checksum mismatch")
+)
+
+// sealFrame fills in the header of the durable frame that starts at frame[0]
+// and runs to its end.
+func sealFrame(frame []byte) {
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(frame)-durableHeaderLen))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[durableHeaderLen:]))
+}
+
+// splitFrame checks the durable frame at the front of b and returns its body
+// and the bytes after it: errFrameLength if b ends inside the frame,
+// errFrameCRC if the body does not match its checksum.
+func splitFrame(b []byte) (body, rest []byte, err error) {
+	if len(b) < durableHeaderLen {
+		return nil, nil, errFrameLength
+	}
+	n := uint64(binary.BigEndian.Uint32(b[0:4]))
+	if n > uint64(len(b)-durableHeaderLen) {
+		return nil, nil, errFrameLength
+	}
+	body, rest = b[durableHeaderLen:durableHeaderLen+n], b[durableHeaderLen+n:]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(b[4:8]) {
+		return nil, nil, errFrameCRC
+	}
+	return body, rest, nil
+}
+
 // snapFileVersion leads every snapshot file body. A gob body from a build
 // that predates this format starts with its first message's length, never 1,
 // so it fails the load loudly instead of being mis-parsed.
@@ -234,19 +317,18 @@ const snapFileVersion = 1
 
 var errSnapVersion = errors.New("raft: snapshot: unknown format version")
 
-// writeSnapFile writes one snapshot atomically: length + CRC + body into a
+// writeSnapFile writes one snapshot atomically: one durable frame into a
 // temp file, fsync, rename into place, fsync the directory. A crash
 // mid-write leaves only an ignored .tmp; a crash after the rename leaves a
 // fully valid file — there is no torn intermediate state. The body is the
 // version, then index, term, members and image in the envelope's field
 // encodings (wire.go).
 func writeSnapFile(dir string, snap LogSnapshot) error {
-	buf := append(make([]byte, 8, 64+len(snap.Data)), snapFileVersion)
+	buf := append(make([]byte, durableHeaderLen, 64+len(snap.Data)), snapFileVersion)
 	buf = binary.AppendVarint(buf, int64(snap.Index))
 	buf = binary.AppendUvarint(buf, uint64(snap.Term))
 	buf = appendBytes(appendMembers(buf, snap.Members), snap.Data)
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(buf)-8))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[8:]))
+	sealFrame(buf)
 	path := snapPath(dir, snap.Index)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -270,23 +352,24 @@ func writeSnapFile(dir string, snap LogSnapshot) error {
 	return syncDir(dir)
 }
 
-// readSnapFile loads and verifies one snapshot file. Any truncation or
-// bit-rot fails loudly: snapshot files are written atomically, so unlike
-// a WAL tail there is no legitimate torn state to tolerate. Like
-// DecodeEnvelope it accepts only the canonical body and allocates no more
-// than the file's own length, whatever its counts claim.
+// readSnapFile loads and verifies one snapshot file: exactly one durable
+// frame. Any truncation or bit-rot fails loudly: snapshot files are written
+// atomically, so unlike a WAL tail there is no legitimate torn state to
+// tolerate. Like DecodeEnvelope it accepts only the canonical body and
+// allocates no more than the file's own length, whatever its counts claim.
 func readSnapFile(path string) (LogSnapshot, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return LogSnapshot{}, err
 	}
-	if len(b) < 8 || int(binary.BigEndian.Uint32(b[0:4])) != len(b)-8 {
-		return LogSnapshot{}, fmt.Errorf("raft: snapshot %s: corrupt length", path)
+	body, rest, err := splitFrame(b)
+	if err == nil && len(rest) != 0 {
+		err = errFrameLength
 	}
-	if crc32.ChecksumIEEE(b[8:]) != binary.BigEndian.Uint32(b[4:8]) {
-		return LogSnapshot{}, fmt.Errorf("raft: snapshot %s: checksum mismatch", path)
+	if err != nil {
+		return LogSnapshot{}, fmt.Errorf("raft: snapshot %s: %w", path, err)
 	}
-	r := wireReader{b: b[8:]}
+	r := wireReader{b: body}
 	if r.byte() != snapFileVersion {
 		r.fail(errSnapVersion)
 	}
@@ -349,12 +432,8 @@ func OpenFileStorage(dir string) (*FileStorage, error) {
 		fs.log[0] = LogEntry{Term: snap.Term}
 	}
 	for _, seq := range segSeqs {
-		f, err := os.Open(segPath(dir, seq))
+		recs, err := replaySegment(segPath(dir, seq))
 		if err != nil {
-			return nil, fmt.Errorf("raft: open wal segment: %w", err)
-		}
-		recs := readFrames(f)
-		if err := f.Close(); err != nil {
 			return nil, err
 		}
 		max := 0
@@ -383,7 +462,8 @@ func OpenFileStorage(dir string) (*FileStorage, error) {
 }
 
 // rotateLocked closes the active segment (if any) and starts segment seq
-// with a base record carrying the current hard state and snapshot base.
+// with the header and a base record carrying the current hard state and
+// snapshot base, in one write.
 func (fs *FileStorage) rotateLocked(seq int) error {
 	if fs.f != nil {
 		if err := fs.f.Close(); err != nil {
@@ -397,7 +477,7 @@ func (fs *FileStorage) rotateLocked(seq int) error {
 	}
 	fs.f = f
 	fs.segs = append(fs.segs, walSegment{seq: seq})
-	if err := fs.appendLocked(walRecord{
+	if err := fs.appendLocked(walHeader, walRecord{
 		Kind: 2, HS: fs.hs, SnapIndex: fs.base.Index, SnapTerm: fs.base.Term,
 	}); err != nil {
 		return err
@@ -440,11 +520,11 @@ func (fs *FileStorage) applyRecordLocked(rec walRecord) error {
 	return nil
 }
 
-func (fs *FileStorage) appendLocked(rec walRecord) error {
-	if err := encodeFrameInto(&fs.scratch, rec); err != nil {
-		return fmt.Errorf("raft: wal append: %w", err)
-	}
-	if _, err := fs.f.Write(fs.scratch.Bytes()); err != nil {
+// appendLocked writes prefix and rec's frame to the active segment in one
+// write, and syncs it.
+func (fs *FileStorage) appendLocked(prefix string, rec walRecord) error {
+	fs.buf = appendRecord(append(fs.buf[:0], prefix...), rec)
+	if _, err := fs.f.Write(fs.buf); err != nil {
 		return fmt.Errorf("raft: wal append: %w", err)
 	}
 	return fs.f.Sync()
@@ -455,7 +535,7 @@ func (fs *FileStorage) SaveState(hs HardState) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.hs = hs
-	return fs.appendLocked(walRecord{Kind: 0, HS: hs})
+	return fs.appendLocked("", walRecord{Kind: 0, HS: hs})
 }
 
 // SaveEntries implements Storage.
@@ -474,7 +554,7 @@ func (fs *FileStorage) SaveEntries(firstIndex int, entries []LogEntry) error {
 			active.max = end
 		}
 	}
-	return fs.appendLocked(walRecord{Kind: 1, FirstIndex: firstIndex, Entries: entries})
+	return fs.appendLocked("", walRecord{Kind: 1, FirstIndex: firstIndex, Entries: entries})
 }
 
 // SaveSnapshot implements Storage: write the snapshot file atomically and

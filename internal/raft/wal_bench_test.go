@@ -9,8 +9,7 @@ import (
 
 // BenchmarkWALAppend measures the FileStorage hot path: one SaveEntries
 // call (one frame, one fsync) per operation. Run with -benchmem; the
-// allocs/op column is the target of the encodeFrame/appendLocked
-// scratch-buffer reuse.
+// allocs/op column is the target of appendLocked's reused frame buffer.
 func BenchmarkWALAppend(b *testing.B) {
 	st, err := raft.OpenFileStorage(filepath.Join(b.TempDir(), "wal"))
 	if err != nil {

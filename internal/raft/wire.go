@@ -36,8 +36,8 @@ import (
 const (
 	wireVersion = 1
 
-	// frameHeaderLen is the u32 length prefix of a frame, on the wire and in
-	// the WAL alike.
+	// frameHeaderLen is the u32 length prefix of a stream frame. (The WAL
+	// and snapshot files use the CRC-checked durable frame, storage.go.)
 	frameHeaderLen = 4
 
 	// MaxFrameLen is the longest frame (prefix + body) the u32 length prefix
@@ -87,10 +87,7 @@ func AppendEnvelope(dst []byte, env Envelope) []byte {
 	dst = binary.AppendUvarint(dst, uint64(m.LastLogTerm))
 	dst = binary.AppendVarint(dst, int64(m.PrevLogIndex))
 	dst = binary.AppendUvarint(dst, uint64(m.PrevLogTerm))
-	dst = binary.AppendUvarint(dst, uint64(len(m.Entries)))
-	for i := range m.Entries {
-		dst = appendEntry(dst, &m.Entries[i])
-	}
+	dst = appendEntries(dst, m.Entries)
 	dst = binary.AppendVarint(dst, int64(m.LeaderCommit))
 	dst = binary.AppendUvarint(dst, m.Seq)
 	dst = binary.AppendVarint(dst, int64(m.MatchIndex))
@@ -106,8 +103,17 @@ func AppendEnvelope(dst []byte, env Envelope) []byte {
 	return dst
 }
 
-// appendEntry is the one LogEntry codec (with wireReader.entry): the WAL can
-// adopt it when its format moves off gob, so there is one to fuzz, not two.
+// appendEntries appends a uvarint count and the entries. appendEntry (with
+// wireReader.entry) is the one LogEntry codec: envelopes and WAL records
+// both use it, so there is one to fuzz, not two.
+func appendEntries(dst []byte, es []LogEntry) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(es)))
+	for i := range es {
+		dst = appendEntry(dst, &es[i])
+	}
+	return dst
+}
+
 func appendEntry(dst []byte, e *LogEntry) []byte {
 	dst = binary.AppendUvarint(dst, uint64(e.Term))
 	dst = append(dst, byte(e.Kind))
@@ -144,9 +150,9 @@ var (
 type wireReader struct {
 	b   []byte
 	err error
-	// arena backs every []byte the decoded envelope carries: one allocation
-	// per envelope, made at the first non-empty field and sized by the bytes
-	// then unread, so the result never aliases the (reused) frame buffer.
+	// arena backs every []byte the decoded envelope or record carries: one
+	// allocation per frame, made at the first non-empty field and sized by
+	// the bytes then unread, so the result never aliases the frame buffer.
 	arena []byte
 }
 
@@ -246,6 +252,18 @@ func (r *wireReader) members() []types.NodeID {
 	return ids
 }
 
+func (r *wireReader) entries() []LogEntry {
+	n := r.count(minEntryLen)
+	if n == 0 {
+		return nil
+	}
+	es := make([]LogEntry, n)
+	for i := range es {
+		es[i] = r.entry()
+	}
+	return es
+}
+
 func (r *wireReader) entry() LogEntry {
 	var e LogEntry
 	e.Term = types.Time(r.uvarint())
@@ -280,12 +298,7 @@ func DecodeEnvelope(body []byte) (Envelope, error) {
 	m.LastLogTerm = types.Time(r.uvarint())
 	m.PrevLogIndex = r.int()
 	m.PrevLogTerm = types.Time(r.uvarint())
-	if n := r.count(minEntryLen); n > 0 {
-		m.Entries = make([]LogEntry, n)
-		for i := range m.Entries {
-			m.Entries[i] = r.entry()
-		}
-	}
+	m.Entries = r.entries()
 	m.LeaderCommit = r.int()
 	m.Seq = r.uvarint()
 	m.MatchIndex = r.int()
