@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-teeth check loc bench benchmark-smoke bench-compare fuzz-smoke chaos chaos-smoke chaos-teeth chaos-parity kv-race chaos-elections chaos-leases chaos-disk fingerprints sim-sweep sim-teeth sim-sweep-groups sim-teeth-groups
+.PHONY: all build test race vet lint lint-teeth check loc bench benchmark-smoke bench-compare fuzz-smoke chaos chaos-smoke chaos-teeth chaos-parity kv-race chaos-elections chaos-leases chaos-disk fingerprints sim-sweep sim-teeth sim-teeth-client sim-sweep-groups sim-teeth-groups
 
 all: check
 
@@ -148,6 +148,15 @@ sim-sweep:
 # -disable-r2 explicit the tool expects violations and exits 0 on a catch.
 sim-teeth:
 	$(GO) run ./cmd/raft-chaos -sim -teeth -disable-r2 -seeds 1
+
+# sim-teeth-client: the simulator's clients run kvstore.Session, the request
+# logic kvstore.Client runs. With the client mutant that re-proposes an Append
+# or CAS under a fresh sequence number once an attempt slice runs out, seed 9
+# applies a request twice and its linearizability check must catch it (the
+# first run exits 0 on a catch); the same seed without the mutant must be clean.
+sim-teeth-client:
+	$(GO) run ./cmd/raft-chaos -fresh-seq-retry -seed 9
+	$(GO) run ./cmd/raft-chaos -sim -seed 9
 
 # sim-sweep-groups is the multi-group sweep: 500 seeds with the keyspace
 # hash-partitioned across 3 raft groups, every oracle (linearizability,

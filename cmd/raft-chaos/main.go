@@ -17,6 +17,7 @@
 //	raft-chaos -teeth -groups 2             # cross-group wipe teeth: group 1's corruption caught, group 0 clean
 //	raft-chaos -teeth -disable-lease-guard  # lease teeth: the stale-lease oracle must fire (exit 1)
 //	raft-chaos -teeth -early-stable         # driver-mutant teeth: Stable before the write lands must be caught
+//	raft-chaos -fresh-seq-retry -seed 9     # client-mutant teeth: a retry under a fresh seq must be caught
 //
 // With -sim each seed runs in the deterministic simulator instead of a live
 // cluster: single-threaded on a logical clock, the entire execution (not
@@ -62,6 +63,7 @@ func main() {
 		disCQ     = flag.Bool("disable-checkquorum", false, "turn off CheckQuorum step-down (with -teeth: run the stale-leader schedule)")
 		disLG     = flag.Bool("disable-lease-guard", false, "turn off the transfer/reconfig lease invalidation (with -teeth: run the lease-violation schedule; the stale-lease oracle must fire)")
 		earlySt   = flag.Bool("early-stable", false, "swap in the simulator's driver mutant that reports Stable before the write lands (with -teeth: run the crash-before-stable schedule; expect violations)")
+		freshSeq  = flag.Bool("fresh-seq-retry", false, "swap in the client mutant that re-proposes an Append or CAS under a fresh sequence number once an attempt slice runs out (simulator; expect violations)")
 		teeth     = flag.Bool("teeth", false, "run the crafted violation schedule for the disabled guard instead of generated ones")
 		sim       = flag.Bool("sim", false, "deterministic simulation instead of a live cluster (adds the refinement oracle)")
 		groups    = flag.Int("groups", 1, "raft groups sharing the keyspace (>1 implies -sim; every oracle runs per group)")
@@ -70,10 +72,10 @@ func main() {
 	)
 	flag.Parse()
 
-	// Multi-group runs and the Ready-executor mutant exist only in the
+	// Multi-group runs and the disk and client mutants exist only in the
 	// deterministic simulator (groups share nothing there, so per-group
 	// oracle attribution is exact).
-	if *groups > 1 || *earlySt {
+	if *groups > 1 || *earlySt || *freshSeq {
 		*sim = true
 	}
 
@@ -93,6 +95,7 @@ func main() {
 	}{
 		{*disLG, chaos.LeaseViolationSchedule, true, false},
 		{*earlySt, chaos.CrashBeforeStableSchedule, true, true},
+		{*freshSeq, nil, true, true}, // generated schedules: no crafted one needed
 		{*disPV, chaos.DisruptionSchedule, true, true},
 		{*disCQ, chaos.StaleLeaderSchedule, true, true},
 		{*disableR2, chaos.R2ViolationSchedule, false, true},
@@ -145,6 +148,7 @@ func main() {
 		SnapshotThreshold: *snapThr,
 		Groups:            *groups,
 		EarlyStable:       *earlySt,
+		FreshSeqRetry:     *freshSeq,
 	}
 
 	if *teeth && *disLG {

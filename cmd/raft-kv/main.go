@@ -318,7 +318,7 @@ func (s *server) get(key string) string {
 		case errors.Is(err, kvstore.ErrTimeout):
 			return "ERR timeout waiting for apply"
 		case err != nil:
-			return fmt.Sprintf("ERR read barrier: %s (try %s)", err, rep.Node.Snapshot().Leader)
+			return fmt.Sprintf("ERR read barrier: %s (try %s)", err, raft.LeaderHint(err))
 		}
 	}
 	if ok {
@@ -340,7 +340,7 @@ func (c *session) write(cmd kvstore.Command) string {
 	case errors.Is(err, kvstore.ErrNotApplied):
 		return fmt.Sprintf("ERR leadership changed, not applied (try %s)", rep.Node.Snapshot().Leader)
 	case err != nil:
-		return fmt.Sprintf("ERR not leader (try %s)", rep.Node.Snapshot().Leader)
+		return fmt.Sprintf("ERR not leader (try %s)", raft.LeaderHint(err))
 	case cmd.Op == kvstore.OpDelete && !res.Found:
 		return "NOTFOUND"
 	case cmd.Op == kvstore.OpCAS && !res.Swapped:

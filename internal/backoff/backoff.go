@@ -51,22 +51,22 @@ func New(initial, max time.Duration, seed int64) *Backoff {
 // the next stall is a fresh incident, not a continuation).
 func (b *Backoff) Reset() { b.next = b.initial }
 
-// Next returns the current jittered delay — uniform in [next/2, next] —
-// and advances the sequence (doubling up to the cap). The delay is clipped
-// so it never overshoots deadline; once deadline has passed it returns 0.
-func (b *Backoff) Next(deadline time.Time) time.Duration {
+// Delay returns the current jittered delay — uniform in [next/2, next] —
+// and advances the sequence (doubling up to the cap). It reads no clock, so
+// a caller with a clock of its own (a logical one) clips it itself.
+func (b *Backoff) Delay() time.Duration {
 	d := b.next/2 + time.Duration(b.rng.Int63n(int64(b.next/2)+1))
 	b.next *= 2
 	if b.next > b.max {
 		b.next = b.max
 	}
-	if remain := time.Until(deadline); d > remain {
-		d = remain
-	}
-	if d < 0 {
-		d = 0
-	}
 	return d
+}
+
+// Next is Delay clipped so it never overshoots deadline; once deadline has
+// passed it returns 0.
+func (b *Backoff) Next(deadline time.Time) time.Duration {
+	return min(b.Delay(), max(time.Until(deadline), 0))
 }
 
 // Sleep blocks for Next(deadline).

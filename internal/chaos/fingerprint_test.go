@@ -15,8 +15,8 @@ import (
 // generated seeds at default options and across three groups, every crafted
 // schedule with its guard on, and again with it off — and asserts them
 // against testdata/journal_fingerprints.txt, so a change that moves the
-// simulator's behaviour cannot land unnoticed (EXPERIMENTS.md E19, E20 and
-// E24 trace every move so far). Each run contributes its journal, its op /
+// simulator's behaviour cannot land unnoticed (EXPERIMENTS.md E19, E20, E24
+// and E28 trace every move so far). Each run contributes its journal, its op /
 // timeout / fault counts, its violations and its warnings; Report.Stats stays
 // out (how counters are summed is harness policy, not simulator behaviour).
 // With -v it also logs each crafted schedule's journal hash, to tell which

@@ -177,19 +177,15 @@ type recorder struct {
 	timeouts int            // guarded by mu
 }
 
-func (rc *recorder) add(e linear.Event) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.events = append(rc.events, e)
-}
-
-func (rc *recorder) count(timedOut bool) {
+func (rc *recorder) record(ci int, op ClientOp, call, ret int64, out kvstore.Result, err error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rc.ops++
-	if timedOut {
+	if err != nil {
 		rc.timeouts++
 	}
+	// A timed-out write's fate is unknown, as kvstore.Session marks it.
+	rc.events = record(rc.events, ci, op, call, ret, out, err, op.Op != kvstore.OpGet)
 }
 
 func (rc *recorder) counts() (ops, timeouts int) {
@@ -204,11 +200,7 @@ func (rc *recorder) snapshot() linear.History {
 	return append(linear.History(nil), rc.events...)
 }
 
-// runClient walks one script until the horizon, recording every completed
-// operation and recording timed-out writes as outcome-unknown (Maybe)
-// events — a Put whose ack was lost may still have committed, and the
-// checker must be allowed to place it. Timed-out reads are side-effect-free
-// and are simply dropped.
+// runClient walks one script until the horizon, recording every operation.
 func runClient(cl *kvstore.Client, hist *recorder, ci int, script []ClientOp, start time.Time, opt Options) {
 	// Ops are paced across the whole horizon (catching up immediately when
 	// a slow op puts the client behind), so the workload overlaps every
@@ -222,34 +214,30 @@ func runClient(cl *kvstore.Client, hist *recorder, ci int, script []ClientOp, st
 			return
 		}
 		call := int64(time.Since(start))
+		var out kvstore.Result
+		var err error
 		if op.FastRead {
-			v, found, err := cl.FastGetMode(op.Key, op.Via, opt.OpTimeout)
-			hist.count(err != nil)
-			if err != nil {
-				continue
-			}
-			hist.add(linear.Event{
-				Client: ci, Op: kvstore.OpGet, Key: op.Key,
-				Out:  kvstore.Result{Value: v, Found: found},
-				Call: call, Return: int64(time.Since(start)),
-			})
-			continue
+			out.Value, out.Found, err = cl.FastGetMode(op.Key, op.Via, opt.OpTimeout)
+		} else {
+			out, err = cl.Do(op.Op, op.Key, op.Value, op.Old, opt.OpTimeout)
 		}
-		out, err := cl.Do(op.Op, op.Key, op.Value, op.Old, opt.OpTimeout)
-		ret := int64(time.Since(start))
-		hist.count(err != nil)
-		if err != nil {
-			if op.Op != kvstore.OpGet {
-				hist.add(linear.Event{
-					Client: ci, Op: op.Op, Key: op.Key, Value: op.Value, Old: op.Old,
-					Call: call, Maybe: true,
-				})
-			}
-			continue
-		}
-		hist.add(linear.Event{
-			Client: ci, Op: op.Op, Key: op.Key, Value: op.Value, Old: op.Old,
-			Out: out, Call: call, Return: ret,
-		})
+		hist.record(ci, op, call, int64(time.Since(start)), out, err)
 	}
+}
+
+// record appends op's history event: a completed one; timed out, an
+// outcome-unknown (Maybe) event when the op may still take effect — a Put
+// whose ack was lost may still have committed, and the checker must be
+// allowed to place it — and nothing for a read, which has no effect.
+func record(h linear.History, ci int, op ClientOp, call, ret int64, out kvstore.Result, err error, maybe bool) linear.History {
+	e := linear.Event{Client: ci, Op: op.Op, Key: op.Key, Value: op.Value, Old: op.Old, Call: call}
+	switch {
+	case err == nil:
+		e.Out, e.Return = out, ret
+	case maybe:
+		e.Maybe = true
+	default:
+		return h
+	}
+	return append(h, e)
 }

@@ -343,6 +343,11 @@ type Options struct {
 	// before it lands, so the driver reports Stable early — used to prove
 	// the acked⇒durable oracles catch effects that outrun the disk.
 	EarlyStable bool
+	// FreshSeqRetry swaps in the client mutant (deterministic sim only) that
+	// re-proposes an Append or CAS under a fresh sequence number once an
+	// attempt slice runs out (kvstore.Session.FreshSeqOnRetry) — used
+	// to prove the linearizability oracle catches a request applied twice.
+	FreshSeqRetry bool
 }
 
 // diskDelayTicks resolves the DiskDelay convention (negative = off) into
@@ -932,22 +937,25 @@ func ApplyAheadOfDiskSchedule(opt Options) *Schedule {
 // entries sit at indexes at or below it.
 //
 // Timeline, in client slots (every client starts its next op at the same
-// tick): just before slot 10 the leader is isolated, and slot 10 is a put on
-// every client, so the isolated leader appends and persists entries no
-// quorum will ever hold. Its disk then freezes until after slot 14. The
-// majority elects a successor and commits the same puts, retried, at other
-// indexes. Shortly before slot 12 the network heals: the ex-leader adopts
-// the new term in memory, but the term cannot reach its frozen disk, so its
-// rejections of the successor's probes stay held and nobody repairs its
-// log. Slots 12..14 are follower reads dealt over all non-leaders, one per
-// slot landing on the ex-leader: request and reply wait for no disk. The
-// replica must not believe the commit index on them beyond what it has
-// matched against the successor (nothing), and the reads complete, correct,
-// once the disk answers and the log is repaired.
+// tick): just before slot 10 the leader is isolated. Slot 10 is a put on
+// clients 0 and 1, so the isolated leader appends and persists entries no
+// quorum will ever hold (those two clients wait on it until its log is
+// repaired), and a leader read on clients 2 and 3, which its still-valid
+// lease answers at once. Its disk then freezes until after slot 14. The
+// majority elects a successor and commits past the stale indexes; clients 2
+// and 3 learn the successor from the redirects their slot-11 gets meet.
+// Shortly before slot 12 the network heals: the ex-leader adopts the new term
+// in memory, but the term cannot reach its frozen disk, so its rejections of
+// the successor's probes stay held and nobody repairs its log. Slots 12..14
+// are follower reads, which clients 2 and 3 rotate over the replicas other
+// than the successor, so some land on the ex-leader: request and reply wait
+// for no disk. The replica must not believe the commit index on them beyond
+// what it has matched against the successor (nothing), and the reads
+// complete, correct, once the disk answers and the log is repaired.
 func StaleSuffixReadSchedule(opt Options) *Schedule {
 	opt.Clients, opt.OpsPerClient, opt.Keys = 4, 39, 8
 	opt.defaults()
-	slot := opt.Duration / time.Duration(opt.OpsPerClient+1) // newSimClient's pacing
+	slot := opt.Duration / time.Duration(opt.OpsPerClient+1) // newScriptClient's pacing
 	iso := 10*slot - 2*simTick
 	freeze := iso + 5*simTick // the isolated leader has not stepped down yet
 	scripts := make([][]ClientOp, opt.Clients)
@@ -961,7 +969,9 @@ func StaleSuffixReadSchedule(opt Options) *Schedule {
 			switch {
 			case i >= 12 && i <= 14: // the window
 				op.FastRead, op.Via = true, kvstore.ReadModeFollower
-			case i%2 == 0: // slot 10 among them
+			case i == 10 && c >= 2: // free again before the window
+				op.FastRead, op.Via = true, kvstore.ReadModeLeader
+			case i%2 == 0: // slot 10 of clients 0 and 1 among them
 				op.Op = kvstore.OpPut
 			case i%4 == 1:
 				op.FastRead, op.Via = true, kvstore.ReadModeFollower

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"time"
 
 	"adore/internal/config"
 	"adore/internal/kvstore"
@@ -20,9 +21,10 @@ import (
 // paced across it) keep their shape.
 //
 // The executor, the run loop, the epilogue and the sampled oracles are the
-// live runner's own, written against Env. Here is what only a fully
-// inspectable cluster allows: the clients as an explicit state machine, and
-// the oracles that read link state, disks, lease state and the stable log.
+// live runner's own, written against Env, and the clients run the live
+// client's request logic (kvstore.Session) on ticks. Here is what only a fully
+// inspectable cluster allows: the oracles that read link state, disks, lease
+// state and the stable log.
 // The run checks applied ⊆ quorum-durable at every delivery to a state
 // machine (checkQuorumDurable: the sim can read the disks) and executable
 // refinement: every few ticks each replica's STABLE log — what its disk
@@ -163,7 +165,9 @@ func runSimGroup(sched *Schedule, opt Options, g raft.GroupID, groups int) (*Rep
 	r.exec = refine.NewExec(types.NewNodeSet(r.s.IDs()...))
 
 	for ci, script := range scripts {
-		r.clients = append(r.clients, newSimClient(ci, script, r.horizon))
+		cl := newScriptClient(ci, script, r.horizon, sched.Seed+groupSeedStride*int64(g)+int64(ci))
+		cl.sess.FreshSeqOnRetry = opt.FreshSeqRetry
+		r.clients = append(r.clients, cl)
 	}
 
 	env := simEnv{r.s, r}
@@ -216,8 +220,8 @@ func runSimGroup(sched *Schedule, opt Options, g raft.GroupID, groups int) (*Rep
 }
 
 // simRun is the simulator-only half of a deterministic run: the cluster, the
-// client state machines and their stores, and the oracles that need more of
-// the cluster than Env offers.
+// clients and the replicas' stores, and the oracles that need more of the
+// cluster than Env offers.
 type simRun struct {
 	s         *sim.Cluster
 	mon       *monitor // the shared sampled oracles; also collects the sim-only oracles' violations
@@ -228,7 +232,7 @@ type simRun struct {
 	stores  map[types.NodeID]*kvstore.Store
 	applied map[types.NodeID][]raft.ApplyMsg
 	incarn  map[types.NodeID]int
-	clients []*simClient
+	clients []*scriptClient
 	history linear.History
 
 	// election-disruption oracle state
@@ -559,195 +563,127 @@ func (r *simRun) checkRefinement() {
 
 func (r *simRun) clientsPending() bool {
 	for _, cl := range r.clients {
-		if cl.pend != nil {
+		if cl.busy {
 			return true
 		}
 	}
 	return false
 }
 
-// simClient is one scripted client as an explicit state machine: at most
-// one outstanding operation, retried against the current leader until the
-// dedup table shows it applied (the live client's transparent retry), then
-// recorded in the shared history with sim-tick call/return times.
-type simClient struct {
+// scriptClient is one scripted client in the simulator: a kvstore.Session —
+// the request logic kvstore.Client runs — carried out on logical ticks, one
+// operation at a time, each recorded in the shared history with sim-tick
+// call/return times. It learns only what the replica it addresses tells it:
+// a proposal's index or refusal, a read's index or abort (with that
+// replica's known leader), and the outcome in that replica's own Store.
+type scriptClient struct {
 	idx      int
-	clientID uint64
 	script   []ClientOp
 	startAt  []int64
 	next     int
-	pend     *simPending
+	sess     *kvstore.Session
+	step     kvstore.Step
+	busy     bool
+	call     int64
+	read     <-chan int // the pending read step's answer (nil: not asked yet)
 	ops      int
 	timeouts int
 }
 
-// simPending is the in-flight operation.
-type simPending struct {
-	op       ClientOp
-	seq      uint64
-	call     int64
-	deadline int64
-	lastTry  int64 // last proposal attempt (writes) — retry pacing
-
-	// fast-read barrier state
-	readNode types.NodeID
-	readWait <-chan int // the pending barrier's answer (nil: none)
-	readIdx  int        // -1 until the barrier resolves
-}
-
-func newSimClient(idx int, script []ClientOp, horizon int64) *simClient {
+func newScriptClient(idx int, script []ClientOp, horizon, seed int64) *scriptClient {
 	interval := horizon / int64(len(script)+1)
 	starts := make([]int64, len(script))
 	for i := range script {
 		starts[i] = int64(i) * interval
 	}
-	return &simClient{idx: idx, clientID: uint64(idx) + 1, script: script, startAt: starts}
+	return &scriptClient{idx: idx, script: script, startAt: starts, sess: kvstore.NewSession(uint64(idx)+1, seed)}
 }
 
-// retryInterval paces proposal retransmissions (in ticks): long enough for
-// a round trip, short enough to land several tries inside one op timeout.
-const retryInterval = 20
-
-func (cl *simClient) tick(r *simRun) {
-	now := r.s.Now()
-	if cl.pend == nil {
-		if cl.next >= len(cl.script) || now < cl.startAt[cl.next] || now >= r.horizon {
-			return
-		}
+// tick starts the next scripted operation when its time has come, or tells
+// the session the time, then carries out its steps.
+func (cl *scriptClient) tick(r *simRun) {
+	now := time.Duration(r.s.Now()) * simTick
+	switch {
+	case cl.busy:
+		cl.follow(r, cl.sess.Tick(now))
+	case cl.next < len(cl.script) && r.s.Now() >= cl.startAt[cl.next] && r.s.Now() < r.horizon:
 		op := cl.script[cl.next]
 		cl.next++
-		cl.pend = &simPending{
-			op:       op,
-			seq:      uint64(cl.next), // 1-based, strictly increasing
-			call:     now,
-			deadline: now + r.opTimeout,
-			lastTry:  -retryInterval,
-			readIdx:  -1,
+		cl.busy, cl.call = true, r.s.Now()
+		timeout := time.Duration(r.opTimeout) * simTick
+		if op.FastRead {
+			cl.follow(r, cl.sess.Read(now, op.Via, timeout, r.s.IDs()))
+		} else {
+			cmd := kvstore.Command{Op: op.Op, Key: op.Key, Value: op.Value, Old: op.Old}
+			cl.follow(r, cl.sess.Write(now, cmd, timeout, r.s.IDs()))
 		}
-	}
-	p := cl.pend
-	if p.op.FastRead {
-		cl.tickFastRead(r, p)
-	} else {
-		cl.tickLogged(r, p)
-	}
-	if cl.pend != nil && now >= cl.pend.deadline {
-		cl.finish(r, nil, true)
 	}
 }
 
-// tickLogged drives a through-the-log operation: propose (and re-propose)
-// the command at whoever currently leads, and complete once any replica's
-// dedup table shows the sequence number applied.
-func (cl *simClient) tickLogged(r *simRun, p *simPending) {
-	for _, id := range r.s.IDs() {
-		if seq, res := r.stores[id].LastApplied(cl.clientID); seq >= p.seq {
-			cl.finish(r, &res, false)
+// follow carries out steps until one has to wait for a later tick. A read
+// step asks its replica once and polls the answer on every tick: an answer
+// the replica has at hand (lease, single voter) is served in the tick it was
+// asked.
+func (cl *scriptClient) follow(r *simRun, st kvstore.Step) {
+	now := time.Duration(r.s.Now()) * simTick
+	for {
+		if st != cl.step {
+			cl.read = nil // a new step: an old read's answer is stale
+		}
+		cl.step = st
+		switch st.Kind {
+		case kvstore.StepDone:
+			cl.finish(r)
 			return
-		}
-	}
-	if r.s.Now()-p.lastTry < retryInterval {
-		return
-	}
-	if lid, ok := r.s.Leader(); ok {
-		p.lastTry = r.s.Now()
-		cmd := kvstore.Command{
-			Op: p.op.Op, Key: p.op.Key, Value: p.op.Value, Old: p.op.Old,
-			Client: cl.clientID, Seq: p.seq,
-		}
-		r.s.Propose(lid, cmd.Encode()) // rejection or fail-stop: retried next interval
-	}
-}
-
-// tickFastRead drives one fast read at the op's replica: start the read
-// there (the leader, or a follower that forwards it), poll its answer in the
-// same tick — so an answer the node has at hand (lease, single voter) is
-// served in the tick it was asked — wait for that node's local apply to pass
-// the index, then read from its state machine. An aborted read (leadership
-// lost, forward refused) restarts the sequence.
-func (cl *simClient) tickFastRead(r *simRun, p *simPending) {
-	p.pollRead()
-	if p.readWait == nil && p.readIdx < 0 && r.s.Now()-p.lastTry >= retryInterval {
-		id, ok := r.s.Leader()
-		if p.op.Via == kvstore.ReadModeFollower {
-			id, ok = cl.pickFollower(r)
-		}
-		if ok {
-			p.lastTry = r.s.Now()
-			if wait, err := r.s.Read(id); err == nil { // else no known leader yet: retry next interval
-				p.readNode, p.readWait = id, wait
-				p.pollRead()
-			}
-		}
-	}
-	if p.readIdx >= 0 {
-		if !r.s.Alive(p.readNode) || r.stores[p.readNode].AppliedIndex() < p.readIdx {
-			if !r.s.Alive(p.readNode) {
-				p.readIdx = -1 // serving node died: start over
-			}
+		case kvstore.StepSleep:
 			return
+		case kvstore.StepPropose:
+			idx, _, err := r.s.Propose(st.Node, st.Cmd.Encode())
+			st = cl.sess.Answered(now, idx, err)
+		case kvstore.StepRead:
+			if cl.read == nil {
+				wait, err := r.s.Read(st.Node)
+				if err != nil {
+					st = cl.sess.Answered(now, 0, err)
+					continue
+				}
+				cl.read = wait
+			}
+			select {
+			case idx := <-cl.read:
+				var err error
+				if idx < 0 {
+					_, _, leader := r.s.Status(st.Node)
+					err = raft.ReadAborted(idx, leader)
+				}
+				st = cl.sess.Answered(now, idx, err)
+			default:
+				return
+			}
+		case kvstore.StepAwait:
+			store := r.stores[st.Node]
+			res, mine, ok := store.Outcome(st.Index, st.Cmd.Client, st.Cmd.Seq)
+			if !ok || !r.s.Alive(st.Node) {
+				return
+			}
+			if op := cl.script[cl.next-1]; op.FastRead {
+				res.Value, res.Found = store.LocalGet(op.Key)
+			}
+			st = cl.sess.Applied(now, res, mine)
 		}
-		v, found := r.stores[p.readNode].LocalGet(p.op.Key)
-		cl.finish(r, &kvstore.Result{Value: v, Found: found}, false)
 	}
 }
 
-// pollRead takes the pending read's answer, if it has come: the index to
-// serve at, or an abort that clears the way for a retry.
-func (p *simPending) pollRead() {
-	select {
-	case idx := <-p.readWait:
-		p.readWait = nil
-		if idx >= 0 {
-			p.readIdx = idx
-		}
-	default:
-	}
-}
-
-// pickFollower deterministically picks an alive non-leader to serve a
-// forwarded read, spreading clients across the replica set (any alive node
-// when no follower exists).
-func (cl *simClient) pickFollower(r *simRun) (types.NodeID, bool) {
-	lid, hasLeader := r.s.Leader()
-	var cands []types.NodeID
-	for _, id := range r.s.IDs() {
-		if r.s.Alive(id) && (!hasLeader || id != lid) {
-			cands = append(cands, id)
-		}
-	}
-	if len(cands) == 0 {
-		return types.NoNode, false
-	}
-	return cands[(cl.idx+cl.next)%len(cands)], true
-}
-
-// finish resolves the pending op: res != nil records a completed event;
-// timeouts record Maybe events for writes (the op may still commit) and
-// drop reads, mirroring runClient.
-func (cl *simClient) finish(r *simRun, res *kvstore.Result, timedOut bool) {
-	p := cl.pend
-	cl.pend = nil
+// finish records the finished operation, as the live runner does.
+func (cl *scriptClient) finish(r *simRun) {
+	op, st := cl.script[cl.next-1], cl.step
+	cl.busy = false
 	cl.ops++
-	if timedOut {
+	verdict := "ok"
+	if st.Err != nil {
 		cl.timeouts++
-		r.s.Journalf("client %d op %d %s(%q) timeout", cl.idx, p.seq, p.op.Op, p.op.Key)
-		if p.op.FastRead || p.op.Op == kvstore.OpGet {
-			return
-		}
-		r.history = append(r.history, linear.Event{
-			Client: cl.idx, Op: p.op.Op, Key: p.op.Key, Value: p.op.Value, Old: p.op.Old,
-			Call: p.call, Maybe: true,
-		})
-		return
+		verdict = "timeout"
 	}
-	op := p.op.Op
-	if p.op.FastRead {
-		op = kvstore.OpGet
-	}
-	r.s.Journalf("client %d op %d %s(%q) ok", cl.idx, p.seq, op, p.op.Key)
-	r.history = append(r.history, linear.Event{
-		Client: cl.idx, Op: op, Key: p.op.Key, Value: p.op.Value, Old: p.op.Old,
-		Out: *res, Call: p.call, Return: r.s.Now(),
-	})
+	r.s.Journalf("client %d op %d %s(%q) %s", cl.idx, cl.next, op.Op, op.Key, verdict)
+	r.history = record(r.history, cl.idx, op, cl.call, r.s.Now(), st.Result, st.Err, st.Maybe)
 }

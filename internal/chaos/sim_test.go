@@ -92,8 +92,8 @@ func TestSimTeethR2(t *testing.T) {
 // — the commit index on the read replies is not believed over entries the
 // replica never matched against the new leader. (A learnCommit that clamps
 // to lastIndex instead of leaderMatch commits the stale suffix here:
-// committed-prefix divergence at four indexes plus a refinement fork,
-// EXPERIMENTS.md E15.)
+// committed-prefix divergence at two indexes plus a refinement fork,
+// EXPERIMENTS.md E15 and E28.)
 func TestStaleSuffixRead(t *testing.T) {
 	opt := Options{Duration: 2 * time.Second}
 	rep, err := RunSim(StaleSuffixReadSchedule(opt), opt)
@@ -123,5 +123,28 @@ func TestStaleSuffixRead(t *testing.T) {
 	}
 	if !parked {
 		t.Fatalf("no read waited on the ex-leader's unrepaired log; the schedule lost its premise\n--- journal ---\n%s", rep.Journal)
+	}
+}
+
+// TestTeethClientFreshSeq: the simulator's clients run kvstore.Session, so a
+// client bug reaches the sweep's oracles. With the mutant that re-proposes an
+// Append or CAS under a fresh sequence number once an attempt slice runs out,
+// seed 9 applies an append twice and the history stops being linearizable;
+// the same seed with the real session is clean.
+func TestTeethClientFreshSeq(t *testing.T) {
+	sched := Generate(9, Options{})
+	control, err := RunSim(sched, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !control.Ok() {
+		t.Fatalf("seed 9 with the real session: %s", strings.Join(control.Violations, "\n"))
+	}
+	rep, err := RunSim(sched, Options{FreshSeqRetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ok() || !strings.Contains(rep.Violations[0], "not linearizable") {
+		t.Fatalf("a retry under a fresh seq was not caught as a non-linearizable history: %v", rep.Violations)
 	}
 }

@@ -333,17 +333,33 @@ func (s *Store) wait(index int, client, seq uint64) chan waitResult {
 	ch := make(chan waitResult, 1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.applied >= index {
-		// Already applied: resolve via the dedup table.
-		if d := s.last[client]; d.seq >= seq {
-			ch <- waitResult{res: d.res, mine: true}
-		} else {
-			ch <- waitResult{mine: false}
-		}
+	if res, mine, ok := s.outcomeLocked(index, client, seq); ok {
+		ch <- waitResult{res: res, mine: mine}
 		return ch
 	}
 	s.waiters[index] = append(s.waiters[index], waiter{client: client, seq: seq, ch: ch})
 	return ch
+}
+
+// Outcome is wait's answer without the wait: once this replica has applied
+// through index (ok), whether the request (client, seq) has applied (mine)
+// and its Result. With one outstanding request per client, the dedup table
+// reaching seq means exactly that request applied — at index, or at an
+// earlier one whose ack was lost.
+func (s *Store) Outcome(index int, client, seq uint64) (res Result, mine, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.outcomeLocked(index, client, seq)
+}
+
+func (s *Store) outcomeLocked(index int, client, seq uint64) (res Result, mine, ok bool) {
+	if s.applied < index {
+		return Result{}, false, false
+	}
+	if d := s.last[client]; d.seq >= seq {
+		return d.res, true, true
+	}
+	return Result{}, false, true
 }
 
 // LocalGet reads the key from the local replica without going through the
@@ -454,10 +470,10 @@ func (s *Store) restoreLocked(b []byte) error {
 }
 
 // LastApplied returns the highest sequence number this replica has applied
-// for the client, with its cached result. Pollers (the deterministic
-// simulation's clients) use it to detect that a retried request landed:
-// with one outstanding request per client, seq reaching the request's
-// number means exactly that request committed, and res is its outcome.
+// for the client, with its cached result. The benchmark's clients poll it to
+// detect that a retried request landed: with one outstanding request per
+// client, seq reaching the request's number means exactly that request
+// committed, and res is its outcome.
 func (s *Store) LastApplied(client uint64) (seq uint64, res Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"errors"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,29 +98,6 @@ func (r *Replicated) Retries() uint64 { return atomic.LoadUint64(&r.retries) }
 // Stop shuts the service down.
 func (r *Replicated) Stop() { r.Cluster.Stop() }
 
-// Leader-probe backoff. A fixed 1ms spin between probes is harmless for a
-// brief leader change but burns a core per client during a real outage
-// (election storm, quorum loss): clients wake a thousand times a second to
-// learn nothing. Failed probes instead back off exponentially from
-// backoffInitial to backoffMax with ±50% jitter, capped by the request
-// deadline, via the shared internal/backoff helper. Progress — a proposal
-// accepted, or a leader's explicit ErrLeaderStepdown redirect — resets the
-// backoff to keep the fast path fast.
-//
-// Each session carries its own independently seeded jitter stream per shard:
-// clients drawing from one shared random source would march through the same
-// jitter sequence and re-probe in near-lockstep after a step-down, which
-// is exactly the herd the jitter is meant to disperse.
-const (
-	backoffInitial = time.Millisecond
-	backoffMax     = 40 * time.Millisecond
-
-	// attemptSlice bounds one wait on a leader: a deposed leader never
-	// commits our index (or confirms our barrier), so block briefly and
-	// re-probe for the real one.
-	attemptSlice = 300 * time.Millisecond
-)
-
 // Client is one logical client session. Its request identity is global, but
 // sequence numbers, leader hints and backoff jitter are all per shard: each
 // group's dedup table is its own state machine and assumes at most one
@@ -129,93 +107,83 @@ const (
 // own Client: two goroutines sharing an ID can commit out of sequence order,
 // and the dedup table would swallow the later-committing request as a stale
 // duplicate.
+//
+// The request logic is the shard's Session; Client is its live shell, which
+// carries out each step on the addressed replica and sleeps and waits on
+// wall-clock timers.
 type Client struct {
 	r      *Replicated
 	id     uint64
-	shards []shardSession // indexed by GroupID
-}
-
-// shardSession is a session's state against one shard; only the one request
-// outstanding on that shard touches it.
-type shardSession struct {
-	seq  uint64
-	hint types.NodeID     // cached leader (NoNode = unknown)
-	bo   *backoff.Backoff // this (session, shard)'s private jitter stream
+	shards []*Session // indexed by GroupID
 }
 
 // NewClient mints a fresh client session.
 func (r *Replicated) NewClient() *Client {
-	c := &Client{r: r, id: atomic.AddUint64(&r.nextClient, 1), shards: make([]shardSession, r.shards)}
+	c := &Client{r: r, id: atomic.AddUint64(&r.nextClient, 1), shards: make([]*Session, r.shards)}
 	for g := range c.shards {
-		c.shards[g].bo = backoff.New(backoffInitial, backoffMax, backoff.NextSeed())
+		c.shards[g] = NewSession(c.id, backoff.NextSeed())
 	}
 	return c
 }
 
-// leader resolves the shard's leader, trying the cached hint first (one
-// Snapshot) before falling back to scanning the group. A fresh answer
-// refreshes the hint.
-func (s *shardSession) leader(gv cluster.GroupView) *raft.Node {
-	if s.hint != types.NoNode {
-		if n := gv.Node(s.hint); n != nil && n.Snapshot().Role == raft.Leader {
-			return n
-		}
-		s.hint = types.NoNode
+// replicas lists every node the service has started, in ID order: the
+// rotation a session falls back on when it has no leader hint.
+func (r *Replicated) replicas() []types.NodeID {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ids := make([]types.NodeID, 0, len(r.servers))
+	for id := range r.servers {
+		ids = append(ids, id)
 	}
-	n := gv.Leader()
-	if n != nil {
-		s.hint = n.ID()
-	}
-	return n
+	slices.Sort(ids)
+	return ids
 }
 
-// retry records one failed attempt against the shard. An ErrLeaderStepdown
-// means the leader told us it stepped down (CheckQuorum or a transfer) and
-// its successor is likely already up: re-probe immediately. Anything else
-// waits out a jittered backoff slice.
-func (c *Client) retry(s *shardSession, err error, deadline time.Time) {
-	atomic.AddUint64(&c.r.retries, 1)
-	s.hint = types.NoNode
-	if errors.Is(err, raft.ErrLeaderStepdown) {
-		s.bo.Reset()
-		return
-	}
-	s.bo.Sleep(deadline)
-}
-
-// Do routes the command to its key's shard, submits it through that shard's
-// leader and waits for it to apply, retrying across leader changes until the
-// deadline. Retries reuse the same (client, shard-seq) pair, so a request
-// that committed but lost its ack is answered from the shard's dedup table
-// instead of applying twice.
+// Do routes the command to its key's shard and runs it through the log,
+// retrying across leader changes until the timeout. Retries reuse the same
+// (client, shard-seq) pair, so a request that committed but lost its ack is
+// answered from the shard's dedup table instead of applying twice.
 func (c *Client) Do(op Op, key, value, old string, timeout time.Duration) (Result, error) {
 	g := c.r.ShardOf(key)
-	gv := c.r.Cluster.Group(g)
-	s := &c.shards[g]
-	s.seq++
-	cmd := Command{Op: op, Key: key, Value: value, Old: old, Client: c.id, Seq: s.seq}
-	deadline := time.Now().Add(timeout)
-	s.bo.Reset()
-	for time.Now().Before(deadline) {
-		leader := s.leader(gv)
-		if leader == nil {
-			c.retry(s, nil, deadline)
+	return c.run(g, key, c.shards[g].Write(0, Command{Op: op, Key: key, Value: value, Old: old}, timeout, c.r.replicas()))
+}
+
+// run carries out the shard session's steps until the operation is done, on
+// the wall clock from the operation's start. Replica.Write and Replica.Read
+// carry out a propose or read step together with the wait that follows it,
+// up to the step's Until; the node a crashed replica left behind is stopped,
+// and refuses.
+func (c *Client) run(g raft.GroupID, key string, st Step) (Result, error) {
+	s, start := c.shards[g], time.Now()
+	retries := s.Retries()
+	defer func() { atomic.AddUint64(&c.r.retries, s.Retries()-retries) }()
+	for st.Kind != StepDone {
+		if st.Kind == StepSleep {
+			time.Sleep(st.Until - time.Since(start))
+			st = s.Tick(time.Since(start))
 			continue
 		}
-		res, err := Replica{Node: leader, Store: c.r.Store(g, leader.ID())}.Write(cmd, min(attemptSlice, time.Until(deadline)))
+		c.r.mu.Lock()
+		rep := c.r.servers[st.Node].Replica(key)
+		c.r.mu.Unlock()
+		var res Result
+		var err error
+		if st.Kind == StepPropose {
+			res, err = rep.Write(st.Cmd, st.Until-time.Since(start))
+		} else {
+			res.Value, res.Found, err = rep.Read(key, st.Until-time.Since(start))
+		}
 		switch {
-		case err == nil:
-			return res, nil
-		case errors.Is(err, ErrNotApplied), errors.Is(err, ErrTimeout):
-			// Leadership changed, or a deposed leader may never commit our
-			// index: re-probe at once (the dedup table keeps it idempotent).
-			s.bo.Reset()
-			s.hint = types.NoNode
+		case errors.Is(err, ErrTimeout):
+			st = s.Tick(s.Answered(time.Since(start), 0, nil).Until)
+		case err == nil, errors.Is(err, ErrNotApplied):
+			s.Answered(time.Since(start), 0, nil)
+			st = s.Applied(time.Since(start), res, err == nil)
 		default:
-			c.retry(s, err, deadline)
+			st = s.Answered(time.Since(start), 0, err)
 		}
 	}
-	return Result{}, ErrTimeout
+	return st.Result, st.Err
 }
 
 // Put sets key to value.
@@ -259,54 +227,9 @@ func (c *Client) FastGet(key string, timeout time.Duration) (string, bool, error
 // FastGetMode is FastGet at an explicit replica, routed to the key's shard:
 // the leader, or a follower that forwards the read and serves it from its own
 // state machine. Failures, and a replica that does not apply through the read
-// index within an attempt slice, retry like Do's until the deadline.
+// index within an attempt slice, retry like Do's until the timeout.
 func (c *Client) FastGetMode(key string, mode ReadMode, timeout time.Duration) (string, bool, error) {
 	g := c.r.ShardOf(key)
-	gv := c.r.Cluster.Group(g)
-	s := &c.shards[g]
-	deadline := time.Now().Add(timeout)
-	s.bo.Reset()
-	var rotate uint64
-	for time.Now().Before(deadline) {
-		var n *raft.Node
-		if mode == ReadModeFollower {
-			n = pickFollower(gv, &rotate)
-		} else {
-			n = s.leader(gv)
-		}
-		if n == nil {
-			c.retry(s, nil, deadline)
-			continue
-		}
-		v, found, err := Replica{Node: n, Store: c.r.Store(g, n.ID())}.Read(key, min(attemptSlice, time.Until(deadline)))
-		if err != nil {
-			c.retry(s, err, deadline)
-			continue
-		}
-		return v, found, nil
-	}
-	return "", false, ErrTimeout
-}
-
-// pickFollower returns a non-leader node of the group to serve a forwarded
-// read, rotating across candidates so retries spread over the replica set.
-// Falls back to any node (including the leader, which serves the forwarded
-// barrier locally) when no follower is available.
-func pickFollower(gv cluster.GroupView, rotate *uint64) *raft.Node {
-	nodes := gv.Nodes()
-	if len(nodes) == 0 {
-		return nil
-	}
-	var followers []*raft.Node
-	for _, n := range nodes {
-		if n.Snapshot().Role != raft.Leader {
-			followers = append(followers, n)
-		}
-	}
-	pool := followers
-	if len(pool) == 0 {
-		pool = nodes
-	}
-	*rotate++
-	return pool[int(*rotate)%len(pool)]
+	res, err := c.run(g, key, c.shards[g].Read(0, mode, timeout, c.r.replicas()))
+	return res.Value, res.Found, err
 }

@@ -22,7 +22,7 @@ type Replica struct {
 // Write proposes cmd and waits up to timeout for the Store to apply its
 // index. It returns cmd's Result, ErrNotApplied when another entry took the
 // index, ErrTimeout when the apply does not arrive in time, or the
-// proposal's own error (raft.ErrNotLeader on a follower).
+// proposal's own error (a raft.NotLeaderError on a follower).
 func (r Replica) Write(cmd Command, timeout time.Duration) (Result, error) {
 	idx, _, err := r.Node.ProposeAsync(cmd.Encode()).Wait()
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"adore/internal/raft/raftcore"
+	"adore/internal/types"
 )
 
 // Driver executes the staged Ready contract for one raftcore.Core: it alone
@@ -40,6 +41,17 @@ const (
 	readAborted     = -1 // leadership lost or the node halted: ErrNotLeader
 	readSteppedDown = -2 // lost in a CheckQuorum step-down: ErrLeaderStepdown
 )
+
+// ReadAborted is the error for a read whose channel answered the abort code
+// idx: ErrLeaderStepdown for a read lost in a CheckQuorum step-down (a
+// successor is likely up: re-probe at once), otherwise the redirect naming
+// leader, the replica's known leader.
+func ReadAborted(idx int, leader types.NodeID) error {
+	if idx == readSteppedDown {
+		return ErrLeaderStepdown
+	}
+	return raftcore.NotLeader(leader)
+}
 
 // shell is a runtime around a Driver. The driver calls it with the shell's
 // lock held, in the release order.
@@ -157,7 +169,7 @@ func (d *Driver) failStop(cause error) {
 	for id := range d.reads {
 		d.answerRead(id, readAborted)
 	}
-	d.sh.Abort(fmt.Errorf("%w (known leader: %s)", ErrNotLeader, d.core.Leader()))
+	d.sh.Abort(raftcore.NotLeader(d.core.Leader()))
 	d.failProps(d.err)
 	d.sh.Halt(cause)
 }
@@ -202,7 +214,7 @@ func (d *Driver) release() {
 	// step-down fails them with the retryable ErrLeaderStepdown.
 	isLeader := d.core.Role() == Leader
 	if d.wasLeader && !isLeader {
-		err := fmt.Errorf("%w (known leader: %s)", ErrNotLeader, d.core.Leader())
+		err := raftcore.NotLeader(d.core.Leader())
 		if eff.SteppedDown {
 			err = fmt.Errorf("%w (was %s)", ErrLeaderStepdown, d.core.ID())
 		}

@@ -105,6 +105,16 @@ var (
 	ErrStorageFailed = errors.New("raft: storage write failed; node halted")
 )
 
+// NotLeaderError is ErrNotLeader naming the refusing node's known leader.
+type NotLeaderError = raftcore.NotLeaderError
+
+// LeaderHint returns the leader a redirect names (NoNode when err names none).
+func LeaderHint(err error) types.NodeID {
+	var nl NotLeaderError
+	errors.As(err, &nl)
+	return nl.Leader
+}
+
 // Node is one Raft runtime instance: the concurrent shell around a Driver,
 // which makes every staged-Ready decision for the raftcore.Core (driver.go).
 // Create with StartNode; stop with Stop. The shell brings mu, which
@@ -494,7 +504,7 @@ func (n *Node) ProposeConfig(members types.NodeSet) (int, types.Time, error) {
 // so nothing would ever complete the future).
 func (n *Node) haltedLocked() error {
 	if n.d.err != nil {
-		return fmt.Errorf("%w (known leader: %s)", ErrNotLeader, types.NoNode)
+		return raftcore.NotLeader(types.NoNode)
 	}
 	select {
 	case <-n.stopCh:
@@ -515,7 +525,7 @@ func (n *Node) FollowerReadIndex(timeout time.Duration) (int, error) {
 	n.mu.Lock()
 	if n.d.err != nil {
 		n.mu.Unlock()
-		return 0, fmt.Errorf("%w (known leader: %s)", ErrNotLeader, types.NoNode)
+		return 0, raftcore.NotLeader(types.NoNode)
 	}
 	id, wait, err := n.d.Read()
 	if err != nil {
@@ -531,11 +541,10 @@ func (n *Node) FollowerReadIndex(timeout time.Duration) (int, error) {
 	defer timer.Stop()
 	select {
 	case idx := <-wait:
-		switch {
-		case idx == readSteppedDown:
-			return 0, ErrLeaderStepdown
-		case idx < 0:
-			return 0, ErrNotLeader
+		if idx < 0 {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			return 0, ReadAborted(idx, n.core.Leader())
 		}
 		return idx, nil
 	case <-timer.C:
@@ -559,7 +568,7 @@ func (n *Node) TransferLeader(to types.NodeID) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.d.err != nil {
-		return fmt.Errorf("%w (known leader: %s)", ErrNotLeader, types.NoNode)
+		return raftcore.NotLeader(types.NoNode)
 	}
 	if err := n.core.TransferLeader(to); err != nil {
 		return err

@@ -37,6 +37,20 @@ var (
 	ErrBadTransferTarget = errors.New("raft: no eligible leadership-transfer target")
 )
 
+// NotLeaderError is the redirect a node answers a request it cannot serve
+// with: errors.Is(err, ErrNotLeader) holds, and errors.As reads Leader, the
+// node's last known leader (NoNode when it knows none).
+type NotLeaderError struct{ Leader types.NodeID }
+
+// NotLeader builds the redirect naming leader.
+func NotLeader(leader types.NodeID) error { return NotLeaderError{leader} }
+
+func (e NotLeaderError) Error() string {
+	return fmt.Sprintf("%v (known leader: %s)", ErrNotLeader, e.Leader)
+}
+
+func (e NotLeaderError) Unwrap() error { return ErrNotLeader }
+
 // MaxEntriesPerAppend caps the entries carried by one AppendEntries message.
 // The leader streams a lagging follower's log as a pipeline of bounded
 // windows (advancing nextIndex optimistically per send) instead of
@@ -971,9 +985,7 @@ func (c *Core) maybeWin() {
 // --- Client-facing operations ---
 
 // errNotLeader builds the standard redirect error.
-func (c *Core) errNotLeader() error {
-	return fmt.Errorf("%w (known leader: %s)", ErrNotLeader, c.leader)
-}
+func (c *Core) errNotLeader() error { return NotLeader(c.leader) }
 
 // TransferLeader starts a graceful leadership handoff to peer to (NoNode
 // picks the most caught-up voter automatically): proposals pause, the

@@ -9,6 +9,8 @@ package raftcore
 // cluster test.
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -401,4 +403,42 @@ func TestGoldenReadIndexAbort(t *testing.T) {
 		Messages:   []Message{{Type: MsgAppendResponse, From: 1, To: 3, Term: 2, Success: true, Seq: 1}},
 		ReadStates: []ReadState{{ReqID: 9, Index: -1}},
 	})
+}
+
+// TestNotLeaderHint pins the redirect a follower answers a proposal and a
+// transfer with (and a read, while it knows no leader to forward it to): it
+// is ErrNotLeader to errors.Is, it names the core's known leader to errors.As
+// (NoNode before the follower has heard from one), and its text is the one
+// clients have always seen.
+func TestNotLeaderHint(t *testing.T) {
+	f := follower(2, []types.NodeID{1, 2, 3}, HardState{Term: 1}, nil)
+	for _, heard := range []bool{false, true} {
+		if heard {
+			f.Step(Message{Type: MsgAppendEntries, From: 3, To: 2, Term: 1, Seq: 1})
+		}
+		_, _, perr := f.Propose([]byte("x"))
+		errs := []error{perr, f.TransferLeader(types.NoNode)}
+		if !heard {
+			errs = append(errs, f.ReadIndex(1))
+		}
+		for _, err := range errs {
+			if !errors.Is(err, ErrNotLeader) {
+				t.Fatalf("heard=%v: %v is not ErrNotLeader", heard, err)
+			}
+			var nl NotLeaderError
+			if !errors.As(err, &nl) || nl.Leader != f.Leader() {
+				t.Fatalf("heard=%v: hint %s, core's known leader %s", heard, nl.Leader, f.Leader())
+			}
+			if want := "raft: not the leader (known leader: " + f.Leader().String() + ")"; err.Error() != want {
+				t.Fatalf("heard=%v: text %q, want %q", heard, err, want)
+			}
+		}
+	}
+	if f.Leader() != 3 {
+		t.Fatalf("known leader %s after S3's append, want S3", f.Leader())
+	}
+	var nl NotLeaderError
+	if !errors.As(fmt.Errorf("wrapped: %w", NotLeader(3)), &nl) || nl.Leader != 3 {
+		t.Fatalf("hint through a wrap = %s, want S3", nl.Leader)
+	}
 }
