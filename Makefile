@@ -186,9 +186,11 @@ bench:
 # put-durable is the write path; put-volatile is the CPU-bound row (no disk,
 # so the command and wire codecs, core stepping and apply are all there is);
 # mixed-follower-read sends 90 % of its requests through the forwarded-read
-# path (MsgReadIndexRequest/Response and the commit index riding the reply).
+# path (MsgReadIndexRequest/Response and the commit index riding the reply);
+# reconfig-fig16 is the paper's Fig. 16, the one workload that removes and
+# re-adds replicas (5->4->3->4->5) under load.
 benchmark-smoke:
-	@for w in put-durable put-volatile mixed-follower-read; do \
+	@for w in put-durable put-volatile mixed-follower-read reconfig-fig16; do \
 		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1); \
 		echo "$$out"; \
 		echo "$$out" | grep -Eq '"correct": ?true' && echo "$$out" | grep -Eq '"failed": ?0[,}]' || \

@@ -74,7 +74,7 @@ func main() {
 		clientListen = flag.String("client-listen", "", "client listen address (default: raft port + 1000)")
 		peersFlag    = flag.String("peers", "", "comma-separated id=addr pairs for every cluster member")
 		timeoutMin   = flag.Duration("election-timeout", 150*time.Millisecond, "minimum election timeout")
-		walDir       = flag.String("wal", "", "directory for the file-backed WAL (default: in-memory storage)")
+		walDir       = flag.String("wal", "", "directory for the file-backed WAL (default: none; the replica is volatile, and a restart comes back at term 0 with an empty log under its old ID)")
 		snapThr      = flag.Int("snapshot-threshold", 0, "applied entries between state-machine snapshots (0 = no local compaction)")
 		shardsFlag   = flag.Int("shards", 1, "raft groups hosted by every replica; keys hash across them (all replicas must agree)")
 		disPV        = flag.Bool("disable-prevote", false, "campaign without the Pre-Vote round (rejoining nodes may disrupt a healthy leader)")

@@ -73,9 +73,9 @@ type Options struct {
 	// capture (required for SnapshotThreshold > 0).
 	StateMachineFor func(raft.GroupID) raft.StateMachine
 
-	// OnApply, when set, receives every group's committed batches from
-	// that group's apply drain (one goroutine per group; calls for the
-	// same group are ordered, calls across groups are concurrent).
+	// OnApply, when set, receives every group's committed batches on that
+	// group's apply goroutine (raft.Options.OnApply: calls for the same
+	// group are ordered, calls across groups are concurrent).
 	OnApply func(raft.GroupID, []raft.ApplyMsg)
 
 	// SnapshotThreshold is passed to every group.
@@ -114,7 +114,6 @@ type Host struct {
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	loops    sync.WaitGroup // the tick loop
-	drains   sync.WaitGroup // apply fan-out goroutines
 }
 
 // Start launches every group's node. On error (a group's storage failed to
@@ -141,6 +140,10 @@ func Start(opts Options) (*Host, error) {
 		if opts.StateMachineFor != nil {
 			sm = opts.StateMachineFor(g)
 		}
+		var onApply func([]raft.ApplyMsg)
+		if opts.OnApply != nil {
+			onApply = func(b []raft.ApplyMsg) { opts.OnApply(g, b) }
+		}
 		inbox := make(chan raft.Message, inboxSize)
 		n := raft.StartNode(raft.Options{
 			ID:                opts.ID,
@@ -148,6 +151,7 @@ func Start(opts Options) (*Host, error) {
 			Transport:         opts.Transport.Endpoint(g, inbox),
 			Inbox:             inbox,
 			Storage:           storage,
+			OnApply:           onApply,
 			StateMachine:      sm,
 			SnapshotThreshold: opts.SnapshotThreshold,
 			Ablation:          opts.Ablation,
@@ -155,16 +159,6 @@ func Start(opts Options) (*Host, error) {
 			Seed: opts.Seed + 1000003*int64(g),
 		})
 		h.nodes = append(h.nodes, n)
-		// Fan the group's apply stream out to the shared hook.
-		if opts.OnApply != nil {
-			h.drains.Add(1)
-			go func(g raft.GroupID, n *raft.Node) {
-				defer h.drains.Done()
-				for batch := range n.ApplyCh() {
-					opts.OnApply(g, batch)
-				}
-			}(g, n)
-		}
 	}
 	h.loops.Add(1)
 	go h.tickLoop()
@@ -230,17 +224,16 @@ func (h *Host) Node(g raft.GroupID) *raft.Node {
 	return h.nodes[g]
 }
 
-// Stop shuts every group down, waits for the apply fan-out to drain, and
-// closes the storages the host opened. The shared transport is NOT closed:
-// the host does not own it (per-group endpoints detach themselves as their
-// nodes stop).
+// Stop shuts every group down, each node draining its apply stream into
+// OnApply before its Stop returns, and closes the storages the host opened.
+// The shared transport is NOT closed: the host does not own it (per-group
+// endpoints detach themselves as their nodes stop).
 func (h *Host) Stop() {
 	h.stopOnce.Do(func() { close(h.stopCh) })
 	for _, n := range h.nodes {
 		n.Stop()
 	}
 	h.loops.Wait()
-	h.drains.Wait()
 	for _, s := range h.owned {
 		_ = s.Close()
 	}

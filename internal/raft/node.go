@@ -36,10 +36,16 @@ type Options struct {
 	// tests).
 	Storage Storage
 
-	// StateMachine gives the driver snapshot access to the replicated
-	// application. Required for log compaction (SnapshotThreshold > 0):
-	// the TakeSnapshot effect is answered by serializing it. Nil disables
-	// local snapshots (the node still installs leader-sent ones).
+	// OnApply receives every committed batch in log order, a recovered or
+	// installed snapshot's restore first, on the node's one apply
+	// goroutine: the sink the state machine is fed from. Nil drops the
+	// entries.
+	OnApply func([]ApplyMsg)
+
+	// StateMachine is captured for log compaction (SnapshotThreshold > 0)
+	// on the apply goroutine, right after the batch that reached the
+	// requested index. Nil disables local snapshots (the node still
+	// installs leader-sent ones).
 	StateMachine StateMachine
 
 	// SnapshotThreshold is the compaction policy: once this many applied
@@ -56,12 +62,10 @@ type Options struct {
 	Seed int64
 }
 
-// StateMachine is the driver's view of the replicated application for
-// snapshotting. Implementations must be safe for concurrent use with the
-// apply stream (kvstore.Store is the canonical one).
+// StateMachine is the node's view of the replicated application for
+// snapshotting. The node calls it between OnApply calls, never beside one
+// (kvstore.Store is the canonical one).
 type StateMachine interface {
-	// AppliedIndex reports the highest log index applied so far.
-	AppliedIndex() int
 	// SaveSnapshot atomically serializes the full state — including
 	// client-session dedup tables, so exactly-once survives a
 	// snapshot-based rejoin — and reports the applied index the image
@@ -119,9 +123,9 @@ func LeaderHint(err error) types.NodeID {
 // which makes every staged-Ready decision for the raftcore.Core (driver.go).
 // Create with StartNode; stop with Stop. The shell brings mu, which
 // serializes every core and driver call (each core interaction ends with
-// Driver.Ready); the run, flush and snapshot goroutines; the write lane,
+// Driver.Ready); the run, flush and apply goroutines; the write lane,
 // which lands the driver's batch in flight with mu released across the
-// storage calls; the transport sends and the applyCh hand-off. Without
+// storage calls; the transport sends and the apply stream. Without
 // Storage the driver reports each batch stable inline and no lane runs.
 type Node struct {
 	mu sync.Mutex
@@ -132,11 +136,20 @@ type Node struct {
 	core *raftcore.Core // guarded by mu
 	d    *Driver        // guarded by mu
 
+	// applyCh is the apply stream: committed batches in log order and, as
+	// a nil batch, the compaction requests, each behind the batch that
+	// reached its index. The apply loop drains it until Stop closes it
+	// (under mu, which every sender holds); it reports each capture on
+	// captured, which the run loop folds into the core. One slot is
+	// enough: the core asks for the next capture only after Compact or
+	// AbortSnapshot.
 	applyCh    chan []ApplyMsg
+	captured   chan capture
 	stopCh     chan struct{}
 	stopOnce   sync.Once
 	applyClose sync.Once
 	done       sync.WaitGroup
+	applying   sync.WaitGroup // the apply loop
 
 	// Group-commit state (see batch.go): ProposeAsync enqueues proposals
 	// here; the flush loop drains them all into the core's log, and the
@@ -153,13 +166,14 @@ type Node struct {
 	flushCh      chan struct{}
 
 	laneCh chan struct{} // wakes the write lane (capacity 1)
+}
 
-	// snapReqCh hands TakeSnapshot effects to the snapshot loop, which
-	// serializes the state machine outside mu and answers via
-	// core.Compact. Capacity 1: a request arriving while one is queued is
-	// dropped (the policy re-fires after the pending capture resolves).
-	// Nil when no StateMachine is configured.
-	snapReqCh chan raftcore.SnapshotRequest
+// capture is one state-machine image the apply loop took, or the error that
+// kept it from taking one.
+type capture struct {
+	data    []byte
+	applied int
+	err     error
 }
 
 // StartNode launches a node and its background loops. The node has no clock
@@ -197,29 +211,28 @@ func StartNode(opts Options) *Node {
 			SnapshotThreshold: snapThreshold,
 			Ablation:          opts.Ablation,
 		}, hs, snap, log),
-		applyCh: make(chan []ApplyMsg, 1024),
-		stopCh:  make(chan struct{}),
-		flushCh: make(chan struct{}, 1),
-		laneCh:  make(chan struct{}, 1),
+		applyCh:  make(chan []ApplyMsg, 1024),
+		captured: make(chan capture, 1),
+		stopCh:   make(chan struct{}),
+		flushCh:  make(chan struct{}, 1),
+		laneCh:   make(chan struct{}, 1),
 	}
 	n.mu.Lock() // the driver is guarded like the core it drives
 	// Read ids start at the wall clock in ns, above every id an earlier
 	// incarnation used: none opens a barrier per nanosecond.
 	n.d = NewDriver(n.core, opts.Storage, &n.mu, (*nodeShell)(n), uint64(time.Now().UnixNano()))
 	n.mu.Unlock()
-	if opts.StateMachine != nil {
-		n.snapReqCh = make(chan raftcore.SnapshotRequest, 1)
-	}
 	// A recovered snapshot re-seeds the (empty, restarted) state machine
-	// through the apply stream before any suffix entries: the consumer's
-	// first receive is the restore.
+	// through the apply stream before any suffix entries: OnApply's first
+	// batch is the restore.
 	if snap.Index > 0 {
 		n.applyCh <- []ApplyMsg{restoreMsg(&snap)}
 	}
-	n.done.Add(3)
+	n.applying.Add(1)
+	go n.applyLoop()
+	n.done.Add(2)
 	go n.run()
 	go n.flushLoop()
-	go n.snapLoop()
 	if opts.Storage != nil {
 		n.done.Add(1)
 		go n.writeLane()
@@ -236,12 +249,6 @@ func restoreMsg(snap *LogSnapshot) ApplyMsg {
 	}
 }
 
-// ApplyCh delivers committed entries in order, coalesced into batches: one
-// receive drains everything that committed since the previous one, so
-// state-machine drains pay one channel operation per commit advance rather
-// than per entry.
-func (n *Node) ApplyCh() <-chan []ApplyMsg { return n.applyCh }
-
 // ID returns the node's identity.
 func (n *Node) ID() types.NodeID { return n.id }
 
@@ -249,13 +256,17 @@ func (n *Node) ID() types.NodeID { return n.id }
 // fail-stopped on a storage error.
 func (n *Node) Done() <-chan struct{} { return n.stopCh }
 
-// Stop shuts the node down and waits for its loops to exit.
+// Stop shuts the node down and waits for its loops to exit. It returns once
+// OnApply has seen every batch the node handed out.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() { close(n.stopCh) })
 	n.done.Wait()
-	// Both loops have exited: no sender is left, so closing the apply
-	// channel is race-free and lets consumers drain out.
+	// Every sender holds mu and hands nothing out once stopCh is closed,
+	// so closing the stream under mu is race-free.
+	n.mu.Lock()
 	n.applyClose.Do(func() { close(n.applyCh) })
+	n.mu.Unlock()
+	n.applying.Wait()
 }
 
 // nodeShell is the Node as its Driver sees it.
@@ -271,17 +282,23 @@ func (s *nodeShell) Write() (take, now bool) {
 
 func (s *nodeShell) Send(m Message) { s.opts.Transport.Send(m) }
 
-func (s *nodeShell) Apply(batch []ApplyMsg) {
+func (s *nodeShell) Apply(batch []ApplyMsg) { s.hand(batch) }
+
+// Snapshot queues the capture behind the batch that reached req.Index: the
+// release order hands out Committed before TakeSnapshot.
+func (s *nodeShell) Snapshot(raftcore.SnapshotRequest) { s.hand(nil) }
+
+// hand puts one item on the apply stream, waiting for room unless the node
+// is stopping: from then on nothing more is handed out.
+func (s *nodeShell) hand(batch []ApplyMsg) {
+	select {
+	case <-s.stopCh:
+		return
+	default:
+	}
 	select {
 	case s.applyCh <- batch:
 	case <-s.stopCh:
-	}
-}
-
-func (s *nodeShell) Snapshot(req raftcore.SnapshotRequest) {
-	select {
-	case s.snapReqCh <- req:
-	default: // no StateMachine, or one capture queued: the policy stays latched
 	}
 }
 
@@ -371,70 +388,43 @@ func (n *Node) writeLane() {
 	}
 }
 
-// snapLoop answers TakeSnapshot effects: wait for the state machine to
-// apply through the requested index, serialize it outside mu, then fold
-// the image into the core with Compact. Runs for the node's lifetime; with
-// no StateMachine the nil snapReqCh never delivers and the loop just waits
-// for shutdown.
-func (n *Node) snapLoop() {
-	defer n.done.Done()
-	for {
-		select {
-		case <-n.stopCh:
-			return
-		case req := <-n.snapReqCh:
-			n.handleSnapshotRequest(req)
+// applyLoop is the node's one link to its state machine: it feeds the apply
+// stream to OnApply in log order and, at a compaction request, captures the
+// state machine right there, between batches. It never takes mu: a holder of
+// mu may be waiting for room on the stream.
+func (n *Node) applyLoop() {
+	defer n.applying.Done()
+	for batch := range n.applyCh {
+		switch {
+		case batch == nil:
+			var c capture
+			c.data, c.applied, c.err = n.opts.StateMachine.SaveSnapshot()
+			n.captured <- c
+		case n.opts.OnApply != nil:
+			n.opts.OnApply(batch)
 		}
 	}
 }
 
-// handleSnapshotRequest runs one snapshot capture. On any failure the
-// request is aborted (the policy re-arms at the next threshold crossing);
-// only a successful capture compacts the log.
-func (n *Node) handleSnapshotRequest(req raftcore.SnapshotRequest) {
-	sm := n.opts.StateMachine
-	deadline := time.Now().Add(5 * time.Second)
-	poll := time.NewTimer(0)
-	defer poll.Stop()
-	for sm.AppliedIndex() < req.Index {
-		if time.Now().After(deadline) {
-			n.abortSnapshot() // apply stream stalled; try again later
-			return
-		}
-		select {
-		case <-n.stopCh:
-			return
-		case <-poll.C:
-			poll.Reset(500 * time.Microsecond)
-		}
-	}
-	data, applied, err := sm.SaveSnapshot()
-	if err != nil {
-		n.abortSnapshot()
-		return
-	}
+// compact folds a capture into the core, or withdraws the request when the
+// capture failed so the policy can fire again.
+func (n *Node) compact(c capture) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.d.err != nil {
-		return
-	}
+	switch {
+	case n.d.err != nil:
+	case c.err != nil:
+		n.core.AbortSnapshot()
 	// On a follower applied may be above what this node's own disk holds;
 	// the core takes the image regardless (Core.Compact) and the lane writes
 	// it in place of the entries it covers.
-	if n.core.Compact(applied, data) {
+	case n.core.Compact(c.applied, c.data):
 		n.d.Ready()
 	}
 }
 
-// abortSnapshot clears the core's pending snapshot request so the policy
-// can fire again.
-func (n *Node) abortSnapshot() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.core.AbortSnapshot()
-}
-
-// run is the main event loop: received messages until shutdown.
+// run is the main event loop: received messages and captured images until
+// shutdown.
 func (n *Node) run() {
 	defer n.done.Done()
 	for {
@@ -444,6 +434,8 @@ func (n *Node) run() {
 			return
 		case m := <-n.opts.Inbox:
 			n.step(m)
+		case c := <-n.captured:
+			n.compact(c)
 		}
 	}
 }
@@ -499,9 +491,9 @@ func (n *Node) ProposeConfig(members types.NodeSet) (int, types.Time, error) {
 	return p.Wait()
 }
 
-// haltedLocked reports why a proposal cannot be accepted at all: the node
-// fail-stopped, or it is shutting down (the write lane may already be gone,
-// so nothing would ever complete the future).
+// haltedLocked reports why a proposal or a read cannot be accepted at all:
+// the node fail-stopped, or it is shutting down (the write lane may already
+// be gone, so nothing would ever complete the future).
 func (n *Node) haltedLocked() error {
 	if n.d.err != nil {
 		return raftcore.NotLeader(types.NoNode)
@@ -520,12 +512,15 @@ func (n *Node) haltedLocked() error {
 // follower forwards the read to its known leader; a leader answers from its
 // lease, at once in a single-voter configuration, or after a quorum round
 // (concurrent reads coalesce into shared rounds). An abort is ErrNotLeader to
-// retry — ErrLeaderStepdown when the read died in a CheckQuorum step-down.
+// retry — ErrLeaderStepdown when the read died in a CheckQuorum step-down —
+// and a stopped node answers ErrStopped.
 func (n *Node) FollowerReadIndex(timeout time.Duration) (int, error) {
 	n.mu.Lock()
-	if n.d.err != nil {
+	// A stopped node's clock stands still, so a lease it held never runs
+	// out: it must not answer from the state it stopped with.
+	if err := n.haltedLocked(); err != nil {
 		n.mu.Unlock()
-		return 0, raftcore.NotLeader(types.NoNode)
+		return 0, err
 	}
 	id, wait, err := n.d.Read()
 	if err != nil {

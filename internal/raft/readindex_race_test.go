@@ -1,6 +1,7 @@
 package raft_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -97,6 +98,27 @@ func TestReadBarrierIDsNeverRepeatAcrossRestarts(t *testing.T) {
 		inbox <- reply
 		if idx := <-got; idx != 9 {
 			t.Fatalf("the restarted node's barrier resolved at %d, want 9 from its own reply (7 is the reply owed to its previous incarnation)", idx)
+		}
+	}
+}
+
+// TestStoppedNodeServesNoRead: a stopped node's clock stands still, so a lease
+// it held when it stopped never runs out, and its state machine is frozen at
+// the moment it stopped. A read that still reaches it (a client whose hint
+// names a crashed leader) must fail, not be served from that frozen state.
+func TestStoppedNodeServesNoRead(t *testing.T) {
+	n := raft.StartNode(raft.Options{ID: 1, Members: []types.NodeID{1},
+		Transport: make(sentTransport, 16), Inbox: make(chan raft.Message)})
+	for i := 0; i < 4*raft.ElectionTicks && n.Snapshot().Role != raft.Leader; i++ {
+		n.Tick()
+	}
+	if _, err := n.FollowerReadIndex(time.Second); err != nil {
+		t.Fatalf("leader read before Stop: %v", err)
+	}
+	n.Stop()
+	for i := 0; i < 20; i++ { // an answer would race stopCh: ask often enough to lose
+		if idx, err := n.FollowerReadIndex(time.Second); !errors.Is(err, raft.ErrStopped) {
+			t.Fatalf("stopped node answered a read: index %d, err %v; want ErrStopped", idx, err)
 		}
 	}
 }

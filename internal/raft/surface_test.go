@@ -17,7 +17,7 @@ import (
 // in review, rather than regrow the surface silently.
 func TestNodeSurface(t *testing.T) {
 	want := []string{ // sorted, as reflect lists them
-		"ApplyCh", "Done", "FollowerReadIndex", "ID", "PickTransferTarget",
+		"Done", "FollowerReadIndex", "ID", "PickTransferTarget",
 		"ProposeAsync", "ProposeConfig", "Snapshot", "Stop", "Tick", "TransferLeader",
 	}
 	typ := reflect.TypeOf((*raft.Node)(nil))
@@ -41,8 +41,8 @@ func TestOptionsSurface(t *testing.T) {
 		want []string // declaration order
 	}{{
 		raft.Options{},
-		[]string{"ID", "Members", "Transport", "Inbox", "Storage", "StateMachine",
-			"SnapshotThreshold", "Ablation", "Seed"},
+		[]string{"ID", "Members", "Transport", "Inbox", "Storage", "OnApply",
+			"StateMachine", "SnapshotThreshold", "Ablation", "Seed"},
 	}, {
 		multiraft.Options{},
 		[]string{"ID", "Members", "Groups", "Transport", "ElectionTimeoutMin",
