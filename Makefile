@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-teeth check loc bench benchmark-smoke bench-compare fuzz-smoke chaos chaos-smoke chaos-teeth chaos-parity kv-race chaos-elections chaos-leases chaos-disk fingerprints sim-sweep sim-teeth sim-teeth-client sim-sweep-groups sim-teeth-groups
+.PHONY: all build test race vet lint lint-teeth check loc bench benchmark-smoke bench-compare fuzz-smoke chaos chaos-smoke teeth chaos-parity kv-race fingerprints sim-sweep sim-sweep-groups
 
 all: check
 
@@ -70,19 +70,24 @@ chaos:
 chaos-smoke:
 	$(GO) run -race ./cmd/raft-chaos -seeds 25 -duration 1s
 
-# chaos-teeth proves the harness catches a reintroduced reconfiguration bug:
-# with R2 disabled the crafted double-shed schedule must produce violations.
-chaos-teeth:
-	$(GO) run ./cmd/raft-chaos -seeds 3 -duration 1500ms -teeth -disable-r2 -mem
+# teeth runs the teeth table (internal/chaos/teeth.go): every crafted
+# schedule must be clean with its guard on and show its violation with the
+# guard knocked out, every guard must have a row, and, live, a follower with
+# its write blocked must still apply what the other two made durable while
+# acking nothing above its own disk.
+teeth:
+	$(GO) test -count=1 -run '^(TestTeeth|TestEveryGuardHasATooth)$$' ./internal/chaos
+	$(GO) test -count=1 -run 'TestFollowerAppliesAheadOfBlockedWrite' ./internal/raft
 
 # chaos-parity checks the one harness both runtimes share (chaos.Env): the
 # executor's Env call sequence for every event kind against a recording fake,
-# the run loop and epilogue, and the R2 schedule through Run and RunSim — same
-# verdict with the guard on and off, same nodes up and same configuration
-# after the epilogue — under the race detector (the live monitor samples from
-# its own goroutine).
+# the run loop and epilogue, and the teeth table's r2 row through Run and
+# RunSim — same verdict with the guard on and off, the row's violation live
+# and simulated, same nodes up and same configuration after the epilogue —
+# under the race detector (the live monitor samples from its own goroutine),
+# three times over.
 chaos-parity:
-	$(GO) test -race -count=1 -run 'TestExecutorEveryEvent|TestRunLoopAndEpilogue|TestLiveSimVerdictParity' ./internal/chaos
+	$(GO) test -race -count=3 -run 'TestExecutorEveryEvent|TestRunLoopAndEpilogue|TestLiveSimVerdictParity' ./internal/chaos
 
 # kv-race runs the KV replica (kvstore.Server) under the race detector,
 # three times over: the in-process service's scenarios, where a restarted
@@ -91,45 +96,9 @@ chaos-parity:
 kv-race:
 	$(GO) test -race -count=3 -run 'TestReplicated|TestServerOverTCP' ./internal/kvstore ./cmd/raft-kv
 
-# chaos-elections is the election-robustness gate: both election teeth
-# (knock out Pre-Vote → the rejoin-disruption schedule must be caught;
-# knock out CheckQuorum → the stale-leader schedule must be caught; each
-# exits 1 if its oracle stayed silent), then a 100-seed all-guards-on
-# simulator sweep over the full nemesis mix (partial partitions,
-# isolation+rejoin, transfers, drop-leader reconfigs), which must stay
-# violation-free.
-chaos-elections:
-	$(GO) run ./cmd/raft-chaos -teeth -disable-prevote -seeds 1
-	$(GO) run ./cmd/raft-chaos -teeth -disable-checkquorum -seeds 1
-	$(GO) run ./cmd/raft-chaos -sim -seeds 100
-
-# chaos-leases is the lease-read teeth: with the transfer/reconfig lease
-# invalidation knocked out, the crafted deafen+transfer schedule must trip
-# the stale-lease oracle — the run exits 1, and `!` requires exactly that.
-# (The guard-on control arm of the same schedule is pinned by
-# TestTeethLeaseGuard, and every all-guards-on sweep keeps the oracle
-# armed over generated schedules.)
-chaos-leases:
-	! $(GO) run ./cmd/raft-chaos -teeth -disable-lease-guard -seeds 1
-
-# chaos-disk is the slow-disk teeth (deterministic simulator, write delays
-# on): the driver mutant that reports Stable before the write lands must be
-# caught — by the applied ⊆ quorum-durable oracle, before the power cycle that
-# loses the in-flight writes (-early-stable expects violations; the real
-# driver's clean arm and the ordering are TestCrashBeforeStable); with the
-# stalled-disk step-down knocked out a leader with a frozen disk must trip the
-# liveness oracle; a follower that applies ahead of its frozen disk and is
-# power-cycled must come back clean (TestApplyAheadOfDisk); and, live, a
-# follower with its write blocked must still apply what the other two made
-# durable while acking nothing above its own disk.
-chaos-disk:
-	$(GO) run ./cmd/raft-chaos -teeth -early-stable -seeds 1
-	$(GO) test -count=1 -run 'TestCrashBeforeStable|TestTeethStalledLeaderDisk|TestApplyAheadOfDisk' ./internal/chaos
-	$(GO) test -count=1 -run 'TestFollowerAppliesAheadOfBlockedWrite' ./internal/raft
-
-# fingerprints prints what TestJournalFingerprints hashes, schedule by
-# schedule: each crafted schedule's journal hash and violation count with its
-# guard on and off, then the four set hashes that
+# fingerprints prints what TestJournalFingerprints hashes, row by row: each
+# teeth-table row's journal hash and violation count with its guard on and
+# off, then the four set hashes that
 # internal/chaos/testdata/journal_fingerprints.txt pins. A change that moves
 # the simulator quotes these in its EXPERIMENTS entry.
 fingerprints:
@@ -143,34 +112,11 @@ fingerprints:
 sim-sweep:
 	$(GO) run ./cmd/raft-chaos -sim -seeds 500
 
-# sim-teeth: the simulator's oracles (committed-prefix, refinement,
-# linearizability) must catch the R2 double-shed divergence. With
-# -disable-r2 explicit the tool expects violations and exits 0 on a catch.
-sim-teeth:
-	$(GO) run ./cmd/raft-chaos -sim -teeth -disable-r2 -seeds 1
-
-# sim-teeth-client: the simulator's clients run kvstore.Session, the request
-# logic kvstore.Client runs. With the client mutant that re-proposes an Append
-# or CAS under a fresh sequence number once an attempt slice runs out, seed 9
-# applies a request twice and its linearizability check must catch it (the
-# first run exits 0 on a catch); the same seed without the mutant must be clean.
-sim-teeth-client:
-	$(GO) run ./cmd/raft-chaos -fresh-seq-retry -seed 9
-	$(GO) run ./cmd/raft-chaos -sim -seed 9
-
 # sim-sweep-groups is the multi-group sweep: 500 seeds with the keyspace
 # hash-partitioned across 3 raft groups, every oracle (linearizability,
 # committed prefix, refinement, election stability) checked per group.
 sim-sweep-groups:
 	$(GO) run ./cmd/raft-chaos -sim -groups 3 -seeds 500
-
-# sim-teeth-groups: the cross-group storage-corruption schedule — group 1's
-# WAL is destroyed under a flipped partition (modeling the flat-layout bug
-# where one group's compaction unlinks another's segments) — must produce
-# violations attributed to group 1 and ONLY group 1; the intact group 0 is
-# the control arm.
-sim-teeth-groups:
-	$(GO) run ./cmd/raft-chaos -teeth -groups 2 -seeds 1
 
 # bench is the smoke pass CI runs: every Go benchmark once (-benchtime=1x,
 # no test functions), i.e. the model benches in the root package and the

@@ -77,8 +77,6 @@ func main() {
 		walDir       = flag.String("wal", "", "directory for the file-backed WAL (default: none; the replica is volatile, and a restart comes back at term 0 with an empty log under its old ID)")
 		snapThr      = flag.Int("snapshot-threshold", 0, "applied entries between state-machine snapshots (0 = no local compaction)")
 		shardsFlag   = flag.Int("shards", 1, "raft groups hosted by every replica; keys hash across them (all replicas must agree)")
-		disPV        = flag.Bool("disable-prevote", false, "campaign without the Pre-Vote round (rejoining nodes may disrupt a healthy leader)")
-		disCQ        = flag.Bool("disable-checkquorum", false, "leaders keep leading without quorum contact (stale leaders linger after partitions)")
 		readModeFlag = flag.String("read-mode", "follower", "how get is served: follower (linearizable from any replica) or local (no read index, may be stale)")
 		disLease     = flag.Bool("disable-lease-read", false, "turn off the leader lease: every linearizable get pays a quorum barrier")
 	)
@@ -103,12 +101,8 @@ func main() {
 		walDir:          *walDir,
 		snapThreshold:   *snapThr,
 		electionTimeout: *timeoutMin,
-		ablation: raft.Ablation{
-			DisablePreVote:     *disPV,
-			DisableCheckQuorum: *disCQ,
-			DisableLeaseRead:   *disLease,
-		},
-		readLocal: readLocal,
+		ablation:        raft.Ablation{DisableLeaseRead: *disLease},
+		readLocal:       readLocal,
 	}
 	if _, ok := peers[cfg.id]; !ok {
 		fmt.Fprintf(os.Stderr, "node %d missing from -peers\n", cfg.id)

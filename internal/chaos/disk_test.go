@@ -5,48 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
-
-// TestCrashBeforeStable power-cycles a 3-node cluster with every disk frozen
-// mid-write. With the real driver nothing those writes were backing had been
-// released, so losing them loses no acked put: every oracle stays silent.
-// The EarlyStable mutant — a disk that acks the write when it starts —
-// must be caught: it acked and applied entries no disk held.
-func TestCrashBeforeStable(t *testing.T) {
-	opt := Options{Duration: 1500 * time.Millisecond}
-	sched := CrashBeforeStableSchedule(opt)
-
-	control, err := RunSim(sched, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !control.Ok() {
-		t.Fatalf("the real driver lost something across the power cycle:\n%s\n--- journal ---\n%s",
-			strings.Join(control.Violations, "\n"), control.Journal)
-	}
-	if !strings.Contains(string(control.Journal), "in-flight write cut") {
-		t.Fatalf("no write was in flight at the crash; the schedule lost its premise\n--- journal ---\n%s", control.Journal)
-	}
-
-	mutant := opt
-	mutant.EarlyStable = true
-	rep, err := RunSim(sched, mutant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Ok() {
-		t.Fatalf("Stable was reported before the write landed and a power cycle lost the write, but no oracle noticed\n--- journal ---\n%s", rep.Journal)
-	}
-	t.Logf("caught: %s", rep.Violations[0])
-	// The quorum-durable oracle reads the disks, not the cores, so it needs no
-	// power cycle to see the lie: it fires while every node is still up.
-	j := string(rep.Journal)
-	caught, crash := strings.Index(j, "quorum-durable violation"), strings.Index(j, "crash (clean)")
-	if caught < 0 || crash < 0 || caught > crash {
-		t.Fatalf("the quorum-durable oracle did not fire before the power cycle (violations: %v)\n--- journal ---\n%s", rep.Violations, j)
-	}
-}
 
 // TestApplyAheadOfDisk replays the crafted apply ⊆ committed plan: follower S3
 // applies what S1+S2 made durable while its own disk is frozen, loses all of
@@ -63,8 +22,10 @@ func TestApplyAheadOfDisk(t *testing.T) {
 		return n
 	}
 	run := func(t *testing.T, threshold int) string {
-		opt := Options{Duration: 2 * time.Second, SnapshotThreshold: threshold}
-		rep, err := RunSim(ApplyAheadOfDiskSchedule(opt), opt)
+		r := row(t, "apply-ahead-of-disk")
+		opt := r.opt
+		opt.SnapshotThreshold = threshold
+		rep, err := RunSim(r.sched(opt), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,45 +84,6 @@ func TestApplyAheadOfDisk(t *testing.T) {
 		}
 		t.Logf("%d compactions above the disk", above)
 	})
-}
-
-// TestTeethStalledLeaderDisk freezes the leader's disk under an untouched
-// network. With the stalled-disk step-down (part of CheckQuorum) a healthy
-// replica takes over and commits within the liveness bound; knocked out, the
-// stalled leader heartbeats forever, the followers stay sticky, nothing
-// commits, and the liveness oracle fires.
-func TestTeethStalledLeaderDisk(t *testing.T) {
-	opt := Options{Duration: 2 * time.Second}
-	sched := StalledLeaderDiskSchedule(opt)
-
-	control, err := RunSim(sched, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !control.Ok() {
-		t.Fatalf("violations with the step-down on:\n%s\n--- journal ---\n%s",
-			strings.Join(control.Violations, "\n"), control.Journal)
-	}
-	if control.Stats.StepDowns == 0 {
-		t.Fatalf("the stalled leader never stepped down; the schedule lost its premise\n--- journal ---\n%s", control.Journal)
-	}
-
-	broken := opt
-	broken.DisableCheckQuorum = true
-	rep, err := RunSim(sched, broken)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, v := range rep.Violations {
-		if strings.HasPrefix(v, "liveness:") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("step-down knocked out and the leader's disk frozen, but the liveness oracle stayed silent (violations: %v)\n--- journal ---\n%s",
-			rep.Violations, rep.Journal)
-	}
 }
 
 // TestSlowDiskSweepUsesTheDisk guards the sweeps' premise: generated

@@ -9,97 +9,14 @@ import (
 	"adore/internal/types"
 )
 
-// TestTeethPreVote reintroduces election disruption (Pre-Vote disabled) and
-// checks the harness catches it: a follower isolated for ten election
-// intervals inflates its term with futile campaigns, rejoins, and deposes a
-// perfectly healthy leader — the disruption oracle must flag it. The
-// control run — same schedule, Pre-Vote on — must stay clean: the isolated
-// node's rounds are term-neutral and the heal is a non-event.
-func TestTeethPreVote(t *testing.T) {
-	opt := Options{Duration: 1500 * time.Millisecond}
-	sched := DisruptionSchedule(opt)
-
-	broken := opt
-	broken.DisablePreVote = true
-	rep, err := RunSim(sched, broken)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, v := range rep.Violations {
-		if strings.Contains(v, "disruption") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Pre-Vote disabled and the rejoin schedule executed, but the disruption oracle stayed silent; violations:\n%s\n--- journal ---\n%s",
-			strings.Join(rep.Violations, "\n"), rep.Journal)
-	}
-	t.Logf("caught: %s", rep.Violations[0])
-
-	control, err := RunSim(sched, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !control.Ok() {
-		t.Fatalf("guards on, same schedule: unexpected violations:\n%s\n--- journal ---\n%s",
-			strings.Join(control.Violations, "\n"), control.Journal)
-	}
-	if control.Stats.TermBumps >= rep.Stats.TermBumps {
-		t.Fatalf("Pre-Vote on should bump terms less than off: %d (on) vs %d (off)",
-			control.Stats.TermBumps, rep.Stats.TermBumps)
-	}
-}
-
-// TestTeethCheckQuorum reintroduces the immortal minority leader
-// (CheckQuorum disabled) and checks the stale-leader oracle catches it: a
-// leader cut into a minority keeps claiming leadership long after losing
-// quorum contact. The control run steps down within an election interval
-// and stays clean.
-func TestTeethCheckQuorum(t *testing.T) {
-	opt := Options{Duration: 1500 * time.Millisecond}
-	sched := StaleLeaderSchedule(opt)
-
-	broken := opt
-	broken.DisableCheckQuorum = true
-	rep, err := RunSim(sched, broken)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, v := range rep.Violations {
-		if strings.Contains(v, "stale leader") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("CheckQuorum disabled and the stale-leader schedule executed, but the oracle stayed silent; violations:\n%s\n--- journal ---\n%s",
-			strings.Join(rep.Violations, "\n"), rep.Journal)
-	}
-	t.Logf("caught: %s", rep.Violations[0])
-
-	control, err := RunSim(sched, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !control.Ok() {
-		t.Fatalf("guards on, same schedule: unexpected violations:\n%s\n--- journal ---\n%s",
-			strings.Join(control.Violations, "\n"), control.Journal)
-	}
-	if control.Stats.StepDowns == 0 {
-		t.Fatal("guards on: the partitioned leader never recorded a CheckQuorum step-down")
-	}
-}
-
 // TestReconfigShedViaTransfer replays the transfer-under-churn schedule —
 // two membership changes that each shed the sitting leader, plus an
 // explicit handoff — and requires every leadership change to be a graceful
 // transfer: the journal must show transfer campaigns and zero
 // timeout-triggered campaigns.
 func TestReconfigShedViaTransfer(t *testing.T) {
-	opt := Options{Duration: 2 * time.Second}
-	sched := TransferDuringReconfigSchedule(opt)
-	rep, err := RunSim(sched, opt)
+	r := row(t, "transfer-during-reconfig")
+	rep, err := RunSim(r.sched(r.opt), r.opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,58 +96,5 @@ func TestDisruptionSweep(t *testing.T) {
 			t.Fatalf("seed %d: violations with all guards on:\n%s\n--- journal ---\n%s",
 				seed, strings.Join(rep.Violations, "\n"), rep.Journal)
 		}
-	}
-}
-
-// TestTeethLeaseGuard reintroduces the stale-lease hazard (the
-// transfer/reconfig lease invalidation removed) and checks the stale-lease
-// oracle catches it: a deafened old leader — inbound links cut, outbound
-// intact — keeps a "valid" lease on acks banked before the cut while its
-// transferred-away successor commits past it. The control run — same
-// schedule, guard on — must stay clean: the lease dies the instant the
-// transfer starts and cannot revive while deafened.
-func TestTeethLeaseGuard(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opt  Options
-	}{
-		// The tuning the oracle was written at: instantaneous disks.
-		{"instant-disk", Options{Duration: 1500 * time.Millisecond, DiskDelay: -1}},
-		// Slow disks (the sweeps' default): an election interval with room
-		// for a vote round and a commit round, each crossing a disk twice,
-		// inside the old leader's lease window.
-		{"slow-disk", Options{Duration: 1500 * time.Millisecond, ElectionTimeoutMin: 40 * time.Millisecond}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opt := tc.opt
-			sched := LeaseViolationSchedule(opt)
-
-			broken := opt
-			broken.DisableLeaseGuard = true
-			rep, err := RunSim(sched, broken)
-			if err != nil {
-				t.Fatal(err)
-			}
-			found := false
-			for _, v := range rep.Violations {
-				if strings.Contains(v, "stale lease") {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("lease guard disabled and the deafen+transfer schedule executed, but the stale-lease oracle stayed silent; violations:\n%s\n--- journal ---\n%s",
-					strings.Join(rep.Violations, "\n"), rep.Journal)
-			}
-			t.Logf("caught: %s", rep.Violations[0])
-
-			control, err := RunSim(sched, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !control.Ok() {
-				t.Fatalf("guard on, same schedule: unexpected violations:\n%s\n--- journal ---\n%s",
-					strings.Join(control.Violations, "\n"), control.Journal)
-			}
-		})
 	}
 }

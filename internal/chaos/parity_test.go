@@ -2,6 +2,8 @@ package chaos
 
 import (
 	"fmt"
+	"regexp"
+	"slices"
 	"testing"
 	"time"
 
@@ -31,10 +33,10 @@ func endState(final []Sample) string {
 
 // TestLiveSimVerdictParity runs one schedule through both runtimes — the
 // same executor, monitor, loop and epilogue over liveEnv and over the
-// simulator — and requires the same verdict from each: the R2 double-shed
-// schedule is clean with the guard on and caught with it off, live and
-// simulated alike. With the guard on, both Envs must also report the same
-// nodes up under the same configuration once the epilogue has run. With it
+// simulator — and requires the same verdict from each: the teeth table's r2
+// row is clean with the guard on and shows the row's violation with it off,
+// live and simulated alike. With the guard on, both Envs must also report the
+// same nodes up under the same configuration once the epilogue has run. With it
 // off the histories fork, and which fork ends at the highest term is a
 // wall-clock race in the live run, so only the verdicts are compared. (A
 // first step toward a differential oracle; there is no shared journal to
@@ -47,9 +49,13 @@ func TestLiveSimVerdictParity(t *testing.T) {
 		t.Run(fmt.Sprintf("DisableR2=%v", disableR2), func(t *testing.T) {
 			// A live cluster whose histories forked (the guard-off arm) need
 			// never reconverge: keep its wait for that short.
-			opt := Options{Duration: 1200 * time.Millisecond, MemWAL: true, SettleTimeout: 5 * time.Second}
-			opt.DisableR2 = disableR2
-			sched := R2ViolationSchedule(opt)
+			r := row(t, "r2")
+			opt := r.opt
+			if disableR2 {
+				opt = r.knockedOut()
+			}
+			opt.MemWAL, opt.SettleTimeout = true, 5*time.Second
+			sched := r.sched(opt)
 			live, err := Run(sched, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -64,6 +70,12 @@ func TestLiveSimVerdictParity(t *testing.T) {
 			}
 			if live.Ok() == disableR2 {
 				t.Fatalf("both runtimes agree on the wrong verdict (DisableR2=%v): %s", disableR2, live)
+			}
+			want := regexp.MustCompile(r.want)
+			for _, rep := range []*Report{live, simulated} {
+				if disableR2 && !slices.ContainsFunc(rep.Violations, want.MatchString) {
+					t.Fatalf("no violation matches %q: %q", r.want, rep.Violations)
+				}
 			}
 			if l, s := endState(live.final), endState(simulated.final); !disableR2 && l != s {
 				t.Errorf("after the epilogue liveEnv reports %s, the simulator %s", l, s)

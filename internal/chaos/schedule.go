@@ -322,11 +322,8 @@ type Options struct {
 	// Dir is where file WALs live ("" = a fresh temp dir, removed after
 	// the run).
 	Dir string
-	// Ablation removes protocol guards — used to prove the harness catches
-	// what each one prevents: the reconfiguration bugs (R2, R3), a rejoining
-	// node deposing a healthy leader (Pre-Vote), a quorumless leader that
-	// never steps down (CheckQuorum), a deafened old leader serving lease
-	// reads while its transferred-away successor commits (LeaseGuard).
+	// Ablation removes protocol guards, to prove the oracles catch what each
+	// one prevents (the teeth table, teeth.go).
 	raft.Ablation
 	// SnapshotThreshold is the log-compaction trigger: after this many
 	// applied entries above the snapshot base a node captures its state
@@ -691,7 +688,13 @@ func Generate(seed int64, opt Options) *Schedule {
 	return s
 }
 
-// R2ViolationSchedule is the handcrafted plan the teeth test uses: cut the
+// crafted is a hand-written schedule of events on opt.Nodes nodes, under the
+// client scripts of generated seed 1.
+func crafted(seed int64, opt Options, events []Event) *Schedule {
+	return &Schedule{Seed: seed, Nodes: opt.Nodes, Events: events, Scripts: Generate(1, opt).Scripts}
+}
+
+// r2ViolationSchedule is the handcrafted plan the teeth test uses: cut the
 // leader plus one follower off, shed the far side twice through the stale
 // leader, heal. With the guards on the second shed is rejected (R2) and
 // nothing the stale leader appended can commit; with DisableR2 the stale
@@ -703,63 +706,72 @@ func Generate(seed int64, opt Options) *Schedule {
 // grace window. Any later and the stale leader (correctly) steps down
 // before the second shed can shrink its config to where the minority is a
 // quorum again, and the scenario evaporates.
-func R2ViolationSchedule(opt Options) *Schedule {
+func r2ViolationSchedule(opt Options) *Schedule {
 	opt.defaults()
 	d := opt.Duration
-	return &Schedule{
-		Seed:  -1,
-		Nodes: opt.Nodes,
-		Events: []Event{
-			{At: d * 25 / 100, Kind: EvPartitionLeader, Keep: 1},
-			{At: d*25/100 + 3*time.Millisecond, Kind: EvReconfigShed},
-			{At: d*25/100 + 6*time.Millisecond, Kind: EvReconfigShed},
-			{At: d * 60 / 100, Kind: EvHeal},
-		},
-		Scripts: Generate(1, opt).Scripts,
-	}
+	return crafted(-1, opt, []Event{
+		{At: d * 25 / 100, Kind: EvPartitionLeader, Keep: 1},
+		{At: d*25/100 + 3*time.Millisecond, Kind: EvReconfigShed},
+		{At: d*25/100 + 6*time.Millisecond, Kind: EvReconfigShed},
+		{At: d * 60 / 100, Kind: EvHeal},
+	})
 }
 
-// DisruptionSchedule is the rejoin-disruption plan the Pre-Vote teeth test
+// r3ViolationSchedule is Fig. 4 (explore.Fig4Bug) on four nodes. S4 leads,
+// is cut off alone and proposes {S2,S3,S4}, which only it holds. S3 votes S2
+// into term 2 and crashes before S2's first append, and S2 at once proposes
+// removing S3. With R3 the removal is refused: S2 has committed nothing in
+// its term, and its no-op cannot commit without S3. With DisableR3,
+// {S1,S2,S4} commits on S1 and S2; the partition flips to {S3,S4} | {S1,S2},
+// and S4 wins term 3 with S3's vote under {S2,S3,S4}: the prefix forks.
+func r3ViolationSchedule(opt Options) *Schedule {
+	opt.Nodes = 4
+	opt.defaults()
+	d := opt.Duration
+	cut, flip := d*25/100, d*40/100
+	return crafted(-11, opt, []Event{
+		{At: cut, Kind: EvPartitionLeader, Keep: 0},
+		{At: cut + 3*time.Millisecond, Kind: EvReconfigShed},
+		{At: cut + 29*time.Millisecond, Kind: EvCrash, Node: 3, Mode: CrashClean},
+		{At: cut + 30*time.Millisecond, Kind: EvReconfigRemove, Node: 3},
+		{At: flip, Kind: EvHeal},
+		{At: flip, Kind: EvPartition, A: []types.NodeID{3, 4}, B: []types.NodeID{1, 2}},
+		{At: flip + 10*time.Millisecond, Kind: EvRestart, Node: 3},
+		{At: d * 90 / 100, Kind: EvHeal},
+	})
+}
+
+// disruptionSchedule is the rejoin-disruption plan the Pre-Vote teeth test
 // uses: isolate one follower long enough for ten election intervals of
 // futile campaigning, then heal. With Pre-Vote the rounds are term-neutral
 // and the heal is a non-event; with DisablePreVote the rejoiner comes back
 // with an inflated term, deposes the healthy leader, and the disruption
 // oracle flags it.
-func DisruptionSchedule(opt Options) *Schedule {
+func disruptionSchedule(opt Options) *Schedule {
 	opt.defaults()
 	d := opt.Duration
 	iso := d * 25 / 100
-	return &Schedule{
-		Seed:  -2,
-		Nodes: opt.Nodes,
-		Events: []Event{
-			{At: iso, Kind: EvIsolateFollower},
-			{At: iso + 10*opt.ElectionTimeoutMin, Kind: EvHeal},
-		},
-		Scripts: Generate(1, opt).Scripts,
-	}
+	return crafted(-2, opt, []Event{
+		{At: iso, Kind: EvIsolateFollower},
+		{At: iso + 10*opt.ElectionTimeoutMin, Kind: EvHeal},
+	})
 }
 
-// StaleLeaderSchedule cuts the leader (plus one follower) into a minority
+// staleLeaderSchedule cuts the leader (plus one follower) into a minority
 // and leaves it there for most of the run. With CheckQuorum the stale
 // leader steps down within an election interval of losing quorum contact;
 // with DisableCheckQuorum it reigns over its minority indefinitely and the
 // stale-leader oracle flags it.
-func StaleLeaderSchedule(opt Options) *Schedule {
+func staleLeaderSchedule(opt Options) *Schedule {
 	opt.defaults()
 	d := opt.Duration
-	return &Schedule{
-		Seed:  -3,
-		Nodes: opt.Nodes,
-		Events: []Event{
-			{At: d * 25 / 100, Kind: EvPartitionLeader, Keep: 1},
-			{At: d * 80 / 100, Kind: EvHeal},
-		},
-		Scripts: Generate(1, opt).Scripts,
-	}
+	return crafted(-3, opt, []Event{
+		{At: d * 25 / 100, Kind: EvPartitionLeader, Keep: 1},
+		{At: d * 80 / 100, Kind: EvHeal},
+	})
 }
 
-// CrossGroupWipeSchedule is the multi-group teeth plan (run with
+// crossGroupWipeSchedule is the multi-group teeth plan (run with
 // Options.Groups >= 2): it manufactures the exact history a cross-group
 // WAL-unlink bug would leave behind — the bug the multiraft per-group
 // storage subdirectories make impossible by construction — and demands the
@@ -775,30 +787,26 @@ func StaleLeaderSchedule(opt Options) *Schedule {
 // fork, and commit-index regression, all flagged "g1:". Group 0 runs the
 // identical nemesis WITHOUT the wipe, and S3's intact log lets it protect
 // the committed prefix through the same partitions: the control arm must
-// stay clean. Requires 5 nodes.
-func CrossGroupWipeSchedule(opt Options) *Schedule {
+// stay clean. Always 5 nodes.
+func crossGroupWipeSchedule(opt Options) *Schedule {
+	opt.Nodes = 5
 	opt.defaults()
 	d := opt.Duration
 	flip := d * 50 / 100
-	return &Schedule{
-		Seed:  -5,
-		Nodes: 5,
-		Events: []Event{
-			{At: d * 15 / 100, Kind: EvPartition, A: []types.NodeID{1, 2, 3}, B: []types.NodeID{4, 5}},
-			{At: d * 45 / 100, Kind: EvCrash, Node: 3, Mode: CrashClean},
-			{At: d * 47 / 100, Kind: EvWALWipe, Node: 3, Group: 1},
-			// Heal and re-partition at the same instant: zero ticks elapse
-			// between them, so {1,2} never get a window to catch {4,5} up.
-			{At: flip, Kind: EvHeal},
-			{At: flip, Kind: EvPartition, A: []types.NodeID{3, 4, 5}, B: []types.NodeID{1, 2}},
-			{At: d * 52 / 100, Kind: EvRestart, Node: 3},
-			{At: d * 80 / 100, Kind: EvHeal},
-		},
-		Scripts: Generate(1, opt).Scripts,
-	}
+	return crafted(-5, opt, []Event{
+		{At: d * 15 / 100, Kind: EvPartition, A: []types.NodeID{1, 2, 3}, B: []types.NodeID{4, 5}},
+		{At: d * 45 / 100, Kind: EvCrash, Node: 3, Mode: CrashClean},
+		{At: d * 47 / 100, Kind: EvWALWipe, Node: 3, Group: 1},
+		// Heal and re-partition at the same instant: zero ticks elapse
+		// between them, so {1,2} never get a window to catch {4,5} up.
+		{At: flip, Kind: EvHeal},
+		{At: flip, Kind: EvPartition, A: []types.NodeID{3, 4, 5}, B: []types.NodeID{1, 2}},
+		{At: d * 52 / 100, Kind: EvRestart, Node: 3},
+		{At: d * 80 / 100, Kind: EvHeal},
+	})
 }
 
-// LeaseViolationSchedule is the lease teeth plan (its oracle is the
+// leaseViolationSchedule is the lease teeth plan (its oracle is the
 // simulator's): deafen the sitting leader — every inbound link cut, outbound intact, so
 // its lease clock freezes on acks already banked — and in the same instant
 // start a graceful transfer. The TimeoutNow still goes out, the successor
@@ -814,45 +822,35 @@ func CrossGroupWipeSchedule(opt Options) *Schedule {
 // the deafening falls in the heartbeat cycle (the last banked ack can be up
 // to a heartbeat old), so the plan deafens and transfers twice, at two
 // unrelated phases, each followed by a heal.
-func LeaseViolationSchedule(opt Options) *Schedule {
+func leaseViolationSchedule(opt Options) *Schedule {
 	opt.defaults()
 	d := opt.Duration
-	return &Schedule{
-		Seed:  -6,
-		Nodes: opt.Nodes,
-		Events: []Event{
-			{At: d * 40 / 100, Kind: EvDeafenLeader},
-			{At: d * 40 / 100, Kind: EvTransferLeader},
-			{At: d * 55 / 100, Kind: EvHeal},
-			{At: d * 67 / 100, Kind: EvDeafenLeader},
-			{At: d * 67 / 100, Kind: EvTransferLeader},
-			{At: d * 82 / 100, Kind: EvHeal},
-		},
-		Scripts: Generate(1, opt).Scripts,
-	}
+	return crafted(-6, opt, []Event{
+		{At: d * 40 / 100, Kind: EvDeafenLeader},
+		{At: d * 40 / 100, Kind: EvTransferLeader},
+		{At: d * 55 / 100, Kind: EvHeal},
+		{At: d * 67 / 100, Kind: EvDeafenLeader},
+		{At: d * 67 / 100, Kind: EvTransferLeader},
+		{At: d * 82 / 100, Kind: EvHeal},
+	})
 }
 
-// TransferDuringReconfigSchedule exercises graceful handoff under churn:
+// transferDuringReconfigSchedule exercises graceful handoff under churn:
 // two membership changes that each shed the sitting leader, with an
 // explicit transfer between them. A correct run completes every handoff by
 // TimeoutNow — the journal shows transfer campaigns and zero timeout
 // campaigns.
-func TransferDuringReconfigSchedule(opt Options) *Schedule {
+func transferDuringReconfigSchedule(opt Options) *Schedule {
 	opt.defaults()
 	d := opt.Duration
-	return &Schedule{
-		Seed:  -4,
-		Nodes: opt.Nodes,
-		Events: []Event{
-			{At: d * 30 / 100, Kind: EvReconfigDropLeader},
-			{At: d * 50 / 100, Kind: EvTransferLeader},
-			{At: d * 70 / 100, Kind: EvReconfigDropLeader},
-		},
-		Scripts: Generate(1, opt).Scripts,
-	}
+	return crafted(-4, opt, []Event{
+		{At: d * 30 / 100, Kind: EvReconfigDropLeader},
+		{At: d * 50 / 100, Kind: EvTransferLeader},
+		{At: d * 70 / 100, Kind: EvReconfigDropLeader},
+	})
 }
 
-// StalledLeaderDiskSchedule freezes the sitting leader's disk for most of
+// stalledLeaderDiskSchedule freezes the sitting leader's disk for most of
 // the run and leaves the network alone. The stalled leader keeps
 // heartbeating — nothing in the message path waits for its disk — so the
 // followers stay sticky and only the core's stalled-disk step-down (part of
@@ -860,20 +858,15 @@ func TransferDuringReconfigSchedule(opt Options) *Schedule {
 // healthy replica is elected, commits resume, and the stalled node rejoins
 // as a follower when its disk answers. With DisableCheckQuorum it leads
 // forever while committing nothing, and the liveness oracle flags it.
-func StalledLeaderDiskSchedule(opt Options) *Schedule {
+func stalledLeaderDiskSchedule(opt Options) *Schedule {
 	opt.defaults()
 	d := opt.Duration
-	return &Schedule{
-		Seed:  -7,
-		Nodes: opt.Nodes,
-		Events: []Event{
-			{At: d * 25 / 100, Kind: EvStallDisk, For: d * 50 / 100},
-		},
-		Scripts: Generate(1, opt).Scripts,
-	}
+	return crafted(-7, opt, []Event{
+		{At: d * 25 / 100, Kind: EvStallDisk, For: d * 50 / 100},
+	})
 }
 
-// CrashBeforeStableSchedule power-cycles a whole 3-node cluster while every
+// crashBeforeStableSchedule power-cycles a whole 3-node cluster while every
 // disk is frozen mid-write: each replica dies between handing a batch to its
 // disk and hearing Stable, and the in-flight writes are lost. A correct
 // driver released nothing those writes were backing — no ack, no commit, no
@@ -883,7 +876,7 @@ func StalledLeaderDiskSchedule(opt Options) *Schedule {
 // quorum-durable oracle catches the first such commit while every node is
 // still up, the applied-stream and linearizability oracles the loss after the
 // power cycle.
-func CrashBeforeStableSchedule(opt Options) *Schedule {
+func crashBeforeStableSchedule(opt Options) *Schedule {
 	opt.Nodes = 3
 	opt.defaults()
 	d := opt.Duration
@@ -898,10 +891,10 @@ func CrashBeforeStableSchedule(opt Options) *Schedule {
 	for id := types.NodeID(1); id <= 3; id++ {
 		events = append(events, Event{At: stall + d*12/100, Kind: EvRestart, Node: id})
 	}
-	return &Schedule{Seed: -8, Nodes: 3, Events: events, Scripts: Generate(1, opt).Scripts}
+	return crafted(-8, opt, events)
 }
 
-// ApplyAheadOfDiskSchedule is the apply ⊆ committed plan: a follower whose
+// applyAheadOfDiskSchedule is the apply ⊆ committed plan: a follower whose
 // disk is frozen keeps learning what the quorum committed and applies it —
 // entries, and a compaction image over them, that its own WAL never holds.
 // Twice: the first stall ends in a power cycle that loses every write the
@@ -911,26 +904,21 @@ func CrashBeforeStableSchedule(opt Options) *Schedule {
 // and a later power cycle recovers from that. S1 and S2 are the quorum
 // throughout. Should S3 be leading when its disk freezes, the stalled-disk
 // step-down makes it the follower the plan wants within an election interval.
-func ApplyAheadOfDiskSchedule(opt Options) *Schedule {
+func applyAheadOfDiskSchedule(opt Options) *Schedule {
 	opt.Nodes = 3
 	opt.defaults()
 	d := opt.Duration
-	return &Schedule{
-		Seed:  -10,
-		Nodes: 3,
-		Events: []Event{
-			{At: d * 25 / 100, Kind: EvStallDisk, Node: 3, For: d * 35 / 100},
-			{At: d * 45 / 100, Kind: EvCrash, Node: 3, Mode: CrashClean},
-			{At: d * 50 / 100, Kind: EvRestart, Node: 3},
-			{At: d * 60 / 100, Kind: EvStallDisk, Node: 3, For: d * 12 / 100},
-			{At: d * 85 / 100, Kind: EvCrash, Node: 3, Mode: CrashClean},
-			{At: d * 90 / 100, Kind: EvRestart, Node: 3},
-		},
-		Scripts: Generate(1, opt).Scripts,
-	}
+	return crafted(-10, opt, []Event{
+		{At: d * 25 / 100, Kind: EvStallDisk, Node: 3, For: d * 35 / 100},
+		{At: d * 45 / 100, Kind: EvCrash, Node: 3, Mode: CrashClean},
+		{At: d * 50 / 100, Kind: EvRestart, Node: 3},
+		{At: d * 60 / 100, Kind: EvStallDisk, Node: 3, For: d * 12 / 100},
+		{At: d * 85 / 100, Kind: EvCrash, Node: 3, Mode: CrashClean},
+		{At: d * 90 / 100, Kind: EvRestart, Node: 3},
+	})
 }
 
-// StaleSuffixReadSchedule is the commit-propagation plan (deterministic sim
+// staleSuffixReadSchedule is the commit-propagation plan (deterministic sim
 // only; its scripts are crafted, not generated): a deposed leader that still
 // holds an uncommitted suffix serves forwarded reads before its log is
 // repaired. A read reply names the new leader's commit index, and the stale
@@ -952,7 +940,7 @@ func ApplyAheadOfDiskSchedule(opt Options) *Schedule {
 // for no disk. The replica must not believe the commit index on them beyond
 // what it has matched against the successor (nothing), and the reads
 // complete, correct, once the disk answers and the log is repaired.
-func StaleSuffixReadSchedule(opt Options) *Schedule {
+func staleSuffixReadSchedule(opt Options) *Schedule {
 	opt.Clients, opt.OpsPerClient, opt.Keys = 4, 39, 8
 	opt.defaults()
 	slot := opt.Duration / time.Duration(opt.OpsPerClient+1) // newScriptClient's pacing

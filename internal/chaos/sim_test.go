@@ -49,44 +49,6 @@ func TestRunSimDeterministic(t *testing.T) {
 	}
 }
 
-// TestSimTeethR2 replays the R2-violation schedule deterministically with
-// the guard disabled and expects the oracles — including the executable
-// refinement checker — to catch the committed-branch fork. The control run
-// with guards on must stay clean.
-func TestSimTeethR2(t *testing.T) {
-	opt := Options{Duration: 1200 * time.Millisecond}
-	sched := R2ViolationSchedule(opt)
-
-	broken := opt
-	broken.DisableR2 = true
-	rep, err := RunSim(sched, broken)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Ok() {
-		t.Fatalf("R2 disabled and the double-shed schedule executed, but no violation was detected\n--- journal ---\n%s", rep.Journal)
-	}
-	found := false
-	for _, v := range rep.Violations {
-		if strings.Contains(v, "diverge") || strings.Contains(v, "re-applied") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("expected a committed-branch violation, got:\n%s", strings.Join(rep.Violations, "\n"))
-	}
-	t.Logf("caught: %s", rep.Violations[0])
-
-	control, err := RunSim(sched, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !control.Ok() {
-		t.Fatalf("guards on, same schedule: unexpected violations:\n%s\n--- journal ---\n%s",
-			strings.Join(control.Violations, "\n"), control.Journal)
-	}
-}
-
 // TestStaleSuffixRead: a deposed leader holding an uncommitted suffix serves
 // forwarded reads before its log is repaired, and every oracle stays silent
 // — the commit index on the read replies is not believed over entries the
@@ -95,8 +57,8 @@ func TestSimTeethR2(t *testing.T) {
 // committed-prefix divergence at two indexes plus a refinement fork,
 // EXPERIMENTS.md E15 and E28.)
 func TestStaleSuffixRead(t *testing.T) {
-	opt := Options{Duration: 2 * time.Second}
-	rep, err := RunSim(StaleSuffixReadSchedule(opt), opt)
+	r := row(t, "stale-suffix-read")
+	rep, err := RunSim(r.sched(r.opt), r.opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,28 +85,5 @@ func TestStaleSuffixRead(t *testing.T) {
 	}
 	if !parked {
 		t.Fatalf("no read waited on the ex-leader's unrepaired log; the schedule lost its premise\n--- journal ---\n%s", rep.Journal)
-	}
-}
-
-// TestTeethClientFreshSeq: the simulator's clients run kvstore.Session, so a
-// client bug reaches the sweep's oracles. With the mutant that re-proposes an
-// Append or CAS under a fresh sequence number once an attempt slice runs out,
-// seed 9 applies an append twice and the history stops being linearizable;
-// the same seed with the real session is clean.
-func TestTeethClientFreshSeq(t *testing.T) {
-	sched := Generate(9, Options{})
-	control, err := RunSim(sched, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !control.Ok() {
-		t.Fatalf("seed 9 with the real session: %s", strings.Join(control.Violations, "\n"))
-	}
-	rep, err := RunSim(sched, Options{FreshSeqRetry: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Ok() || !strings.Contains(rep.Violations[0], "not linearizable") {
-		t.Fatalf("a retry under a fresh seq was not caught as a non-linearizable history: %v", rep.Violations)
 	}
 }
