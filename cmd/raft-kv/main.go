@@ -27,6 +27,10 @@
 // client ID, a per-connection sequence number) in the replicated dedup
 // table, so a restarted replica never mistakes a new request for an old one.
 // Membership and transfer commands apply to every group the host runs.
+// removeserver naming the leader itself does not remove it: the leader hands
+// off to its most caught-up surviving voter and answers
+// "ERR gN: raft: leadership transfer in progress: handing off to SX before
+// SY leaves"; re-send removeserver to SX.
 //
 // Reads are linearizable by default (-read-mode follower): get asks the
 // replica it reached for a read index — a follower forwards the request to

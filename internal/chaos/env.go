@@ -54,7 +54,6 @@ type Env interface {
 	// R3, transfer in progress) is an outcome the oracles observe.
 	ProposeConfig(id types.NodeID, members types.NodeSet) (int, types.Time, error)
 	TransferLeader(id, to types.NodeID) error
-	PickTransferTarget(id types.NodeID, target types.NodeSet) types.NodeID
 }
 
 // Sample is one consistent view of one node. Live it is a single
@@ -200,11 +199,4 @@ func (l *liveEnv) TransferLeader(id, to types.NodeID) error {
 		return n.TransferLeader(to)
 	}
 	return errNodeDown
-}
-
-func (l *liveEnv) PickTransferTarget(id types.NodeID, target types.NodeSet) types.NodeID {
-	if n := l.c.Node(id); n != nil {
-		return n.PickTransferTarget(target)
-	}
-	return types.NoNode
 }

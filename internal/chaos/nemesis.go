@@ -308,9 +308,10 @@ func (x *nemesis) startDropLeader(target types.NodeSet) {
 }
 
 // driveReconfig advances a pending drop-leader reconfiguration one step per
-// quantum: transfer leadership into the surviving set (a TimeoutNow hand-off
-// instead of waiting out an election on the removed leader's silence), then
-// propose the change at a leader that will survive it.
+// quantum: it proposes the change at whoever leads until a leader accepts it.
+// A leader outside the target refuses and hands off into the surviving set (a
+// TimeoutNow transfer instead of waiting out an election on the removed
+// leader's silence), so the change lands at a leader that survives it.
 func (x *nemesis) driveReconfig() {
 	if !x.dropPending {
 		return
@@ -327,16 +328,14 @@ func (x *nemesis) driveReconfig() {
 	if !l.Alive {
 		return
 	}
-	if !x.dropTarget.Contains(lid) {
-		if to := x.env.PickTransferTarget(lid, x.dropTarget); to != types.NoNode {
-			x.env.TransferLeader(lid, to) // ErrTransferInProgress etc.: retried next quantum
-			x.onHandoff()
-		}
-		return
-	}
 	if l.Members.Equal(x.dropTarget) {
 		x.dropPending = false
-	} else if _, _, err := x.env.ProposeConfig(lid, x.dropTarget); err == nil {
+		return
+	}
+	if _, _, err := x.env.ProposeConfig(lid, x.dropTarget); err == nil {
 		x.dropPending = false
+	}
+	if !x.dropTarget.Contains(lid) {
+		x.onHandoff() // the core is handing off; retried next quantum
 	}
 }

@@ -245,9 +245,8 @@ func (v GroupView) Propose(cmd []byte, timeout time.Duration) (int, error) {
 // WaitCommit blocks until the given node's commit index in the group
 // reaches idx AND the entries up to idx have landed in the cluster's applied
 // record. The second condition closes the gap between the node advancing
-// its commit index and the drain goroutine recording the (batched) apply
-// stream; without it a caller could read Applied() while the batch is
-// still in flight on the channel.
+// its commit index and its apply goroutine handing the batch to OnApply;
+// without it a caller could read Applied() before the batch is recorded.
 //
 // The poll uses the same capped jittered backoff helper as the kvstore
 // client (internal/backoff, the single definition): commits that land in
@@ -277,31 +276,17 @@ func (v GroupView) appliedThrough(id types.NodeID) int {
 	return 0
 }
 
-// Reconfigure retries a membership change of the group against its current
-// leader until it is accepted (R3 needs the term-opening no-op to commit
+// Reconfigure retries a membership change of the group against whoever
+// leads until it is accepted (R3 needs the term-opening no-op to commit
 // first) and returns the config entry's index. When the new membership
-// sheds the current leader, leadership is first handed off gracefully to
-// the most caught-up surviving voter (a TimeoutNow transfer instead of
-// waiting for the removed leader's silence to time out an election), then
-// the change is proposed at the new leader.
+// sheds the current leader, the leader's ProposeConfig hands off to the most
+// caught-up surviving voter and refuses; the retry proposes the change at
+// the successor.
 func (v GroupView) Reconfigure(members types.NodeSet, timeout time.Duration) (int, error) {
 	deadline := time.Now().Add(timeout)
 	var lastErr error
 	for time.Now().Before(deadline) {
 		if l := v.Leader(); l != nil {
-			if !members.Contains(l.ID()) {
-				// The change removes the leader itself: move leadership into
-				// the surviving set first so the cluster never waits out a
-				// timeout election on the removed node's silence.
-				if to := l.PickTransferTarget(members); to != types.NoNode {
-					if err := l.TransferLeader(to); err != nil &&
-						!errors.Is(err, raft.ErrTransferInProgress) {
-						lastErr = err
-					}
-					time.Sleep(time.Millisecond)
-					continue
-				}
-			}
 			idx, _, err := l.ProposeConfig(members)
 			if err == nil {
 				return idx, nil

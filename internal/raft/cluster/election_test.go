@@ -119,10 +119,7 @@ func TestTransferLeader(t *testing.T) {
 	if _, err := c.Propose([]byte("pre"), timeout); err != nil {
 		t.Fatal(err)
 	}
-	to := l.PickTransferTarget(l.Snapshot().Members)
-	if to == types.NoNode || to == l.ID() {
-		t.Fatalf("bad transfer target %v (leader S%d)", to, l.ID())
-	}
+	to := l.Snapshot().Members.Remove(l.ID()).Slice()[0]
 	if err := l.TransferLeader(to); err != nil {
 		t.Fatal(err)
 	}

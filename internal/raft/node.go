@@ -469,7 +469,9 @@ func (n *Node) step(m Message) {
 // DisableR3 — the leader must have committed an entry in its current term
 // (R3). It returns once the config entry is durable in the leader's log.
 // The caller names the whole target membership: deriving it from a separate
-// read of the current one would race with a concurrent change.
+// read of the current one would race with a concurrent change. A change that
+// removes this leader starts a hand-off instead and is refused with
+// ErrTransferInProgress: propose it again at the successor.
 func (n *Node) ProposeConfig(members types.NodeSet) (int, types.Time, error) {
 	n.mu.Lock()
 	if err := n.haltedLocked(); err != nil {
@@ -478,6 +480,7 @@ func (n *Node) ProposeConfig(members types.NodeSet) (int, types.Time, error) {
 	}
 	idx, term, err := n.core.ProposeConfig(members)
 	if err != nil {
+		n.d.Ready() // a hand-off's append or MsgTimeoutNow leaves now
 		n.mu.Unlock()
 		return 0, 0, err
 	}
@@ -570,17 +573,4 @@ func (n *Node) TransferLeader(to types.NodeID) error {
 	}
 	n.d.Ready()
 	return nil
-}
-
-// PickTransferTarget returns the most caught-up voter inside target that
-// this leader could hand off to (NoNode when none exists, or when this
-// node is not the leader). Reconfigurations that shed the leader pass the
-// NEW configuration so leadership lands on a surviving node.
-func (n *Node) PickTransferTarget(target types.NodeSet) types.NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.d.err != nil {
-		return types.NoNode
-	}
-	return n.core.PickTransferTarget(target)
 }

@@ -298,6 +298,67 @@ func TestRemovedLeaderStepsDown(t *testing.T) {
 	t.Fatal("no replacement leader after self-removal")
 }
 
+// TestProposeConfigHandsOffOwnRemoval drives `raft-kv removeserver <leader>`:
+// the change that removes the leader is proposed straight at it. The leader
+// refuses and hands off; the retry at whoever leads commits the change under
+// a survivor, which won leadership by one transfer campaign rather than by a
+// pre-vote after an election timeout.
+func TestProposeConfigHandsOffOwnRemoval(t *testing.T) {
+	c := cluster.New(cluster.Options{N: 3, Latency: 200 * time.Microsecond, Jitter: 300 * time.Microsecond,
+		ElectionTimeoutMin: 150 * time.Millisecond, Seed: 42})
+	t.Cleanup(c.Stop)
+	lid, err := c.WaitForLeader(waitLeader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := c.Propose([]byte("x"), waitLeader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes() {
+		if err := c.WaitCommit(n.ID(), idx, waitLeader); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := map[types.NodeID]raft.Counters{}
+	for _, n := range c.Nodes() {
+		before[n.ID()] = n.Snapshot().Counters
+	}
+
+	target := types.Range(1, 3).Remove(lid)
+	if _, _, err := c.Node(lid).ProposeConfig(target); !errors.Is(err, raft.ErrTransferInProgress) {
+		t.Fatalf("ProposeConfig removing the leader S%d: %v, want ErrTransferInProgress", lid, err)
+	}
+	var by types.NodeID
+	for deadline := time.Now().Add(waitLeader); by == types.NoNode; time.Sleep(time.Millisecond) {
+		if !time.Now().Before(deadline) {
+			t.Fatal("the change never landed at a successor")
+		}
+		if l := c.Leader(); l != nil {
+			if idx, _, err = l.ProposeConfig(target); err == nil {
+				by = l.ID()
+			}
+		}
+	}
+	if !target.Contains(by) {
+		t.Fatalf("the change was accepted by S%d, outside %s", by, target)
+	}
+	if err := c.WaitCommit(by, idx, waitLeader); err != nil {
+		t.Fatal(err)
+	}
+	transfers := false
+	for _, id := range target.Slice() {
+		after := c.Node(id).Snapshot().Counters
+		transfers = transfers || after.TransferElections > before[id].TransferElections
+		if after.PreVotesWon != before[id].PreVotesWon {
+			t.Errorf("S%d won %d pre-votes across the removal, want none", id, after.PreVotesWon-before[id].PreVotesWon)
+		}
+	}
+	if !transfers {
+		t.Error("no survivor campaigned by transfer")
+	}
+}
+
 func TestR3DisabledAllowsEarlyReconfig(t *testing.T) {
 	// With R3 disabled (the buggy algorithm), a fresh leader may
 	// reconfigure before committing anything in its term.

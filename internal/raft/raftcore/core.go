@@ -1002,7 +1002,7 @@ func (c *Core) TransferLeader(to types.NodeID) error {
 		return ErrTransferInProgress
 	}
 	if to == types.NoNode {
-		to = c.PickTransferTarget(c.Members())
+		to = c.pickTransferTarget(c.Members())
 	}
 	if to == c.id {
 		return nil
@@ -1022,11 +1022,11 @@ func (c *Core) TransferLeader(to types.NodeID) error {
 	return nil
 }
 
-// PickTransferTarget returns the most caught-up eligible peer inside
+// pickTransferTarget returns the most caught-up eligible peer inside
 // target ∩ Members(), excluding this node (NoNode when none exists).
-// Reconfigurations that shed the leader pass the NEW configuration here,
-// so leadership lands on a node that survives the change.
-func (c *Core) PickTransferTarget(target types.NodeSet) types.NodeID {
+// ProposeConfig passes the NEW configuration of a change that removes the
+// leader, so leadership lands on a node that survives the change.
+func (c *Core) pickTransferTarget(target types.NodeSet) types.NodeID {
 	if c.role != Leader {
 		return types.NoNode
 	}
@@ -1108,6 +1108,12 @@ func (c *Core) ProposeBatch(cmds [][]byte) (first int, term types.Time, err erro
 // no other configuration change may be in flight (R2), and — unless
 // DisableR3 — the leader must have committed an entry in its current term
 // (R3).
+//
+// A change that removes the leader itself is never appended here: the
+// leader hands off to the most caught-up voter of the new membership and
+// refuses with ErrTransferInProgress, and the caller proposes the change
+// again at the successor (Ongaro §3.10). So a leader is always a member of
+// its own effective configuration.
 func (c *Core) ProposeConfig(members types.NodeSet) (int, types.Time, error) {
 	if c.role != Leader {
 		return 0, 0, c.errNotLeader()
@@ -1123,6 +1129,14 @@ func (c *Core) ProposeConfig(members types.NodeSet) (int, types.Time, error) {
 	removed := cur.Diff(members).Len()
 	if added+removed != 1 {
 		return 0, 0, fmt.Errorf("%w: %s → %s changes %d nodes", ErrBadMembership, cur, members, added+removed)
+	}
+	// Hand-off: after R1 the change is exactly cur − {leader} and non-empty,
+	// so the pick always finds a survivor and the transfer cannot fail. R2
+	// and R3 are the successor's to check.
+	if !members.Contains(c.id) {
+		to := c.pickTransferTarget(members)
+		_ = c.TransferLeader(to)
+		return 0, 0, fmt.Errorf("%w: handing off to %s before %s leaves", ErrTransferInProgress, to, c.id)
 	}
 	// R2: no uncommitted config entry. Compacted configs are committed by
 	// construction, so the cache (which survives compaction) is enough.
@@ -1958,13 +1972,6 @@ func (c *Core) advanceCommit() {
 		}
 		if config.MajorityCount(count, members) {
 			c.commitIndex = idx
-			// Stepping stone committed: if this commit finalizes our own
-			// removal, step down.
-			if !c.CommittedMembers().Contains(c.id) && !members.Contains(c.id) {
-				c.role = Follower
-				c.abortReads()
-				c.cancelTransfer()
-			}
 			break
 		}
 	}

@@ -439,26 +439,62 @@ func TestGoldenTimeoutNowTarget(t *testing.T) {
 	assertReady(t, out.TakeReady(), Ready{})
 }
 
+// TestGoldenProposeConfigHandsOff pins the hand-off rule: a change that
+// removes the leader appends nothing, starts a transfer to the most
+// caught-up voter of the new membership and refuses; a change R1 rejects
+// starts no transfer.
+func TestGoldenProposeConfigHandsOff(t *testing.T) {
+	c := leader3(t)
+	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 1})
+	c.TakeReady() // S2 caught up, S3 behind
+	last := c.LastIndex()
+	if _, _, err := c.ProposeConfig(types.NewNodeSet(2, 3)); !errors.Is(err, ErrTransferInProgress) {
+		t.Fatalf("ProposeConfig shedding the leader: %v, want ErrTransferInProgress", err)
+	}
+	if got := c.LastIndex(); got != last {
+		t.Fatalf("LastIndex = %d after a refused hand-off, want %d", got, last)
+	}
+	if got := c.TransferTarget(); got != 2 {
+		t.Fatalf("TransferTarget = %s, want the caught-up S2", got)
+	}
+	assertReady(t, c.TakeReady(), Ready{
+		Messages: []Message{{Type: MsgTimeoutNow, From: 1, To: 2, Term: 1}},
+	})
+	if _, _, err := c.ProposeConfig(types.NewNodeSet(2, 3)); !errors.Is(err, ErrTransferInProgress) {
+		t.Fatalf("ProposeConfig again: %v, want ErrTransferInProgress", err)
+	}
+	assertReady(t, c.TakeReady(), Ready{})
+
+	fresh := leader3(t)
+	fresh.TakeReady()
+	if _, _, err := fresh.ProposeConfig(types.NewNodeSet(2)); !errors.Is(err, ErrBadMembership) {
+		t.Fatalf("ProposeConfig removing two nodes: %v, want ErrBadMembership", err)
+	}
+	if got := fresh.TransferTarget(); got != types.NoNode {
+		t.Fatalf("R1 refusal started a transfer to %s", got)
+	}
+}
+
 // TestGoldenPickTransferTarget pins target selection: most caught-up wins,
 // the chooser itself and non-members are excluded, and only a leader picks.
 func TestGoldenPickTransferTarget(t *testing.T) {
 	c := leader3(t)
 	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 1})
 	c.TakeReady()
-	if got := c.PickTransferTarget(types.NewNodeSet(2, 3)); got != 2 {
+	if got := c.pickTransferTarget(types.NewNodeSet(2, 3)); got != 2 {
 		t.Fatalf("pick of {2,3} = %s, want the caught-up S2", got)
 	}
-	if got := c.PickTransferTarget(types.NewNodeSet(3)); got != 3 {
+	if got := c.pickTransferTarget(types.NewNodeSet(3)); got != 3 {
 		t.Fatalf("pick of {3} = %s, want S3", got)
 	}
-	if got := c.PickTransferTarget(types.NewNodeSet(1)); got != types.NoNode {
+	if got := c.pickTransferTarget(types.NewNodeSet(1)); got != types.NoNode {
 		t.Fatalf("pick of {self} = %s, want NoNode", got)
 	}
-	if got := c.PickTransferTarget(types.NewNodeSet(9)); got != types.NoNode {
+	if got := c.pickTransferTarget(types.NewNodeSet(9)); got != types.NoNode {
 		t.Fatalf("pick of a non-member = %s, want NoNode", got)
 	}
 	f := follower(2, []types.NodeID{1, 2, 3}, HardState{}, nil)
-	if got := f.PickTransferTarget(types.NewNodeSet(1, 3)); got != types.NoNode {
+	if got := f.pickTransferTarget(types.NewNodeSet(1, 3)); got != types.NoNode {
 		t.Fatalf("pick at a follower = %s, want NoNode", got)
 	}
 }

@@ -398,13 +398,17 @@ func (s *Cluster) ready(n *node) {
 }
 
 // journalElection journals the election-disruption events from the core's
-// monotone counters (how each campaign started, CheckQuorum step-downs) and
-// role changes, so "did this reconfiguration time an election out?" is a grep.
+// monotone counters (each transfer started, how each campaign started,
+// CheckQuorum step-downs) and role changes, so "did this reconfiguration
+// time an election out?" is a grep.
 func (s *Cluster) journalElection(n *node) {
 	if n.failErr != nil {
 		return
 	}
 	ctr := n.core.Counters()
+	if ctr.TransfersStarted > n.lastCtr.TransfersStarted {
+		s.Journalf("S%d transfer -> S%d", n.id, n.core.TransferTarget())
+	}
 	if ctr.PreVoteRounds > n.lastCtr.PreVoteRounds {
 		s.Journalf("S%d prevote round", n.id)
 	}
@@ -565,16 +569,18 @@ func (s *Cluster) OnSnapshot(f func(id types.NodeID, index int) []byte) { s.onSn
 // --- Client-facing operations ---
 
 // op runs one client operation at node id: the core call, then the node's
-// Ready. A fail-stop inside that Ready is the operation's error.
+// Ready, also after a refusal (a refused ProposeConfig may have started a
+// hand-off). A fail-stop inside that Ready is the operation's error.
 func (s *Cluster) op(id types.NodeID, call func(n *node) error) error {
 	n := s.nodes[id]
 	if !s.Alive(id) {
 		return ErrDown
 	}
-	if err := call(n); err != nil {
+	err := call(n)
+	s.ready(n)
+	if err != nil {
 		return err
 	}
-	s.ready(n)
 	return n.failErr
 }
 
@@ -587,7 +593,7 @@ func (s *Cluster) Propose(id types.NodeID, cmd []byte) (idx int, term types.Time
 }
 
 // ProposeConfig proposes a membership change at node id (R1/R2/R3 guards
-// apply as configured).
+// apply as configured; a change removing the leader starts its hand-off).
 func (s *Cluster) ProposeConfig(id types.NodeID, members types.NodeSet) (idx int, term types.Time, err error) {
 	err = s.op(id, func(n *node) (err error) { idx, term, err = n.core.ProposeConfig(members); return err })
 	return idx, term, err
@@ -596,22 +602,7 @@ func (s *Cluster) ProposeConfig(id types.NodeID, members types.NodeSet) (idx int
 // TransferLeader starts a graceful leadership handoff at node id (which
 // must be the leader) to peer to; NoNode picks the most caught-up voter.
 func (s *Cluster) TransferLeader(id, to types.NodeID) error {
-	return s.op(id, func(n *node) error {
-		if err := n.core.TransferLeader(to); err != nil {
-			return err
-		}
-		s.Journalf("S%d transfer -> S%d", id, n.core.TransferTarget())
-		return nil
-	})
-}
-
-// PickTransferTarget returns node id's most caught-up transfer candidate
-// inside target (NoNode unless id is the alive leader).
-func (s *Cluster) PickTransferTarget(id types.NodeID, target types.NodeSet) types.NodeID {
-	if !s.Alive(id) {
-		return types.NoNode
-	}
-	return s.nodes[id].core.PickTransferTarget(target)
+	return s.op(id, func(n *node) error { return n.core.TransferLeader(to) })
 }
 
 // Counters returns a node's election-disruption counters (monotone across

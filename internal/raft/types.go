@@ -104,8 +104,8 @@ const (
 // pass it as a Go value; wire.go is its byte format on a stream.
 type Message = raftcore.Message
 
-// ApplyMsg is delivered on the node's apply channel for every committed
-// entry, in log order.
+// ApplyMsg is handed to Options.OnApply for every committed entry, in log
+// order.
 type ApplyMsg = raftcore.ApplyMsg
 
 // HardState is the durable per-node protocol state that Raft requires to
