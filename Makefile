@@ -145,8 +145,9 @@ benchmark-smoke:
 
 # fuzz-smoke runs every native fuzz target for 20 s from its committed
 # seed corpus (testdata/fuzz/<target>/): the decoders of bytes that cross a
-# trust boundary — a log payload, a Store image, a TCP stream, a snapshot
-# file, a raft-kv client line — must not panic, must not allocate by what a length prefix or a
+# trust boundary — a log payload, a Store image, a TCP stream, a WAL
+# segment's base record (where the snapshot image lives), a raft-kv client
+# line — must not panic, must not allocate by what a length prefix or a
 # count claims, and must accept only what round-trips through their encoder;
 # WAL replay after a crash that tore and overwrote the tail must return
 # every acked entry or fail loudly. `go test -fuzz` takes one target and one

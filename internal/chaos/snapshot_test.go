@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -104,9 +105,9 @@ func TestSimSnapshotPersistFailStop(t *testing.T) {
 }
 
 // TestRunCorruptSnapshotFailStop is the teeth variant over real files: a
-// live run with compaction leaves snapshot files on disk; flipping one
-// byte in one of them must make recovery refuse the store loudly instead
-// of serving a silently-corrupted state machine.
+// live run with compaction leaves segments whose base records carry images;
+// flipping the last byte of one image must make recovery refuse the store
+// loudly instead of serving a silently-corrupted state machine.
 func TestRunCorruptSnapshotFailStop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("file-backed chaos run in -short mode")
@@ -129,25 +130,56 @@ func TestRunCorruptSnapshotFailStop(t *testing.T) {
 	if !rep.Ok() {
 		t.Fatalf("violations on a healthy run:\n%s", strings.Join(rep.Violations, "\n"))
 	}
-	snaps, err := filepath.Glob(filepath.Join(dir, "wal-*", "snap-*.snap"))
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*", "wal-*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) == 0 {
-		t.Fatalf("run with threshold %d left no snapshot files in %s", opt.SnapshotThreshold, dir)
+	for _, victim := range segs {
+		b, err := os.ReadFile(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		end, index := baseFrame(b)
+		if index == 0 {
+			continue // no image in this segment's base
+		}
+		b[end-1] ^= 0xff
+		if err := os.WriteFile(victim, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := raft.OpenFileStorage(filepath.Dir(victim)); err == nil {
+			t.Fatalf("recovery accepted the corrupted image in %s", victim)
+		} else if !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("corrupted image in %s: open error %v, want checksum mismatch", victim, err)
+		} else {
+			t.Logf("recovery refused corrupted image: %v", err)
+		}
+		return
 	}
-	victim := snaps[0]
-	b, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
+	t.Fatalf("run with threshold %d left no segment with an image in %s", opt.SnapshotThreshold, dir)
+}
+
+// baseFrame reads a segment's base record as DESIGN §5 lays it out — the
+// 9-byte header, then a frame of u32 length · u32 CRC · body, the body kind
+// (1 B) · Term · VotedFor · Index · … — and returns where the frame ends and
+// the snapshot index it names (0 when it carries no image).
+func baseFrame(seg []byte) (end, index int) {
+	const header, frameHeader = 9, 8
+	if len(seg) < header+frameHeader {
+		return 0, 0
 	}
-	b[len(b)/2] ^= 0xff
-	if err := os.WriteFile(victim, b, 0o644); err != nil {
-		t.Fatal(err)
+	end = header + frameHeader + int(binary.BigEndian.Uint32(seg[header:]))
+	if end <= header+frameHeader || end > len(seg) {
+		return 0, 0
 	}
-	if _, err := raft.OpenFileStorage(filepath.Dir(victim)); err == nil {
-		t.Fatalf("recovery accepted the corrupted snapshot %s", victim)
-	} else {
-		t.Logf("recovery refused corrupted snapshot: %v", err)
+	body := seg[header+frameHeader+1 : end]
+	for range 2 { // Term, VotedFor
+		_, n := binary.Uvarint(body)
+		if n <= 0 {
+			return 0, 0
+		}
+		body = body[n:]
 	}
+	idx, _ := binary.Varint(body)
+	return end, int(idx)
 }

@@ -117,14 +117,15 @@ func spliceSuffix(log []LogEntry, oldBase int, snap LogSnapshot) []LogEntry {
 	return []LogEntry{{Term: snap.Term}}
 }
 
-// FileStorage is a directory of write-ahead-log segments plus snapshot
-// files. Every state change and log mutation is one record, appended to the
-// active segment as one CRC-checked durable frame; Load replays the snapshot
-// and then the segments in order. Compaction (SaveSnapshot) writes the
-// snapshot file atomically (temp + fsync + rename), rotates to a fresh
-// segment, and unlinks the segment files the snapshot fully covers — an
-// O(segments) unlink, not a log rewrite. Each open starts a new segment, so a
-// torn tail from a crash mid-write is simply ignored at the next replay.
+// FileStorage is a directory of write-ahead-log segments and nothing else.
+// Every segment begins with a base record holding the whole base it builds on
+// — hard state and snapshot, image included — and every later state change
+// and log mutation is one record, appended to the active segment as one
+// CRC-checked durable frame; Load replays the segments in order. Compaction
+// (SaveSnapshot) starts a fresh segment whose base is the new snapshot and
+// unlinks the segment files that snapshot fully covers — an O(segments)
+// unlink, not a log rewrite. Each open starts a new segment, so a torn tail
+// from a crash mid-write is simply ignored at the next replay.
 type FileStorage struct {
 	mu  sync.Mutex
 	dir string
@@ -151,12 +152,12 @@ type walSegment struct {
 	max int // highest absolute entry index possibly present
 }
 
-// A segment is walHeader, then one durable frame per record. The header goes
-// out in the same write as the segment's base record.
-const walHeader = "ADOREWAL\x01" // magic, format version 1
+// A segment is walHeader, then one durable frame per record, the first of
+// them its base record. The header goes out in the same write as the base.
+const walHeader = "ADOREWAL\x02" // magic, format version 2
 
-var errWALFormat = errors.New("raft: wal: segment does not start with the ADOREWAL v1 header " +
-	"(a WAL from an older build, whose records were gob, is not read: wipe the directory)")
+var errWALFormat = errors.New("raft: wal: segment does not start with the ADOREWAL v2 header " +
+	"(a WAL from a build with another on-disk format is not read: wipe the directory)")
 
 // walRecord is one WAL record.
 type walRecord struct {
@@ -165,10 +166,8 @@ type walRecord struct {
 	FirstIndex int
 	Entries    []LogEntry
 	// Segment base (Kind 2): the snapshot the segment's contents build
-	// on. The image itself lives in the snapshot file; replay fails
-	// loudly if that file is missing or corrupt.
-	SnapIndex int
-	SnapTerm  types.Time
+	// on, image included.
+	Base LogSnapshot
 }
 
 // appendRecord appends rec to dst as one durable frame whose body is the
@@ -183,8 +182,9 @@ func appendRecord(dst []byte, rec walRecord) []byte {
 		dst = binary.AppendUvarint(dst, uint64(rec.HS.Term))
 		dst = binary.AppendUvarint(dst, uint64(rec.HS.VotedFor))
 		if rec.Kind == 2 {
-			dst = binary.AppendVarint(dst, int64(rec.SnapIndex))
-			dst = binary.AppendUvarint(dst, uint64(rec.SnapTerm))
+			dst = binary.AppendVarint(dst, int64(rec.Base.Index))
+			dst = binary.AppendUvarint(dst, uint64(rec.Base.Term))
+			dst = appendBytes(appendMembers(dst, rec.Base.Members), rec.Base.Data)
 		}
 	}
 	sealFrame(dst[start:])
@@ -206,7 +206,8 @@ func nextRecord(b []byte) (walRecord, []byte, error) {
 	case 0, 2:
 		rec.HS = HardState{Term: types.Time(r.uvarint()), VotedFor: types.NodeID(r.uvarint32())}
 		if rec.Kind == 2 {
-			rec.SnapIndex, rec.SnapTerm = r.int(), types.Time(r.uvarint())
+			rec.Base = LogSnapshot{Index: r.int(), Term: types.Time(r.uvarint())}
+			rec.Base.Members, rec.Base.Data = r.members(), r.bytes()
 		}
 	default:
 		r.fail(errWireRange)
@@ -217,22 +218,30 @@ func nextRecord(b []byte) (walRecord, []byte, error) {
 	return rec, rest, r.err
 }
 
-// replaySegment reads one segment's records. It stops at the first frame
-// that is short, fails its CRC or does not decode: a crash tears only the
-// last write, and what precedes it is the durable prefix. If a complete,
-// valid frame follows that point, the damage is inside the segment, not a
-// torn tail, and replay fails loudly. A segment shorter than walHeader whose
-// bytes match it is a first write torn by a crash and holds nothing.
+// replaySegment reads one segment's records. A segment gets its final name
+// only once its header and base record are durable (rotateLocked), so both
+// must be whole: anything else fails loudly. After the base, replay stops at
+// the first frame that is short, fails its CRC or does not decode: a crash
+// tears only the last write, and what precedes it is the durable prefix. If a
+// complete, valid frame follows that point, the damage is inside the segment,
+// not a torn tail, and replay fails loudly too.
 func replaySegment(path string) ([]walRecord, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("raft: open wal segment: %w", err)
 	}
-	if n := min(len(b), len(walHeader)); string(b[:n]) != walHeader[:n] {
+	if len(b) < len(walHeader) || string(b[:len(walHeader)]) != walHeader {
 		return nil, fmt.Errorf("raft: wal segment %s: %w", path, errWALFormat)
 	}
-	var recs []walRecord
-	for at := len(walHeader); at < len(b); {
+	base, rest, err := nextRecord(b[len(walHeader):])
+	if err == nil && base.Kind != 2 {
+		err = errWireRange
+	}
+	if err != nil {
+		return nil, fmt.Errorf("raft: wal segment %s: base record: %w", path, err)
+	}
+	recs := []walRecord{base}
+	for at := len(b) - len(rest); at < len(b); {
 		rec, rest, err := nextRecord(b[at:])
 		if err != nil {
 			for next := at + 1; next < len(b); next++ {
@@ -253,10 +262,6 @@ func segPath(dir string, seq int) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%08d.seg", seq))
 }
 
-func snapPath(dir string, index int) string {
-	return filepath.Join(dir, fmt.Sprintf("snap-%016d.snap", index))
-}
-
 // syncDir fsyncs a directory so renames/creates/unlinks inside it are
 // durable.
 func syncDir(dir string) error {
@@ -272,7 +277,7 @@ func syncDir(dir string) error {
 	return cerr
 }
 
-// The durable frame, shared by WAL records and snapshot files:
+// The durable frame, one per WAL record:
 //
 //	u32 big-endian body length · u32 CRC-32 (IEEE) of the body · body
 //
@@ -310,86 +315,10 @@ func splitFrame(b []byte) (body, rest []byte, err error) {
 	return body, rest, nil
 }
 
-// snapFileVersion leads every snapshot file body. A gob body from a build
-// that predates this format starts with its first message's length, never 1,
-// so it fails the load loudly instead of being mis-parsed.
-const snapFileVersion = 1
-
-var errSnapVersion = errors.New("raft: snapshot: unknown format version")
-
-// writeSnapFile writes one snapshot atomically: one durable frame into a
-// temp file, fsync, rename into place, fsync the directory. A crash
-// mid-write leaves only an ignored .tmp; a crash after the rename leaves a
-// fully valid file — there is no torn intermediate state. The body is the
-// version, then index, term, members and image in the envelope's field
-// encodings (wire.go).
-func writeSnapFile(dir string, snap LogSnapshot) error {
-	buf := append(make([]byte, durableHeaderLen, 64+len(snap.Data)), snapFileVersion)
-	buf = binary.AppendVarint(buf, int64(snap.Index))
-	buf = binary.AppendUvarint(buf, uint64(snap.Term))
-	buf = appendBytes(appendMembers(buf, snap.Members), snap.Data)
-	sealFrame(buf)
-	path := snapPath(dir, snap.Index)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("raft: write snapshot: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("raft: write snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("raft: sync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("raft: close snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("raft: rename snapshot: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// readSnapFile loads and verifies one snapshot file: exactly one durable
-// frame. Any truncation or bit-rot fails loudly: snapshot files are written
-// atomically, so unlike a WAL tail there is no legitimate torn state to
-// tolerate. Like DecodeEnvelope it accepts only the canonical body and
-// allocates no more than the file's own length, whatever its counts claim.
-func readSnapFile(path string) (LogSnapshot, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return LogSnapshot{}, err
-	}
-	body, rest, err := splitFrame(b)
-	if err == nil && len(rest) != 0 {
-		err = errFrameLength
-	}
-	if err != nil {
-		return LogSnapshot{}, fmt.Errorf("raft: snapshot %s: %w", path, err)
-	}
-	r := wireReader{b: body}
-	if r.byte() != snapFileVersion {
-		r.fail(errSnapVersion)
-	}
-	snap := LogSnapshot{Index: r.int(), Term: types.Time(r.uvarint())}
-	snap.Members = r.members()
-	snap.Data = r.bytes()
-	if r.err == nil && len(r.b) != 0 {
-		r.fail(errWireTrailing)
-	}
-	if r.err != nil {
-		return LogSnapshot{}, fmt.Errorf("raft: snapshot %s: %w", path, r.err)
-	}
-	return snap, nil
-}
-
-// OpenFileStorage opens (or creates) a WAL directory at dir: it loads the
-// newest snapshot file (fail-stop if it is corrupt), replays the retained
-// segments on top of it — only the suffix above the snapshot is ever
-// materialized — and starts a fresh active segment for this process
-// generation.
+// OpenFileStorage opens (or creates) a WAL directory at dir: it replays the
+// retained segments in order — each base record installs its snapshot, so
+// only the suffix above the newest one is ever materialized — and starts a
+// fresh active segment for this process generation.
 func OpenFileStorage(dir string) (*FileStorage, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("raft: open wal dir: %w", err)
@@ -403,7 +332,6 @@ func OpenFileStorage(dir string) (*FileStorage, error) {
 		return nil, fmt.Errorf("raft: open wal dir: %w", err)
 	}
 	var segSeqs []int
-	snapIdx := -1
 	for _, de := range entries {
 		name := de.Name()
 		switch {
@@ -411,26 +339,14 @@ func OpenFileStorage(dir string) (*FileStorage, error) {
 			if n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg")); err == nil {
 				segSeqs = append(segSeqs, n)
 			}
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
-			if n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap")); err == nil && n > snapIdx {
-				snapIdx = n
-			}
 		case strings.HasSuffix(name, ".tmp"):
-			// Torn snapshot write from a crash: the rename never
-			// happened, so it holds nothing durable.
+			// A rotation torn by a crash: the link never happened, so it
+			// holds nothing durable.
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
 	sort.Ints(segSeqs)
 
-	if snapIdx >= 0 {
-		snap, err := readSnapFile(snapPath(dir, snapIdx))
-		if err != nil {
-			return nil, err
-		}
-		fs.base = snap
-		fs.log[0] = LogEntry{Term: snap.Term}
-	}
 	for _, seq := range segSeqs {
 		recs, err := replaySegment(segPath(dir, seq))
 		if err != nil {
@@ -463,7 +379,10 @@ func OpenFileStorage(dir string) (*FileStorage, error) {
 
 // rotateLocked closes the active segment (if any) and starts segment seq
 // with the header and a base record carrying the current hard state and
-// snapshot base, in one write.
+// snapshot, image included, in one write. The write is made durable under a
+// temp name and then linked into place, so a segment under its final name
+// always holds its whole base; a link, unlike a rename, never replaces an
+// existing segment.
 func (fs *FileStorage) rotateLocked(seq int) error {
 	if fs.f != nil {
 		if err := fs.f.Close(); err != nil {
@@ -471,17 +390,28 @@ func (fs *FileStorage) rotateLocked(seq int) error {
 		}
 		fs.f = nil
 	}
-	f, err := os.OpenFile(segPath(fs.dir, seq), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	path := segPath(fs.dir, seq)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("raft: rotate wal segment: %w", err)
 	}
 	fs.f = f
-	fs.segs = append(fs.segs, walSegment{seq: seq})
-	if err := fs.appendLocked(walHeader, walRecord{
-		Kind: 2, HS: fs.hs, SnapIndex: fs.base.Index, SnapTerm: fs.base.Term,
-	}); err != nil {
-		return err
+	buf := append(make([]byte, 0, 64+len(fs.base.Data)), walHeader...)
+	_, err = f.Write(appendRecord(buf, walRecord{Kind: 2, HS: fs.hs, Base: fs.base}))
+	if err == nil {
+		err = f.Sync()
 	}
+	if err == nil {
+		err = os.Link(tmp, path)
+	}
+	if err == nil {
+		err = os.Remove(tmp)
+	}
+	if err != nil {
+		return fmt.Errorf("raft: rotate wal segment: %w", err)
+	}
+	fs.segs = append(fs.segs, walSegment{seq: seq})
 	return syncDir(fs.dir)
 }
 
@@ -512,18 +442,24 @@ func (fs *FileStorage) applyRecordLocked(rec walRecord) error {
 		fs.log = append(fs.log[:p], ents...)
 	case 2:
 		fs.hs = rec.HS
-		if rec.SnapIndex > fs.base.Index {
-			return fmt.Errorf("raft: wal replay: segment base %d but newest snapshot is %d (snapshot file missing or corrupt)",
-				rec.SnapIndex, fs.base.Index)
+		switch {
+		case rec.Base.Index > fs.base.Index:
+			fs.log = spliceSuffix(fs.log, fs.base.Index, rec.Base)
+			fs.base = rec.Base
+		case rec.Base.Index < fs.base.Index:
+			// Bases only grow: an older one after a newer means the
+			// segments are not the ones this store wrote.
+			return fmt.Errorf("raft: wal replay: segment base %d below the base %d already replayed",
+				rec.Base.Index, fs.base.Index)
 		}
 	}
 	return nil
 }
 
-// appendLocked writes prefix and rec's frame to the active segment in one
-// write, and syncs it.
-func (fs *FileStorage) appendLocked(prefix string, rec walRecord) error {
-	fs.buf = appendRecord(append(fs.buf[:0], prefix...), rec)
+// appendLocked writes rec's frame to the active segment in one write, and
+// syncs it.
+func (fs *FileStorage) appendLocked(rec walRecord) error {
+	fs.buf = appendRecord(fs.buf[:0], rec)
 	if _, err := fs.f.Write(fs.buf); err != nil {
 		return fmt.Errorf("raft: wal append: %w", err)
 	}
@@ -535,7 +471,7 @@ func (fs *FileStorage) SaveState(hs HardState) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.hs = hs
-	return fs.appendLocked("", walRecord{Kind: 0, HS: hs})
+	return fs.appendLocked(walRecord{Kind: 0, HS: hs})
 }
 
 // SaveEntries implements Storage.
@@ -554,12 +490,12 @@ func (fs *FileStorage) SaveEntries(firstIndex int, entries []LogEntry) error {
 			active.max = end
 		}
 	}
-	return fs.appendLocked("", walRecord{Kind: 1, FirstIndex: firstIndex, Entries: entries})
+	return fs.appendLocked(walRecord{Kind: 1, FirstIndex: firstIndex, Entries: entries})
 }
 
-// SaveSnapshot implements Storage: write the snapshot file atomically and
-// make it durable FIRST, then rotate to a fresh segment and unlink the
-// segment files the snapshot fully covers. Compaction cost is O(retained
+// SaveSnapshot implements Storage: rotate to a fresh segment whose base
+// record is snap, so the image is durable FIRST, then unlink the segment
+// files the snapshot fully covers. Compaction cost is O(image + retained
 // suffix + number of segments), independent of history length.
 func (fs *FileStorage) SaveSnapshot(snap LogSnapshot) error {
 	fs.mu.Lock()
@@ -567,21 +503,16 @@ func (fs *FileStorage) SaveSnapshot(snap LogSnapshot) error {
 	if snap.Index <= fs.base.Index {
 		return nil // stale
 	}
-	// 1. Snapshot durable before any log prefix is dropped.
-	if err := writeSnapFile(fs.dir, snap); err != nil {
-		return err
-	}
-	oldSnap := fs.base.Index
 	fs.log = spliceSuffix(fs.log, fs.base.Index, snap)
 	fs.base = snap
-	// 2. Rotate so the active segment's base record reflects the new
-	// snapshot; later segments only ever hold suffix entries.
+	// The image is durable, in the new active segment's base record,
+	// before any log prefix is dropped.
 	if err := fs.rotateLocked(fs.segs[len(fs.segs)-1].seq + 1); err != nil {
 		return err
 	}
-	// 3. Unlink the prefix of segments whose entries are all at or below
-	// the base (never the active segment). Their hard-state records are
-	// superseded by the base record just written.
+	// Unlink the prefix of segments whose entries are all at or below the
+	// base (never the active segment). Their records are superseded by
+	// the base record just written.
 	cut := 0
 	for cut < len(fs.segs)-1 && fs.segs[cut].max <= snap.Index {
 		if err := os.Remove(segPath(fs.dir, fs.segs[cut].seq)); err != nil {
@@ -590,12 +521,6 @@ func (fs *FileStorage) SaveSnapshot(snap LogSnapshot) error {
 		cut++
 	}
 	fs.segs = append(fs.segs[:0], fs.segs[cut:]...)
-	// 4. Older snapshot files are fully superseded.
-	if oldSnap > 0 {
-		if err := os.Remove(snapPath(fs.dir, oldSnap)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("raft: drop old snapshot: %w", err)
-		}
-	}
 	return syncDir(fs.dir)
 }
 
@@ -607,14 +532,6 @@ func (fs *FileStorage) Load() (HardState, LogSnapshot, []LogEntry, error) {
 	out := make([]LogEntry, len(fs.log)-1)
 	copy(out, fs.log[1:])
 	return fs.hs, fs.base, out, nil
-}
-
-// SegmentCount returns the number of live WAL segment files (tests use it
-// to assert compaction keeps the directory bounded).
-func (fs *FileStorage) SegmentCount() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return len(fs.segs)
 }
 
 // Close implements Storage.

@@ -309,113 +309,147 @@ func TestFileStorageTornPrefixAllocation(t *testing.T) {
 	}
 }
 
-// TestFileStorageBitFlips flips every bit of a small committed segment — its
-// base record, two entry frames and a state frame — one at a time, and
-// reopens. No flip may reopen with a record that was never written, and every
-// flip before the segment's last frame must fail the open: that damage is
-// inside the segment, not a torn tail. Only the last frame may be dropped, as
-// a torn tail is.
+// TestFileStorageBitFlips flips every bit of a small committed segment, one at
+// a time, and reopens. It runs over two shapes: a fresh segment — its base
+// record, two entry frames and a state frame — and a compaction segment whose
+// base record carries an image, then one entry frame and one state frame. No
+// flip may reopen with a snapshot, hard state or log that was never written,
+// and every flip before the segment's last frame must fail the open: that
+// damage is inside the segment, not a torn tail. The base record above all
+// must never be dropped. Only the last frame may be, as a torn tail is.
 func TestFileStorageBitFlips(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenFileStorage(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := segPath(dir, 1)
-	// ends[k] is where the segment's k-th write ends; replaying the writes
-	// through it recovers hss[k] and logs[k].
-	var ends []int64
-	var hss []HardState
-	var logs [][]LogEntry
-	mark := func(hs HardState, log []LogEntry) {
-		info, err := os.Stat(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ends, hss, logs = append(ends, info.Size()), append(hss, hs), append(logs, log)
-	}
-	mark(HardState{}, nil) // the base record
-	log := []LogEntry{{Term: 1, Kind: EntryNoOp}, {Term: 1, Kind: EntryConfig, Members: []types.NodeID{1, 2}}}
-	if err := st.SaveEntries(1, log); err != nil {
-		t.Fatal(err)
-	}
-	mark(HardState{}, log)
-	log = append(slices.Clone(log), LogEntry{Term: 2, Kind: EntryCommand, Command: []byte("x")})
-	if err := st.SaveEntries(3, log[2:]); err != nil {
-		t.Fatal(err)
-	}
-	mark(HardState{}, log)
-	hs := HardState{Term: 2, VotedFor: 1}
-	if err := st.SaveState(hs); err != nil {
-		t.Fatal(err)
-	}
-	mark(hs, log)
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	clean, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lastFrame := ends[len(ends)-2]
+	for _, compacted := range []bool{false, true} {
+		t.Run(map[bool]string{false: "fresh", true: "compacted"}[compacted], func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := OpenFileStorage(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, snap, first := 1, LogSnapshot{}, 1
+			if compacted {
+				if err := st.SaveEntries(1, []LogEntry{{Term: 1, Kind: EntryNoOp}, {Term: 1, Kind: EntryCommand, Command: []byte("a")}}); err != nil {
+					t.Fatal(err)
+				}
+				snap = LogSnapshot{Index: 2, Term: 1, Members: []types.NodeID{1, 2}, Data: []byte("image@2")}
+				if err := st.SaveSnapshot(snap); err != nil {
+					t.Fatal(err)
+				}
+				seq, first = 2, 3
+			}
+			seg := segPath(dir, seq)
+			// ends[k] is where the segment's k-th write ends; replaying the
+			// writes through it recovers hss[k] and logs[k] above snap.
+			var ends []int64
+			var hss []HardState
+			var logs [][]LogEntry
+			mark := func(hs HardState, log []LogEntry) {
+				info, err := os.Stat(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ends, hss, logs = append(ends, info.Size()), append(hss, hs), append(logs, log)
+			}
+			mark(HardState{}, nil) // the base record
+			var log []LogEntry
+			if !compacted {
+				log = []LogEntry{{Term: 1, Kind: EntryNoOp}, {Term: 1, Kind: EntryConfig, Members: []types.NodeID{1, 2}}}
+				if err := st.SaveEntries(first, log); err != nil {
+					t.Fatal(err)
+				}
+				mark(HardState{}, log)
+			}
+			log = append(slices.Clone(log), LogEntry{Term: 2, Kind: EntryCommand, Command: []byte("x")})
+			if err := st.SaveEntries(first+len(log)-1, log[len(log)-1:]); err != nil {
+				t.Fatal(err)
+			}
+			mark(HardState{}, log)
+			hs := HardState{Term: 2, VotedFor: 1}
+			if err := st.SaveState(hs); err != nil {
+				t.Fatal(err)
+			}
+			mark(hs, log)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			clean, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lastFrame := ends[len(ends)-2]
 
-	var silent, accepted int
-	for bit := 0; bit < 8*len(clean); bit++ {
-		b := slices.Clone(clean)
-		b[bit/8] ^= 1 << (bit % 8)
-		if err := os.WriteFile(seg, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		re, err := OpenFileStorage(dir)
-		if err != nil {
-			continue // loud
-		}
-		gotHS, _, got, _ := re.Load()
-		if err := re.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(segPath(dir, 2)); err != nil {
-			t.Fatal(err)
-		}
-		written := false
-		for k := range ends {
-			written = written || gotHS == hss[k] && sameEntries(got, logs[k])
-		}
-		switch {
-		case !written:
-			silent++
-			t.Errorf("flipping bit %d (byte %d) reopened with hard state %+v and log %v: never written", bit, bit/8, gotHS, got)
-		case int64(bit/8) < lastFrame:
-			accepted++
-			t.Errorf("flipping bit %d (byte %d), before the last frame at byte %d, reopened without error", bit, bit/8, lastFrame)
-		}
-	}
-	if silent+accepted > 0 {
-		t.Errorf("%d of %d flips of a %d-byte segment reopened with a record never written, %d more without error",
-			silent, 8*len(clean), len(clean), accepted)
+			var silent, accepted int
+			for bit := 0; bit < 8*len(clean); bit++ {
+				b := slices.Clone(clean)
+				b[bit/8] ^= 1 << (bit % 8)
+				if err := os.WriteFile(seg, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				re, err := OpenFileStorage(dir)
+				if err != nil {
+					continue // loud
+				}
+				gotHS, gotSnap, got, _ := re.Load()
+				if err := re.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Remove(segPath(dir, seq+1)); err != nil {
+					t.Fatal(err)
+				}
+				written := false
+				for k := range ends {
+					written = written || gotHS == hss[k] && sameSnapshot(gotSnap, snap) && sameEntries(got, logs[k])
+				}
+				switch {
+				case !written:
+					silent++
+					t.Errorf("flipping bit %d (byte %d) reopened with hard state %+v, snapshot %+v and log %v: never written",
+						bit, bit/8, gotHS, gotSnap, got)
+				case int64(bit/8) < lastFrame:
+					accepted++
+					t.Errorf("flipping bit %d (byte %d), before the last frame at byte %d, reopened without error", bit, bit/8, lastFrame)
+				}
+			}
+			if silent+accepted > 0 {
+				t.Errorf("%d of %d flips of a %d-byte segment reopened with a record never written, %d more without error",
+					silent, 8*len(clean), len(clean), accepted)
+			}
+		})
 	}
 }
 
-// TestFileStorageRefusesGobSegments opens WAL segments written by the last
-// build whose records were gob (testdata/gob-wal): one with many frames, one
-// holding only a base record. Each must fail the open with the error that
+// TestFileStorageRefusesGobSegments opens WAL directories written by older
+// builds: two by the last build whose records were gob (testdata/gob-wal), one
+// with many frames and one holding only a base record, and one by the last
+// build of format v1 (testdata/v1-wal), compacted, whose image lived in a file
+// of its own beside the segment. Each must fail the open with the error that
 // names the format, never replay as an empty or shorter log.
 func TestFileStorageRefusesGobSegments(t *testing.T) {
-	for _, name := range []string{"many-frames", "base-only"} {
+	for name, src := range map[string]string{
+		"many-frames":  filepath.Join("gob-wal", "many-frames"),
+		"base-only":    filepath.Join("gob-wal", "base-only"),
+		"v1-compacted": filepath.Join("v1-wal", "compacted"),
+	} {
 		t.Run(name, func(t *testing.T) {
-			b, err := os.ReadFile(filepath.Join("testdata", "gob-wal", name, "wal-00000001.seg"))
+			src := filepath.Join("testdata", src)
+			des, err := os.ReadDir(src)
 			if err != nil {
 				t.Fatal(err)
 			}
 			dir := t.TempDir()
-			if err := os.WriteFile(segPath(dir, 1), b, 0o644); err != nil {
-				t.Fatal(err)
+			for _, de := range des {
+				b, err := os.ReadFile(filepath.Join(src, de.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, de.Name()), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 			st, err := OpenFileStorage(dir)
 			if err == nil {
-				hs, _, log, _ := st.Load()
+				hs, snap, log, _ := st.Load()
 				st.Close()
-				t.Fatalf("a gob segment opened as hard state %+v and %d entries", hs, len(log))
+				t.Fatalf("an old-format directory opened as hard state %+v, snapshot %d and %d entries", hs, snap.Index, len(log))
 			}
 			if !errors.Is(err, errWALFormat) {
 				t.Fatalf("open error = %v, want %v", err, errWALFormat)
@@ -424,12 +458,18 @@ func TestFileStorageRefusesGobSegments(t *testing.T) {
 	}
 }
 
-// TestFileStorageTornSegmentHeader: a crash inside a segment's first write
-// leaves a prefix of walHeader (or nothing). That segment holds nothing, and
-// replay goes on; any other short segment is not a WAL segment.
+// TestFileStorageTornSegmentHeader: a crash inside a rotation's first write
+// leaves a prefix of it under the segment's temp name, never its final one.
+// That file holds nothing: the open removes it and replays what came before.
+// A segment gets its final name only once its header and base record are
+// durable, so one that is short, a bare header, or not a header fails loudly.
 func TestFileStorageTornSegmentHeader(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenFileStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstWrite, err := os.ReadFile(segPath(dir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,30 +479,48 @@ func TestFileStorageTornSegmentHeader(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for n := 0; n < len(walHeader); n++ {
-		if err := os.WriteFile(segPath(dir, 2), []byte(walHeader[:n]), 0o644); err != nil {
+	tmp := segPath(dir, 2) + ".tmp"
+	for n := 0; n < len(firstWrite); n++ {
+		if err := os.WriteFile(tmp, firstWrite[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		re, err := OpenFileStorage(dir)
 		if err != nil {
-			t.Fatalf("a %d-byte torn header: %v", n, err)
+			t.Fatalf("a %d-byte torn rotation: %v", n, err)
 		}
 		_, _, log, _ := re.Load()
 		if err := re.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if len(log) != 1 || string(log[0].Command) != "a" {
-			t.Fatalf("a %d-byte torn header: log %v", n, log)
+			t.Fatalf("a %d-byte torn rotation: log %v", n, log)
 		}
-		if err := os.Remove(segPath(dir, 3)); err != nil {
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Fatalf("a %d-byte torn rotation: the temp file survived the open (%v)", n, err)
+		}
+		if err := os.Remove(segPath(dir, 2)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for n := 0; n < len(walHeader); n++ {
+		if err := os.WriteFile(segPath(dir, 2), []byte(walHeader[:n]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenFileStorage(dir); !errors.Is(err, errWALFormat) {
+			t.Fatalf("a %d-byte segment: open error %v, want %v", n, err, errWALFormat)
+		}
+	}
+	if err := os.WriteFile(segPath(dir, 2), []byte(walHeader), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFileStorage(dir); err == nil || !strings.Contains(err.Error(), "base record") {
+		t.Fatalf("a segment holding only the header: open error %v, want a missing base record", err)
 	}
 	if err := os.WriteFile(segPath(dir, 2), []byte("ADOREx"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenFileStorage(dir); !errors.Is(err, errWALFormat) {
-		t.Fatalf("a short segment that is not a header prefix: open error %v, want %v", err, errWALFormat)
+		t.Fatalf("a short segment that is not a header: open error %v, want %v", err, errWALFormat)
 	}
 }
 
@@ -530,27 +588,31 @@ func TestFileStorageSnapshotRecovery(t *testing.T) {
 	if len(log) != 3 || string(log[0].Command) != "e5" || string(log[2].Command) != "e7" {
 		t.Fatalf("recovered suffix = %+v", log)
 	}
-	// Exactly one snapshot file survives; the pre-snapshot segments are
-	// unlinked (compaction is an unlink, not a rewrite).
-	var snaps, segs int
+	// The directory holds only the live segments: the image is in a base
+	// record, and the pre-snapshot segments are unlinked (compaction is an
+	// unlink, not a rewrite).
+	re.mu.Lock()
+	live := len(re.segs)
+	re.mu.Unlock()
+	if segs := segmentFiles(t, dir); segs != live {
+		t.Errorf("%d segment files on disk, %d live segments", segs, live)
+	}
+}
+
+// segmentFiles counts the files in a WAL directory and fails the test if any
+// of them is not a segment.
+func segmentFiles(t *testing.T, dir string) int {
+	t.Helper()
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, de := range des {
-		switch {
-		case strings.HasSuffix(de.Name(), ".snap"):
-			snaps++
-		case strings.HasSuffix(de.Name(), ".seg"):
-			segs++
+		if !strings.HasPrefix(de.Name(), "wal-") || !strings.HasSuffix(de.Name(), ".seg") {
+			t.Errorf("WAL directory holds %s, which is not a segment", de.Name())
 		}
 	}
-	if snaps != 1 {
-		t.Errorf("%d snapshot files, want 1", snaps)
-	}
-	if segs != re.SegmentCount() {
-		t.Errorf("%d segment files on disk, SegmentCount reports %d", segs, re.SegmentCount())
-	}
+	return len(des)
 }
 
 // TestFileStorageSnapshotOutrunsWAL: an image above every entry on disk — a
@@ -616,9 +678,10 @@ func TestFileStorageSnapshotOutrunsWAL(t *testing.T) {
 	}
 }
 
-// TestFileStorageCorruptSnapshotFailStop: a flipped bit in the snapshot
-// file must fail recovery loudly — running without the committed state the
-// file summarized would be silent divergence.
+// TestFileStorageCorruptSnapshotFailStop: a flipped bit in the image, inside
+// the base record of the segment a compaction started, must fail recovery
+// loudly — running without the committed state the image summarized would be
+// silent divergence.
 func TestFileStorageCorruptSnapshotFailStop(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	st, err := OpenFileStorage(dir)
@@ -637,24 +700,29 @@ func TestFileStorageCorruptSnapshotFailStop(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := snapPath(dir, 2)
+	path := segPath(dir, 2)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(b)-3] ^= 0xff
+	at := bytes.Index(b, []byte("image-bytes"))
+	if at < 0 {
+		t.Fatalf("the compaction segment does not hold the image: % x", b)
+	}
+	b[at+3] ^= 0xff
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenFileStorage(dir); err == nil {
-		t.Fatal("recovery accepted a corrupt snapshot file")
+		t.Fatal("recovery accepted a corrupt image")
 	} else if !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("corrupt snapshot error = %v, want checksum mismatch", err)
+		t.Fatalf("corrupt image error = %v, want checksum mismatch", err)
 	}
 }
 
-// TestFileStorageMissingSnapshotFailStop: if the WAL's segments build on a
-// snapshot whose file is gone, recovery must refuse to fabricate a log.
+// TestFileStorageMissingSnapshotFailStop: if the segment holding the image,
+// and the entries just above it, is gone, the next segment's entries leave a
+// gap above that segment's base, and recovery must refuse to fabricate a log.
 func TestFileStorageMissingSnapshotFailStop(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	st, err := OpenFileStorage(dir)
@@ -670,20 +738,35 @@ func TestFileStorageMissingSnapshotFailStop(t *testing.T) {
 	if err := st.SaveSnapshot(LogSnapshot{Index: 2, Term: 1, Data: []byte("img")}); err != nil {
 		t.Fatal(err)
 	}
+	if err := st.SaveEntries(3, []LogEntry{{Term: 1, Kind: EntryCommand, Command: []byte("b")}}); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(snapPath(dir, 2)); err != nil {
+	if st, err = OpenFileStorage(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveEntries(4, []LogEntry{{Term: 1, Kind: EntryCommand, Command: []byte("c")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(segPath(dir, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenFileStorage(dir); err == nil {
-		t.Fatal("recovery accepted a WAL whose snapshot file is missing")
+		t.Fatal("recovery accepted a WAL whose image-bearing segment is missing")
+	} else if !strings.Contains(err.Error(), "gap") {
+		t.Fatalf("missing segment error = %v, want a gap", err)
 	}
 }
 
-// TestFileStorageTornSnapshotTemp: a crash during the snapshot write leaves
-// only a .tmp file; recovery discards it and keeps the full pre-snapshot
-// log — the prefix was never dropped because the rename never happened.
+// TestFileStorageTornSnapshotTemp: a crash during a compaction's rotation
+// leaves only the new segment's temp file; recovery discards it and keeps the
+// full pre-snapshot log — the prefix was never dropped because the link
+// never happened.
 func TestFileStorageTornSnapshotTemp(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	st, err := OpenFileStorage(dir)
@@ -699,8 +782,9 @@ func TestFileStorageTornSnapshotTemp(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulated torn snapshot write: partial bytes, no rename.
-	if err := os.WriteFile(snapPath(dir, 2)+".tmp", []byte("part"), 0o644); err != nil {
+	// Simulated torn rotation: the header and part of a base, no link.
+	tmp := segPath(dir, 2) + ".tmp"
+	if err := os.WriteFile(tmp, []byte(walHeader+"part"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	re, err := OpenFileStorage(dir)
@@ -713,16 +797,16 @@ func TestFileStorageTornSnapshotTemp(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap.Index != 0 || len(log) != 2 {
-		t.Fatalf("after torn snapshot temp: base=%d suffix=%+v", snap.Index, log)
+		t.Fatalf("after a torn rotation: base=%d suffix=%+v", snap.Index, log)
 	}
-	if _, err := os.Stat(snapPath(dir, 2) + ".tmp"); !os.IsNotExist(err) {
-		t.Error("torn .tmp snapshot not cleaned up on open")
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Error("torn rotation's temp file not cleaned up on open")
 	}
 }
 
 // TestFileStorageCompactionUnlinksSegments drives many snapshot cycles and
 // asserts the directory stays bounded: old segments are unlinked, not
-// rewritten, and only one snapshot file is retained.
+// rewritten, and it holds nothing but segments.
 func TestFileStorageCompactionUnlinksSegments(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	st, err := OpenFileStorage(dir)
@@ -747,21 +831,14 @@ func TestFileStorageCompactionUnlinksSegments(t *testing.T) {
 	// Each cycle rotates once; everything before the newest snapshot is
 	// unlinked, so the live set stays at one active segment (+1 slack for
 	// the rotation boundary).
-	if n := st.SegmentCount(); n > 2 {
-		t.Errorf("SegmentCount = %d after 10 compaction cycles, want <= 2", n)
+	st.mu.Lock()
+	live := len(st.segs)
+	st.mu.Unlock()
+	if live > 2 {
+		t.Errorf("%d live segments after 10 compaction cycles, want <= 2", live)
 	}
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snaps int
-	for _, de := range des {
-		if strings.HasSuffix(de.Name(), ".snap") {
-			snaps++
-		}
-	}
-	if snaps != 1 {
-		t.Errorf("%d snapshot files retained, want 1", snaps)
+	if segs := segmentFiles(t, dir); segs != live {
+		t.Errorf("%d segment files on disk, %d live segments", segs, live)
 	}
 }
 
@@ -892,53 +969,70 @@ func sameEntries(a, b []LogEntry) bool {
 	})
 }
 
-// FuzzSnapFile is the snapshot file's load contract under arbitrary damage.
-// Each input is read twice: as the whole file, and as the body under a
-// correct length and CRC header, so the body decoder is reached as well as
-// the framing checks. The reader must never panic, must allocate in
-// proportion to the file, and a file it accepts must round-trip through
-// writeSnapFile to the same snapshot. The seeds are committed under
-// testdata/fuzz/FuzzSnapFile: a written snapshot, its body alone, an empty
-// image, a torn file, a flipped checksum, a length claiming 4 GiB, a member
-// count past its body, and a gob file and gob body from before this format.
+// FuzzSnapFile is the load contract of a segment's base record — the one
+// place a snapshot image is kept on disk — under arbitrary damage. Each input
+// is read twice: as a whole segment file, and as a base record's body under
+// the header and a correct length and CRC, so the body decoder is reached as
+// well as the framing checks. The open must never panic, must allocate in
+// proportion to the file, and a snapshot it accepts must round-trip through
+// SaveSnapshot into a fresh directory and reopen as the same snapshot. The
+// seeds are committed under testdata/fuzz/FuzzSnapFile: a compaction segment,
+// its base record's body alone, a body with an empty image, a torn segment, a
+// flipped checksum, a length claiming 4 GiB, a member count past its body, a
+// compaction segment of format v1, whose image lived in a file of its own,
+// and a snapshot file and a snapshot body from the builds that wrote them in
+// gob.
 func FuzzSnapFile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) > 1<<10 {
 			return // longer inputs only slow the target down
 		}
-		header := make([]byte, 8, 8+len(b))
-		binary.BigEndian.PutUint32(header[0:4], uint32(len(b)))
-		binary.BigEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(b))
-		dir := t.TempDir()
-		for i, file := range [][]byte{b, append(header, b...)} {
-			path := filepath.Join(dir, fmt.Sprintf("in-%d.snap", i))
-			if err := os.WriteFile(path, file, 0o644); err != nil {
+		framed := binary.BigEndian.AppendUint32([]byte(walHeader), uint32(len(b)))
+		framed = binary.BigEndian.AppendUint32(framed, crc32.ChecksumIEEE(b))
+		for _, file := range [][]byte{b, append(framed, b...)} {
+			in := t.TempDir()
+			if err := os.WriteFile(segPath(in, 1), file, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			var snap LogSnapshot
 			var err error
-			read := func() { snap, err = readSnapFile(path) }
+			read := func() {
+				var st *FileStorage
+				if st, err = OpenFileStorage(in); err == nil {
+					_, snap, _, err = st.Load()
+					st.Close()
+				}
+			}
 			limit := uint64(8*len(file) + 64<<10)
 			n := allocated(read)
 			for retry := 0; n > limit && retry < 3; retry++ { // another goroutine's garbage?
 				n = allocated(read)
 			}
 			if n > limit {
-				t.Fatalf("reading a %d-byte snapshot file allocated %d (limit %d)", len(file), n, limit)
+				t.Fatalf("opening a %d-byte segment allocated %d (limit %d)", len(file), n, limit)
 			}
 			if err != nil {
 				continue // loud
 			}
-			out := filepath.Join(dir, fmt.Sprintf("out-%d", i))
-			if err := os.Mkdir(out, 0o755); err != nil {
+			out := t.TempDir()
+			st, err := OpenFileStorage(out)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := writeSnapFile(out, snap); err != nil {
+			if err := st.SaveSnapshot(snap); err != nil {
 				t.Fatal(err)
 			}
-			again, err := readSnapFile(snapPath(out, snap.Index))
-			if err != nil || !sameSnapshot(again, snap) {
-				t.Fatalf("snapshot %+v rewritten reads back as %+v (err %v)", snap, again, err)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenFileStorage(out)
+			if err != nil {
+				t.Fatalf("snapshot %+v saved does not reopen: %v", snap, err)
+			}
+			_, again, _, _ := re.Load()
+			re.Close()
+			if !sameSnapshot(again, snap) {
+				t.Fatalf("snapshot %+v saved reopens as %+v", snap, again)
 			}
 		}
 	})

@@ -7,8 +7,7 @@
 // Both transports are group multiplexers: one link (or socket) per peer
 // carries raft.Envelope traffic for every raft group hosted by the process,
 // and inbound envelopes are demultiplexed into per-(node, group) inboxes.
-// Single-group callers keep the old Attach/NewTCPTransport API, which is
-// simply group 0 of the multiplexer.
+// A single-group caller uses group 0.
 package transport
 
 import (
@@ -67,12 +66,6 @@ func NewMemNetwork(latency, jitter time.Duration, seed int64) *MemNetwork {
 	}
 }
 
-// Attach registers a node's group-0 inbox and returns the node's transport
-// endpoint — the single-group API, unchanged.
-func (n *MemNetwork) Attach(id types.NodeID, inbox chan<- raft.Message) raft.Transport {
-	return n.AttachGroup(id, 0, inbox)
-}
-
 // AttachGroup registers the inbox for one raft group on one node and
 // returns that group's transport endpoint. The endpoint stamps From and
 // Group on every send; closing it detaches only that group's inbox, never
@@ -86,7 +79,7 @@ func (n *MemNetwork) AttachGroup(id types.NodeID, g raft.GroupID, inbox chan<- r
 
 // Detach unregisters every group inbox of a node: subsequent messages to it
 // are dropped (the node has crashed — all its groups go down together).
-// Attach again to restart it.
+// AttachGroup again to restart it.
 func (n *MemNetwork) Detach(id types.NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -11,8 +11,8 @@ import (
 func TestMemNetworkDelivers(t *testing.T) {
 	net := NewMemNetwork(0, 0, 1)
 	inbox := make(chan raft.Message, 8)
-	net.Attach(2, inbox)
-	ep := net.Attach(1, make(chan raft.Message, 8))
+	net.AttachGroup(2, 0, inbox)
+	ep := net.AttachGroup(1, 0, make(chan raft.Message, 8))
 	ep.Send(raft.Message{Type: raft.MsgVoteRequest, To: 2, Term: 1})
 	select {
 	case m := <-inbox:
@@ -27,8 +27,8 @@ func TestMemNetworkDelivers(t *testing.T) {
 func TestMemNetworkLatency(t *testing.T) {
 	net := NewMemNetwork(20*time.Millisecond, 0, 1)
 	inbox := make(chan raft.Message, 8)
-	net.Attach(2, inbox)
-	ep := net.Attach(1, make(chan raft.Message, 8))
+	net.AttachGroup(2, 0, inbox)
+	ep := net.AttachGroup(1, 0, make(chan raft.Message, 8))
 	start := time.Now()
 	ep.Send(raft.Message{To: 2})
 	select {
@@ -45,8 +45,8 @@ func TestMemNetworkDrop(t *testing.T) {
 	net := NewMemNetwork(0, 0, 1)
 	net.SetDropRate(1.0)
 	inbox := make(chan raft.Message, 8)
-	net.Attach(2, inbox)
-	ep := net.Attach(1, make(chan raft.Message, 8))
+	net.AttachGroup(2, 0, inbox)
+	ep := net.AttachGroup(1, 0, make(chan raft.Message, 8))
 	ep.Send(raft.Message{To: 2})
 	select {
 	case <-inbox:
@@ -61,8 +61,8 @@ func TestMemNetworkDrop(t *testing.T) {
 func TestMemNetworkPartitionAndHeal(t *testing.T) {
 	net := NewMemNetwork(0, 0, 1)
 	inbox := make(chan raft.Message, 8)
-	net.Attach(2, inbox)
-	ep := net.Attach(1, make(chan raft.Message, 8))
+	net.AttachGroup(2, 0, inbox)
+	ep := net.AttachGroup(1, 0, make(chan raft.Message, 8))
 	net.Partition([]types.NodeID{1}, []types.NodeID{2})
 	ep.Send(raft.Message{To: 2})
 	select {
@@ -83,9 +83,9 @@ func TestMemNetworkIsolate(t *testing.T) {
 	net := NewMemNetwork(0, 0, 1)
 	in2 := make(chan raft.Message, 8)
 	in3 := make(chan raft.Message, 8)
-	net.Attach(2, in2)
-	net.Attach(3, in3)
-	ep := net.Attach(1, make(chan raft.Message, 8))
+	net.AttachGroup(2, 0, in2)
+	net.AttachGroup(3, 0, in3)
+	ep := net.AttachGroup(1, 0, make(chan raft.Message, 8))
 	net.Isolate(1)
 	ep.Send(raft.Message{To: 2})
 	ep.Send(raft.Message{To: 3})
@@ -94,7 +94,7 @@ func TestMemNetworkIsolate(t *testing.T) {
 		t.Fatal("isolated node reached peers")
 	}
 	// Traffic between the others still flows.
-	ep2 := net.Attach(2, in2)
+	ep2 := net.AttachGroup(2, 0, in2)
 	ep2.Send(raft.Message{To: 3})
 	select {
 	case <-in3:

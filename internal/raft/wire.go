@@ -36,8 +36,8 @@ import (
 const (
 	wireVersion = 1
 
-	// frameHeaderLen is the u32 length prefix of a stream frame. (The WAL
-	// and snapshot files use the CRC-checked durable frame, storage.go.)
+	// frameHeaderLen is the u32 length prefix of a stream frame. (WAL
+	// segments use the CRC-checked durable frame, storage.go.)
 	frameHeaderLen = 4
 
 	// MaxFrameLen is the longest frame (prefix + body) the u32 length prefix
