@@ -46,7 +46,7 @@ lint-teeth:
 # check is the full CI gate.
 check: build vet lint lint-teeth race
 
-# loc prints the Go line budget ROADMAP item 1 tracks: the module's own
+# loc prints the Go line budget ROADMAP aim 2 tracks: the module's own
 # non-test / test / total lines, with the canonical benchmark and the lint
 # fixtures (separate modules of deliberately wrong code) listed apart.
 loc:

@@ -282,7 +282,7 @@ func (e simEnv) Observe(id types.NodeID) Sample {
 	term, role, _ := e.Status(id)
 	return Sample{
 		Alive: e.Alive(id), Incarnation: e.r.incarn[id], Term: term, Role: role,
-		Commit: e.CommitIndex(id), Members: e.Members(id), Counters: e.Counters(id),
+		Commit: e.CommitIndex(id), Members: e.Members(id), Counters: e.Driver(id).Counters(),
 	}
 }
 

@@ -67,9 +67,8 @@ func startOneNode(t testing.TB, opts multiraft.Options) *raft.Node {
 // WAL frames written is far below the number of proposals — i.e. the
 // flush loop actually coalesced concurrent callers into group commits.
 func TestProposeAsyncGroupCommit(t *testing.T) {
-	cs := &raft.CountingStorage{Inner: &slowStorage{Storage: raft.NewMemStorage(), delay: 2 * time.Millisecond}}
-	n := startSingleNode(t, cs)
-	base := cs.EntrySaves()
+	n := startSingleNode(t, &slowStorage{Storage: raft.NewMemStorage(), delay: 2 * time.Millisecond})
+	base := n.Snapshot().Counters.EntryWrites
 
 	const workers = 32
 	const perWorker = 8
@@ -102,7 +101,7 @@ func TestProposeAsyncGroupCommit(t *testing.T) {
 	if len(indexes) != total {
 		t.Fatalf("got %d distinct indexes, want %d", len(indexes), total)
 	}
-	frames := cs.EntrySaves() - base
+	frames := n.Snapshot().Counters.EntryWrites - base
 	if frames >= uint64(total)/2 {
 		t.Errorf("%d WAL frames for %d proposals: group commit did not coalesce", frames, total)
 	}

@@ -24,7 +24,8 @@ type Driver struct {
 
 	batch   raftcore.Unstable // the one write in flight, while writing
 	writing bool
-	err     error // the fail-stop latch: set by a failed write, never cleared
+	err     error    // the fail-stop latch: set by a failed write, never cleared
+	ctr     Counters // the fold of every event the core released, and the writes landed
 
 	// props are the proposals whose entries are in the log but not yet
 	// durable, in index order (the shell appends them); reads the pending
@@ -67,7 +68,8 @@ type shell interface {
 	Snapshot(req raftcore.SnapshotRequest)
 	// Abort fails the proposals the shell queued that never reached the log.
 	Abort(err error)
-	Halt(cause error) // a write failed: the driver fail-stopped
+	Halt(cause error)            // a write failed: the driver fail-stopped
+	Events(evs []raftcore.Event) // ends every release with the facts it let out (maybe none)
 }
 
 // NewDriver wraps core with storage st (nil: volatile), shell lock mu and sh.
@@ -95,6 +97,9 @@ func (d *Driver) Land() {
 	}
 	d.Ready()
 }
+
+// Counters returns the fold of the core's released events and the writes landed.
+func (d *Driver) Counters() Counters { return d.ctr }
 
 // Stop tears the batch in flight after its first frames frames (0: a node
 // shutting down; a seeded cut: a simulated power failure), never reporting it
@@ -128,9 +133,9 @@ func (d *Driver) start() {
 // reports it Stable — or fail-stops with Stable never said, so nothing the
 // failed batch was backing ever leaves. A volatile node has nothing to write.
 func (d *Driver) land() {
+	u := d.batch
 	var err error
 	if d.storage != nil {
-		u := d.batch
 		d.mu.Unlock()
 		err = d.persist(u, 3)
 		d.mu.Lock()
@@ -139,6 +144,12 @@ func (d *Driver) land() {
 	if err != nil {
 		d.failStop(err)
 		return
+	}
+	if d.storage != nil && u.FirstIndex > 0 {
+		d.ctr.EntryWrites++
+	}
+	if d.storage != nil && u.Snapshot != nil {
+		d.ctr.SnapshotWrites++
 	}
 	d.core.Stable()
 }
@@ -166,6 +177,7 @@ func (d *Driver) persist(u raftcore.Unstable, frames int) error {
 // the queued and in-flight proposals fail.
 func (d *Driver) failStop(cause error) {
 	d.err = fmt.Errorf("%w: %v", ErrStorageFailed, cause)
+	d.fold(d.core.TakeEvents()) // what the core did before the write failed still happened
 	for id := range d.reads {
 		d.answerRead(id, readAborted)
 	}
@@ -176,9 +188,9 @@ func (d *Driver) failStop(cause error) {
 
 // release drains the core's Effects in the one release order: messages,
 // read barriers, committed entries (a Restore first: the image replaces the
-// state machine they apply to), the compaction request, leadership loss, and
-// last the proposals a Stable made durable — taken off the list before a
-// step-down can fail them, woken only after the broadcast has left.
+// state machine they apply to), the compaction request, leadership loss, the
+// proposals a Stable made durable — taken off the list before a step-down can
+// fail them, woken only after the broadcast has left — and last the events.
 func (d *Driver) release() {
 	if d.err != nil {
 		return
@@ -190,12 +202,13 @@ func (d *Driver) release() {
 	durable := d.props[:k]
 	d.props = d.props[k:]
 	eff := d.core.TakeEffects()
+	steppedDown := d.fold(eff.Events)
 	for _, m := range eff.Messages {
 		d.sh.Send(m)
 	}
 	for _, rs := range eff.ReadStates {
 		idx := rs.Index
-		if idx < 0 && eff.SteppedDown {
+		if idx < 0 && steppedDown {
 			idx = readSteppedDown // a successor is likely up: re-probe at once
 		}
 		d.answerRead(rs.ReqID, idx)
@@ -215,7 +228,7 @@ func (d *Driver) release() {
 	isLeader := d.core.Role() == Leader
 	if d.wasLeader && !isLeader {
 		err := raftcore.NotLeader(d.core.Leader())
-		if eff.SteppedDown {
+		if steppedDown {
 			err = fmt.Errorf("%w (was %s)", ErrLeaderStepdown, d.core.ID())
 		}
 		d.sh.Abort(err)
@@ -225,6 +238,16 @@ func (d *Driver) release() {
 	for _, p := range durable {
 		p.complete()
 	}
+	d.sh.Events(eff.Events)
+}
+
+// fold counts evs and reports whether one was a step-down.
+func (d *Driver) fold(evs []raftcore.Event) (steppedDown bool) {
+	for _, e := range evs {
+		d.ctr.Fold(e.Kind)
+		steppedDown = steppedDown || e.Kind == raftcore.EventStepDown
+	}
+	return steppedDown
 }
 
 func (d *Driver) failProps(err error) {

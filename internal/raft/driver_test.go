@@ -21,6 +21,7 @@ type orderNode struct {
 	d    *Driver
 	held bool // the driver's lock
 	fail error
+	now  bool // writes land inside the Ready that hands them out
 }
 
 type orderHarness struct {
@@ -40,7 +41,7 @@ func (n *orderNode) Unlock() { n.held = false }
 
 func (n *orderNode) Write() (take, now bool) {
 	n.logf("write")
-	return true, false
+	return true, n.now
 }
 
 func (n *orderNode) Send(m Message) {
@@ -75,6 +76,7 @@ func (n *orderNode) Apply(batch []ApplyMsg) {
 func (n *orderNode) Snapshot(raftcore.SnapshotRequest) { n.core.AbortSnapshot() }
 func (n *orderNode) Abort(err error)                   { n.logf("abort: %v", err) }
 func (n *orderNode) Halt(error)                        { n.logf("halt") }
+func (n *orderNode) Events([]raftcore.Event)           {}
 
 // orderDisk is a recording Storage: each save is logged, must find the
 // driver's lock released, and fails once when armed.
@@ -377,5 +379,39 @@ func TestDriverOrder(t *testing.T) {
 	}}
 	for _, c := range cases {
 		t.Run(c.name, c.run)
+	}
+}
+
+// TestDriverFoldsEveryFact: the driver's Counters are the fold of every event
+// its core released and the count of the writes it landed — the events of an
+// interaction whose write then fail-stops the node included, though that
+// write's Ready releases nothing.
+func TestDriverFoldsEveryFact(t *testing.T) {
+	h := newOrderHarness(t, true)
+	s1 := h.elect()
+	s1.propose("x")
+	s1.d.Land()
+	// The ballot (no entries), the no-op and x: two entry writes.
+	want := Counters{PreVoteRounds: 1, PreVotesWon: 1, Elections: 1, EntryWrites: 2}
+	if got := s1.d.Counters(); got != want {
+		t.Fatalf("leader's fold = %+v, want %+v", got, want)
+	}
+
+	h = newOrderHarness(t, true)
+	s1 = h.node(1)
+	s1.now = true
+	for s1.core.Role() != PreCandidate {
+		s1.core.Tick()
+		s1.d.Ready()
+	}
+	s1.fail = errors.New("disk gone")
+	s1.core.Step(Message{Type: MsgPreVoteResponse, From: 2, To: 1, Term: 1, Granted: true})
+	s1.d.Ready() // the ballot's write fails inside this Ready
+	if s1.d.err == nil {
+		t.Fatal("the ballot's write did not fail-stop the driver")
+	}
+	want = Counters{PreVoteRounds: 1, PreVotesWon: 1, Elections: 1}
+	if got := s1.d.Counters(); got != want {
+		t.Fatalf("fail-stopped fold = %+v, want %+v", got, want)
 	}
 }

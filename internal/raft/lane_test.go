@@ -150,7 +150,6 @@ type laneCluster struct {
 	net     *transport.MemNetwork
 	nodes   map[types.NodeID]*raft.Node
 	st      map[types.NodeID]*laneStorage
-	cs      map[types.NodeID]*raft.CountingStorage
 	tr      map[types.NodeID]*checkedTransport
 	applied map[types.NodeID]*atomic.Int64
 }
@@ -162,7 +161,6 @@ func startLaneCluster(t *testing.T, delayFor func(types.NodeID) time.Duration, a
 		net:     transport.NewMemNetwork(0, 0, 1),
 		nodes:   map[types.NodeID]*raft.Node{},
 		st:      map[types.NodeID]*laneStorage{},
-		cs:      map[types.NodeID]*raft.CountingStorage{},
 		tr:      map[types.NodeID]*checkedTransport{},
 		applied: map[types.NodeID]*atomic.Int64{},
 	}
@@ -179,8 +177,7 @@ func startLaneCluster(t *testing.T, delayFor func(types.NodeID) time.Duration, a
 		lc.net.Close()
 	})
 	for _, id := range members {
-		cs := &raft.CountingStorage{Inner: raft.NewMemStorage()}
-		st := newLaneStorage(cs)
+		st := newLaneStorage(raft.NewMemStorage())
 		if delayFor != nil {
 			st.delay = delayFor(id)
 		}
@@ -201,7 +198,7 @@ func startLaneCluster(t *testing.T, delayFor func(types.NodeID) time.Duration, a
 			t.Fatal(err)
 		}
 		hosts = append(hosts, h)
-		lc.nodes[id], lc.st[id], lc.cs[id], lc.tr[id], lc.applied[id] = h.Node(0), st, cs, tr, applied
+		lc.nodes[id], lc.st[id], lc.tr[id], lc.applied[id] = h.Node(0), st, tr, applied
 	}
 	return lc
 }
@@ -552,7 +549,7 @@ func TestFollowerGroupCommit(t *testing.T) {
 		t.Skip("the slow replica won the election")
 	}
 	L := lc.nodes[lid]
-	baseAppends, baseSaves := lc.tr[lid].appends(slow), lc.cs[slow].EntrySaves()
+	baseAppends, baseSaves := lc.tr[lid].appends(slow), lc.nodes[slow].Snapshot().Counters.EntryWrites
 	const n = 40
 	var last int
 	for i := 0; i < n; i++ {
@@ -572,7 +569,7 @@ func TestFollowerGroupCommit(t *testing.T) {
 		t.Fatalf("slow follower durable through %d of %d", got, last)
 	}
 	appends := lc.tr[lid].appends(slow) - baseAppends
-	saves := int(lc.cs[slow].EntrySaves() - baseSaves)
+	saves := int(lc.nodes[slow].Snapshot().Counters.EntryWrites - baseSaves)
 	if appends < n/2 {
 		t.Fatalf("only %d entry-carrying appends reached the slow follower for %d proposals; the test lost its premise", appends, n)
 	}

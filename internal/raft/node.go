@@ -316,6 +316,9 @@ func (s *nodeShell) Abort(err error) {
 
 func (s *nodeShell) Halt(error) { s.stopOnce.Do(func() { close(s.stopCh) }) }
 
+// Events has nothing to do: a live node writes no journal.
+func (s *nodeShell) Events([]raftcore.Event) {}
+
 // Snapshot is one consistent view of a node's externally visible state,
 // captured under a single lock acquisition, so term, role, commit index and
 // membership never come from different protocol steps. A fail-stopped node
@@ -332,8 +335,8 @@ type Snapshot struct {
 	StableIndex  int
 	AppliedIndex int
 	Members      types.NodeSet
-	// Counters are the election-disruption metrics (pre-vote rounds, term
-	// bumps, step-downs, transfers); the chaos monitor samples them.
+	// Counters are the driver's fold of the core's events and its writes;
+	// the chaos monitor samples them.
 	Counters Counters
 	// Err is the storage error that fail-stopped the node, nil if it is
 	// healthy or was stopped normally. A fail-stopped node has its Done
@@ -355,7 +358,7 @@ func (n *Node) Snapshot() Snapshot {
 		StableIndex:  n.core.StableIndex(),
 		AppliedIndex: n.core.AppliedIndex(),
 		Members:      n.core.Members(),
-		Counters:     n.core.Counters(),
+		Counters:     n.d.ctr,
 		Err:          n.d.err,
 	}
 	if n.d.err != nil {

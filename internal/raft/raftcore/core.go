@@ -285,12 +285,7 @@ type Core struct {
 	msgs       []Message   // outbound, in release order
 	readStates []ReadState // answered reads asked at this node
 	restore    *Snapshot   // leader-installed snapshot, now durable
-	// steppedDown latches a CheckQuorum or stalled-disk step-down for the
-	// next Effects.
-	steppedDown bool
-
-	// metrics
-	ctr Counters
+	events     []Event     // reported facts, drained (and the buffer reused) by TakeEvents
 }
 
 // inflightWrite describes the outstanding Unstable batch.
@@ -420,13 +415,6 @@ func (c *Core) SnapshotTerm() types.Time { return c.snapTerm }
 // command/member slices; callers must not mutate.
 func (c *Core) Entry(i int) LogEntry { return c.entryAt(i) }
 
-// Counters returns the election-disruption metrics (monotone).
-func (c *Core) Counters() Counters { return c.ctr }
-
-// TransferTarget returns the peer an in-flight leadership transfer is
-// handing off to (NoNode when no transfer is pending).
-func (c *Core) TransferTarget() types.NodeID { return c.transferTarget }
-
 func (c *Core) lastIndex() int { return c.snapIndex + len(c.log) - 1 }
 
 func (c *Core) entryAt(i int) LogEntry { return c.log[i-c.snapIndex] }
@@ -538,6 +526,9 @@ func (c *Core) send(m Message) {
 	c.msgs = append(c.msgs, m)
 }
 
+// emit reports one fact for the next Effects.
+func (c *Core) emit(k EventKind) { c.events = append(c.events, Event{Kind: k}) }
+
 // dropHeld discards everything held at the term being left.
 func (c *Core) dropHeld() {
 	c.held = nil
@@ -635,8 +626,7 @@ func (c *Core) TakeEffects() Effects {
 	c.readStates = nil
 	e.Restore = c.restore
 	c.restore = nil
-	e.SteppedDown = c.steppedDown
-	c.steppedDown = false
+	e.Events = c.TakeEvents()
 	if limit := c.applyLimit(); c.lastApplied < limit {
 		e.Committed = make([]ApplyMsg, 0, limit-c.lastApplied)
 		for c.lastApplied < limit {
@@ -655,6 +645,15 @@ func (c *Core) TakeEffects() Effects {
 		e.TakeSnapshot = &SnapshotRequest{Index: c.lastApplied}
 	}
 	return e
+}
+
+// TakeEvents drains the reported facts alone (nil when none), for a driver
+// that fail-stopped and so takes no other effect again; see Effects.Events.
+func (c *Core) TakeEvents() (ev []Event) {
+	if len(c.events) > 0 {
+		ev, c.events = c.events, c.events[:0]
+	}
+	return ev
 }
 
 // applyLimit is how far Committed may be delivered: apply ⊆ committed. That
@@ -703,7 +702,7 @@ func (c *Core) TakeReady() Ready {
 		Committed:       e.Committed,
 		ReadStates:      e.ReadStates,
 		TakeSnapshot:    e.TakeSnapshot,
-		SteppedDown:     e.SteppedDown,
+		Events:          e.Events,
 	}
 }
 
@@ -818,7 +817,7 @@ func (c *Core) Tick() {
 			return
 		}
 		if c.cfg.DisablePreVote {
-			c.ctr.TimeoutElections++
+			c.emit(EventTimeoutCampaign)
 			c.startElection(false)
 			return
 		}
@@ -859,12 +858,11 @@ func (c *Core) hasQuorumContact() bool {
 
 // stepDown relinquishes leadership without a term change (CheckQuorum, or
 // a stalled disk): pending reads abort, any transfer dies, and the driver
-// learns of it via Effects.SteppedDown so in-flight proposals fail retryably.
+// learns of it by its EventStepDown so in-flight proposals fail retryably.
 func (c *Core) stepDown() {
 	c.role = Follower
 	c.leader = types.NoNode
-	c.ctr.StepDowns++
-	c.steppedDown = true
+	c.emit(EventStepDown)
 	c.abortReads()
 	c.cancelTransfer()
 	c.resetElectionTimer()
@@ -886,7 +884,7 @@ func (c *Core) stickyLeader() bool {
 func (c *Core) startPreVote() {
 	c.role = PreCandidate
 	c.votes = types.NewNodeSet(c.id)
-	c.ctr.PreVoteRounds++
+	c.emit(EventPreVoteRound)
 	c.resetElectionTimer()
 	lastIdx := c.lastIndex()
 	req := Message{
@@ -916,7 +914,7 @@ func (c *Core) maybePreVoteWin() {
 	if !config.Majority(c.votes, c.Members()) {
 		return
 	}
-	c.ctr.PreVotesWon++
+	c.emit(EventPreVoteWon)
 	c.startElection(false)
 }
 
@@ -932,7 +930,7 @@ func (c *Core) startElection(transfer bool) {
 	c.markHardState()
 	c.dropHeld()
 	c.votes = types.NewNodeSet(c.id)
-	c.ctr.Elections++
+	c.emit(EventElection)
 	c.resetElectionTimer()
 	lastIdx := c.lastIndex()
 	req := Message{
@@ -1013,7 +1011,7 @@ func (c *Core) TransferLeader(to types.NodeID) error {
 	c.transferTarget = to
 	c.transferDeadline = c.ticks + int64(c.cfg.ElectionTicks)
 	c.voidLeaseAcks()
-	c.ctr.TransfersStarted++
+	c.events = append(c.events, Event{Kind: EventTransferStarted, Peer: to})
 	if c.matchIndex[to] >= c.lastIndex() {
 		c.sendTimeoutNow(to)
 	} else {
@@ -1049,7 +1047,7 @@ func (c *Core) cancelTransfer() {
 	if c.transferTarget != types.NoNode {
 		c.transferTarget = types.NoNode
 		c.voidLeaseAcks()
-		c.ctr.TransfersAborted++
+		c.emit(EventTransferAborted)
 	}
 }
 
@@ -1104,10 +1102,10 @@ func (c *Core) ProposeBatch(cmds [][]byte) (first int, term types.Time, err erro
 }
 
 // ProposeConfig appends a membership change at the leader, enforcing the
-// paper's guards: the change must add or remove exactly one node (R1),
-// no other configuration change may be in flight (R2), and — unless
-// DisableR3 — the leader must have committed an entry in its current term
-// (R3).
+// paper's guards: the change must be a step the single-node scheme's R1⁺
+// admits from the current membership, other than the unchanged set (R1), no
+// other configuration change may be in flight (R2), and — unless DisableR3 —
+// the leader must have committed an entry in its current term (R3).
 //
 // A change that removes the leader itself is never appended here: the
 // leader hands off to the most caught-up voter of the new membership and
@@ -1125,10 +1123,10 @@ func (c *Core) ProposeConfig(members types.NodeSet) (int, types.Time, error) {
 	if members.IsEmpty() {
 		return 0, 0, fmt.Errorf("%w: empty membership", ErrBadMembership)
 	}
-	added := members.Diff(cur).Len()
-	removed := cur.Diff(members).Len()
-	if added+removed != 1 {
-		return 0, 0, fmt.Errorf("%w: %s → %s changes %d nodes", ErrBadMembership, cur, members, added+removed)
+	r1 := config.SingleNodeScheme{}.R1Plus(config.NewMajorityConfig(cur), config.NewMajorityConfig(members))
+	if !r1 || members.Equal(cur) {
+		changed := members.Diff(cur).Len() + cur.Diff(members).Len()
+		return 0, 0, fmt.Errorf("%w: %s → %s changes %d nodes", ErrBadMembership, cur, members, changed)
 	}
 	// Hand-off: after R1 the change is exactly cur − {leader} and non-empty,
 	// so the pick always finds a survivor and the transfer cannot fail. R2
@@ -1198,7 +1196,7 @@ func (c *Core) barrierFor(idx int) (pr *pendingRead, opened bool) {
 			if idx > pr.index {
 				pr.index = idx
 			}
-			c.ctr.ReadsCoalesced++
+			c.emit(EventReadCoalesced)
 			return pr, false
 		}
 	}
@@ -1209,7 +1207,7 @@ func (c *Core) barrierFor(idx int) (pr *pendingRead, opened bool) {
 		acks:  types.NewNodeSet(c.id),
 	}
 	c.pendingReads = append(c.pendingReads, pr)
-	c.ctr.ReadBarriers++
+	c.emit(EventReadBarrier)
 	return pr, true
 }
 
@@ -1250,7 +1248,7 @@ func (c *Core) ReadIndex(ctx uint64) error {
 // round of acknowledgements.
 func (c *Core) leaderRead(o readOrigin) {
 	if idx, ok := c.LeaseStatus(); ok {
-		c.ctr.LeaseReads++
+		c.emit(EventLeaseRead)
 		c.answerRead(o, idx)
 		return
 	}
@@ -1627,7 +1625,7 @@ func (c *Core) adoptTerm(term types.Time) {
 	c.dropHeld()
 	c.abortReads()
 	c.cancelTransfer()
-	c.ctr.TermBumps++
+	c.emit(EventTermBump)
 }
 
 func (c *Core) onVoteRequest(m Message) {
@@ -1694,7 +1692,7 @@ func (c *Core) onTimeoutNow(m Message) {
 	if m.Term != c.term || c.role == Leader || !c.Members().Contains(c.id) {
 		return
 	}
-	c.ctr.TransferElections++
+	c.emit(EventTransferCampaign)
 	c.startElection(true)
 }
 

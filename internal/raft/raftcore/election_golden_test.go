@@ -102,18 +102,20 @@ func TestGoldenPreVoteAcrossReconfig(t *testing.T) {
 		[]LogEntry{{Term: 1, Kind: EntryConfig, Members: []types.NodeID{1, 2, 3, 4, 5}}})
 
 	// The timeout canvasses all four peers of the NEW config, term-neutrally.
+	var ctr tally
 	c.Tick()
 	preReq := func(to types.NodeID) Message {
 		return Message{Type: MsgPreVoteRequest, From: 1, To: to, Term: 2, LastLogIndex: 1, LastLogTerm: 1}
 	}
-	assertReady(t, c.TakeReady(), Ready{
+	assertReady(t, ctr.ready(c), Ready{
 		Messages: []Message{preReq(2), preReq(3), preReq(4), preReq(5)},
+		Events:   []Event{{Kind: EventPreVoteRound}},
 	})
 
 	// Two grants (self + S2) are a majority of the old {1,2,3} but NOT of
 	// the effective {1..5}: no escalation.
 	c.Step(Message{Type: MsgPreVoteResponse, From: 2, To: 1, Term: 2, Granted: true})
-	assertReady(t, c.TakeReady(), Ready{})
+	assertReady(t, ctr.ready(c), Ready{})
 	if c.Role() != PreCandidate {
 		t.Fatalf("escalated on a stale-config majority (role %s)", c.Role())
 	}
@@ -124,12 +126,13 @@ func TestGoldenPreVoteAcrossReconfig(t *testing.T) {
 	voteReq := func(to types.NodeID) Message {
 		return Message{Type: MsgVoteRequest, From: 1, To: to, Term: 2, LastLogIndex: 1, LastLogTerm: 1}
 	}
-	assertReady(t, c.TakeReady(), Ready{
+	assertReady(t, ctr.ready(c), Ready{
 		HardState: &HardState{Term: 2, VotedFor: 1},
 		Messages:  []Message{voteReq(2), voteReq(3), voteReq(4), voteReq(5)},
+		Events:    []Event{{Kind: EventPreVoteWon}, {Kind: EventElection}},
 	})
 	want := Counters{PreVoteRounds: 1, PreVotesWon: 1, Elections: 1}
-	if got := c.Counters(); got != want {
+	if got := ctr.Counters; got != want {
 		t.Fatalf("counters = %+v, want %+v", got, want)
 	}
 }
@@ -207,39 +210,41 @@ func TestGoldenStickyFollower(t *testing.T) {
 	assertReady(t, f.TakeReady(), Ready{
 		HardState: &HardState{Term: 2, VotedFor: 3},
 		Messages:  []Message{{Type: MsgVoteResponse, From: 2, To: 3, Term: 2, Granted: true}},
+		Events:    []Event{{Kind: EventTermBump}},
 	})
 }
 
 // TestGoldenCheckQuorumStepDown pins the step-down effect: a leader that
 // hears from no quorum within an election interval (after one interval of
-// grace for never-seen peers) drops to follower in the SAME term, latching
-// Ready.SteppedDown for the driver — no HardState change, since nothing
-// durable moved.
+// grace for never-seen peers) drops to follower in the SAME term, reporting
+// EventStepDown for the driver — no HardState change, since nothing durable
+// moved.
 func TestGoldenCheckQuorumStepDown(t *testing.T) {
 	c := leader3(t) // ElectionTicks = 1: every tick is a quorum check
 
 	// First check seeds the never-heard peers (grace): still leader. The
 	// tick's heartbeat goes out first.
+	var ctr tally
 	c.Tick()
 	hb := func(to types.NodeID, seq uint64) Message {
 		return Message{Type: MsgAppendEntries, From: 1, To: to, Term: 1,
 			PrevLogIndex: 1, PrevLogTerm: 1, Entries: []LogEntry{}, Seq: seq}
 	}
-	assertReady(t, c.TakeReady(), Ready{Messages: []Message{hb(2, 3), hb(3, 4)}})
+	assertReady(t, ctr.ready(c), Ready{Messages: []Message{hb(2, 3), hb(3, 4)}})
 	if c.Role() != Leader {
 		t.Fatalf("stepped down inside the grace interval (role %s)", c.Role())
 	}
 
 	// Grace expired with total silence: the next check steps down.
 	c.Tick()
-	assertReady(t, c.TakeReady(), Ready{
-		Messages:    []Message{hb(2, 5), hb(3, 6)},
-		SteppedDown: true,
+	assertReady(t, ctr.ready(c), Ready{
+		Messages: []Message{hb(2, 5), hb(3, 6)},
+		Events:   []Event{{Kind: EventStepDown}},
 	})
 	if c.Role() != Follower || c.Leader() != types.NoNode {
 		t.Fatalf("after step-down: role %s, leader %s", c.Role(), c.Leader())
 	}
-	if got := c.Counters().StepDowns; got != 1 {
+	if got := ctr.StepDowns; got != 1 {
 		t.Fatalf("StepDowns = %d, want 1", got)
 	}
 }
@@ -254,26 +259,27 @@ func TestGoldenCheckQuorumKeepAlive(t *testing.T) {
 		ElectionTicks: 2,
 		Jitter:        func() int { return 0 },
 	}, HardState{}, Snapshot{}, nil)
+	var ctr tally
 	c.Tick() // a fresh core's first timeout → pre-vote round
 	c.Step(Message{Type: MsgPreVoteResponse, From: 2, To: 1, Term: 1, Granted: true})
 	c.Step(Message{Type: MsgVoteResponse, From: 2, To: 1, Term: 1, Granted: true})
 	if c.Role() != Leader {
 		t.Fatalf("bootstrap failed (role %s)", c.Role())
 	}
-	c.TakeReady()
+	ctr.ready(c)
 	for i := 0; i < 8; i++ {
 		c.Tick()
-		if rd := c.TakeReady(); rd.SteppedDown {
+		if ctr.ready(c); ctr.StepDowns != 0 {
 			t.Fatalf("tick %d: stepped down despite live followers", i)
 		}
 		c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 1})
 		c.Step(Message{Type: MsgAppendResponse, From: 3, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 2})
-		c.TakeReady()
+		ctr.ready(c)
 	}
 	if c.Role() != Leader {
 		t.Fatalf("role = %s, want Leader", c.Role())
 	}
-	if got := c.Counters().StepDowns; got != 0 {
+	if got := ctr.StepDowns; got != 0 {
 		t.Fatalf("StepDowns = %d, want 0", got)
 	}
 }
@@ -293,26 +299,29 @@ func TestGoldenTransferHandoff(t *testing.T) {
 		}
 		assertReady(t, c.TakeReady(), Ready{
 			Messages: []Message{{Type: MsgTimeoutNow, From: 1, To: 2, Term: 1}},
+			Events:   []Event{{Kind: EventTransferStarted, Peer: 2}},
 		})
-		if got := c.TransferTarget(); got != 2 {
+		if got := c.transferTarget; got != 2 {
 			t.Fatalf("TransferTarget = %s, want S2", got)
 		}
 	})
 
 	t.Run("laggard target is caught up, ack triggers the handoff", func(t *testing.T) {
 		c := leader3(t)
+		var ctr tally
 		if _, _, err := c.Propose([]byte("a")); err != nil {
 			t.Fatal(err)
 		}
-		c.TakeReady() // drain the broadcast (seq 3, 4); lastIndex = 2
+		ctr.ready(c) // drain the broadcast (seq 3, 4); lastIndex = 2
 		if err := c.TransferLeader(2); err != nil {
 			t.Fatal(err)
 		}
 		// The target's pipelined nextIndex already covers the log: the
 		// catch-up probe is an empty append awaiting its ack.
-		assertReady(t, c.TakeReady(), Ready{
+		assertReady(t, ctr.ready(c), Ready{
 			Messages: []Message{{Type: MsgAppendEntries, From: 1, To: 2, Term: 1,
 				PrevLogIndex: 2, PrevLogTerm: 1, Entries: []LogEntry{}, Seq: 5}},
+			Events: []Event{{Kind: EventTransferStarted, Peer: 2}},
 		})
 
 		// Proposals pause while the handoff is in flight.
@@ -326,7 +335,7 @@ func TestGoldenTransferHandoff(t *testing.T) {
 		// The ack that shows the target holding the whole log triggers
 		// TimeoutNow (and, being a quorum ack, commits indexes 1-2).
 		c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 2, Seq: 3})
-		assertReady(t, c.TakeReady(), Ready{
+		assertReady(t, ctr.ready(c), Ready{
 			Messages: []Message{{Type: MsgTimeoutNow, From: 1, To: 2, Term: 1}},
 			Committed: []ApplyMsg{
 				{Index: 1, Term: 1, Kind: EntryNoOp},
@@ -338,11 +347,11 @@ func TestGoldenTransferHandoff(t *testing.T) {
 		// Transfer flag from the expected target resolves the handoff as a
 		// SUCCESS (no abort tally), and the old leader votes for it.
 		c.Step(Message{Type: MsgVoteRequest, From: 2, To: 1, Term: 2, Transfer: true, LastLogIndex: 2, LastLogTerm: 1})
-		assertReady(t, c.TakeReady(), Ready{
+		assertReady(t, ctr.ready(c), Ready{
 			HardState: &HardState{Term: 2, VotedFor: 2},
 			Messages:  []Message{{Type: MsgVoteResponse, From: 1, To: 2, Term: 2, Granted: true}},
+			Events:    []Event{{Kind: EventTermBump}},
 		})
-		ctr := c.Counters()
 		if ctr.TransfersStarted != 1 || ctr.TransfersAborted != 0 {
 			t.Fatalf("transfers started/aborted = %d/%d, want 1/0", ctr.TransfersStarted, ctr.TransfersAborted)
 		}
@@ -354,19 +363,19 @@ func TestGoldenTransferHandoff(t *testing.T) {
 func TestGoldenTransferAbort(t *testing.T) {
 	t.Run("deadline expiry resumes proposals", func(t *testing.T) {
 		c := leader3(t) // ElectionTicks = 1: the transfer gets one tick
+		var ctr tally
 		if err := c.TransferLeader(2); err != nil {
 			t.Fatal(err)
 		}
-		c.TakeReady()
+		ctr.ready(c)
 		c.Tick() // deadline passes with no ack from the target
-		c.TakeReady()
-		if got := c.TransferTarget(); got != types.NoNode {
+		ctr.ready(c)
+		if got := c.transferTarget; got != types.NoNode {
 			t.Fatalf("transfer still pending at %s after the deadline", got)
 		}
 		if _, _, err := c.Propose([]byte("x")); err != nil {
 			t.Fatalf("Propose after abort: %v", err)
 		}
-		ctr := c.Counters()
 		if ctr.TransfersStarted != 1 || ctr.TransfersAborted != 1 {
 			t.Fatalf("transfers started/aborted = %d/%d, want 1/1", ctr.TransfersStarted, ctr.TransfersAborted)
 		}
@@ -374,18 +383,19 @@ func TestGoldenTransferAbort(t *testing.T) {
 
 	t.Run("deposition cancels the transfer", func(t *testing.T) {
 		c := leader3(t)
+		var ctr tally
 		if err := c.TransferLeader(2); err != nil {
 			t.Fatal(err)
 		}
-		c.TakeReady()
+		ctr.ready(c)
 		// A NEW leader's append at a higher term folds us — and kills the
 		// transfer with it.
 		c.Step(Message{Type: MsgAppendEntries, From: 3, To: 1, Term: 2, Seq: 1})
-		c.TakeReady()
-		if got := c.TransferTarget(); got != types.NoNode {
+		ctr.ready(c)
+		if got := c.transferTarget; got != types.NoNode {
 			t.Fatalf("transfer survived deposition (target %s)", got)
 		}
-		if got := c.Counters().TransfersAborted; got != 1 {
+		if got := ctr.TransfersAborted; got != 1 {
 			t.Fatalf("TransfersAborted = %d, want 1", got)
 		}
 	})
@@ -395,8 +405,8 @@ func TestGoldenTransferAbort(t *testing.T) {
 		if err := c.TransferLeader(9); !errors.Is(err, ErrBadTransferTarget) {
 			t.Fatalf("transfer to a non-member: %v, want ErrBadTransferTarget", err)
 		}
-		if err := c.TransferLeader(1); err != nil || c.TransferTarget() != types.NoNode {
-			t.Fatalf("transfer to self: err %v, target %s (want nil no-op)", err, c.TransferTarget())
+		if err := c.TransferLeader(1); err != nil || c.transferTarget != types.NoNode {
+			t.Fatalf("transfer to self: err %v, target %s (want nil no-op)", err, c.transferTarget)
 		}
 		f := follower(2, []types.NodeID{1, 2, 3}, HardState{}, nil)
 		if err := f.TransferLeader(1); !errors.Is(err, ErrNotLeader) {
@@ -411,22 +421,23 @@ func TestGoldenTransferAbort(t *testing.T) {
 // removed nodes ignore it.
 func TestGoldenTimeoutNowTarget(t *testing.T) {
 	f := follower(2, []types.NodeID{1, 2, 3}, HardState{Term: 2}, nil)
+	var ctr tally
 	f.Step(Message{Type: MsgAppendEntries, From: 1, To: 2, Term: 2, Seq: 1})
-	f.TakeReady() // sticky from here
+	ctr.ready(f) // sticky from here
 
 	// A stale handoff (the old leader's term already passed) is a no-op.
 	f.Step(Message{Type: MsgTimeoutNow, From: 1, To: 2, Term: 1})
-	assertReady(t, f.TakeReady(), Ready{})
+	assertReady(t, ctr.ready(f), Ready{})
 
 	f.Step(Message{Type: MsgTimeoutNow, From: 1, To: 2, Term: 2})
 	voteReq := func(to types.NodeID) Message {
 		return Message{Type: MsgVoteRequest, From: 2, To: to, Term: 3, Transfer: true}
 	}
-	assertReady(t, f.TakeReady(), Ready{
+	assertReady(t, ctr.ready(f), Ready{
 		HardState: &HardState{Term: 3, VotedFor: 2},
 		Messages:  []Message{voteReq(1), voteReq(3)},
+		Events:    []Event{{Kind: EventTransferCampaign}, {Kind: EventElection}},
 	})
-	ctr := f.Counters()
 	if ctr.TransferElections != 1 || ctr.PreVoteRounds != 0 {
 		t.Fatalf("transfer elections/pre-vote rounds = %d/%d, want 1/0", ctr.TransferElections, ctr.PreVoteRounds)
 	}
@@ -454,11 +465,12 @@ func TestGoldenProposeConfigHandsOff(t *testing.T) {
 	if got := c.LastIndex(); got != last {
 		t.Fatalf("LastIndex = %d after a refused hand-off, want %d", got, last)
 	}
-	if got := c.TransferTarget(); got != 2 {
+	if got := c.transferTarget; got != 2 {
 		t.Fatalf("TransferTarget = %s, want the caught-up S2", got)
 	}
 	assertReady(t, c.TakeReady(), Ready{
 		Messages: []Message{{Type: MsgTimeoutNow, From: 1, To: 2, Term: 1}},
+		Events:   []Event{{Kind: EventTransferStarted, Peer: 2}},
 	})
 	if _, _, err := c.ProposeConfig(types.NewNodeSet(2, 3)); !errors.Is(err, ErrTransferInProgress) {
 		t.Fatalf("ProposeConfig again: %v, want ErrTransferInProgress", err)
@@ -470,8 +482,31 @@ func TestGoldenProposeConfigHandsOff(t *testing.T) {
 	if _, _, err := fresh.ProposeConfig(types.NewNodeSet(2)); !errors.Is(err, ErrBadMembership) {
 		t.Fatalf("ProposeConfig removing two nodes: %v, want ErrBadMembership", err)
 	}
-	if got := fresh.TransferTarget(); got != types.NoNode {
+	if got := fresh.transferTarget; got != types.NoNode {
 		t.Fatalf("R1 refusal started a transfer to %s", got)
+	}
+}
+
+// TestProposeConfigR1 pins R1 as the single-node scheme's R1⁺ minus the
+// unchanged set: a swap (one in, one out) and the unchanged set are refused
+// with the text clients have always seen, and a one-node step is admitted.
+func TestProposeConfigR1(t *testing.T) {
+	c := leader3(t)
+	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 1})
+	c.TakeReady() // commits the no-op: R3 holds
+	for _, tc := range []struct {
+		members types.NodeSet
+		want    string
+	}{
+		{types.NewNodeSet(1, 2, 4), "raft: invalid membership change (R1): {S1,S2,S3} → {S1,S2,S4} changes 2 nodes"},
+		{types.NewNodeSet(1, 2, 3), "raft: invalid membership change (R1): {S1,S2,S3} → {S1,S2,S3} changes 0 nodes"},
+	} {
+		if _, _, err := c.ProposeConfig(tc.members); err == nil || err.Error() != tc.want {
+			t.Errorf("ProposeConfig(%s) = %v, want %q", tc.members, err, tc.want)
+		}
+	}
+	if _, _, err := c.ProposeConfig(types.NewNodeSet(1, 2, 3, 4)); err != nil {
+		t.Fatalf("ProposeConfig adding one node: %v", err)
 	}
 }
 

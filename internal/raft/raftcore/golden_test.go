@@ -25,6 +25,42 @@ func assertReady(t *testing.T, got, want Ready) {
 	}
 }
 
+// tally is the test side of the driver's fold: it counts the events of every
+// batch drained through it, so a counter assertion reads what was released.
+type tally struct{ Counters }
+
+func (t *tally) fold(evs []Event) {
+	for _, e := range evs {
+		t.Fold(e.Kind)
+	}
+}
+
+// ready drains c's Ready and folds its events.
+func (t *tally) ready(c *Core) Ready {
+	rd := c.TakeReady()
+	t.fold(rd.Events)
+	return rd
+}
+
+// effects drains c's Effects and folds its events.
+func (t *tally) effects(c *Core) Effects {
+	e := c.TakeEffects()
+	t.fold(e.Events)
+	return e
+}
+
+// assertEvents requires a drained batch to have released exactly kinds.
+func assertEvents(t *testing.T, got []Event, kinds ...EventKind) {
+	t.Helper()
+	var want []Event
+	for _, k := range kinds {
+		want = append(want, Event{Kind: k})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("events = %v, want %v", got, want)
+	}
+}
+
 // follower builds a follower core with recovered state. log entries are
 // 1-based (no sentinel); nil means an empty log.
 func follower(id types.NodeID, members []types.NodeID, hs HardState, entries []LogEntry) *Core {
@@ -57,6 +93,7 @@ func leader3With(t *testing.T, ab Ablation) *Core {
 			{Type: MsgPreVoteRequest, From: 1, To: 2, Term: 1},
 			{Type: MsgPreVoteRequest, From: 1, To: 3, Term: 1},
 		},
+		Events: []Event{{Kind: EventPreVoteRound}},
 	})
 	// A majority of grants escalates to the real election, which persists
 	// term+ballot before the vote requests go out.
@@ -67,6 +104,7 @@ func leader3With(t *testing.T, ab Ablation) *Core {
 			{Type: MsgVoteRequest, From: 1, To: 2, Term: 1},
 			{Type: MsgVoteRequest, From: 1, To: 3, Term: 1},
 		},
+		Events: []Event{{Kind: EventPreVoteWon}, {Kind: EventElection}},
 	})
 	c.Step(Message{Type: MsgVoteResponse, From: 2, To: 1, Term: 1, Granted: true})
 	if c.Role() != Leader {
@@ -100,6 +138,7 @@ func TestGoldenVotes(t *testing.T) {
 			want: Ready{
 				HardState: &HardState{Term: 1, VotedFor: 1},
 				Messages:  []Message{{Type: MsgVoteResponse, From: 2, To: 1, Term: 1, Granted: true}},
+				Events:    []Event{{Kind: EventTermBump}},
 			},
 		},
 		{
@@ -112,6 +151,7 @@ func TestGoldenVotes(t *testing.T) {
 			want: Ready{
 				HardState: &HardState{Term: 2, VotedFor: types.NoNode},
 				Messages:  []Message{{Type: MsgVoteResponse, From: 2, To: 3, Term: 2, Granted: false}},
+				Events:    []Event{{Kind: EventTermBump}},
 			},
 		},
 		{
@@ -201,6 +241,7 @@ func TestGoldenAppendFollower(t *testing.T) {
 					{Index: 1, Term: 1, Kind: EntryNoOp},
 					{Index: 2, Term: 3, Kind: EntryCommand, Command: []byte("c")},
 				},
+				Events: []Event{{Kind: EventTermBump}},
 			},
 		},
 	}
@@ -360,6 +401,7 @@ func TestGoldenReadIndexSeq(t *testing.T) {
 					{Type: MsgAppendEntries, From: 1, To: 3, Term: 1, PrevLogIndex: 1, PrevLogTerm: 1,
 						Entries: []LogEntry{}, LeaderCommit: 1, Seq: 4},
 				},
+				Events: []Event{{Kind: EventReadBarrier}},
 			},
 		},
 		{
@@ -402,6 +444,7 @@ func TestGoldenReadIndexAbort(t *testing.T) {
 		HardState:  &HardState{Term: 2, VotedFor: types.NoNode},
 		Messages:   []Message{{Type: MsgAppendResponse, From: 1, To: 3, Term: 2, Success: true, Seq: 1}},
 		ReadStates: []ReadState{{ReqID: 9, Index: -1}},
+		Events:     []Event{{Kind: EventTermBump}},
 	})
 }
 

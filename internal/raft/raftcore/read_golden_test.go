@@ -27,14 +27,14 @@ func leaderET(t *testing.T, et int) *Core {
 		Jitter:        func() int { return 0 },
 	}, HardState{}, Snapshot{}, nil)
 	c.Tick()
-	c.TakeReady() // pre-vote round
+	assertEvents(t, c.TakeReady().Events, EventPreVoteRound) // pre-vote round
 	c.Step(Message{Type: MsgPreVoteResponse, From: 2, To: 1, Term: 1, Granted: true})
-	c.TakeReady() // vote round
+	assertEvents(t, c.TakeReady().Events, EventPreVoteWon, EventElection) // vote round
 	c.Step(Message{Type: MsgVoteResponse, From: 2, To: 1, Term: 1, Granted: true})
 	if c.Role() != Leader {
 		t.Fatalf("quorum of votes but role = %s", c.Role())
 	}
-	c.TakeReady() // no-op broadcast (seq 1, 2)
+	assertEvents(t, c.TakeReady().Events) // no-op broadcast (seq 1, 2)
 	return c
 }
 
@@ -46,8 +46,9 @@ func leaderET(t *testing.T, et int) *Core {
 // round, and one quorum confirmation resolves the whole batch.
 func TestGoldenReadCoalescing(t *testing.T) {
 	c := leader3With(t, Ablation{DisableLeaseRead: true})
+	var ctr tally
 	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 1})
-	c.TakeReady() // commit the no-op (index 1)
+	ctr.ready(c) // commit the no-op (index 1)
 
 	steps := []struct {
 		name string
@@ -68,6 +69,7 @@ func TestGoldenReadCoalescing(t *testing.T) {
 					{Type: MsgAppendEntries, From: 1, To: 3, Term: 1, PrevLogIndex: 1, PrevLogTerm: 1,
 						Entries: []LogEntry{}, LeaderCommit: 1, Seq: 4},
 				},
+				Events: []Event{{Kind: EventReadBarrier}},
 			},
 		},
 		{
@@ -77,7 +79,7 @@ func TestGoldenReadCoalescing(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			want: Ready{},
+			want: Ready{Events: []Event{{Kind: EventReadBarrier}}},
 		},
 		{
 			name: "read 103 joins barrier 2 (no send since it registered)",
@@ -86,7 +88,7 @@ func TestGoldenReadCoalescing(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			want: Ready{},
+			want: Ready{Events: []Event{{Kind: EventReadCoalesced}}},
 		},
 		{
 			name: "ack of round 1 (seq 3 > 2) resolves barrier 1 only",
@@ -118,10 +120,9 @@ func TestGoldenReadCoalescing(t *testing.T) {
 	for _, s := range steps {
 		t.Run(s.name, func(t *testing.T) {
 			s.act(t)
-			assertReady(t, c.TakeReady(), s.want)
+			assertReady(t, ctr.ready(c), s.want)
 		})
 	}
-	ctr := c.Counters()
 	if ctr.ReadBarriers != 2 || ctr.ReadsCoalesced != 1 {
 		t.Fatalf("counters: barriers=%d coalesced=%d, want 2 and 1", ctr.ReadBarriers, ctr.ReadsCoalesced)
 	}
@@ -180,37 +181,38 @@ func TestGoldenReadFloorTermStart(t *testing.T) {
 func TestGoldenLeaseWindow(t *testing.T) {
 	const et = 5
 	c := leaderET(t, et) // ticks = 1
+	var ctr tally
 	leaseRead := func(ctx uint64) {
 		t.Helper()
 		if err := c.ReadIndex(ctx); err != nil {
 			t.Fatal(err)
 		}
-		assertReady(t, c.TakeReady(), Ready{ReadStates: []ReadState{{ReqID: ctx, Index: 1}}})
+		assertReady(t, ctr.ready(c), Ready{ReadStates: []ReadState{{ReqID: ctx, Index: 1}}, Events: []Event{{Kind: EventLeaseRead}}})
 	}
 	if _, ok := c.LeaseStatus(); ok {
 		t.Fatal("lease granted before any quorum ack")
 	}
 	// S2's ack (ticks 1) commits the no-op and starts the lease window.
 	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 1})
-	c.TakeReady()
+	ctr.ready(c)
 	leaseRead(1)
 	// Four more ticks (ticks 5): 5-1 < 5, still inside the window.
 	for i := 0; i < et-1; i++ {
 		c.Tick()
 	}
-	c.TakeReady() // heartbeats
+	ctr.ready(c) // heartbeats
 	leaseRead(2)
 	// One more tick (ticks 6): 6-1 = et, the window closed.
 	c.Tick()
-	c.TakeReady()
+	ctr.ready(c)
 	if _, ok := c.LeaseStatus(); ok {
 		t.Fatal("lease still granted a full election interval after the ack")
 	}
 	// A fresh ack (echoing the tick-6 heartbeat, seq 11) renews it.
 	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 11})
-	c.TakeReady()
+	ctr.ready(c)
 	leaseRead(3)
-	if got := c.Counters().LeaseReads; got != 3 {
+	if got := ctr.LeaseReads; got != 3 {
 		t.Fatalf("LeaseReads = %d, want 3", got)
 	}
 }
@@ -246,7 +248,7 @@ func TestGoldenLeaseTransferGuard(t *testing.T) {
 		c.Tick()
 	}
 	c.TakeReady()
-	if c.TransferTarget() != types.NoNode {
+	if c.transferTarget != types.NoNode {
 		t.Fatal("transfer not cancelled at its deadline")
 	}
 	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 12})
@@ -378,6 +380,7 @@ func TestGoldenFollowerForward(t *testing.T) {
 				{Type: MsgAppendEntries, From: 1, To: 3, Term: 1, PrevLogIndex: 1, PrevLogTerm: 1,
 					Entries: []LogEntry{}, LeaderCommit: 1, Seq: 6},
 			},
+			Events: []Event{{Kind: EventReadBarrier}},
 		})
 		c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 5})
 		assertReady(t, c.TakeReady(), Ready{
@@ -386,13 +389,15 @@ func TestGoldenFollowerForward(t *testing.T) {
 	})
 	t.Run("leader with a valid lease answers a forward instantly", func(t *testing.T) {
 		c := leader3(t)
+		var ctr tally
 		c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 1})
-		c.TakeReady()
+		ctr.ready(c)
 		c.Step(Message{Type: MsgReadIndexRequest, From: 3, To: 1, Term: 1, ReadCtx: 43})
-		assertReady(t, c.TakeReady(), Ready{
+		assertReady(t, ctr.ready(c), Ready{
 			Messages: []Message{{Type: MsgReadIndexResponse, From: 1, To: 3, Term: 1, ReadCtx: 43, Success: true, MatchIndex: 1, LeaderCommit: 1}},
+			Events:   []Event{{Kind: EventLeaseRead}},
 		})
-		if got := c.Counters().LeaseReads; got != 1 {
+		if got := ctr.LeaseReads; got != 1 {
 			t.Fatalf("LeaseReads = %d, want 1", got)
 		}
 	})
@@ -464,6 +469,7 @@ func TestGoldenLearnCommit(t *testing.T) {
 		assertReady(t, c.TakeReady(), Ready{
 			HardState: &HardState{Term: 2},
 			Messages:  []Message{{Type: MsgAppendResponse, From: 2, To: 1, Term: 2, HintIndex: 3}},
+			Events:    []Event{{Kind: EventTermBump}},
 		})
 		if err := c.ReadIndex(9); err != nil {
 			t.Fatal(err)

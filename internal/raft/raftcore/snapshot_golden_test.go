@@ -34,6 +34,7 @@ func singleLeader(t *testing.T, threshold int) *Core {
 		FirstIndex: 1,
 		Entries:    []LogEntry{noop},
 		Committed:  []ApplyMsg{{Index: 1, Term: 1, Kind: EntryNoOp}},
+		Events:     []Event{{Kind: EventPreVoteRound}, {Kind: EventPreVoteWon}, {Kind: EventElection}},
 	})
 	return c
 }

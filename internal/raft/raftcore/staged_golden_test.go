@@ -164,7 +164,7 @@ func TestStagedHardStateHoldsMessages(t *testing.T) {
 	t.Run("vote grant waits for its SaveState", func(t *testing.T) {
 		c := follower(2, members, HardState{}, nil)
 		c.Step(Message{Type: MsgVoteRequest, From: 1, To: 2, Term: 1})
-		assertEffects(t, c, Effects{})
+		assertEffects(t, c, Effects{Events: []Event{{Kind: EventTermBump}}}) // a fact, not a promise: free
 		assertUnstable(t, c, Unstable{HardState: &HardState{Term: 1, VotedFor: 1}})
 		// Still unsent while the write is outstanding — and a pre-vote
 		// canvass in the meantime is answered at once.
@@ -181,7 +181,7 @@ func TestStagedHardStateHoldsMessages(t *testing.T) {
 	t.Run("a heartbeat ack at a newly adopted term waits for the term", func(t *testing.T) {
 		c := follower(2, members, HardState{Term: 1}, nil)
 		c.Step(Message{Type: MsgAppendEntries, From: 1, To: 2, Term: 2, Seq: 1})
-		assertEffects(t, c, Effects{})
+		assertEffects(t, c, Effects{Events: []Event{{Kind: EventTermBump}}})
 		assertUnstable(t, c, Unstable{HardState: &HardState{Term: 2}})
 		// A forwarded read is not a promise about term or vote: free.
 		if err := c.ReadIndex(7); err != nil {
@@ -204,9 +204,9 @@ func TestStagedHardStateHoldsMessages(t *testing.T) {
 		assertEffects(t, c, Effects{Messages: []Message{
 			{Type: MsgPreVoteRequest, From: 1, To: 2, Term: 1},
 			{Type: MsgPreVoteRequest, From: 1, To: 3, Term: 1},
-		}})
+		}, Events: []Event{{Kind: EventPreVoteRound}}})
 		c.Step(Message{Type: MsgPreVoteResponse, From: 2, To: 1, Term: 1, Granted: true})
-		assertEffects(t, c, Effects{})
+		assertEffects(t, c, Effects{Events: []Event{{Kind: EventPreVoteWon}, {Kind: EventElection}}})
 		assertUnstable(t, c, Unstable{HardState: &HardState{Term: 1, VotedFor: 1}})
 		c.Stable()
 		assertEffects(t, c, Effects{Messages: []Message{
@@ -224,7 +224,7 @@ func TestStagedHardStateHoldsMessages(t *testing.T) {
 		// ack waits for the NEXT write.
 		c.Step(Message{Type: MsgAppendEntries, From: 3, To: 2, Term: 2, Seq: 1})
 		c.Stable()
-		assertEffects(t, c, Effects{})
+		assertEffects(t, c, Effects{Events: []Event{{Kind: EventTermBump}, {Kind: EventTermBump}}})
 		assertUnstable(t, c, Unstable{HardState: &HardState{Term: 2}})
 		c.Stable()
 		assertEffects(t, c, Effects{Messages: []Message{
@@ -251,7 +251,7 @@ func TestStagedTruncationClipsStable(t *testing.T) {
 	if got := c.StableIndex(); got != 2 {
 		t.Fatalf("stable index = %d after a truncation at 3 during the write of 2..3, want 2", got)
 	}
-	assertEffects(t, c, Effects{}) // the term-1 ack died with its term
+	assertEffects(t, c, Effects{Events: []Event{{Kind: EventTermBump}}}) // the term-1 ack died with its term
 	assertUnstable(t, c, Unstable{HardState: &HardState{Term: 2}, FirstIndex: 3, Entries: []LogEntry{z}})
 	c.Stable()
 	// The first Stable released the term-2 ack as far as index 2 — into the
@@ -401,7 +401,10 @@ func TestStagedNothingLeavesWithoutStable(t *testing.T) {
 	}
 	x := LogEntry{Term: 1, Kind: EntryCommand, Command: []byte("x")}
 	c.Step(Message{Type: MsgAppendEntries, From: 1, To: 2, Term: 1, Entries: []LogEntry{x}, LeaderCommit: 1, Seq: 1})
-	assertEffects(t, c, Effects{Committed: []ApplyMsg{{Index: 1, Term: 1, Kind: EntryCommand, Command: []byte("x")}}})
+	assertEffects(t, c, Effects{
+		Committed: []ApplyMsg{{Index: 1, Term: 1, Kind: EntryCommand, Command: []byte("x")}},
+		Events:    []Event{{Kind: EventTermBump}},
+	})
 	for i := 0; i < 5; i++ {
 		c.Tick()
 		assertNoUnstable(t, c)
@@ -417,9 +420,10 @@ func TestStagedNothingLeavesWithoutStable(t *testing.T) {
 func TestStagedStalledLeaderStepsDown(t *testing.T) {
 	const et = 4
 	c := leaderET(t, et)
+	var ctr tally
 	c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 1})
 	c.Step(Message{Type: MsgAppendResponse, From: 3, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: 2})
-	c.TakeReady()
+	ctr.ready(c)
 	if _, _, err := c.Propose([]byte("a")); err != nil {
 		t.Fatal(err)
 	}
@@ -430,17 +434,19 @@ func TestStagedStalledLeaderStepsDown(t *testing.T) {
 	// followers keep acking, so CheckQuorum alone would never fire.
 	for i := 0; i < et-1; i++ {
 		c.Tick()
-		if e := c.TakeEffects(); c.Role() != Leader || e.SteppedDown || len(e.Messages) != 2 {
-			t.Fatalf("tick %d: role=%s steppedDown=%v msgs=%d, want a heartbeating leader", i+1, c.Role(), e.SteppedDown, len(e.Messages))
+		if e := ctr.effects(c); c.Role() != Leader || ctr.StepDowns != 0 || len(e.Messages) != 2 {
+			t.Fatalf("tick %d: role=%s step-downs=%d msgs=%d, want a heartbeating leader", i+1, c.Role(), ctr.StepDowns, len(e.Messages))
 		}
 		c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: uint64(3 + 2*i)})
 	}
 	c.Tick()
-	assertEffects(t, c, Effects{SteppedDown: true})
+	if e := ctr.effects(c); !reflect.DeepEqual(e, Effects{Events: []Event{{Kind: EventStepDown}}}) {
+		t.Fatalf("Effects mismatch\n got: %#v", e)
+	}
 	if c.Role() != Follower || c.Leader() != types.NoNode {
 		t.Fatalf("after the stall: role=%s leader=%s, want a leaderless follower", c.Role(), c.Leader())
 	}
-	if got := c.Counters().StepDowns; got != 1 {
+	if got := ctr.StepDowns; got != 1 {
 		t.Fatalf("StepDowns = %d, want 1", got)
 	}
 	// No campaign while the batch is outstanding.
@@ -494,7 +500,7 @@ func TestStagedTakeReadyIsTheComposition(t *testing.T) {
 			HardState: u.HardState, Snapshot: u.Snapshot, RestoreSnapshot: e.Restore != nil,
 			FirstIndex: u.FirstIndex, Entries: u.Entries,
 			Messages: e.Messages, Committed: e.Committed, ReadStates: e.ReadStates,
-			TakeSnapshot: e.TakeSnapshot, SteppedDown: e.SteppedDown,
+			TakeSnapshot: e.TakeSnapshot, Events: e.Events,
 		}
 		if got := whole.TakeReady(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("input %d: TakeReady diverged from the staged calls\n got: %#v\nwant: %#v", i, got, want)

@@ -4,9 +4,10 @@
 // Tick, client commands via Propose — mutates only in-memory state, and
 // emits its intended effects through the staged Ready contract: what to
 // persist (TakeUnstable), the report that it is on disk (Stable), and what
-// may leave now — outbound messages, committed entries, read confirmations
-// (TakeEffects). The core holds every effect that depends on a write until
-// Stable, so acked⇒durable is decided here, not in the driver.
+// may leave now — outbound messages, committed entries, read confirmations,
+// and the election and read facts it reports as events (TakeEffects). The
+// core holds every effect that depends on a write until Stable, so
+// acked⇒durable is decided here, not in the driver; it counts nothing.
 //
 // The package deliberately contains no goroutines, channels, locks,
 // clocks, randomness, or storage calls (adore-lint's pure-core pass
@@ -334,13 +335,12 @@ type Effects struct {
 	// later, by calling Core.Compact with the serialized image.
 	TakeSnapshot *SnapshotRequest
 
-	// SteppedDown reports that the leader relinquished leadership without a
-	// term change: CheckQuorum found no quorum contact within an election
-	// interval, or its own disk accepted no write for that long. The driver
-	// should fail in-flight proposals with a retryable ErrLeaderStepdown
-	// (the commands may still commit — a Maybe outcome, like any leader
-	// change).
-	SteppedDown bool
+	// Events are the facts the core reported since the last drain, in
+	// order: none is a promise, so none waits for a disk. The slice is the
+	// core's reused buffer, valid until its next event. An EventStepDown
+	// tells the driver to fail in-flight proposals with a retryable
+	// ErrLeaderStepdown (they may still commit: a Maybe outcome).
+	Events []Event
 }
 
 // Ready is one whole batch — an Unstable and the Effects it releases —
@@ -367,46 +367,67 @@ type Ready struct {
 	Committed    []ApplyMsg
 	ReadStates   []ReadState
 	TakeSnapshot *SnapshotRequest
-	SteppedDown  bool
+	Events       []Event
 }
 
-// Counters are the election-disruption metrics a Core accumulates.
-// Monotone over the core's lifetime; drivers expose them through their
-// status snapshots so the chaos harness and benchmarks can assert on
-// election churn (or the absence of it).
+// EventKind names one fact the core reports through Effects.Events. Each
+// kind folds into one Counters field (Fold).
+type EventKind uint8
+
+const (
+	EventElection         EventKind = iota // a real election started (term incremented)
+	EventPreVoteRound                      // a term-neutral pre-election started
+	EventPreVoteWon                        // a pre-election won a majority and escalated
+	EventTimeoutCampaign                   // an election straight from a timeout (Pre-Vote off)
+	EventTransferCampaign                  // a campaign opened by a leader's MsgTimeoutNow
+	EventTermBump                          // a higher term adopted from a message: what Pre-Vote minimizes
+	EventStepDown                          // leadership given up with no term change (CheckQuorum, stalled disk)
+	EventTransferStarted                   // a leadership transfer to Event.Peer began
+	EventTransferAborted                   // a transfer abandoned (deadline, or leadership lost first)
+	EventReadBarrier                       // a ReadIndex quorum barrier opened
+	EventReadCoalesced                     // a read joined an already-open barrier
+	EventLeaseRead                         // a read answered from the leader lease, no round
+	NumEventKinds                          // the number of kinds; a new one goes above
+)
+
+// Event is one fact the core reports: its kind, and the transfer target of
+// an EventTransferStarted (NoNode otherwise).
+type Event struct {
+	Kind EventKind
+	Peer types.NodeID
+}
+
+// Counters are a node's monotone metrics over one incarnation: the driver's
+// fold of the events its core released, one field per kind, and the writes
+// it landed. The chaos harness and the benchmark read them.
 type Counters struct {
-	// Elections counts real elections started (term incremented).
-	Elections uint64
-	// PreVoteRounds counts term-neutral pre-elections started;
-	// PreVotesWon counts the rounds that gathered a majority (and so
-	// escalated to a real election).
-	PreVoteRounds uint64
-	PreVotesWon   uint64
-	// TimeoutElections counts real elections entered directly from a
-	// local timeout (only possible with Pre-Vote disabled);
-	// TransferElections counts campaigns opened by a leader's
-	// MsgTimeoutNow handoff.
+	Elections         uint64
+	PreVoteRounds     uint64
+	PreVotesWon       uint64
 	TimeoutElections  uint64
 	TransferElections uint64
-	// TermBumps counts adoptions of a higher term from an incoming
-	// message — the disruption Pre-Vote exists to minimize.
-	TermBumps uint64
-	// StepDowns counts CheckQuorum step-downs (leadership relinquished
-	// for lack of quorum contact).
-	StepDowns uint64
-	// TransfersStarted / TransfersAborted count leadership transfers
-	// initiated and abandoned (deadline expired or leadership lost
-	// before the handoff).
-	TransfersStarted uint64
-	TransfersAborted uint64
-	// ReadBarriers counts ReadIndex quorum barriers opened;
-	// ReadsCoalesced counts read requests that shared an already-open
-	// barrier instead of opening their own (the coalescing window);
-	// LeaseReads counts reads served from the leader lease with zero
-	// network rounds.
-	ReadBarriers   uint64
-	ReadsCoalesced uint64
-	LeaseReads     uint64
+	TermBumps         uint64
+	StepDowns         uint64
+	TransfersStarted  uint64
+	TransfersAborted  uint64
+	ReadBarriers      uint64
+	ReadsCoalesced    uint64
+	LeaseReads        uint64
+	EntryWrites       uint64 // SaveEntries calls the driver landed
+	SnapshotWrites    uint64 // SaveSnapshot calls the driver landed
+}
+
+// Fold counts one event of kind k: each kind moves its one field by one, and
+// a kind with no field panics (TestEveryEventKindFolds).
+func (c *Counters) Fold(k EventKind) {
+	fields := [NumEventKinds]*uint64{
+		EventElection: &c.Elections, EventPreVoteRound: &c.PreVoteRounds, EventPreVoteWon: &c.PreVotesWon,
+		EventTimeoutCampaign: &c.TimeoutElections, EventTransferCampaign: &c.TransferElections,
+		EventTermBump: &c.TermBumps, EventStepDown: &c.StepDowns,
+		EventTransferStarted: &c.TransfersStarted, EventTransferAborted: &c.TransfersAborted,
+		EventReadBarrier: &c.ReadBarriers, EventReadCoalesced: &c.ReadsCoalesced, EventLeaseRead: &c.LeaseReads,
+	}
+	*fields[k]++
 }
 
 // Add folds o into c, field by field: the one place that sums Counters
@@ -425,4 +446,6 @@ func (c *Counters) Add(o Counters) {
 	c.ReadBarriers += o.ReadBarriers
 	c.ReadsCoalesced += o.ReadsCoalesced
 	c.LeaseReads += o.LeaseReads
+	c.EntryWrites += o.EntryWrites
+	c.SnapshotWrites += o.SnapshotWrites
 }

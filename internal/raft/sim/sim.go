@@ -93,8 +93,7 @@ type node struct {
 	up       bool
 	failErr  error // fail-stop cause (nil while healthy)
 	lastRole raftcore.Role
-	lastCtr  raftcore.Counters // last journaled election-counter values
-	doomAt   int64             // scheduled hard crash (0 = none)
+	doomAt   int64 // scheduled hard crash (0 = none)
 
 	// writing marks a write on the node's disk (the driver's batch in flight,
 	// or the mutant's acked one) landing at landAt, never before stallUntil.
@@ -369,7 +368,6 @@ func (s *Cluster) Step() {
 			}
 		}
 		n.d.Land()
-		s.journalElection(n)
 	}
 	for len(s.inflight) > 0 && s.inflight[0].at <= s.now {
 		p := heap.Pop(&s.inflight).(packet)
@@ -378,7 +376,7 @@ func (s *Cluster) Step() {
 			continue // dropped on the floor: the receiver is down
 		}
 		n.core.Step(p.m)
-		s.ready(n)
+		n.d.Ready()
 	}
 	for _, id := range s.ids {
 		n := s.nodes[id]
@@ -386,45 +384,7 @@ func (s *Cluster) Step() {
 			continue
 		}
 		n.core.Tick()
-		s.ready(n)
-	}
-}
-
-// ready runs the node's driver after a core interaction and journals the
-// election events it caused.
-func (s *Cluster) ready(n *node) {
-	n.d.Ready()
-	s.journalElection(n)
-}
-
-// journalElection journals the election-disruption events from the core's
-// monotone counters (each transfer started, how each campaign started,
-// CheckQuorum step-downs) and role changes, so "did this reconfiguration
-// time an election out?" is a grep.
-func (s *Cluster) journalElection(n *node) {
-	if n.failErr != nil {
-		return
-	}
-	ctr := n.core.Counters()
-	if ctr.TransfersStarted > n.lastCtr.TransfersStarted {
-		s.Journalf("S%d transfer -> S%d", n.id, n.core.TransferTarget())
-	}
-	if ctr.PreVoteRounds > n.lastCtr.PreVoteRounds {
-		s.Journalf("S%d prevote round", n.id)
-	}
-	if ctr.TimeoutElections > n.lastCtr.TimeoutElections {
-		s.Journalf("S%d campaign (timeout)", n.id)
-	}
-	if ctr.TransferElections > n.lastCtr.TransferElections {
-		s.Journalf("S%d campaign (transfer)", n.id)
-	}
-	if ctr.StepDowns > n.lastCtr.StepDowns {
-		s.Journalf("S%d step-down (no quorum)", n.id)
-	}
-	n.lastCtr = ctr
-	if role := n.core.Role(); role != n.lastRole {
-		s.Journalf("S%d %s@t%d", n.id, role, n.core.Term())
-		n.lastRole = role
+		n.d.Ready()
 	}
 }
 
@@ -472,7 +432,7 @@ func (n *node) Snapshot(req raftcore.SnapshotRequest) {
 	data := s.onSnapshot(n.id, req.Index)
 	if n.core.Compact(req.Index, data) {
 		s.Journalf("S%d snapshot@%d (disk through %d)", n.id, req.Index, n.core.StableIndex())
-		s.ready(n) // persist the compaction's effects
+		n.d.Ready() // persist the compaction's effects
 	}
 }
 
@@ -481,6 +441,39 @@ func (n *node) Abort(error) {} // the simulator queues no proposals outside the 
 func (n *node) Halt(cause error) {
 	n.failErr = cause
 	n.s.Journalf("S%d fail-stop: %v", n.id, cause)
+}
+
+// Events journals the election events a release let out, then the node's role
+// if it changed, so "did this reconfiguration time an election out?" is a grep.
+func (n *node) Events(evs []raftcore.Event) {
+	for _, e := range evs {
+		if line := journalLine(n.id, e); line != "" {
+			n.s.Journalf("%s", line)
+		}
+	}
+	if role := n.core.Role(); role != n.lastRole {
+		n.s.Journalf("S%d %s@t%d", n.id, role, n.core.Term())
+		n.lastRole = role
+	}
+}
+
+// journalLine renders the five journaled event kinds, and "" for the kinds the
+// journal leaves to the counters.
+func journalLine(id types.NodeID, e raftcore.Event) string {
+	switch e.Kind {
+	case raftcore.EventTransferStarted:
+		return fmt.Sprintf("S%d transfer -> S%d", id, e.Peer)
+	case raftcore.EventPreVoteRound:
+		return fmt.Sprintf("S%d prevote round", id)
+	case raftcore.EventTimeoutCampaign:
+		return fmt.Sprintf("S%d campaign (timeout)", id)
+	case raftcore.EventTransferCampaign:
+		return fmt.Sprintf("S%d campaign (transfer)", id)
+	case raftcore.EventStepDown:
+		return fmt.Sprintf("S%d step-down (no quorum)", id)
+	default:
+		return ""
+	}
 }
 
 // powerOff takes a node down. A write in flight is torn, never completed: a
@@ -577,7 +570,7 @@ func (s *Cluster) op(id types.NodeID, call func(n *node) error) error {
 		return ErrDown
 	}
 	err := call(n)
-	s.ready(n)
+	n.d.Ready()
 	if err != nil {
 		return err
 	}
@@ -605,11 +598,8 @@ func (s *Cluster) TransferLeader(id, to types.NodeID) error {
 	return s.op(id, func(n *node) error { return n.core.TransferLeader(to) })
 }
 
-// Counters returns a node's election-disruption counters (monotone across
-// the node's lifetime, reset by Restart).
-func (s *Cluster) Counters(id types.NodeID) raftcore.Counters {
-	return s.nodes[id].core.Counters()
-}
+// Driver returns the driver of a node's current incarnation (Restart replaces it).
+func (s *Cluster) Driver(id types.NodeID) *raft.Driver { return s.nodes[id].d }
 
 // Read starts one linearizable read at node id: a follower forwards it to
 // its known leader, a leader answers it itself (lease, single-voter quorum or

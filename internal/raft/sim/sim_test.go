@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"adore/internal/raft/raftcore"
@@ -323,7 +324,7 @@ func TestSimStalledLeaderIsReplaced(t *testing.T) {
 		next = id
 		return ok && id != old
 	})
-	if got := s.Counters(old).StepDowns; got != 1 {
+	if got := s.Driver(old).Counters().StepDowns; got != 1 {
 		t.Fatalf("stalled leader's StepDowns = %d, want 1", got)
 	}
 	idx, _, err := s.Propose(next, []byte("after"))
@@ -337,4 +338,64 @@ func TestSimStalledLeaderIsReplaced(t *testing.T) {
 		_, role, lead := s.Status(old)
 		return role == raftcore.Follower && lead == next && s.CommitIndex(old) >= idx
 	})
+}
+
+// TestEveryEventKindFolds: every event kind folds into exactly one Counters
+// field, by one, no two kinds into the same field, and every field but the
+// driver's own write counts has a kind; the five kinds the journal records
+// render today's lines, and no other kind renders one.
+func TestEveryEventKindFolds(t *testing.T) {
+	table := map[raftcore.EventKind]struct {
+		field string
+		line  string // journal line of S3's event with Peer S2; "" = not journaled
+	}{
+		raftcore.EventElection:         {"Elections", ""},
+		raftcore.EventPreVoteRound:     {"PreVoteRounds", "S3 prevote round"},
+		raftcore.EventPreVoteWon:       {"PreVotesWon", ""},
+		raftcore.EventTimeoutCampaign:  {"TimeoutElections", "S3 campaign (timeout)"},
+		raftcore.EventTransferCampaign: {"TransferElections", "S3 campaign (transfer)"},
+		raftcore.EventTermBump:         {"TermBumps", ""},
+		raftcore.EventStepDown:         {"StepDowns", "S3 step-down (no quorum)"},
+		raftcore.EventTransferStarted:  {"TransfersStarted", "S3 transfer -> S2"},
+		raftcore.EventTransferAborted:  {"TransfersAborted", ""},
+		raftcore.EventReadBarrier:      {"ReadBarriers", ""},
+		raftcore.EventReadCoalesced:    {"ReadsCoalesced", ""},
+		raftcore.EventLeaseRead:        {"LeaseReads", ""},
+	}
+	folded := map[string]bool{}
+	for k := raftcore.EventKind(0); k < raftcore.NumEventKinds; k++ {
+		row, ok := table[k]
+		if !ok {
+			t.Errorf("event kind %d has no row", k)
+			continue
+		}
+		var c raftcore.Counters
+		c.Fold(k)
+		v := reflect.ValueOf(c)
+		var moved []string
+		for i := 0; i < v.NumField(); i++ {
+			if n := v.Field(i).Uint(); n != 0 {
+				moved = append(moved, fmt.Sprintf("%s+%d", v.Type().Field(i).Name, n))
+			}
+		}
+		if want := []string{row.field + "+1"}; !reflect.DeepEqual(moved, want) {
+			t.Errorf("folding kind %d moved %v, want %v", k, moved, want)
+		}
+		if folded[row.field] {
+			t.Errorf("two kinds fold into %s", row.field)
+		}
+		folded[row.field] = true
+		if got := journalLine(3, raftcore.Event{Kind: k, Peer: 2}); got != row.line {
+			t.Errorf("kind %d journals %q, want %q", k, got, row.line)
+		}
+	}
+	if len(table) != int(raftcore.NumEventKinds) {
+		t.Errorf("%d rows for %d event kinds", len(table), raftcore.NumEventKinds)
+	}
+	for i := 0; i < reflect.TypeOf(raftcore.Counters{}).NumField(); i++ {
+		name := reflect.TypeOf(raftcore.Counters{}).Field(i).Name
+		if !folded[name] && name != "EntryWrites" && name != "SnapshotWrites" {
+			t.Errorf("Counters.%s has no event kind folding into it", name)
+		}
+	}
 }

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"adore/internal/types"
 )
@@ -545,41 +544,3 @@ func (fs *FileStorage) Close() error {
 	fs.f = nil
 	return err
 }
-
-// CountingStorage wraps a Storage and counts its SaveEntries (WAL frames)
-// and SaveSnapshot calls.
-type CountingStorage struct {
-	Inner Storage
-
-	entrySaves atomic.Uint64
-	snapSaves  atomic.Uint64
-}
-
-// SaveState implements Storage.
-func (c *CountingStorage) SaveState(hs HardState) error { return c.Inner.SaveState(hs) }
-
-// SaveEntries implements Storage.
-func (c *CountingStorage) SaveEntries(firstIndex int, entries []LogEntry) error {
-	c.entrySaves.Add(1)
-	return c.Inner.SaveEntries(firstIndex, entries)
-}
-
-// SaveSnapshot implements Storage.
-func (c *CountingStorage) SaveSnapshot(snap LogSnapshot) error {
-	c.snapSaves.Add(1)
-	return c.Inner.SaveSnapshot(snap)
-}
-
-// Load implements Storage.
-func (c *CountingStorage) Load() (HardState, LogSnapshot, []LogEntry, error) {
-	return c.Inner.Load()
-}
-
-// Close implements Storage.
-func (c *CountingStorage) Close() error { return c.Inner.Close() }
-
-// EntrySaves returns the number of SaveEntries calls (WAL frames written).
-func (c *CountingStorage) EntrySaves() uint64 { return c.entrySaves.Load() }
-
-// SnapshotSaves returns the number of SaveSnapshot calls.
-func (c *CountingStorage) SnapshotSaves() uint64 { return c.snapSaves.Load() }

@@ -94,23 +94,19 @@ func startTCPNode(t *testing.T, id types.NodeID, members []types.NodeID, sm *tcp
 func TestTCPSnapshotCatchup(t *testing.T) {
 	members := []types.NodeID{1, 2, 3}
 	sm1, sm2, sm3 := &tcpSM{}, &tcpSM{}, &tcpSM{}
-	cs1 := &raft.CountingStorage{Inner: raft.NewMemStorage()}
-	cs2 := &raft.CountingStorage{Inner: raft.NewMemStorage()}
-	n1, t1 := startTCPNode(t, 1, members, sm1, cs1)
+	n1, t1 := startTCPNode(t, 1, members, sm1, raft.NewMemStorage())
 	defer n1.Stop()
-	n2, t2 := startTCPNode(t, 2, members, sm2, cs2)
+	n2, t2 := startTCPNode(t, 2, members, sm2, raft.NewMemStorage())
 	defer n2.Stop()
 	t1.SetPeer(2, t2.Addr())
 	t2.SetPeer(1, t1.Addr())
 
 	deadline := time.Now().Add(15 * time.Second)
 	var leader *raft.Node
-	var leaderCS *raft.CountingStorage
 	for time.Now().Before(deadline) && leader == nil {
-		for i, n := range []*raft.Node{n1, n2} {
+		for _, n := range []*raft.Node{n1, n2} {
 			if n.Snapshot().Role == raft.Leader {
 				leader = n
-				leaderCS = []*raft.CountingStorage{cs1, cs2}[i]
 			}
 		}
 		time.Sleep(time.Millisecond)
@@ -126,9 +122,11 @@ func TestTCPSnapshotCatchup(t *testing.T) {
 		}
 	}
 	var committed int
+	var compactions uint64
 	for time.Now().Before(deadline) {
-		committed = leader.Snapshot().CommitIndex
-		if committed > total && leaderCS.SnapshotSaves() > 0 {
+		s := leader.Snapshot()
+		committed, compactions = s.CommitIndex, s.Counters.SnapshotWrites
+		if committed > total && compactions > 0 {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -136,7 +134,7 @@ func TestTCPSnapshotCatchup(t *testing.T) {
 	if committed <= total {
 		t.Fatalf("leader committed only %d of %d proposals", committed, total)
 	}
-	if leaderCS.SnapshotSaves() == 0 {
+	if compactions == 0 {
 		t.Fatal("leader never compacted; the joiner below would catch up through the log")
 	}
 

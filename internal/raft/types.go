@@ -112,9 +112,8 @@ type ApplyMsg = raftcore.ApplyMsg
 // survive crashes: the current term and the vote cast in it.
 type HardState = raftcore.HardState
 
-// Counters are the core's monotonic election-disruption metrics (elections,
-// pre-vote rounds, term bumps, step-downs, transfers), exported through
-// Node.Snapshot for monitors and experiments.
+// Counters are the driver's fold of the events its core released and the
+// writes it landed, exported through Node.Snapshot for monitors and experiments.
 type Counters = raftcore.Counters
 
 // Ablation is the core's set of guard-removal switches (experiments only);
