@@ -3,10 +3,12 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"adore/internal/raft"
 	"adore/internal/raft/cluster"
+	"adore/internal/raft/sim"
 	"adore/internal/types"
 )
 
@@ -73,13 +75,14 @@ type Sample struct {
 	Counters    raft.Counters
 }
 
-// liveEnv is a cluster.Cluster over fault-injectable storage as an Env. The
+// liveEnv is a cluster.Cluster over fault-injectable disks as an Env. The
 // nemesis goroutine and the monitor goroutine both call it.
 type liveEnv struct {
-	c      *cluster.Cluster
-	faults map[types.NodeID]*raft.FaultStorage
-	ids    []types.NodeID
-	start  time.Time
+	c     *cluster.Cluster
+	disks map[types.NodeID]*raft.FaultFS
+	rng   *rand.Rand // the torn crashes' cuts (the nemesis goroutine's alone)
+	ids   []types.NodeID
+	start time.Time
 }
 
 func (l *liveEnv) Now() int64 { return int64(time.Since(l.start) / simTick) }
@@ -134,12 +137,12 @@ func (l *liveEnv) Isolate(id types.NodeID) {
 func (l *liveEnv) Crash(id types.NodeID) { l.c.CrashNode(id) }
 
 func (l *liveEnv) CrashTorn(id types.NodeID, grace int64) {
-	l.faults[id].TearNextWrite()
+	l.disks[id].CutAfter(l.rng.Intn(sim.TornBytes))
 	l.crashAfter(id, grace)
 }
 
 func (l *liveEnv) CrashWound(id types.NodeID, grace int64) {
-	l.faults[id].FailNextSaveEntries(fmt.Errorf("chaos: injected write error on S%d", id))
+	l.disks[id].FailNextWrite(fmt.Errorf("chaos: injected write error on S%d", id))
 	l.crashAfter(id, grace)
 }
 
@@ -169,12 +172,12 @@ func (l *liveEnv) Restart(id types.NodeID) {
 	l.c.RestartNode(id, l.ids)
 }
 
-func (l *liveEnv) ClearFaults(id types.NodeID) { l.faults[id].ClearFaults() }
+func (l *liveEnv) ClearFaults(id types.NodeID) { l.disks[id].Clear() }
 
 // StallDisk makes every write on the node sleep until the stall is lifted,
 // quanta from now (the epilogue's ClearFaults lifts it regardless).
 func (l *liveEnv) StallDisk(id types.NodeID, quanta int64) {
-	fs, d := l.faults[id], time.Duration(quanta)*simTick
+	fs, d := l.disks[id], time.Duration(quanta)*simTick
 	fs.SetStall(d)
 	time.AfterFunc(d, func() { fs.SetStall(0) })
 }

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -78,38 +79,36 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 	}
 	rep := &Report{Seed: sched.Seed, Hash: sched.Hash(), Events: len(sched.Events)}
 
-	// Per-node storage: a FaultStorage over a file WAL (or MemStorage when
-	// the run opts out of real files). The same wrapper instance serves
-	// every incarnation of the node, so armed faults and durable state
-	// carry across crash/restart exactly like a disk does.
-	faults := make(map[types.NodeID]*raft.FaultStorage, opt.Nodes)
-	if !opt.MemWAL {
-		dir := opt.Dir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "raft-chaos-*")
-			if err != nil {
-				return nil, err
-			}
-			dir = tmp
-			defer os.RemoveAll(tmp)
+	// Per-node disk: the os under a directory of the run (or an in-memory
+	// file system when the run opts out of real files), behind a fault
+	// wrapper that outlives every incarnation of the node, so armed faults
+	// and durable state carry across crash/restart exactly like a disk does.
+	dir, disks := opt.Dir, make(map[types.NodeID]*raft.FaultFS, opt.Nodes)
+	if !opt.MemWAL && dir == "" {
+		tmp, err := os.MkdirTemp("", "raft-chaos-*")
+		if err != nil {
+			return nil, err
 		}
-		defer func() {
-			for _, f := range faults {
-				f.Close()
-			}
-		}()
-		for i := 1; i <= opt.Nodes; i++ {
-			id := types.NodeID(i)
-			inner, err := raft.OpenFileStorage(filepath.Join(dir, fmt.Sprintf("wal-%d", id)))
-			if err != nil {
-				return nil, fmt.Errorf("chaos: open wal for S%d: %w", id, err)
-			}
-			faults[id] = raft.NewFaultStorage(inner)
+		dir = tmp
+		defer os.RemoveAll(tmp)
+	}
+	for id := types.NodeID(1); int(id) <= opt.Nodes; id++ {
+		disks[id] = raft.NewFaultFS(raft.OSFS)
+		if opt.MemWAL {
+			disks[id] = raft.NewFaultFS(raft.NewMemFS())
 		}
-	} else {
-		for i := 1; i <= opt.Nodes; i++ {
-			faults[types.NodeID(i)] = raft.NewFaultStorage(raft.NewMemStorage())
+	}
+	// Each start of a node opens a FileStorage on its disk, which its host
+	// closes on stop. A disk that does not reopen is a violation. Nodes start
+	// only on this goroutine: the nemesis restarts them in line.
+	var reopenErrs []string
+	open := func(_ raft.GroupID, id types.NodeID) raft.Storage {
+		st, err := raft.OpenFileStorageOn(disks[id], filepath.Join(dir, fmt.Sprintf("wal-%d", id)))
+		if err != nil {
+			reopenErrs = append(reopenErrs, fmt.Sprintf("replay: S%d did not reopen its disk: %v", id, err))
+			return nil
 		}
+		return st
 	}
 
 	r := kvstore.NewReplicated(cluster.Options{
@@ -119,7 +118,7 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 		ElectionTimeoutMin: opt.ElectionTimeoutMin,
 		Ablation:           opt.Ablation,
 		Seed:               sched.Seed,
-		StorageFor:         func(_ raft.GroupID, id types.NodeID) raft.Storage { return faults[id] },
+		StorageFor:         open,
 		SnapshotThreshold:  opt.snapThreshold(),
 	})
 	defer r.Stop()
@@ -129,7 +128,8 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 	}
 
 	// The schedule clock starts here.
-	env := &liveEnv{c: c, faults: faults, ids: types.Range(1, types.NodeID(opt.Nodes)).Copy(), start: time.Now()}
+	env := &liveEnv{c: c, disks: disks, rng: rand.New(rand.NewSource(sched.Seed)),
+		ids: types.Range(1, types.NodeID(opt.Nodes)).Copy(), start: time.Now()}
 	mon := newMonitor(env)
 	stopSampling := mon.startSampling()
 
@@ -158,7 +158,7 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 
 	streams := make(map[types.NodeID][]raft.ApplyMsg, opt.Nodes)
 	for _, id := range env.ids {
-		rep.Faults += faults[id].Injected()
+		rep.Faults += disks[id].Injected()
 		streams[id] = c.Applied(id)
 		rep.final = append(rep.final, env.Observe(id))
 	}
@@ -166,6 +166,7 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 	rep.Violations = append(rep.Violations, mon.report()...)
 	rep.Violations = append(rep.Violations, checkAppliedStreams(streams, opt.Nodes)...)
 	rep.Violations = append(rep.Violations, checkLinearizable(hist.snapshot())...)
+	rep.Violations = append(rep.Violations, reopenErrs...)
 	return rep, nil
 }
 

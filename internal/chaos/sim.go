@@ -135,6 +135,7 @@ func runSimGroup(sched *Schedule, opt Options, g raft.GroupID, groups int) (*Rep
 		stores:    make(map[types.NodeID]*kvstore.Store, opt.Nodes),
 		applied:   make(map[types.NodeID][]raft.ApplyMsg, opt.Nodes),
 		incarn:    make(map[types.NodeID]int, opt.Nodes),
+		wiped:     make(map[types.NodeID]bool),
 		staleFor:  make(map[types.NodeID]int64),
 		curLeader: types.NoNode,
 	}
@@ -206,8 +207,8 @@ func runSimGroup(sched *Schedule, opt Options, g raft.GroupID, groups int) (*Rep
 		rep.Ops += cl.ops
 		rep.Timeouts += cl.timeouts
 	}
-	rep.Faults = r.s.Faults()
 	for _, id := range r.s.IDs() {
+		rep.Faults += r.s.Disk(id).Injected()
 		rep.final = append(rep.final, env.Observe(id))
 	}
 	rep.Stats = r.mon.stats()
@@ -232,6 +233,7 @@ type simRun struct {
 	stores  map[types.NodeID]*kvstore.Store
 	applied map[types.NodeID][]raft.ApplyMsg
 	incarn  map[types.NodeID]int
+	wiped   map[types.NodeID]bool // wiped since their last restart
 	clients []*scriptClient
 	history linear.History
 
@@ -268,14 +270,41 @@ type simEnv struct {
 
 // Restart boots a fallen node (no-op when healthy) with a fresh store; the
 // replayed apply stream rebuilds it, and the accumulated stream keeps both
-// incarnations for checkAppliedStreams.
+// incarnations for checkAppliedStreams. Acked ⇒ durable ⇒ replayed: the new
+// incarnation reopens its disk and, unless it was wiped, holds every entry,
+// index and term, up to the old one's StableIndex, or a snapshot covering it.
 func (e simEnv) Restart(id types.NodeID) {
 	if e.Alive(id) {
 		return
 	}
+	stable, base := e.StableIndex(id), e.SnapshotIndex(id)
+	terms := []types.Time{e.SnapshotTerm(id)} // the old incarnation's terms at base..stable
+	for i := base + 1; i <= stable; i++ {
+		terms = append(terms, e.Entry(id, i).Term)
+	}
+	wiped := e.r.wiped[id]
+	delete(e.r.wiped, id)
 	e.r.incarn[id]++
 	e.r.stores[id] = kvstore.NewStore()
 	e.Cluster.Restart(id)
+	if err := e.FailStopErr(id); err != nil {
+		e.r.mon.flag("replay: S%d did not reopen its disk: %v", id, err)
+		return
+	}
+	for i := max(1, min(base, stable)); i <= stable && !wiped; i++ {
+		if !(i < base && i <= e.LastIndex(id) || i >= base && e.DiskHolds(id, i, terms[i-base])) {
+			e.r.mon.flag("replay: S%d restarted without entry %d, which its last incarnation had durable (stable through %d)",
+				id, i, stable)
+			e.Journalf("replay violation: S%d lost %d", id, i)
+			return
+		}
+	}
+}
+
+// WipeStorage destroys the node's disk; its next restart replays nothing.
+func (e simEnv) WipeStorage(id types.NodeID) {
+	e.r.wiped[id] = true
+	e.Cluster.WipeStorage(id)
 }
 
 func (e simEnv) Observe(id types.NodeID) Sample {

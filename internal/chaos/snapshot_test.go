@@ -88,7 +88,9 @@ func TestSimSnapshotPersistFailStop(t *testing.T) {
 	if lid == types.NoNode {
 		t.Fatal("no leader elected")
 	}
-	s.FailNextSaveSnapshot(lid)
+	// The first segment rotation after the open is the snapshot's: fail it.
+	disk := s.Disk(lid)
+	disk.FS = &failRotation{FS: disk.FS, err: fmt.Errorf("injected snapshot write error on S%d", lid)}
 	for i := 0; i < 32 && s.Alive(lid); i++ {
 		s.Propose(lid, []byte(fmt.Sprintf("cmd-%d", i)))
 		for j := 0; j < 20; j++ {
@@ -102,6 +104,21 @@ func TestSimSnapshotPersistFailStop(t *testing.T) {
 	if !strings.Contains(err.Error(), "snapshot") {
 		t.Fatalf("fail-stop error does not name the snapshot write: %v", err)
 	}
+}
+
+// failRotation fails the first segment rotation it sees: the creation of a
+// segment's temp file.
+type failRotation struct {
+	raft.FS
+	err error
+}
+
+func (f *failRotation) Create(path string) (raft.File, error) {
+	if err := f.err; err != nil && strings.HasSuffix(path, ".tmp") {
+		f.err = nil
+		return nil, err
+	}
+	return f.FS.Create(path)
 }
 
 // TestRunCorruptSnapshotFailStop is the teeth variant over real files: a

@@ -79,4 +79,7 @@ var teeth = []tooth{
 	// twice.
 	{"fresh-seq", func(opt Options) *Schedule { return Generate(9, opt) }, Options{}, "fresh-seq", "not linearizable"},
 	{"r3", r3ViolationSchedule, Options{Duration: 1500 * ms}, "r3", "divergence"},
+	// The same power cycle, judged at the restarts: the replayed WALs lack
+	// the acked writes the crash dropped.
+	{"crash-before-stable-replay", crashBeforeStableSchedule, Options{Duration: 1500 * ms}, "early-stable", "^replay: "},
 }

@@ -54,11 +54,11 @@ var premises = map[string]func(t *testing.T, on, off *Report){
 			t.Fatalf("the stalled leader never stepped down; the schedule lost its premise\n--- journal ---\n%s", on.Journal)
 		}
 	},
-	// The power cycle cuts writes in flight, and the quorum-durable oracle,
+	// The power cycle loses writes in flight, and the quorum-durable oracle,
 	// which reads the disks rather than the cores, sees the mutant's lie
 	// while every node is still up.
 	"crash-before-stable": func(t *testing.T, on, off *Report) {
-		if !strings.Contains(string(on.Journal), "in-flight write cut") {
+		if !strings.Contains(string(on.Journal), "in-flight write lost") {
 			t.Fatalf("no write was in flight at the crash; the schedule lost its premise\n--- journal ---\n%s", on.Journal)
 		}
 		j := string(off.Journal)

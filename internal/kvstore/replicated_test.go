@@ -310,17 +310,20 @@ func testConcurrentSessions(t *testing.T, shards int) {
 // group.
 func testDedupSurvivesShardSnapshot(t *testing.T, shards int) {
 	var mu sync.Mutex
-	storages := make(map[string]*raft.MemStorage) // guarded by mu
+	disks := make(map[string]*raft.MemFS) // one per (group, node); guarded by mu
 	r := startService(t, shards, cluster.Options{
 		Seed: 17,
 		StorageFor: func(g raft.GroupID, id types.NodeID) raft.Storage {
 			mu.Lock()
 			defer mu.Unlock()
 			k := fmt.Sprintf("%d/%s", g, id)
-			st, ok := storages[k]
-			if !ok {
-				st = raft.NewMemStorage()
-				storages[k] = st
+			if disks[k] == nil {
+				disks[k] = raft.NewMemFS()
+			}
+			st, err := raft.OpenFileStorageOn(disks[k], "wal")
+			if err != nil {
+				t.Errorf("%s: reopen: %v", k, err)
+				return nil
 			}
 			return st
 		},
@@ -346,7 +349,7 @@ func testDedupSurvivesShardSnapshot(t *testing.T, shards int) {
 	}
 
 	// Restart a follower of shard 0: it reloads from its own shard-local
-	// snapshot + WAL tail (StorageFor hands back the same MemStorage).
+	// snapshot + WAL tail (StorageFor reopens them from the node's disk).
 	members := []types.NodeID{1, 2, 3}
 	leader0 := r.Cluster.Leader()
 	var follower types.NodeID

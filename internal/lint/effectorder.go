@@ -455,7 +455,7 @@ func (a *effectAnalysis) isWitness(call *ast.CallExpr, req *PrecededBy, wit map[
 }
 
 // witnessErrors collects the error variables of body that hold a witness
-// call's result (`err := st.SaveState(hs)`, `err = d.persist(u, 3)`): an if
+// call's result (`err := st.SaveState(hs)`, `err = d.persist(u)`): an if
 // that sees one of them non-nil is that witness's failure branch.
 func (a *effectAnalysis) witnessErrors(body *ast.BlockStmt, req *PrecededBy, wit map[*types.Func]bool) map[types.Object]bool {
 	errs := make(map[types.Object]bool)

@@ -14,8 +14,8 @@
 //     no clock of its own), one tick per ElectionTimeoutMin/ElectionTicks.
 //   - Storage: one root directory. A one-group host keeps its WAL in the
 //     root itself; with more groups each is confined to its own
-//     subdirectory (GroupStorageDir). Segment and snapshot names are
-//     namespaced by that subdirectory, so compaction in one group can
+//     subdirectory (GroupStorageDir). Segment names (a WAL directory
+//     holds nothing else) are namespaced by it, so compaction in one group can
 //     never unlink another group's files — the isolation is physical
 //     (distinct directories), not a naming convention inside one.
 //
@@ -65,7 +65,8 @@ type Options struct {
 	// StorageRoot, when non-empty, backs each group with a FileStorage: a
 	// one-group host uses the root itself, more groups each use their own
 	// subdirectory (GroupStorageDir(root, g)). StorageFor, when set,
-	// overrides it per group (nil return = volatile group).
+	// overrides it per group (nil return = volatile group). Stop closes
+	// every group's storage either way.
 	StorageRoot string
 	StorageFor  func(raft.GroupID) raft.Storage
 
@@ -109,7 +110,7 @@ type Host struct {
 	opts  Options
 	nodes []*raft.Node // group g at index g; fixed after Start
 
-	owned []raft.Storage // file storages Start opened and Stop must close
+	owned []raft.Storage // the groups' storages, which Stop closes
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -135,6 +136,9 @@ func Start(opts Options) (*Host, error) {
 		if err != nil {
 			h.Stop()
 			return nil, err
+		}
+		if storage != nil {
+			h.owned = append(h.owned, storage)
 		}
 		var sm raft.StateMachine
 		if opts.StateMachineFor != nil {
@@ -181,7 +185,6 @@ func (h *Host) storageFor(g raft.GroupID) (raft.Storage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("multiraft: group %d storage: %w", g, err)
 	}
-	h.owned = append(h.owned, fs)
 	return fs, nil
 }
 
@@ -225,7 +228,7 @@ func (h *Host) Node(g raft.GroupID) *raft.Node {
 }
 
 // Stop shuts every group down, each node draining its apply stream into
-// OnApply before its Stop returns, and closes the storages the host opened.
+// OnApply before its Stop returns, and closes the groups' storages.
 // The shared transport is NOT closed: the host does not own it (per-group
 // endpoints detach themselves as their nodes stop).
 func (h *Host) Stop() {

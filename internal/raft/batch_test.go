@@ -26,6 +26,16 @@ func (s *slowStorage) SaveEntries(firstIndex int, entries []raft.LogEntry) error
 	return s.Storage.SaveEntries(firstIndex, entries)
 }
 
+// openWAL opens a FileStorage in directory "wal" on disk.
+func openWAL(t testing.TB, disk raft.FS) *raft.FileStorage {
+	t.Helper()
+	st, err := raft.OpenFileStorageOn(disk, "wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // startSingleNode launches a one-node raft whose apply stream is drained and
 // waits for it to elect itself.
 func startSingleNode(t testing.TB, storage raft.Storage) *raft.Node {
@@ -67,7 +77,7 @@ func startOneNode(t testing.TB, opts multiraft.Options) *raft.Node {
 // WAL frames written is far below the number of proposals — i.e. the
 // flush loop actually coalesced concurrent callers into group commits.
 func TestProposeAsyncGroupCommit(t *testing.T) {
-	n := startSingleNode(t, &slowStorage{Storage: raft.NewMemStorage(), delay: 2 * time.Millisecond})
+	n := startSingleNode(t, &slowStorage{Storage: openWAL(t, raft.NewMemFS()), delay: 2 * time.Millisecond})
 	base := n.Snapshot().Counters.EntryWrites
 
 	const workers = 32

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -9,17 +10,35 @@ import (
 	"adore/internal/types"
 )
 
+// reopenWALs returns a StorageFor that keeps one disk per node, made by disk,
+// and opens a FileStorage on it at every start: a restarted node replays its
+// WAL.
+func reopenWALs(t *testing.T, disk func(types.NodeID) raft.FS) func(raft.GroupID, types.NodeID) raft.Storage {
+	var mu sync.Mutex
+	disks := map[types.NodeID]raft.FS{}
+	return func(_ raft.GroupID, id types.NodeID) raft.Storage {
+		mu.Lock()
+		defer mu.Unlock()
+		if disks[id] == nil {
+			disks[id] = disk(id)
+		}
+		st, err := raft.OpenFileStorageOn(disks[id], "wal")
+		if err != nil {
+			t.Errorf("S%d: reopen: %v", id, err)
+			return nil
+		}
+		return st
+	}
+}
+
+// memDisk gives every node a fresh in-memory disk.
+func memDisk(types.NodeID) raft.FS { return raft.NewMemFS() }
+
 // TestCrashRestartRecoversState crashes a follower and the leader in turn;
 // with persistent storage both recover their logs and the cluster's
 // committed data survives.
 func TestCrashRestartRecoversState(t *testing.T) {
-	stores := map[types.NodeID]*raft.MemStorage{}
-	c := New(Options{N: 3, Seed: 21, StorageFor: func(_ raft.GroupID, id types.NodeID) raft.Storage {
-		if stores[id] == nil {
-			stores[id] = raft.NewMemStorage()
-		}
-		return stores[id]
-	}})
+	c := New(Options{N: 3, Seed: 21, StorageFor: reopenWALs(t, memDisk)})
 	defer c.Stop()
 
 	lid, err := c.WaitForLeader(timeout)

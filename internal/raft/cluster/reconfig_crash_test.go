@@ -29,16 +29,10 @@ func TestCrashDuringPendingReconfig(t *testing.T) {
 		{name: "pending-add", add: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			stores := map[types.NodeID]*raft.MemStorage{}
 			// DisableCheckQuorum: the test deliberately isolates the leader and
 			// then examines R2 at that stale leader; CheckQuorum would step it
 			// down (correctly) before the assertion could run.
-			c := New(Options{N: 5, Seed: 77, Ablation: raft.Ablation{DisableCheckQuorum: true}, StorageFor: func(_ raft.GroupID, id types.NodeID) raft.Storage {
-				if stores[id] == nil {
-					stores[id] = raft.NewMemStorage()
-				}
-				return stores[id]
-			}})
+			c := New(Options{N: 5, Seed: 77, Ablation: raft.Ablation{DisableCheckQuorum: true}, StorageFor: reopenWALs(t, memDisk)})
 			defer c.Stop()
 
 			lid, err := c.WaitForLeader(timeout)
@@ -164,13 +158,7 @@ func TestCrashDuringPendingReconfig(t *testing.T) {
 // entry is in flight: the change must still commit (the follower was not
 // needed for quorum), and the restarted follower must catch up to it.
 func TestFollowerCrashDuringPendingReconfig(t *testing.T) {
-	stores := map[types.NodeID]*raft.MemStorage{}
-	c := New(Options{N: 5, Seed: 79, StorageFor: func(_ raft.GroupID, id types.NodeID) raft.Storage {
-		if stores[id] == nil {
-			stores[id] = raft.NewMemStorage()
-		}
-		return stores[id]
-	}})
+	c := New(Options{N: 5, Seed: 79, StorageFor: reopenWALs(t, memDisk)})
 	defer c.Stop()
 
 	lid, err := c.WaitForLeader(timeout)

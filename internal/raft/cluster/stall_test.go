@@ -18,13 +18,13 @@ import (
 // as a follower when the stall clears.
 func TestStalledLeaderDiskLosesLeadership(t *testing.T) {
 	const et = 50 * time.Millisecond
-	faults := map[types.NodeID]*raft.FaultStorage{}
+	faults := map[types.NodeID]*raft.FaultFS{}
 	for id := types.NodeID(1); id <= 3; id++ {
-		faults[id] = raft.NewFaultStorage(raft.NewMemStorage())
+		faults[id] = raft.NewFaultFS(raft.NewMemFS())
 	}
 	c := New(Options{
 		N: 3, Seed: 7, ElectionTimeoutMin: et,
-		StorageFor: func(_ raft.GroupID, id types.NodeID) raft.Storage { return faults[id] },
+		StorageFor: reopenWALs(t, func(id types.NodeID) raft.FS { return faults[id] }),
 	})
 	defer c.Stop()
 	if _, err := c.WaitForLeader(timeout); err != nil {

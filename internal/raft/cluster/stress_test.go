@@ -21,16 +21,7 @@ func TestConcurrentProposeCrashReconfigStress(t *testing.T) {
 		t.Skip("stress test: skipped with -short")
 	}
 
-	var storeMu sync.Mutex
-	stores := map[types.NodeID]*raft.MemStorage{}
-	c := New(Options{N: 5, Seed: 77, StorageFor: func(_ raft.GroupID, id types.NodeID) raft.Storage {
-		storeMu.Lock()
-		defer storeMu.Unlock()
-		if stores[id] == nil {
-			stores[id] = raft.NewMemStorage()
-		}
-		return stores[id]
-	}})
+	c := New(Options{N: 5, Seed: 77, StorageFor: reopenWALs(t, memDisk)})
 	defer c.Stop()
 
 	if _, err := c.WaitForLeader(timeout); err != nil {

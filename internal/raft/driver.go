@@ -101,14 +101,12 @@ func (d *Driver) Land() {
 // Counters returns the fold of the core's released events and the writes landed.
 func (d *Driver) Counters() Counters { return d.ctr }
 
-// Stop tears the batch in flight after its first frames frames (0: a node
-// shutting down; a seeded cut: a simulated power failure), never reporting it
-// Stable, and fails the waiting proposals with err. It returns the write's error.
-func (d *Driver) Stop(frames int, err error) error {
+// Stop drops the batch in flight whole, never writing it or reporting it Stable
+// (a node shutting down, a simulated power failure), and fails the waiting
+// proposals with err.
+func (d *Driver) Stop(err error) {
 	d.failProps(err)
-	u := d.batch // the zero batch when none is in flight: nothing to write
 	d.batch, d.writing = raftcore.Unstable{}, false
-	return d.persist(u, frames)
 }
 
 func (d *Driver) start() {
@@ -137,7 +135,7 @@ func (d *Driver) land() {
 	var err error
 	if d.storage != nil {
 		d.mu.Unlock()
-		err = d.persist(u, 3)
+		err = d.persist(u)
 		d.mu.Lock()
 	}
 	d.batch, d.writing = raftcore.Unstable{}, false
@@ -154,18 +152,18 @@ func (d *Driver) land() {
 	d.core.Stable()
 }
 
-// persist writes the first frames of u's three in the durability order: the
-// HardState, then the snapshot image, and only then the entries whose
-// SaveEntries may truncate the log prefix the image summarizes.
-func (d *Driver) persist(u raftcore.Unstable, frames int) error {
+// persist writes u in the durability order: the HardState, then the snapshot
+// image, and only then the entries whose SaveEntries may truncate the log
+// prefix the image summarizes.
+func (d *Driver) persist(u raftcore.Unstable) error {
 	var err error
-	if u.HardState != nil && frames >= 1 {
+	if u.HardState != nil {
 		err = d.storage.SaveState(*u.HardState)
 	}
-	if u.Snapshot != nil && frames >= 2 && err == nil {
+	if u.Snapshot != nil && err == nil {
 		err = d.storage.SaveSnapshot(*u.Snapshot)
 	}
-	if u.FirstIndex > 0 && frames >= 3 && err == nil {
+	if u.FirstIndex > 0 && err == nil {
 		err = d.storage.SaveEntries(u.FirstIndex, u.Entries)
 	}
 	return err

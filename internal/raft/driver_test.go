@@ -118,7 +118,7 @@ func newOrderHarness(t *testing.T, durable bool) *orderHarness {
 			Ablation: raftcore.Ablation{DisableLeaseRead: true}}, HardState{}, LogSnapshot{}, nil)
 		var st Storage
 		if durable {
-			st = orderDisk{Storage: NewMemStorage(), n: n}
+			st = orderDisk{Storage: openMem(t), n: n}
 		}
 		n.d = NewDriver(n.core, st, n, n, 0)
 		h.nodes = append(h.nodes, n)

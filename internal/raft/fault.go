@@ -2,180 +2,103 @@ package raft
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// ErrTornWrite is returned by a FaultStorage whose next write was scripted
-// to tear: the process "crashed" mid-frame, so the frame never became
-// durable. The node fail-stops on it, which is exactly the real-world
-// behavior a torn final WAL frame models — the write was in flight when the
-// machine died, nothing after it was externalized, and recovery replays the
-// longest durable prefix.
-var ErrTornWrite = errors.New("faultstorage: torn write (simulated crash during fsync)")
+// ErrTornWrite fails the write a FaultFS power cut tears, which keeps a prefix
+// of its bytes, and every write after it until Clear.
+var ErrTornWrite = errors.New("faultfs: torn write (power cut mid-write)")
 
-// FaultStorage wraps a Storage with deterministic, scripted fault
-// injection for the chaos harness:
-//
-//   - FailNextSaveState / FailNextSaveEntries make the next matching write
-//     return an error without reaching the inner store (a failed fsync);
-//   - TearNextWrite makes the next write of either kind return ErrTornWrite
-//     without reaching the inner store (a crash mid-frame: the final WAL
-//     frame is torn and recovery sees only the durable prefix);
-//   - SetStall delays every write (a stalling disk).
-//
-// Faults never corrupt the inner store: an injected failure means the
-// bytes never hit the disk, matching FileStorage's recovery contract
-// (replaySegment ignores a torn tail). The node layer turns any storage error
-// into an explicit fail-stop, so a wounded node halts loudly instead of
-// running on unpersisted state; the harness distinguishes "crashed as
-// designed" (Done closed, StorageErr non-nil) from silent corruption.
-//
-// The zero fault set is transparent: every call passes straight through.
-// ClearFaults re-arms nothing and resets the stall, which is what a
-// "repair + restart" chaos event wants before reopening the node.
-type FaultStorage struct {
-	inner Storage
+// FaultFS wraps an FS with the scripted disk faults of the chaos harness and
+// the simulator, all on file writes. FileStorage latches a failed write and
+// the node fail-stops on it, so a wounded node halts loudly instead of running
+// on unpersisted state.
+type FaultFS struct {
+	FS
 
-	mu          sync.Mutex
-	failState   error         // next SaveState returns this, one-shot; guarded by mu
-	failEntries error         // next SaveEntries returns this, one-shot; guarded by mu
-	failSnap    error         // next SaveSnapshot returns this, one-shot; guarded by mu
-	tearNext    bool          // next write of any kind tears; guarded by mu
-	stall       time.Duration // every write sleeps this long first; guarded by mu
+	mu       sync.Mutex
+	failNext error         // the next write fails whole with this; guarded by mu
+	left     int           // bytes still written before an armed power cut (-1: none); guarded by mu
+	cut      bool          // the power is off; guarded by mu
+	stall    time.Duration // every write sleeps this long first; guarded by mu
 
-	injected atomic.Uint64 // faults actually delivered
+	injected atomic.Uint64 // faults that fired
 }
 
-// NewFaultStorage wraps inner (e.g. a FileStorage for file-backed WALs, or
-// a MemStorage for fast in-process runs).
-func NewFaultStorage(inner Storage) *FaultStorage {
-	return &FaultStorage{inner: inner}
-}
+// NewFaultFS wraps inner with no fault armed.
+func NewFaultFS(inner FS) *FaultFS { return &FaultFS{FS: inner, left: -1} }
 
-// FailNextSaveState arms a one-shot error for the next SaveState call.
-func (f *FaultStorage) FailNextSaveState(err error) {
+// FailNextWrite makes the next write fail with err, writing nothing.
+func (f *FaultFS) FailNextWrite(err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.failState = err
+	f.failNext = err
 }
 
-// FailNextSaveEntries arms a one-shot error for the next SaveEntries call.
-func (f *FaultStorage) FailNextSaveEntries(err error) {
+// CutAfter cuts the power after n more bytes: the write that crosses n keeps
+// its bytes up to n, and it and every later write fail with ErrTornWrite.
+func (f *FaultFS) CutAfter(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.failEntries = err
+	f.left = n
 }
 
-// FailNextSaveSnapshot arms a one-shot error for the next SaveSnapshot
-// call (a failed snapshot fsync: the image never became durable, so the
-// log prefix must not be dropped — the node fail-stops).
-func (f *FaultStorage) FailNextSaveSnapshot(err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.failSnap = err
-}
-
-// TearNextWrite arms a one-shot torn write: the next save of any kind
-// fails with ErrTornWrite and persists nothing.
-func (f *FaultStorage) TearNextWrite() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.tearNext = true
-}
-
-// SetStall makes every subsequent write sleep d before touching the inner
-// store (0 clears it).
-func (f *FaultStorage) SetStall(d time.Duration) {
+// SetStall makes every later write sleep d first (0 lifts it).
+func (f *FaultFS) SetStall(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.stall = d
 }
 
-// ClearFaults disarms every pending fault and stall (repair before restart).
-func (f *FaultStorage) ClearFaults() {
+// Clear disarms every fault and the stall and brings the power back.
+func (f *FaultFS) Clear() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.failState = nil
-	f.failEntries = nil
-	f.failSnap = nil
-	f.tearNext = false
-	f.stall = 0
+	f.failNext, f.left, f.cut, f.stall = nil, -1, false, 0
 }
 
-// Injected returns how many faults have actually fired.
-func (f *FaultStorage) Injected() uint64 { return f.injected.Load() }
+// Injected returns how many faults have fired.
+func (f *FaultFS) Injected() uint64 { return f.injected.Load() }
 
-// writeKind selects which one-shot fault a gate call can consume.
-type writeKind uint8
+// Create implements FS: the file's writes pass through the faults.
+func (f *FaultFS) Create(path string) (File, error) {
+	file, err := f.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return faultFile{file, f}, nil
+}
 
-const (
-	writeState writeKind = iota
-	writeEntries
-	writeSnapshot
-)
+type faultFile struct {
+	File
+	fs *FaultFS
+}
 
-// gate applies the stall and consumes at most one armed fault, returning
-// the error to inject (nil = pass through).
-func (f *FaultStorage) gate(kind writeKind) error {
+// Write writes what the armed faults let through, after the stall.
+func (w faultFile) Write(b []byte) (int, error) {
+	f := w.fs
 	f.mu.Lock()
-	stall := f.stall
+	stall, n := f.stall, len(b)
 	var err error
 	switch {
-	case f.tearNext:
-		f.tearNext = false
-		err = ErrTornWrite
-	case kind == writeState && f.failState != nil:
-		err = f.failState
-		f.failState = nil
-	case kind == writeEntries && f.failEntries != nil:
-		err = f.failEntries
-		f.failEntries = nil
-	case kind == writeSnapshot && f.failSnap != nil:
-		err = f.failSnap
-		f.failSnap = nil
+	case f.cut:
+		n, err = 0, ErrTornWrite
+	case f.failNext != nil:
+		n, err, f.failNext = 0, f.failNext, nil
+		f.injected.Add(1)
+	case f.left >= 0 && n > f.left:
+		n, err, f.left, f.cut = f.left, ErrTornWrite, -1, true
+		f.injected.Add(1)
+	case f.left >= 0:
+		f.left -= n
 	}
 	f.mu.Unlock()
-	if stall > 0 {
-		time.Sleep(stall)
+	time.Sleep(stall)
+	n, werr := w.File.Write(b[:n])
+	if err == nil {
+		err = werr
 	}
-	if err != nil {
-		f.injected.Add(1)
-	}
-	return err
+	return n, err
 }
-
-// SaveState implements Storage.
-func (f *FaultStorage) SaveState(hs HardState) error {
-	if err := f.gate(writeState); err != nil {
-		return fmt.Errorf("save state: %w", err)
-	}
-	return f.inner.SaveState(hs)
-}
-
-// SaveEntries implements Storage.
-func (f *FaultStorage) SaveEntries(firstIndex int, entries []LogEntry) error {
-	if err := f.gate(writeEntries); err != nil {
-		return fmt.Errorf("save entries: %w", err)
-	}
-	return f.inner.SaveEntries(firstIndex, entries)
-}
-
-// SaveSnapshot implements Storage.
-func (f *FaultStorage) SaveSnapshot(snap LogSnapshot) error {
-	if err := f.gate(writeSnapshot); err != nil {
-		return fmt.Errorf("save snapshot: %w", err)
-	}
-	return f.inner.SaveSnapshot(snap)
-}
-
-// Load implements Storage: recovery sees exactly what the inner store made
-// durable (injected failures never reached it).
-func (f *FaultStorage) Load() (HardState, LogSnapshot, []LogEntry, error) {
-	return f.inner.Load()
-}
-
-// Close implements Storage.
-func (f *FaultStorage) Close() error { return f.inner.Close() }

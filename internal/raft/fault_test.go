@@ -10,88 +10,29 @@ import (
 	"adore/internal/raft"
 )
 
-// TestFaultStorageInjectsOneShotErrors checks that an armed fault fires on
-// exactly one call, never reaches the inner store, and then disarms.
-func TestFaultStorageInjectsOneShotErrors(t *testing.T) {
-	inner := raft.NewMemStorage()
-	fs := raft.NewFaultStorage(inner)
+// TestFaultFSInjectsOneShotErrors checks that an armed write error fires on
+// exactly one write, never reaches the inner file system, and then disarms,
+// and that the disk counts it.
+func TestFaultFSInjectsOneShotErrors(t *testing.T) {
+	disk := raft.NewFaultFS(raft.NewMemFS())
+	st := openWAL(t, disk)
 
 	boom := errors.New("disk on fire")
-	fs.FailNextSaveEntries(boom)
-	if err := fs.SaveEntries(1, []raft.LogEntry{{Term: 1}}); !errors.Is(err, boom) {
+	disk.FailNextWrite(boom)
+	if err := st.SaveEntries(1, []raft.LogEntry{{Term: 1}}); !errors.Is(err, boom) {
 		t.Fatalf("SaveEntries error = %v, want %v", err, boom)
 	}
-	if _, _, log, _ := inner.Load(); len(log) != 0 {
-		t.Fatalf("failed write reached the inner store: %d entries", len(log))
+	// A reopen writes its segment through the disarmed fault and replays
+	// nothing of the failed write.
+	re := openWAL(t, disk)
+	if _, _, log, _ := re.Load(); len(log) != 0 {
+		t.Fatalf("failed write reached the disk: %d entries", len(log))
 	}
-	// One-shot: the next write goes through.
-	if err := fs.SaveEntries(1, []raft.LogEntry{{Term: 1}}); err != nil {
-		t.Fatalf("second SaveEntries: %v", err)
+	if err := re.SaveEntries(1, []raft.LogEntry{{Term: 1}}); err != nil {
+		t.Fatalf("SaveEntries after the fault fired: %v", err)
 	}
-
-	fs.FailNextSaveState(boom)
-	if err := fs.SaveState(raft.HardState{Term: 7}); !errors.Is(err, boom) {
-		t.Fatalf("SaveState error = %v, want %v", err, boom)
-	}
-	if hs, _, _, _ := inner.Load(); hs.Term != 0 {
-		t.Fatalf("failed state write reached the inner store: term %d", hs.Term)
-	}
-	if err := fs.SaveState(raft.HardState{Term: 7}); err != nil {
-		t.Fatalf("second SaveState: %v", err)
-	}
-	if got := fs.Injected(); got != 2 {
-		t.Fatalf("Injected() = %d, want 2", got)
-	}
-}
-
-// TestFaultStorageTornWriteReplaysDurablePrefix writes through to a real
-// file WAL, tears the final frame, and checks that recovery (a fresh
-// FileStorage over the same path) sees exactly the longest durable prefix.
-func TestFaultStorageTornWriteReplaysDurablePrefix(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	inner, err := raft.OpenFileStorage(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := raft.NewFaultStorage(inner)
-
-	durable := []raft.LogEntry{
-		{Term: 1, Kind: raft.EntryNoOp},
-		{Term: 1, Kind: raft.EntryCommand, Command: []byte("a")},
-	}
-	if err := fs.SaveState(raft.HardState{Term: 1, VotedFor: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.SaveEntries(1, durable); err != nil {
-		t.Fatal(err)
-	}
-
-	fs.TearNextWrite()
-	err = fs.SaveEntries(3, []raft.LogEntry{{Term: 1, Kind: raft.EntryCommand, Command: []byte("torn")}})
-	if !errors.Is(err, raft.ErrTornWrite) {
-		t.Fatalf("torn SaveEntries error = %v, want ErrTornWrite", err)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := raft.OpenFileStorage(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	hs, _, log, err := re.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hs.Term != 1 || hs.VotedFor != 1 {
-		t.Fatalf("recovered hard state %+v, want term 1 vote 1", hs)
-	}
-	if len(log) != len(durable) {
-		t.Fatalf("recovered %d entries, want the %d durable ones", len(log), len(durable))
-	}
-	if string(log[1].Command) != "a" {
-		t.Fatalf("recovered entry 2 = %q", log[1].Command)
+	if got := disk.Injected(); got != 1 {
+		t.Fatalf("Injected() = %d, want 1", got)
 	}
 }
 
@@ -100,14 +41,14 @@ func TestFaultStorageTornWriteReplaysDurablePrefix(t *testing.T) {
 // closes, and StorageErr reports the cause — instead of the old behavior
 // of panicking the whole process (or, worse, acking unpersisted state).
 func TestStorageErrorFailStopsNode(t *testing.T) {
-	fs := raft.NewFaultStorage(raft.NewMemStorage())
-	n := startSingleNode(t, fs)
+	disk := raft.NewFaultFS(raft.NewMemFS())
+	n := startSingleNode(t, openWAL(t, disk))
 
 	if _, _, err := n.ProposeAsync([]byte("healthy")).Wait(); err != nil {
 		t.Fatalf("healthy propose: %v", err)
 	}
 
-	fs.FailNextSaveEntries(errors.New("EIO"))
+	disk.FailNextWrite(errors.New("EIO"))
 	_, _, err := n.ProposeAsync([]byte("doomed")).Wait()
 	if !errors.Is(err, raft.ErrStorageFailed) {
 		t.Fatalf("propose after wound: err = %v, want ErrStorageFailed", err)
@@ -133,14 +74,14 @@ func TestStorageErrorFailStopsNode(t *testing.T) {
 // future in the doomed batch must resolve with ErrStorageFailed (no waiter
 // hangs), and the node must halt.
 func TestGroupCommitFailStop(t *testing.T) {
-	fs := raft.NewFaultStorage(raft.NewMemStorage())
-	n := startSingleNode(t, fs)
+	disk := raft.NewFaultFS(raft.NewMemFS())
+	n := startSingleNode(t, openWAL(t, disk))
 
 	if _, _, err := n.ProposeAsync([]byte("healthy")).Wait(); err != nil {
 		t.Fatalf("healthy async propose: %v", err)
 	}
 
-	fs.FailNextSaveEntries(errors.New("EIO"))
+	disk.FailNextWrite(errors.New("EIO"))
 	props := make([]*raft.Proposal, 4)
 	for i := range props {
 		props[i] = n.ProposeAsync([]byte(fmt.Sprintf("doomed-%d", i)))
@@ -166,17 +107,18 @@ func TestGroupCommitFailStop(t *testing.T) {
 	}
 }
 
-// TestTornCrashNodeRestartsFromDurablePrefix runs a node over a torn WAL:
-// the entry whose frame tore is lost, the node halts, and a restart over
-// the same file recovers the durable prefix only.
+// TestTornCrashNodeRestartsFromDurablePrefix runs a node over a torn WAL on
+// real files: the power goes a few bytes into the next write, the entry whose
+// frame tore is lost, the node halts, and a restart over the same directory
+// recovers the durable prefix only.
 func TestTornCrashNodeRestartsFromDurablePrefix(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	inner, err := raft.OpenFileStorage(path)
+	disk := raft.NewFaultFS(raft.OSFS)
+	inner, err := raft.OpenFileStorageOn(disk, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := raft.NewFaultStorage(inner)
-	n := startSingleNode(t, fs)
+	n := startSingleNode(t, inner)
 
 	var lastIdx int
 	for i := 0; i < 3; i++ {
@@ -184,7 +126,7 @@ func TestTornCrashNodeRestartsFromDurablePrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fs.TearNextWrite()
+	disk.CutAfter(5)
 	if _, _, err := n.ProposeAsync([]byte("torn")).Wait(); !errors.Is(err, raft.ErrStorageFailed) {
 		t.Fatalf("torn propose err = %v, want ErrStorageFailed", err)
 	}

@@ -177,7 +177,7 @@ func startLaneCluster(t *testing.T, delayFor func(types.NodeID) time.Duration, a
 		lc.net.Close()
 	})
 	for _, id := range members {
-		st := newLaneStorage(raft.NewMemStorage())
+		st := newLaneStorage(openWAL(t, raft.NewMemFS()))
 		if delayFor != nil {
 			st.delay = delayFor(id)
 		}

@@ -378,7 +378,7 @@ func (n *Node) writeLane() {
 		select {
 		case <-n.stopCh:
 			n.mu.Lock()
-			n.d.Stop(0, ErrStopped)
+			n.d.Stop(ErrStopped)
 			n.mu.Unlock()
 			return
 		case <-n.laneCh:

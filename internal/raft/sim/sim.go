@@ -1,15 +1,15 @@
 // Package sim is the deterministic simulation shell for the sans-IO raft
 // core: an N-node cluster stepped single-threaded on a logical clock, with a
 // seeded virtual network (latency, jitter, loss, partitions) and
-// fault-injectable in-memory WALs. Two runs with the same options produce
+// fault-injectable in-memory disks. Two runs with the same options produce
 // byte-identical event journals, so a failing chaos schedule replays exactly.
 //
 // Each node runs the very same raft.Driver raft.Node does, which hands out
 // batches, lands them (Stable only after the write), fail-stops on a write
-// error and releases effects in its one order. This package adds only what
-// the live node has instead: a virtual disk whose writes land a seeded number
-// of ticks after they start (a crash mid-write tears that write), the packet
-// heap and the journal.
+// error and releases effects in its one order, over the FileStorage each
+// incarnation reopens on its node's disk. This package adds only what the live
+// node has instead: writes that land a seeded number of ticks after they
+// start (a crash before then loses them), the packet heap and the journal.
 package sim
 
 import (
@@ -66,7 +66,7 @@ type Options struct {
 	// write when it starts and performs it when it lands, so the driver
 	// reports Stable early. The applied ⊆ quorum-durable oracle must catch
 	// the first commit no disk holds; the acked⇒durable oracles, the loss
-	// once a crash cuts an in-flight write.
+	// once a crash drops an acked write.
 	EarlyStable bool
 }
 
@@ -89,7 +89,8 @@ type node struct {
 	id       types.NodeID
 	core     *raftcore.Core
 	d        *raft.Driver
-	early    *earlyDisk // the EarlyStable mutant's disk (nil otherwise)
+	st       *raft.FileStorage // this incarnation's, on the node's disk (nil: did not open, or wiped)
+	early    *earlyDisk        // the EarlyStable mutant's disk (nil otherwise)
 	up       bool
 	failErr  error // fail-stop cause (nil while healthy)
 	lastRole raftcore.Role
@@ -140,7 +141,7 @@ type Cluster struct {
 	ids      []types.NodeID // sorted, fixed
 	members0 []types.NodeID // initial configuration (for restarts)
 	nodes    map[types.NodeID]*node
-	storage  map[types.NodeID]*raft.FaultStorage
+	disks    map[types.NodeID]*raft.FaultFS // each node's disk, across incarnations
 
 	inflight packetHeap
 	blocked  map[[2]types.NodeID]bool
@@ -162,7 +163,7 @@ func New(opt Options) *Cluster {
 		opt:     opt,
 		rng:     rand.New(rand.NewSource(opt.Seed)),
 		nodes:   make(map[types.NodeID]*node, opt.Nodes),
-		storage: make(map[types.NodeID]*raft.FaultStorage, opt.Nodes),
+		disks:   make(map[types.NodeID]*raft.FaultFS, opt.Nodes),
 		blocked: make(map[[2]types.NodeID]bool),
 	}
 	for i := 1; i <= opt.Nodes; i++ {
@@ -171,21 +172,27 @@ func New(opt Options) *Cluster {
 		s.members0 = append(s.members0, id)
 	}
 	for _, id := range s.ids {
-		s.storage[id] = raft.NewFaultStorage(raft.NewMemStorage())
+		s.disks[id] = raft.NewFaultFS(raft.NewMemFS())
 		s.bootNode(id)
 	}
 	return s
 }
 
-// bootNode (re)creates a node's core from its storage. A recovered
-// snapshot is re-delivered through the apply hook before any replayed
-// suffix entries, exactly like the runtime driver's restart path.
+// bootNode (re)creates a node's core from a FileStorage it opens on the node's
+// disk, closing the previous incarnation's. A recovered snapshot is
+// re-delivered through the apply hook before any replayed suffix entries,
+// exactly like the runtime driver's restart path. A disk that does not reopen
+// leaves the node fail-stopped on the error, with nothing recovered.
 func (s *Cluster) bootNode(id types.NodeID) {
-	hs, snap, log, err := s.storage[id].Load()
-	if err != nil {
-		// MemStorage cannot fail Load; a scripted fault there would be a
-		// harness bug, not a protocol scenario.
-		panic(fmt.Sprintf("sim: load S%d: %v", id, err))
+	if old := s.nodes[id]; old != nil && old.st != nil {
+		old.st.Close()
+	}
+	var hs raft.HardState
+	var snap raft.LogSnapshot
+	var log []raft.LogEntry
+	st, err := raft.OpenFileStorageOn(s.disks[id], "wal")
+	if err == nil {
+		hs, snap, log, err = st.Load()
 	}
 	core := raftcore.New(raftcore.Config{
 		ID:                id,
@@ -197,15 +204,18 @@ func (s *Cluster) bootNode(id types.NodeID) {
 		Ablation:          s.opt.Ablation,
 	}, hs, snap, log)
 	n := &node{s: s, id: id, core: core, up: true, lastRole: raftcore.Follower}
-	var st raft.Storage = s.storage[id]
-	if s.opt.EarlyStable {
-		n.early = &earlyDisk{FaultStorage: s.storage[id]}
-		st = n.early
+	var store raft.Storage
+	if err != nil {
+		n.failErr = fmt.Errorf("sim: reopen S%d: %w", id, err)
+		s.Journalf("S%d reopen failed: %v", id, err)
+	} else if n.st, store = st, st; s.opt.EarlyStable {
+		n.early = &earlyDisk{Storage: st}
+		store = n.early
 	}
 	mu := new(sync.Mutex)
 	mu.Lock() // the simulator's one thread holds the driver's lock throughout
 	s.boots++ // each incarnation numbers its read barriers in a block of its own
-	n.d = raft.NewDriver(core, st, mu, n, s.boots<<32)
+	n.d = raft.NewDriver(core, store, mu, n, s.boots<<32)
 	s.nodes[id] = n
 	if snap.Index > 0 {
 		s.Journalf("S%d recover snapshot@%d", id, snap.Index)
@@ -264,10 +274,11 @@ func (s *Cluster) StableIndex(id types.NodeID) int { return s.nodes[id].core.Sta
 // whatever its core believes (a driver that reports Stable early is wrong
 // about exactly this).
 func (s *Cluster) DiskHolds(id types.NodeID, idx int, term types.Time) bool {
-	_, snap, log, err := s.storage[id].Load()
-	if err != nil {
-		panic(fmt.Sprintf("sim: load S%d: %v", id, err)) // see bootNode
+	st := s.nodes[id].st
+	if st == nil {
+		return false
 	}
+	_, snap, log, _ := st.Load() // FileStorage.Load reads its cache and never fails
 	if idx <= snap.Index {
 		return true
 	}
@@ -312,15 +323,6 @@ func (s *Cluster) Leader() (types.NodeID, bool) {
 	return best, found
 }
 
-// Faults returns the total storage faults injected across all nodes.
-func (s *Cluster) Faults() uint64 {
-	var total uint64
-	for _, id := range s.ids {
-		total += s.storage[id].Injected()
-	}
-	return total
-}
-
 // --- Journal ---
 
 // Journalf appends one formatted line to the run journal (the driver
@@ -362,7 +364,7 @@ func (s *Cluster) Step() {
 		}
 		n.writing = false
 		if n.early != nil {
-			if err := n.early.land(3); err != nil {
+			if err := n.early.land(); err != nil {
 				n.Halt(err) // the disk failed a write the driver already believed
 				continue
 			}
@@ -476,8 +478,8 @@ func journalLine(id types.NodeID, e raftcore.Event) string {
 	}
 }
 
-// powerOff takes a node down. A write in flight is torn, never completed: a
-// seeded strict prefix of its frames (maybe none) reaches storage.
+// powerOff takes a node down. A write that has not landed is lost whole; a
+// torn one comes from CrashTorn's power cut, which fires inside the write.
 func (s *Cluster) powerOff(n *node) {
 	n.up = false
 	s.Journalf("S%d down: applied through %d, disk through %d", n.id, n.core.AppliedIndex(), n.core.StableIndex())
@@ -485,52 +487,45 @@ func (s *Cluster) powerOff(n *node) {
 		return
 	}
 	n.writing = false
-	frames := s.rng.Intn(3)
-	s.Journalf("S%d in-flight write cut after %d of 3 frames", n.id, frames)
-	err := n.d.Stop(frames, ErrDown)
-	if n.early != nil {
-		err = n.early.land(frames)
-	}
-	if err != nil {
-		s.Journalf("S%d torn frame: %v", n.id, err) // an armed fault met the dying write
-	}
+	s.Journalf("S%d in-flight write lost", n.id)
+	n.d.Stop(ErrDown) // the mutant's held saves go with its incarnation
 }
 
 // earlyDisk is the EarlyStable mutant's disk: while held it acks each save
 // and only records it, so the real driver reports Stable for a batch no disk
 // holds yet.
 type earlyDisk struct {
-	*raft.FaultStorage
+	raft.Storage
 	held   bool
-	frames [3]func() error // state, snapshot, entries (nil: not in the batch)
+	writes []func() error // the held saves, in order
 }
 
 func (e *earlyDisk) SaveState(hs raft.HardState) error {
-	return e.save(0, func() error { return e.FaultStorage.SaveState(hs) })
+	return e.save(func() error { return e.Storage.SaveState(hs) })
 }
 func (e *earlyDisk) SaveSnapshot(snap raft.LogSnapshot) error {
-	return e.save(1, func() error { return e.FaultStorage.SaveSnapshot(snap) })
+	return e.save(func() error { return e.Storage.SaveSnapshot(snap) })
 }
 func (e *earlyDisk) SaveEntries(first int, es []raft.LogEntry) error {
-	return e.save(2, func() error { return e.FaultStorage.SaveEntries(first, es) })
+	return e.save(func() error { return e.Storage.SaveEntries(first, es) })
 }
 
-func (e *earlyDisk) save(frame int, write func() error) error {
+func (e *earlyDisk) save(write func() error) error {
 	if !e.held {
 		return write()
 	}
-	e.frames[frame] = write
+	e.writes = append(e.writes, write)
 	return nil
 }
 
-// land writes the first n held frames (3: all of them).
-func (e *earlyDisk) land(n int) (err error) {
-	for _, write := range e.frames[:n] {
-		if write != nil && err == nil {
+// land performs the held saves.
+func (e *earlyDisk) land() (err error) {
+	for _, write := range e.writes {
+		if err == nil {
 			err = write()
 		}
 	}
-	e.frames, e.held = [3]func() error{}, false
+	e.writes, e.held = nil, false
 	return err
 }
 
@@ -702,21 +697,26 @@ func (s *Cluster) StallDisk(id types.NodeID, ticks int64) {
 	s.Journalf("S%d disk stalled for %d ticks", id, ticks)
 }
 
-// CrashTorn arms a torn write on the node's next persist and schedules a
-// hard crash graceTicks later: if the node writes in the window it
-// fail-stops on the torn frame (exercising the fail-stop path), otherwise
-// the scheduled crash lands. Mirrors the real-time executor's torn-crash
-// sequencing.
+// TornBytes bounds a torn crash's seeded cut: the power goes after
+// 0..TornBytes-1 more bytes, inside the next record or two.
+const TornBytes = 64
+
+// CrashTorn arms a power cut on the node's disk after a seeded number of
+// bytes and schedules a hard crash graceTicks later: if the node writes past
+// the cut in the window, that write is torn and the node fail-stops on it
+// (exercising the fail-stop path), otherwise the scheduled crash lands.
+// Mirrors the real-time executor's torn-crash sequencing.
 func (s *Cluster) CrashTorn(id types.NodeID, graceTicks int64) {
-	s.storage[id].TearNextWrite()
+	n := s.rng.Intn(TornBytes)
+	s.disks[id].CutAfter(n)
 	s.nodes[id].doomAt = s.now + graceTicks
-	s.Journalf("S%d crash (torn, grace=%d)", id, graceTicks)
+	s.Journalf("S%d crash (torn after %d bytes, grace=%d)", id, n, graceTicks)
 }
 
-// CrashWound arms a plain write error and schedules the hard crash, like
-// CrashTorn but with a non-torn fault.
+// CrashWound arms a plain error on the node's next disk write, of any record,
+// and schedules the hard crash, like CrashTorn but with a non-torn fault.
 func (s *Cluster) CrashWound(id types.NodeID, graceTicks int64) {
-	s.storage[id].FailNextSaveEntries(fmt.Errorf("sim: injected write error on S%d", id))
+	s.disks[id].FailNextWrite(fmt.Errorf("sim: injected write error on S%d", id))
 	s.nodes[id].doomAt = s.now + graceTicks
 	s.Journalf("S%d crash (wound, grace=%d)", id, graceTicks)
 }
@@ -737,20 +737,20 @@ func (s *Cluster) WipeStorage(id types.NodeID) {
 		s.powerOff(n)
 	}
 	n.doomAt = 0
-	s.storage[id] = raft.NewFaultStorage(raft.NewMemStorage())
+	if n.st != nil {
+		n.st.Close()
+		n.st = nil
+	}
+	s.disks[id] = raft.NewFaultFS(raft.NewMemFS())
 	s.Journalf("S%d storage wiped", id)
 }
 
-// FailNextSaveSnapshot arms a snapshot-persist fault: the node's next
-// snapshot save fails and the node must fail-stop rather than truncate a
-// log whose replacement image never became durable.
-func (s *Cluster) FailNextSaveSnapshot(id types.NodeID) {
-	s.storage[id].FailNextSaveSnapshot(fmt.Errorf("sim: injected snapshot write error on S%d", id))
-}
+// Disk returns a node's disk, which outlives its incarnations (not a wipe).
+func (s *Cluster) Disk(id types.NodeID) *raft.FaultFS { return s.disks[id] }
 
 // ClearFaults disarms any armed (not yet tripped) storage faults on the
 // node without restarting it — the epilogue's "repair the disk" step.
-func (s *Cluster) ClearFaults(id types.NodeID) { s.storage[id].ClearFaults() }
+func (s *Cluster) ClearFaults(id types.NodeID) { s.disks[id].Clear() }
 
 // Restart repairs a node's storage faults and boots a fresh incarnation
 // from its durable state. It is a no-op for a node that is still healthy.
@@ -759,7 +759,7 @@ func (s *Cluster) Restart(id types.NodeID) {
 	if n.up && n.failErr == nil {
 		return
 	}
-	s.storage[id].ClearFaults()
+	s.disks[id].Clear()
 	s.bootNode(id)
 	s.Journalf("S%d restart", id)
 }

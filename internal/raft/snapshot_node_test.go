@@ -134,16 +134,30 @@ func TestWALBoundedBySnapshots(t *testing.T) {
 	}
 }
 
+// failFirstSnapshot fails the first SaveSnapshot with err (the node's write
+// lane is its one caller) and passes every other call through.
+type failFirstSnapshot struct {
+	raft.Storage
+	err error
+}
+
+func (s *failFirstSnapshot) SaveSnapshot(snap raft.LogSnapshot) error {
+	if err := s.err; err != nil {
+		s.err = nil
+		return err
+	}
+	return s.Storage.SaveSnapshot(snap)
+}
+
 // TestNodeSnapshotPersistFailStop injects a write error into the
 // snapshot persist underneath a live node: the driver must fail-stop
 // (surface the error, halt the node) instead of dropping the error and
 // truncating a WAL whose replacement image never landed.
 func TestNodeSnapshotPersistFailStop(t *testing.T) {
-	fa := raft.NewFaultStorage(raft.NewMemStorage())
+	fa := &failFirstSnapshot{Storage: openWAL(t, raft.NewMemFS()), err: fmt.Errorf("injected snapshot error")}
 	st := kvstore.NewStore()
 	n := startSnapshotNode(t, fa, st, 8)
 
-	fa.FailNextSaveSnapshot(fmt.Errorf("injected snapshot error"))
 	for i := 0; i < 32; i++ {
 		if _, _, err := n.ProposeAsync([]byte(fmt.Sprintf("op-%d", i))).Wait(); err != nil {
 			break // node already failed stopped: proposals are rejected

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,66 +41,6 @@ type Storage interface {
 	Close() error
 }
 
-// MemStorage is an in-memory Storage for tests: durable across Node
-// restarts within a process, not across process crashes.
-type MemStorage struct {
-	mu   sync.Mutex
-	hs   HardState   // guarded by mu
-	base LogSnapshot // snapshot base; guarded by mu
-	log  []LogEntry  // suffix after base, sentinel at [0]; guarded by mu
-}
-
-// NewMemStorage creates an empty in-memory store.
-func NewMemStorage() *MemStorage {
-	return &MemStorage{log: make([]LogEntry, 1)}
-}
-
-// SaveState implements Storage.
-func (m *MemStorage) SaveState(hs HardState) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.hs = hs
-	return nil
-}
-
-// SaveEntries implements Storage.
-func (m *MemStorage) SaveEntries(firstIndex int, entries []LogEntry) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p := firstIndex - m.base.Index
-	if p < 1 || p > len(m.log) {
-		return fmt.Errorf("raft: SaveEntries at %d outside log (%d, %d]",
-			firstIndex, m.base.Index, m.base.Index+len(m.log)-1)
-	}
-	m.log = append(m.log[:p], entries...)
-	return nil
-}
-
-// SaveSnapshot implements Storage.
-func (m *MemStorage) SaveSnapshot(snap LogSnapshot) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if snap.Index <= m.base.Index {
-		return nil // stale
-	}
-	m.log = spliceSuffix(m.log, m.base.Index, snap)
-	m.base = snap
-	return nil
-}
-
-// Load implements Storage. The returned slice is a copy of the retained
-// suffix only — bounded by the compaction threshold, not by history.
-func (m *MemStorage) Load() (HardState, LogSnapshot, []LogEntry, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]LogEntry, len(m.log)-1)
-	copy(out, m.log[1:])
-	return m.hs, m.base, out, nil
-}
-
-// Close implements Storage.
-func (m *MemStorage) Close() error { return nil }
-
 // spliceSuffix rebuilds a sentinel-prefixed log as the suffix above a new
 // snapshot base. oldBase is the previous base index of log.
 func spliceSuffix(log []LogEntry, oldBase int, snap LogSnapshot) []LogEntry {
@@ -116,39 +54,36 @@ func spliceSuffix(log []LogEntry, oldBase int, snap LogSnapshot) []LogEntry {
 	return []LogEntry{{Term: snap.Term}}
 }
 
-// FileStorage is a directory of write-ahead-log segments and nothing else.
-// Every segment begins with a base record holding the whole base it builds on
-// — hard state and snapshot, image included — and every later state change
-// and log mutation is one record, appended to the active segment as one
-// CRC-checked durable frame; Load replays the segments in order. Compaction
-// (SaveSnapshot) starts a fresh segment whose base is the new snapshot and
-// unlinks the segment files that snapshot fully covers — an O(segments)
-// unlink, not a log rewrite. Each open starts a new segment, so a torn tail
-// from a crash mid-write is simply ignored at the next replay.
+// FileStorage is a directory of write-ahead-log segments and nothing else,
+// kept on an FS. Every segment begins with a base record holding the whole
+// base it builds on — hard state and snapshot, image included — and every
+// later state change and log mutation is one record, appended to the active
+// segment as one CRC-checked durable frame; Load replays the segments in
+// order. Compaction (SaveSnapshot) starts a fresh segment holding the new
+// snapshot and the log suffix above it, and unlinks every older segment. Each
+// open starts a new segment, so a torn tail from a crash mid-write is simply
+// ignored at the next replay.
+//
+// The cached state changes only once a write has landed, and the first failed
+// write or sync is latched: every later Save returns it, so a torn frame is
+// never followed by a valid one in the same segment.
 type FileStorage struct {
-	mu  sync.Mutex
-	dir string
-	f   *os.File // active segment; guarded by mu
+	mu   sync.Mutex
+	fsys FS
+	dir  string
+	f    File  // active segment; guarded by mu
+	seq  int   // the active segment's sequence number; guarded by mu
+	old  int   // the oldest live segment's; guarded by mu
+	err  error // the latched write error; guarded by mu
 
 	// cached live state
 	hs   HardState   // guarded by mu
 	base LogSnapshot // snapshot base; guarded by mu
 	log  []LogEntry  // suffix after base, sentinel at [0]; guarded by mu
 
-	// segs are the live segments in sequence order; the last one is
-	// active. max is the highest absolute entry index a segment may
-	// contain (an overestimate is safe: it only delays its unlink).
-	segs []walSegment // guarded by mu
-
 	// buf is the reused frame-encoding buffer: the append hot path encodes
 	// each record into it instead of allocating per record.
 	buf []byte // guarded by mu
-}
-
-// walSegment is one live segment file.
-type walSegment struct {
-	seq int
-	max int // highest absolute entry index possibly present
 }
 
 // A segment is walHeader, then one durable frame per record, the first of
@@ -217,63 +152,47 @@ func nextRecord(b []byte) (walRecord, []byte, error) {
 	return rec, rest, r.err
 }
 
-// replaySegment reads one segment's records. A segment gets its final name
-// only once its header and base record are durable (rotateLocked), so both
-// must be whole: anything else fails loudly. After the base, replay stops at
-// the first frame that is short, fails its CRC or does not decode: a crash
-// tears only the last write, and what precedes it is the durable prefix. If a
-// complete, valid frame follows that point, the damage is inside the segment,
-// not a torn tail, and replay fails loudly too.
-func replaySegment(path string) ([]walRecord, error) {
-	b, err := os.ReadFile(path)
+// replayLocked folds one segment's records into the cached state. A segment
+// gets its final name only once its header and base record are durable
+// (rotateLocked), so both must be whole: anything else fails loudly. After the
+// base, replay stops at the first frame that is short, fails its CRC or does
+// not decode: a crash tears only the last write, and what precedes it is the
+// durable prefix. If a complete, valid frame follows that point, the damage is
+// inside the segment, not a torn tail, and replay fails loudly too.
+func (fs *FileStorage) replayLocked(path string) error {
+	b, err := fs.fsys.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("raft: open wal segment: %w", err)
+		return fmt.Errorf("raft: open wal segment: %w", err)
 	}
 	if len(b) < len(walHeader) || string(b[:len(walHeader)]) != walHeader {
-		return nil, fmt.Errorf("raft: wal segment %s: %w", path, errWALFormat)
+		return fmt.Errorf("raft: wal segment %s: %w", path, errWALFormat)
 	}
-	base, rest, err := nextRecord(b[len(walHeader):])
-	if err == nil && base.Kind != 2 {
+	rec, rest, err := nextRecord(b[len(walHeader):])
+	if err == nil && rec.Kind != 2 {
 		err = errWireRange
 	}
 	if err != nil {
-		return nil, fmt.Errorf("raft: wal segment %s: base record: %w", path, err)
+		return fmt.Errorf("raft: wal segment %s: base record: %w", path, err)
 	}
-	recs := []walRecord{base}
-	for at := len(b) - len(rest); at < len(b); {
-		rec, rest, err := nextRecord(b[at:])
-		if err != nil {
+	for {
+		if err := fs.applyRecordLocked(rec); err != nil || len(rest) == 0 {
+			return err
+		}
+		at := len(b) - len(rest)
+		if rec, rest, err = nextRecord(rest); err != nil {
 			for next := at + 1; next < len(b); next++ {
 				if _, _, err := nextRecord(b[next:]); err == nil {
-					return nil, fmt.Errorf("raft: wal segment %s: frame at byte %d is damaged but a valid frame follows at byte %d",
+					return fmt.Errorf("raft: wal segment %s: frame at byte %d is damaged but a valid frame follows at byte %d",
 						path, at, next)
 				}
 			}
-			return recs, nil
+			return nil
 		}
-		recs = append(recs, rec)
-		at = len(b) - len(rest)
 	}
-	return recs, nil
 }
 
 func segPath(dir string, seq int) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%08d.seg", seq))
-}
-
-// syncDir fsyncs a directory so renames/creates/unlinks inside it are
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
 }
 
 // The durable frame, one per WAL record:
@@ -314,25 +233,27 @@ func splitFrame(b []byte) (body, rest []byte, err error) {
 	return body, rest, nil
 }
 
-// OpenFileStorage opens (or creates) a WAL directory at dir: it replays the
-// retained segments in order — each base record installs its snapshot, so
-// only the suffix above the newest one is ever materialized — and starts a
-// fresh active segment for this process generation.
-func OpenFileStorage(dir string) (*FileStorage, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// OpenFileStorage is OpenFileStorageOn the operating system's file system.
+func OpenFileStorage(dir string) (*FileStorage, error) { return OpenFileStorageOn(OSFS, dir) }
+
+// OpenFileStorageOn opens (or creates) a WAL directory at dir on fsys: it
+// replays the retained segments in order — each base record installs its
+// snapshot, so only the suffix above the newest one is ever materialized —
+// and starts a fresh active segment for this process generation.
+func OpenFileStorageOn(fsys FS, dir string) (*FileStorage, error) {
+	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("raft: open wal dir: %w", err)
 	}
-	fs := &FileStorage{dir: dir, log: make([]LogEntry, 1)}
+	fs := &FileStorage{fsys: fsys, dir: dir, old: 1, log: make([]LogEntry, 1)}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 
-	entries, err := os.ReadDir(dir)
+	names, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("raft: open wal dir: %w", err)
 	}
-	var segSeqs []int
-	for _, de := range entries {
-		name := de.Name()
+	var segSeqs []int // ascending: the names are sorted and zero-padded
+	for _, name := range names {
 		switch {
 		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg"):
 			if n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg")); err == nil {
@@ -341,77 +262,69 @@ func OpenFileStorage(dir string) (*FileStorage, error) {
 		case strings.HasSuffix(name, ".tmp"):
 			// A rotation torn by a crash: the link never happened, so it
 			// holds nothing durable.
-			os.Remove(filepath.Join(dir, name))
+			fsys.Remove(filepath.Join(dir, name))
 		}
 	}
-	sort.Ints(segSeqs)
-
 	for _, seq := range segSeqs {
-		recs, err := replaySegment(segPath(dir, seq))
-		if err != nil {
+		if err := fs.replayLocked(segPath(dir, seq)); err != nil {
 			return nil, err
 		}
-		max := 0
-		for _, rec := range recs {
-			if err := fs.applyRecordLocked(rec); err != nil {
-				return nil, err
-			}
-			if rec.Kind == 1 && len(rec.Entries) > 0 {
-				if end := rec.FirstIndex + len(rec.Entries) - 1; end > max {
-					max = end
-				}
-			}
-		}
-		fs.segs = append(fs.segs, walSegment{seq: seq, max: max})
+	}
+	if n := len(segSeqs); n > 0 {
+		fs.old, fs.seq = segSeqs[0], segSeqs[n-1]
 	}
 	// Never append to an old segment (its tail may be torn): this
 	// generation writes to a fresh one.
-	next := 1
-	if n := len(fs.segs); n > 0 {
-		next = fs.segs[n-1].seq + 1
-	}
-	if err := fs.rotateLocked(next); err != nil {
+	if err := fs.rotateLocked(fs.base, nil); err != nil {
 		return nil, err
 	}
 	return fs, nil
 }
 
-// rotateLocked closes the active segment (if any) and starts segment seq
-// with the header and a base record carrying the current hard state and
-// snapshot, image included, in one write. The write is made durable under a
-// temp name and then linked into place, so a segment under its final name
-// always holds its whole base; a link, unlike a rename, never replaces an
-// existing segment.
-func (fs *FileStorage) rotateLocked(seq int) error {
-	if fs.f != nil {
-		if err := fs.f.Close(); err != nil {
-			return err
-		}
-		fs.f = nil
+// rotateLocked closes the active segment (if any) and starts the next one
+// with the header, a base record carrying the current hard state and base,
+// image included, and an entries record of suffix, the log above base, in one
+// write. The write is made durable under a temp name and then linked into
+// place, so a segment under its final name always holds its whole base; a
+// link, unlike a rename, never replaces an existing segment.
+func (fs *FileStorage) rotateLocked(base LogSnapshot, suffix []LogEntry) error {
+	if fs.err != nil {
+		return fs.err
 	}
-	path := segPath(fs.dir, seq)
+	path := segPath(fs.dir, fs.seq+1)
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	buf := appendRecord(append(make([]byte, 0, 64+len(base.Data)), walHeader...), walRecord{Kind: 2, HS: fs.hs, Base: base})
+	if len(suffix) > 0 {
+		buf = appendRecord(buf, walRecord{Kind: 1, FirstIndex: base.Index + 1, Entries: suffix})
+	}
+	var err error
+	if fs.f != nil {
+		err = fs.f.Close()
+	}
+	if err == nil {
+		fs.f, err = fs.fsys.Create(tmp)
+	}
+	if err == nil {
+		_, err = fs.f.Write(buf)
+	}
+	if err == nil {
+		err = fs.f.Sync()
+	}
+	if err == nil {
+		err = fs.fsys.Link(tmp, path)
+	}
+	if err == nil {
+		err = fs.fsys.Remove(tmp)
+	}
+	if err == nil {
+		err = fs.fsys.SyncDir(fs.dir)
+	}
 	if err != nil {
-		return fmt.Errorf("raft: rotate wal segment: %w", err)
+		fs.err = fmt.Errorf("raft: rotate wal segment: %w", err)
+		return fs.err
 	}
-	fs.f = f
-	buf := append(make([]byte, 0, 64+len(fs.base.Data)), walHeader...)
-	_, err = f.Write(appendRecord(buf, walRecord{Kind: 2, HS: fs.hs, Base: fs.base}))
-	if err == nil {
-		err = f.Sync()
-	}
-	if err == nil {
-		err = os.Link(tmp, path)
-	}
-	if err == nil {
-		err = os.Remove(tmp)
-	}
-	if err != nil {
-		return fmt.Errorf("raft: rotate wal segment: %w", err)
-	}
-	fs.segs = append(fs.segs, walSegment{seq: seq})
-	return syncDir(fs.dir)
+	fs.seq++
+	return nil
 }
 
 // applyRecordLocked folds one replayed record into the cached state.
@@ -420,25 +333,15 @@ func (fs *FileStorage) applyRecordLocked(rec walRecord) error {
 	case 0:
 		fs.hs = rec.HS
 	case 1:
-		first, ents := rec.FirstIndex, rec.Entries
-		if first <= fs.base.Index {
-			// The snapshot already covers a prefix of this record.
-			drop := fs.base.Index + 1 - first
-			if drop >= len(ents) {
-				return nil // entirely below the base
-			}
-			ents = ents[drop:]
-			first = fs.base.Index + 1
-		}
-		p := first - fs.base.Index
-		if p > len(fs.log) {
+		p := rec.FirstIndex - fs.base.Index
+		if p < 1 || p > len(fs.log) {
 			// A gap can only mean a segment was unlinked without its
-			// covering snapshot surviving — fail loudly rather than
-			// fabricate a log.
-			return fmt.Errorf("raft: wal replay: entries at %d leave a gap after %d",
-				first, fs.base.Index+len(fs.log)-1)
+			// covering snapshot surviving, and no store writes entries at or
+			// below its base: fail loudly rather than fabricate a log.
+			return fmt.Errorf("raft: wal replay: entries at %d outside (%d, %d]: a gap, or under the base",
+				rec.FirstIndex, fs.base.Index, fs.base.Index+len(fs.log))
 		}
-		fs.log = append(fs.log[:p], ents...)
+		fs.log = append(fs.log[:p], rec.Entries...)
 	case 2:
 		fs.hs = rec.HS
 		switch {
@@ -458,19 +361,29 @@ func (fs *FileStorage) applyRecordLocked(rec walRecord) error {
 // appendLocked writes rec's frame to the active segment in one write, and
 // syncs it.
 func (fs *FileStorage) appendLocked(rec walRecord) error {
-	fs.buf = appendRecord(fs.buf[:0], rec)
-	if _, err := fs.f.Write(fs.buf); err != nil {
-		return fmt.Errorf("raft: wal append: %w", err)
+	if fs.err != nil {
+		return fs.err
 	}
-	return fs.f.Sync()
+	fs.buf = appendRecord(fs.buf[:0], rec)
+	_, err := fs.f.Write(fs.buf)
+	if err == nil {
+		err = fs.f.Sync()
+	}
+	if err != nil {
+		fs.err = fmt.Errorf("raft: wal append: %w", err)
+	}
+	return fs.err
 }
 
 // SaveState implements Storage.
 func (fs *FileStorage) SaveState(hs HardState) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if err := fs.appendLocked(walRecord{Kind: 0, HS: hs}); err != nil {
+		return err
+	}
 	fs.hs = hs
-	return fs.appendLocked(walRecord{Kind: 0, HS: hs})
+	return nil
 }
 
 // SaveEntries implements Storage.
@@ -478,49 +391,38 @@ func (fs *FileStorage) SaveEntries(firstIndex int, entries []LogEntry) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	p := firstIndex - fs.base.Index
-	if p < 1 || p > len(fs.log) {
+	if fs.err == nil && (p < 1 || p > len(fs.log)) { // a failed store reports its write error
 		return fmt.Errorf("raft: SaveEntries at %d outside log (%d, %d]",
 			firstIndex, fs.base.Index, fs.base.Index+len(fs.log)-1)
 	}
-	fs.log = append(fs.log[:p], entries...)
-	if len(entries) > 0 {
-		active := &fs.segs[len(fs.segs)-1]
-		if end := firstIndex + len(entries) - 1; end > active.max {
-			active.max = end
-		}
+	if err := fs.appendLocked(walRecord{Kind: 1, FirstIndex: firstIndex, Entries: entries}); err != nil {
+		return err
 	}
-	return fs.appendLocked(walRecord{Kind: 1, FirstIndex: firstIndex, Entries: entries})
+	fs.log = append(fs.log[:p], entries...)
+	return nil
 }
 
-// SaveSnapshot implements Storage: rotate to a fresh segment whose base
-// record is snap, so the image is durable FIRST, then unlink the segment
-// files the snapshot fully covers. Compaction cost is O(image + retained
-// suffix + number of segments), independent of history length.
+// SaveSnapshot implements Storage: rotate to a fresh segment holding snap and
+// the log suffix above it, so the image is durable FIRST, then unlink every
+// older segment, which the new one supersedes. Compaction cost is O(image +
+// retained suffix + number of segments), independent of history length.
 func (fs *FileStorage) SaveSnapshot(snap LogSnapshot) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if snap.Index <= fs.base.Index {
-		return nil // stale
+		return fs.err // stale: nothing to write
 	}
-	fs.log = spliceSuffix(fs.log, fs.base.Index, snap)
-	fs.base = snap
-	// The image is durable, in the new active segment's base record,
-	// before any log prefix is dropped.
-	if err := fs.rotateLocked(fs.segs[len(fs.segs)-1].seq + 1); err != nil {
+	log := spliceSuffix(fs.log, fs.base.Index, snap)
+	if err := fs.rotateLocked(snap, log[1:]); err != nil {
 		return err
 	}
-	// Unlink the prefix of segments whose entries are all at or below the
-	// base (never the active segment). Their records are superseded by
-	// the base record just written.
-	cut := 0
-	for cut < len(fs.segs)-1 && fs.segs[cut].max <= snap.Index {
-		if err := os.Remove(segPath(fs.dir, fs.segs[cut].seq)); err != nil {
+	fs.base, fs.log = snap, log
+	for ; fs.old < fs.seq; fs.old++ {
+		if err := fs.fsys.Remove(segPath(fs.dir, fs.old)); err != nil {
 			return fmt.Errorf("raft: drop wal segment: %w", err)
 		}
-		cut++
 	}
-	fs.segs = append(fs.segs[:0], fs.segs[cut:]...)
-	return syncDir(fs.dir)
+	return fs.fsys.SyncDir(fs.dir)
 }
 
 // Load implements Storage. The returned slice is a copy of the retained

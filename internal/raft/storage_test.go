@@ -15,8 +15,18 @@ import (
 	"adore/internal/types"
 )
 
-func TestMemStorageRoundTrip(t *testing.T) {
-	st := NewMemStorage()
+// openMem opens a FileStorage on a fresh in-memory file system.
+func openMem(t *testing.T) *FileStorage {
+	t.Helper()
+	st, err := OpenFileStorageOn(NewMemFS(), "wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func TestFileStorageRoundTrip(t *testing.T) {
+	st := openMem(t)
 	if err := st.SaveState(HardState{Term: 3, VotedFor: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +62,8 @@ func TestMemStorageRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMemStorageSnapshot(t *testing.T) {
-	st := NewMemStorage()
+func TestFileStorageSnapshot(t *testing.T) {
+	st := openMem(t)
 	entries := make([]LogEntry, 5)
 	for i := range entries {
 		entries[i] = LogEntry{Term: 1, Kind: EntryCommand, Command: []byte{byte('a' + i)}}
@@ -94,11 +104,11 @@ func TestMemStorageSnapshot(t *testing.T) {
 	}
 }
 
-// TestMemStorageLoadBounded is the regression test for the O(history) Load:
+// TestFileStorageLoadBounded is the regression test for the O(history) Load:
 // with a snapshot base near the tip, Load must copy (and allocate) only the
 // retained suffix, regardless of how many entries ever existed.
-func TestMemStorageLoadBounded(t *testing.T) {
-	st := NewMemStorage()
+func TestFileStorageLoadBounded(t *testing.T) {
+	st := openMem(t)
 	const total = 4096
 	entries := make([]LogEntry, total)
 	for i := range entries {
@@ -592,7 +602,7 @@ func TestFileStorageSnapshotRecovery(t *testing.T) {
 	// record, and the pre-snapshot segments are unlinked (compaction is an
 	// unlink, not a rewrite).
 	re.mu.Lock()
-	live := len(re.segs)
+	live := re.seq - re.old + 1
 	re.mu.Unlock()
 	if segs := segmentFiles(t, dir); segs != live {
 		t.Errorf("%d segment files on disk, %d live segments", segs, live)
@@ -828,17 +838,155 @@ func TestFileStorageCompactionUnlinksSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Each cycle rotates once; everything before the newest snapshot is
-	// unlinked, so the live set stays at one active segment (+1 slack for
-	// the rotation boundary).
+	// Each cycle rotates once and the new segment supersedes every older
+	// one, so the live set is the one active segment.
 	st.mu.Lock()
-	live := len(st.segs)
+	live := st.seq - st.old + 1
 	st.mu.Unlock()
-	if live > 2 {
-		t.Errorf("%d live segments after 10 compaction cycles, want <= 2", live)
+	if live != 1 {
+		t.Errorf("%d live segments after 10 compaction cycles, want 1", live)
 	}
 	if segs := segmentFiles(t, dir); segs != live {
 		t.Errorf("%d segment files on disk, %d live segments", segs, live)
+	}
+}
+
+// TestFileStorageRestartThenCompact compacts a directory whose entries span
+// a reopen: entries 1-20 in the first segment, 21-30 in the open-time one, a
+// snapshot at 25. The compaction segment must carry 26-30 itself, since the
+// open-time segment's entries from 21 build on the segment the compaction
+// unlinks, so the next open replays the snapshot and that suffix.
+func TestFileStorageRestartThenCompact(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	entries := make([]LogEntry, 30)
+	for i := range entries {
+		entries[i] = LogEntry{Term: 1, Kind: EntryCommand, Command: []byte(fmt.Sprintf("e%d", i+1))}
+	}
+	st, err := OpenFileStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveEntries(1, entries[:20]); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if st, err = OpenFileStorage(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveEntries(21, entries[20:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveSnapshot(LogSnapshot{Index: 25, Term: 1, Data: []byte("img@25")}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	re, err := OpenFileStorage(dir)
+	if err != nil {
+		t.Fatalf("reopen after a restart and a compaction: %v", err)
+	}
+	defer re.Close()
+	if _, snap, log, _ := re.Load(); snap.Index != 25 || !sameEntries(log, entries[25:]) {
+		t.Fatalf("recovered base %d and %d entries, want base 25 and entries 26-30", snap.Index, len(log))
+	}
+}
+
+// TestFileStorageFailedWriteLeavesNoTrace fails the active segment's next
+// write: Load must not show what it carried (the simulator's quorum-durable
+// oracle reads the disk through Load), and the store stays failed.
+func TestFileStorageFailedWriteLeavesNoTrace(t *testing.T) {
+	disk := NewFaultFS(NewMemFS())
+	st, err := OpenFileStorageOn(disk, "wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := []LogEntry{{Term: 1, Kind: EntryNoOp}, {Term: 1, Kind: EntryCommand, Command: []byte("a")}}
+	if err := st.SaveEntries(1, first); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("EIO")
+	disk.FailNextWrite(boom)
+	if err := st.SaveEntries(3, []LogEntry{{Term: 1, Kind: EntryCommand, Command: []byte("lost")}}); !errors.Is(err, boom) {
+		t.Fatalf("SaveEntries error = %v, want %v", err, boom)
+	}
+	if _, _, log, _ := st.Load(); !sameEntries(log, first) {
+		t.Fatalf("Load after a failed write shows %d entries, want the %d that landed", len(log), len(first))
+	}
+	if err := st.SaveState(HardState{Term: 2}); !errors.Is(err, boom) {
+		t.Fatalf("SaveState after a failed write: err = %v, want the latched %v", err, boom)
+	}
+	if hs, _, _, _ := st.Load(); hs.Term != 0 {
+		t.Fatalf("Load shows term %d from a refused SaveState", hs.Term)
+	}
+}
+
+// TestFileStorageTornEveryByte cuts the power at every byte of a batch — hard
+// state, then entries — a compaction and an append after it. Each reopen
+// must replay exactly the Save calls that returned nil: never a loud error,
+// and never anything from the torn write. No Save succeeds after one failed.
+func TestFileStorageTornEveryByte(t *testing.T) {
+	entries := make([]LogEntry, 6)
+	for i := range entries {
+		entries[i] = LogEntry{Term: 1, Kind: EntryCommand, Command: []byte(fmt.Sprintf("e%d", i+1))}
+	}
+	steps := []func(*FileStorage) error{
+		func(st *FileStorage) error { return st.SaveState(HardState{Term: 2, VotedFor: 1}) },
+		func(st *FileStorage) error { return st.SaveEntries(1, entries[:5]) },
+		func(st *FileStorage) error {
+			return st.SaveSnapshot(LogSnapshot{Index: 3, Term: 1, Members: []types.NodeID{1, 2, 3}, Data: []byte("img@3")})
+		},
+		func(st *FileStorage) error { return st.SaveEntries(6, entries[5:]) },
+	}
+	type state struct {
+		hs   HardState
+		snap LogSnapshot
+		log  []LogEntry
+	}
+	load := func(st *FileStorage) state {
+		hs, snap, log, _ := st.Load()
+		return state{hs, snap, log}
+	}
+	// want[k] is the state after the first k steps.
+	ref, err := OpenFileStorageOn(NewMemFS(), "wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []state{load(ref)}
+	for _, step := range steps {
+		if err := step(ref); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, load(ref))
+	}
+	for n := 0; ; n++ {
+		disk := NewFaultFS(NewMemFS())
+		st, err := OpenFileStorageOn(disk, "wal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		disk.CutAfter(n)
+		landed := 0
+		for i, step := range steps {
+			switch err := step(st); {
+			case err == nil && landed < i:
+				t.Fatalf("cut at byte %d: step %d succeeded after step %d failed", n, i, landed)
+			case err == nil:
+				landed++
+			case !errors.Is(err, ErrTornWrite):
+				t.Fatalf("cut at byte %d: step %d failed with %v, want ErrTornWrite", n, i, err)
+			}
+		}
+		disk.Clear()
+		re, err := OpenFileStorageOn(disk, "wal")
+		if err != nil {
+			t.Fatalf("cut at byte %d, after %d saves landed: reopen: %v", n, landed, err)
+		}
+		got, w := load(re), want[landed]
+		if got.hs != w.hs || !sameSnapshot(got.snap, w.snap) || !sameEntries(got.log, w.log) {
+			t.Fatalf("cut at byte %d, after %d saves landed: replayed %+v, want %+v", n, landed, got, w)
+		}
+		if landed == len(steps) {
+			return // the cut lies past the last write
+		}
 	}
 }
 

@@ -61,6 +61,15 @@ func (s *tcpSM) snapshotRestore() (bool, int, int) {
 // startTCPNode boots one raft node on a one-group host over a real TCP
 // transport on a loopback ephemeral port, feeding the apply stream to sm.
 // Peers are wired up by the caller via SetPeer.
+// memWAL opens a FileStorage on a fresh in-memory disk.
+func memWAL(t *testing.T) raft.Storage {
+	st, err := raft.OpenFileStorageOn(raft.NewMemFS(), "wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func startTCPNode(t *testing.T, id types.NodeID, members []types.NodeID, sm *tcpSM, storage raft.Storage) (*raft.Node, *transport.TCPTransport) {
 	t.Helper()
 	tr, err := transport.NewTCPTransport(id, "127.0.0.1:0", nil, nil)
@@ -94,9 +103,9 @@ func startTCPNode(t *testing.T, id types.NodeID, members []types.NodeID, sm *tcp
 func TestTCPSnapshotCatchup(t *testing.T) {
 	members := []types.NodeID{1, 2, 3}
 	sm1, sm2, sm3 := &tcpSM{}, &tcpSM{}, &tcpSM{}
-	n1, t1 := startTCPNode(t, 1, members, sm1, raft.NewMemStorage())
+	n1, t1 := startTCPNode(t, 1, members, sm1, memWAL(t))
 	defer n1.Stop()
-	n2, t2 := startTCPNode(t, 2, members, sm2, raft.NewMemStorage())
+	n2, t2 := startTCPNode(t, 2, members, sm2, memWAL(t))
 	defer n2.Stop()
 	t1.SetPeer(2, t2.Addr())
 	t2.SetPeer(1, t1.Addr())
@@ -140,7 +149,7 @@ func TestTCPSnapshotCatchup(t *testing.T) {
 
 	// The joiner starts empty: its whole history lives below the leader's
 	// base, so catch-up MUST go through InstallSnapshot.
-	n3, t3 := startTCPNode(t, 3, members, sm3, raft.NewMemStorage())
+	n3, t3 := startTCPNode(t, 3, members, sm3, memWAL(t))
 	defer n3.Stop()
 	t3.SetPeer(1, t1.Addr())
 	t3.SetPeer(2, t2.Addr())
