@@ -150,7 +150,8 @@ benchmark-smoke:
 # line — must not panic, must not allocate by what a length prefix or a
 # count claims, and must accept only what round-trips through their encoder;
 # WAL replay after a crash that tore and overwrote the tail must return
-# every acked entry or fail loudly. `go test -fuzz` takes one target and one
+# every acked entry or fail loudly; overlapping pure appends landed in any
+# interleaving must replay to the in-order log. `go test -fuzz` takes one target and one
 # package per run; a crasher is written to the package's testdata/fuzz/ and
 # fails every later `go test`.
 fuzz-smoke:
@@ -158,6 +159,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreImage$$' -fuzztime 20s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzEnvelopeStream$$' -fuzztime 20s ./internal/raft
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecover$$' -fuzztime 20s ./internal/raft
+	$(GO) test -run '^$$' -fuzz '^FuzzWALOverlappingAppends$$' -fuzztime 20s ./internal/raft
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapFile$$' -fuzztime 20s ./internal/raft
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCommand$$' -fuzztime 20s ./cmd/raft-kv
 

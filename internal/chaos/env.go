@@ -182,10 +182,12 @@ func (l *liveEnv) StallDisk(id types.NodeID, quanta int64) {
 	time.AfterFunc(d, func() { fs.SetStall(0) })
 }
 
-// WipeStorage does nothing live: the cluster has no hook to destroy one
-// group's storage out from under a node, and multi-group schedules replay in
-// RunSim. A live run of a wipe schedule skips the wipe, so its teeth test
-// would (correctly) fail to find the violation rather than pass vacuously.
+// WipeStorage does nothing live. The hook exists — every node keeps its WAL
+// on its own FaultFS disk (l.disks), which a wipe could swap for a blank one
+// while the node is down, as the simulator does (ROADMAP item 3) — but no
+// live schedule uses it yet: multi-group wipe schedules replay in RunSim. A
+// live run of a wipe schedule skips the wipe, so its teeth test would
+// (correctly) fail to find the violation rather than pass vacuously.
 func (l *liveEnv) WipeStorage(types.NodeID) {}
 
 var errNodeDown = errors.New("chaos: node is down")

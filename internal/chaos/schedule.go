@@ -729,7 +729,7 @@ func r3ViolationSchedule(opt Options) *Schedule {
 	opt.defaults()
 	d := opt.Duration
 	cut, flip := d*25/100, d*40/100
-	return crafted(-11, opt, []Event{
+	return crafted(-37, opt, []Event{
 		{At: cut, Kind: EvPartitionLeader, Keep: 0},
 		{At: cut + 3*time.Millisecond, Kind: EvReconfigShed},
 		{At: cut + 29*time.Millisecond, Kind: EvCrash, Node: 3, Mode: CrashClean},
@@ -916,6 +916,38 @@ func applyAheadOfDiskSchedule(opt Options) *Schedule {
 		{At: d * 85 / 100, Kind: EvCrash, Node: 3, Mode: CrashClean},
 		{At: d * 90 / 100, Kind: EvRestart, Node: 3},
 	})
+}
+
+// pipelineCutSchedule is the pipelined-write plan: a follower's disk freezes
+// under a write of an entry only the stale side holds, and the log is cut under
+// that write. S2 leads and is cut off with S1; S1's disk freezes at once, and
+// S2 sheds S3, so S1's write of the config entry hangs on the frozen disk. The
+// majority elects a successor, and after the heal its first append conflicts
+// with that entry: S1 adopts the new term and cuts its log under the hung
+// write. With the guard the rewrite waits until the hung write lands; with
+// DisablePipelineGuard it goes out beside it, the stall's end releases both in
+// a seeded order, and when the rewrite lands first the hung write lands after
+// it and puts the cut entry back over the one S1 already acked. The power
+// cycle at 60% restarts every node from its disk, and the replay oracle finds
+// S1's WAL without the entry its last incarnation had durable.
+func pipelineCutSchedule(opt Options) *Schedule {
+	opt.Nodes = 5
+	opt.defaults()
+	d := opt.Duration
+	cut, heal := d*25/100, 60*time.Millisecond
+	events := []Event{
+		{At: cut, Kind: EvPartitionLeader, Keep: 1},
+		{At: cut + time.Millisecond, Kind: EvStallDisk, Node: 1, For: heal + 40*time.Millisecond},
+		{At: cut + 3*time.Millisecond, Kind: EvReconfigShed},
+		{At: cut + heal, Kind: EvHeal},
+	}
+	for id := types.NodeID(1); id <= 5; id++ {
+		events = append(events, Event{At: d * 60 / 100, Kind: EvCrash, Node: id, Mode: CrashClean})
+	}
+	for id := types.NodeID(1); id <= 5; id++ {
+		events = append(events, Event{At: d * 65 / 100, Kind: EvRestart, Node: id})
+	}
+	return crafted(-12, opt, events)
 }
 
 // staleSuffixReadSchedule is the commit-propagation plan (deterministic sim

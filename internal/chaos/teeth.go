@@ -18,6 +18,7 @@ var knockOuts = map[string]func(*Options){
 	"prevote":      func(o *Options) { o.DisablePreVote = true },
 	"checkquorum":  func(o *Options) { o.DisableCheckQuorum = true },
 	"lease-guard":  func(o *Options) { o.DisableLeaseGuard = true },
+	"pipeline":     func(o *Options) { o.DisablePipelineGuard = true },
 	"early-stable": func(o *Options) { o.EarlyStable = true },
 	"fresh-seq":    func(o *Options) { o.FreshSeqRetry = true },
 }
@@ -75,11 +76,15 @@ var teeth = []tooth{
 	{"apply-ahead-of-disk", applyAheadOfDiskSchedule, Options{Duration: 2000 * ms}, "", ""},
 	{"stale-suffix-read", staleSuffixReadSchedule, Options{Duration: 2000 * ms}, "", ""},
 	// A generated seed: the client mutant re-proposes an Append under a fresh
-	// sequence number once an attempt slice runs out, and seed 9 applies one
+	// sequence number once an attempt slice runs out, and seed 104 applies one
 	// twice.
-	{"fresh-seq", func(opt Options) *Schedule { return Generate(9, opt) }, Options{}, "fresh-seq", "not linearizable"},
+	{"fresh-seq", func(opt Options) *Schedule { return Generate(104, opt) }, Options{}, "fresh-seq", "not linearizable"},
 	{"r3", r3ViolationSchedule, Options{Duration: 1500 * ms}, "r3", "divergence"},
 	// The same power cycle, judged at the restarts: the replayed WALs lack
 	// the acked writes the crash dropped.
 	{"crash-before-stable-replay", crashBeforeStableSchedule, Options{Duration: 1500 * ms}, "early-stable", "^replay: "},
+	// A write handed out beside a hung one after the log was cut under it:
+	// the hung write lands last and restores the cut entry, and S1's replay
+	// lacks the entry it acked.
+	{"pipeline-cut", pipelineCutSchedule, Options{Duration: 1500 * ms}, "pipeline", "^replay: S1 "},
 }

@@ -67,6 +67,12 @@ var premises = map[string]func(t *testing.T, on, off *Report){
 			t.Fatalf("the quorum-durable oracle did not fire before the power cycle (violations: %v)\n--- journal ---\n%s", off.Violations, j)
 		}
 	},
+	// S2 must lead at the cut and keep S1, whose disk the plan freezes.
+	"pipeline-cut": func(t *testing.T, on, _ *Report) {
+		if !strings.Contains(string(on.Journal), "partition [S2 S1] | [S3 S4 S5]") {
+			t.Fatalf("the cut did not keep S1 with leader S2; the schedule lost its premise\n--- journal ---\n%s", on.Journal)
+		}
+	},
 	// Group 0 runs the same nemesis without the wipe: it is the control arm,
 	// so every violation must be group 1's.
 	"cross-group-wipe": func(t *testing.T, on, _ *Report) {

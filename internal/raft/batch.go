@@ -10,10 +10,12 @@ import (
 // command and returns a future; the node's flush loop drains every pending
 // proposal into the core's log with one ProposeBatch. The driver then hands
 // the write lane whatever the core has accumulated — this batch and any that
-// arrived while the previous write was in flight — as one SaveEntries call
-// (one WAL frame, one fsync), Stable broadcasts the newly durable suffix with
-// one AppendEntries per peer, and only then are the futures acked. Batching
-// only coalesces persistence and network operations, never commit rules.
+// arrived since the previous write was handed out — as one SaveEntries call
+// (one WAL frame, one fsync); with one write already in flight it goes out
+// beside it, from the stable index up. Stable broadcasts the newly durable
+// suffix with one AppendEntries per peer, and only then are the futures
+// acked. Batching only coalesces persistence and network operations, never
+// commit rules.
 
 // Proposal is the future returned by ProposeAsync — the node's one write
 // entry. Wait blocks until the command has been appended to the leader's log
@@ -48,8 +50,8 @@ func (p *Proposal) fail(err error) {
 }
 
 // ProposeAsync submits a client command for group commit and returns a
-// future. Concurrent proposals are coalesced: everything appended while a
-// write is in flight becomes one WAL frame with a single fsync and one
+// future. Concurrent proposals are coalesced: everything appended while
+// the write lane is full becomes one WAL frame with a single fsync and one
 // broadcast per peer, so fsyncs per operation fall toward 1/batch-size under
 // load. The future fails with ErrNotLeader if this node is not (or stops
 // being) the leader before the entry is durable, with ErrLeaderStepdown on a

@@ -2,6 +2,7 @@ package raft
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"adore/internal/raft/raftcore"
@@ -16,14 +17,23 @@ import (
 // ordering. The shell serializes every call under its lock (the simulator's
 // one thread holds it throughout); the driver releases the lock across the
 // storage calls of a write.
+//
+// A durable driver keeps up to writeDepth writes in flight. The core hands
+// out a second batch only beside a pure append, and that batch rewrites the
+// log from the stable index up, so it covers every older write: whichever
+// write lands first, its Stable makes it and every older one durable at
+// once. An older write that lands later changes nothing, but its failure
+// still fail-stops the node.
 type Driver struct {
 	core    *raftcore.Core
 	storage Storage     // nil: volatile, a batch is stable as soon as it is taken
 	mu      sync.Locker // the shell's lock
 	sh      shell
 
-	batch   raftcore.Unstable // the one write in flight, while writing
-	writing bool
+	// writes are the batches handed out and not yet landed, oldest first:
+	// the core's outstanding batches, in the same order.
+	writes  []write
+	nextSeq uint64   // the next write's sequence number
 	err     error    // the fail-stop latch: set by a failed write, never cleared
 	ctr     Counters // the fold of every event the core released, and the writes landed
 
@@ -35,6 +45,16 @@ type Driver struct {
 	reads     map[uint64]chan int
 	nextRead  uint64 // the next read barrier's id
 	wasLeader bool
+}
+
+// writeDepth is how many writes a durable driver keeps in flight: the one
+// the core hands out, and one pipelined pure append beside it.
+const writeDepth = 2
+
+// write is one batch handed out to the shell's disk.
+type write struct {
+	seq uint64
+	u   raftcore.Unstable
 }
 
 // Abort codes a read barrier's channel answers with instead of an index.
@@ -57,10 +77,11 @@ func ReadAborted(idx int, leader types.NodeID) error {
 // shell is a runtime around a Driver. The driver calls it with the shell's
 // lock held, in the release order.
 type shell interface {
-	// Write is asked when the core has a batch to persist and none is in
-	// flight: take reports whether to hand it out now, now whether it lands
-	// at once (otherwise the shell calls Land when its write is due).
-	Write() (take, now bool)
+	// Write is asked when the core has a batch to persist and fewer than
+	// writeDepth are in flight: take reports whether to hand it out now as
+	// write seq, now whether it lands at once (otherwise the shell calls
+	// Land(seq) when its write is due).
+	Write(seq uint64) (take, now bool)
 	Send(m Message)
 	Apply(batch []ApplyMsg) // committed entries, a snapshot restore first
 	// Snapshot asks for a state-machine image through req.Index, answered
@@ -83,73 +104,88 @@ func NewDriver(core *raftcore.Core, st Storage, mu sync.Locker, sh shell, firstR
 }
 
 // Ready runs after every core interaction: it hands out the next batch if
-// the core has one and none is in flight, then releases what may leave now.
+// the core has one and there is room in flight, then releases what may leave
+// now.
 func (d *Driver) Ready() {
 	d.start()
 	d.release()
 }
 
-// Land lands the batch in flight, if any, then runs Ready: the next batch is
-// handed out before the effects the landing released leave.
-func (d *Driver) Land() {
-	if d.writing {
-		d.land()
-	}
+// Land lands write seq, if it is still in flight, then runs Ready: the next
+// batch is handed out before the effects the landing released leave.
+func (d *Driver) Land(seq uint64) {
+	d.land(seq)
 	d.Ready()
 }
 
 // Counters returns the fold of the core's released events and the writes landed.
 func (d *Driver) Counters() Counters { return d.ctr }
 
-// Stop drops the batch in flight whole, never writing it or reporting it Stable
-// (a node shutting down, a simulated power failure), and fails the waiting
-// proposals with err.
+// Stop drops the writes in flight whole, never writing them or reporting them
+// Stable (a node shutting down, a simulated power failure), and fails the
+// waiting proposals with err.
 func (d *Driver) Stop(err error) {
 	d.failProps(err)
-	d.batch, d.writing = raftcore.Unstable{}, false
+	d.writes = d.writes[:0]
 }
 
 func (d *Driver) start() {
-	if d.writing || d.err != nil || !d.core.HasUnstable() {
+	if d.err != nil || len(d.writes) == writeDepth || !d.core.HasUnstable() {
 		return
 	}
+	seq := d.nextSeq
 	take, now := true, true // volatile: no disk, the batch lands at once
 	if d.storage != nil {
-		take, now = d.sh.Write()
+		take, now = d.sh.Write(seq)
 	}
 	if !take {
 		return
 	}
-	d.batch, _ = d.core.TakeUnstable()
-	d.writing = true
+	d.nextSeq++
+	u, _ := d.core.TakeUnstable()
+	d.writes = append(d.writes, write{seq: seq, u: u})
 	if now {
-		d.land()
+		d.land(seq)
 	}
 }
 
-// land persists the batch in flight, with the shell's lock released, and
-// reports it Stable — or fail-stops with Stable never said, so nothing the
-// failed batch was backing ever leaves. A volatile node has nothing to write.
-func (d *Driver) land() {
-	u := d.batch
+// land persists write seq, with the shell's lock released, and reports it
+// Stable — or fail-stops with Stable never said, so nothing the failed batch
+// was backing ever leaves. A volatile node has nothing to write; a write Stop
+// dropped is not written at all.
+func (d *Driver) land(seq uint64) {
+	i := d.find(seq)
+	if i < 0 {
+		return
+	}
+	u := d.writes[i].u
 	var err error
 	if d.storage != nil {
 		d.mu.Unlock()
 		err = d.persist(u)
 		d.mu.Lock()
+		i = d.find(seq) // Stop, or an older write's landing, may have moved it meanwhile
 	}
-	d.batch, d.writing = raftcore.Unstable{}, false
 	if err != nil {
 		d.failStop(err)
 		return
 	}
+	if i < 0 {
+		return
+	}
+	d.writes = slices.Delete(d.writes, i, i+1)
 	if d.storage != nil && u.FirstIndex > 0 {
 		d.ctr.EntryWrites++
 	}
 	if d.storage != nil && u.Snapshot != nil {
 		d.ctr.SnapshotWrites++
 	}
-	d.core.Stable()
+	d.core.Stable(i + 1)
+}
+
+// find returns the position of write seq in flight, or -1.
+func (d *Driver) find(seq uint64) int {
+	return slices.IndexFunc(d.writes, func(w write) bool { return w.seq == seq })
 }
 
 // persist writes u in the durability order: the HardState, then the snapshot
@@ -174,6 +210,9 @@ func (d *Driver) persist(u raftcore.Unstable) error {
 // argument. Release is latched shut, the pending read barriers abort, and
 // the queued and in-flight proposals fail.
 func (d *Driver) failStop(cause error) {
+	if d.err != nil {
+		return // a second write failed: the node halted at the first
+	}
 	d.err = fmt.Errorf("%w: %v", ErrStorageFailed, cause)
 	d.fold(d.core.TakeEvents()) // what the core did before the write failed still happened
 	for id := range d.reads {

@@ -39,9 +39,18 @@ func (n *orderNode) logf(format string, args ...any) {
 func (n *orderNode) Lock()   { n.held = true }
 func (n *orderNode) Unlock() { n.held = false }
 
-func (n *orderNode) Write() (take, now bool) {
+func (n *orderNode) Write(uint64) (take, now bool) {
 	n.logf("write")
 	return true, n.now
+}
+
+// land lands the oldest write in flight, if any, and runs Ready.
+func (n *orderNode) land() {
+	if len(n.d.writes) == 0 {
+		n.d.Ready()
+		return
+	}
+	n.d.Land(n.d.writes[0].seq)
 }
 
 func (n *orderNode) Send(m Message) {
@@ -132,7 +141,7 @@ func (h *orderHarness) node(id types.NodeID) *orderNode { return h.nodes[id-1] }
 // moves.
 func (h *orderHarness) settle() {
 	for range 100 {
-		if len(h.queue) == 0 && !slices.ContainsFunc(h.nodes, func(n *orderNode) bool { return n.d.writing }) {
+		if len(h.queue) == 0 && !slices.ContainsFunc(h.nodes, func(n *orderNode) bool { return len(n.d.writes) > 0 }) {
 			return
 		}
 		for len(h.queue) > 0 {
@@ -143,7 +152,7 @@ func (h *orderHarness) settle() {
 			n.d.Ready()
 		}
 		for _, n := range h.nodes {
-			n.d.Land()
+			n.land()
 		}
 	}
 	h.t.Fatal("the cluster did not settle")
@@ -245,7 +254,7 @@ func TestDriverOrder(t *testing.T) {
 			if got := h.since(from); !slices.Equal(got, []string{"S1 write"}) {
 				t.Fatalf("propose on a durable leader released %q before its write; want only the write", got)
 			}
-			s1.d.Land()
+			s1.land()
 			before(t, h.log, "S1 SaveEntries 2..2", "S1 >S2 AppendEntries 2..2")
 			s2 := h.node(2)
 			app := h.queue[0]
@@ -258,7 +267,7 @@ func TestDriverOrder(t *testing.T) {
 			if got := h.since(from); !slices.Contains(got, "S2 write") || slices.ContainsFunc(got, sends) {
 				t.Fatalf("a follower released %q before writing the entries it acks", got)
 			}
-			s2.d.Land()
+			s2.land()
 			before(t, h.log, "S2 SaveEntries 2..2", "S2 >S1 AppendResponse ok 2")
 		},
 	}, {
@@ -281,7 +290,7 @@ func TestDriverOrder(t *testing.T) {
 			h.queue = nil
 			s1.fail = errors.New("disk gone")
 			from := h.mark()
-			s1.d.Land()
+			s1.land()
 			s1.core.Tick()
 			s1.d.Ready()
 			want := []string{"S1 SaveEntries 2..2", "S1 abort: raft: not the leader (known leader: S1)", "S1 halt"}
@@ -317,7 +326,7 @@ func TestDriverOrder(t *testing.T) {
 				PrevLogIndex: 5, PrevLogTerm: 1, Entries: []LogEntry{x, x}, LeaderCommit: 7, Seq: 2})
 			s2.d.Ready()
 			from := h.mark()
-			s2.d.Land()
+			s2.land()
 			got := slices.DeleteFunc(h.since(from), func(ev string) bool { return !strings.Contains(ev, "apply") })
 			if want := []string{"S2 apply restore@5 6 7"}; !slices.Equal(got, want) {
 				t.Fatalf("landing the image delivered %q; want %q", got, want)
@@ -340,7 +349,7 @@ func TestDriverOrder(t *testing.T) {
 					}
 				}
 			}
-			s1.d.Land()
+			s1.land()
 			if sent != 2 || !done(p) {
 				t.Fatalf("landing: %d broadcasts of entry %d, done %v; want 2 and done", sent, p.idx, done(p))
 			}
@@ -390,7 +399,7 @@ func TestDriverFoldsEveryFact(t *testing.T) {
 	h := newOrderHarness(t, true)
 	s1 := h.elect()
 	s1.propose("x")
-	s1.d.Land()
+	s1.land()
 	// The ballot (no entries), the no-op and x: two entry writes.
 	want := Counters{PreVoteRounds: 1, PreVotesWon: 1, Elections: 1, EntryWrites: 2}
 	if got := s1.d.Counters(); got != want {
@@ -414,4 +423,77 @@ func TestDriverFoldsEveryFact(t *testing.T) {
 	if got := s1.d.Counters(); got != want {
 		t.Fatalf("fail-stopped fold = %+v, want %+v", got, want)
 	}
+}
+
+// TestDriverPipelinedWrites pins the two writes a durable driver keeps in
+// flight: a proposal made during a write goes out beside it, rewriting the
+// log from the stable index up; the later write landing first reports both,
+// with one broadcast; the older write's late success changes nothing, its
+// late failure still fail-stops; and Stop drops both unwritten.
+func TestDriverPipelinedWrites(t *testing.T) {
+	// pipeline elects S1 and proposes x and y, each handed out as its own
+	// write: x's 2..2, then y's 2..3 beside it.
+	pipeline := func(t *testing.T) (*orderHarness, *orderNode, *Proposal, *Proposal) {
+		h := newOrderHarness(t, true)
+		s1 := h.elect()
+		from := h.mark()
+		px, py := s1.propose("x"), s1.propose("y")
+		if got := h.since(from); !slices.Equal(got, []string{"S1 write", "S1 write"}) || len(s1.d.writes) != 2 {
+			t.Fatalf("two proposals during a write: %q, %d writes in flight; want two writes", got, len(s1.d.writes))
+		}
+		if u := s1.d.writes[1].u; u.FirstIndex != 2 || len(u.Entries) != 2 {
+			t.Fatalf("the second write covers %d..%d, want 2..3", u.FirstIndex, u.FirstIndex+len(u.Entries)-1)
+		}
+		return h, s1, px, py
+	}
+
+	t.Run("the later write landing first reports both", func(t *testing.T) {
+		h, s1, px, py := pipeline(t)
+		older, younger := s1.d.writes[0].seq, s1.d.writes[1].seq
+		from := h.mark()
+		s1.d.Land(younger)
+		want := []string{"S1 SaveEntries 2..3", "S1 >S2 AppendEntries 2..3", "S1 >S3 AppendEntries 2..3"}
+		if got := h.since(from); !slices.Equal(got, want) || !done(px) || !done(py) {
+			t.Fatalf("landing the later write: %q, done %v %v; want %q and both done", got, done(px), done(py), want)
+		}
+		if got := s1.core.StableIndex(); got != 3 {
+			t.Fatalf("stable index = %d, want 3", got)
+		}
+		from = h.mark()
+		s1.d.Land(older)
+		if got := h.since(from); !slices.Equal(got, []string{"S1 SaveEntries 2..2"}) || len(s1.d.writes) != 0 {
+			t.Fatalf("the older write's late landing: %q, %d writes left; want only its save and none", got, len(s1.d.writes))
+		}
+	})
+
+	t.Run("the older write's late failure fail-stops", func(t *testing.T) {
+		h, s1, _, _ := pipeline(t)
+		older, younger := s1.d.writes[0].seq, s1.d.writes[1].seq
+		s1.d.Land(younger)
+		s1.fail = errors.New("disk gone")
+		from := h.mark()
+		s1.d.Land(older)
+		want := []string{"S1 SaveEntries 2..2", "S1 abort: raft: not the leader (known leader: S1)", "S1 halt"}
+		if got := h.since(from); !slices.Equal(got, want) || !errors.Is(s1.d.err, ErrStorageFailed) {
+			t.Fatalf("the older write failing late: %q, err %v; want %q and ErrStorageFailed", got, s1.d.err, want)
+		}
+	})
+
+	t.Run("Stop drops both", func(t *testing.T) {
+		h, s1, px, py := pipeline(t)
+		seqs := []uint64{s1.d.writes[0].seq, s1.d.writes[1].seq}
+		s1.d.Stop(ErrStopped)
+		from := h.mark()
+		for _, seq := range seqs {
+			s1.d.Land(seq)
+		}
+		if got := h.since(from); slices.ContainsFunc(got, func(ev string) bool { return strings.Contains(ev, "Save") || sends(ev) }) {
+			t.Fatalf("landing dropped writes: %q; want nothing written or sent", got)
+		}
+		for _, p := range []*Proposal{px, py} {
+			if _, _, err := p.Wait(); !errors.Is(err, ErrStopped) {
+				t.Fatalf("proposal %d err = %v, want ErrStopped", p.idx, err)
+			}
+		}
+	})
 }

@@ -71,10 +71,14 @@ func (s *laneStorage) SaveEntries(first int, entries []raft.LogEntry) error {
 	if err := s.Storage.SaveEntries(first, entries); err != nil {
 		return err
 	}
+	// What the disk holds now: a truncating write lowers it, and a write of
+	// entries the disk already held (a pipelined write's older, covered
+	// twin landing late) keeps the suffix above them.
 	s.mu.Lock()
-	s.durable = first + len(entries) - 1 // a truncating write lowers it, too
-	s.mu.Unlock()
-	return nil
+	defer s.mu.Unlock()
+	_, snap, log, err := s.Storage.Load()
+	s.durable = snap.Index + len(log)
+	return err
 }
 
 func (s *laneStorage) SaveState(hs raft.HardState) error {

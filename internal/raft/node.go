@@ -123,10 +123,11 @@ func LeaderHint(err error) types.NodeID {
 // which makes every staged-Ready decision for the raftcore.Core (driver.go).
 // Create with StartNode; stop with Stop. The shell brings mu, which
 // serializes every core and driver call (each core interaction ends with
-// Driver.Ready); the run, flush and apply goroutines; the write lane,
-// which lands the driver's batch in flight with mu released across the
-// storage calls; the transport sends and the apply stream. Without
-// Storage the driver reports each batch stable inline and no lane runs.
+// Driver.Ready); the run, flush and apply goroutines; the write lane, one
+// goroutine per write the driver keeps in flight, each landing one write with
+// mu released across its storage calls, so two writes overlap on the disk;
+// the transport sends and the apply stream. Without Storage the driver
+// reports each batch stable inline and no lane runs.
 type Node struct {
 	mu sync.Mutex
 
@@ -165,7 +166,10 @@ type Node struct {
 	stopping     bool        // guarded by propMu
 	flushCh      chan struct{}
 
-	laneCh chan struct{} // wakes the write lane (capacity 1)
+	// laneCh carries each handed-out write's sequence number to the lane.
+	// It has room for every write in flight (writeDepth), so handing one out
+	// never blocks.
+	laneCh chan uint64
 }
 
 // capture is one state-machine image the apply loop took, or the error that
@@ -215,7 +219,7 @@ func StartNode(opts Options) *Node {
 		captured: make(chan capture, 1),
 		stopCh:   make(chan struct{}),
 		flushCh:  make(chan struct{}, 1),
-		laneCh:   make(chan struct{}, 1),
+		laneCh:   make(chan uint64, writeDepth),
 	}
 	n.mu.Lock() // the driver is guarded like the core it drives
 	// Read ids start at the wall clock in ns, above every id an earlier
@@ -234,8 +238,10 @@ func StartNode(opts Options) *Node {
 	go n.run()
 	go n.flushLoop()
 	if opts.Storage != nil {
-		n.done.Add(1)
-		go n.writeLane()
+		n.done.Add(writeDepth)
+		for range writeDepth {
+			go n.writeLane()
+		}
 	}
 	return n
 }
@@ -272,10 +278,10 @@ func (n *Node) Stop() {
 // nodeShell is the Node as its Driver sees it.
 type nodeShell Node
 
-func (s *nodeShell) Write() (take, now bool) {
+func (s *nodeShell) Write(seq uint64) (take, now bool) {
 	select {
-	case s.laneCh <- struct{}{}:
-	default: // a wakeup is already pending
+	case s.laneCh <- seq:
+	default: // full only once the lanes have exited: the node is stopping
 	}
 	return true, false
 }
@@ -368,24 +374,27 @@ func (n *Node) Snapshot() Snapshot {
 	return s
 }
 
-// writeLane is the node's one write lane: a goroutine that lands the batch
-// the driver handed out (everything the core accumulated since the last one:
-// group commit on followers as on the leader), one storage call in flight and
-// mu released across it. On shutdown it fails the proposals still waiting.
+// writeLane is one of the node's write-lane goroutines: each lands the writes
+// the driver hands out (everything the core accumulated since the last one:
+// group commit on followers as on the leader), one at a time and mu released
+// across its storage calls, so the lanes' writes overlap on the disk. On
+// shutdown it drops the writes in flight and fails the proposals still
+// waiting.
 func (n *Node) writeLane() {
 	defer n.done.Done()
 	for {
+		var seq uint64
 		select {
 		case <-n.stopCh:
 			n.mu.Lock()
 			n.d.Stop(ErrStopped)
 			n.mu.Unlock()
 			return
-		case <-n.laneCh:
+		case seq = <-n.laneCh:
 		}
 		n.mu.Lock()
 		if n.haltedLocked() == nil {
-			n.d.Land()
+			n.d.Land(seq)
 		}
 		n.mu.Unlock()
 	}

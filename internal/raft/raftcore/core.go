@@ -142,6 +142,15 @@ type Ablation struct {
 	// serving a stale lease; the chaos harness uses this to prove its
 	// stale-read oracle bites. For experiments only.
 	DisableLeaseGuard bool
+
+	// DisablePipelineGuard lets a second write go out beside the
+	// outstanding one even when either carries a HardState, or the log was
+	// cut after the older one was taken. A late older write can then land
+	// stale entries over the younger one's, or the younger one's landing
+	// can report a vote durable that is not on disk yet. The chaos harness
+	// uses this to prove its acked⇒durable oracles bite. For experiments
+	// only.
+	DisablePipelineGuard bool
 }
 
 func (c *Config) defaults() {
@@ -155,9 +164,10 @@ func (c *Config) defaults() {
 
 // Core is the pure raft state machine. It is not safe for concurrent use:
 // the caller serializes Step/Tick/Propose/... and drives the staged Ready
-// contract: TakeUnstable hands out what to persist, Stable reports it
-// durable, TakeEffects hands out what may leave now (TakeReady is the three
-// in one call, for drivers that persist synchronously).
+// contract: TakeUnstable hands out what to persist — up to two batches at a
+// time, the second only a pure append beside a pure append — Stable reports
+// one landed, TakeEffects hands out what may leave now (TakeReady is the
+// three in one call, for drivers that persist synchronously).
 type Core struct {
 	id  types.NodeID
 	cfg Config
@@ -268,9 +278,12 @@ type Core struct {
 	// state machine from it once it is durable).
 	pendingSnap    *Snapshot
 	pendingRestore bool
-	// inflight is the one batch handed out by TakeUnstable and not yet
-	// reported by Stable.
-	inflight inflightWrite
+	// inflight holds the batches handed out by TakeUnstable whose landing
+	// Stable has not reported yet, oldest first: at most two, and two only
+	// when both are pure appends (see pipelinable). A batch a younger one's
+	// landing covered stays here, covered, until it lands itself: it is
+	// still on its way to the disk.
+	inflight []inflightWrite
 
 	// Held effects, released only by Stable. held are messages produced
 	// while the HardState was unstable (vote grants, vote requests,
@@ -288,13 +301,14 @@ type Core struct {
 	events     []Event     // reported facts, drained (and the buffer reused) by TakeEvents
 }
 
-// inflightWrite describes the outstanding Unstable batch.
+// inflightWrite describes one outstanding Unstable batch.
 type inflightWrite struct {
-	active  bool
 	hs      bool      // the batch carries a HardState
 	last    int       // last log index the batch's entries make durable (0 = none); clipped by unstableFrom
 	snap    *Snapshot // the batch carries this snapshot
 	restore bool      // ...which is leader-installed
+	cut     bool      // the log was cut (unstableFrom) after the batch was taken
+	covered bool      // a younger batch landed first: what this one writes is durable
 	since   int64     // tick the batch was handed out (stalled-disk step-down)
 }
 
@@ -349,6 +363,7 @@ func New(cfg Config, hs HardState, snap Snapshot, entries []LogEntry) *Core {
 		commitIndex: snap.Index,                // everything a snapshot covers was committed
 		lastApplied: snap.Index,                // the driver restores the SM from the image
 		stableIndex: snap.Index + len(entries), // recovered from disk, so on disk
+		inflight:    make([]inflightWrite, 0, 2),
 		conf0:       types.NewNodeSet(cfg.Members...),
 	}
 	// Seed the config-index cache from the recovered suffix (one scan,
@@ -486,20 +501,24 @@ func (c *Core) markEntries(from int) {
 
 // unstableFrom records that the log changed shape at pos (a conflict
 // truncation, or a snapshot install replacing it wholesale): nothing at or
-// above pos is durable any more, whatever an outstanding write lands.
+// above pos is durable any more, whatever an outstanding write lands, and no
+// write goes out beside the outstanding ones (see pipelinable).
 func (c *Core) unstableFrom(pos int) {
 	if c.stableIndex >= pos {
 		c.stableIndex = pos - 1
 	}
-	if c.inflight.last >= pos {
-		c.inflight.last = pos - 1
+	for i := range c.inflight {
+		c.inflight[i].last = min(c.inflight[i].last, pos-1)
+		c.inflight[i].cut = true
 	}
 }
 
 // hardStateUnstable reports whether the current term and vote are not yet
-// known durable (changed since the last TakeUnstable, or in the outstanding
+// known durable (changed since the last TakeUnstable, or in an outstanding
 // batch).
-func (c *Core) hardStateUnstable() bool { return c.hsDirty || c.inflight.hs }
+func (c *Core) hardStateUnstable() bool {
+	return c.hsDirty || slices.ContainsFunc(c.inflight, func(w inflightWrite) bool { return !w.covered && w.hs })
+}
 
 // heldByHardState classifies messages by whether they promise anything about
 // the sender's term or vote. Pre-Vote traffic is term-neutral by design,
@@ -535,21 +554,46 @@ func (c *Core) dropHeld() {
 	c.heldAck = nil
 }
 
-// HasUnstable reports whether TakeUnstable would hand out a batch right now
-// if none were outstanding.
+// HasUnstable reports whether TakeUnstable would hand out a batch right now.
 func (c *Core) HasUnstable() bool {
-	return c.hsDirty || c.pendingSnap != nil || c.dirtyFrom != 0
+	if !c.hsDirty && c.pendingSnap == nil && c.dirtyFrom == 0 {
+		return false
+	}
+	switch len(c.inflight) {
+	case 0:
+		return true
+	case 1:
+		return c.pipelinable()
+	default:
+		return false
+	}
+}
+
+// pipelinable reports whether the next batch may go out beside the one
+// outstanding batch: only if both are pure appends — neither carries a
+// HardState or a snapshot — and the log was not cut after the older one was
+// taken. The second write then starts at stableIndex+1, so it covers the
+// older one whole, and whichever lands first has made both durable. Any other
+// batch waits until nothing is in flight, covered batches included, which
+// keeps the one durability order of HardState, then snapshot, then entries.
+func (c *Core) pipelinable() bool {
+	w := c.inflight[0]
+	if c.pendingSnap != nil || w.snap != nil {
+		return false
+	}
+	return c.cfg.DisablePipelineGuard || (!c.hsDirty && !w.hs && !w.cut)
 }
 
 // TakeUnstable hands out everything that needs persisting as one batch, or
-// ok=false when there is nothing to persist or the previous batch has not
-// been reported Stable yet (one write in flight; whatever accumulates
-// meanwhile goes out as the next single batch — group commit).
+// ok=false when there is nothing to persist or HasUnstable refuses a batch
+// beside the outstanding ones. A batch taken beside an outstanding one (see
+// pipelinable) rewrites the log from stableIndex+1; whatever accumulates
+// meanwhile goes out as the next single batch — group commit.
 func (c *Core) TakeUnstable() (u Unstable, ok bool) {
-	if c.inflight.active || !c.HasUnstable() {
+	if !c.HasUnstable() {
 		return Unstable{}, false
 	}
-	w := inflightWrite{active: true, since: c.ticks}
+	w := inflightWrite{since: c.ticks}
 	if c.hsDirty {
 		hs := HardState{Term: c.term, VotedFor: c.votedFor}
 		u.HardState = &hs
@@ -564,46 +608,60 @@ func (c *Core) TakeUnstable() (u Unstable, ok bool) {
 	}
 	if c.dirtyFrom != 0 {
 		u.FirstIndex = c.dirtyFrom
+		if len(c.inflight) > 0 {
+			u.FirstIndex = c.stableIndex + 1 // covers the outstanding write
+		}
 		// A copy: the driver reads it with no lock held while the core keeps
 		// appending to (and truncating) the live log.
-		u.Entries = make([]LogEntry, len(c.log)-(c.dirtyFrom-c.snapIndex))
-		copy(u.Entries, c.log[c.dirtyFrom-c.snapIndex:])
+		u.Entries = make([]LogEntry, len(c.log)-(u.FirstIndex-c.snapIndex))
+		copy(u.Entries, c.log[u.FirstIndex-c.snapIndex:])
 		w.last = c.lastIndex()
 		c.dirtyFrom = 0
 	}
-	c.inflight = w
+	c.inflight = append(c.inflight, w)
 	return u, true
 }
 
-// Stable reports that the outstanding Unstable batch is on disk. It is the
-// only thing that releases persistence-dependent effects: messages held for
-// the HardState, a follower's held append ack (clamped to the new stable
-// index), the leader's broadcast of the newly stable suffix and its own vote
-// in advanceCommit, the restore of an installed snapshot with the commit
-// deliveries held behind it, and — through TakeEffects — the leader's commit
-// deliveries at or below the new stable index. Without an outstanding batch
-// it does nothing.
-func (c *Core) Stable() {
-	w := c.inflight
-	if !w.active {
+// Stable reports that the n-th oldest outstanding Unstable batch landed. It
+// and every older batch are then durable: a batch taken beside another
+// rewrites the log from the stable index up, so it covers the older one. The
+// older ones stay outstanding, covered, until they land too, and their own
+// Stable then only retires them. Stable is the only thing that releases
+// persistence-dependent effects: messages held for the HardState, a
+// follower's held append ack (clamped to the new stable index), the leader's
+// broadcast of the newly stable suffix and its own vote in advanceCommit —
+// once per call, however many batches it covers — the restore of an
+// installed snapshot with the commit deliveries held behind it, and — through
+// TakeEffects — the leader's commit deliveries at or below the new stable
+// index. Without an n-th outstanding batch it does nothing.
+func (c *Core) Stable(n int) {
+	if n < 1 || n > len(c.inflight) {
 		return
 	}
-	c.inflight = inflightWrite{}
-	advanced := false
-	if w.snap != nil {
-		if w.snap.Index > c.stableIndex {
-			c.stableIndex = w.snap.Index
+	advanced, hs := false, false
+	for i := range c.inflight[:n] {
+		w := &c.inflight[i]
+		if w.covered {
+			continue
+		}
+		w.covered = true
+		if w.snap != nil {
+			if w.snap.Index > c.stableIndex {
+				c.stableIndex = w.snap.Index
+				advanced = true
+			}
+			if w.restore {
+				c.restore = w.snap
+			}
+		}
+		if w.last > c.stableIndex {
+			c.stableIndex = w.last
 			advanced = true
 		}
-		if w.restore {
-			c.restore = w.snap
-		}
+		hs = hs || w.hs
 	}
-	if w.last > c.stableIndex {
-		c.stableIndex = w.last
-		advanced = true
-	}
-	if w.hs && !c.hsDirty {
+	c.inflight = slices.Delete(c.inflight, n-1, n)
+	if hs && !c.hardStateUnstable() {
 		c.msgs = append(c.msgs, c.held...)
 		c.held = nil
 	}
@@ -672,7 +730,7 @@ func (c *Core) TakeEvents() (ev []Event) {
 // entries above the image apply to the state machine the undelivered Restore
 // builds, not to the one the driver still holds.
 func (c *Core) applyLimit() int {
-	if c.pendingRestore || c.inflight.restore {
+	if c.pendingRestore || slices.ContainsFunc(c.inflight, func(w inflightWrite) bool { return w.restore }) {
 		return c.lastApplied
 	}
 	if c.role == Leader {
@@ -689,7 +747,7 @@ func (c *Core) applyLimit() int {
 func (c *Core) TakeReady() Ready {
 	u, ok := c.TakeUnstable()
 	if ok {
-		c.Stable()
+		c.Stable(1)
 	}
 	e := c.TakeEffects()
 	return Ready{
@@ -825,10 +883,11 @@ func (c *Core) Tick() {
 	}
 }
 
-// diskStalled reports whether the outstanding Unstable batch has waited a
-// full election interval for its Stable.
+// diskStalled reports whether the oldest outstanding Unstable batch not yet
+// known durable has waited a full election interval for its Stable.
 func (c *Core) diskStalled() bool {
-	return c.inflight.active && c.ticks-c.inflight.since >= int64(c.cfg.ElectionTicks)
+	i := slices.IndexFunc(c.inflight, func(w inflightWrite) bool { return !w.covered })
+	return i >= 0 && c.ticks-c.inflight[i].since >= int64(c.cfg.ElectionTicks)
 }
 
 // hasQuorumContact reports whether a majority of the configuration

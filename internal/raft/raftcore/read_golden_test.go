@@ -451,7 +451,7 @@ func TestGoldenLearnCommit(t *testing.T) {
 			Committed:  []ApplyMsg{applied(2, e(1, "a")), applied(3, e(1, "b"))},
 		})
 		// The ack — the promise — is what the write was holding back.
-		c.Stable()
+		c.Stable(1)
 		assertEffects(t, c, Effects{
 			Messages: []Message{{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 3}},
 		})

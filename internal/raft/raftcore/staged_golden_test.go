@@ -40,10 +40,11 @@ func assertEffects(t *testing.T, c *Core, want Effects) {
 }
 
 // TestStagedLeaderPersistsBeforeReplicating: Propose only appends and marks
-// dirty; while the write is outstanding heartbeats carry no entry above the
-// stable index and the leader does not count itself toward a commit, however
-// many followers claim the index; Stable broadcasts the newly stable suffix
-// and casts the leader's own vote.
+// dirty; a proposal during the write goes out as a second, pipelined write
+// from the stable index up; while the writes are outstanding heartbeats carry
+// no entry above the stable index and the leader does not count itself
+// toward a commit, however many followers claim the index; each Stable
+// broadcasts the newly stable suffix and casts the leader's own vote.
 func TestStagedLeaderPersistsBeforeReplicating(t *testing.T) {
 	c := leaderET(t, 10) // an election interval longer than the test: no stall
 	a := LogEntry{Term: 1, Kind: EntryCommand, Command: []byte("a")}
@@ -54,11 +55,13 @@ func TestStagedLeaderPersistsBeforeReplicating(t *testing.T) {
 	assertEffects(t, c, Effects{}) // no broadcast: a is not durable here yet
 	assertUnstable(t, c, Unstable{FirstIndex: 2, Entries: []LogEntry{a}})
 
-	// A second proposal arrives during the write: it accumulates.
+	// A second proposal arrives during the write: it goes out as a second
+	// write beside the first, from stableIndex+1, so it covers a too.
 	if _, _, err := c.Propose(b.Command); err != nil {
 		t.Fatal(err)
 	}
-	assertNoUnstable(t, c) // one write in flight
+	assertUnstable(t, c, Unstable{FirstIndex: 2, Entries: []LogEntry{a, b}})
+	assertNoUnstable(t, c) // two writes in flight: the FIFO is full
 	assertEffects(t, c, Effects{})
 
 	// The heartbeat ships nothing above the stable index (1).
@@ -80,9 +83,9 @@ func TestStagedLeaderPersistsBeforeReplicating(t *testing.T) {
 		t.Fatalf("commit index = %d with the leader's copy of 2 still unstable, want 1", got)
 	}
 
-	// Stable(a): the newly stable suffix goes out, the leader's vote lands
-	// (2 commits on S1+S2), and b — appended meanwhile — is the next batch.
-	c.Stable()
+	// Stable(a): the newly stable suffix goes out and the leader's vote
+	// lands (2 commits on S1+S2); b is still in the second write.
+	c.Stable(1)
 	if got := c.StableIndex(); got != 2 {
 		t.Fatalf("stable index = %d, want 2", got)
 	}
@@ -94,7 +97,16 @@ func TestStagedLeaderPersistsBeforeReplicating(t *testing.T) {
 		},
 		Committed: []ApplyMsg{{Index: 2, Term: 1, Kind: EntryCommand, Command: []byte("a")}},
 	})
-	assertUnstable(t, c, Unstable{FirstIndex: 3, Entries: []LogEntry{b}})
+	assertNoUnstable(t, c) // b went out beside a: nothing is left to write
+
+	// Stable(b): 3 goes out to both followers; none holds it yet, so nothing
+	// commits.
+	c.Stable(1)
+	assertEffects(t, c, Effects{Messages: []Message{
+		{Type: MsgAppendEntries, From: 1, To: 2, Term: 1, PrevLogIndex: 2, PrevLogTerm: 1, Entries: []LogEntry{b}, LeaderCommit: 2, Seq: 7},
+		{Type: MsgAppendEntries, From: 1, To: 3, Term: 1, PrevLogIndex: 2, PrevLogTerm: 1, Entries: []LogEntry{b}, LeaderCommit: 2, Seq: 8},
+	}})
+	assertNoUnstable(t, c)
 }
 
 // TestStagedFollowerAckClampedToStable: a success ack never claims a
@@ -137,19 +149,20 @@ func TestStagedFollowerAckClampedToStable(t *testing.T) {
 		t.Fatalf("applied %d, stable %d; want 3 applied over a disk still at 1", applied, stable)
 	}
 
-	// Two more appends arrive during the write.
+	// Two more appends arrive during the write: one pipelined write from
+	// the stable index up covers the outstanding write and both appends.
 	c.Step(app(3, 12, 3, e("c")))
 	c.Step(app(4, 13, 3, e("d")))
 	assertEffects(t, c, Effects{})
+	assertUnstable(t, c, Unstable{FirstIndex: 2, Entries: []LogEntry{e("a"), e("b"), e("c"), e("d")}})
 	assertNoUnstable(t, c)
 
 	// Stable(2..3): the held ack goes as far as the disk reaches — 3, echoing
 	// the newest Seq — and the rest stays held.
-	c.Stable()
+	c.Stable(1)
 	assertEffects(t, c, Effects{Messages: []Message{ack(3, 13)}})
-	// One write covers both appends that arrived meanwhile.
-	assertUnstable(t, c, Unstable{FirstIndex: 4, Entries: []LogEntry{e("c"), e("d")}})
-	c.Stable()
+	assertNoUnstable(t, c) // c and d are in the second write already
+	c.Stable(1)
 	assertEffects(t, c, Effects{Messages: []Message{ack(5, 13)}})
 	assertNoUnstable(t, c)
 }
@@ -172,7 +185,7 @@ func TestStagedHardStateHoldsMessages(t *testing.T) {
 		assertEffects(t, c, Effects{Messages: []Message{
 			{Type: MsgPreVoteResponse, From: 2, To: 3, Term: 2, Granted: true},
 		}})
-		c.Stable()
+		c.Stable(1)
 		assertEffects(t, c, Effects{Messages: []Message{
 			{Type: MsgVoteResponse, From: 2, To: 1, Term: 1, Granted: true},
 		}})
@@ -190,7 +203,7 @@ func TestStagedHardStateHoldsMessages(t *testing.T) {
 		assertEffects(t, c, Effects{Messages: []Message{
 			{Type: MsgReadIndexRequest, From: 2, To: 1, Term: 2, ReadCtx: 7},
 		}})
-		c.Stable()
+		c.Stable(1)
 		assertEffects(t, c, Effects{Messages: []Message{
 			{Type: MsgAppendResponse, From: 2, To: 1, Term: 2, Success: true, Seq: 1},
 		}})
@@ -208,7 +221,7 @@ func TestStagedHardStateHoldsMessages(t *testing.T) {
 		c.Step(Message{Type: MsgPreVoteResponse, From: 2, To: 1, Term: 1, Granted: true})
 		assertEffects(t, c, Effects{Events: []Event{{Kind: EventPreVoteWon}, {Kind: EventElection}}})
 		assertUnstable(t, c, Unstable{HardState: &HardState{Term: 1, VotedFor: 1}})
-		c.Stable()
+		c.Stable(1)
 		assertEffects(t, c, Effects{Messages: []Message{
 			{Type: MsgVoteRequest, From: 1, To: 2, Term: 1},
 			{Type: MsgVoteRequest, From: 1, To: 3, Term: 1},
@@ -223,10 +236,10 @@ func TestStagedHardStateHoldsMessages(t *testing.T) {
 		// a superseded term — dropped like a lost message — and the term-2
 		// ack waits for the NEXT write.
 		c.Step(Message{Type: MsgAppendEntries, From: 3, To: 2, Term: 2, Seq: 1})
-		c.Stable()
+		c.Stable(1)
 		assertEffects(t, c, Effects{Events: []Event{{Kind: EventTermBump}, {Kind: EventTermBump}}})
 		assertUnstable(t, c, Unstable{HardState: &HardState{Term: 2}})
-		c.Stable()
+		c.Stable(1)
 		assertEffects(t, c, Effects{Messages: []Message{
 			{Type: MsgAppendResponse, From: 2, To: 3, Term: 2, Success: true, Seq: 1},
 		}})
@@ -247,13 +260,13 @@ func TestStagedTruncationClipsStable(t *testing.T) {
 	// A term-2 leader overwrites index 3 while 2..3 are being written.
 	z := LogEntry{Term: 2, Kind: EntryCommand, Command: []byte("z")}
 	c.Step(Message{Type: MsgAppendEntries, From: 3, To: 2, Term: 2, PrevLogIndex: 2, PrevLogTerm: 1, Entries: []LogEntry{z}, Seq: 1})
-	c.Stable()
+	c.Stable(1)
 	if got := c.StableIndex(); got != 2 {
 		t.Fatalf("stable index = %d after a truncation at 3 during the write of 2..3, want 2", got)
 	}
 	assertEffects(t, c, Effects{Events: []Event{{Kind: EventTermBump}}}) // the term-1 ack died with its term
 	assertUnstable(t, c, Unstable{HardState: &HardState{Term: 2}, FirstIndex: 3, Entries: []LogEntry{z}})
-	c.Stable()
+	c.Stable(1)
 	// The first Stable released the term-2 ack as far as index 2 — into the
 	// hold for term 2's HardState; this one releases that and the rest.
 	assertEffects(t, c, Effects{Messages: []Message{
@@ -277,7 +290,7 @@ func TestStagedInstallSnapshotReleasedByStable(t *testing.T) {
 	assertEffects(t, c, Effects{Messages: []Message{
 		{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 0, Seq: 5},
 	}})
-	c.Stable()
+	c.Stable(1)
 	assertEffects(t, c, Effects{
 		Messages: []Message{{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 5, Seq: 4}},
 		Restore:  snap,
@@ -314,7 +327,7 @@ func TestStagedRestorePrecedesCommitted(t *testing.T) {
 
 	// Stable(image): the restore and the suffix above it, in one Effects (the
 	// driver delivers Restore first); the ack reaches as far as the disk does.
-	c.Stable()
+	c.Stable(1)
 	assertEffects(t, c, Effects{
 		Messages: []Message{{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 5, Seq: 5}},
 		Restore:  snap,
@@ -324,7 +337,7 @@ func TestStagedRestorePrecedesCommitted(t *testing.T) {
 		},
 	})
 	assertUnstable(t, c, Unstable{FirstIndex: 6, Entries: []LogEntry{x, y}})
-	c.Stable()
+	c.Stable(1)
 	assertEffects(t, c, Effects{Messages: []Message{
 		{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 7, Seq: 5},
 	}})
@@ -371,13 +384,13 @@ func TestStagedCompactAboveStable(t *testing.T) {
 	if c.Compact(5, img) {
 		t.Fatal("Compact accepted an index beyond what was applied")
 	}
-	assertNoUnstable(t, c) // one write in flight
+	assertNoUnstable(t, c) // the image waits: nothing goes out beside a write while a snapshot is pending
 
-	c.Stable() // 2..3 landed
+	c.Stable(1) // 2..3 landed
 	assertEffects(t, c, Effects{Messages: []Message{ack(3, 2)}})
 	// The image alone: 4 is covered by it and never goes to the WAL.
 	assertUnstable(t, c, Unstable{Snapshot: &Snapshot{Index: 4, Term: 1, Members: []types.NodeID{1, 2, 3}, Data: img}})
-	c.Stable()
+	c.Stable(1)
 	if got := c.StableIndex(); got != 4 {
 		t.Fatalf("stable index = %d after the image at 4 landed, want 4", got)
 	}
@@ -458,7 +471,7 @@ func TestStagedStalledLeaderStepsDown(t *testing.T) {
 		t.Fatalf("stalled node campaigned: role=%s term=%d", c.Role(), c.Term())
 	}
 	// The disk answers: an ordinary follower, free to campaign again.
-	c.Stable()
+	c.Stable(1)
 	c.TakeEffects()
 	for i := 0; i < et; i++ {
 		c.Tick()
@@ -493,7 +506,7 @@ func TestStagedTakeReadyIsTheComposition(t *testing.T) {
 		in(staged)
 		u, ok := staged.TakeUnstable()
 		if ok {
-			staged.Stable()
+			staged.Stable(1)
 		}
 		e := staged.TakeEffects()
 		want := Ready{

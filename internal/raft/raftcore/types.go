@@ -273,9 +273,11 @@ type ReadState struct {
 }
 
 // Unstable is what the core wants made durable: the persist half of the
-// staged Ready contract. TakeUnstable hands out at most one batch at a time;
-// the driver writes it — HardState, then Snapshot, then Entries, in that
-// order — with no lock held, and reports back with Stable. Nothing the batch
+// staged Ready contract. TakeUnstable hands out at most two batches at a time,
+// and a second only beside a pure append, itself a pure append from the
+// stable index up; the driver writes each — HardState, then Snapshot, then
+// Entries, in that order — with no lock held, and reports its landing with
+// Stable. Nothing the batch
 // backs (a vote, an append ack above the previous stable index, entries
 // shipped to followers, the leader's own commit vote and deliveries, an
 // installed snapshot's restore) leaves the core before that report, so
@@ -296,8 +298,9 @@ type Unstable struct {
 	// FirstIndex 0 means the log did not change; a positive FirstIndex
 	// with no entries is a pure truncation (a snapshot install emptied the
 	// suffix). The suffix may include entries that were already durable (a
-	// conflict truncation re-persists from the truncation point);
-	// re-writing them is harmless.
+	// conflict truncation re-persists from the truncation point, a batch
+	// taken beside another from the stable index up); re-writing them is
+	// harmless, and Storage.SaveEntries skips what it already holds.
 	FirstIndex int
 	Entries    []LogEntry
 }
@@ -413,7 +416,7 @@ type Counters struct {
 	ReadBarriers      uint64
 	ReadsCoalesced    uint64
 	LeaseReads        uint64
-	EntryWrites       uint64 // SaveEntries calls the driver landed
+	EntryWrites       uint64 // SaveEntries calls the driver landed (a covered write's late landing too)
 	SnapshotWrites    uint64 // SaveSnapshot calls the driver landed
 }
 

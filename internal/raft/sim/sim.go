@@ -9,7 +9,9 @@
 // error and releases effects in its one order, over the FileStorage each
 // incarnation reopens on its node's disk. This package adds only what the live
 // node has instead: writes that land a seeded number of ticks after they
-// start (a crash before then loses them), the packet heap and the journal.
+// start (a crash before then loses them), each of the two a driver keeps in
+// flight with its own draw, so a later write landing first is a seeded,
+// replayable event; the packet heap and the journal.
 package sim
 
 import (
@@ -18,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"adore/internal/raft"
@@ -58,8 +61,9 @@ type Options struct {
 	raftcore.Ablation
 
 	// DiskDelayTicks is the slow-disk model: every write lands a seeded
-	// 0..DiskDelayTicks ticks after it started (0 = every write lands in
-	// the tick that started it, the synchronous driver's behavior).
+	// 0..DiskDelayTicks ticks after it started, drawn per write (0 = every
+	// write lands in the tick that started it, the synchronous driver's
+	// behavior).
 	DiskDelayTicks int
 
 	// EarlyStable is a disk MUTANT, for teeth tests only: the disk acks a
@@ -96,11 +100,18 @@ type node struct {
 	lastRole raftcore.Role
 	doomAt   int64 // scheduled hard crash (0 = none)
 
-	// writing marks a write on the node's disk (the driver's batch in flight,
-	// or the mutant's acked one) landing at landAt, never before stallUntil.
-	writing    bool
-	landAt     int64
+	// writes are the writes on the node's disk (the driver's in flight, or
+	// the mutant's acked one), in the order they started, each landing at its
+	// own tick, never before stallUntil.
+	writes     []diskWrite
 	stallUntil int64
+}
+
+// diskWrite is one write on a node's disk: the driver's write seq, landing at
+// tick at.
+type diskWrite struct {
+	seq uint64
+	at  int64
 }
 
 // packet is one in-flight message.
@@ -359,17 +370,21 @@ func (s *Cluster) Step() {
 	}
 	for _, id := range s.ids {
 		n := s.nodes[id]
-		if !n.writing || !n.up || n.failErr != nil || n.landAt > s.now {
-			continue
-		}
-		n.writing = false
-		if n.early != nil {
-			if err := n.early.land(); err != nil {
-				n.Halt(err) // the disk failed a write the driver already believed
-				continue
+		for n.up && n.failErr == nil {
+			i := n.dueWrite()
+			if i < 0 {
+				break
 			}
+			w := n.writes[i]
+			n.writes = slices.Delete(n.writes, i, i+1)
+			if n.early != nil {
+				if err := n.early.land(); err != nil {
+					n.Halt(err) // the disk failed a write the driver already believed
+					break
+				}
+			}
+			n.d.Land(w.seq)
 		}
-		n.d.Land()
 	}
 	for len(s.inflight) > 0 && s.inflight[0].at <= s.now {
 		p := heap.Pop(&s.inflight).(packet)
@@ -390,24 +405,44 @@ func (s *Cluster) Step() {
 	}
 }
 
-// Write puts the batch the driver is about to hand out on the node's disk:
-// it lands a seeded 0..DiskDelayTicks ticks later (at once for 0), never
-// before a stall clears. The mutant's disk acks it at once, so the driver
-// lands it early, and takes no other write until it is written.
-func (n *node) Write() (take, now bool) {
-	if n.writing {
+// Write puts write seq, which the driver is about to hand out, on the node's
+// disk: it lands a seeded 0..DiskDelayTicks ticks later (at once for 0), never
+// before a stall clears, whatever the other write in flight draws. The
+// mutant's disk acks it at once, so the driver lands it early, and takes no
+// other write until it is written.
+func (n *node) Write(seq uint64) (take, now bool) {
+	if n.early != nil && len(n.writes) > 0 {
 		return false, false // the mutant's disk is still writing the acked batch
 	}
-	n.landAt = n.s.now
+	at := n.s.now
 	if d := n.s.opt.DiskDelayTicks; d > 0 {
-		n.landAt += int64(n.s.rng.Intn(d + 1))
+		at += int64(n.s.rng.Intn(d + 1))
 	}
-	n.landAt = max(n.landAt, n.stallUntil)
-	n.writing = n.landAt > n.s.now
+	at = max(at, n.stallUntil)
+	writing := at > n.s.now
+	if writing {
+		n.writes = append(n.writes, diskWrite{seq: seq, at: at})
+	}
 	if n.early != nil {
-		n.early.held = n.writing
+		n.early.held = writing
 	}
-	return true, !n.writing || n.early != nil
+	return true, !writing || n.early != nil
+}
+
+// dueWrite returns the position of the write to land now — the earliest due
+// — or -1 when none is due. Two due at the same tick (a stall releasing both)
+// land in a seeded order: a disk completes them in either.
+func (n *node) dueWrite() int {
+	due := -1
+	for i, w := range n.writes {
+		if w.at <= n.s.now && (due < 0 || w.at < n.writes[due].at) {
+			due = i
+		}
+	}
+	if due == 0 && len(n.writes) == 2 && n.writes[1].at == n.writes[0].at && n.s.rng.Intn(2) == 1 {
+		return 1
+	}
+	return due
 }
 
 func (n *node) Send(m raftcore.Message) { n.s.deliver(m) }
@@ -483,10 +518,10 @@ func journalLine(id types.NodeID, e raftcore.Event) string {
 func (s *Cluster) powerOff(n *node) {
 	n.up = false
 	s.Journalf("S%d down: applied through %d, disk through %d", n.id, n.core.AppliedIndex(), n.core.StableIndex())
-	if !n.writing {
+	if len(n.writes) == 0 {
 		return
 	}
-	n.writing = false
+	n.writes = n.writes[:0]
 	s.Journalf("S%d in-flight write lost", n.id)
 	n.d.Stop(ErrDown) // the mutant's held saves go with its incarnation
 }
@@ -685,14 +720,14 @@ func (s *Cluster) Crash(id types.NodeID) {
 	n.doomAt = 0
 }
 
-// StallDisk freezes a node's disk for the next ticks ticks: no write — the
-// one in flight included — lands before the stall clears. Messages, ticks
+// StallDisk freezes a node's disk for the next ticks ticks: no write — those
+// in flight included — lands before the stall clears. Messages, ticks
 // and reads go on: only what waits for Stable waits.
 func (s *Cluster) StallDisk(id types.NodeID, ticks int64) {
 	n := s.nodes[id]
 	n.stallUntil = s.now + ticks
-	if n.writing && n.landAt < n.stallUntil {
-		n.landAt = n.stallUntil
+	for i := range n.writes {
+		n.writes[i].at = max(n.writes[i].at, n.stallUntil)
 	}
 	s.Journalf("S%d disk stalled for %d ticks", id, ticks)
 }

@@ -1,6 +1,7 @@
 package raft_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,6 +31,18 @@ func startSnapshotNode(t testing.TB, storage raft.Storage, st *kvstore.Store, th
 	})
 }
 
+// waitLeading waits for the one-node cluster n to lead again after a
+// step-down.
+func waitLeading(t *testing.T, n *raft.Node) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); n.Snapshot().Role != raft.Leader; {
+		if time.Now().After(deadline) {
+			t.Fatal("the node did not lead again within 10s of a step-down")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestWALBoundedBySnapshots is the tentpole's acceptance bound: with
 // SnapshotThreshold=1000, a long proposal history must leave a WAL whose
 // replay is bounded by the threshold, not by history length — restart
@@ -51,7 +64,10 @@ func TestWALBoundedBySnapshots(t *testing.T) {
 	n := startSnapshotNode(t, fs, st, threshold)
 
 	// Waves of concurrent async proposals: the flush loop group-commits
-	// them, so this runs at fsync-per-batch, not fsync-per-entry.
+	// them, so this runs at fsync-per-batch, not fsync-per-entry. The one
+	// voter counts itself only through its disk, so an fsync slower than an
+	// election interval steps it down; like a client, the test then waits
+	// for it to lead again and proposes what failed once more.
 	const wave = 512
 	handles := make([]*raft.Proposal, 0, wave)
 	for done := 0; done < total; {
@@ -59,9 +75,17 @@ func TestWALBoundedBySnapshots(t *testing.T) {
 		for i := 0; i < wave && done+i < total; i++ {
 			handles = append(handles, n.ProposeAsync([]byte(fmt.Sprintf("op-%d", done+i))))
 		}
-		for _, h := range handles {
-			if _, _, err := h.Wait(); err != nil {
-				t.Fatalf("propose: %v", err)
+		for i, h := range handles {
+			for {
+				_, _, err := h.Wait()
+				if err == nil {
+					break
+				}
+				if !errors.Is(err, raft.ErrLeaderStepdown) && !errors.Is(err, raft.ErrNotLeader) {
+					t.Fatalf("propose: %v", err)
+				}
+				waitLeading(t, n)
+				h = n.ProposeAsync([]byte(fmt.Sprintf("op-%d", done+i)))
 			}
 		}
 		done += len(handles)

@@ -1,11 +1,13 @@
 package raft
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,8 +25,13 @@ type Storage interface {
 	SaveState(hs HardState) error
 	// SaveEntries durably replaces the log suffix starting at the
 	// absolute index firstIndex with entries; the log is implicitly
-	// truncated at firstIndex before the append (nil entries = pure
-	// truncation). firstIndex must lie in (snapshot index, last index+1].
+	// truncated at the first entry that differs from the stored one at its
+	// index (nil entries = pure truncation at firstIndex). Entries already
+	// stored at their index are kept as they are, and when every entry is
+	// already stored nothing is written and the stored suffix above them
+	// stays: two overlapping appends of one log (a pipelined write rewrites
+	// the log from the stable index up) then leave the same log whichever
+	// lands first. firstIndex must lie in (snapshot index, last index+1].
 	SaveEntries(firstIndex int, entries []LogEntry) error
 	// SaveSnapshot durably records snap and drops the stored log prefix
 	// [1, snap.Index]. The snapshot MUST be durable before any prefix is
@@ -386,7 +393,8 @@ func (fs *FileStorage) SaveState(hs HardState) error {
 	return nil
 }
 
-// SaveEntries implements Storage.
+// SaveEntries implements Storage: it writes one record of the entries from
+// the first one not already stored at its index, and none when all are.
 func (fs *FileStorage) SaveEntries(firstIndex int, entries []LogEntry) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -395,11 +403,24 @@ func (fs *FileStorage) SaveEntries(firstIndex int, entries []LogEntry) error {
 		return fmt.Errorf("raft: SaveEntries at %d outside log (%d, %d]",
 			firstIndex, fs.base.Index, fs.base.Index+len(fs.log)-1)
 	}
-	if err := fs.appendLocked(walRecord{Kind: 1, FirstIndex: firstIndex, Entries: entries}); err != nil {
+	k := 0
+	for k < len(entries) && p+k < len(fs.log) && sameEntry(fs.log[p+k], entries[k]) {
+		k++
+	}
+	if k > 0 && k == len(entries) {
+		return fs.err
+	}
+	if err := fs.appendLocked(walRecord{Kind: 1, FirstIndex: firstIndex + k, Entries: entries[k:]}); err != nil {
 		return err
 	}
-	fs.log = append(fs.log[:p], entries...)
+	fs.log = append(fs.log[:p+k], entries[k:]...)
 	return nil
+}
+
+// sameEntry reports whether a and b are the same log entry: same term, kind,
+// command and members.
+func sameEntry(a, b LogEntry) bool {
+	return a.Term == b.Term && a.Kind == b.Kind && bytes.Equal(a.Command, b.Command) && slices.Equal(a.Members, b.Members)
 }
 
 // SaveSnapshot implements Storage: rotate to a fresh segment holding snap and

@@ -1111,11 +1111,7 @@ func dirBytes(t *testing.T, dir string) uint64 {
 }
 
 // sameEntries compares two logs by term, kind, members and command bytes.
-func sameEntries(a, b []LogEntry) bool {
-	return slices.EqualFunc(a, b, func(x, y LogEntry) bool {
-		return x.Term == y.Term && x.Kind == y.Kind && slices.Equal(x.Members, y.Members) && bytes.Equal(x.Command, y.Command)
-	})
-}
+func sameEntries(a, b []LogEntry) bool { return slices.EqualFunc(a, b, sameEntry) }
 
 // FuzzSnapFile is the load contract of a segment's base record — the one
 // place a snapshot image is kept on disk — under arbitrary damage. Each input
