@@ -18,7 +18,7 @@ import (
 const timeout = 15 * time.Second
 
 func main() {
-	// Three replicas over a simulated network with ~0.5 ms latency.
+	// Three replicas over an in-memory network with ~0.5 ms latency.
 	store := kvstore.NewReplicated(cluster.Options{
 		N:       3,
 		Latency: 300 * time.Microsecond,

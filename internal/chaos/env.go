@@ -9,6 +9,7 @@ import (
 	"adore/internal/raft"
 	"adore/internal/raft/cluster"
 	"adore/internal/raft/sim"
+	"adore/internal/raft/transport"
 	"adore/internal/types"
 )
 
@@ -76,8 +77,11 @@ type Sample struct {
 }
 
 // liveEnv is a cluster.Cluster over fault-injectable disks as an Env. The
-// nemesis goroutine and the monitor goroutine both call it.
+// nemesis goroutine and the monitor goroutine both call it. The network
+// faults are the cluster network's own: its Isolate cuts a node off from
+// every node that ever joined, crashed ones included.
 type liveEnv struct {
+	*transport.MemNet
 	c     *cluster.Cluster
 	disks map[types.NodeID]*raft.FaultFS
 	rng   *rand.Rand // the torn crashes' cuts (the nemesis goroutine's alone)
@@ -115,23 +119,6 @@ func (l *liveEnv) Leader() (types.NodeID, bool) {
 		return n.ID(), true
 	}
 	return types.NoNode, false
-}
-
-func (l *liveEnv) Partition(a, b []types.NodeID) { l.c.Net.Partition(a, b) }
-func (l *liveEnv) Heal()                         { l.c.Net.Heal() }
-func (l *liveEnv) BlockOneWay(a, b types.NodeID) { l.c.Net.BlockOneWay(a, b) }
-func (l *liveEnv) SetDropRate(p float64)         { l.c.Net.SetDropRate(p) }
-
-// Isolate partitions id from the schedule's full member list: Net.Isolate
-// knows only the nodes attached right now and would miss the crashed ones.
-func (l *liveEnv) Isolate(id types.NodeID) {
-	var rest []types.NodeID
-	for _, other := range l.ids {
-		if other != id {
-			rest = append(rest, other)
-		}
-	}
-	l.c.Net.Partition([]types.NodeID{id}, rest)
 }
 
 func (l *liveEnv) Crash(id types.NodeID) { l.c.CrashNode(id) }

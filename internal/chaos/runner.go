@@ -128,7 +128,7 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 	}
 
 	// The schedule clock starts here.
-	env := &liveEnv{c: c, disks: disks, rng: rand.New(rand.NewSource(sched.Seed)),
+	env := &liveEnv{MemNet: c.Net, c: c, disks: disks, rng: rand.New(rand.NewSource(sched.Seed)),
 		ids: types.Range(1, types.NodeID(opt.Nodes)).Copy(), start: time.Now()}
 	mon := newMonitor(env)
 	stopSampling := mon.startSampling()

@@ -314,7 +314,8 @@ type Options struct {
 	// ElectionTimeoutMin scales the protocol timers (0 = 15ms — fast
 	// enough that a 2s run sees many elections).
 	ElectionTimeoutMin time.Duration
-	// Latency/Jitter configure the simulated network.
+	// Latency/Jitter delay each write on the live cluster's in-memory
+	// network.
 	Latency, Jitter time.Duration
 	// MemWAL backs nodes with in-memory storage instead of file WALs
 	// (faster; file WALs are the honest default).

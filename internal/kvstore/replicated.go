@@ -41,7 +41,7 @@ type Replicated struct {
 	retries    uint64 // accessed atomically
 }
 
-// NewReplicated starts an opts.N-node replicated store over a simulated
+// NewReplicated starts an opts.N-node replicated store over an in-memory
 // network, one shard per raft group (opts.Groups; 0 = 1). The caller
 // configures everything else (latency, seed, snapshot threshold, storage)
 // as usual; every node the cluster starts or restarts is a fresh Server.

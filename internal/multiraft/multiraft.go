@@ -36,8 +36,8 @@ import (
 )
 
 // Transport is the host's view of a multiplexing transport: it can mint
-// one stamping endpoint per group. transport.TCPTransport and
-// transport.HostTransport (the MemNetwork adapter) both satisfy it.
+// one stamping endpoint per group. transport.TCPTransport satisfies it, on
+// the operating system's network or on an in-memory one.
 type Transport interface {
 	// Endpoint registers inbox as group g's demux target and returns the
 	// raft.Transport that group's node sends through. The endpoint's

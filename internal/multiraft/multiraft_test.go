@@ -14,13 +14,30 @@ import (
 	"adore/internal/types"
 )
 
-// startHosts brings up an n-node cluster of hosts, each running groups
-// raft groups over one shared MemNetwork, recording every group's apply
-// stream.
-func startHosts(t *testing.T, n, groups int, rec *applyRecorder) (*transport.MemNetwork, map[types.NodeID]*Host) {
+// memTransports joins each member to one in-memory network and closes the
+// transports when the test ends.
+func memTransports(t *testing.T, members []types.NodeID) map[types.NodeID]*transport.TCPTransport {
 	t.Helper()
-	net := transport.NewMemNetwork(0, 0, 1)
+	net := transport.NewMemNet(0, 0, 1)
+	trs := make(map[types.NodeID]*transport.TCPTransport, len(members))
+	for _, id := range members {
+		tr, err := net.Join(id, members, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		trs[id] = tr
+	}
+	return trs
+}
+
+// startHosts brings up an n-node cluster of hosts, each running groups
+// raft groups over its own transport on one in-memory network, recording
+// every group's apply stream.
+func startHosts(t *testing.T, n, groups int, rec *applyRecorder) (map[types.NodeID]*transport.TCPTransport, map[types.NodeID]*Host) {
+	t.Helper()
 	members := types.Range(1, types.NodeID(n)).Copy()
+	trs := memTransports(t, members)
 	hosts := make(map[types.NodeID]*Host)
 	for _, id := range members {
 		id := id
@@ -28,7 +45,7 @@ func startHosts(t *testing.T, n, groups int, rec *applyRecorder) (*transport.Mem
 			ID:        id,
 			Members:   members,
 			Groups:    groups,
-			Transport: transport.HostTransport{Net: net, ID: id},
+			Transport: trs[id],
 			// Fast timers keep the test snappy.
 			ElectionTimeoutMin: 10 * time.Millisecond,
 			Seed:               int64(id),
@@ -45,9 +62,8 @@ func startHosts(t *testing.T, n, groups int, rec *applyRecorder) (*transport.Mem
 		for _, h := range hosts {
 			h.Stop()
 		}
-		net.Close()
 	})
-	return net, hosts
+	return trs, hosts
 }
 
 // applyRecorder collects each (group, node)'s apply stream.
@@ -106,7 +122,7 @@ func leaderOf(t *testing.T, hosts map[types.NodeID]*Host, g raft.GroupID) *raft.
 func TestHostGroupsAreIndependent(t *testing.T) {
 	const nodes, groups = 3, 3
 	rec := newApplyRecorder()
-	net, hosts := startHosts(t, nodes, groups, rec)
+	trs, hosts := startHosts(t, nodes, groups, rec)
 
 	// Propose distinct commands in each group via its own leader.
 	for g := raft.GroupID(0); g < groups; g++ {
@@ -153,8 +169,13 @@ func TestHostGroupsAreIndependent(t *testing.T) {
 
 	// The multiplexer really carried distinct per-group traffic.
 	for g := raft.GroupID(0); g < groups; g++ {
-		if sent, _ := net.GroupCounters(g); sent == 0 {
-			t.Fatalf("group %d moved no traffic through the shared network", g)
+		var delivered uint64
+		for _, tr := range trs {
+			d, _, _ := tr.GroupCounters(g)
+			delivered += d
+		}
+		if delivered == 0 {
+			t.Fatalf("group %d moved no traffic through the shared transports", g)
 		}
 	}
 }
@@ -163,12 +184,11 @@ func TestHostGroupsAreIndependent(t *testing.T) {
 // wedging the others' hosts (their groups re-elect if the stopped node led).
 func TestHostStopsCleanly(t *testing.T) {
 	rec := newApplyRecorder()
-	net, hosts := startHosts(t, 3, 2, rec)
-	_ = net
+	trs, hosts := startHosts(t, 3, 2, rec)
 	lead := leaderOf(t, hosts, 1)
 	victim := lead.ID()
 	hosts[victim].Stop()
-	net.Detach(victim)
+	trs[victim].Close()
 	delete(hosts, victim)
 	// Both groups must still elect among the survivors.
 	for g := raft.GroupID(0); g < 2; g++ {
@@ -186,9 +206,8 @@ func TestHostStopsCleanly(t *testing.T) {
 func TestFreshHostsElectInsideOneInterval(t *testing.T) {
 	const etMin = 600 * time.Millisecond // a 100 ms tick: message latency is noise
 	interval := raft.ElectionTicks * tickPeriod(etMin)
-	net := transport.NewMemNetwork(0, 0, 1)
-	defer net.Close()
 	members := types.Range(1, 3).Copy()
+	trs := memTransports(t, members)
 	var hosts []*Host
 	defer func() {
 		for _, h := range hosts {
@@ -200,7 +219,7 @@ func TestFreshHostsElectInsideOneInterval(t *testing.T) {
 		h, err := Start(Options{
 			ID:                 id,
 			Members:            members,
-			Transport:          transport.HostTransport{Net: net, ID: id},
+			Transport:          trs[id],
 			ElectionTimeoutMin: etMin,
 			Seed:               int64(id),
 		})
@@ -324,13 +343,11 @@ func TestGroupStorageNamespacing(t *testing.T) {
 func TestStorageRootLayout(t *testing.T) {
 	start := func(root string, groups int) *Host {
 		t.Helper()
-		net := transport.NewMemNetwork(0, 0, 1)
-		t.Cleanup(net.Close)
 		h, err := Start(Options{
 			ID:          1,
 			Members:     []types.NodeID{1},
 			Groups:      groups,
-			Transport:   transport.HostTransport{Net: net, ID: 1},
+			Transport:   memTransports(t, []types.NodeID{1})[1],
 			StorageRoot: root,
 		})
 		if err != nil {

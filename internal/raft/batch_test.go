@@ -51,9 +51,12 @@ func startSingleNode(t testing.TB, storage raft.Storage) *raft.Node {
 // otherwise, and waits for it to elect itself.
 func startOneNode(t testing.TB, opts multiraft.Options) *raft.Node {
 	t.Helper()
-	net := transport.NewMemNetwork(0, 0, 1)
-	opts.ID, opts.Members = 1, []types.NodeID{1}
-	opts.Transport = transport.HostTransport{Net: net, ID: 1}
+	tr, err := transport.NewMemNet(0, 0, 1).Join(1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	opts.ID, opts.Members, opts.Transport = 1, []types.NodeID{1}, tr
 	h, err := multiraft.Start(opts)
 	if err != nil {
 		t.Fatal(err)

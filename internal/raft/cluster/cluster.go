@@ -1,17 +1,20 @@
-// Package cluster assembles in-process raft clusters over the simulated
-// in-memory network — the harness used by the integration tests, the
-// examples and the chaos runner.
+// Package cluster assembles in-process raft clusters — the harness used by
+// the integration tests, the examples and the chaos runner. Every node is a
+// multiraft.Host on its own transport.TCPTransport, the transport that ships,
+// and the transports meet on one transport.MemNet, the in-memory network that
+// carries the faults (Cluster.Net).
 //
-// Every node in the cluster is a multiraft.Host: with Options.Groups > 1
-// it runs that many independent raft groups multiplexed over the shared
-// MemNetwork. The per-group surface (Leader, Propose, WaitCommit, …) lives
-// once, on GroupView; Cluster embeds group 0's view, so single-group callers
-// write c.Leader() and multi-group callers c.Group(g).Leader().
+// With Options.Groups > 1 every host runs that many independent raft groups
+// multiplexed over its one transport. The per-group surface (Leader, Propose,
+// WaitCommit, …) lives once, on GroupView; Cluster embeds group 0's view, so
+// single-group callers write c.Leader() and multi-group callers
+// c.Group(g).Leader().
 package cluster
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,7 +33,8 @@ type Options struct {
 	// groups start with the same membership and diverge through their own
 	// reconfigurations.
 	Groups int
-	// Latency/Jitter configure the simulated network.
+	// Latency/Jitter delay each write on the in-memory network, in order per
+	// connection.
 	Latency time.Duration
 	Jitter  time.Duration
 	// ElectionTimeoutMin scales all protocol timers (0 = default).
@@ -51,8 +55,9 @@ type Options struct {
 	// and truncates its WAL (0 = disabled).
 	SnapshotThreshold int
 	// InboxSize is the per-(node, group) transport inbox capacity
-	// (0 = 4096). Small values exercise loss: the network drops what a
-	// full inbox cannot take, and retransmission has to make up for it.
+	// (0 = 4096). Small values exercise loss: the transport waits a bounded
+	// slice on a full inbox, then sheds, and retransmission has to make up
+	// for it.
 	InboxSize int
 }
 
@@ -70,16 +75,19 @@ type gkey struct {
 	id types.NodeID
 }
 
-// Cluster is a set of multiraft hosts joined by a MemNetwork.
+// Cluster is a set of multiraft hosts, each on its own TCPTransport, joined
+// by a MemNet.
 type Cluster struct {
 	GroupView // group 0
 
-	Net  *transport.MemNetwork
+	Net  *transport.MemNet
 	opts Options
 
 	mu      sync.Mutex
-	hosts   map[types.NodeID]*multiraft.Host // guarded by mu
-	applied map[gkey][]raft.ApplyMsg         // guarded by mu
+	hosts   map[types.NodeID]*multiraft.Host         // guarded by mu
+	trs     map[types.NodeID]*transport.TCPTransport // guarded by mu
+	ids     []types.NodeID                           // every node ever started; guarded by mu
+	applied map[gkey][]raft.ApplyMsg                 // guarded by mu
 }
 
 // New starts a cluster of opts.N nodes and returns it.
@@ -94,9 +102,10 @@ func New(opts Options) *Cluster {
 		opts.Start = multiraft.Start
 	}
 	c := &Cluster{
-		Net:     transport.NewMemNetwork(opts.Latency, opts.Jitter, opts.Seed),
+		Net:     transport.NewMemNet(opts.Latency, opts.Jitter, opts.Seed),
 		opts:    opts,
 		hosts:   make(map[types.NodeID]*multiraft.Host),
+		trs:     make(map[types.NodeID]*transport.TCPTransport),
 		applied: make(map[gkey][]raft.ApplyMsg),
 	}
 	c.GroupView = c.Group(0)
@@ -108,14 +117,16 @@ func New(opts Options) *Cluster {
 }
 
 // StartNode launches (or restarts) a node — a host running every group —
-// with the given initial membership and attaches it to the network.
-// It returns the node's group-0 raft instance (the single-group API).
+// with the given initial membership, on a transport that listens under the
+// node's name. It returns the node's group-0 raft instance (the single-group
+// API).
 func (c *Cluster) StartNode(id types.NodeID, members []types.NodeID) *raft.Node {
+	tr := c.join(id)
 	host, err := c.opts.Start(multiraft.Options{
 		ID:                 id,
 		Members:            members,
 		Groups:             c.opts.groups(),
-		Transport:          transport.HostTransport{Net: c.Net, ID: id},
+		Transport:          tr,
 		ElectionTimeoutMin: c.opts.ElectionTimeoutMin,
 		StorageFor: func(g raft.GroupID) raft.Storage {
 			if c.opts.StorageFor == nil {
@@ -140,6 +151,26 @@ func (c *Cluster) StartNode(id types.NodeID, members []types.NodeID) *raft.Node 
 	c.hosts[id] = host
 	c.mu.Unlock()
 	return host.Node(0)
+}
+
+// join starts node id's transport on the network, knowing every node started
+// so far; a node new to the cluster becomes a peer of every running one.
+func (c *Cluster) join(id types.NodeID) *transport.TCPTransport {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !slices.Contains(c.ids, id) {
+		c.ids = append(c.ids, id)
+		for _, tr := range c.trs {
+			tr.SetPeer(id, id.String())
+		}
+	}
+	tr, err := c.Net.Join(id, c.ids, nil)
+	if err != nil {
+		// The name is free: CrashNode closed the last incarnation's listener.
+		panic(fmt.Sprintf("cluster: start node %s: %v", id, err))
+	}
+	c.trs[id] = tr
+	return tr
 }
 
 // record captures one group's apply batch.
@@ -298,16 +329,19 @@ func (v GroupView) Reconfigure(members types.NodeSet, timeout time.Duration) (in
 	return 0, fmt.Errorf("cluster: reconfigure timed out (last error: %v)", lastErr)
 }
 
-// CrashNode stops a node abruptly — every group it hosts — and detaches it
-// from the network; its volatile state is lost. With Options.StorageFor
-// set, RestartNode recovers the persisted term, vote, and
-// log per group.
+// CrashNode stops a node abruptly — every group it hosts — and closes its
+// transport, so its peers' connections to it fail; its volatile state is
+// lost. With Options.StorageFor set, RestartNode recovers the persisted
+// term, vote, and log per group.
 func (c *Cluster) CrashNode(id types.NodeID) {
 	c.mu.Lock()
-	h := c.hosts[id]
+	h, tr := c.hosts[id], c.trs[id]
 	delete(c.hosts, id)
+	delete(c.trs, id)
 	c.mu.Unlock()
-	c.Net.Detach(id)
+	if tr != nil {
+		tr.Close()
+	}
 	if h != nil {
 		h.Stop()
 	}
@@ -315,20 +349,18 @@ func (c *Cluster) CrashNode(id types.NodeID) {
 
 // RestartNode relaunches a previously crashed node with the given initial
 // membership (its persisted log's configuration entries take precedence).
+// It listens again under the same name; its peers redial it through their
+// transports' backoff.
 func (c *Cluster) RestartNode(id types.NodeID, members []types.NodeID) *raft.Node {
 	return c.StartNode(id, members)
 }
 
-// Stop shuts down every node and the network.
+// Stop shuts down every node and its transport.
 func (c *Cluster) Stop() {
 	c.mu.Lock()
-	hosts := make([]*multiraft.Host, 0, len(c.hosts))
-	for _, h := range c.hosts {
-		hosts = append(hosts, h)
-	}
+	ids := slices.Clone(c.ids)
 	c.mu.Unlock()
-	for _, h := range hosts {
-		h.Stop()
+	for _, id := range ids {
+		c.CrashNode(id)
 	}
-	c.Net.Close()
 }

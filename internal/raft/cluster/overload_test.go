@@ -12,9 +12,9 @@ import (
 
 // TestNoLossUnderInboxPressure overloads a cluster whose per-node inboxes
 // are tiny (8 messages) with hundreds of concurrent proposals. Each node
-// reads its inbox directly, with no queue behind it, so the network drops
-// whatever arrives while the inbox is full — appends, acks and votes alike —
-// and only retransmission recovers it. The assertion is the replication
+// reads its inbox directly, with no queue behind it, so the transport sheds
+// whatever still finds the inbox full after its bounded wait — appends, acks
+// and votes alike — and only retransmission recovers it. The assertion is the replication
 // contract under that pressure: every acked proposal commits, and all nodes
 // apply identical command sequences with nothing missing.
 func TestNoLossUnderInboxPressure(t *testing.T) {

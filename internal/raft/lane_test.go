@@ -147,11 +147,11 @@ func (c *checkedTransport) appends(to types.NodeID) int {
 	return c.appendsTo[to]
 }
 
-// laneCluster is three one-group hosts over a zero-latency MemNetwork, each
-// with a laneStorage and a checkedTransport; applied is the last index each
-// node's apply stream delivered.
+// laneCluster is three one-group hosts, each on its own transport over one
+// zero-latency in-memory network, with a laneStorage and a checkedTransport;
+// applied is the last index each node's apply stream delivered.
 type laneCluster struct {
-	net     *transport.MemNetwork
+	net     *transport.MemNet
 	nodes   map[types.NodeID]*raft.Node
 	st      map[types.NodeID]*laneStorage
 	tr      map[types.NodeID]*checkedTransport
@@ -162,13 +162,14 @@ func startLaneCluster(t *testing.T, delayFor func(types.NodeID) time.Duration, a
 	t.Helper()
 	members := []types.NodeID{1, 2, 3}
 	lc := &laneCluster{
-		net:     transport.NewMemNetwork(0, 0, 1),
+		net:     transport.NewMemNet(0, 0, 1),
 		nodes:   map[types.NodeID]*raft.Node{},
 		st:      map[types.NodeID]*laneStorage{},
 		tr:      map[types.NodeID]*checkedTransport{},
 		applied: map[types.NodeID]*atomic.Int64{},
 	}
 	var hosts []*multiraft.Host
+	var trs []*transport.TCPTransport
 	t.Cleanup(func() {
 		for _, id := range members {
 			if st := lc.st[id]; st != nil {
@@ -178,14 +179,21 @@ func startLaneCluster(t *testing.T, delayFor func(types.NodeID) time.Duration, a
 		for _, h := range hosts {
 			h.Stop()
 		}
-		lc.net.Close()
+		for _, tr := range trs {
+			tr.Close()
+		}
 	})
 	for _, id := range members {
 		st := newLaneStorage(openWAL(t, raft.NewMemFS()))
 		if delayFor != nil {
 			st.delay = delayFor(id)
 		}
-		tr := &checkedTransport{net: transport.HostTransport{Net: lc.net, ID: id}, st: st, appendsTo: map[types.NodeID]int{}}
+		link, err := lc.net.Join(id, members, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs = append(trs, link)
+		tr := &checkedTransport{net: link, st: st, appendsTo: map[types.NodeID]int{}}
 		applied := new(atomic.Int64)
 		h, err := multiraft.Start(multiraft.Options{
 			ID: id, Members: members, Transport: tr,

@@ -157,6 +157,9 @@ type Cluster struct {
 	inflight packetHeap
 	blocked  map[[2]types.NodeID]bool
 	dropRate float64
+	wire     []byte       // the frame being round-tripped, reused
+	frames   bytes.Reader // reads wire back
+	body     []byte       // the decoded frame's body, reused
 
 	boots uint64 // nodes booted so far, restarts included
 
@@ -565,7 +568,9 @@ func (e *earlyDisk) land() (err error) {
 }
 
 // deliver enqueues one outbound message, applying partitions and loss at
-// send time (like the runtime's in-memory network).
+// send time. The message travels as the bytes a live transport writes: it is
+// framed with raft.AppendEnvelope and read back with raft.ReadFrame and
+// raft.DecodeEnvelope, so every seed runs the wire codec.
 func (s *Cluster) deliver(m raftcore.Message) {
 	if s.blocked[[2]types.NodeID{m.From, m.To}] {
 		return
@@ -575,7 +580,21 @@ func (s *Cluster) deliver(m raftcore.Message) {
 	}
 	delay := int64(1 + s.rng.Intn(s.opt.LatencyJitterTicks+1))
 	s.sendSeq++
-	heap.Push(&s.inflight, packet{at: s.now + delay, seq: s.sendSeq, m: m})
+	heap.Push(&s.inflight, packet{at: s.now + delay, seq: s.sendSeq, m: s.roundTrip(m)})
+}
+
+// roundTrip returns m as the receiver of its frame decodes it. A message the
+// codec cannot carry is a codec bug, which the simulator must not hide.
+func (s *Cluster) roundTrip(m raftcore.Message) raftcore.Message {
+	s.wire = raft.AppendEnvelope(s.wire[:0], raft.Envelope{Msg: m})
+	s.frames.Reset(s.wire)
+	body, err := raft.ReadFrame(&s.frames, s.body)
+	env, derr := raft.DecodeEnvelope(body)
+	if err = errors.Join(err, derr); err != nil {
+		panic(fmt.Sprintf("sim: %v does not survive the wire codec: %v", m.Type, err))
+	}
+	s.body = body
+	return env.Msg
 }
 
 // OnApply registers the committed-entry hook (one per cluster): batches

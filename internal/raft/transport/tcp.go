@@ -1,3 +1,9 @@
+// Package transport carries raft envelopes between nodes: TCPTransport frames
+// them with raft.AppendEnvelope over connections per peer, with reconnect,
+// write coalescing and per-group inbox shedding. It is the one transport of
+// every runtime: cmd/raft-kv and the benchmark run it on the operating
+// system's network (OSNet), and every in-process cluster runs it on a MemNet,
+// an in-memory network with the faults beneath the connections.
 package transport
 
 import (
@@ -38,8 +44,8 @@ const (
 )
 
 // TCPTransport carries raft envelopes over TCP as length-prefixed binary
-// frames (raft.AppendEnvelope / raft.DecodeEnvelope) — the runtime's
-// real-network deployment path (cmd/raft-kv).
+// frames (raft.AppendEnvelope / raft.DecodeEnvelope): on OSNet in a
+// deployment (cmd/raft-kv), on a MemNet in the in-process clusters.
 //
 // The transport is a group multiplexer: one connection and one background
 // reconnector per peer carry traffic for every raft group the process
@@ -58,6 +64,7 @@ const (
 // silently losing the other groups' traffic.
 type TCPTransport struct {
 	id types.NodeID
+	nw Network
 	ln net.Listener
 
 	mu      sync.Mutex
@@ -98,7 +105,13 @@ type peerSender struct {
 // messages to inbox. peers maps node IDs to addresses (this node's own
 // entry is ignored). Additional groups attach via Endpoint.
 func NewTCPTransport(id types.NodeID, addr string, peers map[types.NodeID]string, inbox chan<- raft.Message) (*TCPTransport, error) {
-	ln, err := net.Listen("tcp", addr)
+	return NewTCPTransportOn(OSNet, id, addr, peers, inbox)
+}
+
+// NewTCPTransportOn is NewTCPTransport on the network nw: it listens and
+// dials only through nw.
+func NewTCPTransportOn(nw Network, id types.NodeID, addr string, peers map[types.NodeID]string, inbox chan<- raft.Message) (*TCPTransport, error) {
+	ln, err := nw.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
@@ -112,6 +125,7 @@ func NewTCPTransport(id types.NodeID, addr string, peers map[types.NodeID]string
 	}
 	t := &TCPTransport{
 		id:      id,
+		nw:      nw,
 		ln:      ln,
 		inboxes: inboxes,
 		peers:   peerAddrs,
@@ -382,7 +396,7 @@ func (ps *peerSender) loop() {
 			return
 		case env := <-ps.queue:
 			for conn == nil {
-				c, err := net.Dial("tcp", ps.addr)
+				c, err := ps.t.nw.Dial("tcp", ps.addr)
 				if err == nil {
 					conn = c
 					backoff = dialBackoffMin

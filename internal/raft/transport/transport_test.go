@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -8,14 +9,53 @@ import (
 	"adore/internal/types"
 )
 
-func TestMemNetworkDelivers(t *testing.T) {
-	net := NewMemNetwork(0, 0, 1)
-	inbox := make(chan raft.Message, 8)
-	net.AttachGroup(2, 0, inbox)
-	ep := net.AttachGroup(1, 0, make(chan raft.Message, 8))
-	ep.Send(raft.Message{Type: raft.MsgVoteRequest, To: 2, Term: 1})
+// memNodes joins each id to n with every id as a peer, and returns each
+// node's transport and group-0 inbox.
+func memNodes(t *testing.T, n *MemNet, ids ...types.NodeID) (map[types.NodeID]*TCPTransport, map[types.NodeID]chan raft.Message) {
+	t.Helper()
+	trs := make(map[types.NodeID]*TCPTransport, len(ids))
+	ins := make(map[types.NodeID]chan raft.Message, len(ids))
+	for _, id := range ids {
+		ins[id] = make(chan raft.Message, 256)
+		tr, err := n.Join(id, ids, ins[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		trs[id] = tr
+	}
+	return trs, ins
+}
+
+// expectNone fails if anything reaches inbox within d.
+func expectNone(t *testing.T, inbox chan raft.Message, d time.Duration, what string) {
+	t.Helper()
 	select {
 	case m := <-inbox:
+		t.Fatalf("%s: %+v delivered", what, m)
+	case <-time.After(d):
+	}
+}
+
+// expectTerm fails unless the next message to reach inbox within a second
+// carries term.
+func expectTerm(t *testing.T, inbox chan raft.Message, term types.Time, what string) {
+	t.Helper()
+	select {
+	case m := <-inbox:
+		if m.Term != term {
+			t.Fatalf("%s: got term %d, want %d", what, m.Term, term)
+		}
+	case <-time.After(time.Second):
+		t.Fatalf("%s: nothing delivered", what)
+	}
+}
+
+func TestMemNetDelivers(t *testing.T) {
+	trs, ins := memNodes(t, NewMemNet(0, 0, 1), 1, 2)
+	trs[1].Send(raft.Message{Type: raft.MsgVoteRequest, To: 2, Term: 1})
+	select {
+	case m := <-ins[2]:
 		if m.From != 1 || m.To != 2 || m.Term != 1 {
 			t.Errorf("delivered %+v", m)
 		}
@@ -24,83 +64,198 @@ func TestMemNetworkDelivers(t *testing.T) {
 	}
 }
 
-func TestMemNetworkLatency(t *testing.T) {
-	net := NewMemNetwork(20*time.Millisecond, 0, 1)
-	inbox := make(chan raft.Message, 8)
-	net.AttachGroup(2, 0, inbox)
-	ep := net.AttachGroup(1, 0, make(chan raft.Message, 8))
+func TestMemNetLatency(t *testing.T) {
+	trs, ins := memNodes(t, NewMemNet(20*time.Millisecond, 0, 1), 1, 2)
 	start := time.Now()
-	ep.Send(raft.Message{To: 2})
+	trs[1].Send(raft.Message{To: 2})
 	select {
-	case <-inbox:
-		if d := time.Since(start); d < 15*time.Millisecond {
-			t.Errorf("delivered after %v, want ≥ ~20ms", d)
+	case <-ins[2]:
+		if d := time.Since(start); d < 20*time.Millisecond {
+			t.Errorf("delivered after %v, want ≥ 20ms", d)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("message not delivered")
 	}
 }
 
-func TestMemNetworkDrop(t *testing.T) {
-	net := NewMemNetwork(0, 0, 1)
-	net.SetDropRate(1.0)
-	inbox := make(chan raft.Message, 8)
-	net.AttachGroup(2, 0, inbox)
-	ep := net.AttachGroup(1, 0, make(chan raft.Message, 8))
-	ep.Send(raft.Message{To: 2})
-	select {
-	case <-inbox:
-		t.Fatal("message delivered despite 100% drop rate")
-	case <-time.After(50 * time.Millisecond):
+// TestMemNetDrop: at drop rate 1 every write resets its connection, so
+// nothing arrives, every envelope is charged as dropped, and the sender
+// redials for the next write.
+func TestMemNetDrop(t *testing.T) {
+	n := NewMemNet(0, 0, 1)
+	trs, ins := memNodes(t, n, 1, 2)
+	n.SetDropRate(1.0)
+	trs[1].Send(raft.Message{To: 2})
+	waitCond(t, func() bool { dropped, _ := trs[1].Counters(); return dropped == 1 }, "the reset write charged")
+	trs[1].Send(raft.Message{To: 2})
+	waitCond(t, func() bool { dropped, _ := trs[1].Counters(); return dropped == 2 }, "the second reset write charged")
+	if got := trs[1].Reconnects(); got != 1 {
+		t.Errorf("reconnects = %d, want 1 (a redial after the first reset)", got)
 	}
-	if _, dropped := net.Counters(); dropped == 0 {
-		t.Error("drop not counted")
-	}
+	expectNone(t, ins[2], 0, "100% drop rate")
 }
 
-func TestMemNetworkPartitionAndHeal(t *testing.T) {
-	net := NewMemNetwork(0, 0, 1)
-	inbox := make(chan raft.Message, 8)
-	net.AttachGroup(2, 0, inbox)
-	ep := net.AttachGroup(1, 0, make(chan raft.Message, 8))
-	net.Partition([]types.NodeID{1}, []types.NodeID{2})
-	ep.Send(raft.Message{To: 2})
-	select {
-	case <-inbox:
-		t.Fatal("message crossed a partition")
-	case <-time.After(30 * time.Millisecond):
-	}
-	net.Heal()
-	ep.Send(raft.Message{To: 2})
-	select {
-	case <-inbox:
-	case <-time.After(time.Second):
-		t.Fatal("message not delivered after heal")
-	}
+func TestMemNetPartitionAndHeal(t *testing.T) {
+	n := NewMemNet(0, 0, 1)
+	trs, ins := memNodes(t, n, 1, 2)
+	n.Partition([]types.NodeID{1}, []types.NodeID{2})
+	trs[1].Send(raft.Message{To: 2, Term: 1})
+	expectNone(t, ins[2], 30*time.Millisecond, "a partition")
+	n.Heal()
+	trs[1].Send(raft.Message{To: 2, Term: 2})
+	expectTerm(t, ins[2], 2, "after heal")
 }
 
-func TestMemNetworkIsolate(t *testing.T) {
-	net := NewMemNetwork(0, 0, 1)
-	in2 := make(chan raft.Message, 8)
-	in3 := make(chan raft.Message, 8)
-	net.AttachGroup(2, 0, in2)
-	net.AttachGroup(3, 0, in3)
-	ep := net.AttachGroup(1, 0, make(chan raft.Message, 8))
-	net.Isolate(1)
-	ep.Send(raft.Message{To: 2})
-	ep.Send(raft.Message{To: 3})
+func TestMemNetIsolate(t *testing.T) {
+	n := NewMemNet(0, 0, 1)
+	trs, ins := memNodes(t, n, 1, 2, 3)
+	n.Isolate(1)
+	trs[1].Send(raft.Message{To: 2})
+	trs[1].Send(raft.Message{To: 3})
 	time.Sleep(30 * time.Millisecond)
-	if len(in2)+len(in3) != 0 {
+	if len(ins[2])+len(ins[3]) != 0 {
 		t.Fatal("isolated node reached peers")
 	}
 	// Traffic between the others still flows.
-	ep2 := net.AttachGroup(2, 0, in2)
-	ep2.Send(raft.Message{To: 3})
-	select {
-	case <-in3:
-	case <-time.After(time.Second):
-		t.Fatal("unrelated traffic blocked by Isolate")
+	trs[2].Send(raft.Message{To: 3, Term: 7})
+	expectTerm(t, ins[3], 7, "unrelated traffic under Isolate")
+}
+
+// TestMemNetNeverReorders: under jitter far above the gap between sends,
+// every message still arrives, in the order it was sent — a connection is
+// one in-order stream, whatever each write's delay.
+func TestMemNetNeverReorders(t *testing.T) {
+	trs, ins := memNodes(t, NewMemNet(time.Millisecond, 5*time.Millisecond, 1), 1, 2)
+	const count = 200
+	for i := 1; i <= count; i++ {
+		trs[1].Send(raft.Message{To: 2, Term: types.Time(i)})
+		if i%10 == 0 {
+			time.Sleep(100 * time.Microsecond) // spread the sends over many writes
+		}
 	}
+	for i := 1; i <= count; i++ {
+		expectTerm(t, ins[2], types.Time(i), "in-order delivery")
+	}
+}
+
+// tapNet reports the byte count of every write its connections finish.
+type tapNet struct {
+	Network
+	wrote chan int
+}
+
+func (n tapNet) Dial(network, addr string) (net.Conn, error) {
+	c, err := n.Network.Dial(network, addr)
+	if err != nil {
+		return nil, err
+	}
+	return tapConn{c, n.wrote}, nil
+}
+
+type tapConn struct {
+	net.Conn
+	wrote chan int
+}
+
+func (c tapConn) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	c.wrote <- n
+	return n, err
+}
+
+// TestMemNetBlockedDirectionLosesWholeWrites: while 1→2 is blocked, every
+// write from 1 is discarded whole and 2 still reaches 1; after the heal the
+// same connection carries the next frame intact — no partial frame ever
+// reached 2, and 1 never redialled.
+func TestMemNetBlockedDirectionLosesWholeWrites(t *testing.T) {
+	n := NewMemNet(0, 0, 1)
+	in1, in2 := make(chan raft.Message, 64), make(chan raft.Message, 64)
+	wrote := make(chan int, 64)
+	t1, err := NewTCPTransportOn(tapNet{n.view(1), wrote}, 1, "S1", map[types.NodeID]string{2: "S2"}, in1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t1.Close()
+	t2, err := n.Join(2, []types.NodeID{1}, in2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t2.Close()
+
+	t1.Send(raft.Message{To: 2, Term: 1})
+	expectTerm(t, in2, 1, "before the block")
+	<-wrote
+
+	n.BlockOneWay(1, 2)
+	var want int
+	for i := 0; i < 8; i++ {
+		m := raft.Message{Type: raft.MsgAppendEntries, To: 2, Term: 100, Entries: []raft.LogEntry{{Term: 100, Command: make([]byte, 100*i)}}}
+		t1.Send(m)
+		m.From = 1
+		want += len(raft.AppendEnvelope(nil, raft.Envelope{Msg: m}))
+	}
+	for got := 0; got < want; {
+		select {
+		case n := <-wrote:
+			got += n
+		case <-time.After(time.Second):
+			t.Fatalf("the sender wrote %d of %d bytes", got, want)
+		}
+	}
+	t2.Send(raft.Message{To: 1, Term: 2})
+	expectTerm(t, in1, 2, "the open direction")
+
+	n.Heal()
+	t1.Send(raft.Message{To: 2, Term: 3})
+	expectTerm(t, in2, 3, "after heal") // nothing of the blocked writes came first
+	if r := t1.Reconnects(); r != 0 {
+		t.Errorf("reconnects = %d: the heal needed a redial", r)
+	}
+	if dropped, _ := t1.Counters(); dropped != 0 {
+		t.Errorf("dropped = %d: a blocked write looks sent to its sender", dropped)
+	}
+}
+
+// TestMemNetRedialsRestartedListener: a peer whose transport closed comes
+// back under the same name, and the sender's backoff redials it with no
+// SetPeer call. The test logs how long the redial took.
+func TestMemNetRedialsRestartedListener(t *testing.T) {
+	n := NewMemNet(0, 0, 1)
+	trs, ins := memNodes(t, n, 1, 2)
+	trs[1].Send(raft.Message{To: 2, Term: 1})
+	expectTerm(t, ins[2], 1, "before the restart")
+
+	trs[2].Close()
+	down := time.Now()
+	// The first write after the close fails; every dial after it is refused
+	// until the listener is back.
+	for i := 0; i < 10; i++ {
+		trs[1].Send(raft.Message{To: 2, Term: 2})
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	in2b := make(chan raft.Message, 64)
+	t2b, err := n.Join(2, nil, in2b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t2b.Close()
+	up := time.Now()
+	deadline := up.Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		trs[1].Send(raft.Message{To: 2, Term: 3})
+		select {
+		case <-in2b:
+			t.Logf("redialled %v after the listener came back (down for %v)",
+				time.Since(up).Round(time.Millisecond), up.Sub(down).Round(time.Millisecond))
+			if trs[1].Reconnects() == 0 {
+				t.Error("delivery resumed without a counted reconnect")
+			}
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	t.Fatal("sender never redialled the restarted listener")
 }
 
 func TestTCPTransportRoundTrip(t *testing.T) {

@@ -32,9 +32,9 @@
 //     in the leader's current term) — the certified algorithm of the
 //     paper, with the published bug toggleable for experiments.
 //
-// Transports are pluggable: an in-memory network with injectable latency,
-// loss, and partitions (package transport), and a TCP transport carrying
-// the length-prefixed binary frames of wire.go for real deployments.
+// Package transport has the one transport, which carries the length-prefixed
+// binary frames of wire.go over the operating system's network or over an
+// in-memory one with injectable latency, loss, and partitions.
 package raft
 
 import (
