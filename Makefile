@@ -92,9 +92,11 @@ chaos-parity:
 # kv-race runs the KV replica (kvstore.Server) under the race detector,
 # three times over: the in-process service's scenarios, where a restarted
 # node replays its storage into a fresh Store (DedupSurvivesShardSnapshot),
-# and three Servers over loopback TCP.
+# three Servers over loopback TCP, and the raft-kv binary's own tests (a
+# restart on the same WAL, a get through the read barrier, the -read-mode
+# flag).
 kv-race:
-	$(GO) test -race -count=3 -run 'TestReplicated|TestServerOverTCP' ./internal/kvstore ./cmd/raft-kv
+	$(GO) test -race -count=3 -run 'TestReplicated|TestServerOverTCP|TestWritesSurviveRestart|TestGetThroughReadBarrier|TestReadModeFlag' ./internal/kvstore ./cmd/raft-kv
 
 # fingerprints prints what TestJournalFingerprints hashes, row by row: each
 # teeth-table row's journal hash and violation count with its guard on and

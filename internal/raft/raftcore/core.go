@@ -178,11 +178,11 @@ type Core struct {
 	leader   types.NodeID // last known leader
 
 	// The log is compacted: entries [1, snapIndex] are summarized by a
-	// snapshot and only the suffix is held. log[0] is a sentinel carrying
-	// the base term, so absolute index i lives at log[i-snapIndex] and
-	// the first retained entry is snapIndex+1. A fresh node has
-	// snapIndex 0 and the classic 1-indexed log.
-	log         []LogEntry
+	// snapshot and only the suffix (snapIndex, lastIndex] is held, in
+	// write-once chunks (entryLog), so what TakeUnstable and sendAppend hand
+	// out are views, not copies. snapTerm is the term at snapIndex. A fresh
+	// node has snapIndex 0 and the classic 1-indexed log.
+	log         entryLog
 	snapIndex   int
 	snapTerm    types.Time
 	snapMembers []types.NodeID // effective membership at snapIndex (nil = conf0)
@@ -346,16 +346,13 @@ type inboundSnap struct {
 // returned by the driver's storage Load.
 func New(cfg Config, hs HardState, snap Snapshot, entries []LogEntry) *Core {
 	cfg.defaults()
-	log := make([]LogEntry, 1, len(entries)+1)
-	log[0] = LogEntry{Term: snap.Term} // sentinel carries the base term
-	log = append(log, entries...)
 	c := &Core{
 		id:          cfg.ID,
 		cfg:         cfg,
 		role:        Follower,
 		term:        hs.Term,
 		votedFor:    hs.VotedFor,
-		log:         log,
+		log:         newEntryLog(snap.Index, entries),
 		snapIndex:   snap.Index,
 		snapTerm:    snap.Term,
 		snapMembers: snap.Members,
@@ -368,9 +365,9 @@ func New(cfg Config, hs HardState, snap Snapshot, entries []LogEntry) *Core {
 	}
 	// Seed the config-index cache from the recovered suffix (one scan,
 	// here only; afterwards every append/truncation maintains it).
-	for i := 1; i < len(log); i++ { // 0 is the sentinel
-		if log[i].Kind == EntryConfig {
-			c.confIdxs = append(c.confIdxs, snap.Index+i)
+	for i, e := range entries {
+		if e.Kind == EntryConfig {
+			c.confIdxs = append(c.confIdxs, snap.Index+1+i)
 		}
 	}
 	c.resetElectionTimer()
@@ -430,13 +427,18 @@ func (c *Core) SnapshotTerm() types.Time { return c.snapTerm }
 // command/member slices; callers must not mutate.
 func (c *Core) Entry(i int) LogEntry { return c.entryAt(i) }
 
-func (c *Core) lastIndex() int { return c.snapIndex + len(c.log) - 1 }
+func (c *Core) lastIndex() int { return c.log.last }
 
-func (c *Core) entryAt(i int) LogEntry { return c.log[i-c.snapIndex] }
+func (c *Core) entryAt(i int) LogEntry { return c.log.at(i) }
 
 // termAt returns the term at absolute index i, valid for
-// i in [snapIndex, lastIndex] (the sentinel holds the base term).
-func (c *Core) termAt(i int) types.Time { return c.log[i-c.snapIndex].Term }
+// i in [snapIndex, lastIndex].
+func (c *Core) termAt(i int) types.Time {
+	if i == c.snapIndex {
+		return c.snapTerm
+	}
+	return c.log.at(i).Term
+}
 
 // baseMembers is the membership at the snapshot base (conf0 when nothing
 // was ever compacted or the snapshot predates any reconfiguration).
@@ -611,10 +613,7 @@ func (c *Core) TakeUnstable() (u Unstable, ok bool) {
 		if len(c.inflight) > 0 {
 			u.FirstIndex = c.stableIndex + 1 // covers the outstanding write
 		}
-		// A copy: the driver reads it with no lock held while the core keeps
-		// appending to (and truncating) the live log.
-		u.Entries = make([]LogEntry, len(c.log)-(u.FirstIndex-c.snapIndex))
-		copy(u.Entries, c.log[u.FirstIndex-c.snapIndex:])
+		u.Entries = c.log.slice(u.FirstIndex, c.lastIndex()+1)
 		w.last = c.lastIndex()
 		c.dirtyFrom = 0
 	}
@@ -786,11 +785,7 @@ func (c *Core) Compact(idx int, data []byte) bool {
 	}
 	term := c.termAt(idx)
 	members := c.membersAt(idx)
-	suffix := c.log[idx-c.snapIndex:]
-	log := make([]LogEntry, len(suffix))
-	copy(log, suffix)
-	log[0] = LogEntry{Term: term} // new sentinel for the new base
-	c.log = log
+	c.log.compact(idx)
 	c.snapIndex, c.snapTerm = idx, term
 	c.snapMembers = members
 	c.snapData = data
@@ -1485,7 +1480,7 @@ func (c *Core) onReadIndexResponse(m Message) {
 
 // appendAsLeader appends an entry at the leader and returns its index.
 func (c *Core) appendAsLeader(e LogEntry) int {
-	c.log = append(c.log, e)
+	c.log.append(e)
 	idx := c.lastIndex()
 	c.trackConfig(idx, e)
 	c.markEntries(idx)
@@ -1558,8 +1553,7 @@ func (c *Core) sendAppend(to types.NodeID) {
 	// MaxEntriesPerAppend-sized messages instead of one full-suffix
 	// resend per round trip.
 	end := min(limit+1, next+MaxEntriesPerAppend)
-	entries := make([]LogEntry, end-next)
-	copy(entries, c.log[next-c.snapIndex:end-c.snapIndex])
+	entries := c.log.slice(next, end)
 	c.appendSeq++
 	c.send(Message{
 		Type:         MsgAppendEntries,
@@ -1776,32 +1770,24 @@ func (c *Core) onAppendEntries(m Message) {
 			prev, prevTerm = c.snapIndex, c.snapTerm
 		}
 		if prev <= c.lastIndex() && c.termAt(prev) == prevTerm {
-			// Append, truncating on conflicts.
-			firstChanged := 0
+			// Skip what the log already holds, truncate at the first
+			// conflict, append the rest.
 			for i, e := range entries {
-				pos := prev + 1 + i     // absolute index
-				sp := pos - c.snapIndex // slot in the retained suffix
-				if sp < len(c.log) {
-					if c.log[sp].Term != e.Term {
-						c.log = c.log[:sp]
-						c.unstableFrom(pos)
-						c.dropConfigsFrom(pos)
-						c.log = append(c.log, e)
-						c.trackConfig(pos, e)
-						if firstChanged == 0 {
-							firstChanged = pos
-						}
+				pos := prev + 1 + i // absolute index
+				if pos <= c.lastIndex() {
+					if c.termAt(pos) == e.Term {
+						continue
 					}
-				} else {
-					c.log = append(c.log, e)
-					c.trackConfig(pos, e)
-					if firstChanged == 0 {
-						firstChanged = pos
-					}
+					c.log.truncate(pos)
+					c.unstableFrom(pos)
+					c.dropConfigsFrom(pos)
 				}
-			}
-			if firstChanged != 0 {
-				c.markEntries(firstChanged)
+				c.log.append(entries[i:]...)
+				for j, e := range entries[i:] {
+					c.trackConfig(pos+j, e)
+				}
+				c.markEntries(pos)
+				break
 			}
 			matchIdx := prev + len(entries)
 			c.matchedLeader(matchIdx)
@@ -1920,7 +1906,7 @@ func (c *Core) onInstallSnapshot(m Message) {
 	// Full install: the snapshot replaces the log wholesale. The suffix
 	// is discarded even if non-empty — it conflicts at or before the
 	// base, or we would have matched above.
-	c.log = []LogEntry{{Term: s.term}}
+	c.log.reset(s.index)
 	c.unstableFrom(s.index) // until the image is on disk
 	c.snapIndex, c.snapTerm = s.index, s.term
 	c.snapMembers = copyIDs(s.members)

@@ -186,7 +186,9 @@ type Message struct {
 	// disruptive higher-term campaign accept this one.
 	Transfer bool
 
-	// Append requests.
+	// Append requests. Entries is shared, not owned: from a core, a
+	// read-only view into its log (see Unstable.Entries). Copy it to keep
+	// it; never write it.
 	PrevLogIndex int
 	PrevLogTerm  types.Time
 	Entries      []LogEntry
@@ -301,6 +303,11 @@ type Unstable struct {
 	// conflict truncation re-persists from the truncation point, a batch
 	// taken beside another from the stable index up); re-writing them is
 	// harmless, and Storage.SaveEntries skips what it already holds.
+	//
+	// Entries is a shared, read-only view into the core's log, not a copy:
+	// the core never writes a slot it has handed out again, so it may be
+	// read with no lock held while the core moves on. Copy it to keep it;
+	// never write it.
 	FirstIndex int
 	Entries    []LogEntry
 }

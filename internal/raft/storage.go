@@ -32,6 +32,8 @@ type Storage interface {
 	// stays: two overlapping appends of one log (a pipelined write rewrites
 	// the log from the stable index up) then leave the same log whichever
 	// lands first. firstIndex must lie in (snapshot index, last index+1].
+	// entries is a shared, read-only view into the core's log: copy it to
+	// keep it, never write it.
 	SaveEntries(firstIndex int, entries []LogEntry) error
 	// SaveSnapshot durably records snap and drops the stored log prefix
 	// [1, snap.Index]. The snapshot MUST be durable before any prefix is

@@ -98,6 +98,7 @@ type peerSender struct {
 	addr  string
 	queue chan raft.Envelope
 	stop  chan struct{}
+	wake  chan struct{} // the peer was heard from: redial now, not at the backoff's end
 	once  sync.Once
 }
 
@@ -258,7 +259,7 @@ func (t *TCPTransport) receive(conn net.Conn) {
 	var buf []byte
 	timer := time.NewTimer(inboxWait)
 	defer timer.Stop()
-	for {
+	for heard := false; ; heard = true {
 		body, err := raft.ReadFrame(br, buf)
 		if err != nil {
 			return
@@ -266,6 +267,9 @@ func (t *TCPTransport) receive(conn net.Conn) {
 		env, err := raft.DecodeEnvelope(body)
 		if err != nil {
 			return // a malformed frame poisons the stream: drop the connection
+		}
+		if !heard {
+			t.wake(env.Msg.From)
 		}
 		if buf = body; cap(buf) > maxRetainedBuf {
 			buf = nil
@@ -308,6 +312,23 @@ func (t *TCPTransport) receive(conn net.Conn) {
 	}
 }
 
+// wake nudges the sender toward a peer that was just heard from out of its
+// dial backoff: a peer that dials in is up, so the sender need not wait out
+// a delay that may have grown to seconds while the peer was down. It never
+// blocks. A sender that is connected keeps the nudge, which cuts short at
+// most one later wait: one early redial.
+func (t *TCPTransport) wake(id types.NodeID) {
+	t.mu.Lock()
+	ps := t.senders[id]
+	t.mu.Unlock()
+	if ps != nil {
+		select {
+		case ps.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
 // Send implements raft.Transport for the transport itself: group 0, the
 // single-group compatibility path.
 func (t *TCPTransport) Send(m raft.Message) { t.send(0, m) }
@@ -335,6 +356,7 @@ func (t *TCPTransport) send(g raft.GroupID, m raft.Message) {
 			addr:  addr,
 			queue: make(chan raft.Envelope, sendQueueSize),
 			stop:  make(chan struct{}),
+			wake:  make(chan struct{}, 1),
 		}
 		t.senders[m.To] = ps
 		t.wg.Add(1)
@@ -360,8 +382,9 @@ func (ps *peerSender) shutdown() {
 }
 
 // loop drains the queue, (re)dialing as needed. Dial failures back off
-// exponentially with jitter up to a cap; while disconnected the queue fills
-// and Send sheds load at the enqueue side.
+// exponentially with jitter up to a cap, cut short when the peer is heard
+// from (wake); while disconnected the queue fills and Send sheds load at the
+// enqueue side.
 func (ps *peerSender) loop() {
 	defer ps.t.wg.Done()
 	var conn net.Conn
@@ -413,11 +436,18 @@ func (ps *peerSender) loop() {
 				if backoff > dialBackoffMax {
 					backoff = dialBackoffMax
 				}
-				retry.Reset(delay) // stopped or drained: the only receive is below
+				retry.Reset(delay) // stopped or drained: the only receives are below
 				select {
 				case <-ps.stop:
 					return
 				case <-retry.C:
+				case <-ps.wake:
+					if !retry.Stop() {
+						select { // fired meanwhile: drain it for the next Reset
+						case <-retry.C:
+						default:
+						}
+					}
 				}
 			}
 			// One write carries env and whatever else is ALREADY queued. The

@@ -258,6 +258,70 @@ func TestMemNetRedialsRestartedListener(t *testing.T) {
 	t.Fatal("sender never redialled the restarted listener")
 }
 
+// dialNet reports the outcome of every dial its network makes: the time of
+// each refused one on refused, of each one that connected on connected.
+type dialNet struct {
+	Network
+	refused, connected chan time.Time
+}
+
+func (n dialNet) Dial(network, addr string) (net.Conn, error) {
+	c, err := n.Network.Dial(network, addr)
+	if err != nil {
+		n.refused <- time.Now()
+	} else {
+		n.connected <- time.Now()
+	}
+	return c, err
+}
+
+// TestHeardPeerEndsDialBackoff: a sender whose backoff toward a crashed peer
+// has grown past 640 ms redials as soon as the restarted peer's first
+// envelope arrives, not when its timer fires.
+func TestHeardPeerEndsDialBackoff(t *testing.T) {
+	n := NewMemNet(0, 0, 1)
+	dials := dialNet{n.view(1), make(chan time.Time, 16), make(chan time.Time, 16)}
+	in1 := make(chan raft.Message, 64)
+	t1, err := NewTCPTransportOn(dials, 1, "S1", map[types.NodeID]string{2: "S2"}, in1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t1.Close()
+
+	// S2 is down: the queued envelope keeps S1's sender dialling, and each
+	// refusal doubles its backoff, from 20 ms. After the 7th the next delay
+	// is drawn from [640 ms, 1920 ms).
+	t1.Send(raft.Message{To: 2, Term: 1})
+	var last time.Time
+	for i := 0; i < 7; i++ {
+		select {
+		case last = <-dials.refused:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d dials refused, want 7", i)
+		}
+	}
+
+	in2 := make(chan raft.Message, 64)
+	t2, err := n.Join(2, []types.NodeID{1}, in2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t2.Close()
+	t2.Send(raft.Message{To: 1, Term: 2})
+	expectTerm(t, in1, 2, "the restarted peer's first envelope")
+	select {
+	case at := <-dials.connected:
+		if d := at.Sub(last); d >= 640*time.Millisecond {
+			t.Fatalf("redialled %v after the last refusal: the timer, not the peer's envelope", d)
+		}
+	case <-dials.refused:
+		t.Fatal("the backoff timer fired before the wake")
+	case <-time.After(640 * time.Millisecond):
+		t.Fatal("no redial within 640 ms of the peer's envelope")
+	}
+	expectTerm(t, in2, 1, "the envelope queued while S2 was down")
+}
+
 func TestTCPTransportRoundTrip(t *testing.T) {
 	in1 := make(chan raft.Message, 8)
 	in2 := make(chan raft.Message, 8)
