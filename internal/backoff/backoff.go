@@ -1,8 +1,8 @@
 // Package backoff is the repository's single definition of capped,
-// jittered exponential backoff. The kvstore client's leader probing and
-// cluster.WaitCommit's commit polling both use it, so the policy (double
-// with full jitter on the upper half, cap, clip to the caller's deadline)
-// lives in exactly one place.
+// jittered exponential backoff. The kvstore client's leader probing,
+// cluster.WaitCommit's commit polling and the transport's redial of a peer
+// that is down all use it, so the policy (double with full jitter on the
+// upper half, cap, clip to the caller's deadline) lives in exactly one place.
 //
 // Every Backoff owns its own rand.Rand: two instances never share a jitter
 // stream. That matters under contention — after a leader step-down,

@@ -187,13 +187,9 @@ func StartNode(opts Options) *Node {
 	var snap LogSnapshot
 	var log []LogEntry
 	if opts.Storage != nil {
-		h, sn, stored, err := opts.Storage.Load()
-		if err != nil {
+		var err error
+		if hs, snap, log, err = opts.Storage.Load(); err != nil {
 			panic(fmt.Sprintf("raft: storage load: %v", err))
-		}
-		hs, snap = h, sn
-		if len(stored) > 0 {
-			log = stored
 		}
 	}
 	// The jitter closure owns the randomness — the core itself is

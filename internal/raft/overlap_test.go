@@ -41,6 +41,21 @@ func walBytes(t *testing.T, fsys FS, dir string) int {
 	return n
 }
 
+// checkHolds checks FileStorage.Holds against log, what Load returns above a
+// base of 0: it holds each index with its term and no other, and nothing one
+// index past the end.
+func checkHolds(t *testing.T, st *FileStorage, log []LogEntry) {
+	t.Helper()
+	for i, e := range log {
+		if !st.Holds(i+1, e.Term) || st.Holds(i+1, e.Term+1) {
+			t.Fatalf("Holds disagrees with Load at index %d, term %d", i+1, e.Term)
+		}
+	}
+	if st.Holds(len(log)+1, 1) {
+		t.Fatalf("Holds(%d, 1) past the last index %d", len(log)+1, len(log))
+	}
+}
+
 // TestFileStorageOverlappingAppendsCommute lands overlapping pure appends in
 // every order the driver can produce, on MemFS and on real files, and checks
 // that Load and a replay after reopening agree on the in-order log. A holds
@@ -78,6 +93,7 @@ func TestFileStorageOverlappingAppendsCommute(t *testing.T) {
 					if _, _, got, _ := st.Load(); !sameEntries(got, want) {
 						t.Fatalf("%s: Load = %v, want %v", what, got, want)
 					}
+					checkHolds(t, st, want)
 					if err := st.Close(); err != nil {
 						t.Fatal(err)
 					}
@@ -162,6 +178,7 @@ func FuzzWALOverlappingAppends(f *testing.F) {
 				t.Fatalf("after landing %d..%d: store holds %v, want the stable prefix %v",
 					w.first, w.first+len(w.es)-1, got, log[:stable])
 			}
+			checkHolds(t, st, log[:stable])
 		}
 		for _, op := range ops {
 			switch op % 4 {

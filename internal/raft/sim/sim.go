@@ -289,15 +289,7 @@ func (s *Cluster) StableIndex(id types.NodeID) int { return s.nodes[id].core.Sta
 // about exactly this).
 func (s *Cluster) DiskHolds(id types.NodeID, idx int, term types.Time) bool {
 	st := s.nodes[id].st
-	if st == nil {
-		return false
-	}
-	_, snap, log, _ := st.Load() // FileStorage.Load reads its cache and never fails
-	if idx <= snap.Index {
-		return true
-	}
-	p := idx - snap.Index - 1
-	return p < len(log) && log[p].Term == term
+	return st != nil && st.Holds(idx, term)
 }
 
 // LastIndex returns the index of a node's last log entry.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"adore/internal/raft/raftcore"
@@ -396,6 +397,69 @@ func TestEveryEventKindFolds(t *testing.T) {
 		name := reflect.TypeOf(raftcore.Counters{}).Field(i).Name
 		if !folded[name] && name != "EntryWrites" && name != "SnapshotWrites" {
 			t.Errorf("Counters.%s has no event kind folding into it", name)
+		}
+	}
+}
+
+// TestCompactionBoundsLiveHeap is the memory bound of the compaction path: a
+// 3-node cluster with SnapshotThreshold 1 000, fed 100-byte commands, keeps a
+// live heap bounded by its configuration, not by its history. Each node
+// retains at most the threshold's entries plus one 4 096-entry chunk of the
+// core's log (raftcore's entryLog drops only whole chunks, so the retained
+// window swings by up to a chunk), and a retained entry costs a node at most
+// entryCost: its LogEntry (64 B) and command (100 B) in the core, and its
+// frame on the node's disk, whose contents grow by doubling (2 × ~110 B).
+// The live heap after a GC, less the heap before the cluster was built and
+// less the journal (the simulator's record of the run, which grows with it by
+// design), must sit below (threshold + chunk) × nodes × entryCost = 6.1 MB at
+// N = 10 000 entries and again at 4N = 40 000.
+func TestCompactionBoundsLiveHeap(t *testing.T) {
+	const (
+		nodes, threshold, chunk, cmdLen = 3, 1000, 4096, 100
+		entryCost                       = 64 + cmdLen + 2*110 + 16 // with slack
+		n                               = 10000
+		bound                           = (threshold + chunk) * nodes * entryCost
+	)
+	liveHeap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := liveHeap()
+	s := New(Options{Nodes: nodes, Seed: 1, SnapshotThreshold: threshold})
+	s.OnSnapshot(func(types.NodeID, int) []byte { return []byte("image") })
+	proposed := 0
+	reading := func(entries int) int64 {
+		t.Helper()
+		stepUntil(t, s, 100*entries, fmt.Sprintf("%d entries applied everywhere", entries), func() bool {
+			if leader, ok := s.Leader(); ok {
+				for k := 0; k < 50 && proposed < entries; k++ {
+					if _, _, err := s.Propose(leader, make([]byte, cmdLen)); err != nil {
+						break
+					}
+					proposed++
+				}
+			}
+			for _, id := range s.IDs() {
+				if s.CommitIndex(id) < entries {
+					return false
+				}
+			}
+			return true
+		})
+		return liveHeap() - before - int64(cap(s.Journal()))
+	}
+	for _, entries := range []int{n, 4 * n} {
+		if got := reading(entries); got > bound {
+			t.Errorf("live heap %d B at %d entries, above the bound %d B", got, entries, bound)
+		} else {
+			t.Logf("live heap %d B at %d entries (bound %d B)", got, entries, bound)
+		}
+	}
+	for _, id := range s.IDs() {
+		if base := s.SnapshotIndex(id); base == 0 {
+			t.Errorf("S%d never compacted", id)
 		}
 	}
 }

@@ -1,13 +1,12 @@
 package raft
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,13 +24,13 @@ type Storage interface {
 	SaveState(hs HardState) error
 	// SaveEntries durably replaces the log suffix starting at the
 	// absolute index firstIndex with entries; the log is implicitly
-	// truncated at the first entry that differs from the stored one at its
-	// index (nil entries = pure truncation at firstIndex). Entries already
-	// stored at their index are kept as they are, and when every entry is
-	// already stored nothing is written and the stored suffix above them
-	// stays: two overlapping appends of one log (a pipelined write rewrites
-	// the log from the stable index up) then leave the same log whichever
-	// lands first. firstIndex must lie in (snapshot index, last index+1].
+	// truncated at the first entry whose term differs from the stored one
+	// at its index (nil entries = pure truncation at firstIndex): an index
+	// and a term name one entry (DESIGN). When every entry is already stored
+	// nothing is written and the stored suffix above them stays: two
+	// overlapping appends of one log (a pipelined write rewrites the log
+	// from the stable index up) then leave the same log whichever lands
+	// first. firstIndex must lie in (snapshot index, last index+1].
 	// entries is a shared, read-only view into the core's log: copy it to
 	// keep it, never write it.
 	SaveEntries(firstIndex int, entries []LogEntry) error
@@ -50,19 +49,6 @@ type Storage interface {
 	Close() error
 }
 
-// spliceSuffix rebuilds a sentinel-prefixed log as the suffix above a new
-// snapshot base. oldBase is the previous base index of log.
-func spliceSuffix(log []LogEntry, oldBase int, snap LogSnapshot) []LogEntry {
-	if p := snap.Index - oldBase; p < len(log) {
-		out := make([]LogEntry, len(log)-p)
-		copy(out, log[p:])
-		out[0] = LogEntry{Term: snap.Term}
-		return out
-	}
-	// The snapshot covers (or outruns) the whole log: empty suffix.
-	return []LogEntry{{Term: snap.Term}}
-}
-
 // FileStorage is a directory of write-ahead-log segments and nothing else,
 // kept on an FS. Every segment begins with a base record holding the whole
 // base it builds on — hard state and snapshot, image included — and every
@@ -73,22 +59,20 @@ func spliceSuffix(log []LogEntry, oldBase int, snap LogSnapshot) []LogEntry {
 // open starts a new segment, so a torn tail from a crash mid-write is simply
 // ignored at the next replay.
 //
-// The cached state changes only once a write has landed, and the first failed
-// write or sync is latched: every later Save returns it, so a torn frame is
-// never followed by a valid one in the same segment.
+// The segments are the only copy of the log; memory holds the term at each
+// index above the base, which changes only once a write has landed. The first
+// failed write or sync is latched: every later Save returns it, so a torn
+// frame is never followed by a valid one in the same segment.
 type FileStorage struct {
-	mu   sync.Mutex
-	fsys FS
-	dir  string
-	f    File  // active segment; guarded by mu
-	seq  int   // the active segment's sequence number; guarded by mu
-	old  int   // the oldest live segment's; guarded by mu
-	err  error // the latched write error; guarded by mu
-
-	// cached live state
-	hs   HardState   // guarded by mu
-	base LogSnapshot // snapshot base; guarded by mu
-	log  []LogEntry  // suffix after base, sentinel at [0]; guarded by mu
+	mu    sync.Mutex
+	fsys  FS
+	dir   string       // clean, so that segPath matches filepath.Join
+	f     File         // active segment; guarded by mu
+	seq   int          // the active segment's sequence number; guarded by mu
+	old   int          // the oldest live segment's; guarded by mu
+	err   error        // the latched write error; guarded by mu
+	base  int          // the snapshot base's index; guarded by mu
+	terms []types.Time // terms[i] is the term at index base+1+i; guarded by mu
 
 	// buf is the reused frame-encoding buffer: the append hot path encodes
 	// each record into it instead of allocating per record.
@@ -161,16 +145,34 @@ func nextRecord(b []byte) (walRecord, []byte, error) {
 	return rec, rest, r.err
 }
 
-// replayLocked folds one segment's records into the cached state. A segment
-// gets its final name only once its header and base record are durable
-// (rotateLocked), so both must be whole: anything else fails loudly. After the
-// base, replay stops at the first frame that is short, fails its CRC or does
-// not decode: a crash tears only the last write, and what precedes it is the
-// durable prefix. If a complete, valid frame follows that point, the damage is
-// inside the segment, not a torn tail, and replay fails loudly too.
-func (fs *FileStorage) replayLocked(path string) error {
-	b, err := fs.fsys.ReadFile(path)
-	if err != nil {
+// walState is what the live segments hold; log is the log above base.
+type walState struct {
+	hs   HardState
+	base LogSnapshot
+	log  []LogEntry
+}
+
+// readLocked replays the live segments, oldest first.
+func (fs *FileStorage) readLocked() (s walState, err error) {
+	for seq := fs.old; seq <= fs.seq && err == nil; seq++ {
+		err = s.replay(fs.fsys, segPath(fs.dir, seq))
+	}
+	return s, err
+}
+
+// replay folds the segment at path into s; a missing one folds nothing, and a
+// gap it leaves in the log fails the next segment's replay. A segment gets
+// its final name only once its header and base record are durable
+// (rotateLocked), so both must be whole: anything else fails loudly. After
+// the base, replay stops at the first frame that is short, fails its CRC or
+// does not decode: a crash tears only the last write, and what precedes it is
+// the durable prefix. If a complete, valid frame follows that point, the
+// damage is inside the segment, not a torn tail, and replay fails loudly too.
+func (s *walState) replay(fsys FS, path string) error {
+	b, err := fsys.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	} else if err != nil {
 		return fmt.Errorf("raft: open wal segment: %w", err)
 	}
 	if len(b) < len(walHeader) || string(b[:len(walHeader)]) != walHeader {
@@ -184,7 +186,7 @@ func (fs *FileStorage) replayLocked(path string) error {
 		return fmt.Errorf("raft: wal segment %s: base record: %w", path, err)
 	}
 	for {
-		if err := fs.applyRecordLocked(rec); err != nil || len(rest) == 0 {
+		if err := s.apply(rec); err != nil || len(rest) == 0 {
 			return err
 		}
 		at := len(b) - len(rest)
@@ -200,8 +202,12 @@ func (fs *FileStorage) replayLocked(path string) error {
 	}
 }
 
+// segPath is filepath.Join(dir, fmt.Sprintf("wal-%08d.seg", seq)) for a clean
+// dir other than the root, in one allocation: Load reads each segment by it.
 func segPath(dir string, seq int) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%08d.seg", seq))
+	var digits [20]byte
+	n := strconv.AppendInt(digits[:0], int64(seq), 10)
+	return dir + string(filepath.Separator) + "wal-" + "00000000"[min(len(n), 8):] + string(n) + ".seg"
 }
 
 // The durable frame, one per WAL record:
@@ -246,14 +252,14 @@ func splitFrame(b []byte) (body, rest []byte, err error) {
 func OpenFileStorage(dir string) (*FileStorage, error) { return OpenFileStorageOn(OSFS, dir) }
 
 // OpenFileStorageOn opens (or creates) a WAL directory at dir on fsys: it
-// replays the retained segments in order — each base record installs its
-// snapshot, so only the suffix above the newest one is ever materialized —
-// and starts a fresh active segment for this process generation.
+// replays the retained segments in order, keeps the term at each index above
+// the newest base record's snapshot, and starts a fresh active segment for
+// this process generation.
 func OpenFileStorageOn(fsys FS, dir string) (*FileStorage, error) {
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("raft: open wal dir: %w", err)
 	}
-	fs := &FileStorage{fsys: fsys, dir: dir, old: 1, log: make([]LogEntry, 1)}
+	fs := &FileStorage{fsys: fsys, dir: filepath.Clean(dir), old: 1}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 
@@ -261,12 +267,14 @@ func OpenFileStorageOn(fsys FS, dir string) (*FileStorage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("raft: open wal dir: %w", err)
 	}
-	var segSeqs []int // ascending: the names are sorted and zero-padded
-	for _, name := range names {
+	for _, name := range names { // sorted, and the numbers zero-padded: ascending
 		switch {
 		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg"):
 			if n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg")); err == nil {
-				segSeqs = append(segSeqs, n)
+				if fs.seq == 0 {
+					fs.old = n
+				}
+				fs.seq = n
 			}
 		case strings.HasSuffix(name, ".tmp"):
 			// A rotation torn by a crash: the link never happened, so it
@@ -274,35 +282,37 @@ func OpenFileStorageOn(fsys FS, dir string) (*FileStorage, error) {
 			fsys.Remove(filepath.Join(dir, name))
 		}
 	}
-	for _, seq := range segSeqs {
-		if err := fs.replayLocked(segPath(dir, seq)); err != nil {
-			return nil, err
-		}
+	s, err := fs.readLocked()
+	if err == nil {
+		// Never append to an old segment (its tail may be torn): this
+		// generation writes to a fresh one.
+		err = fs.rotateLocked(s.hs, s.base, nil)
 	}
-	if n := len(segSeqs); n > 0 {
-		fs.old, fs.seq = segSeqs[0], segSeqs[n-1]
-	}
-	// Never append to an old segment (its tail may be torn): this
-	// generation writes to a fresh one.
-	if err := fs.rotateLocked(fs.base, nil); err != nil {
+	if err != nil {
 		return nil, err
 	}
+	fs.base, fs.terms = s.base.Index, appendTerms(nil, s.log)
 	return fs, nil
 }
 
-// rotateLocked closes the active segment (if any) and starts the next one
-// with the header, a base record carrying the current hard state and base,
-// image included, and an entries record of suffix, the log above base, in one
-// write. The write is made durable under a temp name and then linked into
-// place, so a segment under its final name always holds its whole base; a
-// link, unlike a rename, never replaces an existing segment.
-func (fs *FileStorage) rotateLocked(base LogSnapshot, suffix []LogEntry) error {
-	if fs.err != nil {
-		return fs.err
+// appendTerms appends the term of each of es to terms.
+func appendTerms(terms []types.Time, es []LogEntry) []types.Time {
+	for _, e := range es {
+		terms = append(terms, e.Term)
 	}
+	return terms
+}
+
+// rotateLocked closes the active segment (if any) and starts the next one
+// with the header, a base record carrying hs and base, image included, and an
+// entries record of suffix, the log above base, in one write. The write is
+// made durable under a temp name and then linked into place, so a segment
+// under its final name always holds its whole base; a link, unlike a rename,
+// never replaces an existing segment.
+func (fs *FileStorage) rotateLocked(hs HardState, base LogSnapshot, suffix []LogEntry) error {
 	path := segPath(fs.dir, fs.seq+1)
 	tmp := path + ".tmp"
-	buf := appendRecord(append(make([]byte, 0, 64+len(base.Data)), walHeader...), walRecord{Kind: 2, HS: fs.hs, Base: base})
+	buf := appendRecord(append(make([]byte, 0, 64+len(base.Data)), walHeader...), walRecord{Kind: 2, HS: hs, Base: base})
 	if len(suffix) > 0 {
 		buf = appendRecord(buf, walRecord{Kind: 1, FirstIndex: base.Index + 1, Entries: suffix})
 	}
@@ -336,32 +346,36 @@ func (fs *FileStorage) rotateLocked(base LogSnapshot, suffix []LogEntry) error {
 	return nil
 }
 
-// applyRecordLocked folds one replayed record into the cached state.
-func (fs *FileStorage) applyRecordLocked(rec walRecord) error {
+// apply folds one replayed record into s. An entries record that starts at
+// the base becomes the log itself, uncopied.
+func (s *walState) apply(rec walRecord) error {
 	switch rec.Kind {
 	case 0:
-		fs.hs = rec.HS
+		s.hs = rec.HS
 	case 1:
-		p := rec.FirstIndex - fs.base.Index
-		if p < 1 || p > len(fs.log) {
+		switch p := rec.FirstIndex - s.base.Index - 1; {
+		case p < 0 || p > len(s.log):
 			// A gap can only mean a segment was unlinked without its
 			// covering snapshot surviving, and no store writes entries at or
 			// below its base: fail loudly rather than fabricate a log.
 			return fmt.Errorf("raft: wal replay: entries at %d outside (%d, %d]: a gap, or under the base",
-				rec.FirstIndex, fs.base.Index, fs.base.Index+len(fs.log))
+				rec.FirstIndex, s.base.Index, s.base.Index+len(s.log)+1)
+		case p == 0:
+			s.log = rec.Entries
+		default:
+			s.log = append(s.log[:p], rec.Entries...)
 		}
-		fs.log = append(fs.log[:p], rec.Entries...)
 	case 2:
-		fs.hs = rec.HS
+		s.hs = rec.HS
 		switch {
-		case rec.Base.Index > fs.base.Index:
-			fs.log = spliceSuffix(fs.log, fs.base.Index, rec.Base)
-			fs.base = rec.Base
-		case rec.Base.Index < fs.base.Index:
+		case rec.Base.Index > s.base.Index:
+			s.log = s.log[min(rec.Base.Index-s.base.Index, len(s.log)):]
+			s.base = rec.Base
+		case rec.Base.Index < s.base.Index:
 			// Bases only grow: an older one after a newer means the
 			// segments are not the ones this store wrote.
 			return fmt.Errorf("raft: wal replay: segment base %d below the base %d already replayed",
-				rec.Base.Index, fs.base.Index)
+				rec.Base.Index, s.base.Index)
 		}
 	}
 	return nil
@@ -388,58 +402,55 @@ func (fs *FileStorage) appendLocked(rec walRecord) error {
 func (fs *FileStorage) SaveState(hs HardState) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.appendLocked(walRecord{Kind: 0, HS: hs}); err != nil {
-		return err
-	}
-	fs.hs = hs
-	return nil
+	return fs.appendLocked(walRecord{Kind: 0, HS: hs})
 }
 
 // SaveEntries implements Storage: it writes one record of the entries from
-// the first one not already stored at its index, and none when all are.
+// the first one whose term differs from the stored one at its index, and none
+// when all are stored.
 func (fs *FileStorage) SaveEntries(firstIndex int, entries []LogEntry) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	p := firstIndex - fs.base.Index
-	if fs.err == nil && (p < 1 || p > len(fs.log)) { // a failed store reports its write error
-		return fmt.Errorf("raft: SaveEntries at %d outside log (%d, %d]",
-			firstIndex, fs.base.Index, fs.base.Index+len(fs.log)-1)
+	if fs.err != nil {
+		return fs.err
+	}
+	p := firstIndex - fs.base - 1
+	if p < 0 || p > len(fs.terms) {
+		return fmt.Errorf("raft: SaveEntries at %d outside log (%d, %d]", firstIndex, fs.base, fs.base+len(fs.terms))
 	}
 	k := 0
-	for k < len(entries) && p+k < len(fs.log) && sameEntry(fs.log[p+k], entries[k]) {
+	for k < len(entries) && p+k < len(fs.terms) && fs.terms[p+k] == entries[k].Term {
 		k++
 	}
 	if k > 0 && k == len(entries) {
-		return fs.err
+		return nil
 	}
 	if err := fs.appendLocked(walRecord{Kind: 1, FirstIndex: firstIndex + k, Entries: entries[k:]}); err != nil {
 		return err
 	}
-	fs.log = append(fs.log[:p+k], entries[k:]...)
+	fs.terms = appendTerms(fs.terms[:p+k], entries[k:])
 	return nil
 }
 
-// sameEntry reports whether a and b are the same log entry: same term, kind,
-// command and members.
-func sameEntry(a, b LogEntry) bool {
-	return a.Term == b.Term && a.Kind == b.Kind && bytes.Equal(a.Command, b.Command) && slices.Equal(a.Members, b.Members)
-}
-
 // SaveSnapshot implements Storage: rotate to a fresh segment holding snap and
-// the log suffix above it, so the image is durable FIRST, then unlink every
-// older segment, which the new one supersedes. Compaction cost is O(image +
-// retained suffix + number of segments), independent of history length.
+// the log suffix above it, read back from the live segments, so the image is
+// durable FIRST, then unlink every older segment, which the new one
+// supersedes. Compaction cost is O(the live segments), not O(history).
 func (fs *FileStorage) SaveSnapshot(snap LogSnapshot) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if snap.Index <= fs.base.Index {
+	if snap.Index <= fs.base || fs.err != nil {
 		return fs.err // stale: nothing to write
 	}
-	log := spliceSuffix(fs.log, fs.base.Index, snap)
-	if err := fs.rotateLocked(snap, log[1:]); err != nil {
+	s, err := fs.readLocked()
+	suffix := s.log[min(snap.Index-s.base.Index, len(s.log)):]
+	if err == nil {
+		err = fs.rotateLocked(s.hs, snap, suffix)
+	}
+	if err != nil {
 		return err
 	}
-	fs.base, fs.log = snap, log
+	fs.base, fs.terms = snap.Index, appendTerms(nil, suffix)
 	for ; fs.old < fs.seq; fs.old++ {
 		if err := fs.fsys.Remove(segPath(fs.dir, fs.old)); err != nil {
 			return fmt.Errorf("raft: drop wal segment: %w", err)
@@ -448,14 +459,22 @@ func (fs *FileStorage) SaveSnapshot(snap LogSnapshot) error {
 	return fs.fsys.SyncDir(fs.dir)
 }
 
-// Load implements Storage. The returned slice is a copy of the retained
-// suffix only — bounded by the compaction threshold, not by history.
+// Load implements Storage: it replays the live segments and returns the log
+// as decoded, with no copy kept, O(the live segments), not O(history).
 func (fs *FileStorage) Load() (HardState, LogSnapshot, []LogEntry, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	out := make([]LogEntry, len(fs.log)-1)
-	copy(out, fs.log[1:])
-	return fs.hs, fs.base, out, nil
+	s, err := fs.readLocked()
+	return s.hs, s.base, s.log, err
+}
+
+// Holds reports whether the store holds the entry (idx, term): at or below
+// its snapshot base, or above it with that term. It reads no disk.
+func (fs *FileStorage) Holds(idx int, term types.Time) bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	p := idx - fs.base - 1
+	return p < 0 || p < len(fs.terms) && fs.terms[p] == term
 }
 
 // Close implements Storage.

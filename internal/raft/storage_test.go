@@ -998,8 +998,10 @@ func TestFileStorageTornEveryByte(t *testing.T) {
 // runs on past it. Replay must never panic, must allocate in proportion to
 // the bytes on disk, and must return every acked entry and the acked hard
 // state (plus the in-flight batch if all of it landed) or fail loudly. It must
-// never silently shorten the acked log. The seeds are committed under
-// testdata/fuzz/FuzzWALRecover.
+// never silently shorten the acked log. An entry's command is derived from
+// its index and term, because (index, term) names one entry in any log Raft
+// writes (DESIGN) and SaveEntries skips an entry whose term it already holds
+// at that index. The seeds are committed under testdata/fuzz/FuzzWALRecover.
 func FuzzWALRecover(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, inflightAt uint8, keep uint16, garbage []byte) {
 		if len(ops) > 32 || len(garbage) > 4<<10 {
@@ -1020,12 +1022,15 @@ func FuzzWALRecover(f *testing.F) {
 				first := 1 + int(b)%(len(acked)+1)
 				batch := make([]LogEntry, 1+int(a>>2)%4)
 				for j := range batch {
-					batch[j] = LogEntry{Term: types.Time(1 + b%4), Kind: EntryCommand, Command: fmt.Appendf(nil, "%d.%d", i, j)}
+					term := types.Time(1 + b%4)
+					batch[j] = LogEntry{Term: term, Kind: EntryCommand, Command: fmt.Appendf(nil, "%d@%d", first+j, term)}
 				}
 				if err := st.SaveEntries(first, batch); err != nil {
 					t.Fatal(err)
 				}
-				acked = append(acked[:first-1], batch...)
+				if last := first - 1 + len(batch); last > len(acked) || !sameEntries(acked[first-1:last], batch) {
+					acked = append(acked[:first-1], batch...) // else all held: the suffix stays
+				}
 			case 2:
 				hs = HardState{Term: types.Time(b), VotedFor: types.NodeID(a >> 2)}
 				if err := st.SaveState(hs); err != nil {
@@ -1111,7 +1116,11 @@ func dirBytes(t *testing.T, dir string) uint64 {
 }
 
 // sameEntries compares two logs by term, kind, members and command bytes.
-func sameEntries(a, b []LogEntry) bool { return slices.EqualFunc(a, b, sameEntry) }
+func sameEntries(a, b []LogEntry) bool {
+	return slices.EqualFunc(a, b, func(a, b LogEntry) bool {
+		return a.Term == b.Term && a.Kind == b.Kind && bytes.Equal(a.Command, b.Command) && slices.Equal(a.Members, b.Members)
+	})
+}
 
 // FuzzSnapFile is the load contract of a segment's base record — the one
 // place a snapshot image is kept on disk — under arbitrary damage. Each input

@@ -9,12 +9,12 @@ package transport
 import (
 	"bufio"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"adore/internal/backoff"
 	"adore/internal/raft"
 	"adore/internal/types"
 )
@@ -407,7 +407,7 @@ func (ps *peerSender) loop() {
 		}
 		groups = append(groups, env.Group)
 	}
-	backoff := dialBackoffMin
+	redial := backoff.New(dialBackoffMin, dialBackoffMax, backoff.NextSeed())
 	// One timer for every dial back-off: under go 1.22 a time.After left
 	// behind by the stop case stays allocated until it fires.
 	retry := time.NewTimer(0)
@@ -422,21 +422,14 @@ func (ps *peerSender) loop() {
 				c, err := ps.t.nw.Dial("tcp", ps.addr)
 				if err == nil {
 					conn = c
-					backoff = dialBackoffMin
+					redial.Reset()
 					if everConnected {
 						ps.t.reconnects.Add(1)
 					}
 					everConnected = true
 					break
 				}
-				// Full jitter on the current backoff tier: desynchronizes
-				// reconnect storms when a node restarts.
-				delay := backoff/2 + time.Duration(rand.Int63n(int64(backoff)))
-				backoff *= 2
-				if backoff > dialBackoffMax {
-					backoff = dialBackoffMax
-				}
-				retry.Reset(delay) // stopped or drained: the only receives are below
+				retry.Reset(redial.Delay()) // stopped or drained: the only receives are below
 				select {
 				case <-ps.stop:
 					return

@@ -290,7 +290,7 @@ func TestHeardPeerEndsDialBackoff(t *testing.T) {
 
 	// S2 is down: the queued envelope keeps S1's sender dialling, and each
 	// refusal doubles its backoff, from 20 ms. After the 7th the next delay
-	// is drawn from [640 ms, 1920 ms).
+	// is drawn from [640 ms, 1280 ms] (internal/backoff).
 	t1.Send(raft.Message{To: 2, Term: 1})
 	var last time.Time
 	for i := 0; i < 7; i++ {
