@@ -70,9 +70,11 @@ chaos:
 chaos-smoke:
 	$(GO) run -race ./cmd/raft-chaos -seeds 25 -duration 1s
 
-# teeth runs the teeth table (internal/chaos/teeth.go): every crafted
-# schedule must be clean with its guard on and show its violation with the
-# guard knocked out, every guard must have a row, and, live, a follower with
+# teeth runs the teeth table (internal/chaos/teeth.go): every row on its 8
+# seeds — a crafted schedule whose events wait for their premises must be
+# clean with its guard on and show its violation with the guard knocked out
+# (a regression row stays clean) on each, a premise never reached fails the
+# row — every guard must have a row, and, live, a follower with
 # its write blocked must still apply what the other two made durable while
 # acking nothing above its own disk.
 teeth:

@@ -3,7 +3,7 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"adore/internal/raft"
@@ -44,7 +44,9 @@ type Env interface {
 	// most grace quanta later, sooner if it trips over the fault and
 	// fail-stops. Restart boots a crashed or fail-stopped node from its disk
 	// and leaves a healthy one alone. ClearFaults disarms faults not yet
-	// tripped. WipeStorage destroys a down node's durable state.
+	// tripped and lifts a stall or a hold. WipeStorage destroys a down
+	// node's durable state; HoldWrite hangs the node's next write until
+	// ClearFaults.
 	Crash(id types.NodeID)
 	CrashTorn(id types.NodeID, grace int64)
 	CrashWound(id types.NodeID, grace int64)
@@ -52,6 +54,7 @@ type Env interface {
 	ClearFaults(id types.NodeID)
 	StallDisk(id types.NodeID, quanta int64)
 	WipeStorage(id types.NodeID)
+	HoldWrite(id types.NodeID)
 
 	// Requests made at node id, all best effort: a rejection (not leader, R2,
 	// R3, transfer in progress) is an outcome the oracles observe.
@@ -72,8 +75,13 @@ type Sample struct {
 	Term        types.Time
 	Role        raft.Role
 	Commit      int
+	Last        int // the last log index
 	Members     types.NodeSet
 	Counters    raft.Counters
+	// Writing: the disk has a write in flight (live: the log holds entries
+	// the disk does not yet). Holding: the disk holds a write back for
+	// HoldWrite (the simulator only).
+	Writing, Holding bool
 }
 
 // liveEnv is a cluster.Cluster over fault-injectable disks as an Env. The
@@ -84,9 +92,21 @@ type liveEnv struct {
 	*transport.MemNet
 	c     *cluster.Cluster
 	disks map[types.NodeID]*raft.FaultFS
-	rng   *rand.Rand // the torn crashes' cuts (the nemesis goroutine's alone)
+	torn  map[types.NodeID]*rand.Rand // each node's torn-crash cuts: the simulator's streams (the nemesis goroutine's alone)
 	ids   []types.NodeID
 	start time.Time
+}
+
+// newLiveEnv is c as an Env for a schedule of seed, on nodes 1..n and their
+// disks. A torn crash cuts where the simulator's cut of the same schedule
+// does: both draw from sim.Stream(seed, sim.Torn, node).
+func newLiveEnv(c *cluster.Cluster, disks map[types.NodeID]*raft.FaultFS, seed int64, n int) *liveEnv {
+	l := &liveEnv{MemNet: c.Net, c: c, disks: disks, torn: make(map[types.NodeID]*rand.Rand, n),
+		ids: types.Range(1, types.NodeID(n)).Copy(), start: time.Now()}
+	for _, id := range l.ids {
+		l.torn[id] = sim.Stream(seed, sim.Torn, uint32(id))
+	}
+	return l
 }
 
 func (l *liveEnv) Now() int64 { return int64(time.Since(l.start) / simTick) }
@@ -110,7 +130,8 @@ func (l *liveEnv) Observe(id types.NodeID) Sample {
 	s := n.Snapshot()
 	return Sample{
 		Alive: s.Err == nil, Incarnation: n, Term: s.Term, Role: s.Role,
-		Commit: s.CommitIndex, Members: s.Members, Counters: s.Counters,
+		Commit: s.CommitIndex, Last: s.LastIndex, Members: s.Members, Counters: s.Counters,
+		Writing: s.LastIndex > s.StableIndex,
 	}
 }
 
@@ -124,7 +145,7 @@ func (l *liveEnv) Leader() (types.NodeID, bool) {
 func (l *liveEnv) Crash(id types.NodeID) { l.c.CrashNode(id) }
 
 func (l *liveEnv) CrashTorn(id types.NodeID, grace int64) {
-	l.disks[id].CutAfter(l.rng.Intn(sim.TornBytes))
+	l.disks[id].CutAfter(l.torn[id].IntN(sim.TornBytes))
 	l.crashAfter(id, grace)
 }
 
@@ -176,6 +197,13 @@ func (l *liveEnv) StallDisk(id types.NodeID, quanta int64) {
 // live run of a wipe schedule skips the wipe, so its teeth test would
 // (correctly) fail to find the violation rather than pass vacuously.
 func (l *liveEnv) WipeStorage(types.NodeID) {}
+
+// HoldWrite does nothing live: the harness has no hook on a live node's disk
+// that holds back one write and lets the next ones pass. A live run of a hold
+// schedule skips the hold, and PremLanded, which nothing then holds up, holds
+// at once: the hold and its premise are the simulator's, like the stale-lease
+// oracle that judges EvDeafenLeader's window.
+func (l *liveEnv) HoldWrite(types.NodeID) {}
 
 var errNodeDown = errors.New("chaos: node is down")
 

@@ -15,7 +15,7 @@ import (
 // the teeth table with its guard on, and again with it knocked out — and
 // asserts them against testdata/journal_fingerprints.txt, so a change that
 // moves the simulator's behaviour cannot land unnoticed (EXPERIMENTS.md E19,
-// E20, E24, E28 and E30 trace every move so far). Each run contributes its journal, its op /
+// E20, E24, E28, E30 and E39 trace every move so far). Each run contributes its journal, its op /
 // timeout / fault counts, its violations and its warnings; Report.Stats stays
 // out (how counters are summed is harness policy, not simulator behaviour).
 // With -v it also logs each row's journal hash, to tell which one moved.

@@ -41,19 +41,93 @@ type nemesis struct {
 	dropTarget   types.NodeSet
 	dropDeadline int64
 
+	// Premises: how many quanta they have held the plan back (every later
+	// event fires that much later), when the head event started waiting for
+	// its own (0: it is not waiting), PremStuck's run of one commit index
+	// under one term, and what the run's premises did (Report.Premises).
+	lag         int64
+	waitSince   int64
+	stuckSince  int64
+	stuckTerm   types.Time
+	stuckCommit int
+	premises    []string
+
 	// What the sim-only oracles hear from the executor (no-ops live): an
 	// event is about to run, so the window is no longer clean; this node's
 	// disk was just frozen; a hand-off was asked for, so a healthy leader is
-	// about to be deposed on purpose.
+	// about to be deposed on purpose; a premise line for the journal.
 	onEvent   func()
 	onStall   func(types.NodeID)
 	onHandoff func()
+	onPremise func(line string)
 }
 
 func newNemesis(env Env, group raft.GroupID, electionTimeout time.Duration) *nemesis {
 	return &nemesis{
 		env: env, group: group, et: ticksOf(electionTimeout), partLeader: types.NoNode,
-		onEvent: func() {}, onStall: func(types.NodeID) {}, onHandoff: func() {},
+		onEvent: func() {}, onStall: func(types.NodeID) {}, onHandoff: func() {}, onPremise: func(string) {},
+	}
+}
+
+// premiseNotReached starts the Report.Premises line of a premise the run never
+// saw hold.
+const premiseNotReached = "premise not reached: "
+
+// reached reports whether e may fire now: it waits for no premise, or its
+// premise holds. The first quantum it waits, and the one its premise holds,
+// are noted; firing moves lag to how late e fires.
+func (x *nemesis) reached(e Event) bool {
+	if e.Wait.Kind == PremNone {
+		return true
+	}
+	now := x.env.Now()
+	if x.waitSince == 0 {
+		x.waitSince = now
+		x.note("wait: %s", e)
+	}
+	if !x.holds(e.Wait) {
+		return false
+	}
+	x.note("reached after %d quanta: %s", now-x.waitSince, e.Wait)
+	x.waitSince, x.stuckSince = 0, 0
+	x.lag = max(x.lag, now-ticksOf(e.At))
+	return true
+}
+
+// note records a premise line, stamped with the quantum it was seen in.
+func (x *nemesis) note(format string, args ...any) {
+	line := fmt.Sprintf(format, args...)
+	x.premises = append(x.premises, fmt.Sprintf("t=%06d %s", x.env.Now(), line))
+	x.onPremise(line)
+}
+
+// holds evaluates a premise on what Env.Observe shows now.
+func (x *nemesis) holds(p Premise) bool {
+	switch p.Kind {
+	case PremLeads:
+		for _, id := range p.Nodes {
+			if s := x.env.Observe(id); s.Alive && s.Role == raft.Leader && s.Term >= p.Term {
+				return true
+			}
+		}
+		return false
+	case PremWriting:
+		s := x.env.Observe(p.Nodes[0])
+		return s.Alive && s.Writing
+	case PremLanded:
+		return !x.env.Observe(p.Nodes[0]).Holding
+	case PremStuck:
+		s := x.env.Observe(p.Nodes[0])
+		if !s.Alive || s.Role != raft.Leader || s.Last <= s.Commit {
+			x.stuckSince = 0
+			return false
+		}
+		if x.stuckSince == 0 || s.Term != x.stuckTerm || s.Commit != x.stuckCommit {
+			x.stuckSince, x.stuckTerm, x.stuckCommit = x.env.Now(), s.Term, s.Commit
+		}
+		return x.env.Now()-x.stuckSince >= ticksOf(p.For)
+	default:
+		panic(fmt.Sprintf("chaos: executor saw unknown premise kind %d", p.Kind))
 	}
 }
 
@@ -75,17 +149,19 @@ func checkKeyBound(scripts [][]ClientOp) error {
 }
 
 // run is the one loop of a chaos run: step the clock, fire the events that
-// came due (in schedule order: a slow action delays later ones, never
-// reorders them), push a pending drop-leader hand-off one step, then let the
-// runtime do its per-quantum work (the simulator ticks its clients and
-// oracles; a live run's are goroutines) and report whether client work is
-// still in flight. With settle set the loop ends early, returning true, once
-// the cluster has been converged and idle for three quanta in a row.
+// came due and whose premises hold (in schedule order: a slow action or a
+// premise delays later ones, never reorders them), push a pending drop-leader
+// hand-off one step, then let the runtime do its per-quantum work (the
+// simulator ticks its clients and oracles; a live run's are goroutines) and
+// report whether client work is still in flight. With settle set the loop
+// ends early, returning true, once the cluster has been converged and idle
+// for three quanta in a row. An event still waiting for its premise at until
+// is noted as not reached.
 func (x *nemesis) run(events []Event, until int64, quantum func() (busy bool), settle bool) bool {
 	calm := 0
 	for x.env.Now() < until {
 		x.env.Step()
-		for ; len(events) > 0 && ticksOf(events[0].At) <= x.env.Now(); events = events[1:] {
+		for ; len(events) > 0 && ticksOf(events[0].At)+x.lag <= x.env.Now() && x.reached(events[0]); events = events[1:] {
 			x.apply(events[0])
 		}
 		x.driveReconfig()
@@ -98,6 +174,9 @@ func (x *nemesis) run(events []Event, until int64, quantum func() (busy bool), s
 		} else if calm++; calm >= 3 {
 			return true
 		}
+	}
+	if x.waitSince != 0 {
+		x.note("%s%s, waited from t=%06d", premiseNotReached, events[0], x.waitSince)
 	}
 	return false
 }
@@ -209,9 +288,9 @@ func (x *nemesis) apply(e Event) {
 			}
 		}
 	case EvTransferLeader:
-		if lid, ok := x.env.Leader(); ok {
+		if lid, ok := x.env.Leader(); ok && lid != e.Node {
 			x.onHandoff()
-			x.env.TransferLeader(lid, types.NoNode) // best effort; no-op on errors
+			x.env.TransferLeader(lid, e.Node) // best effort; no-op on errors
 		}
 	case EvWALWipe:
 		// Only the named group's replay executes the wipe; every other group
@@ -244,6 +323,8 @@ func (x *nemesis) apply(e Event) {
 		}
 		x.env.StallDisk(id, ticksOf(e.For))
 		x.onStall(id)
+	case EvHoldWrite:
+		x.env.HoldWrite(e.Node)
 	default:
 		panic(fmt.Sprintf("chaos: executor saw unknown event kind %v", e.Kind))
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +23,9 @@ type fakeEnv struct {
 	down    map[types.NodeID]bool
 	members types.NodeSet // every node's configuration
 	commit  map[types.NodeID]int
+	last    map[types.NodeID]int // the last log index (0: the commit index)
+	writing map[types.NodeID]bool
+	holding map[types.NodeID]bool
 	propErr error // ProposeConfig's answer to a leader inside the target
 	calls   []string
 }
@@ -33,6 +37,9 @@ func newFakeEnv() *fakeEnv {
 		down:    map[types.NodeID]bool{},
 		members: types.Range(1, 5),
 		commit:  map[types.NodeID]int{},
+		last:    map[types.NodeID]int{},
+		writing: map[types.NodeID]bool{},
+		holding: map[types.NodeID]bool{},
 	}
 }
 
@@ -47,7 +54,8 @@ func (f *fakeEnv) Leader() (types.NodeID, bool) {
 	return f.leader, f.leader != types.NoNode
 }
 func (f *fakeEnv) Observe(id types.NodeID) Sample {
-	s := Sample{Alive: !f.down[id], Role: raft.Follower, Members: f.members, Commit: f.commit[id]}
+	s := Sample{Alive: !f.down[id], Role: raft.Follower, Members: f.members, Commit: f.commit[id],
+		Last: max(f.last[id], f.commit[id]), Writing: f.writing[id], Holding: f.holding[id]}
 	if id == f.leader {
 		s.Role = raft.Leader
 	}
@@ -65,6 +73,7 @@ func (f *fakeEnv) Restart(id types.NodeID)             { f.rec("Restart(S%d)", i
 func (f *fakeEnv) ClearFaults(id types.NodeID)         { f.rec("ClearFaults(S%d)", id) }
 func (f *fakeEnv) StallDisk(id types.NodeID, q int64)  { f.rec("StallDisk(S%d,%d)", id, q) }
 func (f *fakeEnv) WipeStorage(id types.NodeID)         { f.rec("WipeStorage(S%d)", id) }
+func (f *fakeEnv) HoldWrite(id types.NodeID)           { f.rec("HoldWrite(S%d)", id) }
 func (f *fakeEnv) ProposeConfig(id types.NodeID, members types.NodeSet) (int, types.Time, error) {
 	f.rec("ProposeConfig(S%d,%v)", id, members.Slice())
 	if !members.Contains(id) {
@@ -189,6 +198,8 @@ func TestExecutorEveryEvent(t *testing.T) {
 		{"isolate-follower skips the dead", func(f *fakeEnv) { f.down[1] = true }, events(Event{Kind: EvIsolateFollower}), []string{"Isolate(S3)"}},
 		{"isolate-follower, no leader", noLeader, events(Event{Kind: EvIsolateFollower}), []string{"Isolate(S1)"}},
 		{"transfer-leader", nil, events(Event{Kind: EvTransferLeader}), []string{"handoff", "TransferLeader(S2->S0)"}},
+		{"transfer-leader to a named node", nil, events(Event{Kind: EvTransferLeader, Node: 4}), []string{"handoff", "TransferLeader(S2->S4)"}},
+		{"transfer-leader to the leader itself", nil, events(Event{Kind: EvTransferLeader, Node: 2}), nil},
 		{"transfer-leader, no leader", noLeader, events(Event{Kind: EvTransferLeader}), nil},
 
 		{"reconfig-drop-leader: hand off, then propose", nil, dropLeader(Event{Kind: EvReconfigDropLeader}), dropped},
@@ -224,6 +235,7 @@ func TestExecutorEveryEvent(t *testing.T) {
 		{"stall-disk on whoever leads", nil, events(Event{Kind: EvStallDisk, For: 30 * ms}), []string{"StallDisk(S2,30)", "stall(S2)"}},
 		{"stall-disk on the leader, no leader", noLeader, events(Event{Kind: EvStallDisk, For: 30 * ms}), nil},
 		{"stall-disk on a dead node", func(f *fakeEnv) { f.down[3] = true }, events(Event{Kind: EvStallDisk, Node: 3, For: 30 * ms}), nil},
+		{"hold-write", nil, events(Event{Kind: EvHoldWrite, Node: 1}), []string{"HoldWrite(S1)"}},
 	}
 
 	for _, tc := range cases {
@@ -258,7 +270,7 @@ func TestExecutorEveryEvent(t *testing.T) {
 	}
 
 	for name, e := range map[string]Event{
-		"unknown event kind": {Kind: EvStallDisk + 1},
+		"unknown event kind": {Kind: EvHoldWrite + 1},
 		"unknown crash mode": {Kind: EvCrash, Node: 4, Mode: CrashWound + 1},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -324,5 +336,56 @@ func TestRunLoopAndEpilogue(t *testing.T) {
 	f.down[5] = true // a member that never comes back: no convergence
 	if warning := x.finish(20*ms, func() bool { return false }); !strings.Contains(warning, "did not converge within 20ms") {
 		t.Errorf("warning %q, want the convergence timeout", warning)
+	}
+}
+
+// TestPremises pins how the run loop waits for premises: an event fires in
+// the first quantum at or past its offset in which its premise holds, every
+// later event fires as much later as it waited, PremStuck counts from the
+// last change of the commit index, and a premise still unmet when the run
+// ends is noted as not reached.
+func TestPremises(t *testing.T) {
+	ms := time.Millisecond
+	f := newFakeEnv()
+	f.last[1], f.commit[1] = 5, 3
+	x := newNemesis(f, 0, 15*ms)
+	var journaled []string
+	x.onPremise = func(line string) { journaled = append(journaled, line) }
+	x.run([]Event{
+		{At: 2 * ms, Kind: EvIsolate, Node: 5, Wait: leads(0, 3, 4)},
+		{At: 3 * ms, Kind: EvIsolate, Node: 4}, // one quantum after the premise
+		{At: 3 * ms, Kind: EvIsolate, Node: 3, Wait: Premise{Kind: PremWriting, Nodes: []types.NodeID{3}}},
+		{At: 3 * ms, Kind: EvIsolate, Node: 2, Wait: Premise{Kind: PremLanded, Nodes: []types.NodeID{2}}},
+		{At: 3 * ms, Kind: EvHeal, Wait: Premise{Kind: PremStuck, Nodes: []types.NodeID{1}, For: 4 * ms}},
+		{At: 3 * ms, Kind: EvIsolate, Node: 1, Wait: leads(9, 1)}, // never reached
+	}, 30, func() bool {
+		switch f.now {
+		case 5:
+			f.leader, f.holding[2] = 3, true // S3 leads from quantum 6
+		case 8:
+			f.writing[3] = true
+		case 9:
+			f.holding[2], f.leader = false, 1
+		case 11:
+			f.commit[1] = 4 // a commit restarts PremStuck's count
+		}
+		f.rec("quantum@%d", f.now)
+		return false
+	}, false)
+	var fired []string
+	for i, c := range f.calls {
+		if !strings.HasPrefix(c, "quantum") {
+			fired = append(fired, f.calls[i-1]+" "+c)
+		}
+	}
+	want := []string{"quantum@5 Isolate(S5)", "quantum@6 Isolate(S4)", "quantum@8 Isolate(S3)", "quantum@9 Isolate(S2)", "quantum@15 Heal"}
+	if !reflect.DeepEqual(fired, want) {
+		t.Errorf("events fired after:\n got  %q\n want %q", fired, want)
+	}
+	if len(x.premises) != len(journaled) || !strings.HasPrefix(x.premises[len(x.premises)-1], "t=000030 "+premiseNotReached+"[   3ms] isolate S1, once S1 leads a term ≥ 9") {
+		t.Errorf("premise lines %q, journaled %q: want the last one not reached", x.premises, journaled)
+	}
+	if !slices.Contains(x.premises, "t=000006 reached after 4 quanta: one of [S3 S4] leads a term ≥ 0") {
+		t.Errorf("premise lines %q lack S3's lead, 4 quanta after the wait began", x.premises)
 	}
 }

@@ -2,9 +2,9 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -38,6 +38,11 @@ type Report struct {
 	// only); byte-identical across runs of the same seed and options.
 	Journal []byte
 
+	// Premises is what the crafted events' premises did, one stamped line
+	// each: the wait began, the premise held, or (prefixed "premise not
+	// reached: ") the run ended first.
+	Premises []string
+
 	// final is every node as the epilogue left it, in ID order (single-group
 	// runs; the live/sim parity test compares it).
 	final []Sample
@@ -45,6 +50,17 @@ type Report struct {
 
 // Ok reports whether the run found no safety violation.
 func (r *Report) Ok() bool { return len(r.Violations) == 0 }
+
+// Unreached returns the Premises lines of premises the run never saw hold.
+func (r *Report) Unreached() []string {
+	var out []string
+	for _, p := range r.Premises {
+		if strings.Contains(p, premiseNotReached) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
 
 // String summarizes the report.
 func (r *Report) String() string {
@@ -128,8 +144,7 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 	}
 
 	// The schedule clock starts here.
-	env := &liveEnv{MemNet: c.Net, c: c, disks: disks, rng: rand.New(rand.NewSource(sched.Seed)),
-		ids: types.Range(1, types.NodeID(opt.Nodes)).Copy(), start: time.Now()}
+	env := newLiveEnv(c, disks, sched.Seed, opt.Nodes)
 	mon := newMonitor(env)
 	stopSampling := mon.startSampling()
 
@@ -163,6 +178,7 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 		rep.final = append(rep.final, env.Observe(id))
 	}
 	rep.Stats = mon.stats()
+	rep.Premises = x.premises
 	rep.Violations = append(rep.Violations, mon.report()...)
 	rep.Violations = append(rep.Violations, checkAppliedStreams(streams, opt.Nodes)...)
 	rep.Violations = append(rep.Violations, checkLinearizable(hist.snapshot())...)

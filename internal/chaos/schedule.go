@@ -19,13 +19,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 	"time"
 
 	"adore/internal/kvstore"
 	"adore/internal/raft"
+	"adore/internal/raft/sim"
 	"adore/internal/types"
 )
 
@@ -75,7 +75,8 @@ const (
 	// deposes a perfectly healthy leader.
 	EvIsolateFollower
 	// EvTransferLeader asks the current leader to hand off gracefully to
-	// its most caught-up voter (a TimeoutNow transfer, not a timeout).
+	// Node, or with none to its most caught-up voter (a TimeoutNow transfer,
+	// not a timeout).
 	EvTransferLeader
 	// EvReconfigDropLeader proposes a membership change that removes the
 	// current leader itself, exercising the transfer-then-propose hand-off
@@ -107,6 +108,11 @@ const (
 	// own stalled-disk step-down hands the cluster to a replica that can
 	// write.
 	EvStallDisk
+	// EvHoldWrite hangs the next write Node starts until its disk is repaired
+	// (an EvRestart, which leaves a healthy node up); the writes after it land
+	// as drawn, so they land first. Deterministic-sim only, like EvWALWipe:
+	// liveEnv.HoldWrite is a documented no-op. Never generated.
+	EvHoldWrite
 )
 
 var kindNames = [...]string{
@@ -128,6 +134,7 @@ var kindNames = [...]string{
 	EvWALWipe:            "wal-wipe",
 	EvDeafenLeader:       "deafen-leader",
 	EvStallDisk:          "stall-disk",
+	EvHoldWrite:          "hold-write",
 }
 
 // String implements fmt.Stringer.
@@ -168,32 +175,102 @@ func (m CrashMode) String() string {
 	}
 }
 
+// PremiseKind enumerates the states of a run a crafted event can wait for.
+type PremiseKind uint8
+
+const (
+	// PremNone: the event fires at its time.
+	PremNone PremiseKind = iota
+	// PremLeads: one of Nodes leads, at a term of at least Term.
+	PremLeads
+	// PremWriting: Nodes[0] has a write in flight (live: its log holds
+	// entries its disk does not yet).
+	PremWriting
+	// PremStuck: Nodes[0] leads, and the entry above its commit index has
+	// stayed uncommitted, under one term and one commit index, for For.
+	PremStuck
+	// PremLanded: Nodes[0]'s disk holds no write back: the write an
+	// EvHoldWrite hung has landed (or a crash lost it). Deterministic-sim
+	// only, like the stale-lease oracle that judges EvDeafenLeader's window:
+	// it reads the landings the simulator reports, and a live Sample never
+	// holds a write.
+	PremLanded
+)
+
+// Premise is a state of the run a crafted event waits for. The executor
+// checks it through Env.Observe in every quantum at or past the event's
+// time, on both runtimes.
+type Premise struct {
+	Kind  PremiseKind
+	Nodes []types.NodeID
+	Term  types.Time
+	For   time.Duration
+}
+
+// String implements fmt.Stringer.
+func (p Premise) String() string {
+	switch p.Kind {
+	case PremLeads:
+		who := fmt.Sprintf("S%d", p.Nodes[0])
+		if len(p.Nodes) > 1 {
+			who = fmt.Sprintf("one of %v", p.Nodes)
+		}
+		return fmt.Sprintf("%s leads a term ≥ %d", who, p.Term)
+	case PremWriting:
+		return fmt.Sprintf("S%d has a write in flight", p.Nodes[0])
+	case PremStuck:
+		return fmt.Sprintf("S%d leads with an entry uncommitted for %s", p.Nodes[0], p.For)
+	case PremLanded:
+		return fmt.Sprintf("S%d's held write landed", p.Nodes[0])
+	default:
+		return fmt.Sprintf("premise(%d)", uint8(p.Kind))
+	}
+}
+
 // Event is one planned nemesis action. Fields beyond At/Kind are only
 // meaningful for the kinds that use them. String renders the plan — never
 // runtime-resolved state — so rendering is deterministic per seed.
+//
+// An event that waits for a premise fires in the first quantum at or past its
+// time in which the premise holds. Every later event waits behind it, and
+// fires as much later as the premise held the plan back, so offsets stay
+// relative to what the plan waited for.
 type Event struct {
 	At    time.Duration // offset from run start
 	Kind  EventKind
-	Node  types.NodeID // crash/restart/isolate/reconfig/wipe target
+	Node  types.NodeID // crash/restart/isolate/reconfig/wipe/hold/transfer target
 	Mode  CrashMode    // EvCrash
 	A, B  []types.NodeID
 	Keep  int           // EvPartitionLeader: followers kept on the leader's side
 	Rate  float64       // EvDropRate
 	Group raft.GroupID  // EvWALWipe: the group whose storage is destroyed
 	For   time.Duration // EvStallDisk: how long the disk stays frozen
+	Wait  Premise       // what the event waits for (PremNone: nothing)
 }
 
-// String implements fmt.Stringer: the offset, the kind's name, and the
-// fields that kind uses.
+// String implements fmt.Stringer: the offset, the kind's name, the fields
+// that kind uses, and the premise it waits for.
 func (e Event) String() string {
+	if e.Wait.Kind == PremNone {
+		return e.plan()
+	}
+	return e.plan() + ", once " + e.Wait.String()
+}
+
+func (e Event) plan() string {
 	head := fmt.Sprintf("[%6s] %s", e.At, e.Kind)
 	switch e.Kind {
 	case EvPartition:
 		return head + fmt.Sprintf(" %v | %v", e.A, e.B)
 	case EvPartitionLeader:
 		return head + fmt.Sprintf(" keep=%d", e.Keep)
-	case EvIsolate, EvRestart, EvReconfigRemove, EvReconfigAdd:
+	case EvIsolate, EvRestart, EvReconfigRemove, EvReconfigAdd, EvHoldWrite:
 		return head + fmt.Sprintf(" S%d", e.Node)
+	case EvTransferLeader:
+		if e.Node == types.NoNode {
+			return head
+		}
+		return head + fmt.Sprintf(" to S%d", e.Node)
 	case EvDropRate:
 		return head + fmt.Sprintf(" %.2f", e.Rate)
 	case EvCrash:
@@ -419,10 +496,12 @@ func maxCrashed(n int) int { return (n - 1) / 2 }
 // Generate builds the deterministic plan for one seed. The generator
 // tracks which nodes it has crashed and which partition state is active,
 // so every emitted event is executable: restarts target crashed nodes,
-// partitions never stack, and at most a minority is down at any time.
+// partitions never stack, and at most a minority is down at any time. The
+// timeline and each client's script draw from streams of their own
+// (sim.Timeline, sim.Script), so a draw added to one leaves the others alone.
 func Generate(seed int64, opt Options) *Schedule {
 	opt.defaults()
-	rng := rand.New(rand.NewSource(seed))
+	rng := sim.Stream(seed, sim.Timeline, 0)
 	s := &Schedule{Seed: seed, Nodes: opt.Nodes}
 
 	all := make([]types.NodeID, opt.Nodes)
@@ -455,12 +534,12 @@ func Generate(seed int64, opt Options) *Schedule {
 		return out
 	}
 	pick := func(ids []types.NodeID) types.NodeID {
-		return ids[rng.Intn(len(ids))]
+		return ids[rng.IntN(len(ids))]
 	}
 
 	for i := 0; i < opt.EventBudget; i++ {
 		// Jittered but deterministic spacing.
-		at += step/2 + time.Duration(rng.Int63n(int64(step)))
+		at += step/2 + time.Duration(rng.Int64N(int64(step)))
 		if at >= base+span {
 			break
 		}
@@ -509,7 +588,7 @@ func Generate(seed int64, opt Options) *Schedule {
 		for _, c := range choices {
 			total += c.weight
 		}
-		roll := rng.Intn(total)
+		roll := rng.IntN(total)
 		var kind EventKind
 		for _, c := range choices {
 			if roll < c.weight {
@@ -524,7 +603,7 @@ func Generate(seed int64, opt Options) *Schedule {
 			// Split the full node set (crashed nodes included, so a later
 			// restart comes back inside the same partition regime).
 			perm := rng.Perm(opt.Nodes)
-			cut := 1 + rng.Intn(opt.Nodes-1)
+			cut := 1 + rng.IntN(opt.Nodes-1)
 			a := make([]types.NodeID, 0, cut)
 			b := make([]types.NodeID, 0, opt.Nodes-cut)
 			for i, p := range perm {
@@ -540,7 +619,7 @@ func Generate(seed int64, opt Options) *Schedule {
 			partitioned = true
 		case EvPartitionLeader:
 			keep := 1
-			if opt.Nodes >= 7 && rng.Intn(2) == 0 {
+			if opt.Nodes >= 7 && rng.IntN(2) == 0 {
 				keep = 2
 			}
 			s.Events = append(s.Events, Event{At: at, Kind: EvPartitionLeader, Keep: keep})
@@ -548,7 +627,7 @@ func Generate(seed int64, opt Options) *Schedule {
 			// Half the leader partitions are followed by a shed pair: the
 			// stale minority leader is asked to shrink the cluster toward
 			// its own side — exactly the R2/R3 danger zone.
-			if rng.Intn(2) == 0 {
+			if rng.IntN(2) == 0 {
 				shedsPending = 2
 			}
 		case EvHeal:
@@ -587,21 +666,21 @@ func Generate(seed int64, opt Options) *Schedule {
 			// time), half a PRNG-chosen alive node; one to four election
 			// intervals, so both sides of the step-down threshold occur.
 			victim := types.NoNode
-			if rng.Intn(2) == 0 {
+			if rng.IntN(2) == 0 {
 				victim = pick(aliveList())
 			}
 			s.Events = append(s.Events, Event{At: at, Kind: EvStallDisk, Node: victim,
-				For: time.Duration(1+rng.Intn(4)) * opt.ElectionTimeoutMin})
+				For: time.Duration(1+rng.IntN(4)) * opt.ElectionTimeoutMin})
 		case EvDropRate:
 			rate := 0.0
-			if !dropActive || rng.Intn(2) == 0 {
+			if !dropActive || rng.IntN(2) == 0 {
 				rate = 0.05 + 0.25*rng.Float64()
 			}
 			s.Events = append(s.Events, Event{At: at, Kind: EvDropRate, Rate: rate})
 			dropActive = rate > 0
 		case EvCrash:
 			victim := pick(aliveList())
-			mode := CrashMode(rng.Intn(3))
+			mode := CrashMode(rng.IntN(3))
 			s.Events = append(s.Events, Event{At: at, Kind: EvCrash, Node: victim, Mode: mode})
 			crashed[victim] = true
 		case EvRestart:
@@ -652,6 +731,7 @@ func Generate(seed int64, opt Options) *Schedule {
 	// per (client, op).
 	s.Scripts = make([][]ClientOp, opt.Clients)
 	for c := 0; c < opt.Clients; c++ {
+		rng := sim.Stream(seed, sim.Script, uint32(c))
 		script := make([]ClientOp, opt.OpsPerClient)
 		for i := 0; i < opt.OpsPerClient; i++ {
 			key := fmt.Sprintf("k%d", (c*opt.OpsPerClient+i)%opt.Keys)
@@ -659,9 +739,8 @@ func Generate(seed int64, opt Options) *Schedule {
 			// Fast reads are dealt across both serving replicas, two to one
 			// for the leader (which answers from its lease or a barrier), so
 			// every sweep's linearizability check covers leader- and
-			// follower-served reads (one PRNG draw either way, keeping
-			// older seeds' event streams aligned).
-			switch roll := rng.Intn(100); {
+			// follower-served reads (one draw either way).
+			switch roll := rng.IntN(100); {
 			case roll < 30:
 				op.Op = kvstore.OpPut
 			case roll < 55:
@@ -678,7 +757,7 @@ func Generate(seed int64, opt Options) *Schedule {
 				op.Op = kvstore.OpAppend
 			case roll < 95:
 				op.Op = kvstore.OpCAS
-				op.Old = fmt.Sprintf("c%d-%d", rng.Intn(opt.Clients), rng.Intn(opt.OpsPerClient))
+				op.Old = fmt.Sprintf("c%d-%d", rng.IntN(opt.Clients), rng.IntN(opt.OpsPerClient))
 			default:
 				op.Op = kvstore.OpDelete
 			}
@@ -718,23 +797,33 @@ func r2ViolationSchedule(opt Options) *Schedule {
 	})
 }
 
-// r3ViolationSchedule is Fig. 4 (explore.Fig4Bug) on four nodes. S4 leads,
-// is cut off alone and proposes {S2,S3,S4}, which only it holds. S3 votes S2
-// into term 2 and crashes before S2's first append, and S2 at once proposes
-// removing S3. With R3 the removal is refused: S2 has committed nothing in
-// its term, and its no-op cannot commit without S3. With DisableR3,
-// {S1,S2,S4} commits on S1 and S2; the partition flips to {S3,S4} | {S1,S2},
-// and S4 wins term 3 with S3's vote under {S2,S3,S4}: the prefix forks.
+// leads is the premise that one of ids leads a term of at least term.
+func leads(term types.Time, ids ...types.NodeID) Premise {
+	return Premise{Kind: PremLeads, Nodes: ids, Term: term}
+}
+
+// r3ViolationSchedule is Fig. 4 (explore.Fig4Bug) on four nodes. S4 is handed
+// the lead, is cut off alone and proposes {S2,S3,S4}, which only it holds.
+// With S1 and S3 unable to reach each other, only S2 can win the far side's
+// election, and it needs S3's vote; S3 crashes the moment S2 leads, before
+// S2's first append reaches it, and S2 at once proposes removing S3. With R3
+// the removal is refused: S2 has committed nothing in its term, and its no-op
+// cannot commit without S3. With DisableR3, {S1,S2,S4} commits on S1 and S2;
+// the partition flips to {S3,S4} | {S1,S2}, and S4 wins a term with S3's vote
+// under {S2,S3,S4}: the prefix forks.
 func r3ViolationSchedule(opt Options) *Schedule {
 	opt.Nodes = 4
 	opt.defaults()
 	d := opt.Duration
 	cut, flip := d*25/100, d*40/100
 	return crafted(-37, opt, []Event{
-		{At: cut, Kind: EvPartitionLeader, Keep: 0},
-		{At: cut + 3*time.Millisecond, Kind: EvReconfigShed},
-		{At: cut + 29*time.Millisecond, Kind: EvCrash, Node: 3, Mode: CrashClean},
-		{At: cut + 30*time.Millisecond, Kind: EvReconfigRemove, Node: 3},
+		{At: d * 10 / 100, Kind: EvTransferLeader, Node: 4},
+		{At: cut, Kind: EvPartitionLeader, Keep: 0, Wait: leads(1, 4)},
+		{At: cut, Kind: EvReconfigShed},
+		{At: cut, Kind: EvPartialPartition, A: []types.NodeID{1}, B: []types.NodeID{3}},
+		{At: cut, Kind: EvPartialPartition, A: []types.NodeID{3}, B: []types.NodeID{1}},
+		{At: cut, Kind: EvCrash, Node: 3, Mode: CrashClean, Wait: leads(2, 2)},
+		{At: cut, Kind: EvReconfigRemove, Node: 3},
 		{At: flip, Kind: EvHeal},
 		{At: flip, Kind: EvPartition, A: []types.NodeID{3, 4}, B: []types.NodeID{1, 2}},
 		{At: flip + 10*time.Millisecond, Kind: EvRestart, Node: 3},
@@ -868,15 +957,15 @@ func stalledLeaderDiskSchedule(opt Options) *Schedule {
 }
 
 // crashBeforeStableSchedule power-cycles a whole 3-node cluster while every
-// disk is frozen mid-write: each replica dies between handing a batch to its
-// disk and hearing Stable, and the in-flight writes are lost. A correct
-// driver released nothing those writes were backing — no ack, no commit, no
-// client reply — so no acked put is lost and the restarted cluster is
-// consistent with everything it ever told a client. Under the EarlyStable
-// mutant the driver acks and commits the batch ahead of the disk: the applied ⊆
-// quorum-durable oracle catches the first such commit while every node is
-// still up, the applied-stream and linearizability oracles the loss after the
-// power cycle.
+// disk is frozen mid-write: each replica dies, once it has a write in flight,
+// between handing a batch to its disk and hearing Stable, and the in-flight
+// writes are lost. A correct driver released nothing those writes were
+// backing — no ack, no commit, no client reply — so no acked put is lost and
+// the restarted cluster is consistent with everything it ever told a client.
+// Under the EarlyStable mutant the driver acks and commits the batch ahead of
+// the disk: the applied ⊆ quorum-durable oracle catches the first such commit
+// while every node is still up, the applied-stream and linearizability
+// oracles the loss after the power cycle.
 func crashBeforeStableSchedule(opt Options) *Schedule {
 	opt.Nodes = 3
 	opt.defaults()
@@ -887,7 +976,8 @@ func crashBeforeStableSchedule(opt Options) *Schedule {
 		events = append(events, Event{At: stall, Kind: EvStallDisk, Node: id, For: d * 20 / 100})
 	}
 	for id := types.NodeID(1); id <= 3; id++ {
-		events = append(events, Event{At: stall + d*8/100, Kind: EvCrash, Node: id, Mode: CrashClean})
+		events = append(events, Event{At: stall + d*8/100, Kind: EvCrash, Node: id, Mode: CrashClean,
+			Wait: Premise{Kind: PremWriting, Nodes: []types.NodeID{id}}})
 	}
 	for id := types.NodeID(1); id <= 3; id++ {
 		events = append(events, Event{At: stall + d*12/100, Kind: EvRestart, Node: id})
@@ -919,36 +1009,83 @@ func applyAheadOfDiskSchedule(opt Options) *Schedule {
 	})
 }
 
-// pipelineCutSchedule is the pipelined-write plan: a follower's disk freezes
-// under a write of an entry only the stale side holds, and the log is cut under
-// that write. S2 leads and is cut off with S1; S1's disk freezes at once, and
-// S2 sheds S3, so S1's write of the config entry hangs on the frozen disk. The
-// majority elects a successor, and after the heal its first append conflicts
-// with that entry: S1 adopts the new term and cuts its log under the hung
-// write. With the guard the rewrite waits until the hung write lands; with
-// DisablePipelineGuard it goes out beside it, the stall's end releases both in
-// a seeded order, and when the rewrite lands first the hung write lands after
-// it and puts the cut entry back over the one S1 already acked. The power
-// cycle at 60% restarts every node from its disk, and the replay oracle finds
-// S1's WAL without the entry its last incarnation had durable.
+// pipelineCutSchedule is the pipelined-write plan: a follower's disk holds a
+// write of an entry only the stale side holds, and the log is cut under that
+// write. S2 is handed the lead and is cut off with S1; S1's disk holds back
+// its next write, and S2 sheds S3, so S1's write of a stale-side entry hangs.
+// Once the majority leads on its own, the network heals, the successor's first
+// append conflicts with that entry, and S1 adopts the new term and cuts its
+// log under the hung write. With the guard the rewrite waits until the hung
+// write lands; with DisablePipelineGuard it goes out beside it and lands
+// first, and the hung write, released once the rewrite is long on disk, lands
+// after it and puts the cut entry back over the one S1 already acked. The
+// power cycle, once the hung write has landed, restarts every node from its
+// disk, and the replay oracle finds S1's WAL without the entry its last
+// incarnation had durable.
 func pipelineCutSchedule(opt Options) *Schedule {
 	opt.Nodes = 5
 	opt.defaults()
 	d := opt.Duration
-	cut, heal := d*25/100, 60*time.Millisecond
+	cut := d * 25 / 100
 	events := []Event{
-		{At: cut, Kind: EvPartitionLeader, Keep: 1},
-		{At: cut + time.Millisecond, Kind: EvStallDisk, Node: 1, For: heal + 40*time.Millisecond},
-		{At: cut + 3*time.Millisecond, Kind: EvReconfigShed},
-		{At: cut + heal, Kind: EvHeal},
+		{At: d * 10 / 100, Kind: EvTransferLeader, Node: 2},
+		{At: cut, Kind: EvPartitionLeader, Keep: 1, Wait: leads(1, 2)},
+		// Past the messages in flight at the cut, which still reach both sides.
+		{At: cut + 5*time.Millisecond, Kind: EvHoldWrite, Node: 1},
+		{At: cut + 5*time.Millisecond, Kind: EvReconfigShed},
+		{At: cut + 5*time.Millisecond, Kind: EvHeal, Wait: leads(1, 3, 4, 5)},
+		// Repair S1's disk (it stays up): the held write lands.
+		{At: cut + 25*time.Millisecond, Kind: EvRestart, Node: 1},
+	}
+	// The power cycle follows at once, before a compaction can fold the
+	// restored entry into an image.
+	for id := types.NodeID(1); id <= 5; id++ {
+		ev := Event{At: cut + 30*time.Millisecond, Kind: EvCrash, Node: id, Mode: CrashClean}
+		if id == 1 {
+			ev.Wait = Premise{Kind: PremLanded, Nodes: []types.NodeID{1}}
+		}
+		events = append(events, ev)
 	}
 	for id := types.NodeID(1); id <= 5; id++ {
-		events = append(events, Event{At: d * 60 / 100, Kind: EvCrash, Node: id, Mode: CrashClean})
-	}
-	for id := types.NodeID(1); id <= 5; id++ {
-		events = append(events, Event{At: d * 65 / 100, Kind: EvRestart, Node: id})
+		events = append(events, Event{At: cut + 35*time.Millisecond, Kind: EvRestart, Node: id})
 	}
 	return crafted(-12, opt, events)
+}
+
+// freshSeqSchedule is the client-mutant plan: an Append proposed at the leader
+// stays uncommitted past its attempt slice, so the client tries again, and
+// both attempts commit. S1 is handed the lead, and the disks of S3, S4 and S5
+// freeze, so only S1 and S2 can write and nothing commits. Every write in the
+// scripts is an Append, so the oldest uncommitted entry is one; once it has
+// waited out an attempt slice (kvstore.Session's 300 ms) its client has asked
+// again, and the frozen disks are repaired. A correct session asks again under
+// the same sequence number, and the dedup table applies the Append once. The
+// FreshSeqRetry mutant asks under a fresh one, both entries apply, and a later
+// read sees the value twice: not linearizable.
+func freshSeqSchedule(opt Options) *Schedule {
+	opt.Nodes = 5
+	opt.defaults()
+	d := opt.Duration
+	stall := d * 25 / 100
+	events := []Event{{At: d * 10 / 100, Kind: EvTransferLeader, Node: 1}}
+	for id := types.NodeID(3); id <= 5; id++ {
+		events = append(events, Event{At: stall, Kind: EvStallDisk, Node: id, For: d / 2, Wait: leads(1, 1)})
+	}
+	for id := types.NodeID(3); id <= 5; id++ {
+		events = append(events, Event{At: stall, Kind: EvRestart, Node: id})
+	}
+	events[4].Wait = Premise{Kind: PremStuck, Nodes: []types.NodeID{1}, For: 300 * time.Millisecond}
+	scripts := make([][]ClientOp, opt.Clients)
+	for c := range scripts {
+		for i := 0; i < opt.OpsPerClient; i++ {
+			op := ClientOp{Op: kvstore.OpAppend, Key: fmt.Sprintf("k%d", (c*opt.OpsPerClient+i)%opt.Keys), Value: fmt.Sprintf("c%d-%d", c, i)}
+			if i%2 == 1 {
+				op.Op, op.FastRead, op.Via = kvstore.OpGet, true, kvstore.ReadModeLeader
+			}
+			scripts[c] = append(scripts[c], op)
+		}
+	}
+	return &Schedule{Seed: -13, Nodes: opt.Nodes, Events: events, Scripts: scripts}
 }
 
 // staleSuffixReadSchedule is the commit-propagation plan (deterministic sim

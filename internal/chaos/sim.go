@@ -92,6 +92,9 @@ func RunSim(sched *Schedule, opt Options) (*Report, error) {
 		for _, w := range sub.Warnings {
 			rep.Warnings = append(rep.Warnings, fmt.Sprintf("g%d: %s", g, w))
 		}
+		for _, p := range sub.Premises {
+			rep.Premises = append(rep.Premises, fmt.Sprintf("g%d: %s", g, p))
+		}
 		rep.Journal = append(rep.Journal, []byte(fmt.Sprintf("=== group %d ===\n", g))...)
 		rep.Journal = append(rep.Journal, sub.Journal...)
 	}
@@ -179,6 +182,7 @@ func runSimGroup(sched *Schedule, opt Options, g raft.GroupID, groups int) (*Rep
 	// A graceful hand-off deposes a perfectly healthy leader on purpose: mute
 	// the disruption oracle for a transfer window.
 	x.onHandoff = func() { r.suppressUntil = r.s.Now() + 10*r.et }
+	x.onPremise = func(line string) { r.s.Journalf("premise %s", line) }
 
 	// Per tick, after the nemesis: advance the clients (in client order:
 	// determinism requires a fixed one), sample the shared monitor, run the
@@ -212,6 +216,7 @@ func runSimGroup(sched *Schedule, opt Options, g raft.GroupID, groups int) (*Rep
 		rep.final = append(rep.final, env.Observe(id))
 	}
 	rep.Stats = r.mon.stats()
+	rep.Premises = x.premises
 	rep.Violations = append(rep.Violations, r.mon.report()...)
 	rep.Violations = append(rep.Violations, checkAppliedStreams(r.applied, opt.Nodes)...)
 	rep.Violations = append(rep.Violations, checkLinearizable(r.history)...)
@@ -311,7 +316,8 @@ func (e simEnv) Observe(id types.NodeID) Sample {
 	term, role, _ := e.Status(id)
 	return Sample{
 		Alive: e.Alive(id), Incarnation: e.r.incarn[id], Term: term, Role: role,
-		Commit: e.CommitIndex(id), Members: e.Members(id), Counters: e.Driver(id).Counters(),
+		Commit: e.CommitIndex(id), Last: e.LastIndex(id), Members: e.Members(id), Counters: e.Driver(id).Counters(),
+		Writing: e.Writing(id), Holding: e.Holding(id),
 	}
 }
 

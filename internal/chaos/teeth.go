@@ -36,17 +36,40 @@ func KnockOut(name string) (func(*Options), error) {
 	return nil, fmt.Errorf("chaos: no knock-out %q (one of %s)", name, strings.Join(names, ", "))
 }
 
-// A tooth is one crafted schedule and its verdict. With a knock-out, the
-// schedule run at opt is clean and the knocked-out run shows a violation
-// matching want. Without one, want empty marks a regression that must stay
-// clean, and want set marks a schedule that breaks the cluster by itself:
-// its one run must show a violation matching want.
+// A tooth is one crafted schedule and its verdict, which holds on each of
+// TeethSeeds seeds. With a knock-out, the schedule run at opt is clean and
+// the knocked-out run shows a violation matching want. Without one, want
+// empty marks a regression that must stay clean, and want set marks a
+// schedule that breaks the cluster by itself: its one run must show a
+// violation matching want. Every premise its events wait for must be reached.
 type tooth struct {
 	name  string
 	sched func(Options) *Schedule
 	opt   Options
 	off   string // a knock-out's name; "" = none
 	want  string // a regexp over violations
+}
+
+// TeethSeeds is the size of every row's seed set: the seed its schedule names
+// and the next ones down, 1000 apart.
+const TeethSeeds = 8
+
+// schedule returns the row's schedule at opt on the i-th seed of its set.
+func (r tooth) schedule(opt Options, i int) *Schedule {
+	s := r.sched(opt)
+	s.Seed -= 1000 * int64(i)
+	return s
+}
+
+// Row returns the teeth table's row called name: its schedule at opt on the
+// i-th seed of its set (0 <= i < TeethSeeds), and its options.
+func Row(name string) (sched func(opt Options, i int) *Schedule, opt Options, err error) {
+	for _, r := range teeth {
+		if r.name == name {
+			return r.schedule, r.opt, nil
+		}
+	}
+	return nil, Options{}, fmt.Errorf("chaos: no teeth row %q", name)
 }
 
 // knockedOut returns the row's options with its knock-out applied.
@@ -75,10 +98,7 @@ var teeth = []tooth{
 	{"crash-before-stable", crashBeforeStableSchedule, Options{Duration: 1500 * ms}, "early-stable", "quorum-durable"},
 	{"apply-ahead-of-disk", applyAheadOfDiskSchedule, Options{Duration: 2000 * ms}, "", ""},
 	{"stale-suffix-read", staleSuffixReadSchedule, Options{Duration: 2000 * ms}, "", ""},
-	// A generated seed: the client mutant re-proposes an Append under a fresh
-	// sequence number once an attempt slice runs out, and seed 104 applies one
-	// twice.
-	{"fresh-seq", func(opt Options) *Schedule { return Generate(104, opt) }, Options{}, "fresh-seq", "not linearizable"},
+	{"fresh-seq", freshSeqSchedule, Options{Duration: 2000 * ms}, "fresh-seq", "not linearizable"},
 	{"r3", r3ViolationSchedule, Options{Duration: 1500 * ms}, "r3", "divergence"},
 	// The same power cycle, judged at the restarts: the replayed WALs lack
 	// the acked writes the crash dropped.

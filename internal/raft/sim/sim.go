@@ -12,6 +12,10 @@
 // start (a crash before then loses them), each of the two a driver keeps in
 // flight with its own draw, so a later write landing first is a seeded,
 // replayable event; the packet heap and the journal.
+//
+// Every random draw comes from a stream of its own purpose and node or link
+// (Stream), so a draw added in one subsystem leaves every other one's draws
+// where they were.
 package sim
 
 import (
@@ -19,7 +23,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"slices"
 	"sync"
 
@@ -36,8 +40,8 @@ var ErrDown = errors.New("sim: node is down")
 type Options struct {
 	// Nodes is the cluster size (IDs 1..Nodes).
 	Nodes int
-	// Seed drives every random draw: election jitter, network latency
-	// jitter, and message loss.
+	// Seed drives every random draw, each purpose from its own streams
+	// (Stream).
 	Seed int64
 
 	// ElectionTicks sets the protocol timers: a node campaigns after
@@ -102,16 +106,22 @@ type node struct {
 
 	// writes are the writes on the node's disk (the driver's in flight, or
 	// the mutant's acked one), in the order they started, each landing at its
-	// own tick, never before stallUntil.
+	// own tick, never before stallUntil. hold is HoldWrite's state.
 	writes     []diskWrite
 	stallUntil int64
+	hold       bool // HoldWrite armed: the next write hangs
 }
 
+// never is the landing tick of a held write: only ClearFaults releases it.
+const never = int64(1) << 62
+
 // diskWrite is one write on a node's disk: the driver's write seq, landing at
-// tick at.
+// tick at, which is the drawn tick unless a stall or a hold put it off (held:
+// HoldWrite hung it).
 type diskWrite struct {
-	seq uint64
-	at  int64
+	seq       uint64
+	at, drawn int64
+	held      bool
 }
 
 // packet is one in-flight message.
@@ -141,11 +151,50 @@ func (h *packetHeap) Pop() any {
 	return p
 }
 
+// Purpose names what a random stream is for. Stream derives one stream per
+// (seed, purpose, node or link), so each subsystem's draws depend on its own
+// history alone.
+type Purpose uint32
+
+const (
+	Jitter     Purpose = 1 + iota // a node's election timeouts
+	Loss                          // a link's message loss
+	Latency                       // a link's delivery delay
+	DiskDelay                     // when a node's writes land
+	WriteOrder                    // which of a node's two writes due at one tick lands first
+	Torn                          // where a node's torn crash cuts (both chaos runtimes)
+	Timeline                      // the chaos generator's nemesis timeline (id 0)
+	Script                        // one chaos client's script (id: the client)
+)
+
+// nodePurposes and linkPurposes are the streams a cluster keeps per node and
+// per directed link.
+var (
+	nodePurposes = []Purpose{Jitter, DiskDelay, WriteOrder, Torn}
+	linkPurposes = []Purpose{Loss, Latency}
+)
+
+// Stream returns the random stream for purpose p of node or link id (Link)
+// under seed. It is the one constructor of a random stream in the simulator
+// and the chaos harness.
+func Stream(seed int64, p Purpose, id uint32) *rand.Rand {
+	return rand.New(rand.NewPCG(uint64(seed), uint64(p)<<32|uint64(id)))
+}
+
+// Link is the stream id of the directed link from -> to.
+func Link(from, to types.NodeID) uint32 { return uint32(from)<<16 | uint32(to) }
+
+// streamKey names one of a cluster's streams.
+type streamKey struct {
+	p  Purpose
+	id uint32
+}
+
 // Cluster is a simulated raft cluster. Not safe for concurrent use: the
 // whole point is that exactly one goroutine steps it.
 type Cluster struct {
 	opt     Options
-	rng     *rand.Rand
+	streams map[streamKey]*rand.Rand // every stream, made in New
 	now     int64
 	sendSeq uint64
 
@@ -175,7 +224,7 @@ func New(opt Options) *Cluster {
 	opt.defaults()
 	s := &Cluster{
 		opt:     opt,
-		rng:     rand.New(rand.NewSource(opt.Seed)),
+		streams: make(map[streamKey]*rand.Rand),
 		nodes:   make(map[types.NodeID]*node, opt.Nodes),
 		disks:   make(map[types.NodeID]*raft.FaultFS, opt.Nodes),
 		blocked: make(map[[2]types.NodeID]bool),
@@ -184,6 +233,16 @@ func New(opt Options) *Cluster {
 		id := types.NodeID(i)
 		s.ids = append(s.ids, id)
 		s.members0 = append(s.members0, id)
+	}
+	for _, a := range s.ids {
+		for _, p := range nodePurposes {
+			s.streams[streamKey{p, uint32(a)}] = Stream(opt.Seed, p, uint32(a))
+		}
+		for _, b := range s.ids {
+			for _, p := range linkPurposes {
+				s.streams[streamKey{p, Link(a, b)}] = Stream(opt.Seed, p, Link(a, b))
+			}
+		}
 	}
 	for _, id := range s.ids {
 		s.disks[id] = raft.NewFaultFS(raft.NewMemFS())
@@ -212,7 +271,7 @@ func (s *Cluster) bootNode(id types.NodeID) {
 		ID:                id,
 		Members:           s.members0,
 		ElectionTicks:     s.opt.ElectionTicks,
-		Jitter:            s.jitter,
+		Jitter:            func() int { return s.rng(Jitter, uint32(id)).IntN(s.opt.ElectionTicks) },
 		HeartbeatTicks:    max(1, s.opt.ElectionTicks/3),
 		SnapshotThreshold: s.opt.SnapshotThreshold,
 		Ablation:          s.opt.Ablation,
@@ -242,7 +301,8 @@ func (s *Cluster) bootNode(id types.NodeID) {
 	}
 }
 
-func (s *Cluster) jitter() int { return s.rng.Intn(s.opt.ElectionTicks) }
+// rng returns the cluster's stream for purpose p of node or link id.
+func (s *Cluster) rng(p Purpose, id uint32) *rand.Rand { return s.streams[streamKey{p, id}] }
 
 // --- Introspection ---
 
@@ -372,6 +432,9 @@ func (s *Cluster) Step() {
 			}
 			w := n.writes[i]
 			n.writes = slices.Delete(n.writes, i, i+1)
+			if w.held {
+				s.Journalf("S%d held write landed", id)
+			}
 			if n.early != nil {
 				if err := n.early.land(); err != nil {
 					n.Halt(err) // the disk failed a write the driver already believed
@@ -409,14 +472,19 @@ func (n *node) Write(seq uint64) (take, now bool) {
 	if n.early != nil && len(n.writes) > 0 {
 		return false, false // the mutant's disk is still writing the acked batch
 	}
-	at := n.s.now
+	drawn := n.s.now
 	if d := n.s.opt.DiskDelayTicks; d > 0 {
-		at += int64(n.s.rng.Intn(d + 1))
+		drawn += int64(n.s.rng(DiskDelay, uint32(n.id)).IntN(d + 1))
 	}
-	at = max(at, n.stallUntil)
+	at := max(drawn, n.stallUntil)
+	hold := n.hold
+	if hold {
+		n.hold, at = false, never
+		n.s.Journalf("S%d write held", n.id)
+	}
 	writing := at > n.s.now
 	if writing {
-		n.writes = append(n.writes, diskWrite{seq: seq, at: at})
+		n.writes = append(n.writes, diskWrite{seq: seq, at: at, drawn: drawn, held: hold})
 	}
 	if n.early != nil {
 		n.early.held = writing
@@ -434,8 +502,8 @@ func (n *node) dueWrite() int {
 			due = i
 		}
 	}
-	if due == 0 && len(n.writes) == 2 && n.writes[1].at == n.writes[0].at && n.s.rng.Intn(2) == 1 {
-		return 1
+	if due == 0 && len(n.writes) == 2 && n.writes[1].at == n.writes[0].at && n.s.rng(WriteOrder, uint32(n.id)).IntN(2) == 1 {
+		due = 1
 	}
 	return due
 }
@@ -511,7 +579,7 @@ func journalLine(id types.NodeID, e raftcore.Event) string {
 // powerOff takes a node down. A write that has not landed is lost whole; a
 // torn one comes from CrashTorn's power cut, which fires inside the write.
 func (s *Cluster) powerOff(n *node) {
-	n.up = false
+	n.up, n.hold = false, false
 	s.Journalf("S%d down: applied through %d, disk through %d", n.id, n.core.AppliedIndex(), n.core.StableIndex())
 	if len(n.writes) == 0 {
 		return
@@ -567,10 +635,11 @@ func (s *Cluster) deliver(m raftcore.Message) {
 	if s.blocked[[2]types.NodeID{m.From, m.To}] {
 		return
 	}
-	if s.dropRate > 0 && s.rng.Float64() < s.dropRate {
+	link := Link(m.From, m.To)
+	if s.dropRate > 0 && s.rng(Loss, link).Float64() < s.dropRate {
 		return
 	}
-	delay := int64(1 + s.rng.Intn(s.opt.LatencyJitterTicks+1))
+	delay := int64(1 + s.rng(Latency, link).IntN(s.opt.LatencyJitterTicks+1))
 	s.sendSeq++
 	heap.Push(&s.inflight, packet{at: s.now + delay, seq: s.sendSeq, m: s.roundTrip(m)})
 }
@@ -753,7 +822,7 @@ const TornBytes = 64
 // (exercising the fail-stop path), otherwise the scheduled crash lands.
 // Mirrors the real-time executor's torn-crash sequencing.
 func (s *Cluster) CrashTorn(id types.NodeID, graceTicks int64) {
-	n := s.rng.Intn(TornBytes)
+	n := s.rng(Torn, uint32(id)).IntN(TornBytes)
 	s.disks[id].CutAfter(n)
 	s.nodes[id].doomAt = s.now + graceTicks
 	s.Journalf("S%d crash (torn after %d bytes, grace=%d)", id, n, graceTicks)
@@ -794,9 +863,37 @@ func (s *Cluster) WipeStorage(id types.NodeID) {
 // Disk returns a node's disk, which outlives its incarnations (not a wipe).
 func (s *Cluster) Disk(id types.NodeID) *raft.FaultFS { return s.disks[id] }
 
-// ClearFaults disarms any armed (not yet tripped) storage faults on the
-// node without restarting it — the epilogue's "repair the disk" step.
-func (s *Cluster) ClearFaults(id types.NodeID) { s.disks[id].Clear() }
+// HoldWrite hangs the next write the node starts until ClearFaults releases
+// it; the writes after it land as drawn. It is the one way to make a younger
+// write land before an older one on every seed, where two writes a stall
+// releases at once land in a drawn order.
+func (s *Cluster) HoldWrite(id types.NodeID) {
+	s.nodes[id].hold = true
+	s.Journalf("S%d hold next write", id)
+}
+
+// Holding reports whether the node's disk holds a write back: a HoldWrite
+// not yet used, or the write it hung not yet landed.
+func (s *Cluster) Holding(id types.NodeID) bool {
+	n := s.nodes[id]
+	return n.hold || slices.ContainsFunc(n.writes, func(w diskWrite) bool { return w.held })
+}
+
+// Writing reports whether the node's disk has a write in flight.
+func (s *Cluster) Writing(id types.NodeID) bool { return len(s.nodes[id].writes) > 0 }
+
+// ClearFaults repairs the node's disk without restarting it — the epilogue's
+// "repair the disk" step: it disarms the storage faults not yet tripped, and
+// lifts a stall and a hold, so each write they put off lands at its drawn
+// tick, or in the next one if that has passed.
+func (s *Cluster) ClearFaults(id types.NodeID) {
+	s.disks[id].Clear()
+	n := s.nodes[id]
+	n.hold, n.stallUntil = false, min(n.stallUntil, s.now)
+	for i, w := range n.writes {
+		n.writes[i].at = max(w.drawn, s.now)
+	}
+}
 
 // Restart repairs a node's storage faults and boots a fresh incarnation
 // from its durable state. It is a no-op for a node that is still healthy.

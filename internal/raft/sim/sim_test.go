@@ -463,3 +463,46 @@ func TestCompactionBoundsLiveHeap(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamsAreIndependent: two clusters share one seed, and in one of them
+// every stream of one purpose has been drawn k more times. Every other
+// purpose's streams still draw the same numbers, and a run that never draws
+// from the shifted purpose keeps its journal byte for byte.
+func TestStreamsAreIndependent(t *testing.T) {
+	shifted := func(p Purpose, k int) *Cluster {
+		s := New(Options{Nodes: 5, Seed: 7})
+		for key, st := range s.streams {
+			for i := 0; key.p == p && i < k; i++ {
+				st.Uint64()
+			}
+		}
+		return s
+	}
+	run := func(s *Cluster) []byte {
+		for tick := 0; tick < 300; tick++ {
+			if id, ok := s.Leader(); ok && tick%10 == 0 {
+				s.Propose(id, []byte(fmt.Sprintf("op-%d", tick)))
+			}
+			s.Step()
+		}
+		return s.Journal()
+	}
+	journal := run(shifted(0, 0))
+	for _, p := range append(append([]Purpose{}, nodePurposes...), linkPurposes...) {
+		for k := 1; k <= 6; k++ {
+			a, b := shifted(p, k), shifted(0, 0)
+			for key, st := range a.streams {
+				for i := 0; key.p != p && i < 8; i++ {
+					if x, y := st.Uint64(), b.streams[key].Uint64(); x != y {
+						t.Fatalf("%d extra draws on purpose %d moved purpose %d's stream %#x", k, p, key.p, key.id)
+					}
+				}
+			}
+			// No write is slow and no crash is torn: the run never draws the
+			// order of two writes due at once, or a cut.
+			if j := run(shifted(p, k)); (p == WriteOrder || p == Torn) && !bytes.Equal(j, journal) {
+				t.Errorf("%d extra draws on purpose %d, which the run never draws, moved its journal", k, p)
+			}
+		}
+	}
+}

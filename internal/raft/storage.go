@@ -416,7 +416,7 @@ func (fs *FileStorage) SaveEntries(firstIndex int, entries []LogEntry) error {
 	}
 	p := firstIndex - fs.base - 1
 	if p < 0 || p > len(fs.terms) {
-		return fmt.Errorf("raft: SaveEntries at %d outside log (%d, %d]", firstIndex, fs.base, fs.base+len(fs.terms))
+		return fmt.Errorf("raft: SaveEntries at %d outside [%d, %d], the log's first index through one past its last", firstIndex, fs.base+1, fs.base+len(fs.terms)+1)
 	}
 	k := 0
 	for k < len(entries) && p+k < len(fs.terms) && fs.terms[p+k] == entries[k].Term {

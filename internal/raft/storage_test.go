@@ -62,6 +62,23 @@ func TestFileStorageRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFileStorageSaveEntriesBounds: SaveEntries accepts a first index from
+// the log's first through one past its last, and its error names that
+// interval.
+func TestFileStorageSaveEntriesBounds(t *testing.T) {
+	st := openMem(t)
+	if err := st.SaveEntries(1, []LogEntry{{Term: 1}, {Term: 1}, {Term: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	err := st.SaveEntries(5, []LogEntry{{Term: 1}})
+	if err == nil || !strings.Contains(err.Error(), "outside [1, 4]") {
+		t.Fatalf("SaveEntries at last+2: error %v, want it to name [1, 4]", err)
+	}
+	if err := st.SaveEntries(4, []LogEntry{{Term: 1}}); err != nil {
+		t.Fatalf("SaveEntries at last+1: %v", err)
+	}
+}
+
 func TestFileStorageSnapshot(t *testing.T) {
 	st := openMem(t)
 	entries := make([]LogEntry, 5)
