@@ -11,7 +11,6 @@
 //	raft-chaos -sim -seeds 500              # deterministic simulation sweep
 //	raft-chaos -sim -groups 3 -seeds 500    # multi-group sweep: per-group oracles over a sharded keyspace
 //	raft-chaos -sim -seeds 200 -off prevote # catch rate of a knock-out over generated seeds
-//	raft-chaos -sim -row r3 -off r3 -v      # a teeth row on its seed set, premises journaled
 //
 // With -sim each seed runs in the deterministic simulator instead of a live
 // cluster: single-threaded on a logical clock, the entire execution (not
@@ -22,10 +21,9 @@
 // -off NAME removes one guard (r2, r3, prevote, checkquorum, lease-guard) or
 // swaps in one mutant (early-stable, fresh-seq; both simulator only) on
 // generated seeds. The crafted schedule each knock-out must be caught on is a
-// row of the teeth table (internal/chaos/teeth.go, make teeth); -row NAME
-// replays that row, at its own options, on each seed of its set instead of
-// generated seeds. With -v each run prints its premise lines: when each
-// crafted event began to wait for its premise, and the tick it was reached.
+// row of the teeth table (internal/chaos/teeth.go, make teeth). With -v each
+// run also prints its premise lines, if its events wait for any: when each
+// began to wait, and the tick its premise was reached.
 //
 // Exit status: without -off, non-zero if any seed produced a safety
 // violation; with -off, non-zero if no seed did. A harness error fails
@@ -59,7 +57,6 @@ func main() {
 		sim      = flag.Bool("sim", false, "deterministic simulation instead of a live cluster (adds the refinement oracle)")
 		groups   = flag.Int("groups", 1, "raft groups sharing the keyspace (>1 implies -sim; every oracle runs per group)")
 		snapThr  = flag.Int("snapshot-threshold", 0, "applied entries between state-machine snapshots (0 = default 64, negative = no compaction)")
-		row      = flag.String("row", "", "replay the named teeth row on its seed set (at its own options) instead of generated seeds")
 		verbose  = flag.Bool("v", false, "print each run's plan, report and premise lines")
 	)
 	flag.Parse()
@@ -73,16 +70,6 @@ func main() {
 		MemWAL:            *mem,
 		SnapshotThreshold: *snapThr,
 		Groups:            *groups,
-	}
-	schedule := chaos.Generate
-	if *row != "" {
-		rowSched, rowOpt, err := chaos.Row(*row)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		opt, *seed, *seeds = rowOpt, -1, chaos.TeethSeeds
-		schedule = func(i int64, opt chaos.Options) *chaos.Schedule { return rowSched(opt, int(i)) }
 	}
 	if *off != "" {
 		knockOut, err := chaos.KnockOut(*off)
@@ -121,7 +108,7 @@ func main() {
 		go func() {
 			defer wg.Done()
 			for s := range jobs {
-				sched := schedule(s, opt)
+				sched := chaos.Generate(s, opt)
 				run := chaos.Run
 				if *sim {
 					run = chaos.RunSim
@@ -137,7 +124,7 @@ func main() {
 				ran.Add(1)
 				if *verbose {
 					mu.Lock()
-					fmt.Printf("--- seed %d plan ---\n%s%s\n", sched.Seed, sched, rep)
+					fmt.Printf("--- seed %d plan ---\n%s%s\n", s, sched, rep)
 					for _, p := range rep.Premises {
 						fmt.Printf("  premise %s\n", p)
 					}
@@ -146,7 +133,7 @@ func main() {
 				if !rep.Ok() {
 					caught.Add(1)
 					if *off != "" {
-						fmt.Printf("seed %d: caught (as expected with -off %s): %s\n", sched.Seed, *off, rep.Violations[0])
+						fmt.Printf("seed %d: caught (as expected with -off %s): %s\n", s, *off, rep.Violations[0])
 						continue
 					}
 					mu.Lock()

@@ -69,9 +69,9 @@ func newNemesis(env Env, group raft.GroupID, electionTimeout time.Duration) *nem
 	}
 }
 
-// premiseNotReached starts the Report.Premises line of a premise the run never
-// saw hold.
-const premiseNotReached = "premise not reached: "
+// notReached marks the Report.Premises line of an event the run never fired:
+// its premise never held, or waiting pushed it past the run's end.
+const notReached = "not reached: "
 
 // reached reports whether e may fire now: it waits for no premise, or its
 // premise holds. The first quantum it waits, and the one its premise holds,
@@ -155,8 +155,8 @@ func checkKeyBound(scripts [][]ClientOp) error {
 // simulator ticks its clients and oracles; a live run's are goroutines) and
 // report whether client work is still in flight. With settle set the loop
 // ends early, returning true, once the cluster has been converged and idle
-// for three quanta in a row. An event still waiting for its premise at until
-// is noted as not reached.
+// for three quanta in a row. An event still waiting for its premise at until,
+// or pushed past until by earlier waits, is noted as not reached.
 func (x *nemesis) run(events []Event, until int64, quantum func() (busy bool), settle bool) bool {
 	calm := 0
 	for x.env.Now() < until {
@@ -175,8 +175,13 @@ func (x *nemesis) run(events []Event, until int64, quantum func() (busy bool), s
 			return true
 		}
 	}
-	if x.waitSince != 0 {
-		x.note("%s%s, waited from t=%06d", premiseNotReached, events[0], x.waitSince)
+	for i, e := range events {
+		if i == 0 && x.waitSince != 0 {
+			x.note("premise %s%s, waited from t=%06d", notReached, e, x.waitSince)
+			x.waitSince = 0
+		} else {
+			x.note("event %s%s, due at t=%06d", notReached, e, ticksOf(e.At)+x.lag)
+		}
 	}
 	return false
 }

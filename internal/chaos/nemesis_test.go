@@ -343,7 +343,7 @@ func TestRunLoopAndEpilogue(t *testing.T) {
 // the first quantum at or past its offset in which its premise holds, every
 // later event fires as much later as it waited, PremStuck counts from the
 // last change of the commit index, and a premise still unmet when the run
-// ends is noted as not reached.
+// ends, or an event waiting pushed past it, is noted as not reached.
 func TestPremises(t *testing.T) {
 	ms := time.Millisecond
 	f := newFakeEnv()
@@ -382,10 +382,38 @@ func TestPremises(t *testing.T) {
 	if !reflect.DeepEqual(fired, want) {
 		t.Errorf("events fired after:\n got  %q\n want %q", fired, want)
 	}
-	if len(x.premises) != len(journaled) || !strings.HasPrefix(x.premises[len(x.premises)-1], "t=000030 "+premiseNotReached+"[   3ms] isolate S1, once S1 leads a term ≥ 9") {
+	if len(x.premises) != len(journaled) || !strings.HasPrefix(x.premises[len(x.premises)-1], "t=000030 premise "+notReached+"[   3ms] isolate S1, once S1 leads a term ≥ 9") {
 		t.Errorf("premise lines %q, journaled %q: want the last one not reached", x.premises, journaled)
 	}
 	if !slices.Contains(x.premises, "t=000006 reached after 4 quanta: one of [S3 S4] leads a term ≥ 0") {
 		t.Errorf("premise lines %q lack S3's lead, 4 quanta after the wait began", x.premises)
+	}
+	// The epilogue after an unreached premise has no events of its own: it
+	// neither waits for the stale premise nor notes it again.
+	n := len(x.premises)
+	x.finish(5*ms, func() bool { return false })
+	if len(x.premises) != n {
+		t.Errorf("the epilogue added premise lines %q", x.premises[n:])
+	}
+
+	// A wait that pushes a later event past the run's end leaves it unfired:
+	// that event is not reached either.
+	f = newFakeEnv()
+	f.leader = types.NoNode
+	x = newNemesis(f, 0, 15*ms)
+	x.run([]Event{
+		{At: 2 * ms, Kind: EvIsolate, Node: 5, Wait: leads(0, 3)},
+		{At: 8 * ms, Kind: EvIsolate, Node: 4},
+	}, 10, func() bool {
+		if f.now == 7 {
+			f.leader = 3 // S3 leads from quantum 8: six quanta of lag
+		}
+		return false
+	}, false)
+	if want := "t=000010 event " + notReached + "[   8ms] isolate S4, due at t=000014"; x.premises[len(x.premises)-1] != want {
+		t.Errorf("premise lines %q, want the last %q", x.premises, want)
+	}
+	if rep := (&Report{Premises: x.premises}); len(rep.Unreached()) != 1 {
+		t.Errorf("Unreached() = %q, want the one lagged event", rep.Unreached())
 	}
 }

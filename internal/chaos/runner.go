@@ -51,11 +51,12 @@ type Report struct {
 // Ok reports whether the run found no safety violation.
 func (r *Report) Ok() bool { return len(r.Violations) == 0 }
 
-// Unreached returns the Premises lines of premises the run never saw hold.
+// Unreached returns the Premises lines of events the run never fired: a
+// premise it never saw hold, or an event waiting pushed past its end.
 func (r *Report) Unreached() []string {
 	var out []string
 	for _, p := range r.Premises {
-		if strings.Contains(p, premiseNotReached) {
+		if strings.Contains(p, notReached) {
 			out = append(out, p)
 		}
 	}

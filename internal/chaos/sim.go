@@ -330,8 +330,9 @@ type stallWatch struct {
 
 // stallLivenessIntervals bounds (in election intervals) how long a healthy
 // majority may take to have a leader that can write and commits past the
-// stall: one interval for the stalled leader to notice, up to two timeouts
-// with jitter for the followers, and slack for the vote and no-op rounds.
+// stall: one interval for the stalled leader to notice, one vote round for
+// the follower it hands the lead to, and slack for the no-op round and for a
+// lost hand-off, which leaves the election to the followers' timeouts.
 const stallLivenessIntervals = 10
 
 // watchStall arms the liveness oracle when the disk the nemesis just froze

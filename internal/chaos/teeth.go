@@ -37,7 +37,7 @@ func KnockOut(name string) (func(*Options), error) {
 }
 
 // A tooth is one crafted schedule and its verdict, which holds on each of
-// TeethSeeds seeds. With a knock-out, the schedule run at opt is clean and
+// teethSeeds seeds. With a knock-out, the schedule run at opt is clean and
 // the knocked-out run shows a violation matching want. Without one, want
 // empty marks a regression that must stay clean, and want set marks a
 // schedule that breaks the cluster by itself: its one run must show a
@@ -50,26 +50,15 @@ type tooth struct {
 	want  string // a regexp over violations
 }
 
-// TeethSeeds is the size of every row's seed set: the seed its schedule names
+// teethSeeds is the size of every row's seed set: the seed its schedule names
 // and the next ones down, 1000 apart.
-const TeethSeeds = 8
+const teethSeeds = 8
 
 // schedule returns the row's schedule at opt on the i-th seed of its set.
 func (r tooth) schedule(opt Options, i int) *Schedule {
 	s := r.sched(opt)
 	s.Seed -= 1000 * int64(i)
 	return s
-}
-
-// Row returns the teeth table's row called name: its schedule at opt on the
-// i-th seed of its set (0 <= i < TeethSeeds), and its options.
-func Row(name string) (sched func(opt Options, i int) *Schedule, opt Options, err error) {
-	for _, r := range teeth {
-		if r.name == name {
-			return r.schedule, r.opt, nil
-		}
-	}
-	return nil, Options{}, fmt.Errorf("chaos: no teeth row %q", name)
 }
 
 // knockedOut returns the row's options with its knock-out applied.

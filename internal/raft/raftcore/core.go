@@ -831,9 +831,15 @@ func (c *Core) Tick() {
 		// interval can heartbeat forever and commit nothing. Like a leader
 		// that lost its quorum it cannot make progress, so the same guard
 		// (and the same experiment knob) hands the cluster to a replica
-		// that can write.
+		// that can write. Unlike it, it still reaches its followers: it
+		// tells the most caught-up one to campaign at once, so the next
+		// leader need not wait out the others' timeouts and split votes.
 		if !c.cfg.DisableCheckQuorum && c.diskStalled() {
+			to := c.pickTransferTarget(c.Members())
 			c.stepDown()
+			if to != types.NoNode {
+				c.sendTimeoutNow(to)
+			}
 			return
 		}
 		c.heartbeatElapsed++

@@ -427,9 +427,10 @@ func TestStagedNothingLeavesWithoutStable(t *testing.T) {
 
 // TestStagedStalledLeaderStepsDown: a leader whose outstanding batch has seen
 // no Stable for an election interval steps down (heartbeats no longer wait
-// for the disk, so nothing else would ever depose it) and does not campaign
-// while the batch is outstanding; once the disk answers it is an ordinary
-// follower again.
+// for the disk, so nothing else would ever depose it), telling its most
+// caught-up follower to campaign, and does not campaign itself while the
+// batch is outstanding; once the disk answers it is an ordinary follower
+// again.
 func TestStagedStalledLeaderStepsDown(t *testing.T) {
 	const et = 4
 	c := leaderET(t, et)
@@ -453,7 +454,8 @@ func TestStagedStalledLeaderStepsDown(t *testing.T) {
 		c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: uint64(3 + 2*i)})
 	}
 	c.Tick()
-	if e := ctr.effects(c); !reflect.DeepEqual(e, Effects{Events: []Event{{Kind: EventStepDown}}}) {
+	handoff := Message{Type: MsgTimeoutNow, From: 1, To: 2, Term: 1} // the first of the most caught up
+	if e := ctr.effects(c); !reflect.DeepEqual(e, Effects{Messages: []Message{handoff}, Events: []Event{{Kind: EventStepDown}}}) {
 		t.Fatalf("Effects mismatch\n got: %#v", e)
 	}
 	if c.Role() != Follower || c.Leader() != types.NoNode {
