@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-teeth check loc bench benchmark-smoke bench-compare fuzz-smoke chaos chaos-smoke teeth chaos-parity kv-race fingerprints sim-sweep sim-sweep-groups
+.PHONY: all build test race vet lint lint-teeth check loc bench benchmark-smoke bench-compare fuzz-smoke chaos chaos-smoke teeth chaos-parity kv-race proposal-race fingerprints sim-sweep sim-sweep-groups
 
 all: check
 
@@ -94,11 +94,21 @@ chaos-parity:
 # kv-race runs the KV replica (kvstore.Server) under the race detector,
 # three times over: the in-process service's scenarios, where a restarted
 # node replays its storage into a fresh Store (DedupSurvivesShardSnapshot),
-# three Servers over loopback TCP, and the raft-kv binary's own tests (a
+# three Servers over loopback TCP, the raft-kv binary's own tests (a
 # restart on the same WAL, a get through the read barrier, the -read-mode
-# flag).
+# flag), and when a write's proposal resolves: after its OnApply, at Stop on
+# a volatile node, past the loss of the leadership it was made under, and
+# under an installed snapshot.
 kv-race:
-	$(GO) test -race -count=3 -run 'TestReplicated|TestServerOverTCP|TestWritesSurviveRestart|TestGetThroughReadBarrier|TestReadModeFlag' ./internal/kvstore ./cmd/raft-kv
+	$(GO) test -race -count=3 -run 'TestReplicated|TestServerOverTCP|TestWritesSurviveRestart|TestGetThroughReadBarrier|TestReadModeFlag|$(PROPOSAL_TESTS)' ./internal/kvstore ./cmd/raft-kv ./internal/raft
+
+# PROPOSAL_TESTS are the tests of a proposal's verdict. They cut leaders off
+# and install snapshots on wall-clock timers, so proposal-race (a CI step)
+# runs them twenty times under the race detector.
+PROPOSAL_TESTS = TestWriteResolvesAfterApply|TestVolatileStopFailsPendingProposals|TestDurableProposalOutlivesLeadership|TestProposalCoveredBySnapshot
+
+proposal-race:
+	$(GO) test -race -count=20 -run '^($(PROPOSAL_TESTS))$$' ./internal/raft ./internal/kvstore
 
 # fingerprints prints what TestJournalFingerprints hashes, row by row: each
 # teeth-table row's journal hash and violation count with its guard on and

@@ -207,11 +207,35 @@ func (l *liveEnv) HoldWrite(types.NodeID) {}
 
 var errNodeDown = errors.New("chaos: node is down")
 
+// ProposeConfig answers as the simulator does, when the core accepts or
+// refuses the change, not when it applies: Node.ProposeConfig answers only
+// once the change's index applies at id, which a partition the nemesis has
+// yet to heal can hold off past the run. A refusal comes at once; an answer
+// that has not come within a quantum is taken for acceptance, and the
+// proposal's goroutine ends when its verdict arrives or the node stops.
 func (l *liveEnv) ProposeConfig(id types.NodeID, members types.NodeSet) (int, types.Time, error) {
-	if n := l.c.Node(id); n != nil {
-		return n.ProposeConfig(members)
+	n := l.c.Node(id)
+	if n == nil {
+		return 0, 0, errNodeDown
 	}
-	return 0, 0, errNodeDown
+	type answer struct {
+		idx  int
+		term types.Time
+		err  error
+	}
+	ch := make(chan answer, 1)
+	go func() {
+		idx, term, err := n.ProposeConfig(members)
+		ch <- answer{idx, term, err}
+	}()
+	timer := time.NewTimer(simTick)
+	defer timer.Stop()
+	select {
+	case a := <-ch:
+		return a.idx, a.term, a.err
+	case <-timer.C:
+		return 0, 0, nil
+	}
 }
 
 func (l *liveEnv) TransferLeader(id, to types.NodeID) error {

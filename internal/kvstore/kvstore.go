@@ -197,19 +197,13 @@ type Result struct {
 
 // Store is one replica's state machine. Feed it every committed entry (in
 // order) via Apply; it maintains the map, deduplicates retried requests,
-// and resolves local waiters.
+// and wakes the reads waiting for an index to be applied.
 type Store struct {
 	mu      sync.Mutex
-	data    map[string]string // guarded by mu
-	last    map[uint64]dedup  // client → its highest applied Seq; guarded by mu
-	waiters map[int][]waiter  // log index → waiters; guarded by mu
-	applied int               // highest applied index; guarded by mu
-}
-
-type waiter struct {
-	client uint64
-	seq    uint64
-	ch     chan waitResult
+	data    map[string]string       // guarded by mu
+	last    map[uint64]dedup        // client → its highest applied Seq; guarded by mu
+	waiters map[int][]chan struct{} // log index → reads waiting for it; guarded by mu
+	applied int                     // highest applied index; guarded by mu
 }
 
 // dedup is a client's row in the dedup table: its highest applied Seq and
@@ -219,23 +213,17 @@ type dedup struct {
 	res Result
 }
 
-type waitResult struct {
-	res  Result
-	mine bool // the entry at the index was this waiter's command
-}
-
 // NewStore creates an empty state machine.
 func NewStore() *Store {
 	return &Store{
 		data:    make(map[string]string),
 		last:    make(map[uint64]dedup),
-		waiters: make(map[int][]waiter),
+		waiters: make(map[int][]chan struct{}),
 	}
 }
 
-// Apply consumes one committed raft entry. Non-command entries (no-ops,
-// config changes) still resolve waiters at their index as "not mine".
-// An EntrySnapshot message replaces the whole state with the image in
+// Apply consumes one committed raft entry and wakes the reads waiting for its
+// index, whatever the entry's kind. An EntrySnapshot message replaces the whole state with the image in
 // Command — the restore path for crash recovery and leader-installed
 // snapshots; the dedup tables ride inside the image, so exactly-once
 // semantics survive a snapshot-based rejoin.
@@ -256,22 +244,11 @@ func (s *Store) Apply(msg raft.ApplyMsg) {
 			panic(fmt.Sprintf("kvstore: snapshot restore at index %d: %v", msg.Index, err))
 		}
 		s.applied = msg.Index
-		// Waiters at indices the snapshot folded away resolve through the
-		// restored dedup tables: if the client's request is recorded
-		// there, it committed (with that result); otherwise its fate is
-		// unknown and the waiter re-proposes.
 		for idx, ws := range s.waiters {
-			if idx > msg.Index {
-				continue
+			if idx <= msg.Index {
+				wake(ws)
+				delete(s.waiters, idx)
 			}
-			for _, w := range ws {
-				if d := s.last[w.client]; w.seq != 0 && d.seq >= w.seq {
-					w.ch <- waitResult{res: d.res, mine: true}
-				} else {
-					w.ch <- waitResult{mine: false}
-				}
-			}
-			delete(s.waiters, idx)
 		}
 		return
 	}
@@ -284,21 +261,25 @@ func (s *Store) Apply(msg raft.ApplyMsg) {
 			isCmd = true
 		}
 	}
-	var res Result
 	if isCmd {
-		if d := s.last[cmd.Client]; d.seq >= cmd.Seq && cmd.Seq != 0 {
-			res = d.res // duplicate: return cached result
-		} else {
-			res = s.applyCommandLocked(cmd)
+		// A duplicate keeps its row, whose cached result answers it.
+		if d := s.last[cmd.Client]; d.seq < cmd.Seq || cmd.Seq == 0 {
+			res := s.applyCommandLocked(cmd)
 			if cmd.Seq != 0 {
 				s.last[cmd.Client] = dedup{cmd.Seq, res}
 			}
 		}
 	}
-	for _, w := range s.waiters[msg.Index] {
-		w.ch <- waitResult{res: res, mine: isCmd && cmd.Client == w.client && cmd.Seq == w.seq}
+	if ws, ok := s.waiters[msg.Index]; ok {
+		wake(ws)
+		delete(s.waiters, msg.Index)
 	}
-	delete(s.waiters, msg.Index)
+}
+
+func wake(ws []chan struct{}) {
+	for _, ch := range ws {
+		close(ch)
+	}
 }
 
 func (s *Store) applyCommandLocked(c Command) Result {
@@ -328,31 +309,14 @@ func (s *Store) applyCommandLocked(c Command) Result {
 	}
 }
 
-// wait registers interest in the command applied at index.
-func (s *Store) wait(index int, client, seq uint64) chan waitResult {
-	ch := make(chan waitResult, 1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if res, mine, ok := s.outcomeLocked(index, client, seq); ok {
-		ch <- waitResult{res: res, mine: mine}
-		return ch
-	}
-	s.waiters[index] = append(s.waiters[index], waiter{client: client, seq: seq, ch: ch})
-	return ch
-}
-
-// Outcome is wait's answer without the wait: once this replica has applied
-// through index (ok), whether the request (client, seq) has applied (mine)
-// and its Result. With one outstanding request per client, the dedup table
-// reaching seq means exactly that request applied — at index, or at an
+// Outcome is a write's answer, read without waiting: once this replica has
+// applied through index (ok), whether the request (client, seq) has applied
+// (mine) and its Result. With one outstanding request per client, the dedup
+// table reaching seq means exactly that request applied — at index, or at an
 // earlier one whose ack was lost.
 func (s *Store) Outcome(index int, client, seq uint64) (res Result, mine, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.outcomeLocked(index, client, seq)
-}
-
-func (s *Store) outcomeLocked(index int, client, seq uint64) (res Result, mine, ok bool) {
 	if s.applied < index {
 		return Result{}, false, false
 	}
@@ -489,11 +453,18 @@ func (s *Store) AppliedIndex() int {
 }
 
 // waitApplied blocks until the apply cursor reaches idx or the deadline
-// passes, and reports whether it got there. It parks on the per-index waiters
-// the write path uses, so the Apply that lands idx (or the snapshot that
-// folds it) wakes it, and Apply pays nothing for readers that are not waiting.
+// passes, and reports whether it got there. It parks on a per-index waiter,
+// so the Apply that lands idx (or the snapshot that folds it) wakes it, and
+// Apply pays nothing for readers that are not waiting.
 func (s *Store) waitApplied(idx int, deadline time.Time) bool {
-	ch := s.wait(idx, 0, 0)
+	s.mu.Lock()
+	if s.applied >= idx {
+		s.mu.Unlock()
+		return true
+	}
+	ch := make(chan struct{})
+	s.waiters[idx] = append(s.waiters[idx], ch)
+	s.mu.Unlock()
 	t := time.NewTimer(time.Until(deadline))
 	defer t.Stop()
 	select {

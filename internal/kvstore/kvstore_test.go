@@ -54,24 +54,59 @@ func TestStoreDeduplicatesRetries(t *testing.T) {
 	}
 }
 
+// TestStoreWaiters: a read parked on an index wakes at the Apply of that
+// index whatever entry is there (someone else's command, a no-op) and at the
+// restore of an image that covers it; Outcome answers a write from the dedup
+// table once its index is applied, and not before.
 func TestStoreWaiters(t *testing.T) {
 	s := NewStore()
-	ch := s.wait(1, 5, 1)
+	if _, _, ok := s.Outcome(1, 5, 1); ok {
+		t.Error("Outcome answered before its index applied")
+	}
+	woken := func(idx int) chan bool {
+		ch := make(chan bool, 1)
+		go func() { ch <- s.waitApplied(idx, time.Now().Add(opTimeout)) }()
+		for s.waitingAt(idx) == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		return ch
+	}
+	w1 := woken(1)
 	applyCmd(t, s, 1, Command{Op: OpPut, Key: "a", Value: "v", Client: 5, Seq: 1})
-	wr := <-ch
-	if !wr.mine || wr.res.Value != "v" {
-		t.Errorf("waiter result = %+v", wr)
+	if !<-w1 {
+		t.Error("the read at index 1 was not woken by its Apply")
 	}
-	// A waiter whose index was taken by someone else's command.
-	ch2 := s.wait(2, 5, 2)
+	if res, mine, ok := s.Outcome(1, 5, 1); !ok || !mine || res.Value != "v" {
+		t.Errorf("Outcome(1, client 5, seq 1) = %+v %v %v; want v, mine", res, mine, ok)
+	}
+	// Someone else's command at index 2: the read wakes, the write is not mine.
+	w2 := woken(2)
 	applyCmd(t, s, 2, Command{Op: OpPut, Key: "b", Value: "w", Client: 77, Seq: 1})
-	if wr := <-ch2; wr.mine {
-		t.Error("foreign command reported as mine")
+	if !<-w2 {
+		t.Error("the read at index 2 was not woken by a foreign command")
 	}
-	// A waiter registered after its index applied resolves immediately.
-	ch3 := s.wait(1, 5, 1)
-	if wr := <-ch3; !wr.mine {
-		t.Error("late waiter did not resolve from the dedup table")
+	if _, mine, ok := s.Outcome(2, 5, 2); !ok || mine {
+		t.Errorf("Outcome(2, client 5, seq 2): mine %v ok %v; want applied, not mine", mine, ok)
+	}
+	w3 := woken(3)
+	s.Apply(raft.ApplyMsg{Index: 3, Kind: raft.EntryNoOp})
+	if !<-w3 {
+		t.Error("the read at index 3 was not woken by a no-op")
+	}
+	// An image through 6 wakes the reads at 4 and 6, not the one at 7.
+	img, _, _ := s.SaveSnapshot()
+	img[1] = 6 // the image's applied index: one uvarint byte
+	w4, w6, w7 := woken(4), woken(6), woken(7)
+	s.Apply(raft.ApplyMsg{Index: 6, Kind: raft.EntrySnapshot, Command: img})
+	if !<-w4 || !<-w6 {
+		t.Error("a restore through 6 left a read at or below 6 parked")
+	}
+	if s.waitingAt(7) != 1 {
+		t.Error("a restore through 6 woke the read at 7")
+	}
+	applyCmd(t, s, 7, Command{Op: OpPut, Key: "c", Value: "x", Client: 5, Seq: 2})
+	if !<-w7 {
+		t.Error("the read at index 7 was not woken by its Apply")
 	}
 }
 
@@ -119,10 +154,9 @@ func (s *Store) waitingAt(idx int) int {
 
 func TestStoreIgnoresNonCommands(t *testing.T) {
 	s := NewStore()
-	ch := s.wait(1, 1, 1)
 	s.Apply(raft.ApplyMsg{Index: 1, Kind: raft.EntryNoOp})
-	if wr := <-ch; wr.mine {
-		t.Error("no-op resolved as a command")
+	if _, mine, ok := s.Outcome(1, 1, 1); !ok || mine {
+		t.Errorf("a no-op at index 1: Outcome mine %v ok %v; want applied, not mine", mine, ok)
 	}
 	if s.Len() != 0 {
 		t.Error("no-op mutated the store")
@@ -180,14 +214,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // TestStoreUndecodablePayloadIsANoOp pins what every replica does with an
 // EntryCommand it cannot decode (here: a payload in the JSON format builds
 // before the binary codec wrote): nothing, deterministically — the cursor
-// advances, no key changes, and a waiter at the index resolves "not mine".
+// advances, no key changes, and the write at the index is "not mine".
 func TestStoreUndecodablePayloadIsANoOp(t *testing.T) {
 	s := NewStore()
-	ch := s.wait(1, 1, 1)
 	s.Apply(raft.ApplyMsg{Index: 1, Kind: raft.EntryCommand,
 		Command: []byte(`{"op":"put","key":"k","value":"v","client":1,"seq":1}`)})
-	if wr := <-ch; wr.mine {
-		t.Error("undecodable payload resolved as the waiter's command")
+	if _, mine, _ := s.Outcome(1, 1, 1); mine {
+		t.Error("undecodable payload resolved as the write's command")
 	}
 	if s.Len() != 0 {
 		t.Error("undecodable payload mutated the store")

@@ -9,8 +9,9 @@ import (
 )
 
 // ErrNotApplied reports that another entry committed at a write's index:
-// leadership changed, and the write was not applied and never will be.
-var ErrNotApplied = errors.New("kvstore: leadership changed, not applied")
+// leadership changed, and the write was not applied and never will be. It is
+// the proposal's own verdict (raft.ErrNotApplied).
+var ErrNotApplied = raft.ErrNotApplied
 
 // Replica is one shard's raft node on one host, plus the Store its apply
 // stream feeds: the two halves of every KV request.
@@ -19,26 +20,33 @@ type Replica struct {
 	Store *Store
 }
 
-// Write proposes cmd and waits up to timeout for the Store to apply its
-// index. It returns cmd's Result, ErrNotApplied when another entry took the
-// index, ErrTimeout when the apply does not arrive in time, or the
-// proposal's own error (a raft.NotLeaderError on a follower).
+// Write proposes cmd and waits up to timeout for its proposal to resolve,
+// which it does once the Store has applied the proposal's index. It returns
+// cmd's Result from the dedup table, ErrNotApplied when another entry took
+// the index, ErrTimeout when the verdict does not arrive in time, or the
+// proposal's own error (a raft.NotLeaderError on a follower). When a
+// snapshot restore covered the index first, the restored dedup table tells
+// whether cmd applied.
 func (r Replica) Write(cmd Command, timeout time.Duration) (Result, error) {
-	idx, _, err := r.Node.ProposeAsync(cmd.Encode()).Wait()
-	if err != nil {
-		return Result{}, err
-	}
+	p := r.Node.ProposeAsync(cmd.Encode())
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
-	case wr := <-r.Store.wait(idx, cmd.Client, cmd.Seq):
-		if !wr.mine {
-			return Result{}, ErrNotApplied
-		}
-		return wr.res, nil
+	case <-p.Done():
 	case <-t.C:
 		return Result{}, ErrTimeout
 	}
+	_, _, err := p.Wait()
+	if err != nil && !errors.Is(err, raft.ErrCompacted) {
+		return Result{}, err
+	}
+	// With one outstanding request per client, the row reaching cmd.Seq
+	// means exactly cmd applied.
+	seq, res := r.Store.LastApplied(cmd.Client)
+	if seq < cmd.Seq {
+		return Result{}, ErrNotApplied
+	}
+	return res, nil
 }
 
 // Read serves key linearizably from this replica's Store once it has applied

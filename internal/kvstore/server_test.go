@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,18 +15,18 @@ import (
 // TestServerOverTCP runs three Servers of two shards each on loopback TCP and
 // drives one shard's replicas directly: a follower refuses a write and applies
 // nothing, the leader answers a CAS miss with its applied result, every
-// replica reads a put back, and a write whose index the Store already holds
-// for another client is reported as not applied.
+// replica reads a put back, and a deposed leader's write, durable on its own
+// disk only, whose index a successor fills is reported as not applied.
 func TestServerOverTCP(t *testing.T) {
 	members := []types.NodeID{1, 2, 3}
-	trs := make([]*transport.TCPTransport, len(members))
+	trs := make([]*mutableTransport, len(members))
 	for i, id := range members {
 		tr, err := transport.NewTCPTransport(id, "127.0.0.1:0", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { tr.Close() })
-		trs[i] = tr
+		trs[i] = &mutableTransport{TCPTransport: tr}
 	}
 	for i, a := range trs {
 		for j, b := range trs {
@@ -87,12 +88,46 @@ func TestServerOverTCP(t *testing.T) {
 		}
 	}
 
-	// Another client's entry already holds the index the next proposal gets:
-	// the write is reported lost, not answered with that entry's result.
+	// The leader goes mute and takes a write: the entry is on its own disk
+	// (the proposal outlives the leadership it was made under), but no peer
+	// hears of it. A successor's entries take its index, and the deposed
+	// leader, which still hears the successor, applies one of them there.
+	var lt *mutableTransport
+	for i, s := range srvs {
+		if s.Replica(key).Node == leader.Node {
+			lt = trs[i]
+		}
+	}
 	next := leader.Node.Snapshot().LastIndex + 1
-	other := Command{Op: OpPut, Key: key, Value: "other", Client: client + 1, Seq: 1}
-	leader.Store.Apply(raft.ApplyMsg{Index: next, Kind: raft.EntryCommand, Command: other.Encode()})
-	if _, err := leader.Write(Command{Op: OpPut, Key: key, Value: "w", Client: client, Seq: 3}, opTimeout); !errors.Is(err, ErrNotApplied) {
-		t.Fatalf("Write at index %d held by another client: err = %v, want ErrNotApplied", next, err)
+	lt.muted.Store(true)
+	_, err = leader.Write(Command{Op: OpPut, Key: key, Value: "w", Client: client, Seq: 3}, opTimeout)
+	lt.muted.Store(false)
+	if !errors.Is(err, ErrNotApplied) {
+		t.Fatalf("a deposed leader's write at index %d: err = %v, want ErrNotApplied", next, err)
+	}
+	if v, _ := leader.Store.LocalGet(key); v == "w" {
+		t.Fatal("the deposed leader applied the write a successor overwrote")
+	}
+}
+
+// mutableTransport is a host's transport that drops everything the host
+// sends while muted; what it receives still arrives.
+type mutableTransport struct {
+	*transport.TCPTransport
+	muted atomic.Bool
+}
+
+func (m *mutableTransport) Endpoint(g raft.GroupID, inbox chan<- raft.Message) raft.Transport {
+	return mutedEndpoint{m.TCPTransport.Endpoint(g, inbox), &m.muted}
+}
+
+type mutedEndpoint struct {
+	raft.Transport
+	muted *atomic.Bool
+}
+
+func (e mutedEndpoint) Send(m raft.Message) {
+	if !e.muted.Load() {
+		e.Transport.Send(m)
 	}
 }

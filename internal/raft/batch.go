@@ -1,6 +1,7 @@
 package raft
 
 import (
+	"errors"
 	"runtime"
 
 	"adore/internal/types"
@@ -13,13 +14,26 @@ import (
 // arrived since the previous write was handed out — as one SaveEntries call
 // (one WAL frame, one fsync); with one write already in flight it goes out
 // beside it, from the stable index up. Stable broadcasts the newly durable
-// suffix with one AppendEntries per peer, and only then are the futures
-// acked. Batching only coalesces persistence and network operations, never
-// commit rules.
+// suffix with one AppendEntries per peer. A durable proposal then waits for
+// its index to commit: it rides the committed batch that holds its index down
+// the apply stream, and resolves on the apply goroutine once OnApply has
+// returned for that batch, so its caller wakes once, to the applied state.
+// Batching only coalesces persistence and network operations, never commit
+// rules.
+
+// ErrNotApplied reports that another entry was applied at a proposal's
+// index: leadership changed, and the proposal was not applied and never will
+// be at that index.
+var ErrNotApplied = errors.New("raft: another entry took the proposal's index, not applied")
+
+// ErrCompacted reports that a snapshot restore covered a proposal's index
+// before the node applied it: the entries there are gone, so only the state
+// machine's image (a dedup table) can tell whether the proposal applied.
+var ErrCompacted = errors.New("raft: a snapshot covered the proposal's index")
 
 // Proposal is the future returned by ProposeAsync — the node's one write
-// entry. Wait blocks until the command has been appended to the leader's log
-// and made durable (or the proposal failed).
+// entry. Wait blocks until the node has applied the command's index (OnApply
+// returned for the batch that holds it) or the proposal failed.
 type Proposal struct {
 	cmd  []byte
 	done chan struct{}
@@ -31,9 +45,14 @@ type Proposal struct {
 	err  error
 }
 
-// Wait blocks until the proposal's entry is durable in the leader's log
-// (and so broadcast) or the proposal failed, and returns the assigned index
-// and term.
+// Wait blocks until the proposal resolves, and returns the assigned index
+// and term with its verdict: nil once this node applied the proposal's entry
+// at idx (OnApply has returned for it); ErrNotApplied when another entry was
+// applied there; ErrCompacted when a snapshot restore covered idx first.
+// Otherwise the proposal failed: with ErrNotLeader or ErrLeaderStepdown if
+// leadership was lost before its entry was durable (a durable entry outlives
+// the loss until its index applies here), ErrStorageFailed on a fail-stop,
+// ErrStopped on shutdown.
 func (p *Proposal) Wait() (int, types.Time, error) {
 	<-p.done
 	return p.idx, p.term, p.err
@@ -50,13 +69,10 @@ func (p *Proposal) fail(err error) {
 }
 
 // ProposeAsync submits a client command for group commit and returns a
-// future. Concurrent proposals are coalesced: everything appended while
-// the write lane is full becomes one WAL frame with a single fsync and one
-// broadcast per peer, so fsyncs per operation fall toward 1/batch-size under
-// load. The future fails with ErrNotLeader if this node is not (or stops
-// being) the leader before the entry is durable, with ErrLeaderStepdown on a
-// CheckQuorum or stalled-disk step-down, with ErrStorageFailed if the write
-// fails, and with ErrStopped on shutdown.
+// future that resolves once the node applied its index (Proposal.Wait).
+// Concurrent proposals are coalesced: everything appended while the write
+// lane is full becomes one WAL frame with a single fsync and one broadcast
+// per peer, so fsyncs per operation fall toward 1/batch-size under load.
 func (n *Node) ProposeAsync(cmd []byte) *Proposal {
 	p := &Proposal{cmd: cmd, done: make(chan struct{})}
 	// Only propMu here — NOT the state mutex: enqueueing never contends
@@ -121,8 +137,8 @@ func (n *Node) flushLoop() {
 }
 
 // flushBatch appends every pending proposal to the core's log and leaves
-// the futures with the driver: it completes them once their entries are
-// durable, so an acked proposal is always recoverable from the WAL.
+// the futures with the driver, which sends each down the apply stream with
+// the committed batch that holds its index.
 func (n *Node) flushBatch() {
 	// Drain the queue under propMu alone, then do the protocol work under
 	// mu. Proposals enqueued after the drain are covered by their own

@@ -259,14 +259,23 @@ func (v GroupView) Leader() *raft.Node {
 
 // Propose submits a command via the group's current leader, retrying across
 // leader changes until the deadline. It returns the index the command was
-// proposed at (commitment is observed via WaitCommit or the KV layer).
+// applied at on the leader it was proposed to (the other nodes' applies are
+// observed via WaitCommit).
 func (v GroupView) Propose(cmd []byte, timeout time.Duration) (int, error) {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		if l := v.Leader(); l != nil {
-			if idx, _, err := l.ProposeAsync(cmd).Wait(); err == nil {
-				return idx, nil
+			p := l.ProposeAsync(cmd)
+			timer := time.NewTimer(time.Until(deadline))
+			select {
+			case <-p.Done():
+				if idx, _, err := p.Wait(); err == nil {
+					timer.Stop()
+					return idx, nil
+				}
+			case <-timer.C:
 			}
+			timer.Stop()
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -99,6 +99,13 @@ func TestFollowerReadDoesNotWaitForHeartbeat(t *testing.T) {
 			break
 		}
 	}
+	// Propose answers once the leader applied the put, which one follower's
+	// ack is enough for: the read needs f to know its leader first.
+	for deadline := time.Now().Add(timeout); f.Snapshot().Leader != leader; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("S%d never learned its leader S%d", f.ID(), leader)
+		}
+	}
 	for round := 0; round < 3; round++ {
 		idx, err := c.Propose([]byte("x"), timeout)
 		if err != nil {

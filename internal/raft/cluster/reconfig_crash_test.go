@@ -39,8 +39,8 @@ func TestCrashDuringPendingReconfig(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Propose returns once the leader holds the entry; R3 below needs
-			// it committed.
+			// Propose returns once the leader applied the entry; R3 below
+			// needs it committed.
 			widx, err := c.Propose([]byte("warmup"), timeout)
 			if err != nil {
 				t.Fatal(err)
@@ -84,10 +84,26 @@ func TestCrashDuringPendingReconfig(t *testing.T) {
 			} else {
 				target = target.Remove(victim)
 			}
-			pendingIdx, _, err := leader.ProposeConfig(target)
-			if err != nil {
-				t.Fatalf("pending config rejected: %v", err)
+			// ProposeConfig answers once the change applies at the leader,
+			// which the partition forbids: it waits in the background, and
+			// the change's hot effect on the leader's membership shows R1–R3
+			// accepted it.
+			pending := make(chan error, 1)
+			go func() {
+				_, _, err := leader.ProposeConfig(target)
+				pending <- err
+			}()
+			for deadline := time.Now().Add(timeout); !leader.Snapshot().Members.Equal(target); time.Sleep(time.Millisecond) {
+				select {
+				case err := <-pending:
+					t.Fatalf("pending config answered %v before it could commit", err)
+				default:
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the leader never appended the config change")
+				}
 			}
+			pendingIdx := leader.Snapshot().LastIndex // nothing else is proposed at the isolated leader
 			time.Sleep(100 * time.Millisecond)
 			if ci := leader.Snapshot().CommitIndex; ci >= pendingIdx {
 				t.Fatalf("config entry committed (index %d ≥ %d) despite the partition", ci, pendingIdx)
@@ -98,9 +114,13 @@ func TestCrashDuringPendingReconfig(t *testing.T) {
 				t.Fatalf("second config while pending: err = %v, want ErrReconfigPending", err)
 			}
 
-			// The leader dies with the change still pending; the majority
-			// side moves on without ever seeing it.
+			// The leader dies with the change still pending, which fails it
+			// with ErrStopped; the majority side moves on without ever
+			// seeing it.
 			c.CrashNode(lid)
+			if err := <-pending; !errors.Is(err, raft.ErrStopped) {
+				t.Fatalf("pending config at the crashed leader: err = %v, want ErrStopped", err)
+			}
 			c.Net.Heal()
 			deadline := time.Now().Add(timeout)
 			for c.Leader() == nil && time.Now().Before(deadline) {

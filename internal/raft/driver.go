@@ -38,10 +38,13 @@ type Driver struct {
 	ctr     Counters // the fold of every event the core released, and the writes landed
 
 	// props are the proposals whose entries are in the log but not yet
-	// durable, in index order (the shell appends them); reads the pending
-	// read barriers, each answered once with the confirmed index or a
-	// negative abort code.
+	// durable, in index order (the shell appends them); durable those a
+	// write made durable whose index has not yet committed here, in index
+	// order (a leadership loss fails props, never durable: a durable entry
+	// may still commit). reads are the pending read barriers, each answered
+	// once with the confirmed index or a negative abort code.
 	props     []*Proposal
+	durable   []*Proposal
 	reads     map[uint64]chan int
 	nextRead  uint64 // the next read barrier's id
 	wasLeader bool
@@ -83,7 +86,10 @@ type shell interface {
 	// Land(seq) when its write is due).
 	Write(seq uint64) (take, now bool)
 	Send(m Message)
-	Apply(batch []ApplyMsg) // committed entries, a snapshot restore first
+	// Apply hands out committed entries, a snapshot restore first, with
+	// the proposals whose verdict they settle: the shell resolves those only
+	// after its state machine applied the batch.
+	Apply(batch []ApplyMsg, done []*Proposal)
 	// Snapshot asks for a state-machine image through req.Index, answered
 	// now or later with Core.Compact or Core.AbortSnapshot.
 	Snapshot(req raftcore.SnapshotRequest)
@@ -123,9 +129,10 @@ func (d *Driver) Counters() Counters { return d.ctr }
 
 // Stop drops the writes in flight whole, never writing them or reporting them
 // Stable (a node shutting down, a simulated power failure), and fails the
-// waiting proposals with err.
+// waiting proposals, durable or not, with err.
 func (d *Driver) Stop(err error) {
 	d.failProps(err)
+	d.failDurable(err)
 	d.writes = d.writes[:0]
 }
 
@@ -220,14 +227,16 @@ func (d *Driver) failStop(cause error) {
 	}
 	d.sh.Abort(raftcore.NotLeader(d.core.Leader()))
 	d.failProps(d.err)
+	d.failDurable(d.err)
 	d.sh.Halt(cause)
 }
 
 // release drains the core's Effects in the one release order: messages,
 // read barriers, committed entries (a Restore first: the image replaces the
-// state machine they apply to), the compaction request, leadership loss, the
-// proposals a Stable made durable — taken off the list before a step-down can
-// fail them, woken only after the broadcast has left — and last the events.
+// state machine they apply to) with the durable proposals they settle, the
+// compaction request, leadership loss, and last the events. The proposals a
+// Stable made durable join the durable list first, so a step-down in the
+// same release cannot fail them.
 func (d *Driver) release() {
 	if d.err != nil {
 		return
@@ -236,7 +245,7 @@ func (d *Driver) release() {
 	for k < len(d.props) && d.props[k].idx <= d.core.StableIndex() {
 		k++
 	}
-	durable := d.props[:k]
+	d.addDurable(d.props[:k])
 	d.props = d.props[k:]
 	eff := d.core.TakeEffects()
 	steppedDown := d.fold(eff.Events)
@@ -255,13 +264,14 @@ func (d *Driver) release() {
 		committed = append([]ApplyMsg{restoreMsg(eff.Restore)}, committed...)
 	}
 	if len(committed) > 0 {
-		d.sh.Apply(committed)
+		d.sh.Apply(committed, d.settle(committed))
 	}
 	if eff.TakeSnapshot != nil {
 		d.sh.Snapshot(*eff.TakeSnapshot)
 	}
-	// Leadership lost: a successor may truncate the in-flight proposals. A
-	// step-down fails them with the retryable ErrLeaderStepdown.
+	// Leadership lost: a successor may truncate the proposals not yet
+	// durable, which never left this node. A step-down fails them with the
+	// retryable ErrLeaderStepdown.
 	isLeader := d.core.Role() == Leader
 	if d.wasLeader && !isLeader {
 		err := raftcore.NotLeader(d.core.Leader())
@@ -272,10 +282,50 @@ func (d *Driver) release() {
 		d.failProps(err)
 	}
 	d.wasLeader = isLeader
-	for _, p := range durable {
-		p.complete()
-	}
 	d.sh.Events(eff.Events)
+}
+
+// addDurable moves ps, in index order, onto the durable list. A list that
+// outlived a leadership can hold a higher index than the new leader's
+// proposals (its log was cut below it), so the merge keeps index order.
+func (d *Driver) addDurable(ps []*Proposal) {
+	if len(ps) == 0 {
+		return
+	}
+	sorted := len(d.durable) == 0 || d.durable[len(d.durable)-1].idx <= ps[0].idx
+	d.durable = append(d.durable, ps...)
+	if !sorted {
+		slices.SortStableFunc(d.durable, func(a, b *Proposal) int { return a.idx - b.idx })
+	}
+}
+
+// settle takes the durable proposals whose index batch reaches off the list
+// and gives each its verdict: ErrCompacted under the batch's restore, nil if
+// the entry applied at its index carries its term (so, by log matching, it
+// is the proposal's entry), ErrNotApplied if another entry took the index.
+// A durable index is never applied before the release that made it durable
+// (a leader commits only what its own disk holds), so every settled index is
+// the restore's or one of the batch's entries.
+func (d *Driver) settle(batch []ApplyMsg) []*Proposal {
+	last := batch[len(batch)-1].Index
+	k := 0
+	for k < len(d.durable) && d.durable[k].idx <= last {
+		k++
+	}
+	if k == 0 {
+		return nil
+	}
+	done := d.durable[:k:k]
+	d.durable = d.durable[k:]
+	for _, p := range done {
+		switch {
+		case batch[0].Kind == EntrySnapshot && p.idx <= batch[0].Index:
+			p.err = ErrCompacted
+		case batch[len(batch)-1-(last-p.idx)].Term != p.term:
+			p.err = ErrNotApplied
+		}
+	}
+	return done
 }
 
 // fold counts evs and reports whether one was a step-down.
@@ -292,6 +342,13 @@ func (d *Driver) failProps(err error) {
 		p.fail(err)
 	}
 	d.props = nil
+}
+
+func (d *Driver) failDurable(err error) {
+	for _, p := range d.durable {
+		p.fail(err)
+	}
+	d.durable = nil
 }
 
 // Read starts one linearizable read under a fresh id: the core forwards it to

@@ -70,7 +70,9 @@ func (n *orderNode) Send(m Message) {
 	n.h.queue = append(n.h.queue, m)
 }
 
-func (n *orderNode) Apply(batch []ApplyMsg) {
+// Apply logs the batch as applied, then resolves the proposals it settles,
+// as Node's apply loop does once OnApply has returned.
+func (n *orderNode) Apply(batch []ApplyMsg, settled []*Proposal) {
 	ev := "apply"
 	for _, a := range batch {
 		if a.Kind == EntrySnapshot {
@@ -80,6 +82,10 @@ func (n *orderNode) Apply(batch []ApplyMsg) {
 		}
 	}
 	n.logf("%s", ev)
+	for _, p := range settled {
+		n.logf("resolve %d: %v", p.idx, p.err)
+		p.complete()
+	}
 }
 
 func (n *orderNode) Snapshot(raftcore.SnapshotRequest) { n.core.AbortSnapshot() }
@@ -221,8 +227,8 @@ func TestDriverOrder(t *testing.T) {
 		run  func(t *testing.T)
 	}{{
 		// Without a disk a batch is stable the moment it is taken: the
-		// broadcast and the future complete in the proposal's own Ready,
-		// and the shell is never asked to write.
+		// broadcast leaves in the proposal's own Ready, and the shell is
+		// never asked to write. The future waits for the commit.
 		name: "volatile batches are stable inline",
 		run: func(t *testing.T) {
 			h := newOrderHarness(t, false)
@@ -231,8 +237,12 @@ func TestDriverOrder(t *testing.T) {
 			p := s1.propose("x")
 			got := h.since(from)
 			want := []string{"S1 >S2 AppendEntries 2..2", "S1 >S3 AppendEntries 2..2"}
-			if !slices.Equal(got, want) || !done(p) {
-				t.Fatalf("propose on a volatile leader: events %q, done %v; want %q and done", got, done(p), want)
+			if !slices.Equal(got, want) || done(p) {
+				t.Fatalf("propose on a volatile leader: events %q, done %v; want %q and not done", got, done(p), want)
+			}
+			h.settle()
+			if _, _, err := p.Wait(); err != nil {
+				t.Fatalf("committed proposal err = %v, want nil", err)
 			}
 			if slices.ContainsFunc(h.log, func(ev string) bool { return strings.HasSuffix(ev, " write") }) {
 				t.Fatalf("a volatile driver asked its shell to write:\n%s", strings.Join(h.log, "\n"))
@@ -333,30 +343,28 @@ func TestDriverOrder(t *testing.T) {
 			}
 		},
 	}, {
-		// Futures woken ahead of the broadcast put a scheduler round between
-		// the disk and the wire.
-		name: "futures complete only after their broadcast leaves",
+		// A future resolves once, to the applied state: not at its
+		// landing, whose broadcast has just left, but in the Apply that
+		// carries its index, after the entries were applied.
+		name: "futures resolve with the batch that applies their index",
 		run: func(t *testing.T) {
 			h := newOrderHarness(t, true)
 			s1 := h.elect()
 			p := s1.propose("x")
-			sent := 0
-			h.onSend = func(m Message) {
-				if m.Type == MsgAppendEntries && m.PrevLogIndex < p.idx && m.PrevLogIndex+len(m.Entries) >= p.idx {
-					sent++
-					if done(p) {
-						t.Errorf("proposal %d completed before its broadcast to S%d left", p.idx, m.To)
-					}
-				}
-			}
+			from := h.mark()
 			s1.land()
-			if sent != 2 || !done(p) {
-				t.Fatalf("landing: %d broadcasts of entry %d, done %v; want 2 and done", sent, p.idx, done(p))
+			if got := h.since(from); !slices.Contains(got, "S1 >S2 AppendEntries 2..2") || done(p) {
+				t.Fatalf("landing: %q, done %v; want the broadcast and not done", got, done(p))
+			}
+			h.settle()
+			before(t, h.log, "S1 apply 2", "S1 resolve 2: <nil>")
+			if !done(p) {
+				t.Fatalf("proposal %d not resolved after its index applied:\n%s", p.idx, strings.Join(h.log, "\n"))
 			}
 		},
 	}, {
-		// A CheckQuorum (or stalled-disk) step-down fails the in-flight
-		// proposals with the retryable ErrLeaderStepdown ...
+		// A CheckQuorum (or stalled-disk) step-down fails the proposals
+		// not yet durable with the retryable ErrLeaderStepdown ...
 		name: "a step-down fails proposals with ErrLeaderStepdown",
 		run: func(t *testing.T) {
 			h := newOrderHarness(t, true)
@@ -373,6 +381,8 @@ func TestDriverOrder(t *testing.T) {
 		},
 	}, {
 		// ... any other loss of leadership with the plain redirect.
+		// (TestDurableProposalOutlivesLeadership: a durable one outlives
+		// the loss until its index applies.)
 		name: "a deposed leader fails proposals with ErrNotLeader",
 		run: func(t *testing.T) {
 			h := newOrderHarness(t, true)
@@ -453,8 +463,9 @@ func TestDriverPipelinedWrites(t *testing.T) {
 		from := h.mark()
 		s1.d.Land(younger)
 		want := []string{"S1 SaveEntries 2..3", "S1 >S2 AppendEntries 2..3", "S1 >S3 AppendEntries 2..3"}
-		if got := h.since(from); !slices.Equal(got, want) || !done(px) || !done(py) {
-			t.Fatalf("landing the later write: %q, done %v %v; want %q and both done", got, done(px), done(py), want)
+		if got := h.since(from); !slices.Equal(got, want) || len(s1.d.durable) != 2 || done(px) || done(py) {
+			t.Fatalf("landing the later write: %q, %d durable, done %v %v; want %q and both durable, neither done",
+				got, len(s1.d.durable), done(px), done(py), want)
 		}
 		if got := s1.core.StableIndex(); got != 3 {
 			t.Fatalf("stable index = %d, want 3", got)

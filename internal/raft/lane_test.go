@@ -324,15 +324,13 @@ func testLockScopeFollowerWriteBlocked(t *testing.T, ab raft.Ablation) {
 	lc.warm(t, lid)
 	lc.net.Isolate(oid)
 	lc.st[fid].hold()
-	idx, _, err := L.ProposeAsync([]byte("blocked-on-follower")).Wait() // durable on the leader
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := L.ProposeAsync([]byte("blocked-on-follower"))
 	select {
 	case <-lc.st[fid].entered:
 	case <-time.After(2 * time.Second):
 		t.Fatal("follower never started the write")
 	}
+	idx := L.Snapshot().StableIndex // the leader shipped the entry once its own disk held it
 
 	within(t, "follower Snapshot()", func() { F.Snapshot() })
 	leaderRead(t, L, ab) // the lease, or a round: either needs the blocked follower's heartbeat acks
@@ -344,14 +342,15 @@ func testLockScopeFollowerWriteBlocked(t *testing.T, ab raft.Ablation) {
 	if got := L.Snapshot().CommitIndex; got >= idx {
 		t.Fatalf("entry %d committed with the only reachable follower's write still blocked", idx)
 	}
+	select {
+	case <-p.Done():
+		t.Fatalf("Proposal.Wait returned with entry %d uncommitted", idx)
+	default:
+	}
 
 	lc.st[fid].release()
-	deadline := time.Now().Add(2 * time.Second)
-	for L.Snapshot().CommitIndex < idx && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if L.Snapshot().CommitIndex < idx {
-		t.Fatalf("entry %d never committed after the follower's disk came back", idx)
+	if got, _, err := p.Wait(); err != nil || got != idx {
+		t.Fatalf("after the follower's disk came back: Wait = %d, %v; want %d applied", got, err, idx)
 	}
 	if v := lc.violations(); len(v) > 0 {
 		t.Fatalf("acked⇒durable violated: %v", v)

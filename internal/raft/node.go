@@ -92,9 +92,10 @@ var (
 	// would empty the cluster.
 	ErrBadMembership = raftcore.ErrBadMembership
 	// ErrLeaderStepdown reports that the leader relinquished leadership
-	// (CheckQuorum: no quorum contact for an election interval). In-flight
-	// ProposeAsync futures fail with it; retryable, and the caller should
-	// re-probe for the next leader immediately rather than back off.
+	// (CheckQuorum: no quorum contact for an election interval). The
+	// futures whose entries were not yet durable fail with it; retryable,
+	// and the caller should re-probe for the next leader immediately rather
+	// than back off.
 	ErrLeaderStepdown = raftcore.ErrLeaderStepdown
 	// ErrTransferInProgress rejects proposals while a leadership transfer
 	// is pausing the log; retry once the handoff resolves.
@@ -126,8 +127,9 @@ func LeaderHint(err error) types.NodeID {
 // Driver.Ready); the run, flush and apply goroutines; the write lane, one
 // goroutine per write the driver keeps in flight, each landing one write with
 // mu released across its storage calls, so two writes overlap on the disk;
-// the transport sends and the apply stream. Without Storage the driver
-// reports each batch stable inline and no lane runs.
+// the transport sends and the apply stream, whose goroutine resolves each
+// proposal once OnApply has returned for the batch that settled it. Without
+// Storage the driver reports each batch stable inline and no lane runs.
 type Node struct {
 	mu sync.Mutex
 
@@ -137,14 +139,14 @@ type Node struct {
 	core *raftcore.Core // guarded by mu
 	d    *Driver        // guarded by mu
 
-	// applyCh is the apply stream: committed batches in log order and, as
-	// a nil batch, the compaction requests, each behind the batch that
-	// reached its index. The apply loop drains it until Stop closes it
-	// (under mu, which every sender holds); it reports each capture on
-	// captured, which the run loop folds into the core. One slot is
-	// enough: the core asks for the next capture only after Compact or
-	// AbortSnapshot.
-	applyCh    chan []ApplyMsg
+	// applyCh is the apply stream: committed batches in log order, each
+	// with the proposals it settles, and, as a nil batch, the compaction
+	// requests, each behind the batch that reached its index. The apply
+	// loop drains it until Stop closes it (under mu, which every sender
+	// holds); it reports each capture on captured, which the run loop folds
+	// into the core. One slot is enough: the core asks for the next capture
+	// only after Compact or AbortSnapshot.
+	applyCh    chan applyItem
 	captured   chan capture
 	stopCh     chan struct{}
 	stopOnce   sync.Once
@@ -154,7 +156,8 @@ type Node struct {
 
 	// Group-commit state (see batch.go): ProposeAsync enqueues proposals
 	// here; the flush loop drains them all into the core's log, and the
-	// driver acks the futures once the lane's write made them durable. The
+	// driver hands each future to the apply stream with the committed batch
+	// that settles it. The
 	// queue lives under its own narrow mutex — never held across I/O — so
 	// proposers keep enqueueing while the flush loop holds mu and while the
 	// lane's write is in flight; what queued meanwhile is the next batch,
@@ -170,6 +173,13 @@ type Node struct {
 	// It has room for every write in flight (writeDepth), so handing one out
 	// never blocks.
 	laneCh chan uint64
+}
+
+// applyItem is one item on the apply stream: a committed batch and the
+// proposals it settles, or (batch nil) a compaction request.
+type applyItem struct {
+	batch []ApplyMsg
+	props []*Proposal
 }
 
 // capture is one state-machine image the apply loop took, or the error that
@@ -211,7 +221,7 @@ func StartNode(opts Options) *Node {
 			SnapshotThreshold: snapThreshold,
 			Ablation:          opts.Ablation,
 		}, hs, snap, log),
-		applyCh:  make(chan []ApplyMsg, 1024),
+		applyCh:  make(chan applyItem, 1024),
 		captured: make(chan capture, 1),
 		stopCh:   make(chan struct{}),
 		flushCh:  make(chan struct{}, 1),
@@ -226,7 +236,7 @@ func StartNode(opts Options) *Node {
 	// through the apply stream before any suffix entries: OnApply's first
 	// batch is the restore.
 	if snap.Index > 0 {
-		n.applyCh <- []ApplyMsg{restoreMsg(&snap)}
+		n.applyCh <- applyItem{batch: []ApplyMsg{restoreMsg(&snap)}}
 	}
 	n.applying.Add(1)
 	go n.applyLoop()
@@ -259,13 +269,18 @@ func (n *Node) ID() types.NodeID { return n.id }
 func (n *Node) Done() <-chan struct{} { return n.stopCh }
 
 // Stop shuts the node down and waits for its loops to exit. It returns once
-// OnApply has seen every batch the node handed out.
+// OnApply has seen every batch the node handed out and every proposal has
+// resolved: those riding a handed-out batch with their verdict, the rest
+// with ErrStopped.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() { close(n.stopCh) })
 	n.done.Wait()
 	// Every sender holds mu and hands nothing out once stopCh is closed,
-	// so closing the stream under mu is race-free.
+	// so closing the stream under mu is race-free. The driver drops the
+	// writes in flight and fails the proposals it holds here, after the
+	// lanes (if any: a volatile node has none) have exited.
 	n.mu.Lock()
+	n.d.Stop(ErrStopped)
 	n.applyClose.Do(func() { close(n.applyCh) })
 	n.mu.Unlock()
 	n.applying.Wait()
@@ -284,23 +299,29 @@ func (s *nodeShell) Write(seq uint64) (take, now bool) {
 
 func (s *nodeShell) Send(m Message) { s.opts.Transport.Send(m) }
 
-func (s *nodeShell) Apply(batch []ApplyMsg) { s.hand(batch) }
+func (s *nodeShell) Apply(batch []ApplyMsg, done []*Proposal) {
+	s.hand(applyItem{batch: batch, props: done})
+}
 
 // Snapshot queues the capture behind the batch that reached req.Index: the
 // release order hands out Committed before TakeSnapshot.
-func (s *nodeShell) Snapshot(raftcore.SnapshotRequest) { s.hand(nil) }
+func (s *nodeShell) Snapshot(raftcore.SnapshotRequest) { s.hand(applyItem{}) }
 
 // hand puts one item on the apply stream, waiting for room unless the node
-// is stopping: from then on nothing more is handed out.
-func (s *nodeShell) hand(batch []ApplyMsg) {
+// is stopping: from then on nothing more is handed out, and the proposals
+// the item carried fail with ErrStopped.
+func (s *nodeShell) hand(it applyItem) {
 	select {
 	case <-s.stopCh:
-		return
 	default:
+		select {
+		case s.applyCh <- it:
+			return
+		case <-s.stopCh:
+		}
 	}
-	select {
-	case s.applyCh <- batch:
-	case <-s.stopCh:
+	for _, p := range it.props {
+		p.fail(ErrStopped)
 	}
 }
 
@@ -374,17 +395,13 @@ func (n *Node) Snapshot() Snapshot {
 // the driver hands out (everything the core accumulated since the last one:
 // group commit on followers as on the leader), one at a time and mu released
 // across its storage calls, so the lanes' writes overlap on the disk. On
-// shutdown it drops the writes in flight and fails the proposals still
-// waiting.
+// shutdown it exits and leaves the writes in flight to Stop.
 func (n *Node) writeLane() {
 	defer n.done.Done()
 	for {
 		var seq uint64
 		select {
 		case <-n.stopCh:
-			n.mu.Lock()
-			n.d.Stop(ErrStopped)
-			n.mu.Unlock()
 			return
 		case seq = <-n.laneCh:
 		}
@@ -397,19 +414,23 @@ func (n *Node) writeLane() {
 }
 
 // applyLoop is the node's one link to its state machine: it feeds the apply
-// stream to OnApply in log order and, at a compaction request, captures the
-// state machine right there, between batches. It never takes mu: a holder of
-// mu may be waiting for room on the stream.
+// stream to OnApply in log order, resolving the proposals each batch settles
+// once OnApply has returned for it, and, at a compaction request, captures
+// the state machine right there, between batches. It never takes mu: a
+// holder of mu may be waiting for room on the stream.
 func (n *Node) applyLoop() {
 	defer n.applying.Done()
-	for batch := range n.applyCh {
+	for it := range n.applyCh {
 		switch {
-		case batch == nil:
+		case it.batch == nil:
 			var c capture
 			c.data, c.applied, c.err = n.opts.StateMachine.SaveSnapshot()
 			n.captured <- c
 		case n.opts.OnApply != nil:
-			n.opts.OnApply(batch)
+			n.opts.OnApply(it.batch)
+		}
+		for _, p := range it.props {
+			p.complete()
 		}
 	}
 }
@@ -475,7 +496,9 @@ func (n *Node) step(m Message) {
 // paper's guards: the change must add or remove exactly one node (R1),
 // no other configuration change may be in flight (R2), and — unless
 // DisableR3 — the leader must have committed an entry in its current term
-// (R3). It returns once the config entry is durable in the leader's log.
+// (R3). It returns once this node has applied the config entry's index, with
+// the verdict a ProposeAsync future gives (Proposal.Wait): nil only if the
+// change itself was applied there.
 // The caller names the whole target membership: deriving it from a separate
 // read of the current one would race with a concurrent change. A change that
 // removes this leader starts a hand-off instead and is refused with
@@ -493,8 +516,8 @@ func (n *Node) ProposeConfig(members types.NodeSet) (int, types.Time, error) {
 		return 0, 0, err
 	}
 	// Wait with mu released: like a ProposeAsync future this resolves once
-	// the write lane has made the entry durable, and a failed write, a lost
-	// leadership or a shutdown in between fails it.
+	// the entry's index is applied here, and a failed write, a leadership
+	// lost before the entry was durable, or a shutdown in between fails it.
 	p := &Proposal{done: make(chan struct{}), idx: idx, term: term}
 	n.d.props = append(n.d.props, p)
 	n.d.Ready()

@@ -348,8 +348,10 @@ type Effects struct {
 	// Events are the facts the core reported since the last drain, in
 	// order: none is a promise, so none waits for a disk. The slice is the
 	// core's reused buffer, valid until its next event. An EventStepDown
-	// tells the driver to fail in-flight proposals with a retryable
-	// ErrLeaderStepdown (they may still commit: a Maybe outcome).
+	// tells the driver to fail the proposals whose entries are not yet
+	// durable with a retryable ErrLeaderStepdown (a write that lands later
+	// may still let one commit: a Maybe outcome); a durable one waits for
+	// its index to apply.
 	Events []Event
 }
 

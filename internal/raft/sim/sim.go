@@ -510,7 +510,9 @@ func (n *node) dueWrite() int {
 
 func (n *node) Send(m raftcore.Message) { n.s.deliver(m) }
 
-func (n *node) Apply(batch []raftcore.ApplyMsg) {
+// Apply journals and applies one committed batch. The simulator's clients
+// propose through the core, not through Proposal futures, so done is empty.
+func (n *node) Apply(batch []raftcore.ApplyMsg, _ []*raft.Proposal) {
 	s := n.s
 	if batch[0].Kind == raftcore.EntrySnapshot {
 		s.Journalf("S%d install snapshot@%d", n.id, batch[0].Index)
