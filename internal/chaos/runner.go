@@ -69,9 +69,9 @@ func (r *Report) String() string {
 	if !r.Ok() {
 		status = fmt.Sprintf("FAILED (%d violations)", len(r.Violations))
 	}
-	return fmt.Sprintf("seed %d: %s — %d events, %d ops (%d unknown), %d storage faults, %d warnings, %d elections (%d pre-vote rounds, %d step-downs, %d transfers)",
+	return fmt.Sprintf("seed %d: %s — %d events, %d ops (%d unknown), %d storage faults, %d warnings, %d elections (%d pre-vote rounds, %d step-downs for lost quorum contact and %d for a stalled disk, %d transfers)",
 		r.Seed, status, r.Events, r.Ops, r.Timeouts, r.Faults, len(r.Warnings),
-		r.Stats.Elections, r.Stats.PreVoteRounds, r.Stats.StepDowns, r.Stats.TransfersStarted)
+		r.Stats.Elections, r.Stats.PreVoteRounds, r.Stats.StepDowns, r.Stats.DiskStepDowns, r.Stats.TransfersStarted)
 }
 
 // RunSeed generates the schedule for seed and executes it.

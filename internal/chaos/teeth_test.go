@@ -61,8 +61,8 @@ var outcomes = map[string]func(t *testing.T, on, off *Report){
 		}
 	},
 	"stalled-leader-disk": func(t *testing.T, on, _ *Report) {
-		if on.Stats.StepDowns == 0 {
-			t.Fatalf("the stalled leader never stepped down\n--- journal ---\n%s", on.Journal)
+		if on.Stats.DiskStepDowns == 0 {
+			t.Fatalf("the stalled leader never stepped down for its disk\n--- journal ---\n%s", on.Journal)
 		}
 	},
 	// The quorum-durable oracle, which reads the disks rather than the cores,

@@ -328,11 +328,11 @@ func (d *Driver) settle(batch []ApplyMsg) []*Proposal {
 	return done
 }
 
-// fold counts evs and reports whether one was a step-down.
+// fold counts evs and reports whether one was a step-down, by either guard.
 func (d *Driver) fold(evs []raftcore.Event) (steppedDown bool) {
 	for _, e := range evs {
 		d.ctr.Fold(e.Kind)
-		steppedDown = steppedDown || e.Kind == raftcore.EventStepDown
+		steppedDown = steppedDown || e.Kind == raftcore.EventStepDown || e.Kind == raftcore.EventDiskStepDown
 	}
 	return steppedDown
 }

@@ -836,7 +836,7 @@ func (c *Core) Tick() {
 		// leader need not wait out the others' timeouts and split votes.
 		if !c.cfg.DisableCheckQuorum && c.diskStalled() {
 			to := c.pickTransferTarget(c.Members())
-			c.stepDown()
+			c.stepDown(EventDiskStepDown)
 			if to != types.NoNode {
 				c.sendTimeoutNow(to)
 			}
@@ -860,7 +860,7 @@ func (c *Core) Tick() {
 			if c.quorumElapsed >= c.cfg.ElectionTicks {
 				c.quorumElapsed = 0
 				if !c.hasQuorumContact() {
-					c.stepDown()
+					c.stepDown(EventStepDown)
 				}
 			}
 		}
@@ -916,13 +916,15 @@ func (c *Core) hasQuorumContact() bool {
 	return config.MajorityCount(count, members)
 }
 
-// stepDown relinquishes leadership without a term change (CheckQuorum, or
-// a stalled disk): pending reads abort, any transfer dies, and the driver
-// learns of it by its EventStepDown so in-flight proposals fail retryably.
-func (c *Core) stepDown() {
+// stepDown relinquishes leadership without a term change, reporting the
+// guard that fired as kind (EventStepDown for CheckQuorum, EventDiskStepDown
+// for a stalled disk): pending reads abort, any transfer dies, and the
+// driver learns of it by the event so the proposals not yet durable fail
+// retryably.
+func (c *Core) stepDown(kind EventKind) {
 	c.role = Follower
 	c.leader = types.NoNode
-	c.emit(EventStepDown)
+	c.emit(kind)
 	c.abortReads()
 	c.cancelTransfer()
 	c.resetElectionTimer()

@@ -448,21 +448,21 @@ func TestStagedStalledLeaderStepsDown(t *testing.T) {
 	// followers keep acking, so CheckQuorum alone would never fire.
 	for i := 0; i < et-1; i++ {
 		c.Tick()
-		if e := ctr.effects(c); c.Role() != Leader || ctr.StepDowns != 0 || len(e.Messages) != 2 {
-			t.Fatalf("tick %d: role=%s step-downs=%d msgs=%d, want a heartbeating leader", i+1, c.Role(), ctr.StepDowns, len(e.Messages))
+		if e := ctr.effects(c); c.Role() != Leader || ctr.DiskStepDowns != 0 || len(e.Messages) != 2 {
+			t.Fatalf("tick %d: role=%s step-downs=%d msgs=%d, want a heartbeating leader", i+1, c.Role(), ctr.DiskStepDowns, len(e.Messages))
 		}
 		c.Step(Message{Type: MsgAppendResponse, From: 2, To: 1, Term: 1, Success: true, MatchIndex: 1, Seq: uint64(3 + 2*i)})
 	}
 	c.Tick()
 	handoff := Message{Type: MsgTimeoutNow, From: 1, To: 2, Term: 1} // the first of the most caught up
-	if e := ctr.effects(c); !reflect.DeepEqual(e, Effects{Messages: []Message{handoff}, Events: []Event{{Kind: EventStepDown}}}) {
+	if e := ctr.effects(c); !reflect.DeepEqual(e, Effects{Messages: []Message{handoff}, Events: []Event{{Kind: EventDiskStepDown}}}) {
 		t.Fatalf("Effects mismatch\n got: %#v", e)
 	}
 	if c.Role() != Follower || c.Leader() != types.NoNode {
 		t.Fatalf("after the stall: role=%s leader=%s, want a leaderless follower", c.Role(), c.Leader())
 	}
-	if got := ctr.StepDowns; got != 1 {
-		t.Fatalf("StepDowns = %d, want 1", got)
+	if ctr.DiskStepDowns != 1 || ctr.StepDowns != 0 {
+		t.Fatalf("step-downs: %d for the disk, %d for the quorum; want 1 and 0", ctr.DiskStepDowns, ctr.StepDowns)
 	}
 	// No campaign while the batch is outstanding.
 	for i := 0; i < 3*et; i++ {

@@ -348,7 +348,7 @@ type Effects struct {
 	// Events are the facts the core reported since the last drain, in
 	// order: none is a promise, so none waits for a disk. The slice is the
 	// core's reused buffer, valid until its next event. An EventStepDown
-	// tells the driver to fail the proposals whose entries are not yet
+	// or EventDiskStepDown tells the driver to fail the proposals whose entries are not yet
 	// durable with a retryable ErrLeaderStepdown (a write that lands later
 	// may still let one commit: a Maybe outcome); a durable one waits for
 	// its index to apply.
@@ -393,12 +393,13 @@ const (
 	EventTimeoutCampaign                   // an election straight from a timeout (Pre-Vote off)
 	EventTransferCampaign                  // a campaign opened by a leader's MsgTimeoutNow
 	EventTermBump                          // a higher term adopted from a message: what Pre-Vote minimizes
-	EventStepDown                          // leadership given up with no term change (CheckQuorum, stalled disk)
+	EventStepDown                          // leadership given up with no term change: no quorum contact (CheckQuorum)
 	EventTransferStarted                   // a leadership transfer to Event.Peer began
 	EventTransferAborted                   // a transfer abandoned (deadline, or leadership lost first)
 	EventReadBarrier                       // a ReadIndex quorum barrier opened
 	EventReadCoalesced                     // a read joined an already-open barrier
 	EventLeaseRead                         // a read answered from the leader lease, no round
+	EventDiskStepDown                      // leadership given up with no term change: the leader's own disk stalled
 	NumEventKinds                          // the number of kinds; a new one goes above
 )
 
@@ -425,6 +426,7 @@ type Counters struct {
 	ReadBarriers      uint64
 	ReadsCoalesced    uint64
 	LeaseReads        uint64
+	DiskStepDowns     uint64
 	EntryWrites       uint64 // SaveEntries calls the driver landed (a covered write's late landing too)
 	SnapshotWrites    uint64 // SaveSnapshot calls the driver landed
 }
@@ -438,6 +440,7 @@ func (c *Counters) Fold(k EventKind) {
 		EventTermBump: &c.TermBumps, EventStepDown: &c.StepDowns,
 		EventTransferStarted: &c.TransfersStarted, EventTransferAborted: &c.TransfersAborted,
 		EventReadBarrier: &c.ReadBarriers, EventReadCoalesced: &c.ReadsCoalesced, EventLeaseRead: &c.LeaseReads,
+		EventDiskStepDown: &c.DiskStepDowns,
 	}
 	*fields[k]++
 }
@@ -458,6 +461,7 @@ func (c *Counters) Add(o Counters) {
 	c.ReadBarriers += o.ReadBarriers
 	c.ReadsCoalesced += o.ReadsCoalesced
 	c.LeaseReads += o.LeaseReads
+	c.DiskStepDowns += o.DiskStepDowns
 	c.EntryWrites += o.EntryWrites
 	c.SnapshotWrites += o.SnapshotWrites
 }

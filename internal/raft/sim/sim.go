@@ -559,7 +559,7 @@ func (n *node) Events(evs []raftcore.Event) {
 	}
 }
 
-// journalLine renders the five journaled event kinds, and "" for the kinds the
+// journalLine renders the six journaled event kinds, and "" for the kinds the
 // journal leaves to the counters.
 func journalLine(id types.NodeID, e raftcore.Event) string {
 	switch e.Kind {
@@ -573,6 +573,8 @@ func journalLine(id types.NodeID, e raftcore.Event) string {
 		return fmt.Sprintf("S%d campaign (transfer)", id)
 	case raftcore.EventStepDown:
 		return fmt.Sprintf("S%d step-down (no quorum)", id)
+	case raftcore.EventDiskStepDown:
+		return fmt.Sprintf("S%d step-down (stalled disk)", id)
 	default:
 		return ""
 	}

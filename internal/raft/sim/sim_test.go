@@ -325,8 +325,8 @@ func TestSimStalledLeaderIsReplaced(t *testing.T) {
 		next = id
 		return ok && id != old
 	})
-	if got := s.Driver(old).Counters().StepDowns; got != 1 {
-		t.Fatalf("stalled leader's StepDowns = %d, want 1", got)
+	if c := s.Driver(old).Counters(); c.DiskStepDowns != 1 || c.StepDowns != 0 {
+		t.Fatalf("stalled leader's step-downs: %d for its disk, %d for its quorum; want 1 and 0", c.DiskStepDowns, c.StepDowns)
 	}
 	idx, _, err := s.Propose(next, []byte("after"))
 	if err != nil {
@@ -343,7 +343,7 @@ func TestSimStalledLeaderIsReplaced(t *testing.T) {
 
 // TestEveryEventKindFolds: every event kind folds into exactly one Counters
 // field, by one, no two kinds into the same field, and every field but the
-// driver's own write counts has a kind; the five kinds the journal records
+// driver's own write counts has a kind; the six kinds the journal records
 // render today's lines, and no other kind renders one.
 func TestEveryEventKindFolds(t *testing.T) {
 	table := map[raftcore.EventKind]struct {
@@ -362,6 +362,7 @@ func TestEveryEventKindFolds(t *testing.T) {
 		raftcore.EventReadBarrier:      {"ReadBarriers", ""},
 		raftcore.EventReadCoalesced:    {"ReadsCoalesced", ""},
 		raftcore.EventLeaseRead:        {"LeaseReads", ""},
+		raftcore.EventDiskStepDown:     {"DiskStepDowns", "S3 step-down (stalled disk)"},
 	}
 	folded := map[string]bool{}
 	for k := raftcore.EventKind(0); k < raftcore.NumEventKinds; k++ {
