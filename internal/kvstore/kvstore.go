@@ -223,10 +223,10 @@ func NewStore() *Store {
 }
 
 // Apply consumes one committed raft entry and wakes the reads waiting for its
-// index, whatever the entry's kind. An EntrySnapshot message replaces the whole state with the image in
-// Command — the restore path for crash recovery and leader-installed
-// snapshots; the dedup tables ride inside the image, so exactly-once
-// semantics survive a snapshot-based rejoin.
+// index, whatever the entry's kind. An EntrySnapshot message replaces the
+// whole state with the image in Command — the restore path for crash
+// recovery and leader-installed snapshots; the dedup tables ride inside the
+// image, so exactly-once semantics survive a snapshot-based rejoin.
 func (s *Store) Apply(msg raft.ApplyMsg) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -270,10 +270,8 @@ func (s *Store) Apply(msg raft.ApplyMsg) {
 			}
 		}
 	}
-	if ws, ok := s.waiters[msg.Index]; ok {
-		wake(ws)
-		delete(s.waiters, msg.Index)
-	}
+	wake(s.waiters[msg.Index])
+	delete(s.waiters, msg.Index)
 }
 
 func wake(ws []chan struct{}) {

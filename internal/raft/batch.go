@@ -108,9 +108,7 @@ func (n *Node) flushLoop() {
 			batch := n.pendingProps
 			n.pendingProps = nil
 			n.propMu.Unlock()
-			for _, p := range batch {
-				p.fail(ErrStopped)
-			}
+			failAll(batch, ErrStopped)
 			return
 		case <-n.flushCh:
 			// Let the batch form before flushing: yield while the queue is
@@ -166,9 +164,7 @@ func (n *Node) flushBatch() {
 	}
 	if err != nil {
 		n.mu.Unlock()
-		for _, p := range batch {
-			p.fail(err)
-		}
+		failAll(batch, err)
 		return
 	}
 	for i, p := range batch {

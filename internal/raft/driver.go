@@ -131,8 +131,7 @@ func (d *Driver) Counters() Counters { return d.ctr }
 // Stable (a node shutting down, a simulated power failure), and fails the
 // waiting proposals, durable or not, with err.
 func (d *Driver) Stop(err error) {
-	d.failProps(err)
-	d.failDurable(err)
+	d.props, d.durable = failAll(d.props, err), failAll(d.durable, err)
 	d.writes = d.writes[:0]
 }
 
@@ -226,8 +225,7 @@ func (d *Driver) failStop(cause error) {
 		d.answerRead(id, readAborted)
 	}
 	d.sh.Abort(raftcore.NotLeader(d.core.Leader()))
-	d.failProps(d.err)
-	d.failDurable(d.err)
+	d.props, d.durable = failAll(d.props, d.err), failAll(d.durable, d.err)
 	d.sh.Halt(cause)
 }
 
@@ -279,7 +277,7 @@ func (d *Driver) release() {
 			err = fmt.Errorf("%w (was %s)", ErrLeaderStepdown, d.core.ID())
 		}
 		d.sh.Abort(err)
-		d.failProps(err)
+		d.props = failAll(d.props, err)
 	}
 	d.wasLeader = isLeader
 	d.sh.Events(eff.Events)
@@ -337,18 +335,12 @@ func (d *Driver) fold(evs []raftcore.Event) (steppedDown bool) {
 	return steppedDown
 }
 
-func (d *Driver) failProps(err error) {
-	for _, p := range d.props {
+// failAll fails every proposal of ps with err and returns the emptied list.
+func failAll(ps []*Proposal, err error) []*Proposal {
+	for _, p := range ps {
 		p.fail(err)
 	}
-	d.props = nil
-}
-
-func (d *Driver) failDurable(err error) {
-	for _, p := range d.durable {
-		p.fail(err)
-	}
-	d.durable = nil
+	return nil
 }
 
 // Read starts one linearizable read under a fresh id: the core forwards it to

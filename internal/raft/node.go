@@ -157,11 +157,11 @@ type Node struct {
 	// Group-commit state (see batch.go): ProposeAsync enqueues proposals
 	// here; the flush loop drains them all into the core's log, and the
 	// driver hands each future to the apply stream with the committed batch
-	// that settles it. The
-	// queue lives under its own narrow mutex — never held across I/O — so
-	// proposers keep enqueueing while the flush loop holds mu and while the
-	// lane's write is in flight; what queued meanwhile is the next batch,
-	// which is what lets batches grow under load. Lock order: mu before
+	// that settles it. The queue lives under its own narrow mutex — never
+	// held across I/O — so proposers keep enqueueing while the flush loop
+	// holds mu and while the lane's write is in flight; what queued
+	// meanwhile is the next batch, which is what lets batches grow under
+	// load. Lock order: mu before
 	// propMu (flushBatch drains under propMu alone, then takes mu; the
 	// driver's Abort runs under mu and takes propMu inside).
 	propMu       sync.Mutex
@@ -320,9 +320,7 @@ func (s *nodeShell) hand(it applyItem) {
 		case <-s.stopCh:
 		}
 	}
-	for _, p := range it.props {
-		p.fail(ErrStopped)
-	}
+	failAll(it.props, ErrStopped)
 }
 
 // Abort fails the proposals still queued for the flush loop: they never
@@ -332,9 +330,7 @@ func (s *nodeShell) Abort(err error) {
 	batch := s.pendingProps
 	s.pendingProps = nil
 	s.propMu.Unlock()
-	for _, p := range batch {
-		p.fail(err)
-	}
+	failAll(batch, err)
 }
 
 func (s *nodeShell) Halt(error) { s.stopOnce.Do(func() { close(s.stopCh) }) }
